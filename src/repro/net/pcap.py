@@ -9,6 +9,7 @@ timestamps is produced; both byte orders are accepted on read.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,8 +18,19 @@ from typing import BinaryIO, Iterable, Iterator
 MAGIC_LE = 0xA1B2C3D4
 MAGIC_BE = 0xD4C3B2A1
 LINKTYPE_ETHERNET = 1
+#: libpcap's ``MAXIMUM_SNAPLEN``: the per-record cap when the global
+#: header declares no snaplen (0) or an absurd one
+MAX_SNAPLEN = 262_144
 _GLOBAL_HEADER = struct.Struct("<IHHiIII")
 _RECORD_HEADER = struct.Struct("<IIII")
+
+
+class PcapTruncatedError(ValueError):
+    """The capture ends inside a record (its header or packet bytes).
+
+    Everything before the cut was yielded; callers replaying live
+    traffic treat this as end-of-stream, not as a fatal error.
+    """
 
 
 @dataclass(frozen=True)
@@ -99,12 +111,20 @@ class PcapWriter:
 
 
 class PcapReader:
-    """Iterate packets from a classic pcap file (either byte order)."""
+    """Iterate packets from a classic pcap file (either byte order).
+
+    A record's ``incl_len`` is untrusted input: a read never exceeds
+    what the file still holds, and a record longer than the capture's
+    own snaplen is clamped to it — the excess skipped, the record
+    counted in ``oversized_records`` — as libpcap does.
+    """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self.linktype: int | None = None
         self.snaplen: int | None = None
+        #: records whose ``incl_len`` exceeded the snaplen (clamped)
+        self.oversized_records = 0
 
     def __iter__(self) -> Iterator[PcapPacket]:
         with open(self.path, "rb") as handle:
@@ -120,17 +140,26 @@ class PcapReader:
                 raise ValueError(f"{self.path} has unknown pcap magic {magic:#x}")
             fields = struct.unpack(endian + "IHHiIII", header)
             self.snaplen, self.linktype = fields[5], fields[6]
+            limit = min(self.snaplen or MAX_SNAPLEN, MAX_SNAPLEN)
+            #: bytes the file still holds past the read position
+            left = os.fstat(handle.fileno()).st_size - _GLOBAL_HEADER.size
             record = struct.Struct(endian + "IIII")
             while True:
                 raw = handle.read(record.size)
                 if not raw:
                     return
                 if len(raw) < record.size:
-                    raise ValueError(f"{self.path} ends mid-record")
+                    raise PcapTruncatedError(f"{self.path} ends mid-record")
                 ts_sec, ts_usec, incl_len, _orig_len = record.unpack(raw)
-                data = handle.read(incl_len)
-                if len(data) < incl_len:
-                    raise ValueError(f"{self.path} ends mid-packet")
+                left -= record.size + incl_len
+                if left < 0:
+                    raise PcapTruncatedError(f"{self.path} ends mid-packet")
+                if incl_len > limit:
+                    self.oversized_records += 1
+                    data = handle.read(limit)
+                    handle.seek(incl_len - limit, os.SEEK_CUR)
+                else:
+                    data = handle.read(incl_len)
                 yield PcapPacket(ts_sec + ts_usec / 1_000_000, data)
 
     def read_all(self) -> list[PcapPacket]:

@@ -31,8 +31,10 @@ from repro.obs.export import (
     observe_shards,
     observe_switch,
     prometheus_text,
+    record_vec_tss,
     scan_stats,
     telemetry_json,
+    vec_tss_paths,
     wall_pps_snapshot,
     write_metrics,
 )
@@ -70,8 +72,10 @@ __all__ = [
     "observe_shards",
     "observe_switch",
     "prometheus_text",
+    "record_vec_tss",
     "scan_stats",
     "telemetry_json",
+    "vec_tss_paths",
     "wall_pps_snapshot",
     "write_metrics",
 ]

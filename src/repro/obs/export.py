@@ -11,7 +11,10 @@ snapshot schema exists exactly once:
   observable snapshot (also the parallel runtime's ``observe`` wire
   payload);
 - :func:`datapath_state` — the canonical aggregated state dict
-  (stats, per-shard masks, megaflows, TSS lookups);
+  (stats, per-shard masks, megaflows, TSS lookups, and which path of
+  the columnar engine answered them);
+- :func:`vec_tss_paths` / :func:`record_vec_tss` — that code-path
+  census summed over shards, and its ``vec.tss.*`` metric family;
 - :func:`scan_stats` — the scan-cost subset the scenario layer
   reports;
 - :func:`mask_census` — the ``(max_per_shard, total)`` mask pair the
@@ -36,11 +39,14 @@ from pathlib import Path
 from typing import Any
 
 from repro.ovs.stats import SwitchStats
+from repro.vec import VEC_TSS_FALLBACK_REASONS, VEC_TSS_PATHS
 
 __all__ = [
     "observe_switch",
     "observe_shards",
     "datapath_state",
+    "vec_tss_paths",
+    "record_vec_tss",
     "scan_stats",
     "mask_census",
     "prometheus_text",
@@ -69,6 +75,8 @@ def observe_switch(switch) -> dict:
         "tss_lookups": switch.tss_lookups,
         "expected_scan_depth": switch.expected_scan_depth(),
         "rule_count": switch.rule_count,
+        # None for engines without the columnar TSS
+        "vec_tss": getattr(switch, "vec_tss_paths", None),
     }
 
 
@@ -102,7 +110,42 @@ def datapath_state(datapath, observed: list[dict] | None = None) -> dict:
         "total_mask_count": sum(masks),
         "megaflows": sum(o["megaflow_count"] for o in observed),
         "tss_lookups": sum(o["tss_lookups"] for o in observed),
+        "vec_tss": vec_tss_paths(datapath, observed),
     }
+
+
+def vec_tss_paths(datapath, observed: list[dict] | None = None) -> dict:
+    """TSS lookups by the code path that answered them, summed over
+    shards: a fresh columnar ``scan``, the burst ``memo``, or the scalar
+    fallback by reason (:data:`~repro.vec.VEC_TSS_PATHS`).  All zero
+    for engines without the columnar TSS — which is how a "vectorized"
+    run that silently went scalar shows.  Without ``observed`` the
+    shards are read directly (cheap enough for a per-tick sample)."""
+    if observed is not None:
+        reports = [o["vec_tss"] for o in observed]
+    else:
+        from repro.ovs.pmd import shard_views
+
+        reports = [getattr(shard, "vec_tss_paths", None)
+                   for shard in shard_views(datapath)]
+    totals = dict.fromkeys(VEC_TSS_PATHS, 0)
+    for report in reports:
+        if report is not None:
+            for path, count in report.items():
+                totals[path] += count
+    return totals
+
+
+def record_vec_tss(telemetry, paths: dict, **labels: str) -> None:
+    """Publish a :func:`vec_tss_paths` census as the ``vec.tss.*``
+    family: cumulative lookup counts since the datapath was built,
+    sampled (hence gauges), deterministic like every ``sim.*`` count."""
+    telemetry.gauge("vec.tss.scan_lookups", **labels).set(paths["scan"])
+    telemetry.gauge("vec.tss.memo_lookups", **labels).set(paths["memo"])
+    for reason in VEC_TSS_FALLBACK_REASONS:
+        telemetry.gauge(
+            "vec.tss.fallback_lookups", reason=reason, **labels
+        ).set(paths[reason])
 
 
 def scan_stats(datapath) -> dict:

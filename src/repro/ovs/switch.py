@@ -35,6 +35,7 @@ from repro.ovs.megaflow import (
 from repro.ovs.microflow import MicroflowCache
 from repro.ovs.revalidator import Revalidator
 from repro.ovs.stats import SwitchStats
+from repro.ovs.tss import PrefixContractError
 from repro.ovs.upcall import InstallGuard, SlowPath
 from repro.util.rng import DeterministicRng
 
@@ -331,6 +332,8 @@ class OvsSwitch:
         while start < n:
             chunk = run[start:start + window]
             results = self.megaflow.lookup_batch(chunk, now)
+            if not results:
+                raise PrefixContractError(self.megaflow.tss, len(chunk))
             clean = True
             for key, tss_result in zip(chunk, results):
                 if tss_result.hit:

@@ -69,6 +69,22 @@ SCAN_ORDERS = ("insertion", "hits", "ranked")
 KEY_MODES = ("packed", "tuple")
 
 
+class PrefixContractError(RuntimeError):
+    """``lookup_batch`` answered a non-empty burst with no result.
+
+    The prefix contract promises at least one result per non-empty
+    burst (the leading hits, or the first miss); a caller draining a
+    run can neither skip the burst uncounted nor retry it forever.
+    """
+
+    def __init__(self, tss: object, burst_len: int) -> None:
+        super().__init__(
+            f"{type(tss).__name__}.lookup_batch returned no result for a "
+            f"burst of {burst_len} keys; the prefix contract requires the "
+            "leading hits plus the first miss"
+        )
+
+
 @dataclass(slots=True)
 class TssLookupResult:
     """One TSS lookup's outcome and its cost accounting."""

@@ -41,6 +41,7 @@ from repro.obs import NULL_TELEMETRY
 from repro.obs.export import (
     datapath_state,
     observe_shards,
+    record_vec_tss,
     wall_pps_snapshot,
 )
 from repro.perf.burst import KeyBurst
@@ -128,6 +129,11 @@ class PcapSource:
     bursts of ``batch_size`` (a NIC rx-ring drain, not a timer); each
     burst carries the capture timestamp of its last frame so the
     datapath clock follows recorded time.
+
+    The capture is data, and data never stops the service: a frame the
+    parser rejects, a record longer than the capture's snaplen and a
+    capture cut short mid-record are each counted — in ``malformed``
+    and, by reason, under ``serve.ingest.malformed`` — and skipped.
     """
 
     def __init__(
@@ -136,6 +142,7 @@ class PcapSource:
         space: FieldSpace = OVS_FIELDS,
         batch_size: int = 256,
         in_port: int = 0,
+        telemetry=None,
     ) -> None:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -143,6 +150,9 @@ class PcapSource:
         self.space = space
         self.batch_size = batch_size
         self.in_port = in_port
+        self.telemetry = NULL_TELEMETRY if telemetry is None else telemetry
+        #: frames / records skipped or clamped so far, all reasons
+        self.malformed = 0
 
     def describe(self) -> dict:
         return {
@@ -151,22 +161,40 @@ class PcapSource:
             "batch_size": self.batch_size,
         }
 
+    def _note_malformed(self, reason: str, count: int = 1) -> None:
+        self.malformed += count
+        self.telemetry.counter(
+            "serve.ingest.malformed", reason=reason
+        ).inc(count)
+
     def batches(self) -> Iterator[tuple[float, list[FlowKey]]]:
         from repro.flow.extract import flow_key_from_packet
-        from repro.net.pcap import PcapReader
+        from repro.net.parse import ParseError
+        from repro.net.pcap import PcapReader, PcapTruncatedError
 
         batch: list[FlowKey] = []
         last_ts = 0.0
-        for packet in PcapReader(self.path):
-            batch.append(
-                flow_key_from_packet(
-                    packet.data, in_port=self.in_port, space=self.space
-                )
-            )
-            last_ts = packet.timestamp
-            if len(batch) >= self.batch_size:
-                yield last_ts, batch
-                batch = []
+        reader = PcapReader(self.path)
+        try:
+            for packet in reader:
+                try:
+                    key = flow_key_from_packet(
+                        packet.data, in_port=self.in_port, space=self.space
+                    )
+                except ParseError:
+                    self._note_malformed("runt_frame")
+                    continue
+                batch.append(key)
+                last_ts = packet.timestamp
+                if len(batch) >= self.batch_size:
+                    yield last_ts, batch
+                    batch = []
+        except PcapTruncatedError:
+            self._note_malformed("truncated_capture")
+        finally:
+            if reader.oversized_records:
+                self._note_malformed("oversized_record",
+                                     reader.oversized_records)
         if batch:
             yield last_ts, batch
 
@@ -372,6 +400,7 @@ class ServeService:
             telemetry.gauge("serve.datapath.megaflows").set(
                 state["megaflows"]
             )
+            record_vec_tss(telemetry, state["vec_tss"])
             telemetry.trace.record(
                 "serve.snapshot", now, node=getattr(
                     self.datapath, "name", ""
@@ -513,7 +542,8 @@ def build_service(
     datapath.add_rules(rules)
     if pcap is not None:
         source = PcapSource(
-            pcap, space=session.space, batch_size=batch_size
+            pcap, space=session.space, batch_size=batch_size,
+            telemetry=telemetry,
         )
     else:
         keys = session.surface.covert_keys(

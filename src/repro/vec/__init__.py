@@ -29,8 +29,19 @@ except ImportError:  # pragma: no cover - the container ships numpy
     _np = None  # type: ignore[assignment]
     HAVE_NUMPY = False
 
+#: the paths a ``VecTupleSpaceSearch`` lookup can be answered by —
+#: ``scan`` (a fresh columnar scan), ``memo`` (a burst pre-scan's
+#: remembered answer) and the scalar reference scan, split by why the
+#: columnar path stood aside.  Defined here, NumPy-free, because the
+#: ``repro.obs`` encoder names them for every engine
+VEC_TSS_FALLBACK_REASONS = ("staged", "hits", "tuple", "small_burst",
+                            "sparse_mirror")
+VEC_TSS_PATHS = ("scan", "memo") + VEC_TSS_FALLBACK_REASONS
+
 __all__ = [
     "HAVE_NUMPY",
+    "VEC_TSS_FALLBACK_REASONS",
+    "VEC_TSS_PATHS",
     "NumpyUnavailableError",
     "require_numpy",
     "LaneCodec",

@@ -22,16 +22,25 @@ Three pieces, each a drop-in specialisation of its reference class:
   falls back to reference dict probes over just that block's
   subtables, so the answer is always exact.  Resolved keys drop out of
   later blocks exactly where the reference scan would have stopped
-  probing.  Crediting, accounting, the prefix contract and ranked
-  auto-re-sort boundaries then replay the reference consume loop
-  (counter sums are batched — ``_account`` is pure addition, and the
-  ranked burst cap guarantees a resort can only fire on the final
-  consumed lookup), so results are bit-identical to the scalar scan.
-  Configurations the packed mirror cannot serve (staged lookup, the
-  per-scan-resorting ``"hits"`` order, tuple key mode), bursts too
-  small to amortise the NumPy overhead, and tuple spaces holding many
-  entries per subtable all fall back to the inherited implementation —
-  same results either way.
+  probing.  That scan is *pure* (``_scan``: packed keys in, ``(entry,
+  subtable, depth)`` answers out, nothing touched); the stateful half
+  (``_consume``) then replays the reference consume loop over the
+  answers — crediting, accounting, the prefix contract and ranked
+  auto-re-sort boundaries (counter sums are batched — ``_account`` is
+  pure addition, and the ranked burst cap guarantees a resort can only
+  fire on the final consumed lookup) — so results are bit-identical to
+  the scalar scan.  Because the scan is pure its answers can be kept:
+  :meth:`~VecTupleSpaceSearch.prescan` scans a burst's keys once into a
+  memo that later chunks consume from instead of re-scanning.  The memo
+  (like the dense mirror) is stamped with the tuple space's
+  ``generation``, which every subtable create / insert / remove,
+  ``clear`` and ranked ``resort`` advances, so a stale answer can never
+  be consumed.  Configurations the packed mirror cannot serve (staged
+  lookup, the per-scan-resorting ``"hits"`` order, tuple key mode),
+  chunks too small to amortise the NumPy overhead, and tuple spaces
+  holding many entries per subtable all fall back to the inherited
+  implementation — same results either way — and ``path_lookups``
+  counts which path answered every lookup.
 
 * :class:`VecSwitch` — an :class:`~repro.ovs.switch.OvsSwitch` whose
   batch pipeline fronts the EMC with a vectorized membership probe over
@@ -39,23 +48,31 @@ Three pieces, each a drop-in specialisation of its reference class:
   conservative superset of the cache's residents, so a negative proves
   a miss: those keys skip the per-key Python probe entirely (paying
   only the lookup-counter tick a certain miss would), while possible
-  residents take the reference path.  Everything that *mutates* —
-  upcalls, revalidator sweeps, install guards, EMC inserts and their
-  RNG draws — is replayed through the inherited reference code on the
-  gathered misses, which is what keeps the engine byte-for-byte
-  identical to ``ovs``.
+  residents take the reference path.  Before the per-key loop the
+  burst's EMC-miss candidates are pre-scanned once (see above): a
+  bursty feed splits into runs of one or two keys, and without the
+  memo each would pay a scalar scan of every subtable.  Everything
+  that *mutates* — upcalls, revalidator sweeps, install guards, EMC
+  inserts and their RNG draws — is replayed through the inherited
+  reference code on the gathered misses, which is what keeps the
+  engine byte-for-byte identical to ``ovs``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from repro.flow.fields import OVS_FIELDS, FieldSpace
 from repro.flow.key import FlowKey
 from repro.ovs.microflow import MicroflowCache
 from repro.ovs.switch import BatchResult, LookupPath, OvsSwitch, PacketResult
-from repro.ovs.tss import Subtable, TssLookupResult, TupleSpaceSearch
-from repro.vec import require_numpy
+from repro.ovs.tss import (
+    PrefixContractError,
+    Subtable,
+    TssLookupResult,
+    TupleSpaceSearch,
+)
+from repro.vec import VEC_TSS_PATHS, require_numpy
 from repro.vec.columnar import LaneCodec
 
 np = require_numpy("the ovs-vec datapath engine")
@@ -69,6 +86,29 @@ np = require_numpy("the ovs-vec datapath engine")
 _FOLD_MULT = 0x9E3779B97F4A7C15
 
 
+def _first_match(packed: int, tables: list, lo: int, hi: int):
+    """The reference probe loop over ``tables[lo:hi]``, minus every side
+    effect: ``(entry, subtable, depth)`` of the first subtable holding
+    ``packed``, or ``None``."""
+    for s in range(lo, hi):
+        table = tables[s]
+        entry = table.entries_packed.get(packed & table.packed_mask)
+        if entry is not None:
+            return entry, table, s + 1
+    return None
+
+
+class _Generation:
+    """The counter cell a tuple space shares with its subtables.  (A
+    plain back-reference would tie them into a cycle that only the
+    cyclic collector frees — a dropped datapath would linger.)"""
+
+    __slots__ = ("value",)
+
+    def __init__(self) -> None:
+        self.value = 0
+
+
 class VecSubtable(Subtable):
     """A subtable carrying a lazily-rebuilt columnar mirror.
 
@@ -76,9 +116,14 @@ class VecSubtable(Subtable):
     ``uint64`` row, ``vec_entries`` the entry objects in that order and
     ``vec_mask`` the packed mask as one lane row.  ``vec_dirty`` is
     flipped by every mutation; the scan rebuilds on first use after.
+    ``vec_generation`` is the owning tuple space's generation cell: a
+    mutation advances it (``MegaflowCache.insert`` writes to the
+    subtable directly, never through ``tss.insert``), which retires the
+    owner's dense mirror and scan memo.
     """
 
-    __slots__ = ("vec_lanes", "vec_entries", "vec_mask", "vec_dirty")
+    __slots__ = ("vec_lanes", "vec_entries", "vec_mask", "vec_dirty",
+                 "vec_generation")
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -86,14 +131,20 @@ class VecSubtable(Subtable):
         self.vec_entries: list = []
         self.vec_mask = None
         self.vec_dirty = True
+        self.vec_generation: _Generation | None = None
+
+    def _mutated(self) -> None:
+        self.vec_dirty = True
+        if self.vec_generation is not None:
+            self.vec_generation.value += 1
 
     def insert(self, masked_values, entry) -> None:
         super().insert(masked_values, entry)
-        self.vec_dirty = True
+        self._mutated()
 
     def remove(self, masked_values) -> None:
         super().remove(masked_values)
-        self.vec_dirty = True
+        self._mutated()
 
     def vec_mirror(self, codec: LaneCodec):
         """The (entry_lanes, entries, mask_row) mirror, rebuilt if stale."""
@@ -104,6 +155,22 @@ class VecSubtable(Subtable):
             self.vec_mask = codec.encode_int(self.packed_mask)
             self.vec_dirty = False
         return self.vec_lanes, self.vec_entries, self.vec_mask
+
+
+class DenseMirror(NamedTuple):
+    """Dense lane-major arrays over a tuple space's entries in scan
+    order (see :meth:`VecTupleSpaceSearch._dense_mirror`)."""
+
+    #: the subtables in scan order, as of the build
+    tables: list
+    mask_t: "np.ndarray"
+    ent_t: "np.ndarray"
+    fent: "np.ndarray"
+    fold_lanes: list[int]
+    mults: "np.ndarray"
+    entry_flat: list
+    sub_of: list[int]
+    n_cols: int
 
 
 class VecTupleSpaceSearch(TupleSpaceSearch):
@@ -123,6 +190,12 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
     #: entry columns scanned per block — small enough that every
     #: per-lane pass stays on a cache-friendly contiguous buffer
     BLOCK = 96
+    #: (key, column) pairs below which a burst pre-scan is not run.  A
+    #: scan costs ~20 µs of fixed NumPy call overhead per column block,
+    #: a scalar probe ~0.07 µs per (key, subtable): measured break-even
+    #: sits at 300-700 pairs whatever the mix of keys and columns, and
+    #: the margin covers the candidate selection in front of the scan
+    PRESCAN_MIN_WORK = 1024
 
     def __init__(
         self,
@@ -141,16 +214,62 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
             resort_interval=resort_interval,
         )
         self.codec = codec or LaneCodec(space)
-        #: (table ids, ...columnar arrays) — see :meth:`_dense_mirror`
-        self._dense_cache = None
+        #: advanced by everything that changes what a scan would answer
+        #: — subtable create / insert / remove, ``clear``, ``resort`` —
+        #: so the dense mirror and the scan memo are each valid exactly
+        #: while the generation they were built at is still current
+        self._generation = _Generation()
+        self._dense_cache: DenseMirror | None = None
+        self._dense_generation = -1
+        #: packed key -> ``(entry, subtable, depth)`` or ``None`` (a
+        #: miss), as a pre-scan at ``_memo_generation`` answered it
+        self._memo: dict[int, tuple | None] | None = None
+        self._memo_generation = -1
+        #: why the packed columnar mirror can never serve this
+        #: configuration (staged lookup, the per-scan-resorting "hits"
+        #: order, tuple key mode), or ``None`` when it can
+        self._scalar_reason = (
+            "staged" if staged
+            else "hits" if scan_order == "hits"
+            else "tuple" if key_mode != "packed"
+            else None
+        )
+        #: lookups answered per path (deterministic: a pure function of
+        #: the operation sequence)
+        self.path_lookups = dict.fromkeys(VEC_TSS_PATHS, 0)
+
+    # -- generation tracking -------------------------------------------------
+
+    @property
+    def generation(self) -> int:
+        """How many times the tuple space has changed."""
+        return self._generation.value
+
+    def get_or_create_subtable(self, masks):
+        subtable = self._subtables.get(masks)
+        if subtable is None:
+            subtable = super().get_or_create_subtable(masks)
+            subtable.vec_generation = self._generation
+            # even an empty subtable deepens every miss scan
+            self._generation.value += 1
+        return subtable
+
+    def clear(self) -> None:
+        super().clear()
+        self._generation.value += 1
+
+    def resort(self) -> None:
+        super().resort()
+        if self.scan_order == "ranked":  # a no-op for the other orders
+            self._generation.value += 1
 
     # -- the dense entry-column mirror --------------------------------------
 
-    def _dense_mirror(self, tables):
-        """Dense lane-major arrays over ``tables``' entries in scan order.
+    def _dense_mirror(self) -> DenseMirror | None:
+        """Dense lane-major arrays over the entries in scan order.
 
-        Every entry becomes one column ``c``: ``mask_T[l, c]`` is lane
-        ``l`` of its subtable's mask, ``ent_T[l, c]`` lane ``l`` of the
+        Every entry becomes one column ``c``: ``mask_t[l, c]`` is lane
+        ``l`` of its subtable's mask, ``ent_t[l, c]`` lane ``l`` of the
         entry's masked key, ``fent[c]`` the mixed fingerprint of the
         entry's lanes (the scan's comparison target), ``entry_flat[c]``
         the entry object and ``sub_of[c]`` the index of its subtable in
@@ -161,21 +280,20 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
         lanes contribute nothing to any masked key, so the fingerprint
         skips them (the exact per-lane confirmation still checks
         everything) — and ``mults[i]`` the mixing multiplier applied to
-        ``fold_lanes[i]``.  Returns ``None`` when entries average more
-        than ``DENSE_MAX_ENTRIES`` per subtable.  Cached until a
-        subtable mutates or the scan order changes.
+        ``fold_lanes[i]``.  ``None`` when entries average more than
+        ``DENSE_MAX_ENTRIES`` per subtable.  Cached, refusals included,
+        until the generation advances.
         """
-        ids = tuple(map(id, tables))
-        cache = self._dense_cache
-        if (
-            cache is not None
-            and cache[0] == ids
-            and not any(table.vec_dirty for table in tables)
-        ):
-            return cache[1:]
+        if self._dense_generation == self.generation:
+            return self._dense_cache
+        self._dense_generation = self.generation
+        self._dense_cache = None
+        if self.scan_order == "ranked":
+            tables = list(self._ranked_tables())
+        else:
+            tables = list(self._subtables.values())
         n_cols = sum(len(table.entries_packed) for table in tables)
         if n_cols > self.DENSE_MAX_ENTRIES * len(tables):
-            self._dense_cache = None
             return None
         codec = self.codec
         n_lanes = codec.lanes
@@ -202,68 +320,29 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
         fent = ent_t[fold_lanes[0]].copy()
         for i, lane in enumerate(fold_lanes[1:], start=1):
             fent ^= ent_t[lane] * mults[i]
-        self._dense_cache = (
-            ids, mask_t, ent_t, fent, fold_lanes, mults, entry_flat, sub_of,
-            n_cols,
+        self._dense_cache = DenseMirror(
+            tables, mask_t, ent_t, fent, fold_lanes, mults, entry_flat,
+            sub_of, n_cols,
         )
-        return self._dense_cache[1:]
+        return self._dense_cache
 
-    # -- the vectorized burst lookup ----------------------------------------
+    # -- the pure scan -------------------------------------------------------
 
-    def lookup_batch(self, keys: Sequence[FlowKey]) -> list[TssLookupResult]:
-        """The reference burst contract (prefix of leading hits plus the
-        first miss, accounting applied in key order), resolved
-        column-major in fingerprint blocks instead of one dict probe
-        per key per subtable."""
-        if (
-            self.staged
-            or self.scan_order == "hits"
-            or self.key_mode != "packed"
-            or len(keys) < self.VEC_MIN_BATCH
-        ):
-            # paths the packed columnar mirror cannot serve, or bursts
-            # too small to win; the reference handles them (same results)
-            return super().lookup_batch(keys)
-        limit = len(keys)
-        if self.scan_order == "ranked":
-            tables = self._ranked_tables()
-            if self.resort_interval:
-                # identical burst capping to the reference: stop where a
-                # sequential caller would hit the auto-re-sort
-                limit = min(
-                    limit, self.resort_interval - self._lookups_since_resort
-                )
-        else:
-            tables = list(self._subtables.values())
-        n_tables = len(tables)
-        if not n_tables or limit < self.VEC_MIN_BATCH:
-            return super().lookup_batch(keys)
-        dense = self._dense_mirror(tables)
-        if dense is None:
-            return super().lookup_batch(keys)
-        mask_t, ent_t, fent, fold_lanes, mults, entry_flat, sub_of, n_cols = \
-            dense
-
-        codec = self.codec
-        # burst dedup: the scan is pure (all mutation happens in the
-        # consume step below), so identical keys in one burst — elephant
-        # flows, benign victim traffic — are scanned once and their
-        # result replicated; crediting and accounting stay per *key*,
-        # keeping counters bit-identical.  The covert attack stream is
-        # all-distinct by construction, so it pays the full scan
-        packed_cache = [key.packed for key in keys[:limit]]
-        uniq: dict[int, int] = {}
-        rep = [uniq.setdefault(p, len(uniq)) for p in packed_cache]
-        uniq_packed = list(uniq)
+    def _scan(self, dense: DenseMirror, uniq_packed: list[int]) -> list:
+        """Resolve packed keys against the dense mirror: per key the
+        ``(entry, subtable, depth)`` of its first match in scan order,
+        or ``None`` for a miss.  Pure — no counter, credit or resort is
+        touched, so the answers hold for as long as the generation does
+        and may be consumed any number of times, in any order."""
+        (tables, mask_t, ent_t, fent, fold_lanes, mults, entry_flat, sub_of,
+         n_cols) = dense
         n_uniq = len(uniq_packed)
-        lanes = codec.encode_ints(uniq_packed)  # (n_uniq, L)
-        n_lanes = codec.lanes
+        lanes = self.codec.encode_ints(uniq_packed)  # (n_uniq, L)
+        n_lanes = self.codec.lanes
         block = self.BLOCK
         ar = np.arange(n_uniq, dtype=np.intp)
         pending = ar
-        u_entry: list = [None] * n_uniq
-        u_table: list = [None] * n_uniq
-        u_depth = [0] * n_uniq
+        found: list = [None] * n_uniq
         fold = np.empty((n_uniq, block), dtype=np.uint64)
         buf = np.empty((n_uniq, block), dtype=np.uint64)
         eqb = np.empty((n_uniq, block), dtype=bool)
@@ -307,9 +386,7 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
                     for u, c in zip(pending[good].tolist(),
                                     (cols[good] + start).tolist()):
                         s = sub_of[c]
-                        u_entry[u] = entry_flat[c]
-                        u_table[u] = tables[s]
-                        u_depth[u] = s + 1
+                        found[u] = (entry_flat[c], tables[s], s + 1)
                 bad = claimed[~ok]
                 if bad.size:
                     # fingerprint collision at the claimed column (it
@@ -323,44 +400,73 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
                     # yields the same (entry, depth)
                     for row in bad.tolist():
                         u = int(pending[row])
-                        packed = uniq_packed[u]
-                        for s in range(sub_of[start], sub_of[stop - 1] + 1):
-                            table = tables[s]
-                            entry = table.entries_packed.get(
-                                packed & table.packed_mask
-                            )
-                            if entry is not None:
-                                u_entry[u] = entry
-                                u_table[u] = table
-                                u_depth[u] = s + 1
-                                matched[row] = True
-                                break
+                        hit = _first_match(uniq_packed[u], tables,
+                                           sub_of[start], sub_of[stop - 1] + 1)
+                        if hit is not None:
+                            found[u] = hit
+                            matched[row] = True
                 pending = pending[~matched]
-        # consume the leading hits (plus the first miss) in key order.
-        # _account is pure counter addition, so the burst's calls are
-        # summed; per-key order only matters for the ranked auto-resort
-        # tick, and the limit cap above guarantees the burst cannot
-        # cross a resort boundary before its final consumed lookup —
-        # applying the summed tick afterwards fires the same resort at
-        # the same lookup count as the reference's per-key calls
-        n_hits = limit
-        for i in range(limit):
-            if u_entry[rep[i]] is None:
-                n_hits = i
-                break
-        # rank credits are grouped: consecutive hits on the same
-        # subtable (duplicate keys, elephant-flow bursts) fold into one
-        # credit_hits(n) call — integer adds, so the counters land
-        # exactly where per-key credit_hit calls would put them
+        return found
+
+    # -- the per-burst memo --------------------------------------------------
+
+    def prescan_pays(self, n_keys: int) -> bool:
+        """Whether pre-scanning ``n_keys`` keys can beat answering them
+        chunk by chunk: the columnar path must be able to serve this
+        tuple space at all, and the (key, column) work must outweigh
+        the scan's fixed overhead.  Callers pass an upper bound first to
+        skip candidate selection outright on a near-empty tuple space."""
+        if self._scalar_reason is not None:
+            return False
+        dense = self._dense_mirror()
+        return (dense is not None
+                and n_keys * dense.n_cols >= self.PRESCAN_MIN_WORK)
+
+    def prescan(self, packed_keys: list[int]) -> None:
+        """Scan ``packed_keys`` (distinct packed ints) once and remember
+        the answers: until the generation advances, :meth:`lookup_batch`
+        chunks made only of these keys are consumed from the memo —
+        same results, credits and counters — instead of re-scanned."""
+        self._memo = None
+        if not self.prescan_pays(len(packed_keys)):
+            return
+        found = self._scan(self._dense_mirror(), packed_keys)
+        self._memo = dict(zip(packed_keys, found))
+        self._memo_generation = self.generation
+
+    def drop_memo(self) -> None:
+        """Forget the pre-scan (the burst it served is over)."""
+        self._memo = None
+
+    # -- the stateful consume ------------------------------------------------
+
+    def _consume(self, answers, n_tables: int) -> list[TssLookupResult]:
+        """Apply scan ``answers`` (one per key, in key order) under the
+        reference burst contract: the leading hits plus the first miss
+        are consumed, the rest ignored.
+
+        ``_account`` is pure counter addition, so the burst's calls are
+        summed; per-key order only matters for the ranked auto-resort
+        tick, and the caller's limit cap guarantees the burst cannot
+        cross a resort boundary before its final consumed lookup —
+        applying the summed tick afterwards fires the same resort at the
+        same lookup count as the reference's per-key calls.  Rank
+        credits are grouped: consecutive hits on the same subtable
+        (duplicate keys, elephant-flow bursts) fold into one
+        ``credit_hits(n)`` call — integer adds, so the counters land
+        exactly where per-key ``credit_hit`` calls would put them.
+        """
         results: list[TssLookupResult] = []
         scanned = 0
         last_table = None
         pending_credits = 0
-        for i in range(n_hits):
-            u = rep[i]
-            depth = u_depth[u]
-            results.append(TssLookupResult(u_entry[u], depth, depth))
-            table = u_table[u]
+        for hit in answers:
+            if hit is None:
+                results.append(TssLookupResult(None, n_tables, n_tables))
+                scanned += n_tables
+                break
+            entry, table, depth = hit
+            results.append(TssLookupResult(entry, depth, depth))
             if table is last_table:
                 pending_credits += 1
             else:
@@ -371,11 +477,7 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
             scanned += depth
         if pending_credits:
             last_table.credit_hits(pending_credits)
-        consumed = n_hits
-        if n_hits < limit:
-            results.append(TssLookupResult(None, n_tables, n_tables))
-            consumed += 1
-            scanned += n_tables
+        consumed = len(results)
         self.total_lookups += consumed
         self.total_tuples_scanned += scanned
         self.total_hash_probes += scanned
@@ -383,6 +485,84 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
             self._lookups_since_resort += consumed
             if self._lookups_since_resort >= self.resort_interval:
                 self.resort()
+        return results
+
+    def _lookup_memoised(self, memo: dict, keys: Sequence[FlowKey],
+                         n_tables: int) -> list[TssLookupResult]:
+        """Consume ``keys`` from a memo of the current generation.  A
+        key the pre-scan did not cover (an EMC resident evicted
+        mid-burst) is answered by scalar probes — today's small-burst
+        path, minus the chunk's covered keys — and joins the memo."""
+        probed = 0
+        try:
+            answers = [memo[key.packed] for key in keys]
+        except KeyError:
+            tables = self._dense_mirror().tables
+            answers = []
+            for key in keys:
+                packed = key.packed
+                if packed in memo:
+                    hit = memo[packed]
+                else:
+                    hit = memo[packed] = _first_match(
+                        packed, tables, 0, n_tables
+                    )
+                    probed += 1
+                answers.append(hit)
+                if hit is None:
+                    break  # the prefix ends here: probe no further
+        results = self._consume(answers, n_tables)
+        self.path_lookups["small_burst"] += probed
+        self.path_lookups["memo"] += len(results) - probed
+        return results
+
+    def _fallback(self, reason: str,
+                  keys: Sequence[FlowKey]) -> list[TssLookupResult]:
+        """The inherited scalar scan (same results), counted by why."""
+        results = super().lookup_batch(keys)
+        self.path_lookups[reason] += len(results)
+        return results
+
+    def lookup_batch(self, keys: Sequence[FlowKey]) -> list[TssLookupResult]:
+        """The reference burst contract (prefix of leading hits plus the
+        first miss, accounting applied in key order), with the scan
+        answers taken from the burst memo when it covers the chunk, else
+        resolved column-major in fingerprint blocks instead of one dict
+        probe per key per subtable."""
+        if self._scalar_reason is not None:
+            return self._fallback(self._scalar_reason, keys)
+        if self.scan_order == "ranked":
+            n_tables = len(self._ranked_tables())
+            if self.resort_interval:
+                # identical burst capping to the reference: stop where a
+                # sequential caller would hit the auto-re-sort
+                room = self.resort_interval - self._lookups_since_resort
+                if room < len(keys):
+                    keys = keys[:room]
+        else:
+            n_tables = len(self._subtables)
+        memo = self._memo
+        if memo is not None:
+            if self._memo_generation == self.generation:
+                return self._lookup_memoised(memo, keys, n_tables)
+            self._memo = None  # the tuple space changed under it
+        if not n_tables or len(keys) < self.VEC_MIN_BATCH:
+            # too small to amortise the NumPy overhead
+            return self._fallback("small_burst", keys)
+        dense = self._dense_mirror()
+        if dense is None:
+            return self._fallback("sparse_mirror", keys)
+        # burst dedup: the scan is pure, so identical keys in one burst
+        # — elephant flows, benign victim traffic — are scanned once
+        # and their answer replicated; crediting and accounting stay
+        # per *key*, keeping counters bit-identical.  The covert attack
+        # stream is all-distinct by construction, so it pays the full
+        # scan
+        uniq: dict[int, int] = {}
+        rep = [uniq.setdefault(key.packed, len(uniq)) for key in keys]
+        found = self._scan(dense, list(uniq))
+        results = self._consume(map(found.__getitem__, rep), n_tables)
+        self.path_lookups["scan"] += len(results)
         return results
 
 
@@ -478,6 +658,9 @@ class VecSwitch(OvsSwitch):
       column-wise;
     * :meth:`process_batch` pre-probes the EMC vectorized and skips the
       per-key Python probe for keys the store proves absent;
+    * the burst's EMC-miss candidates are scanned against the tuple
+      space once, up front, and the runs' chunks consume the answers
+      from that per-burst memo (:meth:`_prescan`);
     * keys that miss are gathered into runs and replayed through the
       inherited ``_flush_run``/``_finish_*`` machinery, in key order.
     """
@@ -541,7 +724,9 @@ class VecSwitch(OvsSwitch):
         while start < n:
             chunk = run[start:start + window]
             results = self.megaflow.lookup_batch(chunk, now)
-            if results and results[-1].hit:
+            if not results:
+                raise PrefixContractError(self.megaflow.tss, len(chunk))
+            if results[-1].hit:
                 append = batch.results.append
                 forwarded = 0
                 tuples = 0
@@ -581,8 +766,8 @@ class VecSwitch(OvsSwitch):
                 if served == len(chunk):
                     window = min(window * 2, self.MAX_BATCH_WINDOW)
                 continue
-            # the chunk ended in a TSS miss (or a degenerate empty
-            # prefix): replay it through the reference finishers
+            # the chunk ended in a TSS miss: replay it through the
+            # reference finishers
             for key, tss_result in zip(chunk, results):
                 if tss_result.hit:
                     self._finish_megaflow_hit(key, tss_result, now, batch,
@@ -591,7 +776,7 @@ class VecSwitch(OvsSwitch):
                     self._finish_upcall(key, tss_result, now, batch,
                                         materialize)
                     window = 1
-            start += len(results) if results else len(chunk)
+            start += len(results)
         self._batch_window = window
         run.clear()
         run_set.clear()
@@ -611,58 +796,113 @@ class VecSwitch(OvsSwitch):
         self.revalidator.maybe_sweep(now)
         store = self._emc_store
         store.refresh(self.microflow)
-        overlay = store.overlay
         batch = BatchResult()
-        run: list[FlowKey] = []
-        run_set: set[FlowKey] = set()
-        microflow = self.microflow
         # a provably-empty store answers every probe "no" — skip even
         # the batch encode (the common state with EMC insertion off)
         maybe = None if store.empty else store.probe(
             self._codec.encode_keys(keys)
         )
-        if maybe is None or (not overlay and not maybe.any()):
-            # the whole burst is proven absent from the EMC (the common
-            # shape of a cold covert lap): no key pays a per-key cache
-            # probe, runs split only at within-burst duplicates, and the
-            # per-packet counter ticks are deferred to one bulk add each
-            # — nothing reads them mid-batch, so the exit state is
-            # bit-identical to the per-key loop
-            certain_misses = 0
-            for key in keys:
-                # the truthiness guard spares the key hash while the
-                # overlay stays empty (it can only gain keys here when
-                # a flush's insert actually stores one)
-                possible = bool(overlay) and key in overlay
-                if run and (
-                    key in run_set or (possible and microflow.contains(key))
-                ):
-                    self._flush_run(run, run_set, batch, now, materialize)
-                    # the flush may have installed this very key (every
-                    # insert lands in the overlay, so the re-check
-                    # restores the superset guarantee)
-                    possible = possible or (
-                        bool(overlay) and key in overlay
-                    )
-                if possible:
-                    entry = microflow.lookup(key, now)
-                else:
-                    certain_misses += 1
-                    entry = None
-                if entry is not None:
-                    self._finish_microflow_hit(entry, now, batch, materialize)
-                else:
-                    run.append(key)
-                    run_set.add(key)
-            self.stats.packets += len(keys)
-            microflow.lookups += certain_misses
-            if run:
+        flags = None
+        if maybe is not None and (store.overlay or maybe.any()):
+            flags = maybe.tolist()
+        self._prescan(keys, flags)
+        try:
+            if flags is None:
+                self._resolve_absent(keys, batch, now, materialize)
+            else:
+                self._resolve_mixed(keys, flags, batch, now, materialize)
+        finally:
+            # the memo answers for this burst's keys against this
+            # burst's tuple space; it must not outlive the call
+            self.megaflow.tss.drop_memo()
+        return batch
+
+    def _prescan(self, keys: Sequence[FlowKey], flags: list | None) -> None:
+        """Scan the burst's EMC-miss candidates against the tuple space
+        once, before the per-key loop: a bursty feed splits into runs of
+        one or two keys (an ON train's second packet is a within-run
+        duplicate), and each run's ``lookup_batch`` chunk then consumes
+        its answers from the memo instead of paying a scalar scan of
+        every subtable.  Candidates are the distinct keys the EMC cannot
+        serve as the burst opens — proven absent by the store, or
+        flagged "maybe" but since evicted; a resident evicted mid-burst
+        simply misses the memo and takes the chunk's own scan.  Pure:
+        nothing the reference observes is touched."""
+        tss = self.megaflow.tss
+        # a chunk window of one means the last TSS chunk ended in an
+        # upcall: the tuple space is being written (a cold covert lap,
+        # mask churn), the next lookup most likely misses too, and its
+        # install would retire the memo before anything consumed it.
+        # The first chunk that hits re-opens the window
+        if self._batch_window == 1 or not tss.prescan_pays(len(keys)):
+            return
+        packed = [key.packed for key in keys]
+        if flags is None:
+            candidates = list(dict.fromkeys(packed))
+        else:
+            # equal keys carry equal flags, so any occurrence will do
+            overlay = self._emc_store.overlay
+            contains = self.microflow.contains
+            candidates = [
+                p for p, (flag, key) in dict(
+                    zip(packed, zip(flags, keys))
+                ).items()
+                if not ((flag or key in overlay) and contains(key))
+            ]
+        tss.prescan(candidates)
+
+    def _resolve_absent(self, keys: Sequence[FlowKey], batch: BatchResult,
+                        now: float, materialize: bool) -> None:
+        """The whole burst is proven absent from the EMC (the common
+        shape of a cold covert lap): no key pays a per-key cache probe,
+        runs split only at within-burst duplicates, and the per-packet
+        counter ticks are deferred to one bulk add each — nothing reads
+        them mid-batch, so the exit state is bit-identical to the
+        per-key loop."""
+        overlay = self._emc_store.overlay
+        microflow = self.microflow
+        run: list[FlowKey] = []
+        run_set: set[FlowKey] = set()
+        certain_misses = 0
+        for key in keys:
+            # the truthiness guard spares the key hash while the
+            # overlay stays empty (it can only gain keys here when a
+            # flush's insert actually stores one)
+            possible = bool(overlay) and key in overlay
+            if run and (
+                key in run_set or (possible and microflow.contains(key))
+            ):
                 self._flush_run(run, run_set, batch, now, materialize)
-            return batch
-        # mixed burst: one vectorized flag conversion, then the
-        # reference per-key resolve (possible residents must probe the
-        # real cache — LRU touches and stale purges are stateful)
-        flags = maybe.tolist()
+                # the flush may have installed this very key (every
+                # insert lands in the overlay, so the re-check restores
+                # the superset guarantee)
+                possible = possible or (bool(overlay) and key in overlay)
+            if possible:
+                entry = microflow.lookup(key, now)
+            else:
+                certain_misses += 1
+                entry = None
+            if entry is not None:
+                self._finish_microflow_hit(entry, now, batch, materialize)
+            else:
+                run.append(key)
+                run_set.add(key)
+        self.stats.packets += len(keys)
+        microflow.lookups += certain_misses
+        if run:
+            self._flush_run(run, run_set, batch, now, materialize)
+
+    def _resolve_mixed(self, keys: Sequence[FlowKey], flags: list,
+                       batch: BatchResult, now: float,
+                       materialize: bool) -> None:
+        """A burst with possible EMC residents: the reference per-key
+        resolve (possible residents must probe the real cache — LRU
+        touches and stale purges are stateful), skipping the probe only
+        for keys the store proves absent."""
+        overlay = self._emc_store.overlay
+        microflow = self.microflow
+        run: list[FlowKey] = []
+        run_set: set[FlowKey] = set()
         for i, key in enumerate(keys):
             # the probe is a superset of the residents: a negative
             # proves the key has no slot, live or stale (the overlay
@@ -691,7 +931,13 @@ class VecSwitch(OvsSwitch):
                 run_set.add(key)
         if run:
             self._flush_run(run, run_set, batch, now, materialize)
-        return batch
+
+    @property
+    def vec_tss_paths(self) -> dict[str, int]:
+        """TSS lookups by the path that answered them (the keys of
+        :data:`~repro.vec.VEC_TSS_PATHS`) — the datapath-surface view
+        the ``repro.obs`` encoder publishes as ``vec.tss.*``."""
+        return dict(self.megaflow.tss.path_lookups)
 
     def __repr__(self) -> str:
         return (

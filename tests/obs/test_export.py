@@ -9,12 +9,15 @@ from repro.obs.export import (
     observe_shards,
     observe_switch,
     prometheus_text,
+    record_vec_tss,
     scan_stats,
     telemetry_json,
+    vec_tss_paths,
     write_metrics,
 )
 from repro.scenario.presets import SCENARIOS
 from repro.scenario.session import Session
+from repro.vec import VEC_TSS_PATHS
 
 
 def _datapath(shards=1):
@@ -28,7 +31,7 @@ class TestSnapshotEncoder:
         observed = observe_switch(datapath)
         assert set(observed) == {"stats", "mask_count", "megaflow_count",
                                  "tss_lookups", "expected_scan_depth",
-                                 "rule_count"}
+                                 "rule_count", "vec_tss"}
 
     def test_observe_shards_counts_views(self):
         assert len(observe_shards(_datapath(shards=1))) == 1
@@ -62,6 +65,63 @@ class TestSnapshotEncoder:
         )
         result = Session(spec).run()
         assert result.scan_stats() == scan_stats(result.datapath)
+
+
+class TestVecTssPaths:
+    """Which code path answered the TSS lookups, through the encoder."""
+
+    def test_every_lookup_lands_on_one_path_summed_over_shards(self):
+        spec = SCENARIOS.get("k8s-deepscan").evolve(shards=2)
+        session = Session(spec)
+        datapath = session.build_datapath()
+        datapath.add_rules(session.surface.compile_rules(
+            session.policy, session.target, session.space
+        ))
+        keys = session.surface.covert_keys(
+            session.dimensions, session.target, session.space
+        )
+        for now in (0.0, 0.1, 0.2):
+            datapath.process_batch(keys, now=now, materialize=False)
+        state = datapath_state(datapath)
+        assert set(state["vec_tss"]) == set(VEC_TSS_PATHS)
+        assert sum(state["vec_tss"].values()) == state["tss_lookups"]
+        # laps two and three are scanned once per burst and consumed
+        # from the memo; the cold lap's installs went scalar
+        assert state["vec_tss"]["memo"] >= len(keys)
+        assert state["vec_tss"]["small_burst"] >= len(keys)
+        assert vec_tss_paths(datapath) == state["vec_tss"]
+
+    def test_scalar_engines_read_all_zero(self):
+        spec = SCENARIOS.get("k8s-deepscan").evolve(backend="ovs")
+        paths = datapath_state(Session(spec).build_datapath())["vec_tss"]
+        assert paths == dict.fromkeys(VEC_TSS_PATHS, 0)
+
+    def test_metric_family(self):
+        tele = Telemetry()
+        paths = dict(zip(VEC_TSS_PATHS, range(1, 8)))
+        record_vec_tss(tele, paths, node="n0")
+        text = prometheus_text(tele)
+        assert 'repro_vec_tss_scan_lookups{node="n0"} 1' in text
+        assert 'repro_vec_tss_memo_lookups{node="n0"} 2' in text
+        assert ('repro_vec_tss_fallback_lookups'
+                '{node="n0",reason="small_burst"} 6') in text
+        assert text.count("repro_vec_tss_fallback_lookups{") == 5
+
+    def test_a_traced_campaign_exports_the_family(self):
+        spec = SCENARIOS.get("k8s-deepscan").evolve(
+            duration=15.0, attack_start=5.0
+        )
+        tele = Telemetry()
+        result = Session(spec, telemetry=tele).run()
+        exported = {
+            (name, dict(labels).get("reason")): instrument.value
+            for name, labels, instrument in tele.series()
+            if name.startswith("vec.tss.")
+        }
+        paths = vec_tss_paths(result.datapath)
+        assert exported[("vec.tss.memo_lookups", None)] == paths["memo"] > 0
+        assert exported[("vec.tss.fallback_lookups", "small_burst")] == \
+            paths["small_burst"]
 
 
 class TestPrometheusText:

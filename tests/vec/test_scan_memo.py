@@ -1,0 +1,364 @@
+"""The burst pre-scan and its memo: ``VecSwitch`` must stay bit-identical
+to ``OvsSwitch`` on every observable while the scan answers come from
+the memo, a stale memo must never be consumed, and the ``path_lookups``
+counters must say which path answered."""
+
+import dataclasses
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.attack.packets import CovertStreamGenerator
+from repro.attack.policy import kubernetes_attack_policy
+from repro.cms.base import PolicyTarget
+from repro.cms.kubernetes import KubernetesCms
+from repro.flow.actions import Drop, Output
+from repro.flow.fields import OVS_FIELDS
+from repro.flow.key import FlowKey
+from repro.flow.match import FlowMatch
+from repro.flow.rule import FlowRule
+from repro.net.addresses import ip_to_int
+from repro.ovs.switch import OvsSwitch
+from repro.ovs.tss import PrefixContractError
+from repro.vec import HAVE_NUMPY, VEC_TSS_PATHS
+
+pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+
+if HAVE_NUMPY:
+    from repro.vec.engine import VecSwitch, VecTupleSpaceSearch
+
+VICTIM_IP = ip_to_int("10.0.9.77")
+TARGET = PolicyTarget(pod_ip=ip_to_int("10.0.9.10"), output_port=42,
+                      tenant="mallory")
+_POLICY, _DIMENSIONS = kubernetes_attack_policy()
+RULES = KubernetesCms().compile(_POLICY, TARGET, OVS_FIELDS)
+COVERT = CovertStreamGenerator(_DIMENSIONS, dst_ip=TARGET.pod_ip).keys()
+#: covert keys installed up front (one mask each); the rest of the
+#: covert set stays fresh, so drawing one forces an upcall mid-burst
+INSTALLED = 224
+VICTIMS = [
+    FlowKey(OVS_FIELDS, {
+        "eth_type": 0x0800, "ip_src": 0x0A010000 + 37 * i,
+        "ip_dst": VICTIM_IP, "ip_proto": 6,
+        "tp_src": 2000 + i, "tp_dst": 443,
+    })
+    for i in range(48)
+]
+#: what a burst draws from: deep-scan hits, shallow victim hits, misses
+POOL = COVERT[:INSTALLED] + VICTIMS + COVERT[INSTALLED:INSTALLED + 40]
+
+
+def _ones(bits):
+    return (1 << bits) - 1
+
+
+VICTIM_RULE = FlowRule(
+    match=FlowMatch(OVS_FIELDS, {"eth_type": (0x0800, _ones(16)),
+                                 "ip_dst": (VICTIM_IP, _ones(32))}),
+    action=Output(7), priority=10, tenant="victim",
+)
+#: the rule a tenant adds and removes between bursts (flushes caches)
+EXTRA_RULE = FlowRule(
+    match=FlowMatch(OVS_FIELDS, {"eth_type": (0x0800, _ones(16)),
+                                 "ip_dst": (VICTIM_IP, _ones(32)),
+                                 "tp_dst": (8443, _ones(16))}),
+    action=Drop(), priority=50, tenant="extra",
+)
+
+
+def _build(cls, scan_order="insertion", resort_interval=0,
+           emc_entries=8192, emc_insertion_prob=1.0):
+    switch = cls(space=OVS_FIELDS, name="memo-test", scan_order=scan_order,
+                 resort_interval=resort_interval, emc_entries=emc_entries,
+                 emc_insertion_prob=emc_insertion_prob)
+    switch.add_rules(RULES + [VICTIM_RULE])
+    switch.process_batch(COVERT[:INSTALLED], now=0.0, materialize=False)
+    # a lap of megaflow hits (the installs' EMC slots dropped first, so
+    # it reaches the TSS) re-opens the chunk window the installs left at
+    # one: the very next burst is eligible for a pre-scan
+    switch.microflow.flush()
+    switch.process_batch(COVERT[:32], now=0.0, materialize=False)
+    assert switch._batch_window > 1
+    return switch
+
+
+def _state(switch):
+    """Everything the bit-identity claim covers, comparable across two
+    switches (entries compare by value: match, action, hits, times)."""
+    tss = switch.megaflow.tss
+    emc = switch.microflow
+    return {
+        "stats": dataclasses.asdict(switch.stats),
+        "clock": switch.clock,
+        "window": switch._batch_window,
+        "tss": (tss.total_lookups, tss.total_tuples_scanned,
+                tss.total_hash_probes, tss.resorts,
+                tss._lookups_since_resort),
+        "pvector": [(s.masks, s.hits, s.rank_hits, len(s))
+                    for s in tss.subtables()],
+        "megaflows": switch.megaflow.entries(),
+        "emc": [(i, [(slot.key.values, slot.last_used, slot.entry)
+                     for slot in bucket])
+                for i, bucket in enumerate(emc._sets) if bucket],
+        "emc_counters": (emc.lookups, emc.hits, emc.insertions,
+                         emc.evictions, emc.stale_hits),
+    }
+
+
+def _assert_same(ref, vec, context):
+    ref_state, vec_state = _state(ref), _state(vec)
+    for field in ref_state:
+        assert vec_state[field] == ref_state[field], (field, context)
+
+
+# -- the differential search ------------------------------------------------
+
+#: mostly keys with a megaflow behind them (the memo's regime), now
+#: and then one from anywhere in the pool — a fresh one forces an upcall
+_known = st.integers(0, INSTALLED + len(VICTIMS) - 1)
+_key_index = st.one_of(*[_known] * 7, st.integers(0, len(POOL) - 1))
+_burst = st.tuples(
+    st.just("burst"),
+    st.lists(st.tuples(_key_index, st.integers(1, 6)),
+             min_size=8, max_size=48),
+    st.sampled_from([0.0, 0.01, 0.3]),
+)
+_ops = st.lists(
+    st.one_of(
+        _burst, _burst, _burst, _burst,
+        st.tuples(st.just("advance"), st.sampled_from([0.5, 4.0, 11.0])),
+        st.sampled_from([("add_rule",), ("remove_rule",)]),
+    ),
+    min_size=3, max_size=9,
+)
+_configs = st.fixed_dictionaries({
+    # a resort interval of 37 lands inside most bursts
+    "order": st.sampled_from([("insertion", 0), ("ranked", 0),
+                              ("ranked", 37)]),
+    # "EMC size 0" is insertion switched off, as the noemc profiles do
+    "emc": st.sampled_from([(8192, 0.0), (256, 1.0), (8192, 1.0)]),
+    "materialize": st.booleans(),
+})
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=_configs, ops=_ops)
+def test_vec_switch_matches_the_reference_after_every_burst(config, ops):
+    kwargs = dict(
+        scan_order=config["order"][0], resort_interval=config["order"][1],
+        emc_entries=config["emc"][0], emc_insertion_prob=config["emc"][1],
+    )
+    ref, vec = _build(OvsSwitch, **kwargs), _build(VecSwitch, **kwargs)
+    materialize = config["materialize"]
+    now = 0.0
+    for step, op in enumerate(ops):
+        if op[0] == "burst":
+            now += op[2]
+            burst = [POOL[i] for i, repeat in op[1] for _ in range(repeat)]
+            ref_batch = ref.process_batch(burst, now=now,
+                                          materialize=materialize)
+            vec_batch = vec.process_batch(burst, now=now,
+                                          materialize=materialize)
+            assert vec_batch.results == ref_batch.results, step
+            assert vec_batch.installed == ref_batch.installed, step
+            assert vec.megaflow.tss._memo is None  # never outlives a burst
+        elif op[0] == "advance":
+            now += op[1]
+            ref.advance_clock(now)
+            vec.advance_clock(now)
+        elif op[0] == "add_rule":
+            ref.add_rule(EXTRA_RULE)
+            vec.add_rule(EXTRA_RULE)
+        else:
+            ref.remove_tenant_rules("extra")
+            vec.remove_tenant_rules("extra")
+        _assert_same(ref, vec, (step, op[0]))
+
+
+# -- the paths, one at a time ------------------------------------------------
+
+def _onoff_burst(keys, repeat=3):
+    """ON trains: every key ``repeat`` times back to back, so each run
+    of EMC misses is one key long (its duplicate flushes it)."""
+    return [key for key in keys for _ in range(repeat)]
+
+
+class TestMemoServesBurstyTraffic:
+    def test_on_trains_are_served_from_the_memo(self):
+        ref = _build(OvsSwitch, emc_insertion_prob=0.0)
+        vec = _build(VecSwitch, emc_insertion_prob=0.0)
+        before = dict(vec.megaflow.tss.path_lookups)
+        burst = _onoff_burst(COVERT[40:120])
+        ref.process_batch(burst, now=1.0)
+        vec.process_batch(burst, now=1.0)
+        _assert_same(ref, vec, "on-off burst")
+        paths = vec.megaflow.tss.path_lookups
+        assert paths["memo"] - before["memo"] == len(burst)
+        assert paths["small_burst"] == before["small_burst"]
+        assert paths["scan"] == before["scan"]
+
+    def test_an_upcall_mid_burst_retires_the_memo(self):
+        ref, vec = _build(OvsSwitch), _build(VecSwitch)
+        fresh = COVERT[INSTALLED]
+        burst = (_onoff_burst(COVERT[40:60]) + [fresh]
+                 + _onoff_burst(COVERT[60:80]))
+        ref.process_batch(burst, now=1.0)
+        before = dict(vec.megaflow.tss.path_lookups)
+        vec.process_batch(burst, now=1.0)
+        _assert_same(ref, vec, "upcall mid-burst")
+        paths = vec.megaflow.tss.path_lookups
+        # before the install: memo (the fresh key's miss included);
+        # after it: the chunks' own scalar scans
+        assert paths["memo"] - before["memo"] == 21
+        assert paths["small_burst"] - before["small_burst"] == 20
+
+    def test_a_resident_evicted_mid_burst_is_probed_and_memoised(self):
+        # a 2-slot EMC: every insert evicts, so keys resident as the
+        # burst opens (not pre-scanned) need the TSS again later in it
+        kwargs = dict(emc_entries=2, emc_insertion_prob=1.0)
+        ref, vec = _build(OvsSwitch, **kwargs), _build(VecSwitch, **kwargs)
+        lap = COVERT[40:72]
+        burst = lap + lap
+        for switch in (ref, vec):
+            switch.process_batch(lap[-2:] + lap[:14], now=0.5)
+        before = dict(vec.megaflow.tss.path_lookups)
+        ref.process_batch(burst, now=1.0)
+        vec.process_batch(burst, now=1.0)
+        _assert_same(ref, vec, "evicted residents")
+        paths = vec.megaflow.tss.path_lookups
+        assert paths["small_burst"] > before["small_burst"]
+        assert paths["memo"] > before["memo"]
+        assert sum(paths.values()) == vec.megaflow.tss.total_lookups
+
+    def test_a_write_heavy_tuple_space_skips_the_pre_scan(self):
+        # the chunk window is one right after an upcall: no pre-scan,
+        # so a run of installs (mask churn) pays nothing for a memo
+        vec = _build(VecSwitch)
+        vec.process_batch(COVERT[INSTALLED:INSTALLED + 16], now=1.0)
+        assert vec._batch_window == 1
+        before = dict(vec.megaflow.tss.path_lookups)
+        vec.process_batch(_onoff_burst(COVERT[40:60]), now=1.1)
+        paths = vec.megaflow.tss.path_lookups
+        assert paths["memo"] == before["memo"]
+        assert paths["small_burst"] > before["small_burst"]
+
+    def test_a_near_empty_tuple_space_never_pre_scans(self):
+        vec = VecSwitch(space=OVS_FIELDS)
+        vec.add_rule(VICTIM_RULE)
+        for now in (0.1, 0.2, 0.3):
+            vec.process_batch(_onoff_burst(VICTIMS), now=now)
+        paths = vec.megaflow.tss.path_lookups
+        assert vec.mask_count == 1
+        assert paths["memo"] == 0 and paths["scan"] == 0
+        assert paths["small_burst"] == vec.megaflow.tss.total_lookups
+
+    def test_every_lookup_is_counted_exactly_once(self):
+        vec = _build(VecSwitch)
+        for now, keys in ((1.0, COVERT[:INSTALLED]),
+                          (1.1, _onoff_burst(VICTIMS)),
+                          (1.2, COVERT[100:INSTALLED + 8])):
+            vec.process_batch(keys, now=now, materialize=False)
+        tss = vec.megaflow.tss
+        assert set(tss.path_lookups) == set(VEC_TSS_PATHS)
+        assert sum(tss.path_lookups.values()) == tss.total_lookups
+        assert vec.vec_tss_paths == tss.path_lookups
+
+
+class TestStaleMemoIsNeverConsumed:
+    """Mutate the tuple space behind a live memo, then look up: the
+    answer must come from a rescan or the scalar fallback."""
+
+    def _prescanned(self, **kwargs):
+        ref, vec = _build(OvsSwitch, **kwargs), _build(VecSwitch, **kwargs)
+        tss = vec.megaflow.tss
+        keys = COVERT[40:72]
+        tss.prescan([key.packed for key in keys])
+        assert tss._memo is not None
+        return ref, vec, tss, keys
+
+    def _check(self, ref, vec, tss, keys):
+        before = dict(tss.path_lookups)
+        ref_results = ref.megaflow.tss.lookup_batch(keys)
+        vec_results = tss.lookup_batch(keys)
+        assert [(r.hit, r.tuples_scanned) for r in vec_results] == \
+            [(r.hit, r.tuples_scanned) for r in ref_results]
+        assert tss.path_lookups["memo"] == before["memo"]
+        assert (tss.path_lookups["scan"] + tss.path_lookups["small_burst"]
+                == before["scan"] + before["small_burst"]
+                + len(vec_results))
+        assert tss._memo is None  # dropped on sight
+
+    def test_live_memo_is_consumed(self):
+        ref, vec, tss, keys = self._prescanned()
+        tss.lookup_batch(keys)
+        assert tss.path_lookups["memo"] == len(keys)
+
+    def test_megaflow_insert_writes_the_subtable_directly(self):
+        ref, vec, tss, keys = self._prescanned()
+        for switch in (ref, vec):
+            # MegaflowCache.insert mutates the subtable, not tss.insert
+            switch.slow_path.handle(COVERT[INSTALLED + 1], now=2.0)
+        self._check(ref, vec, tss, keys)
+
+    def test_entry_removal(self):
+        ref, vec, tss, keys = self._prescanned()
+        for switch in (ref, vec):
+            victim = next(
+                entry for entry in switch.megaflow.entries()
+                if switch.megaflow.tss.lookup(keys[3]).entry is entry
+            )
+            switch.megaflow.remove_entry(victim)
+        # the probes above were real lookups on both sides; re-arm
+        tss.prescan([key.packed for key in keys])
+        for switch in (ref, vec):
+            switch.megaflow.remove_entry(
+                switch.megaflow.tss.lookup(keys[5]).entry
+            )
+        self._check(ref, vec, tss, keys)
+
+    def test_revalidator_eviction(self):
+        ref, vec, tss, keys = self._prescanned()
+        for switch in (ref, vec):
+            assert switch.megaflow.expire_idle(now=1000.0) > 0
+        self._check(ref, vec, tss, keys)
+
+    def test_clear(self):
+        ref, vec, tss, keys = self._prescanned()
+        for switch in (ref, vec):
+            switch.invalidate_caches()
+        self._check(ref, vec, tss, keys)
+
+    def test_ranked_resort(self):
+        ref, vec, tss, keys = self._prescanned(scan_order="ranked")
+        for switch in (ref, vec):
+            switch.megaflow.resort_subtables()
+        self._check(ref, vec, tss, keys)
+
+    def test_resort_is_not_a_mutation_in_insertion_order(self):
+        ref, vec, tss, keys = self._prescanned()
+        generation = tss.generation
+        vec.megaflow.resort_subtables()
+        assert tss.generation == generation
+        tss.lookup_batch(keys)
+        assert tss.path_lookups["memo"] == len(keys)
+
+
+class _MuteTss(VecTupleSpaceSearch if HAVE_NUMPY else object):
+    """A tuple space that breaks the prefix contract: no result at all
+    for a non-empty burst."""
+
+    def lookup_batch(self, keys):
+        return []
+
+
+@pytest.mark.parametrize("cls", [OvsSwitch] + ([VecSwitch] if HAVE_NUMPY
+                                               else []))
+def test_an_empty_prefix_is_a_contract_error_not_a_silent_drop(cls):
+    switch = cls(space=OVS_FIELDS, emc_insertion_prob=0.0)
+    switch.add_rule(VICTIM_RULE)
+    switch.megaflow.tss = _MuteTss(OVS_FIELDS)
+    with pytest.raises(PrefixContractError, match="returned no result"):
+        switch.process_batch(VICTIMS[:12], now=1.0)
+    # nothing was served, and nothing claims to have been
+    assert switch.stats.megaflow_hits == switch.stats.upcalls == 0

@@ -225,11 +225,23 @@ class TestVecTssLookupBatch:
         assert _counters(vec) == _counters(ref)
 
     def test_small_bursts_use_the_reference_path(self):
+        """...unless a pre-scan's memo covers them."""
         ref, vec, covert = _tss_pairs()
         small = covert[:VecTupleSpaceSearch.VEC_MIN_BATCH - 1]
+        # no pre-scan behind it: the scalar scan answers, and says so
         assert _fields(vec.lookup_batch(small)) == \
             _fields(ref.lookup_batch(small))
         assert _counters(vec) == _counters(ref)
+        assert vec.path_lookups["small_burst"] == len(small)
+        assert vec.path_lookups["scan"] == vec.path_lookups["memo"] == 0
+        # a pre-scan covering the chunk: the same answers and counters,
+        # consumed from the memo with no scan at all
+        vec.prescan([key.packed for key in covert[:64]])
+        assert _fields(vec.lookup_batch(small)) == \
+            _fields(ref.lookup_batch(small))
+        assert _counters(vec) == _counters(ref)
+        assert vec.path_lookups["memo"] == len(small)
+        assert vec.path_lookups["small_burst"] == len(small)
 
 
 @requires_numpy
