@@ -86,8 +86,7 @@ def check_equivalence(duration: float = 20.0) -> list[str]:
     # (b) rebalance_interval=0 must be series-identical to the
     # knob-never-mentioned spec
     base = SCENARIOS.get("k8s").evolve(
-        duration=duration, attack_start=duration / 3,
-        backend="sharded", shards=4,
+        duration=duration, attack_start=duration / 3, shards=4,
     )
     default = Session(base).run()
     disabled = Session(base.evolve(rebalance_interval=0.0)).run()
@@ -96,12 +95,17 @@ def check_equivalence(duration: float = 20.0) -> list[str]:
     if default.scan_stats() != disabled.scan_stats():
         problems.append("rebalance_interval=0 scan stats != default")
 
-    # (c) shards=1 with rebalancing enabled == bare OvsSwitch
-    plain = Session(base.evolve(backend="ovs", shards=1)).run()
-    one = Session(
-        base.evolve(backend="sharded", shards=1, rebalance_interval=2.0)
+    # (c) shards=1 with rebalancing enabled == bare OvsSwitch (a spec
+    # rejects the knob on one shard, so the dispatcher is built by hand)
+    session = Session(base.evolve(shards=1))
+    plain = session.run()
+    one = session.build_campaign(
+        sharded_switch_for_profile(
+            session.profile, space=session.space, shards=1,
+            seed=session.spec.seed, rebalance_interval=2.0,
+        )
     ).run()
-    if plain.series.rows != one.series.rows:
+    if plain.series.rows != one.simulation.series.rows:
         problems.append("shards=1 (rebalance on) series != bare switch series")
     return problems
 

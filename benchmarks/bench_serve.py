@@ -17,6 +17,12 @@ Two gates:
    deterministic serve reports — every periodic snapshot's stats
    counters, per-shard mask counts and detector verdicts, the final
    state, and the packet/burst totals, compared as canonical JSON.
+   One more row, ``vec_x_processes``: the same preset evolved to
+   ``backend="ovs-vec"`` on 2 worker processes — the fastest cell of
+   the engine × shards × runtime product — must match the serial
+   *scalar* 2-shard run byte for byte too, once the ``vec_tss`` engine
+   census (non-zero by design on the vec engine, and required to be) is
+   set aside.
 
 2. **Speedup** (enforced on machines with >= 4 CPU cores; exit 1 on
    violation): the parallel runtime at 4 workers must serve **>= 2x**
@@ -32,7 +38,8 @@ Emits a ``BENCH_serve.json`` perf record.  Fields:
   feed rate, shard counts, repeats, the speedup target);
 - ``cpu_count``: cores visible to the benchmark;
 - ``equivalence``: per-shard-count byte-identity verdicts (packets
-  served, final masks, ``identical`` flag);
+  served, final masks, ``identical`` flag), plus the
+  ``vec_x_processes`` row (or its ``skipped`` reason without NumPy);
 - ``times_sec`` / ``packets_per_sec``: best-of-repeats wall clock and
   throughput for the serial reference and the 4-worker runtime;
 - ``ratios.parallel_vs_serial_serve``: the gated speedup (absent when
@@ -60,6 +67,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.runtime.service import build_service  # noqa: E402
 from repro.scenario import SCENARIOS  # noqa: E402
+from repro.vec import HAVE_NUMPY  # noqa: E402
 
 #: packets/second floor: 4 workers vs the serial 4-shard reference
 SPEEDUP_TARGET = 2.0
@@ -75,10 +83,14 @@ EXPECTED_MASKS = 512
 #: shard counts the equivalence gate sweeps
 EQUIVALENCE_SHARDS = (1, 2, 4)
 
+#: worker count of the vec x processes row (the reference box has 2 cores)
+VEC_WORKERS = 2
 
-def run_serve(workers: int, shards: int, duration: float, rate_pps: float):
+
+def run_serve(workers: int, shards: int, duration: float, rate_pps: float,
+              backend: str = "ovs"):
     """One serve run; returns (report, wall_seconds)."""
-    spec = SCENARIOS.get("k8s-serve").evolve(shards=shards)
+    spec = SCENARIOS.get("k8s-serve").evolve(shards=shards, backend=backend)
     service = build_service(
         spec,
         workers=workers,
@@ -126,6 +138,52 @@ def check_equivalence(duration: float, rate_pps: float):
     return problems, summaries
 
 
+def _canonical_without_census(report) -> str:
+    """The canonical deterministic view minus the ``vec_tss`` engine
+    census — what a vec run and a scalar run must agree on."""
+    view = report.deterministic_view()
+    for entry in (*view["series"], view["final"]):
+        entry["state"] = {key: value for key, value in entry["state"].items()
+                          if key != "vec_tss"}
+    return json.dumps(view, sort_keys=True)
+
+
+def check_vec_processes(duration: float, rate_pps: float):
+    """The vec × processes row: vectorized shards on worker processes
+    against the serial scalar run.  Returns (problems, summary)."""
+    shards = VEC_WORKERS
+    if not HAVE_NUMPY:
+        reason = "numpy not installed: the ovs-vec engine cannot be built"
+        print(f"equivalence vec x processes: SKIPPED ({reason})")
+        return [], {"skipped": reason}
+    serial, _ = run_serve(0, shards, duration, rate_pps)
+    vec, _ = run_serve(shards, shards, duration, rate_pps, backend="ovs-vec")
+    census = vec.final["state"]["vec_tss"]
+    columnar = census["scan"] + census["memo"]
+    identical = (_canonical_without_census(serial)
+                 == _canonical_without_census(vec))
+    problems = []
+    if not identical:
+        problems.append(
+            f"vec x processes (shards={shards}): deterministic view "
+            "differs from the serial scalar run"
+        )
+    if not columnar:
+        problems.append(
+            "vec x processes: no lookup took the columnar path — the "
+            "workers are not running the vec engine"
+        )
+    print(f"equivalence vec x processes shards={shards}: {vec.packets} "
+          f"packets, {'identical' if identical else 'MISMATCH'} "
+          f"(columnar lookups: {columnar})")
+    return problems, {
+        "packets": vec.packets,
+        "shards": shards,
+        "columnar_lookups": columnar,
+        "identical": identical,
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
@@ -151,6 +209,10 @@ def main(argv: list[str] | None = None) -> int:
     problems, summaries = check_equivalence(
         equivalence_duration, equivalence_rate
     )
+    vec_problems, summaries["vec_x_processes"] = check_vec_processes(
+        equivalence_duration, equivalence_rate
+    )
+    problems += vec_problems
     if problems:
         print("serve equivalence FAILED:")
         for problem in problems:

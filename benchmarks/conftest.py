@@ -1,8 +1,8 @@
 """Shared fixtures and reporting helpers for the benchmark harness.
 
-Every benchmark regenerates one paper artefact (DESIGN.md §4) and
-*prints* it, so ``pytest benchmarks/ --benchmark-only -s`` doubles as
-the reproduction report; ``EXPERIMENTS.md`` records one such run.
+Every benchmark regenerates one paper artefact (DESIGN.md §4 indexes
+them) and *prints* it, so ``pytest benchmarks/ --benchmark-only -s``
+doubles as the reproduction report.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Project-level checkers: live-registry introspection.
 
 Unlike the AST checkers these import the real registries and probe the
-objects behind them — a new backend that under-implements the
-:class:`~repro.scenario.datapath.Datapath` surface, or a preset whose
+objects behind them — a new engine or runtime that under-implements
+the :class:`~repro.scenario.datapath.Datapath` surface, or a preset whose
 string keys stopped resolving, is caught here before any experiment
 trips over it at runtime.
 """
@@ -21,41 +21,51 @@ __all__ = [
 
 #: where registry-level findings anchor (there is no single offending
 #: source line; the registration site is the actionable place to look)
-_BACKENDS_PATH = "src/repro/scenario/registry.py"
+_BACKENDS_PATH = "src/repro/perf/factory.py"
 _PRESETS_PATH = "src/repro/scenario/presets.py"
 _FLEET_PRESETS_PATH = "src/repro/fleet/presets.py"
 
 
+#: the runtime × shards cells probed per engine: the bare switch, the
+#: inline RETA dispatcher, the same shards on worker processes
+_PROBE_CELLS = (("inline", 1), ("inline", 2), ("processes", 2))
+
+
 @register
 class ProtocolConformanceChecker(Checker):
-    """Every registered backend must expose the full ``Datapath``
-    surface — a new backend cannot silently under-implement it."""
+    """Every datapath the config product builds must expose the full
+    ``Datapath`` surface — a new engine or runtime cannot silently
+    under-implement it."""
 
     rule = "protocol-conformance"
-    contract = ("every BACKENDS entry must build a datapath exposing the "
-                "full Datapath surface (DATAPATH_SURFACE is the single "
-                "source of truth)")
-    scope = "BACKENDS registry (builds each backend once)"
+    contract = ("every BACKENDS engine, in every runtime x shards cell "
+                "DatapathConfig accepts, must build a datapath exposing "
+                "the full Datapath surface (DATAPATH_SURFACE is the "
+                "single source of truth)")
+    scope = "BACKENDS x runtimes (builds each cell once)"
     project_level = True
 
     def check_project(self, root: Path) -> Iterator[Finding]:
-        from repro.flow.fields import OVS_FIELDS
-        from repro.perf.factory import PROFILES
-        from repro.scenario import BACKENDS, DATAPATH_SURFACE
-        from repro.scenario.datapath import Datapath
-        from repro.vec import HAVE_NUMPY
+        from repro.perf.factory import BACKENDS, PROFILES, DatapathConfig
+        from repro.scenario.datapath import DATAPATH_SURFACE, Datapath
+        from repro.vec import NumpyUnavailableError
 
         profile = PROFILES.get("kernel")
-        for name, builder in BACKENDS.items():
-            if name in ("ovs-vec",) and not HAVE_NUMPY:
-                continue  # unbuildable here; the registry rejects it loudly
-            # sharded-only runtimes need >1 shard to exercise dispatch
-            shards = 2 if name in ("sharded", "parallel") else 1
+        cells = [(name, *cell) for name in BACKENDS.names()
+                 for cell in _PROBE_CELLS]
+        for name, runtime, shards in cells:
+            config = DatapathConfig(
+                profile, name=f"lint-{name}", engine=name, runtime=runtime,
+                shards=shards, seed=1,
+            )
+            cell = f"backend {name!r} ({runtime}, shards={shards})"
+            try:
+                config.check()
+            except ValueError:
+                continue  # the validation table rejects this cell
             datapath = None
             try:
-                datapath = builder(
-                    profile, OVS_FIELDS, f"lint-{name}", seed=1, shards=shards
-                )
+                datapath = config.build()
                 missing = sorted(
                     member for member in DATAPATH_SURFACE
                     if not hasattr(datapath, member)
@@ -63,25 +73,27 @@ class ProtocolConformanceChecker(Checker):
                 for member in missing:
                     yield self.finding(
                         None, None,
-                        f"backend {name!r} "
-                        f"({type(datapath).__name__}) is missing protocol "
-                        f"member {member!r} — implement it or raise loudly "
-                        "(silent under-implementation diverges backends)",
+                        f"{cell}: {type(datapath).__name__} is missing "
+                        f"protocol member {member!r} — implement it or "
+                        "raise loudly (silent under-implementation "
+                        "diverges backends)",
                         path=_BACKENDS_PATH,
                     )
                 if not missing and not isinstance(datapath, Datapath):
                     yield self.finding(
                         None, None,
-                        f"backend {name!r} ({type(datapath).__name__}) "
-                        "fails the runtime_checkable Datapath isinstance "
-                        "probe despite exposing every member",
+                        f"{cell}: {type(datapath).__name__} fails the "
+                        "runtime_checkable Datapath isinstance probe "
+                        "despite exposing every member",
                         path=_BACKENDS_PATH,
                     )
+            except NumpyUnavailableError:
+                continue  # the engine's own resolver: unbuildable here
             except Exception as exc:  # noqa: BLE001 - report, don't crash
                 yield self.finding(
                     None, None,
-                    f"backend {name!r} could not be built for the "
-                    f"conformance probe: {type(exc).__name__}: {exc}",
+                    f"{cell} could not be built for the conformance "
+                    f"probe: {type(exc).__name__}: {exc}",
                     path=_BACKENDS_PATH,
                 )
             finally:

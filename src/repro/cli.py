@@ -167,6 +167,8 @@ def _print_scenario_list() -> None:
     print("scan orders: " + ", ".join(SCAN_ORDERS) + " (--scan-order)")
     print("key modes:   " + ", ".join(KEY_MODES) + " (--key-mode)")
     print("shards:      any N >= 1 (--shards; RSS-dispatched PMD shards)")
+    print("runtime:     inline, or N worker processes "
+          "(`repro serve --workers N`)")
     print("rebalance:   --rebalance-interval SECONDS (0 = static RSS), "
           "--rebalance-improvement FRAC, --rebalance-load-floor PPS, "
           "--reta-size BUCKETS, --workload-skew ZIPF (elephant flows)")

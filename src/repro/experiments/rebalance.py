@@ -125,7 +125,6 @@ def run_skewed_campaign(
     spec = ScenarioSpec(
         surface="k8s",
         name=f"e10-skew-{'alb' if rebalance_interval else 'static'}",
-        backend="sharded",
         shards=shards,
         workload_skew=skew,
         rebalance_interval=rebalance_interval,

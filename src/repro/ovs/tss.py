@@ -63,7 +63,7 @@ DEFAULT_STAGES: tuple[tuple[str, ...], ...] = (
 )
 
 #: valid ``TupleSpaceSearch.scan_order`` values
-SCAN_ORDERS = ("insertion", "hits", "ranked")
+SCAN_ORDERS = ("insertion", "ranked")
 
 #: valid ``TupleSpaceSearch.key_mode`` values
 KEY_MODES = ("packed", "tuple")
@@ -237,8 +237,6 @@ class TupleSpaceSearch:
 
     * ``"insertion"`` (default) — the order masks were first created,
       matching the kernel datapath's mask array;
-    * ``"hits"`` — most-hit subtables first, re-sorted on *every* scan
-      (a deliberately naive reference ordering kept for comparison);
     * ``"ranked"`` — OVS's netdev-datapath subtable ranking: a cached
       pvector-style list re-sorted by recent hit count only when
       :meth:`resort` runs (the revalidator sweep calls it) or every
@@ -337,10 +335,7 @@ class TupleSpaceSearch:
         """Subtables in the current scan order."""
         if self.scan_order == "ranked":
             return list(self._ranked_tables())
-        tables = list(self._subtables.values())
-        if self.scan_order == "hits":
-            tables.sort(key=lambda s: (-s.hits, s.created_seq))
-        return tables
+        return list(self._subtables.values())
 
     def find_subtable(self, masks: tuple[int, ...]) -> Subtable | None:
         """The subtable for a mask, or ``None`` when absent."""
@@ -462,8 +457,6 @@ class TupleSpaceSearch:
         """
         if self.scan_order == "ranked":
             tables = self._ranked_tables()
-        elif self.scan_order == "hits":
-            tables = self.subtables()
         else:
             tables = self._subtables.values()
         tuples_scanned = 0
@@ -516,9 +509,8 @@ class TupleSpaceSearch:
         """
         if not keys:
             return []
-        if self.staged or self.scan_order == "hits":
-            # these paths mutate per lookup (stage indexes rebuild, the
-            # "hits" order re-sorts every scan): fall back to per-key
+        if self.staged:
+            # stage indexes rebuild per lookup: fall back to per-key
             # lookups, honouring the prefix contract
             results: list[TssLookupResult] = []
             for key in keys:

@@ -1,15 +1,22 @@
-"""Build :class:`~repro.ovs.switch.OvsSwitch` instances from datapath
-profiles (kernel vs netdev) so experiments pick a flavour by name.
+"""Build datapaths from datapath profiles (kernel vs netdev) so
+experiments pick a flavour by name.
 
-Profiles live in a :class:`~repro.util.registry.Registry` — the same
-mechanism the Scenario API uses for surfaces, defenses and backends —
-so new flavours (more cores, bigger EMC, custom idle timeout) register
-once and become addressable from specs and the CLI.
+Profiles and engines live in :class:`~repro.util.registry.Registry`
+instances — the same mechanism the Scenario API uses for surfaces and
+defenses — so new flavours (more cores, bigger EMC, custom idle
+timeout) register once and become addressable from specs and the CLI.
+
+:class:`DatapathConfig` is the one way a datapath gets built: engine ×
+shards × runtime plus the classifier and RETA knobs, one validation
+table, one shard factory.  :func:`switch_for_profile` and
+:func:`sharded_switch_for_profile` are its two leaf constructors.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+import warnings
+from dataclasses import dataclass, replace
+from typing import Callable
 
 from repro.flow.fields import OVS_FIELDS, FieldSpace
 from repro.ovs.pmd import ShardedDatapath, shard_seed
@@ -59,6 +66,56 @@ def profile_by_name(name: str) -> DatapathProfile:
     return PROFILES.get(name)
 
 
+#: the classifier engines (a spec's ``backend``): name -> resolver
+#: returning the switch class.  A name picks the engine and nothing
+#: else — shard count and runtime are :class:`DatapathConfig`'s other
+#: axes.  Resolvers run at build time, so listing never imports NumPy
+BACKENDS: Registry[Callable[[], type]] = Registry("datapath backend")
+BACKENDS.register("ovs", lambda: OvsSwitch)
+
+
+@BACKENDS.register("ovs-vec")
+def _vec_engine() -> type:
+    """The columnar vectorized engine (:mod:`repro.vec`) — bit-identical
+    to ``ovs``, just faster on bursts.  Asking for it without NumPy
+    raises a clear :class:`~repro.vec.NumpyUnavailableError`."""
+    from repro.vec import require_numpy
+
+    require_numpy("the ovs-vec backend")
+    from repro.vec.engine import VecSwitch
+
+    return VecSwitch
+
+
+@BACKENDS.register("ovs-vec-auto")
+def _vec_auto_engine() -> type:
+    """``ovs-vec`` when NumPy is importable, the scalar ``ovs`` engine
+    otherwise — with a loud warning on the fallback, never a silent
+    behaviour change.  Both engines are pinned bit-identical, so the
+    choice only moves wall clock; wall-clock-bound presets (fleet,
+    multi-PMD, degradation sweeps) use this as their default backend."""
+    from repro.vec import HAVE_NUMPY
+
+    if HAVE_NUMPY:
+        return _vec_engine()
+    warnings.warn(
+        "numpy is not installed: the ovs-vec-auto backend is falling "
+        "back to the scalar 'ovs' engine (bit-identical results, "
+        "slower wall clock)",
+        RuntimeWarning,
+        stacklevel=2,
+    )
+    return OvsSwitch
+
+
+@BACKENDS.register("cacheless")
+def _cacheless_engine() -> type:
+    # deferred: the ESwitch-style adapter lives a layer above this module
+    from repro.scenario.datapath import CachelessDatapath
+
+    return CachelessDatapath
+
+
 def switch_for_profile(
     profile: DatapathProfile | str,
     space: FieldSpace = OVS_FIELDS,
@@ -97,6 +154,159 @@ def switch_for_profile(
     )
 
 
+#: where a datapath's shards run: on the caller's interpreter, or one
+#: worker process each behind the aggregate-only mailbox
+RUNTIMES = ("inline", "processes")
+
+#: the PMD auto-lb knobs — honoured only by a datapath with a rebalancer
+REBALANCE_KNOBS = (
+    "rebalance_interval", "rebalance_improvement", "rebalance_load_floor",
+)
+
+
+@dataclass(frozen=True)
+class DatapathConfig:
+    """Which datapath to build — engine × shards × runtime plus the
+    classifier and RETA knobs — and the one way to build it.
+
+    ``shards=0``, ``reta_size=0``, ``scan_order=None`` and a ``None``
+    rebalance knob each mean "the profile's", the convention specs and
+    the leaf constructors share; each is resolved by one expression
+    below (``scan_order`` by :func:`switch_for_profile`).
+    """
+
+    profile: DatapathProfile
+    space: FieldSpace = OVS_FIELDS
+    name: str | None = None
+    engine: str = "ovs"  #: a :data:`BACKENDS` name
+    runtime: str = "inline"  #: one of :data:`RUNTIMES`
+    shards: int = 0
+    staged: bool = False
+    scan_order: str | None = None
+    key_mode: str = "packed"
+    seed: int = 0
+    reta_size: int = 0
+    rebalance_interval: float | None = None
+    rebalance_improvement: float | None = None
+    rebalance_load_floor: float | None = None
+
+    @classmethod
+    def from_spec(cls, spec, profile: DatapathProfile, space: FieldSpace,
+                  name: str) -> "DatapathConfig":
+        """The datapath a :class:`~repro.scenario.spec.ScenarioSpec`
+        asks for — inline: the runtime is chosen where a run is
+        launched (``build_service(workers=N)``), not by the spec."""
+        return cls(
+            profile, space, name,
+            engine=spec.backend,
+            staged=spec.staged_lookup,
+            scan_order=spec.scan_order or None,
+            **{field: getattr(spec, field) for field in (
+                "shards", "key_mode", "seed", "reta_size", *REBALANCE_KNOBS
+            )},
+        )
+
+    @property
+    def shard_count(self) -> int:
+        return self.shards or self.profile.shards
+
+    @property
+    def base_name(self) -> str:
+        return self.name or f"ovs-{self.profile.name}"
+
+    def check(self) -> None:
+        """The validation table.  A datapath has a PMD rebalancer iff it
+        is inline with ``shards > 1``; an explicit non-zero rebalance
+        knob reaching any other datapath is an error, not silently
+        ignored (``None``, the profile's default, never is).  The
+        ``cacheless`` engine builds inline on one shard only."""
+        BACKENDS.get(self.engine)  # unknown name: lists the valid ones
+        if self.runtime not in RUNTIMES:
+            raise ValueError(
+                f"unknown runtime {self.runtime!r}: {' | '.join(RUNTIMES)}"
+            )
+        if self.engine == "cacheless":
+            if self.shard_count > 1 or self.runtime != "inline":
+                raise ValueError(
+                    "the cacheless backend has no sharded variant (its "
+                    "per-packet cost is already attack-independent); use "
+                    "shards=1 on the inline runtime"
+                )
+            why = "the cacheless engine has no PMD shards"
+        elif self.runtime == "processes":
+            why = ("worker processes: no per-bucket load crosses the "
+                   "aggregate-only wire")
+        elif self.shard_count == 1:
+            why = "one shard"
+        else:
+            return
+        for knob in REBALANCE_KNOBS:
+            if getattr(self, knob):
+                raise ValueError(
+                    f"{knob} tunes the multi-PMD auto-lb; the "
+                    f"{self.engine} datapath being built has no "
+                    f"rebalancer ({why}) — only an inline datapath with "
+                    "shards > 1 has one"
+                )
+
+    def build(self):
+        """The configured :class:`~repro.scenario.datapath.Datapath`.
+        One inline shard is the bare switch — what the dispatcher
+        around one shard is pinned identical to
+        (``tests/ovs/test_pmd.py``)."""
+        self.check()
+        switch_cls = BACKENDS.get(self.engine)()
+        if self.engine == "cacheless":
+            return switch_cls(self.space, name=self.base_name)
+        if self.runtime == "inline" and self.shard_count == 1:
+            return self.shard_factory(switch_cls)(0)
+        return self.dispatched(switch_cls)
+
+    def shard_factory(
+        self, switch_cls: type[OvsSwitch]
+    ) -> Callable[[int], OvsSwitch]:
+        """Builds shard ``i``'s switch.  Its RNG seed derives from the
+        base seed via :func:`~repro.ovs.pmd.shard_seed` — shard 0 keeps
+        the base seed, so a one-shard datapath is bit-identical to
+        :func:`switch_for_profile` with the same arguments.  Every
+        runtime builds its shards here, which is what makes the serial
+        and multi-process datapaths byte-comparable."""
+        base, shards = self.base_name, self.shard_count
+        return lambda i: switch_for_profile(
+            self.profile,
+            space=self.space,
+            name=base if shards == 1 else f"{base}-pmd{i}",
+            staged_lookup=self.staged,
+            seed=shard_seed(self.seed, i),
+            scan_order=self.scan_order,
+            key_mode=self.key_mode,
+            switch_cls=switch_cls,
+        )
+
+    def dispatched(self, switch_cls: type[OvsSwitch]):
+        """The shards behind a RETA dispatcher, at any shard count and
+        unchecked (:func:`sharded_switch_for_profile` enters here)."""
+        common = dict(
+            space=self.space,
+            shards=self.shard_count,
+            name=self.base_name,
+            reta_size=self.reta_size or self.profile.reta_size,
+            shard_factory=self.shard_factory(switch_cls),
+        )
+        if self.runtime == "processes":
+            # deferred: repro.runtime imports this package, and listing
+            # profiles or engines should never load multiprocessing
+            from repro.runtime.parallel import ParallelDatapath
+
+            return ParallelDatapath(**common)
+        for knob in REBALANCE_KNOBS:
+            value = getattr(self, knob)
+            common[knob] = (
+                getattr(self.profile, knob) if value is None else value
+            )
+        return ShardedDatapath(**common)
+
+
 def sharded_switch_for_profile(
     profile: DatapathProfile | str,
     space: FieldSpace = OVS_FIELDS,
@@ -114,44 +324,21 @@ def sharded_switch_for_profile(
 ) -> ShardedDatapath:
     """A multi-PMD datapath: ``shards`` independent per-profile switches
     behind the RETA dispatcher (``shards=0`` takes the profile's own
-    shard count; ``reta_size=0`` and ``rebalance_interval=None`` take
-    the profile's RETA size and auto-lb cadence).  Shard ``i``'s RNG
-    seed derives deterministically from the base seed via
-    :func:`~repro.ovs.pmd.shard_seed` — shard 0 keeps the base seed, so
-    a one-shard datapath is bit-identical to
-    :func:`switch_for_profile` with the same arguments."""
+    shard count; ``reta_size=0`` and ``rebalance_*=None`` take the
+    profile's RETA size and auto-lb settings) — always the dispatcher,
+    even around one shard, where :meth:`DatapathConfig.build` hands
+    back the bare switch."""
     if isinstance(profile, str):
         profile = profile_by_name(profile)
-    shards = shards or profile.shards
-    base = name or f"ovs-{profile.name}"
-    return ShardedDatapath(
-        space=space,
+    return DatapathConfig(
+        profile, space, name,
         shards=shards,
-        name=base,
-        reta_size=reta_size or profile.reta_size,
-        rebalance_interval=(
-            profile.rebalance_interval
-            if rebalance_interval is None
-            else rebalance_interval
-        ),
-        rebalance_improvement=(
-            profile.rebalance_improvement
-            if rebalance_improvement is None
-            else rebalance_improvement
-        ),
-        rebalance_load_floor=(
-            profile.rebalance_load_floor
-            if rebalance_load_floor is None
-            else rebalance_load_floor
-        ),
-        shard_factory=lambda i: switch_for_profile(
-            profile,
-            space=space,
-            name=base if shards == 1 else f"{base}-pmd{i}",
-            staged_lookup=staged_lookup,
-            seed=shard_seed(seed, i),
-            scan_order=scan_order,
-            key_mode=key_mode,
-            switch_cls=switch_cls,
-        ),
-    )
+        staged=staged_lookup,
+        scan_order=scan_order,
+        key_mode=key_mode,
+        seed=seed,
+        reta_size=reta_size,
+        rebalance_interval=rebalance_interval,
+        rebalance_improvement=rebalance_improvement,
+        rebalance_load_floor=rebalance_load_floor,
+    ).dispatched(switch_cls)

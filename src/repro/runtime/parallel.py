@@ -57,7 +57,7 @@ import multiprocessing
 from multiprocessing.connection import Connection
 from typing import Callable, Iterable, Sequence
 
-from repro.flow.fields import OVS_FIELDS, FieldSpace
+from repro.flow.fields import FieldSpace
 from repro.flow.key import FlowKey
 from repro.flow.rule import FlowRule
 from repro.obs.export import observe_switch as _observe_switch
@@ -67,7 +67,6 @@ from repro.ovs.pmd import (
     RSS_FIELDS,
     effective_reta_size,
     rss_hash,
-    shard_seed,
 )
 from repro.ovs.stats import SwitchStats
 from repro.ovs.switch import BatchResult, OvsSwitch, PacketResult
@@ -237,47 +236,6 @@ class ParallelDatapath:
         # only: the trace never crosses the fork)
         self._trace = None
         self._trace_node = ""
-
-    @classmethod
-    def from_profile(
-        cls,
-        profile,
-        space: FieldSpace = OVS_FIELDS,
-        name: str | None = None,
-        shards: int = 0,
-        staged_lookup: bool = False,
-        seed: int = 0,
-        scan_order: str | None = None,
-        key_mode: str = "packed",
-        reta_size: int = 0,
-        switch_cls: type[OvsSwitch] = OvsSwitch,
-    ) -> "ParallelDatapath":
-        """Build from a datapath profile with shard construction
-        identical to :func:`~repro.perf.factory.sharded_switch_for_
-        profile` (same names, same :func:`shard_seed` derivation) — the
-        guarantee behind the serial↔parallel equivalence gate."""
-        from repro.perf.factory import profile_by_name, switch_for_profile
-
-        if isinstance(profile, str):
-            profile = profile_by_name(profile)
-        shards = shards or profile.shards
-        base = name or f"ovs-{profile.name}"
-        return cls(
-            space=space,
-            shards=shards,
-            name=base,
-            reta_size=reta_size or profile.reta_size,
-            shard_factory=lambda i: switch_for_profile(
-                profile,
-                space=space,
-                name=base if shards == 1 else f"{base}-pmd{i}",
-                staged_lookup=staged_lookup,
-                seed=shard_seed(seed, i),
-                scan_order=scan_order,
-                key_mode=key_mode,
-                switch_cls=switch_cls,
-            ),
-        )
 
     # -- lifecycle ----------------------------------------------------------
 

@@ -46,7 +46,7 @@ from repro.obs.export import (
 )
 from repro.perf.burst import KeyBurst
 from repro.perf.workload import AttackerWorkload
-from repro.runtime.parallel import BATCH_WIRE_FIELDS, ParallelDatapath
+from repro.runtime.parallel import BATCH_WIRE_FIELDS
 
 #: default seconds of simulated time per synthetic burst (matches the
 #: simulator's coalescing granularity: one burst per tick)
@@ -197,11 +197,6 @@ class PcapSource:
                                      reader.oversized_records)
         if batch:
             yield last_ts, batch
-
-
-# per-shard observation moved to the shared encoder in repro.obs.export;
-# kept as an alias for callers that imported it from here
-observe_datapath = observe_shards
 
 
 @dataclasses.dataclass
@@ -483,19 +478,18 @@ def build_service(
     """Assemble a serve service from a scenario spec.
 
     The spec contributes the attack surface (compiled rules + covert
-    key set), the datapath profile, and the shard/RSS configuration;
-    ``workers`` picks the runtime — 0 runs the serial
-    :class:`ShardedDatapath` reference with the spec's shard count,
-    ``N > 0`` runs the parallel runtime with ``N`` worker processes.
-    Shard construction is identical either way (same factory, same
-    :func:`~repro.ovs.pmd.shard_seed` derivation), which is what makes
-    the two runtimes' snapshot series byte-comparable.
+    key set) and the datapath (engine, profile, shard/RSS
+    configuration); ``workers`` picks the runtime — 0 runs the spec's
+    inline datapath, the serial reference, ``N > 0`` runs the same
+    configuration on ``N`` worker processes.  Both come out of the one
+    :class:`~repro.perf.factory.DatapathConfig` shard factory, which is
+    what makes the two runtimes' snapshot series byte-comparable.
 
     Serve always runs with the PMD auto-lb and defenses disabled: both
     live outside the aggregate-only wire format, and the serial run
     must stay a valid reference for the parallel one.
     """
-    from repro.perf.factory import sharded_switch_for_profile
+    from repro.perf.factory import DatapathConfig
     from repro.scenario.session import Session
 
     session = Session(spec)
@@ -512,28 +506,17 @@ def build_service(
             "aggregate-only wire carries no per-bucket load); drop "
             "rebalance_interval from the spec"
         )
-    shards = spec.shards or session.profile.shards or 1
-    name = f"{spec.name}-serve"
-    common = dict(
-        space=session.space,
-        staged_lookup=spec.staged_lookup,
-        seed=spec.seed,
-        scan_order=spec.scan_order or None,
-        key_mode=spec.key_mode,
-        reta_size=spec.reta_size or session.profile.reta_size,
+    config = dataclasses.replace(
+        DatapathConfig.from_spec(
+            spec, session.profile, session.space, f"{spec.name}-serve"
+        ),
+        rebalance_interval=0.0,  # a profile's auto-lb default stays off too
     )
     if workers:
-        datapath = ParallelDatapath.from_profile(
-            session.profile, shards=workers, name=name, **common
+        config = dataclasses.replace(
+            config, runtime="processes", shards=workers
         )
-    else:
-        datapath = sharded_switch_for_profile(
-            session.profile,
-            shards=shards,
-            name=name,
-            rebalance_interval=0.0,
-            **common,
-        )
+    datapath = config.build()
     rules = session.surface.compile_rules(
         session.policy, session.target, session.space
     )

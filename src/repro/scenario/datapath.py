@@ -15,14 +15,17 @@ equal ``process_batch([k]).results[0]``, state and stats included).
 ``handle_miss`` remains the known-miss slow-path shortcut for replay
 harnesses.
 
-Three backend families ship:
+Three implementation families ship
+(:class:`~repro.perf.factory.DatapathConfig` picks among them):
 
-* ``"ovs"`` — :class:`~repro.ovs.switch.OvsSwitch` itself (it already
-  satisfies the protocol structurally);
-* ``"sharded"`` — :class:`~repro.ovs.pmd.ShardedDatapath`: N per-PMD
-  :class:`OvsSwitch` shards behind an RSS-style dispatcher, one
-  megaflow cache / mask set / ranked pvector / clock per shard, with
-  rule management broadcast and observables aggregated;
+* :class:`~repro.ovs.switch.OvsSwitch` itself and its drop-in engines
+  (it already satisfies the protocol structurally) — one inline shard;
+* the RETA dispatchers — :class:`~repro.ovs.pmd.ShardedDatapath`
+  (``shards > 1``): N per-PMD switches behind an RSS-style dispatcher,
+  one megaflow cache / mask set / ranked pvector / clock per shard,
+  with rule management broadcast and observables aggregated; and
+  :class:`~repro.runtime.parallel.ParallelDatapath`, the same shards
+  on worker processes;
 * ``"cacheless"`` — :class:`CachelessDatapath` below, adapting the
   ESwitch-style :class:`~repro.defense.cacheless.CachelessSwitch`:
   every packet is classified from scratch against a static tuple space

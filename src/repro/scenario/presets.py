@@ -196,7 +196,6 @@ SCENARIOS.register(
     ScenarioSpec(
         surface="k8s",
         name="k8s-serve",
-        backend="sharded",
         profile="kernel-noemc",
         shards=4,
         duration=30.0,

@@ -3,7 +3,9 @@
 Each axis of the scenario matrix is a string-keyed
 :class:`~repro.util.registry.Registry`, so a
 :class:`~repro.scenario.spec.ScenarioSpec` is pure data and the CLI
-can enumerate every choice (``repro scenario --list``).
+can enumerate every choice (``repro scenario --list``).  The profile
+and engine (``BACKENDS``) registries live beside the datapath
+constructors in :mod:`repro.perf.factory` and are re-exported here.
 """
 
 from __future__ import annotations
@@ -32,13 +34,8 @@ from repro.flow.key import FlowKey
 from repro.flow.rule import FlowRule
 from repro.ovs.pmd import shard_views
 from repro.ovs.switch import OvsSwitch
-from repro.perf.costmodel import DatapathProfile
-from repro.perf.factory import (
-    PROFILES,
-    sharded_switch_for_profile,
-    switch_for_profile,
-)
-from repro.scenario.datapath import CachelessDatapath, Datapath
+from repro.perf.factory import BACKENDS, PROFILES
+from repro.scenario.datapath import Datapath
 from repro.util.registry import Registry
 
 __all__ = [
@@ -340,238 +337,3 @@ def _prefix_rounding(granularity: int = 8) -> DefenseAgent:
 @DEFENSES.register("detector")
 def _detector(threshold: int = 64, respond_delay: float = 20.0) -> DefenseAgent:
     return _DetectorDefense(threshold=threshold, respond_delay=respond_delay)
-
-
-# ---------------------------------------------------------------------------
-# classifier backends
-# ---------------------------------------------------------------------------
-
-#: a backend builder:
-#: (profile, space, name, seed, staged, scan_order, key_mode, shards,
-#: reta_size, rebalance_interval, rebalance_improvement,
-#: rebalance_load_floor) -> Datapath.  ``shards`` / ``reta_size`` /
-#: the ``rebalance_*`` knobs resolve as spec override or profile
-#: default; builders without a sharded variant must reject shards > 1
-#: (and a requested rebalance) rather than silently ignore the axis.
-BackendBuilder = Callable[..., Datapath]
-
-BACKENDS: Registry[BackendBuilder] = Registry("datapath backend")
-
-
-def _reject_unsharded_rebalance(
-    backend: str,
-    rebalance_improvement: float | None,
-    rebalance_load_floor: float | None,
-) -> None:
-    """Fail loudly when auto-lb tuning knobs reach a datapath with no
-    rebalancer (one shard, or no shards at all) — they would otherwise
-    be silently ignored, the plumbing gap this validation closes."""
-    if rebalance_improvement:
-        raise ValueError(
-            f"rebalance_improvement tunes the multi-PMD auto-lb; the "
-            f"{backend} datapath being built has no rebalancer (need "
-            "shards > 1, or the 'sharded' backend)"
-        )
-    if rebalance_load_floor:
-        raise ValueError(
-            f"rebalance_load_floor tunes the multi-PMD auto-lb; the "
-            f"{backend} datapath being built has no rebalancer (need "
-            "shards > 1, or the 'sharded' backend)"
-        )
-
-
-@BACKENDS.register("ovs")
-def _ovs_backend(profile: DatapathProfile, space: FieldSpace, name: str,
-                 seed: int = 0, staged: bool = False, scan_order: str = "",
-                 key_mode: str = "packed", shards: int = 1,
-                 reta_size: int = 0,
-                 rebalance_interval: float | None = None,
-                 rebalance_improvement: float | None = None,
-                 rebalance_load_floor: float | None = None) -> Datapath:
-    if shards > 1:
-        return sharded_switch_for_profile(
-            profile, space=space, name=name, shards=shards,
-            staged_lookup=staged, seed=seed, scan_order=scan_order or None,
-            key_mode=key_mode, reta_size=reta_size,
-            rebalance_interval=rebalance_interval,
-            rebalance_improvement=rebalance_improvement,
-            rebalance_load_floor=rebalance_load_floor,
-        )
-    _reject_unsharded_rebalance(
-        "ovs (shards=1)", rebalance_improvement, rebalance_load_floor
-    )
-    return switch_for_profile(
-        profile, space=space, name=name, staged_lookup=staged, seed=seed,
-        scan_order=scan_order or None, key_mode=key_mode,
-    )
-
-
-@BACKENDS.register("ovs-vec")
-def _ovs_vec_backend(profile: DatapathProfile, space: FieldSpace, name: str,
-                     seed: int = 0, staged: bool = False, scan_order: str = "",
-                     key_mode: str = "packed", shards: int = 1,
-                     reta_size: int = 0,
-                     rebalance_interval: float | None = None,
-                     rebalance_improvement: float | None = None,
-                     rebalance_load_floor: float | None = None) -> Datapath:
-    """The columnar vectorized engine (:mod:`repro.vec`) — bit-identical
-    to ``ovs`` with the same arguments, just faster on bursts.  The
-    import is deferred so listing backends works without NumPy; asking
-    for this backend without it raises a clear
-    :class:`~repro.vec.NumpyUnavailableError`."""
-    from repro.vec import require_numpy
-
-    require_numpy("the ovs-vec backend")
-    from repro.vec.engine import VecSwitch
-
-    if shards > 1:
-        return sharded_switch_for_profile(
-            profile, space=space, name=name, shards=shards,
-            staged_lookup=staged, seed=seed, scan_order=scan_order or None,
-            key_mode=key_mode, reta_size=reta_size,
-            rebalance_interval=rebalance_interval,
-            rebalance_improvement=rebalance_improvement,
-            rebalance_load_floor=rebalance_load_floor,
-            switch_cls=VecSwitch,
-        )
-    _reject_unsharded_rebalance(
-        "ovs-vec (shards=1)", rebalance_improvement, rebalance_load_floor
-    )
-    return switch_for_profile(
-        profile, space=space, name=name, staged_lookup=staged, seed=seed,
-        scan_order=scan_order or None, key_mode=key_mode,
-        switch_cls=VecSwitch,
-    )
-
-
-@BACKENDS.register("ovs-vec-auto")
-def _ovs_vec_auto_backend(profile: DatapathProfile, space: FieldSpace,
-                          name: str, **kwargs) -> Datapath:
-    """``ovs-vec`` when NumPy is importable, the scalar ``ovs`` engine
-    otherwise — with a loud warning on the fallback, never a silent
-    behaviour change.  Both engines are pinned bit-identical, so the
-    choice only moves wall clock; wall-clock-bound presets (fleet,
-    multi-PMD, degradation sweeps) use this as their default backend."""
-    from repro.vec import HAVE_NUMPY
-
-    if HAVE_NUMPY:
-        return _ovs_vec_backend(profile, space, name, **kwargs)
-    import warnings
-
-    warnings.warn(
-        "numpy is not installed: the ovs-vec-auto backend is falling "
-        "back to the scalar 'ovs' engine (bit-identical results, "
-        "slower wall clock)",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    return _ovs_backend(profile, space, name, **kwargs)
-
-
-@BACKENDS.register("sharded")
-def _sharded_backend(profile: DatapathProfile, space: FieldSpace, name: str,
-                     seed: int = 0, staged: bool = False, scan_order: str = "",
-                     key_mode: str = "packed", shards: int = 1,
-                     reta_size: int = 0,
-                     rebalance_interval: float | None = None,
-                     rebalance_improvement: float | None = None,
-                     rebalance_load_floor: float | None = None) -> Datapath:
-    """The multi-PMD datapath, explicitly — even at ``shards=1``, where
-    it is observationally identical to the ``ovs`` backend (the
-    equivalence the test suite pins)."""
-    return sharded_switch_for_profile(
-        profile, space=space, name=name, shards=shards,
-        staged_lookup=staged, seed=seed, scan_order=scan_order or None,
-        key_mode=key_mode, reta_size=reta_size,
-        rebalance_interval=rebalance_interval,
-        rebalance_improvement=rebalance_improvement,
-        rebalance_load_floor=rebalance_load_floor,
-    )
-
-
-@BACKENDS.register("ovs-tuple")
-def _ovs_tuple_backend(profile: DatapathProfile, space: FieldSpace, name: str,
-                       seed: int = 0, staged: bool = False, scan_order: str = "",
-                       shards: int = 1, reta_size: int = 0,
-                       rebalance_interval: float | None = None,
-                       rebalance_improvement: float | None = None,
-                       rebalance_load_floor: float | None = None,
-                       **_ignored) -> Datapath:
-    """The tuple-keyed reference TSS (the packed fast path's checked
-    baseline) — run any scenario through it to cross-validate results.
-    Pins ``key_mode="tuple"``; a spec's ``key_mode`` is ignored here
-    (that is this backend's entire point)."""
-    if shards > 1:
-        return sharded_switch_for_profile(
-            profile, space=space, name=name, shards=shards,
-            staged_lookup=staged, seed=seed, scan_order=scan_order or None,
-            key_mode="tuple", reta_size=reta_size,
-            rebalance_interval=rebalance_interval,
-            rebalance_improvement=rebalance_improvement,
-            rebalance_load_floor=rebalance_load_floor,
-        )
-    _reject_unsharded_rebalance(
-        "ovs-tuple (shards=1)", rebalance_improvement, rebalance_load_floor
-    )
-    return switch_for_profile(
-        profile, space=space, name=name, staged_lookup=staged, seed=seed,
-        scan_order=scan_order or None, key_mode="tuple",
-    )
-
-
-@BACKENDS.register("cacheless")
-def _cacheless_backend(profile: DatapathProfile, space: FieldSpace, name: str,
-                       seed: int = 0, staged: bool = False, scan_order: str = "",
-                       key_mode: str = "packed", shards: int = 1,
-                       reta_size: int = 0,
-                       rebalance_interval: float | None = None,
-                       rebalance_improvement: float | None = None,
-                       rebalance_load_floor: float | None = None) -> Datapath:
-    if shards > 1:
-        raise ValueError(
-            "the cacheless backend has no sharded variant (its per-packet "
-            "cost is already attack-independent); use shards=1"
-        )
-    if rebalance_interval:
-        raise ValueError(
-            "the cacheless backend has no PMD shards to rebalance; "
-            "leave rebalance_interval unset (or 0)"
-        )
-    _reject_unsharded_rebalance(
-        "cacheless", rebalance_improvement, rebalance_load_floor
-    )
-    return CachelessDatapath(space, name=name)
-
-
-@BACKENDS.register("parallel")
-def _parallel_backend(profile: DatapathProfile, space: FieldSpace, name: str,
-                      seed: int = 0, staged: bool = False, scan_order: str = "",
-                      key_mode: str = "packed", shards: int = 1,
-                      reta_size: int = 0,
-                      rebalance_interval: float | None = None,
-                      rebalance_improvement: float | None = None,
-                      rebalance_load_floor: float | None = None) -> Datapath:
-    """The multi-process runtime: each PMD shard's switch on its own
-    worker process, fed over the aggregate-only mailbox (see
-    :mod:`repro.runtime.parallel`).  Shard construction matches the
-    ``sharded`` backend exactly, so a spec can swap between them and
-    compare observables.  Aggregate-only by design: probe-style runs
-    (``Session.measure``) work; campaigns and defenses, which need
-    per-packet results or parent-side cache entries, fail loudly.  The
-    import is deferred so listing backends never forks anything."""
-    if rebalance_interval:
-        raise ValueError(
-            "the parallel runtime cannot run the PMD auto-lb (no "
-            "per-bucket load crosses the aggregate-only wire); use the "
-            "'sharded' backend for rebalancing studies"
-        )
-    _reject_unsharded_rebalance(
-        "parallel", rebalance_improvement, rebalance_load_floor
-    )
-    from repro.runtime.parallel import ParallelDatapath
-
-    return ParallelDatapath.from_profile(
-        profile, space=space, name=name, shards=shards,
-        staged_lookup=staged, seed=seed, scan_order=scan_order or None,
-        key_mode=key_mode, reta_size=reta_size,
-    )

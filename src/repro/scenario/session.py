@@ -29,9 +29,10 @@ from repro.net.addresses import ip_to_int
 from repro.obs.export import mask_census, scan_stats
 from repro.ovs.pmd import shard_views
 from repro.perf.costmodel import CostModel
+from repro.perf.factory import DatapathConfig
 from repro.perf.workload import AttackerWorkload, VictimWorkload
 from repro.scenario.datapath import Datapath
-from repro.scenario.registry import BACKENDS, DEFENSES, PROFILES, SURFACES, Surface
+from repro.scenario.registry import DEFENSES, PROFILES, SURFACES, Surface
 from repro.scenario.spec import ScenarioSpec
 from repro.util.ascii_chart import AsciiChart, AsciiTable
 
@@ -230,33 +231,10 @@ class Session:
 
     def build_datapath(self, name: str | None = None) -> Datapath:
         """The configured backend with every defense guard attached."""
-        builder = BACKENDS.get(self.spec.backend)
-        datapath = builder(
-            profile=self.profile,
-            space=self.space,
-            name=name or f"{self.spec.name}-node",
-            seed=self.spec.seed,
-            staged=self.spec.staged_lookup,
-            scan_order=self.spec.scan_order,
-            key_mode=self.spec.key_mode,
-            shards=self.spec.shards or self.profile.shards,
-            reta_size=self.spec.reta_size or self.profile.reta_size,
-            rebalance_interval=(
-                self.profile.rebalance_interval
-                if self.spec.rebalance_interval is None
-                else self.spec.rebalance_interval
-            ),
-            rebalance_improvement=(
-                self.profile.rebalance_improvement
-                if self.spec.rebalance_improvement is None
-                else self.spec.rebalance_improvement
-            ),
-            rebalance_load_floor=(
-                self.profile.rebalance_load_floor
-                if self.spec.rebalance_load_floor is None
-                else self.spec.rebalance_load_floor
-            ),
-        )
+        datapath = DatapathConfig.from_spec(
+            self.spec, self.profile, self.space,
+            name or f"{self.spec.name}-node",
+        ).build()
         for defense in self.defenses:
             defense.attach(datapath)
         return datapath

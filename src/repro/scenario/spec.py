@@ -54,7 +54,9 @@ class ScenarioSpec:
     surface: str
     #: datapath profile (:data:`repro.scenario.registry.PROFILES` name)
     profile: str = "kernel"
-    #: classifier backend (:data:`repro.scenario.registry.BACKENDS` name)
+    #: classifier engine (:data:`repro.scenario.registry.BACKENDS` name)
+    #: — the engine and nothing else: ``shards`` and ``key_mode`` are
+    #: their own fields, the runtime is picked where a run is launched
     backend: str = "ovs"
     #: active defenses, applied in order
     defenses: tuple[DefenseUse, ...] = ()
@@ -92,7 +94,7 @@ class ScenarioSpec:
     covert_replay: str = "model"
     #: enable the TSS staged-lookup optimisation
     staged_lookup: bool = False
-    #: TSS subtable visit order ("insertion" | "hits" | "ranked");
+    #: TSS subtable visit order ("insertion" | "ranked");
     #: empty string defers to the datapath profile's default
     scan_order: str = ""
     #: TSS hash-key representation ("packed" fast path | "tuple"
@@ -114,8 +116,8 @@ class ScenarioSpec:
     #: minimum relative load-imbalance improvement (0..1) a candidate
     #: RETA remap must promise before the auto-lb applies it; 0 applies
     #: every candidate, ``None`` defers to the profile's default.  Only
-    #: meaningful on a datapath with a rebalancer (shards > 1, or the
-    #: ``sharded`` backend) — builders reject it elsewhere
+    #: meaningful on a datapath with a rebalancer (inline, shards > 1)
+    #: — ``DatapathConfig.check`` rejects it elsewhere
     rebalance_improvement: float | None = None
     #: per-PMD load (packets/s) below which the auto-lb leaves the
     #: spread alone; 0 disables the floor, ``None`` defers to the

@@ -34,7 +34,7 @@ except ImportError:  # pragma: no cover - the container ships numpy
 #: remembered answer) and the scalar reference scan, split by why the
 #: columnar path stood aside.  Defined here, NumPy-free, because the
 #: ``repro.obs`` encoder names them for every engine
-VEC_TSS_FALLBACK_REASONS = ("staged", "hits", "tuple", "small_burst",
+VEC_TSS_FALLBACK_REASONS = ("staged", "tuple", "small_burst",
                             "sparse_mirror")
 VEC_TSS_PATHS = ("scan", "memo") + VEC_TSS_FALLBACK_REASONS
 

@@ -36,8 +36,8 @@ Three pieces, each a drop-in specialisation of its reference class:
   ``generation``, which every subtable create / insert / remove,
   ``clear`` and ranked ``resort`` advances, so a stale answer can never
   be consumed.  Configurations the packed mirror cannot serve (staged
-  lookup, the per-scan-resorting ``"hits"`` order, tuple key mode),
-  chunks too small to amortise the NumPy overhead, and tuple spaces
+  lookup, tuple key mode), chunks too small to amortise the NumPy
+  overhead, and tuple spaces
   holding many entries per subtable all fall back to the inherited
   implementation — same results either way — and ``path_lookups``
   counts which path answered every lookup.
@@ -226,11 +226,10 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
         self._memo: dict[int, tuple | None] | None = None
         self._memo_generation = -1
         #: why the packed columnar mirror can never serve this
-        #: configuration (staged lookup, the per-scan-resorting "hits"
-        #: order, tuple key mode), or ``None`` when it can
+        #: configuration (staged lookup, tuple key mode), or ``None``
+        #: when it can
         self._scalar_reason = (
             "staged" if staged
-            else "hits" if scan_order == "hits"
             else "tuple" if key_mode != "packed"
             else None
         )

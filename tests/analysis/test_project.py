@@ -3,6 +3,7 @@
 from pathlib import Path
 
 from repro.analysis.core import CHECKERS
+from repro.perf.factory import DatapathConfig
 from repro.scenario import BACKENDS, SCENARIOS
 from repro.scenario.spec import ScenarioSpec
 
@@ -18,6 +19,23 @@ class TestProtocolConformance:
     def test_shipped_backends_conform(self):
         assert [f.format() for f in _findings("protocol-conformance")] == []
 
+    def test_probes_the_config_product_not_backend_names(self, monkeypatch):
+        """Every engine in every cell the validation table accepts —
+        vectorized shards on worker processes included."""
+        built = []
+        build = DatapathConfig.build
+
+        def spy(config):
+            built.append((config.engine, config.runtime, config.shards))
+            return build(config)
+
+        monkeypatch.setattr(DatapathConfig, "build", spy)
+        assert _findings("protocol-conformance") == []
+        cells = [("inline", 1), ("inline", 2), ("processes", 2)]
+        expected = [(engine, *cell) for engine in BACKENDS.names()
+                    for cell in cells if engine != "cacheless"]
+        assert built == expected + [("cacheless", "inline", 1)]
+
     def test_under_implemented_backend_flagged(self, monkeypatch):
         class Stub:
             """Implements nothing of the Datapath surface."""
@@ -25,9 +43,8 @@ class TestProtocolConformance:
             def __init__(self, *args, **kwargs):
                 pass
 
-        monkeypatch.setitem(BACKENDS._items, "stub",
-                            lambda profile, space, name, seed=0, shards=1:
-                            Stub())
+        # the registry's value shape: a resolver returning the class
+        monkeypatch.setitem(BACKENDS._items, "stub", lambda: Stub)
         findings = _findings("protocol-conformance")
         assert findings, "the stub backend must be flagged"
         assert all(f.rule == "protocol-conformance" for f in findings)
@@ -37,7 +54,7 @@ class TestProtocolConformance:
         assert all("'stub'" in f.message for f in findings)
 
     def test_unbuildable_backend_reported_not_crashed(self, monkeypatch):
-        def explode(profile, space, name, seed=0, shards=1):
+        def explode():
             raise RuntimeError("boom")
 
         monkeypatch.setitem(BACKENDS._items, "broken", explode)

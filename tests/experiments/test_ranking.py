@@ -83,12 +83,12 @@ class TestRankedScenarioPlumbing:
         assert spec.to_dict()["scan_order"] == "ranked"
 
     def test_tuple_backend_matches_packed_backend(self):
-        """The ovs-tuple reference backend reproduces the packed
-        backend's probe results exactly."""
+        """The tuple-keyed reference TSS (``key_mode="tuple"``)
+        reproduces the packed fast path's probe results exactly."""
         results = {}
-        for backend in ("ovs", "ovs-tuple"):
-            spec = ScenarioSpec(surface="fig2", backend=backend,
-                                name=f"eq-{backend}")
+        for key_mode in ("packed", "tuple"):
+            spec = ScenarioSpec(surface="fig2", key_mode=key_mode,
+                                name=f"eq-{key_mode}")
             probe = Session(spec).measure()
-            results[backend] = (probe.measured, probe.rows)
-        assert results["ovs"] == results["ovs-tuple"]
+            results[key_mode] = (probe.measured, probe.rows)
+        assert results["packed"] == results["tuple"]

@@ -168,7 +168,6 @@ class TestMobilityDynamics:
             scenario=base_scenario(
                 duration=12.0,
                 attack_start=3.0,
-                backend="sharded",
                 shards=2,
                 attacker_strategy="spread",
             ),

@@ -120,7 +120,7 @@ class TestBatchEquivalenceMatrix:
     """The bucketed batch pipeline must stay bit-identical to sequential
     processing across every TSS configuration — including the ranked
     pvector with mid-burst auto-re-sorts, the tuple reference path,
-    staged lookup, the naive 'hits' order, and an eviction-heavy tiny
+    staged lookup, and an eviction-heavy tiny
     EMC (the hardest case for deferred microflow inserts)."""
 
     @pytest.mark.parametrize(
@@ -128,7 +128,6 @@ class TestBatchEquivalenceMatrix:
         [
             {"scan_order": "ranked", "resort_interval": 7},
             {"scan_order": "ranked", "resort_interval": 1},
-            {"scan_order": "hits"},
             {"key_mode": "tuple"},
             {"staged_lookup": True},
             {"emc_entries": 8, "emc_ways": 1},
@@ -136,7 +135,7 @@ class TestBatchEquivalenceMatrix:
              "resort_interval": 5},
         ],
         ids=[
-            "ranked-resort7", "ranked-resort1", "hits-order", "tuple-keys",
+            "ranked-resort7", "ranked-resort1", "tuple-keys",
             "staged", "tiny-emc", "tiny-emc-ranked",
         ],
     )

@@ -82,23 +82,12 @@ class TestLookup:
         result = tss.lookup(FlowKey(space, {"ip_src": 0x81}))
         assert result.entry == "first"
 
-    def test_hits_scan_order_promotes_hot_subtable(self):
-        space = toy_single_field_space()
-        tss = TupleSpaceSearch(space, scan_order="hits")
-        tss.insert((0x80,), (0x00,), "cold")       # matches 0x00-0x7f
-        tss.insert((0xC0,), (0x40,), "hot")        # matches 0x40-0x7f
-        hot_key = FlowKey(space, {"ip_src": 0x40})
-        # warm up the second subtable... but insertion order tries 0x80
-        # first, which also matches 0x40 -> "cold" stays in front; use a
-        # key only the hot subtable matches:
-        tss._subtables[(0xC0,)].hits = 100
-        result = tss.lookup(hot_key)
-        assert result.tuples_scanned == 1
-        assert result.entry == "hot"
-
     def test_bad_scan_order_rejected(self):
-        with pytest.raises(ValueError):
-            TupleSpaceSearch(toy_single_field_space(), scan_order="random")
+        # "hits" was a third order once; it is unknown like any other
+        # name, and the error lists the valid ones
+        for order in ("random", "hits"):
+            with pytest.raises(ValueError, match="insertion.*ranked"):
+                TupleSpaceSearch(toy_single_field_space(), scan_order=order)
 
     def test_cumulative_statistics(self):
         space = toy_single_field_space()

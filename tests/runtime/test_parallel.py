@@ -15,7 +15,12 @@ import signal
 import pytest
 
 from repro.ovs.pmd import ShardedDatapath
-from repro.perf.factory import sharded_switch_for_profile, switch_for_profile
+from repro.perf.factory import (
+    PROFILES,
+    DatapathConfig,
+    sharded_switch_for_profile,
+    switch_for_profile,
+)
 from repro.runtime.parallel import (
     BATCH_WIRE_FIELDS,
     ParallelDatapath,
@@ -49,9 +54,10 @@ def _serial(space, rules, shards, profile="kernel"):
 
 
 def _parallel(space, rules, shards, profile="kernel"):
-    dp = ParallelDatapath.from_profile(
-        profile, space=space, shards=shards, seed=7, name="ref"
-    )
+    dp = DatapathConfig(
+        PROFILES.get(profile), space=space, name="ref", shards=shards,
+        seed=7, runtime="processes",
+    ).build()
     dp.add_rules(rules)
     return dp
 
@@ -114,9 +120,7 @@ class TestEquivalence:
         runtime (the RETA identity contract)."""
         space, rules, keys = k8s
         serial = _serial(space, rules, 4)
-        par = ParallelDatapath.from_profile(
-            "kernel", space=space, shards=4, seed=7, name="ref"
-        )
+        par = _parallel(space, rules, 4)
         try:
             for key in keys[:128]:
                 assert par.bucket_of(key) == serial.bucket_of(key)
@@ -215,16 +219,6 @@ class TestRefusals:
                 rebalance_interval=5.0,
             )
 
-    def test_backend_registry_rejects_rebalance(self):
-        from repro.scenario.registry import BACKENDS
-
-        spec = ScenarioSpec(
-            surface="k8s", backend="parallel", shards=2,
-            rebalance_interval=5.0,
-        )
-        with pytest.raises(ValueError, match="auto-lb"):
-            Session(spec).build_datapath()
-
 
 class TestCrashDetection:
     def test_killed_worker_raises_loud(self, k8s):
@@ -255,20 +249,3 @@ class TestCrashDetection:
             message = str(excinfo.value)
             assert "shard worker 1" in message
             assert "exit code" in message
-
-
-class TestBackend:
-    def test_session_measure_matches_sharded(self):
-        """The registered 'parallel' backend serves probe-style runs
-        with the same measured mask count as 'sharded'."""
-        measured = {}
-        for backend in ("sharded", "parallel"):
-            spec = ScenarioSpec(
-                surface="k8s", profile="kernel", backend=backend, shards=4
-            )
-            probe = Session(spec).measure()
-            measured[backend] = probe.measured
-            close = getattr(probe.datapath, "close", None)
-            if close is not None:
-                close()
-        assert measured["parallel"] == measured["sharded"] == 512

@@ -21,6 +21,7 @@ from repro.runtime.service import (
 )
 from repro.scenario.presets import SCENARIOS
 from repro.scenario.spec import DefenseUse, ScenarioSpec
+from repro.vec import HAVE_NUMPY
 
 
 def _spec(**overrides):
@@ -119,6 +120,48 @@ class TestEquivalence:
         report = _service(detect_threshold=16).run()
         assert report.final["detector"]["alert"]
         assert report.final["state"]["total_mask_count"] == 512
+
+
+def _without_engine_census(view):
+    """A deterministic view minus the ``vec_tss`` census — the one
+    block that tells the engines apart by design."""
+    def strip(entry):
+        state = {k: v for k, v in entry["state"].items() if k != "vec_tss"}
+        return {**entry, "state": state}
+
+    return {**view, "series": [strip(s) for s in view["series"]],
+            "final": strip(view["final"])}
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+class TestServeHonoursTheEngine:
+    """``build_service`` runs the engine the spec names on either
+    runtime (it used to build scalar shards whatever the spec said) —
+    observed through the shared encoder's ``vec_tss`` census, which
+    also crosses the worker mailbox."""
+
+    def _run(self, workers, **changes):
+        spec = SCENARIOS.get("k8s-deepscan").evolve(shards=2, **changes)
+        return build_service(spec, workers=workers, duration=1.0,
+                             rate_pps=2560.0, report_interval=0.5).run()
+
+    def test_vec_shards_on_both_runtimes_match_the_scalar_run(self):
+        assert SCENARIOS.get("k8s-deepscan").backend == "ovs-vec-auto"
+        vec = {workers: self._run(workers) for workers in (0, 2)}
+        for report in vec.values():
+            census = report.final["state"]["vec_tss"]
+            assert census["scan"] > 0 and census["memo"] > 0
+        views = {w: r.deterministic_view() for w, r in vec.items()}
+        assert json.dumps(views[0], sort_keys=True) == \
+            json.dumps(views[2], sort_keys=True)
+        scalar = self._run(0, backend="ovs")
+        assert not any(scalar.final["state"]["vec_tss"].values())
+        assert json.dumps(
+            _without_engine_census(views[2]), sort_keys=True
+        ) == json.dumps(
+            _without_engine_census(scalar.deterministic_view()),
+            sort_keys=True,
+        )
 
 
 class _StopAfter:

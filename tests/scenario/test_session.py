@@ -1,10 +1,13 @@
 """Tests for the Session facade: probe mode, campaign mode, backends,
 defenses, CSV hooks and the CLI scenario command."""
 
+import dataclasses
+
 import pytest
 
 from repro.cli import main
 from repro.experiments.fig2 import FIG2B_EXPECTED
+from repro.perf.factory import DatapathConfig, sharded_switch_for_profile
 from repro.scenario import SCENARIOS, ScenarioSpec, Session
 
 
@@ -113,22 +116,10 @@ class TestBackendsAndDefenses:
 
 
 class TestShardedSessions:
-    def test_one_shard_series_is_bit_identical_to_ovs(self):
-        """The acceptance criterion: a shards=1 sharded-backend campaign
-        must reproduce the unsharded ovs backend's time series exactly —
-        every column, every tick."""
-        base = SCENARIOS.get("k8s").evolve(duration=25.0, attack_start=8.0)
-        plain = Session(base).run()
-        sharded = Session(base.evolve(backend="sharded", shards=1)).run()
-        assert sharded.series.columns == plain.series.columns
-        assert sharded.series.rows == plain.series.rows
-        assert sharded.final_mask_count() == plain.final_mask_count()
-        assert sharded.scan_stats() == plain.scan_stats()
-
     def test_sharded_campaign_dilutes_the_naive_attack(self):
         base = SCENARIOS.get("k8s").evolve(duration=30.0, attack_start=8.0)
         plain = Session(base).run()
-        sharded = Session(base.evolve(backend="sharded", shards=4)).run()
+        sharded = Session(base.evolve(shards=4)).run()
         shards = sharded.datapath.shards
         assert len(shards) == 4
         # the paper's stream scatters: no shard carries the full 512
@@ -150,7 +141,7 @@ class TestShardedSessions:
 
     def test_sharded_probe_measures_total_masks(self):
         probe = Session(
-            ScenarioSpec(surface="k8s", backend="sharded", shards=4)
+            ScenarioSpec(surface="k8s", shards=4)
         ).measure()
         # masks scatter across shards but their sum matches the closed form
         assert probe.measured == probe.predicted == 512
@@ -164,7 +155,6 @@ class TestShardedSessions:
     def test_detector_defense_works_per_shard(self):
         spec = ScenarioSpec(
             surface="k8s",
-            backend="sharded",
             shards=2,
             defenses=("detector",),
             duration=40.0,
@@ -183,7 +173,7 @@ class TestRebalanceSessions:
 
     def test_disabled_rebalance_is_series_identical_to_default(self):
         base = SCENARIOS.get("k8s").evolve(
-            duration=20.0, attack_start=6.0, backend="sharded", shards=4
+            duration=20.0, attack_start=6.0, shards=4
         )
         default = Session(base).run()
         disabled = Session(base.evolve(rebalance_interval=0.0)).run()
@@ -192,19 +182,25 @@ class TestRebalanceSessions:
         assert default.scan_stats() == disabled.scan_stats()
 
     def test_one_shard_with_rebalance_on_matches_bare_switch(self):
-        base = SCENARIOS.get("k8s").evolve(duration=20.0, attack_start=6.0)
-        plain = Session(base).run()
-        one = Session(
-            base.evolve(backend="sharded", shards=1, rebalance_interval=2.0)
-        ).run()
-        assert one.series.rows == plain.series.rows
-        assert one.datapath.rebalancer.rebalances == 0  # nothing to move
+        """A spec rejects the knob on one shard (the table below), so
+        the one-shard dispatcher is built by hand: with the auto-lb on
+        it still reproduces the bare switch's series exactly."""
+        session = Session(
+            SCENARIOS.get("k8s").evolve(duration=20.0, attack_start=6.0)
+        )
+        plain = session.run()
+        one = sharded_switch_for_profile(
+            session.profile, space=session.space, shards=1,
+            seed=session.spec.seed, rebalance_interval=2.0,
+        )
+        report = session.build_campaign(one).run()
+        assert report.simulation.series.rows == plain.series.rows
+        assert one.rebalancer.rebalances == 0  # nothing to move
 
     def test_skewed_workload_with_rebalance_really_remaps(self):
         spec = SCENARIOS.get("k8s").evolve(
             duration=16.0,
             attack_start=160.0,  # benign run: skew alone drives remaps
-            backend="sharded",
             shards=4,
             workload_skew=1.2,
             rebalance_interval=2.0,
@@ -218,7 +214,7 @@ class TestRebalanceSessions:
 
     def test_skew_reduces_to_uniform_when_zero(self):
         spec = SCENARIOS.get("k8s").evolve(
-            duration=12.0, attack_start=4.0, backend="sharded", shards=4
+            duration=12.0, attack_start=4.0, shards=4
         )
         a = Session(spec).run()
         b = Session(spec.evolve(workload_skew=0.0)).run()
@@ -254,7 +250,6 @@ class TestRebalanceSessions:
     def test_rebalance_spec_round_trips(self):
         spec = ScenarioSpec(
             surface="k8s",
-            backend="sharded",
             shards=4,
             reta_size=256,
             rebalance_interval=3.5,
@@ -283,7 +278,6 @@ class TestAutoLbTuningKnobs:
         session = Session(
             ScenarioSpec(
                 surface="k8s",
-                backend="sharded",
                 shards=4,
                 rebalance_interval=2.0,
                 rebalance_improvement=0.25,
@@ -307,7 +301,6 @@ class TestAutoLbTuningKnobs:
     def test_spec_round_trips_and_defaults_are_omitted(self):
         spec = ScenarioSpec(
             surface="k8s",
-            backend="sharded",
             shards=4,
             rebalance_improvement=0.1,
             rebalance_load_floor=50.0,
@@ -323,20 +316,84 @@ class TestAutoLbTuningKnobs:
         with pytest.raises(ValueError):
             ScenarioSpec(surface="k8s", rebalance_load_floor=-5.0)
 
+    @staticmethod
+    def _config(runtime, **spec_fields):
+        """(session, its datapath config moved onto ``runtime``)."""
+        session = Session(ScenarioSpec(surface="k8s", **spec_fields))
+        config = DatapathConfig.from_spec(
+            session.spec, session.profile, session.space, "table"
+        )
+        return session, dataclasses.replace(config, runtime=runtime)
+
     @pytest.mark.parametrize(
-        "kwargs",
+        "changes, runtime, reason",
         [
-            {"backend": "ovs", "rebalance_improvement": 0.2},
-            {"backend": "ovs", "rebalance_load_floor": 10.0},
-            {"backend": "cacheless", "rebalance_improvement": 0.2},
-            {"backend": "ovs-tuple", "rebalance_load_floor": 10.0},
+            ({"rebalance_improvement": 0.2}, "inline", "one shard"),
+            ({"rebalance_load_floor": 10.0}, "inline", "one shard"),
+            ({"rebalance_interval": 2.0}, "inline", "one shard"),
+            ({"key_mode": "tuple", "rebalance_load_floor": 10.0},
+             "inline", "one shard"),
+            ({"backend": "ovs-vec-auto", "rebalance_interval": 2.0},
+             "inline", "one shard"),
+            ({"backend": "cacheless", "rebalance_improvement": 0.2},
+             "inline", "cacheless"),
+            ({"backend": "cacheless", "rebalance_interval": 5.0},
+             "inline", "cacheless"),
+            ({"shards": 2, "rebalance_interval": 5.0},
+             "processes", "worker processes"),
+            ({"shards": 2, "rebalance_load_floor": 10.0},
+             "processes", "worker processes"),
         ],
-        ids=["ovs-improvement", "ovs-floor", "cacheless", "ovs-tuple"],
+        ids=[
+            "ovs-improvement", "ovs-floor", "ovs-interval",
+            "ovs-tuple-keys", "ovs-vec-interval", "cacheless-improvement",
+            "cacheless-interval", "processes-interval", "processes-floor",
+        ],
     )
-    def test_rebalancerless_datapaths_reject_the_knobs(self, kwargs):
-        spec = ScenarioSpec(surface="k8s", **kwargs)
-        with pytest.raises(ValueError, match="rebalance"):
-            Session(spec).build_datapath()
+    def test_rebalancerless_datapaths_reject_the_knobs(
+        self, changes, runtime, reason
+    ):
+        """The validation table's no-rebalancer rows: any explicit
+        non-zero knob is an error naming the field and the reason."""
+        session, config = self._config(runtime, **changes)
+        (knob,) = (name for name in changes if name.startswith("rebalance"))
+        with pytest.raises(ValueError, match=f"{knob} .*{reason}"):
+            config.build()
+        if runtime == "inline":
+            with pytest.raises(ValueError, match=knob):
+                session.build_datapath()
+
+    @pytest.mark.parametrize("shards, runtime", [(1, "inline"),
+                                                 (2, "processes")])
+    def test_profile_defaults_and_zeros_never_trigger_it(
+        self, shards, runtime
+    ):
+        """netdev-pmd4-alb defaults to a 5 s auto-lb: on a datapath
+        with no rebalancer the default is dropped, not rejected — and
+        an explicit 0 ("off") is always accepted."""
+        for changes in ({}, {"rebalance_interval": 0.0}):
+            _session, config = self._config(
+                runtime, profile="netdev-pmd4-alb", shards=shards, **changes
+            )
+            datapath = config.build()
+            try:
+                assert not hasattr(datapath, "rebalancer")
+            finally:
+                if runtime == "processes":
+                    datapath.close()
+
+    def test_cacheless_has_no_sharded_or_process_variant(self):
+        _session, config = self._config("inline", backend="cacheless")
+        for changes in ({"shards": 2}, {"runtime": "processes"}):
+            with pytest.raises(ValueError, match="no sharded variant"):
+                dataclasses.replace(config, **changes).build()
+
+    @pytest.mark.parametrize("retired", ["sharded", "parallel", "ovs-tuple"])
+    def test_retired_backend_names_are_plain_unknown_names(self, retired):
+        """No alias table, no deprecation shim: the existing
+        unknown-name error, listing the four engines."""
+        with pytest.raises(KeyError, match="ovs-vec-auto"):
+            Session(ScenarioSpec(surface="k8s", backend=retired))
 
 
 class TestCliScenario:
@@ -344,18 +401,24 @@ class TestCliScenario:
         assert main(["scenario", "--list"]) == 0
         out = capsys.readouterr().out
         assert "fig3" in out and "cacheless" in out and "detector" in out
-        assert "sharded" in out and "--shards" in out
+        assert "--shards" in out
+        # the backend axis names the four engines and nothing else
+        backends = next(line for line in out.splitlines()
+                        if line.startswith("backends:"))
+        assert backends.split(":")[1].split() == [
+            "ovs,", "ovs-vec,", "ovs-vec-auto,", "cacheless",
+        ]
 
     def test_shards_override(self, capsys):
         assert main(
-            ["scenario", "k8s", "--backend", "sharded", "--shards", "2",
+            ["scenario", "k8s", "--shards", "2",
              "--duration", "15", "--attack-start", "5"]
         ) == 0
         assert "masks=" in capsys.readouterr().out
 
     def test_rebalance_overrides(self, capsys):
         assert main(
-            ["scenario", "k8s", "--backend", "sharded", "--shards", "2",
+            ["scenario", "k8s", "--shards", "2",
              "--rebalance-interval", "2", "--workload-skew", "1.2",
              "--reta-size", "64", "--duration", "20", "--attack-start", "5"]
         ) == 0

@@ -9,7 +9,6 @@ from repro.scenario import SCENARIOS, ScenarioSpec, Session
 def sharded_spec(**overrides):
     settings = dict(
         surface="k8s",
-        backend="sharded",
         shards=2,
         duration=16.0,
         attack_start=4.0,
