@@ -152,16 +152,14 @@ class MegaflowCache:
             )
         if existing is not None:
             existing.alive = False
-        subtable = self.tss.get_or_create_subtable(masks)
         entry = MegaflowEntry(
             match=match,
             action=action,
             created_at=now,
             last_used=now,
             tenant=tenant,
-            subtable=subtable,
         )
-        subtable.insert(masked_values, entry)
+        entry.subtable = self.tss.insert(masks, masked_values, entry)
         self.inserts += 1
         return entry
 
@@ -171,25 +169,34 @@ class MegaflowCache:
         self.tss.resort()
 
     def remove_entry(self, entry: MegaflowEntry) -> None:
-        """Evict one entry."""
+        """Evict one entry.  Removal is by identity: an entry that was
+        already replaced or evicted only has its own ``alive`` cleared —
+        whatever now lives under its (mask, key) stays cached."""
         entry.alive = False
-        self.tss.remove(entry.match.mask_signature(), entry.match.values)
+        masks = entry.match.mask_signature()
+        masked_values = entry.match.values
+        found = self.tss.find_subtable(masks)
+        if found is not None and found.entries.get(masked_values) is entry:
+            self.tss.remove(masks, masked_values)
 
     def expire_idle(self, now: float) -> int:
         """Evict entries idle for longer than the timeout; returns the
         eviction count.  This is what forces the attacker to keep the
         covert stream flowing (and why 1–2 Mbps suffices: refreshing
         8192 flows within 10 s needs only ~820 pps)."""
-        def is_idle(entry: object) -> bool:
-            megaflow: MegaflowEntry = entry  # type: ignore[assignment]
-            if megaflow.idle_for(now) > self.idle_timeout:
-                megaflow.alive = False
-                return True
-            return False
-
-        removed = self.tss.remove_if(is_idle)
-        self.expired_total += removed
-        return removed
+        timeout = self.idle_timeout
+        # one pass, test inline: a sweep visits every live entry and on
+        # an attacked table evicts none of them
+        idle: list[MegaflowEntry] = [
+            entry
+            for subtable in self.tss.iter_subtables()
+            for entry in subtable.entries.values()
+            if now - entry.last_used > timeout  # type: ignore[attr-defined]
+        ]
+        for entry in idle:
+            self.remove_entry(entry)
+        self.expired_total += len(idle)
+        return len(idle)
 
     def evict_tenant(self, tenant: str) -> int:
         """Evict every entry attributed to a tenant (a defense action)."""

@@ -282,6 +282,9 @@ class TupleSpaceSearch:
         #: / revalidator-driven re-sorts)
         self.resort_interval = resort_interval
         self._subtables: dict[tuple[int, ...], Subtable] = {}
+        # running total of entries over all subtables, kept by insert /
+        # remove / clear — the only paths that may mutate a subtable
+        self._entry_count = 0
         # the pvector: ranked scan order, compacted lazily after removals
         self._scan_list: list[Subtable] = []
         self._scan_dead = 0
@@ -321,8 +324,9 @@ class TupleSpaceSearch:
 
     @property
     def entry_count(self) -> int:
-        """Total megaflow entries across all subtables."""
-        return sum(len(subtable) for subtable in self._subtables.values())
+        """Total megaflow entries across all subtables (O(1): a running
+        count, since the flow-limit check reads it on every install)."""
+        return self._entry_count
 
     def _ranked_tables(self) -> list[Subtable]:
         """The ranked scan list, compacted if subtables died since."""
@@ -337,34 +341,45 @@ class TupleSpaceSearch:
             return list(self._ranked_tables())
         return list(self._subtables.values())
 
+    def iter_subtables(self) -> Iterator[Subtable]:
+        """Subtables in creation order, uncopied — for whole-table walks
+        (the idle sweep) that must not pay or disturb the scan order."""
+        return iter(self._subtables.values())
+
     def find_subtable(self, masks: tuple[int, ...]) -> Subtable | None:
         """The subtable for a mask, or ``None`` when absent."""
         return self._subtables.get(masks)
 
-    def get_or_create_subtable(self, masks: tuple[int, ...]) -> Subtable:
-        """The subtable for a mask, creating it on first use."""
-        subtable = self._subtables.get(masks)
-        if subtable is None:
-            # staged lookups never probe the packed mirror, so don't
-            # maintain one (it would double per-entry memory for nothing)
-            packed = self.key_mode == "packed" and not self.staged
-            subtable = self.subtable_cls(
-                masks,
-                self._next_seq,
-                self._stage_plan,
-                space=self.space if packed else None,
-            )
-            self._next_seq += 1
-            self._subtables[masks] = subtable
-            if self.scan_order == "ranked":
-                # new subtables join the back of the pvector (no hits yet)
-                self._scan_list.append(subtable)
+    def _create_subtable(self, masks: tuple[int, ...]) -> Subtable:
+        """Create the (empty) subtable for a mask :meth:`insert` found
+        absent."""
+        # staged lookups never probe the packed mirror, so don't
+        # maintain one (it would double per-entry memory for nothing)
+        packed = self.key_mode == "packed" and not self.staged
+        subtable = self.subtable_cls(
+            masks,
+            self._next_seq,
+            self._stage_plan,
+            space=self.space if packed else None,
+        )
+        self._next_seq += 1
+        self._subtables[masks] = subtable
+        if self.scan_order == "ranked":
+            # new subtables join the back of the pvector (no hits yet)
+            self._scan_list.append(subtable)
         return subtable
 
     def insert(self, masks: tuple[int, ...], masked_values: tuple[int, ...],
-               entry: object) -> None:
-        """Insert an entry under its mask's subtable."""
-        self.get_or_create_subtable(masks).insert(masked_values, entry)
+               entry: object) -> Subtable:
+        """Insert (or replace) an entry under its mask's subtable,
+        creating the subtable on first use; returns the subtable."""
+        subtable = self._subtables.get(masks)
+        if subtable is None:
+            subtable = self._create_subtable(masks)
+        if masked_values not in subtable.entries:
+            self._entry_count += 1
+        subtable.insert(masked_values, entry)
+        return subtable
 
     def remove(self, masks: tuple[int, ...], masked_values: tuple[int, ...]) -> None:
         """Remove an entry; empty subtables disappear (as OVS destroys
@@ -373,6 +388,7 @@ class TupleSpaceSearch:
         if subtable is None:
             raise KeyError(f"no subtable for mask {masks}")
         subtable.remove(masked_values)
+        self._entry_count -= 1
         if not subtable.entries:
             del self._subtables[masks]
             if self.scan_order == "ranked":
@@ -385,6 +401,7 @@ class TupleSpaceSearch:
     def clear(self) -> None:
         """Drop every subtable."""
         self._subtables.clear()
+        self._entry_count = 0
         self._scan_list.clear()
         self._scan_dead = 0
 
@@ -599,10 +616,12 @@ class TupleSpaceSearch:
 
     def remove_if(self, predicate: Callable[[object], bool]) -> int:
         """Remove entries matching a predicate; returns the count."""
-        doomed: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        for masks, masked_values, entry in self.iter_entries():
-            if predicate(entry):
-                doomed.append((masks, masked_values))
+        doomed = [
+            (masks, masked_values)
+            for masks, subtable in self._subtables.items()
+            for masked_values, entry in subtable.entries.items()
+            if predicate(entry)
+        ]
         for masks, masked_values in doomed:
             self.remove(masks, masked_values)
         return len(doomed)

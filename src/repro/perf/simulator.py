@@ -400,10 +400,11 @@ class DataplaneSimulator:
             reta = reta_dp.reta
             shard_map = [reta[bucket] for bucket in buckets]
         # the expected hit cost is a pure function of a shard's mask
-        # count; memoised per (shard, mask count) so laps of hits over
-        # an unchanged tuple space pay one cost-model call, not one per
-        # packet (mask counts only move on upcalls, which recompute)
-        hit_cost_cache: list[tuple[int, float] | None] = [None] * len(shards)
+        # count, and within this loop mask counts only move on upcalls:
+        # memoised per shard and dropped after every ``handle_miss``, so
+        # laps of hits over an unchanged tuple space pay one mask-count
+        # read and one cost-model call, not one of each per packet
+        hit_costs: list[float | None] = [None] * len(shards)
         for _ in range(due):
             index = cursor % n_keys
             cursor += 1
@@ -421,17 +422,16 @@ class DataplaneSimulator:
                 if ranked:
                     cost = ranked_hit_costs[shard]
                 else:
-                    masks = view.mask_count
-                    cached = hit_cost_cache[shard]
-                    if cached is None or cached[0] != masks:
-                        cached = (
-                            masks,
-                            cost_model.expected_megaflow_hit_cost(masks),
+                    cost = hit_costs[shard]
+                    if cost is None:
+                        cost = hit_costs[shard] = (
+                            cost_model.expected_megaflow_hit_cost(
+                                view.mask_count
+                            )
                         )
-                        hit_cost_cache[shard] = cached
-                    cost = cached[1]
             else:
                 installed = switch.handle_miss(key, now=mid)
+                hit_costs = [None] * len(shards)
                 if installed is not None:
                     entries[(shard, key)] = installed
                 cost = cost_model.miss_cost(

@@ -33,8 +33,8 @@ Three pieces, each a drop-in specialisation of its reference class:
   :meth:`~VecTupleSpaceSearch.prescan` scans a burst's keys once into a
   memo that later chunks consume from instead of re-scanning.  The memo
   (like the dense mirror) is stamped with the tuple space's
-  ``generation``, which every subtable create / insert / remove,
-  ``clear`` and ranked ``resort`` advances, so a stale answer can never
+  ``generation``, which every ``insert`` / ``remove`` / ``clear`` and
+  ranked ``resort`` of the tuple space advances, so a stale answer can never
   be consumed.  Configurations the packed mirror cannot serve (staged
   lookup, tuple key mode), chunks too small to amortise the NumPy
   overhead, and tuple spaces
@@ -98,17 +98,6 @@ def _first_match(packed: int, tables: list, lo: int, hi: int):
     return None
 
 
-class _Generation:
-    """The counter cell a tuple space shares with its subtables.  (A
-    plain back-reference would tie them into a cycle that only the
-    cyclic collector frees — a dropped datapath would linger.)"""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
-
-
 class VecSubtable(Subtable):
     """A subtable carrying a lazily-rebuilt columnar mirror.
 
@@ -116,14 +105,12 @@ class VecSubtable(Subtable):
     ``uint64`` row, ``vec_entries`` the entry objects in that order and
     ``vec_mask`` the packed mask as one lane row.  ``vec_dirty`` is
     flipped by every mutation; the scan rebuilds on first use after.
-    ``vec_generation`` is the owning tuple space's generation cell: a
-    mutation advances it (``MegaflowCache.insert`` writes to the
-    subtable directly, never through ``tss.insert``), which retires the
-    owner's dense mirror and scan memo.
+    The owning tuple space advances its generation on the same
+    mutations (they all arrive through it), which retires its dense
+    mirror and scan memo.
     """
 
-    __slots__ = ("vec_lanes", "vec_entries", "vec_mask", "vec_dirty",
-                 "vec_generation")
+    __slots__ = ("vec_lanes", "vec_entries", "vec_mask", "vec_dirty")
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -131,20 +118,14 @@ class VecSubtable(Subtable):
         self.vec_entries: list = []
         self.vec_mask = None
         self.vec_dirty = True
-        self.vec_generation: _Generation | None = None
-
-    def _mutated(self) -> None:
-        self.vec_dirty = True
-        if self.vec_generation is not None:
-            self.vec_generation.value += 1
 
     def insert(self, masked_values, entry) -> None:
         super().insert(masked_values, entry)
-        self._mutated()
+        self.vec_dirty = True
 
     def remove(self, masked_values) -> None:
         super().remove(masked_values)
-        self._mutated()
+        self.vec_dirty = True
 
     def vec_mirror(self, codec: LaneCodec):
         """The (entry_lanes, entries, mask_row) mirror, rebuilt if stale."""
@@ -215,10 +196,11 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
         )
         self.codec = codec or LaneCodec(space)
         #: advanced by everything that changes what a scan would answer
-        #: — subtable create / insert / remove, ``clear``, ``resort`` —
-        #: so the dense mirror and the scan memo are each valid exactly
+        #: — ``insert`` (a subtable only ever arrives with its first
+        #: entry), ``remove``, ``clear``, ranked ``resort`` — so the
+        #: dense mirror and the scan memo are each valid exactly
         #: while the generation they were built at is still current
-        self._generation = _Generation()
+        self.generation = 0
         self._dense_cache: DenseMirror | None = None
         self._dense_generation = -1
         #: packed key -> ``(entry, subtable, depth)`` or ``None`` (a
@@ -239,28 +221,23 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
 
     # -- generation tracking -------------------------------------------------
 
-    @property
-    def generation(self) -> int:
-        """How many times the tuple space has changed."""
-        return self._generation.value
-
-    def get_or_create_subtable(self, masks):
-        subtable = self._subtables.get(masks)
-        if subtable is None:
-            subtable = super().get_or_create_subtable(masks)
-            subtable.vec_generation = self._generation
-            # even an empty subtable deepens every miss scan
-            self._generation.value += 1
+    def insert(self, masks, masked_values, entry):
+        subtable = super().insert(masks, masked_values, entry)
+        self.generation += 1
         return subtable
+
+    def remove(self, masks, masked_values) -> None:
+        super().remove(masks, masked_values)
+        self.generation += 1
 
     def clear(self) -> None:
         super().clear()
-        self._generation.value += 1
+        self.generation += 1
 
     def resort(self) -> None:
         super().resort()
         if self.scan_order == "ranked":  # a no-op for the other orders
-            self._generation.value += 1
+            self.generation += 1
 
     # -- the dense entry-column mirror --------------------------------------
 

@@ -81,6 +81,66 @@ class TestMegaflowCache:
         assert cache.entry_count == 0
         assert not entry.alive
 
+    def test_remove_entry_of_a_replaced_entry_leaves_the_live_one(self):
+        # regression: removal went by (mask, key), so evicting the stale
+        # e1 deleted e2 from the tuple space and left e2.alive == True —
+        # the EMC kept serving a megaflow that was no longer cached
+        space = toy_single_field_space()
+        cache = MegaflowCache(space)
+        e1 = cache.insert(_match(space, 1), Allow())
+        e2 = cache.insert(_match(space, 1), Drop())
+        cache.remove_entry(e1)
+        assert not e1.alive and e2.alive
+        assert (cache.entry_count, cache.mask_count) == (1, 1)
+        assert cache.lookup(FlowKey(space, {"ip_src": 1})).entry is e2
+        cache.remove_entry(e2)
+        assert not e2.alive
+        assert (cache.entry_count, cache.mask_count) == (0, 0)
+        cache.remove_entry(e2)  # already gone (subtable too): a no-op
+        assert (cache.entry_count, cache.mask_count) == (0, 0)
+
+    @pytest.mark.parametrize("scan_order", ["insertion", "ranked"])
+    def test_partial_idle_sweep_against_hand_computed_state(self, scan_order):
+        """A mixed table aged so only some entries cross the timeout:
+        eviction is strictly ``now - last_used > idle_timeout``."""
+        space = toy_single_field_space()
+        cache = MegaflowCache(space, idle_timeout=10.0, scan_order=scan_order)
+        emc = MicroflowCache(entries=16, ways=2)
+        # (mask, value, last_used); swept at now=20.0 -> idle 20 / 10 /
+        # 9.5 / 12 / 0: the first and fourth expire, the second sits
+        # exactly on the timeout and stays
+        plan = [
+            (0xFF, 0x01, 0.0),
+            (0xFF, 0x02, 10.0),
+            (0xF0, 0x10, 10.5),
+            (0xC0, 0x40, 8.0),
+            (0x80, 0x80, 20.0),
+        ]
+        entries = []
+        for mask, value, last_used in plan:
+            entry = cache.insert(_match(space, value, mask), Allow(), now=0.0)
+            entry.last_used = last_used
+            emc.insert(FlowKey(space, {"ip_src": value}), entry)
+            entries.append(entry)
+        assert cache.expire_idle(now=20.0) == 2
+        assert cache.expired_total == 2
+        assert [e.alive for e in entries] == [False, True, True, False, True]
+        assert cache.entries() == [entries[1], entries[2], entries[4]]
+        assert (cache.entry_count, cache.mask_count) == (3, 3)
+        # 0xFF keeps its subtable (one entry left), 0xC0's is destroyed
+        # — in ranked order it waits, marked dead, for the lazy
+        # compaction the next scan-order access runs
+        tss = cache.tss
+        assert tss._scan_dead == (1 if scan_order == "ranked" else 0)
+        assert [s.masks for s in tss.subtables()] == [(0xFF,), (0xF0,), (0x80,)]
+        assert [len(s) for s in tss.subtables()] == [1, 1, 1]
+        assert tss._scan_dead == 0
+        assert emc.invalidate_dead() == 2
+        assert emc.occupancy == 3
+        # nothing further is idle; a second sweep is a pure no-op
+        assert cache.expire_idle(now=20.0) == 0
+        assert cache.expired_total == 2
+
     def test_mask_count_tracks_subtables(self):
         space = toy_single_field_space()
         cache = MegaflowCache(space)

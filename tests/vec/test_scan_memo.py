@@ -294,10 +294,9 @@ class TestStaleMemoIsNeverConsumed:
         tss.lookup_batch(keys)
         assert tss.path_lookups["memo"] == len(keys)
 
-    def test_megaflow_insert_writes_the_subtable_directly(self):
+    def test_slow_path_install(self):
         ref, vec, tss, keys = self._prescanned()
         for switch in (ref, vec):
-            # MegaflowCache.insert mutates the subtable, not tss.insert
             switch.slow_path.handle(COVERT[INSTALLED + 1], now=2.0)
         self._check(ref, vec, tss, keys)
 
