@@ -92,7 +92,7 @@ class FieldSpace:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FieldSpace):
             return NotImplemented
-        return self.specs == other.specs
+        return self is other or self.specs == other.specs
 
     def __hash__(self) -> int:
         return hash(self.specs)

@@ -76,7 +76,11 @@ class FlowKey:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FlowKey):
             return NotImplemented
-        return self.space == other.space and self.values == other.values
+        # values first: unequal keys (the common probe outcome) differ
+        # there, and equal ones nearly always share one space object
+        return self.values == other.values and (
+            self.space is other.space or self.space == other.space
+        )
 
     def __hash__(self) -> int:
         return hash(self.values)

@@ -27,10 +27,12 @@ datapath-state encoder the scenario, fleet and serve layers all use.
 
 from repro.obs.export import (
     datapath_state,
+    emc_counters,
     mask_census,
     observe_shards,
     observe_switch,
     prometheus_text,
+    record_emc,
     record_vec_tss,
     scan_stats,
     telemetry_json,
@@ -68,10 +70,12 @@ __all__ = [
     "Telemetry",
     "TraceRecorder",
     "datapath_state",
+    "emc_counters",
     "mask_census",
     "observe_shards",
     "observe_switch",
     "prometheus_text",
+    "record_emc",
     "record_vec_tss",
     "scan_stats",
     "telemetry_json",

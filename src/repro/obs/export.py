@@ -11,10 +11,12 @@ snapshot schema exists exactly once:
   observable snapshot (also the parallel runtime's ``observe`` wire
   payload);
 - :func:`datapath_state` — the canonical aggregated state dict
-  (stats, per-shard masks, megaflows, TSS lookups, and which path of
-  the columnar engine answered them);
+  (stats, per-shard masks, megaflows, EMC counters, TSS lookups, and
+  which path of the columnar engine answered them);
 - :func:`vec_tss_paths` / :func:`record_vec_tss` — that code-path
   census summed over shards, and its ``vec.tss.*`` metric family;
+- :func:`emc_counters` / :func:`record_emc` — the exact-match cache's
+  counters summed over shards, and their ``ovs.emc.*`` family;
 - :func:`scan_stats` — the scan-cost subset the scenario layer
   reports;
 - :func:`mask_census` — the ``(max_per_shard, total)`` mask pair the
@@ -47,6 +49,8 @@ __all__ = [
     "datapath_state",
     "vec_tss_paths",
     "record_vec_tss",
+    "emc_counters",
+    "record_emc",
     "scan_stats",
     "mask_census",
     "prometheus_text",
@@ -63,6 +67,30 @@ SCAN_STAT_FIELDS = (
     "avg_tuples_per_megaflow_lookup",
 )
 
+#: what a :class:`~repro.ovs.microflow.MicroflowCache` counts
+EMC_COUNTERS = (
+    "lookups",
+    "hits",
+    "insertions",
+    "evictions",
+    "stale_hits",
+    "occupancy",
+)
+
+
+def _shard_vec_tss(switch) -> dict | None:
+    """One shard's TSS code-path census; ``None`` for engines without
+    the columnar TSS."""
+    return getattr(switch, "vec_tss_paths", None)
+
+
+def _shard_emc(switch) -> dict | None:
+    """One shard's EMC counters; ``None`` for a cacheless shard."""
+    microflow = getattr(switch, "microflow", None)
+    if microflow is None:
+        return None
+    return {name: getattr(microflow, name) for name in EMC_COUNTERS}
+
 
 def observe_switch(switch) -> dict:
     """One shard's observable snapshot — plain ints plus one picklable
@@ -75,8 +103,8 @@ def observe_switch(switch) -> dict:
         "tss_lookups": switch.tss_lookups,
         "expected_scan_depth": switch.expected_scan_depth(),
         "rule_count": switch.rule_count,
-        # None for engines without the columnar TSS
-        "vec_tss": getattr(switch, "vec_tss_paths", None),
+        "vec_tss": _shard_vec_tss(switch),
+        "emc": _shard_emc(switch),
     }
 
 
@@ -111,7 +139,27 @@ def datapath_state(datapath, observed: list[dict] | None = None) -> dict:
         "megaflows": sum(o["megaflow_count"] for o in observed),
         "tss_lookups": sum(o["tss_lookups"] for o in observed),
         "vec_tss": vec_tss_paths(datapath, observed),
+        "emc": emc_counters(datapath, observed),
     }
+
+
+def _shard_sum(names: tuple, datapath, observed: list[dict] | None,
+               field: str, read) -> dict:
+    """Per-shard reports (``observed[...][field]`` when snapshots were
+    already fetched, else ``read(shard)`` off the shards directly) summed
+    name by name; a shard reporting ``None`` counts for nothing."""
+    if observed is not None:
+        reports = [o[field] for o in observed]
+    else:
+        from repro.ovs.pmd import shard_views
+
+        reports = [read(shard) for shard in shard_views(datapath)]
+    totals = dict.fromkeys(names, 0)
+    for report in reports:
+        if report is not None:
+            for name, count in report.items():
+                totals[name] += count
+    return totals
 
 
 def vec_tss_paths(datapath, observed: list[dict] | None = None) -> dict:
@@ -121,19 +169,8 @@ def vec_tss_paths(datapath, observed: list[dict] | None = None) -> dict:
     for engines without the columnar TSS — which is how a "vectorized"
     run that silently went scalar shows.  Without ``observed`` the
     shards are read directly (cheap enough for a per-tick sample)."""
-    if observed is not None:
-        reports = [o["vec_tss"] for o in observed]
-    else:
-        from repro.ovs.pmd import shard_views
-
-        reports = [getattr(shard, "vec_tss_paths", None)
-                   for shard in shard_views(datapath)]
-    totals = dict.fromkeys(VEC_TSS_PATHS, 0)
-    for report in reports:
-        if report is not None:
-            for path, count in report.items():
-                totals[path] += count
-    return totals
+    return _shard_sum(VEC_TSS_PATHS, datapath, observed, "vec_tss",
+                      _shard_vec_tss)
 
 
 def record_vec_tss(telemetry, paths: dict, **labels: str) -> None:
@@ -146,6 +183,25 @@ def record_vec_tss(telemetry, paths: dict, **labels: str) -> None:
         telemetry.gauge(
             "vec.tss.fallback_lookups", reason=reason, **labels
         ).set(paths[reason])
+
+
+def emc_counters(datapath, observed: list[dict] | None = None) -> dict:
+    """The exact-match cache's counters (:data:`EMC_COUNTERS`) summed
+    over shards — ``occupancy`` too: slots held datapath-wide.  All zero
+    for a cacheless datapath."""
+    return _shard_sum(EMC_COUNTERS, datapath, observed, "emc", _shard_emc)
+
+
+def record_emc(telemetry, emc: dict, **labels: str) -> None:
+    """Publish an :func:`emc_counters` sample as the ``ovs.emc.*``
+    family: cumulative counts since the datapath was built (and the
+    current occupancy), sampled, hence gauges."""
+    telemetry.gauge("ovs.emc.lookups", **labels).set(emc["lookups"])
+    telemetry.gauge("ovs.emc.hits", **labels).set(emc["hits"])
+    telemetry.gauge("ovs.emc.insertions", **labels).set(emc["insertions"])
+    telemetry.gauge("ovs.emc.evictions", **labels).set(emc["evictions"])
+    telemetry.gauge("ovs.emc.stale_hits", **labels).set(emc["stale_hits"])
+    telemetry.gauge("ovs.emc.occupancy", **labels).set(emc["occupancy"])
 
 
 def scan_stats(datapath) -> dict:

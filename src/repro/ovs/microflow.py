@@ -18,6 +18,7 @@ are lazily invalidated when the referenced megaflow dies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 from repro.flow.key import FlowKey
 from repro.ovs.megaflow import MegaflowEntry
@@ -57,6 +58,10 @@ class MicroflowCache:
         self.insertion_prob = insertion_prob
         self.rng = rng or DeterministicRng(0)
         self._sets: list[list[_Slot]] = [[] for _ in range(self.n_sets)]
+        #: stored slots, live and stale: a running count kept by the
+        #: five writers of ``_sets`` (``insert`` append, LRU eviction,
+        #: stale purge in ``lookup``, ``invalidate_dead``, ``flush``)
+        self._occupancy = 0
         # statistics
         self.lookups = 0
         self.hits = 0
@@ -93,12 +98,59 @@ class MicroflowCache:
             if slot.key == key:
                 if not slot.entry.alive:
                     del bucket[i]
+                    self._occupancy -= 1
                     self.stale_hits += 1
                     return None
                 slot.last_used = now
                 self.hits += 1
                 return slot.entry
         return None
+
+    def lookup_hits(self, keys: Sequence[FlowKey], start: int,
+                    now: float = 0.0) -> list[tuple[MegaflowEntry, int]]:
+        """Serve the longest prefix of ``keys[start:]`` that are live
+        hits, exactly as one :meth:`lookup` call per key would — the
+        same ``lookups`` / ``hits`` ticks, the same ``slot.last_used``
+        — and return the served entries run-length coalesced as
+        ``(entry, count)`` pairs in key order.  Stops *without
+        mutating* at the first key that has no slot or whose slot is
+        stale (that key's miss, and the purge, stay :meth:`lookup`'s).
+
+        A repeat of the previous key — the rest of an ON train — is the
+        same slot at the same ``now``: a counter bump, not a probe.
+        """
+        sets = self._sets
+        set_index = self._set_index
+        runs: list[tuple[MegaflowEntry, int]] = []
+        prev = entry = None
+        count = 0
+        for i in range(start, len(keys)):
+            key = keys[i]
+            if key is prev or key == prev:
+                count += 1
+                continue
+            for slot in sets[set_index(key)]:
+                if slot.key is key or slot.key == key:
+                    break
+            else:
+                break  # no slot: the prefix ends here
+            if not slot.entry.alive:
+                break  # stale: lookup() purges it and reports the miss
+            slot.last_used = now
+            prev = key
+            if slot.entry is entry:
+                count += 1
+                continue
+            if count:
+                runs.append((entry, count))
+            entry = slot.entry
+            count = 1
+        if count:
+            runs.append((entry, count))
+        served = sum(count for _, count in runs)
+        self.lookups += served
+        self.hits += served
+        return runs
 
     def insert(self, key: FlowKey, entry: MegaflowEntry, now: float = 0.0) -> bool:
         """Admit a key (subject to probabilistic insertion); evicts the
@@ -119,8 +171,10 @@ class MicroflowCache:
         if len(bucket) >= self.ways:
             victim = min(range(len(bucket)), key=lambda i: bucket[i].last_used)
             del bucket[victim]
+            self._occupancy -= 1
             self.evictions += 1
         bucket.append(_Slot(key, entry, now))
+        self._occupancy += 1
         self.insertions += 1
         return True
 
@@ -131,17 +185,26 @@ class MicroflowCache:
             keep = [slot for slot in bucket if slot.entry.alive]
             removed += len(bucket) - len(keep)
             bucket[:] = keep
+        self._occupancy -= removed
         return removed
 
     def flush(self) -> None:
         """Empty the cache."""
         for bucket in self._sets:
             bucket.clear()
+        self._occupancy = 0
+
+    def resident_keys(self) -> Iterator[FlowKey]:
+        """Every stored key, live and stale slots alike (a stale slot
+        still answers :meth:`contains`), in set order."""
+        for bucket in self._sets:
+            for slot in bucket:
+                yield slot.key
 
     @property
     def occupancy(self) -> int:
-        """Number of stored entries."""
-        return sum(len(bucket) for bucket in self._sets)
+        """Number of stored entries (O(1): the running count)."""
+        return self._occupancy
 
     @property
     def hit_rate(self) -> float:

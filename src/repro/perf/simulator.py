@@ -28,7 +28,13 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.flow.key import FlowKey
-from repro.obs import NULL_TELEMETRY, record_vec_tss, vec_tss_paths
+from repro.obs import (
+    NULL_TELEMETRY,
+    emc_counters,
+    record_emc,
+    record_vec_tss,
+    vec_tss_paths,
+)
 from repro.ovs.megaflow import MegaflowEntry
 from repro.ovs.pmd import shard_views
 from repro.ovs.switch import BatchResult, LookupPath, OvsSwitch
@@ -802,6 +808,7 @@ class DataplaneSimulator:
         inst["victim_cycles"].observe(victim_avg_cycles)
         inst["throughput"].set(throughput_bps)
         record_vec_tss(tele, vec_tss_paths(self.switch), node=node)
+        record_emc(tele, emc_counters(self.switch), node=node)
         profile = tele.profile
         covert_phase = "covert_" + self.covert_replay
         multi = len(self._shards) > 1

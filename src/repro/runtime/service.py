@@ -41,6 +41,7 @@ from repro.obs import NULL_TELEMETRY
 from repro.obs.export import (
     datapath_state,
     observe_shards,
+    record_emc,
     record_vec_tss,
     wall_pps_snapshot,
 )
@@ -396,6 +397,7 @@ class ServeService:
                 state["megaflows"]
             )
             record_vec_tss(telemetry, state["vec_tss"])
+            record_emc(telemetry, state["emc"])
             telemetry.trace.record(
                 "serve.snapshot", now, node=getattr(
                     self.datapath, "name", ""

@@ -43,12 +43,15 @@ Three pieces, each a drop-in specialisation of its reference class:
   counts which path answered every lookup.
 
 * :class:`VecSwitch` — an :class:`~repro.ovs.switch.OvsSwitch` whose
-  batch pipeline fronts the EMC with a vectorized membership probe over
-  a columnar exact-match store (:class:`VecEmcStore`).  The probe is a
+  batch pipeline lets the EMC serve each run of consecutive hits in one
+  pass (``MicroflowCache.lookup_hits``: an ON train is one probe, its
+  bookkeeping one fold) and fronts what follows the burst's first
+  non-hit with a vectorized membership probe over a columnar
+  exact-match store (:class:`VecEmcStore`).  The probe is a
   conservative superset of the cache's residents, so a negative proves
   a miss: those keys skip the per-key Python probe entirely (paying
   only the lookup-counter tick a certain miss would), while possible
-  residents take the reference path.  Before the per-key loop the
+  residents probe the real cache.  Before the per-key loop the
   burst's EMC-miss candidates are pre-scanned once (see above): a
   bursty feed splits into runs of one or two keys, and without the
   memo each would pay a scalar scan of every subtable.  Everything
@@ -591,11 +594,7 @@ class VecEmcStore:
             and self._base_count <= microflow.occupancy + slack
         ):
             return
-        packed = [
-            slot.key.packed
-            for bucket in microflow._sets
-            for slot in bucket
-        ]
+        packed = [key.packed for key in microflow.resident_keys()]
         fps = self.codec.fold(self.codec.encode_ints(packed))
         fps.sort()
         self._fps = fps
@@ -632,8 +631,10 @@ class VecSwitch(OvsSwitch):
       megaflow layer — including through inherited code paths like
       :meth:`~repro.ovs.switch.OvsSwitch._flush_run` — scans
       column-wise;
-    * :meth:`process_batch` pre-probes the EMC vectorized and skips the
-      per-key Python probe for keys the store proves absent;
+    * :meth:`process_batch` has the EMC serve every run of hits in one
+      pass (:meth:`_serve_emc_hits`), pre-probes the rest of the burst
+      vectorized and skips the per-key Python probe for keys the store
+      proves absent;
     * the burst's EMC-miss candidates are scanned against the tuple
       space once, up front, and the runs' chunks consume the answers
       from that per-burst memo (:meth:`_prescan`);
@@ -775,9 +776,17 @@ class VecSwitch(OvsSwitch):
         batch = BatchResult()
         # a provably-empty store answers every probe "no" — skip even
         # the batch encode (the common state with EMC insertion off)
-        maybe = None if store.empty else store.probe(
-            self._codec.encode_keys(keys)
-        )
+        maybe = None
+        if not store.empty:
+            # the cache serves the burst's hit prefix itself; only what
+            # follows the first non-hit is encoded for the store to
+            # screen (an all-hit burst never consults it)
+            served = self._serve_emc_hits(keys, 0, now, batch, materialize)
+            if served == len(keys):
+                return batch
+            if served:
+                keys = keys[served:]
+            maybe = store.probe(self._codec.encode_keys(keys))
         flags = None
         if maybe is not None and (store.overlay or maybe.any()):
             flags = maybe.tolist()
@@ -868,18 +877,65 @@ class VecSwitch(OvsSwitch):
         if run:
             self._flush_run(run, run_set, batch, now, materialize)
 
+    def _serve_emc_hits(self, keys: Sequence[FlowKey], start: int,
+                        now: float, batch: BatchResult,
+                        materialize: bool) -> int:
+        """Serve the longest all-hit prefix of ``keys[start:]`` from the
+        EMC in one pass (:meth:`~repro.ovs.microflow.MicroflowCache.
+        lookup_hits`: the per-key probes, LRU touches included, with ON
+        trains coalesced) and fold the reference's per-hit bookkeeping
+        once per ``(entry, count)`` run and once per call.  Returns how
+        many keys were served; the next one, if any, is not a live
+        hit."""
+        hits = forwarded = 0
+        for entry, count in self.microflow.lookup_hits(keys, start, now):
+            entry.hits += count
+            entry.last_used = now
+            action = entry.action
+            if action.is_forwarding():
+                forwarded += count
+            if materialize:
+                append = batch.results.append
+                for _ in range(count):
+                    append(PacketResult(
+                        action=action,
+                        path=LookupPath.MICROFLOW,
+                        tuples_scanned=0,
+                        hash_probes=0,
+                        entry=entry,
+                    ))
+            hits += count
+        if hits:
+            stats = self.stats
+            stats.packets += hits
+            stats.emc_hits += hits
+            stats.forwarded += forwarded
+            stats.drops += hits - forwarded
+            batch.packets += hits
+            batch.emc_hits += hits
+            batch.forwarded += forwarded
+            batch.drops += hits - forwarded
+        return hits
+
     def _resolve_mixed(self, keys: Sequence[FlowKey], flags: list,
                        batch: BatchResult, now: float,
                        materialize: bool) -> None:
-        """A burst with possible EMC residents: the reference per-key
-        resolve (possible residents must probe the real cache — LRU
-        touches and stale purges are stateful), skipping the probe only
-        for keys the store proves absent."""
+        """A burst with possible EMC residents whose first key is not a
+        live hit (``process_batch`` served that prefix).  An EMC hit
+        always finds the run empty — a resident key flushes it first —
+        so every hit is served right after a flush, by
+        :meth:`_serve_emc_hits`, and the per-key path handles misses
+        only: proven absent by the store, absent on probing, or a stale
+        slot for :meth:`~repro.ovs.microflow.MicroflowCache.lookup` to
+        purge."""
         overlay = self._emc_store.overlay
         microflow = self.microflow
         run: list[FlowKey] = []
         run_set: set[FlowKey] = set()
-        for i, key in enumerate(keys):
+        i = 0
+        n = len(keys)
+        while i < n:
+            key = keys[i]
             # the probe is a superset of the residents: a negative
             # proves the key has no slot, live or stale (the overlay
             # catches keys inserted since the probe's snapshot)
@@ -888,23 +944,19 @@ class VecSwitch(OvsSwitch):
                 key in run_set or (possible and microflow.contains(key))
             ):
                 self._flush_run(run, run_set, batch, now, materialize)
-                # the flush may have inserted this very key (every
-                # insert lands in the overlay, so re-checking it is
-                # enough to restore the superset guarantee)
-                possible = possible or key in overlay
+                # the flush may have inserted this very key
+                i += self._serve_emc_hits(keys, i, now, batch, materialize)
+                continue
             self.stats.packets += 1
             if possible:
-                entry = microflow.lookup(key, now)
+                microflow.lookup(key, now)
             else:
                 # a proven miss: the reference lookup would tick the
                 # counter, match nothing and mutate nothing
                 microflow.lookups += 1
-                entry = None
-            if entry is not None:
-                self._finish_microflow_hit(entry, now, batch, materialize)
-            else:
-                run.append(key)
-                run_set.add(key)
+            run.append(key)
+            run_set.add(key)
+            i += 1
         if run:
             self._flush_run(run, run_set, batch, now, materialize)
 

@@ -4,11 +4,14 @@ import json
 
 from repro.obs import Telemetry
 from repro.obs.export import (
+    EMC_COUNTERS,
     datapath_state,
+    emc_counters,
     mask_census,
     observe_shards,
     observe_switch,
     prometheus_text,
+    record_emc,
     record_vec_tss,
     scan_stats,
     telemetry_json,
@@ -31,7 +34,7 @@ class TestSnapshotEncoder:
         observed = observe_switch(datapath)
         assert set(observed) == {"stats", "mask_count", "megaflow_count",
                                  "tss_lookups", "expected_scan_depth",
-                                 "rule_count", "vec_tss"}
+                                 "rule_count", "vec_tss", "emc"}
 
     def test_observe_shards_counts_views(self):
         assert len(observe_shards(_datapath(shards=1))) == 1
@@ -122,6 +125,74 @@ class TestVecTssPaths:
         assert exported[("vec.tss.memo_lookups", None)] == paths["memo"] > 0
         assert exported[("vec.tss.fallback_lookups", "small_burst")] == \
             paths["small_burst"]
+
+
+class TestEmcCounters:
+    """The exact-match cache's counters, through the encoder."""
+
+    def _run(self, shards, backend="ovs-vec"):
+        spec = SCENARIOS.get("k8s-deepscan").evolve(
+            shards=shards, backend=backend, profile="netdev"
+        )
+        session = Session(spec)
+        datapath = session.build_datapath()
+        datapath.add_rules(session.surface.compile_rules(
+            session.policy, session.target, session.space
+        ))
+        keys = session.surface.covert_keys(
+            session.dimensions, session.target, session.space
+        )[:64]
+        for now in (0.0, 0.1):
+            datapath.process_batch(keys, now=now, materialize=False)
+        return datapath, len(keys)
+
+    def test_summed_over_shards_and_equal_to_the_caches(self):
+        from repro.ovs.pmd import shard_views
+
+        datapath, n_keys = self._run(shards=2)
+        emc = datapath_state(datapath)["emc"]
+        assert tuple(emc) == EMC_COUNTERS
+        caches = [shard.microflow for shard in shard_views(datapath)]
+        assert len(caches) == 2
+        for name in EMC_COUNTERS:
+            assert emc[name] == sum(getattr(c, name) for c in caches), name
+        # lap one installs, lap two hits every slot it left
+        assert emc["lookups"] == 2 * n_keys
+        assert emc["hits"] == emc["insertions"] == emc["occupancy"] == n_keys
+        assert emc_counters(datapath) == emc
+
+    def test_the_engine_does_not_show(self):
+        vec, _ = self._run(shards=1)
+        ref, _ = self._run(shards=1, backend="ovs")
+        assert emc_counters(vec) == emc_counters(ref)
+
+    def test_a_cacheless_datapath_reads_all_zero(self):
+        spec = SCENARIOS.get("k8s-deepscan").evolve(backend="cacheless")
+        datapath = Session(spec).build_datapath()
+        assert observe_switch(datapath)["emc"] is None
+        assert datapath_state(datapath)["emc"] == dict.fromkeys(
+            EMC_COUNTERS, 0
+        )
+
+    def test_metric_family(self):
+        tele = Telemetry()
+        record_emc(tele, dict(zip(EMC_COUNTERS, range(1, 7))), node="n0")
+        text = prometheus_text(tele)
+        for value, name in enumerate(EMC_COUNTERS, start=1):
+            assert f'repro_ovs_emc_{name}{{node="n0"}} {value}' in text
+
+    def test_a_traced_campaign_exports_the_family(self):
+        spec = SCENARIOS.get("k8s-deepscan").evolve(
+            duration=15.0, attack_start=5.0
+        )
+        tele = Telemetry()
+        result = Session(spec, telemetry=tele).run()
+        exported = {
+            name.removeprefix("ovs.emc."): instrument.value
+            for name, _labels, instrument in tele.series()
+            if name.startswith("ovs.emc.")
+        }
+        assert exported == emc_counters(result.datapath)
 
 
 class TestPrometheusText:

@@ -1,16 +1,22 @@
-"""Complexity guards for the slow path, counted, never timed.
+"""Complexity guards for installs, sweeps and bursts, counted, never
+timed.
 
-An install costs O(1) in the size of the table it lands in and a sweep
-O(entries) — see DESIGN.md's complexity contract.  The cost measure is
+An install costs O(1) in the size of the table it lands in, a sweep
+O(entries) and a burst of EMC hits O(burst) whatever the cache's size
+— see DESIGN.md's complexity contract.  The cost measure is
 the interpreter's own call count (Python and builtin calls alike, via
 ``cProfile``), a pure function of the code path: no wall clock, nothing
 to flake.  Growing the work 4x may grow the calls at most 4.5x; the
 regression this pins (``entry_count`` recounting every subtable on every
-install, one ``Subtable.__len__`` call each) read 16x here.
+install, one ``Subtable.__len__`` call each) read 16x here; the one
+the burst guard pins (``MicroflowCache.occupancy`` recounting every set
+on every burst) read 4x against its 1.1x.
 """
 
 import cProfile
 import pstats
+
+import pytest
 
 from repro.attack.packets import CovertStreamGenerator
 from repro.attack.policy import kubernetes_attack_policy
@@ -19,6 +25,7 @@ from repro.cms.kubernetes import KubernetesCms
 from repro.flow.fields import OVS_FIELDS
 from repro.net.addresses import ip_to_int
 from repro.ovs.switch import OvsSwitch
+from repro.vec import HAVE_NUMPY
 
 TARGET = PolicyTarget(pod_ip=ip_to_int("10.0.9.10"), output_port=42,
                       tenant="mallory")
@@ -67,3 +74,28 @@ def test_a_sweep_is_linear_in_live_entries():
     assert large.revalidator.evicted_total == 0
     assert large.megaflow_count == 4 * N
     assert calls_4n <= MAX_GROWTH * calls_n, (calls_n, calls_4n)
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+def test_an_all_hit_burst_does_not_pay_for_the_size_of_the_emc():
+    from repro.vec.engine import VecSwitch
+
+    burst = COVERT[:256]
+
+    def calls_with(emc_entries: int) -> int:
+        switch = VecSwitch(space=OVS_FIELDS, name="complexity",
+                           emc_entries=emc_entries)
+        switch.add_rules(RULES)
+        # install, then let the EMC store refold its overlay: the burst
+        # counted is the steady state
+        for now in (0.0, 0.1, 0.2):
+            switch.process_batch(burst, now=now, materialize=False)
+        batches = []
+        calls = _calls(lambda: batches.append(
+            switch.process_batch(burst, now=0.3, materialize=False)
+        ))
+        assert batches[0].emc_hits == len(burst)
+        return calls
+
+    small, large = calls_with(8192), calls_with(32768)
+    assert large <= 1.1 * small, (small, large)

@@ -151,6 +151,9 @@ class TestServeHonoursTheEngine:
         for report in vec.values():
             census = report.final["state"]["vec_tss"]
             assert census["scan"] > 0 and census["memo"] > 0
+            # every packet probes its shard's EMC, and the counters
+            # cross the worker mailbox like the census
+            assert report.final["state"]["emc"]["lookups"] == report.packets
         views = {w: r.deterministic_view() for w, r in vec.items()}
         assert json.dumps(views[0], sort_keys=True) == \
             json.dumps(views[2], sort_keys=True)
