@@ -1,8 +1,9 @@
 """Shared fixtures and reporting helpers for the benchmark harness.
 
 Every benchmark regenerates one paper artefact (DESIGN.md §4 indexes
-them) and *prints* it, so ``pytest benchmarks/ --benchmark-only -s``
-doubles as the reproduction report.
+them) and *prints* it, so ``pytest benchmarks/bench_*.py
+--benchmark-only -s`` doubles as the reproduction report (the glob: a
+directory argument collects only ``test_*.py``).
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from pathlib import Path
 import pytest
 
 #: every regenerated table/figure is also appended here, so a plain
-#: ``pytest benchmarks/ --benchmark-only`` run (with print capture on)
-#: still leaves the full reproduction report on disk
+#: ``pytest benchmarks/bench_*.py --benchmark-only`` run (with print
+#: capture on) still leaves the full reproduction report on disk
 ARTIFACT_LOG = Path(__file__).resolve().parent.parent / "bench_artifacts.txt"
 
 

@@ -19,10 +19,6 @@ benign scan severalfold and buys nothing against the attack — it can
 even do slightly *worse* there, because the round-robin covert stream
 anti-correlates with each re-sort (it next visits exactly the
 subtables the re-sort just demoted).
-
-The stream/switch builders here are shared with the wall-clock
-benchmark (``benchmarks/bench_ranked_vs_insertion.py``), which times
-the same scans instead of counting them.
 """
 
 from __future__ import annotations

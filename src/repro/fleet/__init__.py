@@ -32,7 +32,7 @@ Quick use::
 
 A one-node ``static`` fleet is **bit-identical** to the equivalent
 :class:`~repro.scenario.session.Session` run — the equivalence gate
-``benchmarks/bench_fleet.py`` enforces in CI.
+``tests/fleet/test_fleet.py`` enforces.
 """
 
 from repro.fleet.defense import FleetDetector, FleetVerdict, NodeObservation

@@ -21,7 +21,7 @@ everything from a single :class:`~repro.fleet.loop.EventLoop`:
 * **step phase** — each node advances its
   :class:`~repro.perf.simulator.DataplaneSimulator` one tick (the same
   arithmetic a `Session` run executes, which is why a one-node fleet is
-  bit-identical to one — the ``bench_fleet`` gate);
+  bit-identical to one — the ``tests/fleet/test_fleet.py`` gate);
 * **observe phase** — the fleet detector samples the nodes on its
   cadence and quarantines flagged ones: victim load migrates over the
   fabric onto the healthy remainder, and the node is detached.

@@ -17,8 +17,10 @@ for a given seed:
 
 Layers accept ``telemetry=None`` and fall back to
 :data:`NULL_TELEMETRY`, whose instruments are shared no-ops — the
-zero-overhead-when-disabled contract ``benchmarks/bench_obs.py`` gates
-(disabled runs byte-identical, enabled overhead ≤ 5%).
+zero-overhead-when-disabled contract: enabling telemetry changes no
+deterministic output byte (``tests/obs/test_determinism.py``), and what
+it costs in wall clock is the pipeline benchmark's
+``obs.telemetry_overhead_frac`` row.
 
 Exporters live in :mod:`repro.obs.export`: Prometheus text exposition,
 the stable ``repro.obs/v1`` JSON snapshot, and the one shared

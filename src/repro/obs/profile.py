@@ -9,9 +9,9 @@ cycles scanning subtables on shard 2" is one query, not a spreadsheet
 join over three exporters.
 
 The profile is pure accumulation — floats added in call order — so a
-seeded run reproduces it bit for bit, and the :mod:`benchmarks.bench_obs`
-gate can assert the tree's total equals the campaign's total charged
-cycles exactly.
+seeded run reproduces it bit for bit, and
+``tests/obs/test_determinism.py`` can assert the tree's total equals
+the campaign's total charged cycles exactly.
 
 :class:`NullProfile` is the disabled counterpart (no-op charges, empty
 tree) so instrumented code charges unconditionally through whatever

@@ -44,8 +44,8 @@ hash-aware attacker crafts, per mask, one packet variant per shard by
 varying the bits the megaflow wildcards anyway
 (:meth:`~repro.attack.packets.CovertStreamGenerator.spread_keys`) and
 poisons every PMD to the full mask count — at N× the (still tiny)
-covert bandwidth.  Experiment E9 and ``benchmarks/bench_sharded.py``
-measure both.
+covert bandwidth.  Experiment E9 (``experiments/sharding.py``)
+measures both.
 
 A one-shard datapath is **observationally identical** to a bare
 :class:`OvsSwitch` (same seeds, same clocks, same stats — equivalence
@@ -410,10 +410,6 @@ class ShardedDatapath:
     @property
     def scan_order(self) -> str:
         return self.shards[0].scan_order
-
-    @property
-    def key_mode(self) -> str:
-        return self.shards[0].key_mode
 
     @property
     def tss_lookups(self) -> int:

@@ -54,8 +54,7 @@ class SwitchStats:
         this switch served: every packet pays the base lookup, every
         subtable visit one probe — the same weighting the PMD
         rebalancer applies to its per-bucket windows, here derivable
-        from any stats snapshot (``bench_rebalance`` reports per-shard
-        served load this way).  Defaults are the
+        from any stats snapshot.  Defaults are the
         :mod:`~repro.perf.costmodel` calibration constants."""
         from repro.perf.costmodel import (
             DEFAULT_CYCLES_MEGAFLOW_BASE,

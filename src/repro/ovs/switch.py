@@ -469,11 +469,6 @@ class OvsSwitch:
         return self.megaflow.tss.scan_order
 
     @property
-    def key_mode(self) -> str:
-        """The TSS hash-key representation (packed / tuple)."""
-        return self.megaflow.tss.key_mode
-
-    @property
     def tss_lookups(self) -> int:
         """TSS lookups served (megaflow hits plus miss scans) — the
         datapath-surface counter load accounting and scan-depth

@@ -204,7 +204,7 @@ class DataplaneSimulator:
         # event sources and pre-register this simulator's instruments.
         # ``_tele`` stays None when telemetry is disabled, so the hot
         # tick loop pays one ``is not None`` check and nothing else —
-        # the zero-overhead-when-disabled contract bench_obs gates.
+        # the zero-overhead-when-disabled contract.
         # explicit None check: an empty registry is len() == 0 / falsy
         self.telemetry = NULL_TELEMETRY if telemetry is None else telemetry
         self.telemetry.attach(switch)

@@ -9,7 +9,8 @@ Two layers, both aggregate-only by design:
   aggregate-only result mode *is* the IPC wire format).  The serial
   :class:`~repro.ovs.pmd.ShardedDatapath` stays the deterministic
   reference the parallel runtime must match exactly —
-  ``benchmarks/bench_serve.py`` gates that equivalence in CI.
+  ``tests/runtime/test_parallel.py`` and ``tests/runtime/test_serve.py``
+  gate that equivalence.
 
 * :mod:`repro.runtime.service` — :class:`ServeService`: the
   ``repro serve`` engine, a long-running loop ingesting a packet stream

@@ -31,8 +31,9 @@ starts from memory identical to serial shard ``i`` (same
 :func:`~repro.ovs.pmd.shard_seed`-derived RNG, same compiled tables).
 Dispatch, sub-burst order and per-shard clock advancement mirror the
 serial aggregate path operation for operation, which is why the serial
-datapath remains the *reference*: ``benchmarks/bench_serve.py`` gates
-byte-identical stats/series between the two and CI runs it.
+datapath remains the *reference*: ``tests/runtime/test_parallel.py``
+(per burst) and ``tests/runtime/test_serve.py`` (whole serve runs) gate
+byte-identical stats/series between the two.
 
 What the parallel runtime deliberately refuses (loudly, never
 silently):
@@ -224,7 +225,6 @@ class ParallelDatapath:
         self._static = {
             "staged": first.staged,
             "scan_order": first.scan_order,
-            "key_mode": first.key_mode,
             "idle_timeout": first.idle_timeout,
             "cache_capacity": sum(s.cache_capacity for s in self._switches),
         }
@@ -556,10 +556,6 @@ class ParallelDatapath:
     @property
     def scan_order(self) -> str:
         return self._static["scan_order"]
-
-    @property
-    def key_mode(self) -> str:
-        return self._static["key_mode"]
 
     @property
     def idle_timeout(self) -> float:

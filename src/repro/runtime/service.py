@@ -11,7 +11,7 @@ scenario's synthetic covert-lap feed), pushes every burst through
 snapshots: cumulative switch stats, per-shard mask counts, and a
 mask-count detector verdict.
 
-Two invariants the tests and ``benchmarks/bench_serve.py`` pin:
+Two invariants ``tests/runtime/test_serve.py`` pins:
 
 * **Determinism** — every snapshot splits into a ``state`` part
   (driven purely by simulated time and traffic: stats counters, mask

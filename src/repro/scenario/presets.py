@@ -188,7 +188,8 @@ SCENARIOS.register(
         "insertion off (the documented operator response to cache "
         "thrashing) and every covert packet replayed through the real "
         "pipeline as one coalesced burst per tick — the wall clock is "
-        "the TSS deep scan itself, which is what BENCH_e2e measures",
+        "the TSS deep scan itself, which is what the pipeline benchmark's "
+        "deepscan-campaign workload measures",
     ),
 )
 SCENARIOS.register(
@@ -203,11 +204,11 @@ SCENARIOS.register(
         description="the deep-scan serve workload: the 512-mask "
         "Kubernetes covert stream replayed live through `repro serve` "
         "— EMC insertion off, so every packet after the first lap "
-        "deep-scans the exploded subtable list on its shard.  The "
-        "per-packet scan dominates the IPC cost, which is what makes "
-        "the multi-process runtime's speedup near-linear; "
-        "BENCH_serve gates serial↔parallel equivalence and >=2x "
-        "packets/s at 4 workers on this spec",
+        "deep-scans the exploded subtable list on its shard.  Serial "
+        "and parallel runs of this spec are byte-identical "
+        "(tests/runtime/test_serve.py); the measured speedup is the "
+        "pipeline benchmark's serve-parallel speedup_vs_serial row — "
+        "1.32x at 2 workers on 2 cores",
     ),
 )
 SCENARIOS.register(

@@ -7,11 +7,20 @@ import pytest
 
 from repro.fleet import FleetSession, FleetSpec
 from repro.scenario import SCENARIOS, Session
+from repro.vec import HAVE_NUMPY
 
 
 def base_scenario(duration=16.0, attack_start=5.0, **overrides):
     return SCENARIOS.get("k8s").evolve(
         duration=duration, attack_start=attack_start, **overrides
+    )
+
+
+def deepscan(backend):
+    """The datapath-replay campaign (every covert tick a real
+    ``process_batch`` burst), shortened to reach 512 masks and stop."""
+    return SCENARIOS.get("k8s-deepscan").evolve(
+        backend=backend, duration=14.0, attack_start=4.0
     )
 
 
@@ -55,18 +64,38 @@ class TestSpec:
 
 
 class TestSingleNodeEquivalence:
-    def test_one_node_static_fleet_is_bitwise_session(self):
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            pytest.param(base_scenario(), id="k8s"),
+            pytest.param(deepscan("ovs"), id="k8s-deepscan-ovs"),
+            pytest.param(
+                deepscan("ovs-vec"),
+                id="k8s-deepscan-ovs-vec",
+                marks=pytest.mark.skipif(
+                    not HAVE_NUMPY, reason="numpy not installed"
+                ),
+            ),
+        ],
+    )
+    def test_one_node_static_fleet_is_bitwise_session(self, scenario):
         """The tentpole contract: the fleet layer is pure orchestration
         — one node under a static attacker IS the classic Session run,
-        row for row."""
-        scenario = base_scenario()
+        row for row, on the model replay and on the datapath replay of
+        either engine."""
         plain = Session(scenario).run()
-        fleet = FleetSession(
+        session = FleetSession(
             FleetSpec(scenario=scenario, nodes=1, mobility="static")
-        ).run()
+        )
+        fleet = session.run()
         assert fleet.node_series[0].columns == plain.series.columns
         assert fleet.node_series[0].rows == plain.series.rows
         assert fleet.final_node_masks[0] == plain.final_mask_count()
+        # the fabric / mailbox layer touched the node's datapath only
+        # through the per-tick step: same packets, same tuples scanned
+        scan = plain.scan_stats()
+        node_stats = session.nodes[0].datapath.stats.snapshot()
+        assert scan and {name: node_stats[name] for name in scan} == scan
 
     def test_one_node_fleet_with_defense_matches_session(self):
         scenario = base_scenario(defenses=("mask-limit",))

@@ -8,6 +8,9 @@ telemetry never perturbs a single series value.
 
 import json
 
+import pytest
+
+from repro.fleet import FleetSession, FleetSpec
 from repro.obs import Telemetry
 from repro.obs.export import prometheus_text, telemetry_json
 from repro.runtime.service import build_service
@@ -21,8 +24,7 @@ def _scenario_spec():
     )
 
 
-def _serve_exports(workers, shards=2):
-    telemetry = Telemetry()
+def _serve_report(workers, telemetry, shards=2):
     service = build_service(
         SCENARIOS.get("k8s-serve").evolve(shards=shards),
         workers=workers,
@@ -31,7 +33,12 @@ def _serve_exports(workers, shards=2):
         report_interval=0.5,
         telemetry=telemetry,
     )
-    report = service.run()
+    return service.run()
+
+
+def _serve_exports(workers, shards=2):
+    telemetry = Telemetry()
+    report = _serve_report(workers, telemetry, shards)
     return (prometheus_text(telemetry), telemetry.trace.to_jsonl(),
             report.deterministic_view())
 
@@ -78,6 +85,24 @@ class TestPureObservation:
         observed = Session(_scenario_spec(), telemetry=Telemetry()).run()
         assert plain.scan_stats() == observed.scan_stats()
 
+    def test_one_node_fleet_series_identical_either_way(self):
+        spec = FleetSpec(name="obs-fleet", scenario=_scenario_spec(),
+                         nodes=1, mobility="static")
+        plain = FleetSession(spec).run()
+        telemetry = Telemetry()
+        observed = FleetSession(spec, telemetry=telemetry).run()
+        assert plain.node_series[0].rows == observed.node_series[0].rows
+        assert plain.aggregate.rows == observed.aggregate.rows
+        assert len(telemetry) > 0
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_serve_view_identical_either_way(self, workers):
+        telemetry = Telemetry()
+        plain = _serve_report(workers, None)
+        observed = _serve_report(workers, telemetry)
+        assert plain.deterministic_view() == observed.deterministic_view()
+        assert len(telemetry) > 0
+
 
 class TestServeExportDeterminism:
     def test_serial_serve_byte_identical_across_runs(self):
@@ -107,9 +132,6 @@ class TestServeExportDeterminism:
 
 class TestFleetExportDeterminism:
     def test_one_node_fleet_byte_identical_across_runs(self):
-        from repro.fleet.session import FleetSession
-        from repro.fleet.spec import FleetSpec
-
         def run_once():
             telemetry = Telemetry()
             FleetSession(

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.obs import NULL_TRACE, SpanEvent, TraceRecorder
 
 
@@ -80,6 +81,44 @@ class TestChromeTrace:
         other = trace.to_chrome_trace()["otherData"]
         assert other == {"clock": "simulated-seconds", "recorded": 2,
                          "dropped": 1}
+
+
+class TestTraceCommand:
+    def test_a_real_runs_artifacts_parse_and_the_trace_is_perfetto_shaped(
+        self, tmp_path, capsys
+    ):
+        assert main(["trace", "k8s-deepscan", "--duration", "15",
+                     "--attack-start", "5", "--output", str(tmp_path)]) == 0
+        listed = [
+            line.strip()
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  k8s-deepscan.")
+        ]
+        assert sorted(listed) == sorted(p.name for p in tmp_path.iterdir())
+        assert {name.split(".", 1)[1] for name in listed} == {
+            "trace.json", "trace.jsonl", "profile.json", "metrics.prom",
+            "snapshot.json",
+        }
+        stem = str(tmp_path / "k8s-deepscan")
+        for suffix in ("profile.json", "snapshot.json"):
+            with open(f"{stem}.{suffix}", encoding="utf-8") as handle:
+                assert json.load(handle)
+        with open(f"{stem}.trace.jsonl", encoding="utf-8") as handle:
+            assert [json.loads(line)["name"] for line in handle]
+        with open(f"{stem}.metrics.prom", encoding="utf-8") as handle:
+            assert "repro_sim_cycles_charged" in handle.read()
+
+        with open(f"{stem}.trace.json", encoding="utf-8") as handle:
+            doc = json.load(handle)
+        events = doc["traceEvents"]
+        assert events
+        assert {e["ph"] for e in events} == {"M", "X"}
+        assert any(e["ph"] == "M" and e["name"] == "process_name"
+                   for e in events)
+        for span in (e for e in events if e["ph"] == "X"):
+            for key in ("ts", "dur", "pid", "tid"):
+                assert isinstance(span[key], (int, float)), (span, key)
+        assert json.loads(json.dumps(doc)) == doc
 
 
 class TestNullTrace:

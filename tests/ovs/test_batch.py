@@ -62,7 +62,7 @@ def _traffic(dimensions):
 
 def _result_fields(result):
     return (
-        result.action.kind,
+        result.action,
         result.path,
         result.tuples_scanned,
         result.hash_probes,

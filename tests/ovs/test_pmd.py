@@ -17,7 +17,12 @@ from repro.net.ethernet import ETHERTYPE_IPV4
 from repro.net.ipv4 import PROTO_TCP
 from repro.ovs.pmd import RSS_FIELDS, ShardedDatapath, rss_hash, shard_seed
 from repro.ovs.stats import SwitchStats
-from repro.perf.factory import sharded_switch_for_profile, switch_for_profile
+from repro.perf.factory import (
+    BACKENDS,
+    sharded_switch_for_profile,
+    switch_for_profile,
+)
+from repro.vec import HAVE_NUMPY
 
 
 def _rules_and_keys(count=96):
@@ -37,7 +42,7 @@ def _rules_and_keys(count=96):
 
 def _result_fields(result):
     return (
-        result.action.kind,
+        result.action,
         result.path,
         result.tuples_scanned,
         result.hash_probes,
@@ -76,6 +81,9 @@ class TestOneShardEquivalence:
         a = plain.process_batch(stream, now=0.5)
         b = sharded.process_batch(stream, now=0.5)
         assert [_result_fields(r) for r in a] == [_result_fields(r) for r in b]
+        assert dataclasses.asdict(plain.stats) == dataclasses.asdict(sharded.stats)
+        assert plain.mask_count == sharded.mask_count
+        assert plain.megaflow_count == sharded.megaflow_count
 
     def test_shard_zero_keeps_base_seed(self):
         assert shard_seed(7, 0) == 7
@@ -92,12 +100,23 @@ class TestOneShardEquivalence:
 
 
 class TestShardedDispatch:
-    def test_batch_matches_sequential_process(self):
-        """process_batch across shards must return bit-identical results
-        to per-key process calls (shards share no state)."""
+    @pytest.mark.parametrize(
+        "engine",
+        [
+            "ovs",
+            pytest.param("ovs-vec", marks=pytest.mark.skipif(
+                not HAVE_NUMPY, reason="numpy not installed")),
+        ],
+    )
+    def test_batch_matches_sequential_process(self, engine):
+        """process_batch across shards — scalar or columnar ones — must
+        return bit-identical results to per-key process calls on the
+        scalar shards (shards share no state)."""
         rules, stream = _rules_and_keys()
         a = sharded_switch_for_profile("kernel", shards=4, seed=3)
-        b = sharded_switch_for_profile("kernel", shards=4, seed=3)
+        b = sharded_switch_for_profile(
+            "kernel", shards=4, seed=3, switch_cls=BACKENDS.get(engine)()
+        )
         a.add_rules(rules)
         b.add_rules(rules)
         sequential = [a.process(key, now=1.0) for key in stream]

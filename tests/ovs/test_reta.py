@@ -59,7 +59,7 @@ class TestRetaTable:
         """The hard equivalence contract: with the initial RETA,
         dispatch must equal the pre-RETA ``rss_hash % shards`` for
         every shard count — including ones that don't divide 128."""
-        for shards in (2, 3, 4, 5, 8):
+        for shards in (1, 2, 3, 4, 5, 8):
             datapath = sharded_switch_for_profile("kernel", shards=shards, seed=0)
             assert datapath.reta == [
                 b % shards for b in range(datapath.reta_size)

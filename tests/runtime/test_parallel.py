@@ -104,8 +104,9 @@ class TestEquivalence:
             )
 
     def test_noemc_profile_matches(self, k8s):
-        """The deep-scan serve profile (EMC insertion off) — the
-        BENCH_serve workload — is equivalent too."""
+        """The deep-scan serve profile (EMC insertion off) — what the
+        ``k8s-serve`` preset and the pipeline benchmark's serve
+        workloads run — is equivalent too."""
         space, rules, keys = k8s
         serial = _serial(space, rules, 2, profile="kernel-noemc")
         with _parallel(space, rules, 2, profile="kernel-noemc") as par:

@@ -99,6 +99,8 @@ class TestEquivalence:
             serial.deterministic_view(), sort_keys=True
         ) == json.dumps(parallel.deterministic_view(), sort_keys=True)
         assert serial.packets == parallel.packets > 0
+        # the feed really reached the paper's 512-mask regime
+        assert serial.final["state"]["total_mask_count"] >= 512
 
     def test_repeated_serial_runs_identical(self):
         a = _service().run()
