@@ -425,20 +425,16 @@ class NumpyGateChecker(Checker):
 
 @register
 class ForkSafetyChecker(Checker):
-    """The multi-process runtime's two load-bearing rules: parent-side
-    switch state is frozen once workers fork, and per-packet
-    ``PacketResult`` objects never cross the mailbox."""
+    """The multi-process runtime's wire rule: per-packet
+    ``PacketResult`` objects never cross the mailbox.  (The parent keeps
+    no switch once workers fork — worker handles replace them in
+    ``shards`` — so there is no parent-side copy left to guard.)"""
 
     rule = "fork-safety"
-    contract = ("in runtime/: parent-side switch mutation needs a "
-                "started/_procs guard, and PacketResults (or .results "
-                "lists) must never be sent over the worker mailbox")
+    contract = ("in runtime/: PacketResults (or .results lists) must "
+                "never be sent over the worker mailbox")
     scope = "src/repro/runtime"
 
-    #: names whose presence in a function marks the post-start branch
-    _guards = {"_procs", "started", "_started"}
-    #: attribute names holding the parent-side pre-fork switch list
-    _switch_stores = {"_switches", "switches", "_locals"}
     #: mailbox send entry points
     _send_calls = {"send", "_send", "_broadcast", "_request"}
 
@@ -458,9 +454,6 @@ class ForkSafetyChecker(Checker):
         for node in ast.walk(src.tree):
             if isinstance(node, ast.Call):
                 yield from self._check_send(src, node)
-        for node in ast.walk(src.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_mutation(src, node)
 
     def _check_send(self, src: SourceFile, node: ast.Call) -> Iterator[Finding]:
         if not (isinstance(node.func, ast.Attribute)
@@ -477,26 +470,6 @@ class ForkSafetyChecker(Checker):
                     "(BATCH_WIRE_FIELDS) instead",
                 )
                 return
-
-    def _check_mutation(self, src: SourceFile,
-                        node: ast.FunctionDef | ast.AsyncFunctionDef,
-                        ) -> Iterator[Finding]:
-        if node.name == "__init__":
-            # construction happens strictly pre-fork
-            return
-        names = self._names_in(node)
-        touches_switches = bool(names & self._switch_stores)
-        if not touches_switches:
-            return
-        if names & self._guards:
-            return
-        yield self.finding(
-            src, node,
-            f"{node.name}() touches the parent-side switch store without "
-            "consulting the started/_procs guard; after the workers fork, "
-            "parent-side switch state silently diverges from the workers' "
-            "copies — branch on the runtime state first",
-        )
 
 
 # ---------------------------------------------------------------------------

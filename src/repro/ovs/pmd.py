@@ -1,4 +1,4 @@
-"""The sharded multi-PMD datapath: one classifier shard per core.
+"""The multi-PMD RETA dispatcher: one classifier shard per core.
 
 Real OVS deployments run one PMD (poll-mode-driver) thread per
 forwarding core; each PMD owns its *own* dpcls — its own subtable
@@ -8,17 +8,21 @@ paper's measurements degrade a single datapath thread; whether the
 tuple-space explosion stays confined to the cores the covert flows
 hash to, or poisons every shard, is a question about *this* structure.
 
-:class:`ShardedDatapath` models it: N independent
-:class:`~repro.ovs.switch.OvsSwitch` shards behind an RSS-style
-dispatcher.  Packets are dispatched NIC-style through an **RSS
-indirection table** (RETA): the deterministic hash of the packed
+:class:`RetaDispatcher` models it, once, for every runtime: N
+independent :class:`~repro.ovs.switch.OvsSwitch` shards behind an
+RSS-style dispatcher.  Packets are dispatched NIC-style through an
+**RSS indirection table** (RETA): the deterministic hash of the packed
 5-tuple selects one of ``reta_size`` buckets, and the table maps each
 bucket to a PMD shard.  Slow-path rule management is broadcast to
 every shard (every PMD consults the same OpenFlow tables), and the
 observables are aggregated — ``mask_count`` reports the *max per
 shard* (the scan bound a packet actually meets), ``total_mask_count``
 the sum, and ``stats`` a :meth:`~repro.ovs.stats.SwitchStats.merge` of
-the shards.
+the shards.  :class:`ShardedDatapath` is the inline runtime — it adds
+what needs the shards in reach: materialized per-packet results, the
+per-bucket load window and the rebalancer;
+:class:`~repro.runtime.parallel.ParallelDatapath` inherits the same
+dispatcher and only moves each shard onto a worker process.
 
 The RETA is what makes PMD load balancing possible: benign traffic is
 heavy-tailed (elephant flows, skewed prefixes), so a static hash→shard
@@ -133,16 +137,19 @@ def shard_seed(seed: int, shard: int) -> int:
     return (seed + shard * 0x9E3779B97F4A7C15) & 0x7FFF_FFFF_FFFF_FFFF
 
 
-class ShardedDatapath:
-    """N per-PMD :class:`OvsSwitch` shards behind an RSS dispatcher.
+class RetaDispatcher:
+    """N shards behind an RSS indirection table — what both runtimes
+    share.
 
     ``shard_factory(i)`` builds shard ``i``'s switch — callers derive
     per-shard seeds via :func:`shard_seed` (the registry backend does).
-    Rule management (:meth:`add_rule` / :meth:`add_rules` /
-    :meth:`remove_tenant_rules` / :meth:`invalidate_caches`) and defense
-    guards broadcast to every shard; guard *objects* are shared, so
-    per-cache limits (e.g. the mask budget) apply per shard while the
-    guard's own counters aggregate across them.
+    Everything here is written over ``self.shards`` and asks a shard
+    only for the shard-facing surface — ``add_rule`` / ``add_rules`` /
+    ``remove_tenant_rules`` / ``invalidate_caches`` / ``advance_clock``
+    and the observable reads — so a runtime that swaps a shard for a
+    handle answering those calls elsewhere (the process runtime's
+    worker handles) inherits dispatch, broadcast and aggregation
+    unchanged.
     """
 
     has_flow_cache = True
@@ -153,198 +160,91 @@ class ShardedDatapath:
         shard_factory: Callable[[int], OvsSwitch],
         shards: int = 1,
         name: str = "pmd",
-        rss_fields: Sequence[str] | None = None,
         reta_size: int = DEFAULT_RETA_SIZE,
-        rebalance_interval: float = 0.0,
-        rebalance_improvement: float = 0.0,
-        rebalance_load_floor: float = 0.0,
     ) -> None:
         if shards < 1:
             raise ValueError(f"need at least one shard, got {shards}")
-        if rebalance_interval < 0:
-            raise ValueError(
-                f"rebalance_interval must be >= 0 (0 disables), "
-                f"got {rebalance_interval}"
-            )
         self.name = name
         self.space = space
-        self.shards: list[OvsSwitch] = [shard_factory(i) for i in range(shards)]
-        fields = tuple(
-            f for f in (rss_fields or RSS_FIELDS) if f in space
-        )
+        self.shards: list = [shard_factory(i) for i in range(shards)]
         # the RSS hash input: mask the packed key down to the steering
         # fields with one precomputed AND (zero per-field work per packet)
         self._rss_mask = space.pack(
             tuple(
-                spec.max_value if spec.name in fields else 0
+                spec.max_value if spec.name in RSS_FIELDS else 0
                 for spec in space.specs
             )
-        ) if fields else 0
-        self.rss_fields = fields
+        )
         #: the RSS indirection table: bucket -> shard index.  Starts as
         #: the identity spread (bucket % shards), which dispatches
         #: exactly like ``rss_hash(key) % shards`` (see
         #: :func:`effective_reta_size`); the rebalancer remaps entries.
         self.reta_size = effective_reta_size(reta_size, shards)
         self.reta: list[int] = [b % shards for b in range(self.reta_size)]
-        # per-bucket load window (reset on every rebalance pass):
-        # packets dispatched, TSS subtables they scanned, and external
-        # cycle charges (the simulator's cost-model view of the same
-        # traffic).  Pure counters — accounting never changes dispatch.
-        self.bucket_packets: list[int] = [0] * self.reta_size
-        self.bucket_tuples: list[int] = [0] * self.reta_size
-        self.bucket_cycles: list[float] = [0.0] * self.reta_size
-        self.rebalancer = PmdRebalancer(
-            self,
-            interval=rebalance_interval,
-            improvement_threshold=rebalance_improvement,
-            load_floor=rebalance_load_floor,
-        )
-        #: monotonic wrapper clock (max ``now`` seen), feeding the
-        #: rebalancer's interval check the same way the per-shard
-        #: clocks feed their revalidators
+        #: monotonic wrapper clock (max ``now`` seen): the rebalancer's
+        #: interval check and the runtime's trace stamps read it
         self.clock = 0.0
 
     # -- dispatch ----------------------------------------------------------
+
+    @property
+    def shard_count(self) -> int:
+        return len(self.shards)
 
     def _advance(self, now: float | None) -> float:
         if now is not None and now > self.clock:
             self.clock = now
         return self.clock
 
+    def bucket_of_packed(self, packed: int) -> int:
+        """The RETA bucket of a key given as its packed integer — the
+        one place the steering hash is taken."""
+        return rss_hash(packed & self._rss_mask) % self.reta_size
+
     def bucket_of(self, key: FlowKey) -> int:
         """The RETA bucket ``key``'s packets hash to (stable across
         rebalances: only the bucket→shard map moves, never the hash)."""
-        return rss_hash(key.packed & self._rss_mask) % self.reta_size
+        return self.bucket_of_packed(key.packed)
 
     def shard_of(self, key: FlowKey) -> int:
         """The shard index ``key``'s packets are steered to, under the
         *current* indirection table."""
         if len(self.shards) == 1:
             return 0
-        return self.reta[self.bucket_of(key)]
+        return self.reta[self.bucket_of_packed(key.packed)]
 
-    def shard_for(self, key: FlowKey) -> OvsSwitch:
-        """The shard switch serving ``key`` (the simulator's per-flow
-        cost view)."""
-        return self.shards[self.shard_of(key)]
-
-    def record_bucket_cycles(self, bucket: int, cycles: float) -> None:
-        """Charge externally-modelled cycles (the simulator's cost-model
-        view of traffic it does not replay packet-by-packet) to one RETA
-        bucket's load window."""
-        self.bucket_cycles[bucket] += cycles
-
-    # -- datapath ----------------------------------------------------------
-
-    def process(self, key_or_packet, in_port: int = 0,
-                now: float | None = None) -> PacketResult:
-        """Single-key special case of :meth:`process_batch`."""
-        if not isinstance(key_or_packet, FlowKey):
-            from repro.flow.extract import flow_key_from_packet
-
-            key_or_packet = flow_key_from_packet(
-                key_or_packet, in_port=in_port, space=self.space
-            )
+    def _split(self, keys: Iterable[FlowKey]) -> dict[int, list[FlowKey]]:
+        """A burst's per-shard sub-bursts, each in arrival order (as a
+        NIC queue would hold them).  A lone shard takes the whole burst
+        — even an empty one, so its clock still advances; with several,
+        only the shards that received keys appear."""
         if len(self.shards) == 1:
-            return self.shards[0].process(key_or_packet, now=now)
-        self._advance(now)
-        bucket = self.bucket_of(key_or_packet)
-        result = self.shards[self.reta[bucket]].process(key_or_packet, now=now)
-        self.bucket_packets[bucket] += 1
-        self.bucket_tuples[bucket] += result.tuples_scanned
-        self.rebalancer.maybe_rebalance(self.clock)
-        return result
+            return {0: keys if isinstance(keys, list) else list(keys)}
+        reta, bucket_of_packed = self.reta, self.bucket_of_packed
+        by_shard: dict[int, list[FlowKey]] = {}
+        for key in keys:
+            by_shard.setdefault(
+                reta[bucket_of_packed(key.packed)], []
+            ).append(key)
+        return by_shard
 
-    def process_batch(self, keys: Sequence[FlowKey] | Iterable[FlowKey],
-                      now: float | None = None,
-                      materialize: bool = True) -> BatchResult:
-        """Dispatch a burst: bucket keys by RETA shard (keeping each
-        shard's sub-burst in arrival order, as a NIC queue would), run
-        one :meth:`OvsSwitch.process_batch` per shard, and reassemble
-        results in input order.  Shards share no state, so this is
-        exactly equivalent to per-key dispatch.
-
-        ``materialize=False`` (the aggregate-only mode) merges the
-        per-shard aggregate counters without reassembling per-packet
-        results; ``installed`` pairs are grouped per shard rather than
-        in input order.  Aggregate mode skips the per-bucket load
-        window entirely (it needs each packet's scan depth, which only
-        materialized results carry), so it refuses to run under an
-        enabled rebalancer instead of silently starving the auto-lb.
-        """
-        shards = self.shards
-        if len(shards) == 1:
-            return shards[0].process_batch(keys, now=now,
-                                           materialize=materialize)
-        self._advance(now)
-        keys = list(keys)
-        if not materialize:
-            if self.rebalancer.enabled:
-                raise ValueError(
-                    "aggregate-only batches (materialize=False) skip the "
-                    "per-bucket scan-depth accounting the PMD auto-lb "
-                    "feeds on; disable rebalancing (rebalance_interval=0) "
-                    "or use materialized results"
-                )
-            by_shard: dict[int, list[FlowKey]] = {}
-            reta = self.reta
-            for key in keys:
-                by_shard.setdefault(
-                    reta[self.bucket_of(key)], []
-                ).append(key)
-            batch = BatchResult()
-            for shard, sub_keys in by_shard.items():
-                sub = shards[shard].process_batch(sub_keys, now=now,
-                                                  materialize=False)
-                batch.packets += sub.packets
-                batch.tuples_scanned += sub.tuples_scanned
-                batch.hash_probes += sub.hash_probes
-                batch.forwarded += sub.forwarded
-                batch.drops += sub.drops
-                batch.upcalls += sub.upcalls
-                batch.emc_hits += sub.emc_hits
-                batch.megaflow_hits += sub.megaflow_hits
-                batch.installed.extend(sub.installed)
-            return batch
-        key_buckets = [self.bucket_of(key) for key in keys]
-        by_position: dict[int, list[int]] = {}
-        for position, bucket in enumerate(key_buckets):
-            by_position.setdefault(self.reta[bucket], []).append(position)
-        slots: list[PacketResult | None] = [None] * len(keys)
-        batch = BatchResult()
-        for shard, positions in by_position.items():
-            sub = shards[shard].process_batch(
-                [keys[p] for p in positions], now=now
-            )
-            for position, result in zip(positions, sub.results):
-                slots[position] = result
-            batch.installed.extend(sub.installed)
-        bucket_packets, bucket_tuples = self.bucket_packets, self.bucket_tuples
-        for bucket, result in zip(key_buckets, slots):
-            assert result is not None
-            batch.add(result)
-            bucket_packets[bucket] += 1
-            bucket_tuples[bucket] += result.tuples_scanned
-        self.rebalancer.maybe_rebalance(self.clock)
-        return batch
-
-    def handle_miss(self, key: FlowKey, now: float = 0.0) -> MegaflowEntry | None:
-        # the known-miss replay shortcut deliberately skips bucket load
-        # accounting: its callers (the simulator, install harnesses)
-        # model the packet's cost themselves and charge it via
-        # :meth:`record_bucket_cycles` — counting it here too would
-        # double-bill the bucket
-        if len(self.shards) == 1:
-            return self.shards[0].handle_miss(key, now)
-        self._advance(now)
-        return self.shards[self.shard_of(key)].handle_miss(key, now)
+    @staticmethod
+    def _fold(batch: BatchResult, sub: BatchResult) -> None:
+        """Add one shard's aggregate-only reply into the burst's."""
+        batch.packets += sub.packets
+        batch.tuples_scanned += sub.tuples_scanned
+        batch.hash_probes += sub.hash_probes
+        batch.forwarded += sub.forwarded
+        batch.drops += sub.drops
+        batch.upcalls += sub.upcalls
+        batch.emc_hits += sub.emc_hits
+        batch.megaflow_hits += sub.megaflow_hits
+        batch.installed.extend(sub.installed)
 
     def advance_clock(self, now: float) -> None:
         self._advance(now)
         for shard in self.shards:
             shard.advance_clock(now)
-        self.rebalancer.maybe_rebalance(self.clock)
 
     # -- slow-path rule management (broadcast) ------------------------------
 
@@ -360,10 +260,6 @@ class ShardedDatapath:
 
     def remove_tenant_rules(self, tenant: str) -> int:
         return max(shard.remove_tenant_rules(tenant) for shard in self.shards)
-
-    def add_install_guard(self, guard: InstallGuard) -> None:
-        for shard in self.shards:
-            shard.add_install_guard(guard)
 
     def invalidate_caches(self) -> None:
         for shard in self.shards:
@@ -430,18 +326,6 @@ class ShardedDatapath:
             return sum(depths) / len(depths)
         return sum(d * w for d, w in zip(depths, weights)) / total
 
-    # -- load accounting (the rebalancer's view) ----------------------------
-
-    def bucket_loads(self) -> list[float]:
-        """Cycle-weighted load per RETA bucket over the current window
-        (see :meth:`PmdRebalancer.bucket_loads`)."""
-        return self.rebalancer.bucket_loads()
-
-    def shard_loads(self) -> list[float]:
-        """Per-shard load: each bucket's window load summed onto the
-        shard the *current* RETA maps it to."""
-        return self.rebalancer.shard_loads()
-
     @property
     def rule_count(self) -> int:
         return self.shards[0].rule_count  # broadcast: identical everywhere
@@ -449,6 +333,154 @@ class ShardedDatapath:
     @property
     def idle_timeout(self) -> float:
         return self.shards[0].idle_timeout
+
+
+class ShardedDatapath(RetaDispatcher):
+    """The inline runtime: every shard an :class:`OvsSwitch` on the
+    caller's interpreter.
+
+    Adds what only shards in reach can offer: per-packet (materialized)
+    results, the per-bucket load window they feed, the
+    :class:`PmdRebalancer` reading it, ``handle_miss``, and install
+    guards — guard *objects* are shared, so per-cache limits (e.g. the
+    mask budget) apply per shard while the guard's own counters
+    aggregate across them.
+    """
+
+    def __init__(
+        self,
+        space: FieldSpace,
+        shard_factory: Callable[[int], OvsSwitch],
+        shards: int = 1,
+        name: str = "pmd",
+        reta_size: int = DEFAULT_RETA_SIZE,
+        rebalance_interval: float = 0.0,
+        rebalance_improvement: float = 0.0,
+        rebalance_load_floor: float = 0.0,
+    ) -> None:
+        if rebalance_interval < 0:
+            raise ValueError(
+                f"rebalance_interval must be >= 0 (0 disables), "
+                f"got {rebalance_interval}"
+            )
+        super().__init__(space, shard_factory, shards, name, reta_size)
+        # per-bucket load window (reset on every rebalance pass):
+        # packets dispatched, TSS subtables they scanned, and external
+        # cycle charges (the simulator's cost-model view of the same
+        # traffic).  Pure counters — accounting never changes dispatch.
+        self.bucket_packets: list[int] = [0] * self.reta_size
+        self.bucket_tuples: list[int] = [0] * self.reta_size
+        self.bucket_cycles: list[float] = [0.0] * self.reta_size
+        self.rebalancer = PmdRebalancer(
+            self,
+            interval=rebalance_interval,
+            improvement_threshold=rebalance_improvement,
+            load_floor=rebalance_load_floor,
+        )
+
+    def record_bucket_cycles(self, bucket: int, cycles: float) -> None:
+        """Charge externally-modelled cycles (the simulator's cost-model
+        view of traffic it does not replay packet-by-packet) to one RETA
+        bucket's load window."""
+        self.bucket_cycles[bucket] += cycles
+
+    # -- datapath ----------------------------------------------------------
+
+    def process(self, key_or_packet, in_port: int = 0,
+                now: float | None = None) -> PacketResult:
+        """Single-key special case of :meth:`process_batch`."""
+        if not isinstance(key_or_packet, FlowKey):
+            from repro.flow.extract import flow_key_from_packet
+
+            key_or_packet = flow_key_from_packet(
+                key_or_packet, in_port=in_port, space=self.space
+            )
+        self._advance(now)
+        if len(self.shards) == 1:
+            return self.shards[0].process(key_or_packet, now=now)
+        bucket = self.bucket_of(key_or_packet)
+        result = self.shards[self.reta[bucket]].process(key_or_packet, now=now)
+        self.bucket_packets[bucket] += 1
+        self.bucket_tuples[bucket] += result.tuples_scanned
+        self.rebalancer.maybe_rebalance(self.clock)
+        return result
+
+    def process_batch(self, keys: Sequence[FlowKey] | Iterable[FlowKey],
+                      now: float | None = None,
+                      materialize: bool = True) -> BatchResult:
+        """Dispatch a burst: bucket keys by RETA shard (keeping each
+        shard's sub-burst in arrival order, as a NIC queue would), run
+        one :meth:`OvsSwitch.process_batch` per shard, and reassemble
+        results in input order.  Shards share no state, so this is
+        exactly equivalent to per-key dispatch.
+
+        ``materialize=False`` (the aggregate-only mode) merges the
+        per-shard aggregate counters without reassembling per-packet
+        results; ``installed`` pairs are grouped per shard rather than
+        in input order.  Aggregate mode skips the per-bucket load
+        window entirely (it needs each packet's scan depth, which only
+        materialized results carry), so it refuses to run under an
+        enabled rebalancer instead of silently starving the auto-lb.
+        """
+        shards = self.shards
+        self._advance(now)
+        if len(shards) == 1:
+            return shards[0].process_batch(keys, now=now,
+                                           materialize=materialize)
+        if not materialize:
+            if self.rebalancer.enabled:
+                raise ValueError(
+                    "aggregate-only batches (materialize=False) skip the "
+                    "per-bucket scan-depth accounting the PMD auto-lb "
+                    "feeds on; disable rebalancing (rebalance_interval=0) "
+                    "or use materialized results"
+                )
+            batch = BatchResult()
+            for shard, sub_keys in self._split(keys).items():
+                self._fold(batch, shards[shard].process_batch(
+                    sub_keys, now=now, materialize=False
+                ))
+            return batch
+        keys = list(keys)
+        bucket_of_packed = self.bucket_of_packed
+        key_buckets = [bucket_of_packed(key.packed) for key in keys]
+        by_position: dict[int, list[int]] = {}
+        for position, bucket in enumerate(key_buckets):
+            by_position.setdefault(self.reta[bucket], []).append(position)
+        slots: list[PacketResult | None] = [None] * len(keys)
+        batch = BatchResult()
+        for shard, positions in by_position.items():
+            sub = shards[shard].process_batch(
+                [keys[p] for p in positions], now=now
+            )
+            for position, result in zip(positions, sub.results):
+                slots[position] = result
+            batch.installed.extend(sub.installed)
+        bucket_packets, bucket_tuples = self.bucket_packets, self.bucket_tuples
+        for bucket, result in zip(key_buckets, slots):
+            assert result is not None
+            batch.add(result)
+            bucket_packets[bucket] += 1
+            bucket_tuples[bucket] += result.tuples_scanned
+        self.rebalancer.maybe_rebalance(self.clock)
+        return batch
+
+    def handle_miss(self, key: FlowKey, now: float = 0.0) -> MegaflowEntry | None:
+        # the known-miss replay shortcut deliberately skips bucket load
+        # accounting: its callers (the simulator, install harnesses)
+        # model the packet's cost themselves and charge it via
+        # :meth:`record_bucket_cycles` — counting it here too would
+        # double-bill the bucket
+        self._advance(now)
+        return self.shards[self.shard_of(key)].handle_miss(key, now)
+
+    def advance_clock(self, now: float) -> None:
+        super().advance_clock(now)
+        self.rebalancer.maybe_rebalance(self.clock)
+
+    def add_install_guard(self, guard: InstallGuard) -> None:
+        for shard in self.shards:
+            shard.add_install_guard(guard)
 
     def __repr__(self) -> str:
         return (
@@ -477,8 +509,8 @@ class PmdRebalancer:
     traffic the dispatcher really processed, plus any cycles the
     simulator charged via
     :meth:`ShardedDatapath.record_bucket_cycles` for traffic it models
-    analytically.  The defaults mirror
-    :class:`~repro.perf.costmodel.CostModel`'s calibration.
+    analytically.  The two weights are
+    :mod:`~repro.perf.costmodel`'s calibration constants.
     """
 
     #: optional span recorder (``Telemetry.attach`` wires these;
@@ -486,13 +518,14 @@ class PmdRebalancer:
     trace = None
     trace_node = ""
 
+    #: a pass stops once the hottest PMD sits within this factor of the
+    #: mean per-PMD load
+    min_imbalance = 1.05
+
     def __init__(
         self,
         datapath: ShardedDatapath,
         interval: float = 0.0,
-        cycles_base: float | None = None,
-        cycles_probe: float | None = None,
-        min_imbalance: float = 1.05,
         improvement_threshold: float = 0.0,
         load_floor: float = 0.0,
     ) -> None:
@@ -506,12 +539,8 @@ class PmdRebalancer:
 
         self.datapath = datapath
         self.interval = interval
-        self.cycles_base = (
-            DEFAULT_CYCLES_MEGAFLOW_BASE if cycles_base is None else cycles_base
-        )
-        self.cycles_probe = (
-            DEFAULT_CYCLES_TUPLE_PROBE if cycles_probe is None else cycles_probe
-        )
+        self.cycles_base = DEFAULT_CYCLES_MEGAFLOW_BASE
+        self.cycles_probe = DEFAULT_CYCLES_TUPLE_PROBE
         if improvement_threshold < 0:
             raise ValueError(
                 "improvement_threshold must be >= 0 (0 = always remap, "
@@ -521,7 +550,6 @@ class PmdRebalancer:
             raise ValueError(
                 f"load_floor must be >= 0 (0 = no floor), got {load_floor}"
             )
-        self.min_imbalance = min_imbalance
         #: OVS ``pmd-auto-lb-improvement-threshold``: a due pass only
         #: applies its remap when the estimated post-remap variance
         #: improvement (fraction of the pre-remap per-PMD load variance)

@@ -48,25 +48,6 @@ class SwitchStats:
                 )
         return merged
 
-    def scan_weighted_load(self, cycles_base: float | None = None,
-                           cycles_probe: float | None = None) -> float:
-        """Lookup- and scan-depth-weighted cycle estimate of the load
-        this switch served: every packet pays the base lookup, every
-        subtable visit one probe — the same weighting the PMD
-        rebalancer applies to its per-bucket windows, here derivable
-        from any stats snapshot.  Defaults are the
-        :mod:`~repro.perf.costmodel` calibration constants."""
-        from repro.perf.costmodel import (
-            DEFAULT_CYCLES_MEGAFLOW_BASE,
-            DEFAULT_CYCLES_TUPLE_PROBE,
-        )
-
-        if cycles_base is None:
-            cycles_base = DEFAULT_CYCLES_MEGAFLOW_BASE
-        if cycles_probe is None:
-            cycles_probe = DEFAULT_CYCLES_TUPLE_PROBE
-        return self.packets * cycles_base + self.tuples_scanned * cycles_probe
-
     @property
     def emc_hit_rate(self) -> float:
         """Fraction of packets served by the exact-match cache."""

@@ -6,9 +6,9 @@ position from scratch for every packet sent.  A :class:`KeyBurst` packs
 that bookkeeping once per key *list* instead: the keys, their cached
 packed integers (the same integers the columnar
 :class:`~repro.vec.columnar.LaneCodec` consumes) and, lazily, their RSS
-indirection-table buckets against one dispatcher.  Burst assembly then
-becomes C-level list slicing (:meth:`cyclic_slice`) rather than a
-per-packet modulo loop.
+indirection-table buckets — computed by the dispatcher itself, the one
+holder of the steering hash.  Burst assembly then becomes C-level list
+slicing (:meth:`cyclic_slice`) rather than a per-packet modulo loop.
 
 Bursts treat their key list as immutable: the simulator invalidates its
 cached burst by *identity* when the covert key list is reassigned (the
@@ -45,21 +45,15 @@ class KeyBurst:
 
     def buckets(self, dispatcher) -> list[int]:
         """Each key's RSS indirection-table bucket under ``dispatcher``
-        (any object with ``_rss_mask``/``reta_size`` — in practice a
-        :class:`~repro.ovs.pmd.ShardedDatapath`).
+        (a :class:`~repro.ovs.pmd.RetaDispatcher`, asked through its
+        own ``bucket_of_packed``).
 
         Buckets depend only on the hash of the packed key masked to the
         steering fields — never on the bucket→shard map — so they are
         stable across RETA rebalances and cached per dispatcher.
         """
         if self._buckets is None or self._buckets_for is not dispatcher:
-            from repro.ovs.pmd import rss_hash
-
-            mask = dispatcher._rss_mask
-            size = dispatcher.reta_size
-            self._buckets = [
-                rss_hash(packed & mask) % size for packed in self.packed
-            ]
+            self._buckets = list(map(dispatcher.bucket_of_packed, self.packed))
             self._buckets_for = dispatcher
         return self._buckets
 

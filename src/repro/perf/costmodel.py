@@ -80,10 +80,9 @@ NETDEV_PROFILE = DatapathProfile(
 
 
 #: the calibrated megaflow-path base / per-probe cycle constants, as
-#: importable module values — the PMD rebalancer's load weighting and
-#: :meth:`~repro.ovs.stats.SwitchStats.scan_weighted_load` default to
-#: these same numbers, so recalibrating here keeps every load view on
-#: one scale
+#: importable module values — the PMD rebalancer weighs its per-bucket
+#: load window with these same numbers, so recalibrating here keeps
+#: every load view on one scale
 DEFAULT_CYCLES_MEGAFLOW_BASE = 3400.0
 DEFAULT_CYCLES_TUPLE_PROBE = 130.0
 

@@ -285,7 +285,10 @@ class DatapathConfig:
 
     def dispatched(self, switch_cls: type[OvsSwitch]):
         """The shards behind a RETA dispatcher, at any shard count and
-        unchecked (:func:`sharded_switch_for_profile` enters here)."""
+        unchecked (:func:`sharded_switch_for_profile` enters here).
+        Both runtimes are one :class:`~repro.ovs.pmd.RetaDispatcher`
+        built from the same arguments; the inline one adds the
+        rebalancer's knobs."""
         common = dict(
             space=self.space,
             shards=self.shard_count,

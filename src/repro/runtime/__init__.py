@@ -2,13 +2,13 @@
 
 Two layers, both aggregate-only by design:
 
-* :mod:`repro.runtime.parallel` — :class:`ParallelDatapath`: each RSS
-  shard's switch state lives on its own ``multiprocessing`` worker and
-  the parent keeps RETA dispatch, splitting every burst per shard and
-  folding the workers' compact aggregate replies (the columnar
-  aggregate-only result mode *is* the IPC wire format).  The serial
-  :class:`~repro.ovs.pmd.ShardedDatapath` stays the deterministic
-  reference the parallel runtime must match exactly —
+* :mod:`repro.runtime.parallel` — :class:`ParallelDatapath`: the
+  :class:`~repro.ovs.pmd.RetaDispatcher` the inline runtime also is,
+  with each shard's switch moved onto its own ``multiprocessing``
+  worker behind a handle; only the burst round trip is its own (the
+  columnar aggregate-only result mode *is* the IPC wire format).  The
+  serial :class:`~repro.ovs.pmd.ShardedDatapath` stays the
+  deterministic reference its results must match exactly —
   ``tests/runtime/test_parallel.py`` and ``tests/runtime/test_serve.py``
   gate that equivalence.
 

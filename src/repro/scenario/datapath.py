@@ -20,12 +20,13 @@ Three implementation families ship
 
 * :class:`~repro.ovs.switch.OvsSwitch` itself and its drop-in engines
   (it already satisfies the protocol structurally) — one inline shard;
-* the RETA dispatchers — :class:`~repro.ovs.pmd.ShardedDatapath`
-  (``shards > 1``): N per-PMD switches behind an RSS-style dispatcher,
-  one megaflow cache / mask set / ranked pvector / clock per shard,
-  with rule management broadcast and observables aggregated; and
-  :class:`~repro.runtime.parallel.ParallelDatapath`, the same shards
-  on worker processes;
+* the RETA dispatcher, :class:`~repro.ovs.pmd.RetaDispatcher`: N
+  per-PMD switches behind an RSS-style dispatcher, one megaflow cache /
+  mask set / ranked pvector / clock per shard, with rule management
+  broadcast and observables aggregated — as
+  :class:`~repro.ovs.pmd.ShardedDatapath` (``shards > 1``, inline) or
+  :class:`~repro.runtime.parallel.ParallelDatapath` (the same
+  dispatcher, each shard on a worker process);
 * ``"cacheless"`` — :class:`CachelessDatapath` below, adapting the
   ESwitch-style :class:`~repro.defense.cacheless.CachelessSwitch`:
   every packet is classified from scratch against a static tuple space

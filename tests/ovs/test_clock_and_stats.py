@@ -14,7 +14,6 @@ from repro.flow.key import FlowKey
 from repro.flow.match import FlowMatch
 from repro.flow.rule import FlowRule
 from repro.ovs.revalidator import Revalidator
-from repro.ovs.stats import SwitchStats
 from repro.ovs.switch import OvsSwitch
 from repro.scenario.datapath import CachelessDatapath
 
@@ -159,11 +158,6 @@ class TestStatsSnapshot:
             switch.stats.avg_tuples_per_megaflow_lookup
         )
         assert snap["avg_tuples_per_megaflow_lookup"] > 0
-
-    def test_scan_weighted_load(self):
-        stats = SwitchStats(packets=10, tuples_scanned=40)
-        assert stats.scan_weighted_load(100.0, 10.0) == 10 * 100.0 + 40 * 10.0
-        assert SwitchStats().scan_weighted_load() == 0.0
 
     def test_snapshot_consistent_with_raw_counters(self):
         space, switch = _toy_switch()

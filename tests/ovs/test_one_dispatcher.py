@@ -1,0 +1,101 @@
+"""RETA dispatch is one implementation (``ovs/pmd.py``'s
+``RetaDispatcher``) that both runtimes inherit.
+
+A second ``rss_hash(packed & mask) % size``, a second copy of the rule
+broadcast or of a merged observable is a second implementation of one
+spec: it can only be held to the first by an equivalence test, and
+drifts the day that test is not extended.  "parallel ≡ serial dispatch"
+is true here by construction, and this file keeps it so.
+"""
+
+import ast
+import inspect
+from pathlib import Path
+
+import pytest
+
+from repro.ovs.pmd import PmdRebalancer, RetaDispatcher, ShardedDatapath
+from repro.runtime.parallel import ParallelDatapath
+
+SRC = Path(__file__).resolve().parent.parent.parent / "src"
+
+#: what the dispatcher shares; a runtime restating one has forked it
+SHARED = (
+    "bucket_of_packed", "bucket_of", "shard_of", "_split", "_fold",
+    "add_rule", "add_rules", "remove_tenant_rules", "invalidate_caches",
+    "stats", "shard_mask_counts", "mask_count", "total_mask_count",
+    "megaflow_count", "tss_lookups", "expected_scan_depth", "rule_count",
+)
+
+
+def _trees():
+    for path in sorted(SRC.rglob("*.py")):
+        yield path.relative_to(SRC).as_posix(), ast.parse(
+            path.read_text(encoding="utf-8")
+        )
+
+
+def _named(node, name):
+    return (isinstance(node, ast.Name) and node.id == name) or (
+        isinstance(node, ast.Attribute) and node.attr == name
+    )
+
+
+def test_the_steering_hash_has_one_call_site():
+    sites = [
+        f"{rel}:{node.lineno}"
+        for rel, tree in _trees() for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _named(node.func, "rss_hash")
+    ]
+    assert len(sites) == 1 and sites[0].startswith("repro/ovs/pmd.py"), sites
+
+
+def test_nothing_outside_the_dispatcher_reads_its_rss_mask():
+    readers = sorted({
+        rel for rel, tree in _trees() for node in ast.walk(tree)
+        if _named(node, "_rss_mask")
+    })
+    assert readers == ["repro/ovs/pmd.py"]
+
+
+@pytest.mark.parametrize("runtime", [ShardedDatapath, ParallelDatapath])
+def test_runtimes_inherit_the_shared_surface(runtime):
+    assert issubclass(runtime, RetaDispatcher)
+    restated = [name for name in SHARED if name in vars(runtime)]
+    assert not restated, restated
+    assert all(name in vars(RetaDispatcher) for name in SHARED)
+
+
+def test_traced_entry_points_are_own_attributes():
+    """The benchmark's tracer patches ``vars(owner)[attr]``: a method
+    it wraps must be defined on the class it names, not inherited."""
+    for name in ("process_batch", "start", "close"):
+        assert name in vars(ParallelDatapath), name
+    assert "process_batch" in vars(ShardedDatapath)
+
+
+def test_only_the_lifecycle_and_the_overlapped_rounds_ask_about_workers():
+    tree = ast.parse(inspect.getsource(ParallelDatapath))
+    readers = {
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if _named(node, "_procs") or _named(node, "started")
+    }
+    assert readers <= {"__init__", "started", "start", "close",
+                       "process_batch", "observe", "__repr__"}, readers
+
+
+def test_constructors_take_no_dead_knobs():
+    def knobs(cls):
+        return set(inspect.signature(cls.__init__).parameters) - {"self"}
+
+    common = {"space", "shard_factory", "shards", "name", "reta_size"}
+    rebalance = {"rebalance_interval", "rebalance_improvement",
+                 "rebalance_load_floor"}
+    assert knobs(ParallelDatapath) == common
+    assert knobs(ShardedDatapath) == common | rebalance
+    assert knobs(PmdRebalancer) == {
+        "datapath", "interval", "improvement_threshold", "load_floor",
+    }

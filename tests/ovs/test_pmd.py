@@ -137,7 +137,10 @@ class TestShardedDispatch:
         )
         shard = datapath.shard_of(key)
         assert datapath.shard_of(key) == shard
-        assert datapath.shard_for(key) is datapath.shards[shard]
+        datapath.process(key, now=0.0)
+        assert [s.stats.packets for s in datapath.shards] == [
+            int(i == shard) for i in range(4)
+        ]
 
     def test_rss_ignores_non_steering_fields(self):
         """Only the 5-tuple steers: varying in_port or eth fields must

@@ -103,15 +103,15 @@ class TestBucketAccounting:
         stats = datapath.stats
         assert sum(datapath.bucket_tuples) == stats.tuples_scanned
         # shard_loads sums buckets onto the current table
-        loads = datapath.bucket_loads()
-        per_shard = datapath.shard_loads()
+        loads = datapath.rebalancer.bucket_loads()
+        per_shard = datapath.rebalancer.shard_loads()
         assert sum(per_shard) == pytest.approx(sum(loads))
 
     def test_external_cycles_feed_the_window(self):
         datapath = sharded_switch_for_profile("kernel", shards=2, seed=0)
         datapath.record_bucket_cycles(3, 1000.0)
         assert datapath.bucket_cycles[3] == 1000.0
-        assert datapath.bucket_loads()[3] == pytest.approx(1000.0)
+        assert datapath.rebalancer.bucket_loads()[3] == pytest.approx(1000.0)
 
     def test_one_shard_fast_path_skips_accounting(self):
         datapath = sharded_switch_for_profile("kernel", shards=1, seed=0)

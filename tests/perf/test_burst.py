@@ -36,7 +36,7 @@ class TestKeyBurst:
         assert KeyBurst([]).cyclic_slice(0, 10) == []
 
     def test_buckets_cached_per_dispatcher(self):
-        from repro.ovs.pmd import ShardedDatapath, rss_hash
+        from repro.ovs.pmd import ShardedDatapath
         from repro.ovs.switch import OvsSwitch
 
         def make(shards):
@@ -50,12 +50,7 @@ class TestKeyBurst:
         burst = KeyBurst(keys)
         dispatcher = make(2)
         first = burst.buckets(dispatcher)
-        expected = [
-            rss_hash(key.packed & dispatcher._rss_mask)
-            % dispatcher.reta_size
-            for key in keys
-        ]
-        assert first == expected
+        assert first == [dispatcher.bucket_of(key) for key in keys]
         assert burst.buckets(dispatcher) is first
         assert burst.buckets(make(4)) is not first
 

@@ -3,8 +3,10 @@
 The hard contract: :class:`ParallelDatapath` is *observationally
 identical* to :class:`~repro.ovs.pmd.ShardedDatapath` built with the
 same arguments — per-burst aggregate counters, merged stats, per-shard
-mask counts, everything the aggregate-only wire carries.  Plus the loud
-refusals (materialized results, per-packet entry APIs, auto-lb,
+mask counts, everything the aggregate-only wire carries.  (Dispatch is
+one inherited implementation — ``tests/ovs/test_one_dispatcher.py`` —
+so there is no second copy of the RETA arithmetic to compare.)  Plus
+the loud refusals (materialized results, per-packet entry APIs,
 defenses) and the worker-crash diagnostics.
 """
 
@@ -14,18 +16,12 @@ import signal
 
 import pytest
 
-from repro.ovs.pmd import ShardedDatapath
 from repro.perf.factory import (
     PROFILES,
     DatapathConfig,
     sharded_switch_for_profile,
-    switch_for_profile,
 )
-from repro.runtime.parallel import (
-    BATCH_WIRE_FIELDS,
-    ParallelDatapath,
-    WorkerCrashError,
-)
+from repro.runtime.parallel import BATCH_WIRE_FIELDS, WorkerCrashError
 from repro.scenario.session import Session
 from repro.scenario.spec import ScenarioSpec
 
@@ -116,19 +112,6 @@ class TestEquivalence:
                 assert _counters(got) == _counters(ref)
             assert _final_state(par) == _final_state(serial)
 
-    def test_dispatch_matches_serial_reta(self, k8s):
-        """A key's shard index is the same arithmetic under either
-        runtime (the RETA identity contract)."""
-        space, rules, keys = k8s
-        serial = _serial(space, rules, 4)
-        par = _parallel(space, rules, 4)
-        try:
-            for key in keys[:128]:
-                assert par.bucket_of(key) == serial.bucket_of(key)
-                assert par.shard_of(key) == serial.shard_of(key)
-        finally:
-            par.close()
-
 
 class TestLifecycle:
     def test_lazy_start(self, k8s):
@@ -207,18 +190,6 @@ class TestRefusals:
         with _parallel(space, rules, 2) as par:
             with pytest.raises(ValueError, match="install-guard"):
                 par.add_install_guard(object())
-
-    def test_rebalance_rejected(self, k8s):
-        space, _rules, _keys = k8s
-        with pytest.raises(ValueError, match="auto-lb"):
-            ParallelDatapath(
-                space,
-                shard_factory=lambda i: switch_for_profile(
-                    "kernel", space=space, seed=i
-                ),
-                shards=2,
-                rebalance_interval=5.0,
-            )
 
 
 class TestCrashDetection:

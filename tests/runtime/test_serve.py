@@ -118,6 +118,22 @@ class TestEquivalence:
         assert times[0] == pytest.approx(0.6)
         assert report.final["state"]["time"] == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_broadcast_spans_carry_the_simulated_clock(self, workers):
+        """The dispatcher's wrapper clock moves on every burst at any
+        shard count (one worker used to leave it at 0.0, stamping every
+        mailbox span ``ts=0.0``)."""
+        from repro.obs import Telemetry
+
+        telemetry = Telemetry()
+        report = _service(workers=workers, duration=2.0,
+                          telemetry=telemetry).run()
+        stamps = [event.ts for event in telemetry.trace.events()
+                  if event.name == "runtime.mailbox.broadcast"]
+        assert len(stamps) == len(report.snapshots) + 1
+        assert stamps == sorted(stamps) and stamps[0] > 0.0
+        assert stamps[-1] == pytest.approx(report.final["state"]["time"])
+
     def test_detector_trips_on_mask_explosion(self):
         report = _service(detect_threshold=16).run()
         assert report.final["detector"]["alert"]
