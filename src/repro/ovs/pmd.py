@@ -455,13 +455,13 @@ class ShardedDatapath(RetaDispatcher):
             )
             for position, result in zip(positions, sub.results):
                 slots[position] = result
-            batch.installed.extend(sub.installed)
+            self._fold(batch, sub)
         bucket_packets, bucket_tuples = self.bucket_packets, self.bucket_tuples
         for bucket, result in zip(key_buckets, slots):
             assert result is not None
-            batch.add(result)
             bucket_packets[bucket] += 1
             bucket_tuples[bucket] += result.tuples_scanned
+        batch.results = slots  # every position filled by its shard
         self.rebalancer.maybe_rebalance(self.clock)
         return batch
 

@@ -104,28 +104,12 @@ class BatchResult:
     #: replay) still learn about installs without materialised results
     installed: list[tuple[FlowKey, MegaflowEntry]] = field(default_factory=list)
 
-    def add(self, result: PacketResult) -> None:
-        """Fold one packet's outcome into the aggregates."""
-        self.results.append(result)
-        self.packets += 1
-        self.tuples_scanned += result.tuples_scanned
-        self.hash_probes += result.hash_probes
-        if result.forwarded:
-            self.forwarded += 1
-        else:
-            self.drops += 1
-        if result.path is LookupPath.UPCALL:
-            self.upcalls += 1
-        elif result.path is LookupPath.MICROFLOW:
-            self.emc_hits += 1
-        elif result.path is LookupPath.MEGAFLOW:
-            self.megaflow_hits += 1
-
     def tally(self, path: LookupPath, forwarded: bool,
               tuples_scanned: int = 0, hash_probes: int = 0) -> None:
-        """Fold one packet's outcome into the aggregates *without*
-        materialising a :class:`PacketResult` (the aggregate-only mode's
-        counterpart of :meth:`add` — same counters, no object)."""
+        """Fold one packet's outcome into the aggregates — the one
+        per-packet counter fold of both result modes (materialized
+        callers append their :class:`PacketResult` to ``results`` beside
+        it; the switch's per-chunk folds add one path's sums in bulk)."""
         self.packets += 1
         self.tuples_scanned += tuples_scanned
         self.hash_probes += hash_probes
@@ -274,20 +258,12 @@ class OvsSwitch:
         Semantically identical to calling :meth:`process` per key with
         the same ``now`` — bit-identical results, stats and cache state
         — but the per-burst overhead is amortised: the clock update and
-        revalidator check run once, and runs of keys that miss the
-        exact-match layer are looked up through the TSS in *bucketed*
-        chunks (:meth:`~repro.ovs.tss.TupleSpaceSearch.lookup_batch`
-        walks the subtable pvector once per chunk instead of once per
-        key).  A run breaks wherever sequential semantics demand it: at
-        keys the EMC may already hold (their outcome depends on the
-        run's pending inserts), at duplicates within the run, and at
-        every TSS miss (the upcall mutates the tuple space).  Chunks
-        ramp up from one key, reset on a miss, and keep their size
-        across runs, so miss-heavy bursts degrade gracefully to exactly
-        the per-key work while hit-heavy steady states scan whole runs
-        in one chunk.  As with
-        :meth:`process`, a stale ``now`` is clamped to the monotonic
-        clock.
+        revalidator check run once, the EMC serves each run of
+        consecutive hits in one pass (:meth:`_serve_emc_hits`), and runs
+        of keys that miss it are looked up through the TSS in *bucketed*
+        chunks (:meth:`_resolve` gathers them, :meth:`_flush_run` drains
+        them).  As with :meth:`process`, a stale ``now`` is clamped to
+        the monotonic clock.
 
         ``materialize=False`` selects the aggregate-only result mode:
         cache state, stats and every :class:`BatchResult` counter are
@@ -296,82 +272,179 @@ class OvsSwitch:
         only consume the sums (cost charging, the parallel runtime's
         wire format) skip the per-packet object churn.
         """
+        if not isinstance(keys, (list, tuple)):
+            keys = list(keys)
         now = self._advance(now)
         self.revalidator.maybe_sweep(now)
         batch = BatchResult()
+        served = self._serve_emc_hits(keys, 0, now, batch, materialize)
+        if served < len(keys):
+            self._resolve(keys[served:] if served else keys, batch, now,
+                          materialize)
+        return batch
+
+    def _serve_emc_hits(self, keys: Sequence[FlowKey], start: int,
+                        now: float, batch: BatchResult,
+                        materialize: bool) -> int:
+        """Serve the longest all-hit prefix of ``keys[start:]`` from the
+        EMC in one pass (:meth:`~repro.ovs.microflow.MicroflowCache.
+        lookup_hits`: the per-key probes, LRU touches included, with ON
+        trains coalesced) and fold the per-hit bookkeeping once per
+        ``(entry, count)`` run and once per call.  Returns how many keys
+        were served; the next one, if any, is not a live hit."""
+        hits = forwarded = 0
+        for entry, count in self.microflow.lookup_hits(keys, start, now):
+            entry.hits += count
+            entry.last_used = now
+            action = entry.action
+            if action.is_forwarding():
+                forwarded += count
+            if materialize:
+                batch.results.extend(
+                    PacketResult(action, LookupPath.MICROFLOW, 0, 0, entry)
+                    for _ in range(count)
+                )
+            hits += count
+        if hits:
+            stats = self.stats
+            stats.packets += hits
+            stats.emc_hits += hits
+            stats.forwarded += forwarded
+            stats.drops += hits - forwarded
+            batch.packets += hits
+            batch.emc_hits += hits
+            batch.forwarded += forwarded
+            batch.drops += hits - forwarded
+        return hits
+
+    def _resolve(self, keys: Sequence[FlowKey], batch: BatchResult,
+                 now: float, materialize: bool,
+                 flags: Sequence[bool] | None = None,
+                 overlay: set[FlowKey] | None = None) -> None:
+        """The per-key loop: gather ``keys`` — whose first is not a live
+        EMC hit — into runs of EMC misses and drain each through the
+        TSS.  A run breaks wherever sequential semantics demand it: at a
+        key the EMC may already hold (its outcome depends on the run's
+        pending inserts) and at a duplicate within the run.  The flush
+        may have stored that very key, so the EMC serves what it now
+        can (:meth:`_serve_emc_hits`) before the loop resumes: an EMC
+        hit therefore always finds the run empty, and this loop handles
+        misses only — absent, or a stale slot for :meth:`~repro.ovs.
+        microflow.MicroflowCache.lookup` to purge.
+
+        A caller holding a conservative *superset* of the EMC's
+        residents screens the keys with it: ``flags[i]`` says ``keys[i]``
+        may have been resident as the burst opened (``None``: none
+        was), ``overlay`` is the live set of keys stored since.  A key
+        in neither provably has no slot, so it skips the cache probe
+        and pays only the lookup-counter tick a certain miss would.
+        Unscreened (``overlay=None``, the default) every key may be
+        resident and probes the cache.
+
+        ``stats.packets`` and the certain misses' ``microflow.lookups``
+        ticks are added once at the end: nothing that runs mid-burst
+        (slow path, install guards, the insert hook) can read them.
+        """
+        microflow = self.microflow
         run: list[FlowKey] = []
         run_set: set[FlowKey] = set()
-        for key in keys:
-            if run and (key in run_set or self.microflow.contains(key)):
-                # this key's EMC lookup does not commute with the run's
-                # pending inserts: flush first, then look it up at its
-                # true sequential point
+        certain_misses = hits = 0
+        n = len(keys)
+        if flags is None:
+            flags = [overlay is None] * n
+        i = 0
+        while i < n:
+            key = keys[i]
+            # testing the overlay's truth first spares the key hash
+            # while it stays empty (it only gains keys when a flush's
+            # insert actually stores one)
+            possible = flags[i] or (key in overlay if overlay else False)
+            if run and (
+                key in run_set or (possible and microflow.contains(key))
+            ):
                 self._flush_run(run, run_set, batch, now, materialize)
-            self.stats.packets += 1
-            entry = self.microflow.lookup(key, now)
-            if entry is not None:
-                self._finish_microflow_hit(entry, now, batch, materialize)
+                served = self._serve_emc_hits(keys, i, now, batch,
+                                              materialize)
+                hits += served
+                i += served
+                continue
+            if possible:
+                microflow.lookup(key, now)
             else:
-                run.append(key)
-                run_set.add(key)
+                certain_misses += 1
+            run.append(key)
+            run_set.add(key)
+            i += 1
+        self.stats.packets += n - hits
+        microflow.lookups += certain_misses
         if run:
             self._flush_run(run, run_set, batch, now, materialize)
-        return batch
 
     def _flush_run(self, run: list[FlowKey], run_set: set[FlowKey],
                    batch: BatchResult, now: float,
-                   materialize: bool = True) -> None:
+                   materialize: bool) -> None:
         """Drain a run of EMC-missed keys through the TSS in bucketed
-        chunks, falling back to chunk-of-one around upcalls.  The chunk
-        window carries over between runs: every chunk is validated by
-        the prefix contract regardless of its size, so the ramp is a
-        pure cost heuristic — misses shrink it, clean chunks grow it."""
+        chunks.  Chunk size is semantically free — ``lookup_batch``
+        answers a prefix that stops at the first miss, whatever the
+        size — so the window is a pure cost heuristic, persisted across
+        runs: a miss resets it to one (the upcall mutated the tuple
+        space: re-probe small), a clean full chunk doubles it.
+
+        The megaflow-hit bookkeeping is folded per chunk — the prefix
+        contract puts the only possible miss last, and it is finished
+        after the hits before it.  What is stateful per key stays per
+        key, in key order: the EMC insert (its RNG draw and any stored
+        slot) and, in materialized mode, the ``PacketResult``."""
         start = 0
         window = self._batch_window
         n = len(run)
+        stats = self.stats
+        insert = self.microflow.insert
+        note_insert = self._note_emc_insert
         while start < n:
             chunk = run[start:start + window]
             results = self.megaflow.lookup_batch(chunk, now)
             if not results:
                 raise PrefixContractError(self.megaflow.tss, len(chunk))
-            clean = True
-            for key, tss_result in zip(chunk, results):
-                if tss_result.hit:
-                    self._finish_megaflow_hit(key, tss_result, now, batch,
-                                              materialize)
-                else:
-                    self._finish_upcall(key, tss_result, now, batch,
-                                        materialize)
-                    clean = False
             start += len(results)
-            if not clean:
-                window = 1  # the upcall mutated the TSS: re-probe small
-            elif len(results) == len(chunk):
+            miss = None if results[-1].hit else results.pop()
+            forwarded = tuples = probes = 0
+            for key, tss_result in zip(chunk, results):
+                entry = tss_result.entry
+                if insert(key, entry, now):
+                    note_insert(key)
+                tuples += tss_result.tuples_scanned
+                probes += tss_result.hash_probes
+                if entry.action.is_forwarding():
+                    forwarded += 1
+                if materialize:
+                    batch.results.append(PacketResult(
+                        entry.action, LookupPath.MEGAFLOW,
+                        tss_result.tuples_scanned, tss_result.hash_probes,
+                        entry,
+                    ))
+            served = len(results)
+            if served:
+                stats.megaflow_hits += served
+                stats.tuples_scanned += tuples
+                stats.hash_probes += probes
+                stats.forwarded += forwarded
+                stats.drops += served - forwarded
+                batch.packets += served
+                batch.megaflow_hits += served
+                batch.tuples_scanned += tuples
+                batch.hash_probes += probes
+                batch.forwarded += forwarded
+                batch.drops += served - forwarded
+            if miss is not None:
+                self._finish_upcall(chunk[served], miss, now, batch,
+                                    materialize)
+                window = 1
+            elif served == len(chunk):
                 window = min(window * 2, self.MAX_BATCH_WINDOW)
         self._batch_window = window
         run.clear()
         run_set.clear()
-
-    def _finish_microflow_hit(self, entry: MegaflowEntry, now: float,
-                              batch: BatchResult,
-                              materialize: bool = True) -> None:
-        entry.touch(now)
-        self.stats.emc_hits += 1
-        forwarded = entry.action.is_forwarding()
-        if forwarded:
-            self.stats.forwarded += 1
-        else:
-            self.stats.drops += 1
-        if materialize:
-            batch.add(PacketResult(
-                action=entry.action,
-                path=LookupPath.MICROFLOW,
-                tuples_scanned=0,
-                hash_probes=0,
-                entry=entry,
-            ))
-        else:
-            batch.tally(LookupPath.MICROFLOW, forwarded)
 
     def _note_emc_insert(self, key: FlowKey) -> None:
         """Hook: a key was just *stored* in the microflow cache.  The
@@ -379,33 +452,8 @@ class OvsSwitch:
         the key onto its membership mirror so the next batched EMC probe
         stays a superset of the live cache."""
 
-    def _finish_megaflow_hit(self, key: FlowKey, tss_result, now: float,
-                             batch: BatchResult,
-                             materialize: bool = True) -> None:
-        megaflow_entry: MegaflowEntry = tss_result.entry  # type: ignore[assignment]
-        if self.microflow.insert(key, megaflow_entry, now):
-            self._note_emc_insert(key)
-        self.stats.megaflow_hits += 1
-        self.stats.record_scan(tss_result.tuples_scanned, tss_result.hash_probes)
-        forwarded = megaflow_entry.action.is_forwarding()
-        if forwarded:
-            self.stats.forwarded += 1
-        else:
-            self.stats.drops += 1
-        if materialize:
-            batch.add(PacketResult(
-                action=megaflow_entry.action,
-                path=LookupPath.MEGAFLOW,
-                tuples_scanned=tss_result.tuples_scanned,
-                hash_probes=tss_result.hash_probes,
-                entry=megaflow_entry,
-            ))
-        else:
-            batch.tally(LookupPath.MEGAFLOW, forwarded,
-                        tss_result.tuples_scanned, tss_result.hash_probes)
-
     def _finish_upcall(self, key: FlowKey, tss_result, now: float,
-                       batch: BatchResult, materialize: bool = True) -> None:
+                       batch: BatchResult, materialize: bool) -> None:
         upcall = self.slow_path.handle(key, now)
         if upcall.installed is not None:
             if self.microflow.insert(key, upcall.installed, now):
@@ -420,8 +468,10 @@ class OvsSwitch:
             self.stats.forwarded += 1
         else:
             self.stats.drops += 1
+        batch.tally(LookupPath.UPCALL, forwarded,
+                    tss_result.tuples_scanned, tss_result.hash_probes)
         if materialize:
-            batch.add(PacketResult(
+            batch.results.append(PacketResult(
                 action=upcall.action,
                 path=LookupPath.UPCALL,
                 tuples_scanned=tss_result.tuples_scanned,
@@ -429,9 +479,6 @@ class OvsSwitch:
                 entry=upcall.installed,
                 install_skipped=upcall.install_skipped is not None,
             ))
-        else:
-            batch.tally(LookupPath.UPCALL, forwarded,
-                        tss_result.tuples_scanned, tss_result.hash_probes)
 
     def handle_miss(self, key: FlowKey, now: float = 0.0) -> MegaflowEntry | None:
         """Slow-path shortcut for a *known* cache miss: classify and

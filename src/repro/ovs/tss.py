@@ -48,7 +48,7 @@ stage indexes key on partial tuples).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.flow.fields import FieldSpace
 from repro.flow.key import FlowKey
@@ -149,8 +149,8 @@ class Subtable:
         self.rank_hits += 1
 
     def credit_hits(self, n: int) -> None:
-        """Record ``n`` lookup hits at once — the batched consume loops
-        group consecutive hits on the same subtable and credit them in
+        """Record ``n`` lookup hits at once — the burst consume loop
+        groups consecutive hits on the same subtable and credits them in
         one call.  Integer adds, so exactly equivalent to ``n``
         :meth:`credit_hit` calls (``rank_hits`` may be a float after a
         ranked re-sort halving; adding an int keeps it exact)."""
@@ -508,9 +508,7 @@ class TupleSpaceSearch:
 
     def lookup_batch(self, keys: Sequence[FlowKey]) -> list[TssLookupResult]:
         """Scan a burst of keys, walking the subtable list **once** for
-        the whole burst (subtable-major: each subtable's hash table and
-        packed mask are fetched once and probed for every still-pending
-        key) instead of once per key.
+        the whole burst instead of once per key.
 
         Returns results for a **prefix** of ``keys``: every leading hit,
         plus the first miss when one occurs.  A miss ends the prefix
@@ -520,9 +518,14 @@ class TupleSpaceSearch:
         remainder after handling the miss.  Within the prefix the call
         is *exactly* equivalent to per-key :meth:`lookup`: same entries,
         same ``tuples_scanned``/``hash_probes``, same hit crediting and
-        accounting (applied in key order), and ranked auto-re-sorts fire
-        on the same lookup they would sequentially (the burst is capped
-        at the next ``resort_interval`` boundary).
+        accounting, and ranked auto-re-sorts fire on the same lookup
+        they would sequentially.
+
+        Three steps, each written once: :meth:`_capped` stops the burst
+        at the next ranked re-sort, the pure :meth:`_scan` answers the
+        keys, and :meth:`_consume` applies the answers.  A subclass
+        that finds the answers another way (the columnar engine)
+        replaces only the middle step.
         """
         if not keys:
             return []
@@ -536,24 +539,34 @@ class TupleSpaceSearch:
                 if not result.hit:
                     break
             return results
-        limit = len(keys)
+        keys = self._capped(keys)
+        return self._consume(self._scan(keys), len(self._subtables))
+
+    def _capped(self, keys: Sequence[FlowKey]) -> Sequence[FlowKey]:
+        """``keys`` cut where a sequential caller would hit the ranked
+        auto-re-sort, so every key of the burst sees the same frozen
+        pvector and the re-sort can only fall due on the burst's last
+        lookup."""
+        if self.scan_order == "ranked" and self.resort_interval:
+            room = self.resort_interval - self._lookups_since_resort
+            if room < len(keys):
+                return keys[:room]
+        return keys
+
+    def _scan(self, keys: Sequence[FlowKey]) -> list:
+        """Per key the ``(entry, subtable, depth)`` of its first match
+        in scan order, or ``None`` for a miss.  Subtable-major: each
+        subtable's hash table and mask are fetched once and probed for
+        every still-pending key.  Pure — no counter, credit or re-sort
+        is touched."""
         if self.scan_order == "ranked":
-            tables = self._ranked_tables()
-            if self.resort_interval:
-                # stop exactly where a sequential scan would re-sort, so
-                # every key in the burst sees the same frozen pvector a
-                # per-key caller would have seen
-                limit = min(
-                    limit, self.resort_interval - self._lookups_since_resort
-                )
+            tables: Iterable[Subtable] = self._ranked_tables()
         else:
-            tables = list(self._subtables.values())
-        n_tables = len(tables)
-        pending = list(range(limit))
-        # per key: (entry, subtable, depth) once resolved
-        resolved: list[tuple[object, Subtable, int] | None] = [None] * limit
+            tables = self._subtables.values()
+        pending = range(len(keys))
+        resolved: list[tuple[object, Subtable, int] | None] = [None] * len(keys)
         if self.key_mode == "packed":
-            packed = [keys[i].packed for i in range(limit)]
+            packed = [key.packed for key in keys]
             for depth, subtable in enumerate(tables, start=1):
                 if not pending:
                     break
@@ -568,7 +581,7 @@ class TupleSpaceSearch:
                         resolved[i] = (entry, subtable, depth)
                 pending = still
         else:
-            values = [keys[i].values for i in range(limit)]
+            values = [key.values for key in keys]
             for depth, subtable in enumerate(tables, start=1):
                 if not pending:
                     break
@@ -583,20 +596,55 @@ class TupleSpaceSearch:
                     else:
                         resolved[i] = (entry, subtable, depth)
                 pending = still
-        # consume the leading hits (and the first miss); crediting and
-        # accounting happen here, in key order, exactly as per-key
-        # lookups would have applied them
-        results = []
-        for i in range(limit):
-            hit = resolved[i]
+        return resolved
+
+    def _consume(self, answers: Iterable,
+                 n_tables: int) -> list[TssLookupResult]:
+        """Apply scan ``answers`` (one per key, in key order) under the
+        burst contract: the leading hits plus the first miss are
+        consumed, the rest ignored.  The one stateful half of every
+        burst lookup, whatever produced the answers.
+
+        ``_account`` is pure counter addition, so the burst's calls are
+        summed; per-key order only matters for the ranked auto-resort
+        tick, and :meth:`_capped` guarantees the burst cannot cross a
+        resort boundary before its final consumed lookup — applying the
+        summed tick afterwards fires the same resort at the same lookup
+        count as per-key :meth:`lookup` calls.  Rank credits are
+        grouped: consecutive hits on the same subtable (duplicate keys,
+        elephant-flow bursts) fold into one ``credit_hits(n)`` call —
+        integer adds, so the counters land exactly where per-key
+        ``credit_hit`` calls would put them.
+        """
+        results: list[TssLookupResult] = []
+        scanned = 0
+        last_table = None
+        pending_credits = 0
+        for hit in answers:
             if hit is None:
-                self._account(n_tables, n_tables)
                 results.append(TssLookupResult(None, n_tables, n_tables))
+                scanned += n_tables
                 break
-            entry, subtable, depth = hit
-            subtable.credit_hit()
-            self._account(depth, depth)
+            entry, table, depth = hit
             results.append(TssLookupResult(entry, depth, depth))
+            if table is last_table:
+                pending_credits += 1
+            else:
+                if pending_credits:
+                    last_table.credit_hits(pending_credits)
+                last_table = table
+                pending_credits = 1
+            scanned += depth
+        if pending_credits:
+            last_table.credit_hits(pending_credits)
+        consumed = len(results)
+        self.total_lookups += consumed
+        self.total_tuples_scanned += scanned
+        self.total_hash_probes += scanned
+        if self.scan_order == "ranked" and self.resort_interval:
+            self._lookups_since_resort += consumed
+            if self._lookups_since_resort >= self.resort_interval:
+                self.resort()
         return results
 
     def _account(self, tuples_scanned: int, hash_probes: int) -> None:

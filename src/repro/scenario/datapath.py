@@ -182,30 +182,24 @@ class CachelessDatapath:
         classify = self.inner.process
         for key in keys:
             outcome = classify(key)
+            probed = outcome.groups_probed
+            forwarded = outcome.action.is_forwarding()
             self.tss_lookups += 1
             self.stats.packets += 1
-            self.stats.record_scan(outcome.groups_probed, outcome.groups_probed)
-            if outcome.action.is_forwarding():
+            self.stats.record_scan(probed, probed)
+            if forwarded:
                 self.stats.forwarded += 1
             else:
                 self.stats.drops += 1
+            batch.tally(LookupPath.CACHELESS, forwarded, probed, probed)
             if materialize:
-                batch.add(
-                    PacketResult(
-                        action=outcome.action,
-                        path=LookupPath.CACHELESS,
-                        tuples_scanned=outcome.groups_probed,
-                        hash_probes=outcome.groups_probed,
-                        entry=None,
-                    )
-                )
-            else:
-                batch.tally(
-                    LookupPath.CACHELESS,
-                    outcome.action.is_forwarding(),
-                    outcome.groups_probed,
-                    outcome.groups_probed,
-                )
+                batch.results.append(PacketResult(
+                    action=outcome.action,
+                    path=LookupPath.CACHELESS,
+                    tuples_scanned=probed,
+                    hash_probes=probed,
+                    entry=None,
+                ))
         return batch
 
     def handle_miss(self, key: FlowKey, now: float = 0.0) -> MegaflowEntry | None:

@@ -207,8 +207,8 @@ SCENARIOS.register(
         "deep-scans the exploded subtable list on its shard.  Serial "
         "and parallel runs of this spec are byte-identical "
         "(tests/runtime/test_serve.py); the measured speedup is the "
-        "pipeline benchmark's serve-parallel speedup_vs_serial row — "
-        "1.32x at 2 workers on 2 cores",
+        "pipeline benchmark's serve-parallel "
+        "runtime.parallel.speedup_vs_serial row",
     ),
 )
 SCENARIOS.register(

@@ -32,10 +32,15 @@ except ImportError:  # pragma: no cover - the container ships numpy
 #: the paths a ``VecTupleSpaceSearch`` lookup can be answered by —
 #: ``scan`` (a fresh columnar scan), ``memo`` (a burst pre-scan's
 #: remembered answer) and the scalar reference scan, split by why the
-#: columnar path stood aside.  Defined here, NumPy-free, because the
-#: ``repro.obs`` encoder names them for every engine
+#: columnar path stood aside.  A chunk too small for the columnar scan
+#: is ``memo_invalidated`` when the tuple space's generation has moved
+#: since this tuple space last answered a lookup (the run drain
+#: re-probing behind an upcall's install) and ``small_burst`` when it
+#: has not (the caller's run really was small).  Defined here,
+#: NumPy-free, because the ``repro.obs`` encoder names them for every
+#: engine
 VEC_TSS_FALLBACK_REASONS = ("staged", "tuple", "small_burst",
-                            "sparse_mirror")
+                            "memo_invalidated", "sparse_mirror")
 VEC_TSS_PATHS = ("scan", "memo") + VEC_TSS_FALLBACK_REASONS
 
 __all__ = [

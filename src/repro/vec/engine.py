@@ -1,64 +1,48 @@
 """The vectorized datapath engine behind the ``ovs-vec`` backend.
 
-Three pieces, each a drop-in specialisation of its reference class:
+The burst pipeline — cap, scan, consume; serve the EMC's hits, gather
+the misses into runs, drain the runs — is the reference classes' own
+(:mod:`repro.ovs.tss`, :mod:`repro.ovs.switch`).  This module changes
+only *where the answers come from*, and every piece of it is pure:
+nothing here constructs a result or writes a counter the reference
+observes, which is what keeps the engine byte-for-byte identical to
+``ovs``.
 
-* :class:`VecSubtable` — a :class:`~repro.ovs.tss.Subtable` that lazily
-  maintains a columnar mirror of its packed-entry dict: the packed mask
-  as one lane row plus the entries' masked-key lane rows (and the entry
-  objects in matching order).  Mutations just mark the mirror dirty;
-  the next vectorized scan rebuilds it once, so bulk installs and
-  evictions pay one rebuild, not one per entry.
+* **Dense mirror** (:class:`VecSubtable`, ``_dense_mirror``) — every
+  megaflow entry, in scan order, becomes one *column* of a lane-major
+  ``uint64`` array (its subtable's mask, its masked key, a mixed
+  fingerprint of the key's lanes).  Subtables mark their rows dirty on
+  mutation; the mirror is rebuilt once on the next scan.
 
-* :class:`VecTupleSpaceSearch` — a :class:`~repro.ovs.tss.
-  TupleSpaceSearch` whose :meth:`lookup_batch` resolves the whole burst
-  subtable-major in NumPy.  Every megaflow entry (in scan order)
-  becomes one *column* of a dense lane-major mirror; the scan walks the
-  columns in blocks, computing per (key, column) a single ``uint64``
-  fingerprint — the masked key's lanes combined with odd-multiplier
-  mixing — and compares it against the column's precomputed entry
-  fingerprint.  One ``argmax`` per block claims each key's first
-  fingerprint match, an exact lane-by-lane check at the claimed column
-  confirms it, and the (astronomically rare) fingerprint collision
-  falls back to reference dict probes over just that block's
-  subtables, so the answer is always exact.  Resolved keys drop out of
-  later blocks exactly where the reference scan would have stopped
-  probing.  That scan is *pure* (``_scan``: packed keys in, ``(entry,
-  subtable, depth)`` answers out, nothing touched); the stateful half
-  (``_consume``) then replays the reference consume loop over the
-  answers — crediting, accounting, the prefix contract and ranked
-  auto-re-sort boundaries (counter sums are batched — ``_account`` is
-  pure addition, and the ranked burst cap guarantees a resort can only
-  fire on the final consumed lookup) — so results are bit-identical to
-  the scalar scan.  Because the scan is pure its answers can be kept:
-  :meth:`~VecTupleSpaceSearch.prescan` scans a burst's keys once into a
-  memo that later chunks consume from instead of re-scanning.  The memo
-  (like the dense mirror) is stamped with the tuple space's
-  ``generation``, which every ``insert`` / ``remove`` / ``clear`` and
-  ranked ``resort`` of the tuple space advances, so a stale answer can never
-  be consumed.  Configurations the packed mirror cannot serve (staged
-  lookup, tuple key mode), chunks too small to amortise the NumPy
-  overhead, and tuple spaces
-  holding many entries per subtable all fall back to the inherited
-  implementation — same results either way — and ``path_lookups``
-  counts which path answered every lookup.
+* **Fingerprint scan** (``_dense_scan``) — resolves a whole burst
+  against the mirror in column blocks: one fingerprint compare per
+  (key, column), one ``argmax`` per block to claim each key's first
+  match, an exact lane-by-lane check at the claimed column, and — for
+  the (astronomically rare) collision — reference dict probes over just
+  that block's subtables.  Resolved keys drop out of later blocks where
+  the reference scan would have stopped probing.  It returns what the
+  inherited ``_scan`` returns, for :meth:`~repro.ovs.tss.
+  TupleSpaceSearch._consume` to apply.
 
-* :class:`VecSwitch` — an :class:`~repro.ovs.switch.OvsSwitch` whose
-  batch pipeline lets the EMC serve each run of consecutive hits in one
-  pass (``MicroflowCache.lookup_hits``: an ON train is one probe, its
-  bookkeeping one fold) and fronts what follows the burst's first
-  non-hit with a vectorized membership probe over a columnar
-  exact-match store (:class:`VecEmcStore`).  The probe is a
-  conservative superset of the cache's residents, so a negative proves
-  a miss: those keys skip the per-key Python probe entirely (paying
-  only the lookup-counter tick a certain miss would), while possible
-  residents probe the real cache.  Before the per-key loop the
-  burst's EMC-miss candidates are pre-scanned once (see above): a
-  bursty feed splits into runs of one or two keys, and without the
-  memo each would pay a scalar scan of every subtable.  Everything
-  that *mutates* — upcalls, revalidator sweeps, install guards, EMC
-  inserts and their RNG draws — is replayed through the inherited
-  reference code on the gathered misses, which is what keeps the
-  engine byte-for-byte identical to ``ovs``.
+* **Burst memo** (:meth:`VecTupleSpaceSearch.prescan`) — because the
+  scan is pure its answers can be kept: a burst's EMC-miss candidates
+  are scanned once, up front, and the run drain's chunks (one or two
+  keys each on a bursty feed) consume from the memo instead of each
+  paying a scalar scan of every subtable.  Memo and mirror are stamped
+  with the tuple space's ``generation``, advanced by every ``insert`` /
+  ``remove`` / ``clear`` and ranked ``resort``, so a stale answer can
+  never be consumed.
+
+* **Superset EMC probe** (:class:`VecEmcStore`) — a sorted fingerprint
+  array over every key that may be EMC-resident.  A negative proves a
+  miss, so :meth:`~repro.ovs.switch.OvsSwitch._resolve` skips the
+  per-key cache probe for those keys.
+
+Configurations the packed mirror cannot serve (staged lookup, tuple
+key mode), chunks too small to amortise the NumPy overhead and tuple
+spaces holding many entries per subtable take the inherited scalar
+scan — same results either way — and ``path_lookups`` counts which
+path answered every lookup.
 """
 
 from __future__ import annotations
@@ -68,13 +52,8 @@ from typing import Iterable, NamedTuple, Sequence
 from repro.flow.fields import OVS_FIELDS, FieldSpace
 from repro.flow.key import FlowKey
 from repro.ovs.microflow import MicroflowCache
-from repro.ovs.switch import BatchResult, LookupPath, OvsSwitch, PacketResult
-from repro.ovs.tss import (
-    PrefixContractError,
-    Subtable,
-    TssLookupResult,
-    TupleSpaceSearch,
-)
+from repro.ovs.switch import BatchResult, OvsSwitch
+from repro.ovs.tss import Subtable, TssLookupResult, TupleSpaceSearch
 from repro.vec import VEC_TSS_PATHS, require_numpy
 from repro.vec.columnar import LaneCodec
 
@@ -210,6 +189,10 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
         #: miss), as a pre-scan at ``_memo_generation`` answered it
         self._memo: dict[int, tuple | None] | None = None
         self._memo_generation = -1
+        #: the generation as of the last ``lookup_batch`` (``None``:
+        #: none yet) — a small chunk that finds it moved is re-probing
+        #: behind a write, not a caller's small burst
+        self._answered_generation: int | None = None
         #: why the packed columnar mirror can never serve this
         #: configuration (staged lookup, tuple key mode), or ``None``
         #: when it can
@@ -307,11 +290,11 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
 
     # -- the pure scan -------------------------------------------------------
 
-    def _scan(self, dense: DenseMirror, uniq_packed: list[int]) -> list:
-        """Resolve packed keys against the dense mirror: per key the
-        ``(entry, subtable, depth)`` of its first match in scan order,
-        or ``None`` for a miss.  Pure — no counter, credit or resort is
-        touched, so the answers hold for as long as the generation does
+    def _dense_scan(self, dense: DenseMirror, uniq_packed: list[int]) -> list:
+        """The inherited ``_scan``'s answers — per key the ``(entry,
+        subtable, depth)`` of its first match in scan order, or ``None``
+        — for distinct packed keys, resolved against the dense mirror.
+        Pure, so the answers hold for as long as the generation does
         and may be consumed any number of times, in any order."""
         (tables, mask_t, ent_t, fent, fold_lanes, mults, entry_flat, sub_of,
          n_cols) = dense
@@ -409,7 +392,7 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
         self._memo = None
         if not self.prescan_pays(len(packed_keys)):
             return
-        found = self._scan(self._dense_mirror(), packed_keys)
+        found = self._dense_scan(self._dense_mirror(), packed_keys)
         self._memo = dict(zip(packed_keys, found))
         self._memo_generation = self.generation
 
@@ -417,61 +400,14 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
         """Forget the pre-scan (the burst it served is over)."""
         self._memo = None
 
-    # -- the stateful consume ------------------------------------------------
-
-    def _consume(self, answers, n_tables: int) -> list[TssLookupResult]:
-        """Apply scan ``answers`` (one per key, in key order) under the
-        reference burst contract: the leading hits plus the first miss
-        are consumed, the rest ignored.
-
-        ``_account`` is pure counter addition, so the burst's calls are
-        summed; per-key order only matters for the ranked auto-resort
-        tick, and the caller's limit cap guarantees the burst cannot
-        cross a resort boundary before its final consumed lookup —
-        applying the summed tick afterwards fires the same resort at the
-        same lookup count as the reference's per-key calls.  Rank
-        credits are grouped: consecutive hits on the same subtable
-        (duplicate keys, elephant-flow bursts) fold into one
-        ``credit_hits(n)`` call — integer adds, so the counters land
-        exactly where per-key ``credit_hit`` calls would put them.
-        """
-        results: list[TssLookupResult] = []
-        scanned = 0
-        last_table = None
-        pending_credits = 0
-        for hit in answers:
-            if hit is None:
-                results.append(TssLookupResult(None, n_tables, n_tables))
-                scanned += n_tables
-                break
-            entry, table, depth = hit
-            results.append(TssLookupResult(entry, depth, depth))
-            if table is last_table:
-                pending_credits += 1
-            else:
-                if pending_credits:
-                    last_table.credit_hits(pending_credits)
-                last_table = table
-                pending_credits = 1
-            scanned += depth
-        if pending_credits:
-            last_table.credit_hits(pending_credits)
-        consumed = len(results)
-        self.total_lookups += consumed
-        self.total_tuples_scanned += scanned
-        self.total_hash_probes += scanned
-        if self.scan_order == "ranked" and self.resort_interval:
-            self._lookups_since_resort += consumed
-            if self._lookups_since_resort >= self.resort_interval:
-                self.resort()
-        return results
+    # -- where a burst's answers come from -----------------------------------
 
     def _lookup_memoised(self, memo: dict, keys: Sequence[FlowKey],
                          n_tables: int) -> list[TssLookupResult]:
         """Consume ``keys`` from a memo of the current generation.  A
         key the pre-scan did not cover (an EMC resident evicted
-        mid-burst) is answered by scalar probes — today's small-burst
-        path, minus the chunk's covered keys — and joins the memo."""
+        mid-burst) is answered by scalar probes — the small-burst path,
+        minus the chunk's covered keys — and joins the memo."""
         probed = 0
         try:
             answers = [memo[key.packed] for key in keys]
@@ -495,53 +431,49 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
         self.path_lookups["memo"] += len(results) - probed
         return results
 
-    def _fallback(self, reason: str,
-                  keys: Sequence[FlowKey]) -> list[TssLookupResult]:
-        """The inherited scalar scan (same results), counted by why."""
-        results = super().lookup_batch(keys)
-        self.path_lookups[reason] += len(results)
-        return results
-
     def lookup_batch(self, keys: Sequence[FlowKey]) -> list[TssLookupResult]:
-        """The reference burst contract (prefix of leading hits plus the
-        first miss, accounting applied in key order), with the scan
-        answers taken from the burst memo when it covers the chunk, else
-        resolved column-major in fingerprint blocks instead of one dict
-        probe per key per subtable."""
+        """The inherited burst lookup with the answers taken from the
+        burst memo when one is live, else — for a chunk large enough to
+        amortise the NumPy overhead — resolved column-major in
+        fingerprint blocks; everything else is the inherited scalar
+        scan.  ``path_lookups`` counts which it was."""
         if self._scalar_reason is not None:
-            return self._fallback(self._scalar_reason, keys)
-        if self.scan_order == "ranked":
-            n_tables = len(self._ranked_tables())
-            if self.resort_interval:
-                # identical burst capping to the reference: stop where a
-                # sequential caller would hit the auto-re-sort
-                room = self.resort_interval - self._lookups_since_resort
-                if room < len(keys):
-                    keys = keys[:room]
-        else:
-            n_tables = len(self._subtables)
+            results = super().lookup_batch(keys)
+            self.path_lookups[self._scalar_reason] += len(results)
+            return results
+        keys = self._capped(keys)
+        n_tables = len(self._subtables)
+        generation = self.generation
+        answered = self._answered_generation
+        self._answered_generation = generation
         memo = self._memo
         if memo is not None:
-            if self._memo_generation == self.generation:
+            if self._memo_generation == generation:
                 return self._lookup_memoised(memo, keys, n_tables)
             self._memo = None  # the tuple space changed under it
         if not n_tables or len(keys) < self.VEC_MIN_BATCH:
-            # too small to amortise the NumPy overhead
-            return self._fallback("small_burst", keys)
-        dense = self._dense_mirror()
-        if dense is None:
-            return self._fallback("sparse_mirror", keys)
-        # burst dedup: the scan is pure, so identical keys in one burst
-        # — elephant flows, benign victim traffic — are scanned once
-        # and their answer replicated; crediting and accounting stay
-        # per *key*, keeping counters bit-identical.  The covert attack
-        # stream is all-distinct by construction, so it pays the full
-        # scan
-        uniq: dict[int, int] = {}
-        rep = [uniq.setdefault(key.packed, len(uniq)) for key in keys]
-        found = self._scan(dense, list(uniq))
-        results = self._consume(map(found.__getitem__, rep), n_tables)
-        self.path_lookups["scan"] += len(results)
+            # too small to amortise the NumPy overhead: a caller's small
+            # run, or the run drain re-probing key by key because a
+            # write (an upcall's install, mostly) has just retired or
+            # pre-empted the memo
+            moved = answered is not None and answered != generation
+            path = "memo_invalidated" if moved else "small_burst"
+            answers = self._scan(keys)
+        elif (dense := self._dense_mirror()) is None:
+            path = "sparse_mirror"
+            answers = self._scan(keys)
+        else:
+            # burst dedup: the scan is pure, so identical keys in one
+            # burst — elephant flows, benign victim traffic — are
+            # scanned once and their answer replicated (the covert
+            # stream is all-distinct by construction and pays in full)
+            path = "scan"
+            uniq: dict[int, int] = {}
+            rep = [uniq.setdefault(key.packed, len(uniq)) for key in keys]
+            found = self._dense_scan(dense, list(uniq))
+            answers = map(found.__getitem__, rep)
+        results = self._consume(answers, n_tables)
+        self.path_lookups[path] += len(results)
         return results
 
 
@@ -622,28 +554,22 @@ class VecEmcStore:
 class VecSwitch(OvsSwitch):
     """An :class:`OvsSwitch` running the columnar vectorized fast path.
 
-    State, statistics, RNG draws and slow-path behaviour are the
-    reference implementation's own — the subclass only changes *how*
-    lookups are computed, never what they observe or mutate:
+    The pipeline, its state, statistics, RNG draws and slow path are
+    the reference implementation's own; the subclass only feeds it:
 
     * the megaflow TSS is swapped (empty, at construction) for a
-      :class:`VecTupleSpaceSearch`, so every burst that reaches the
-      megaflow layer — including through inherited code paths like
-      :meth:`~repro.ovs.switch.OvsSwitch._flush_run` — scans
-      column-wise;
-    * :meth:`process_batch` has the EMC serve every run of hits in one
-      pass (:meth:`_serve_emc_hits`), pre-probes the rest of the burst
-      vectorized and skips the per-key Python probe for keys the store
-      proves absent;
+      :class:`VecTupleSpaceSearch`, so every chunk the inherited run
+      drain looks up is answered column-wise or from the burst memo;
+    * :meth:`process_batch` screens what follows the burst's EMC hit
+      prefix against the :class:`VecEmcStore` and hands the inherited
+      :meth:`~repro.ovs.switch.OvsSwitch._resolve` the verdicts, so keys
+      proven absent skip the per-key Python probe;
     * the burst's EMC-miss candidates are scanned against the tuple
-      space once, up front, and the runs' chunks consume the answers
-      from that per-burst memo (:meth:`_prescan`);
-    * keys that miss are gathered into runs and replayed through the
-      inherited ``_flush_run``/``_finish_*`` machinery, in key order.
+      space once, up front (:meth:`_prescan`).
     """
 
-    #: bursts below this size take the inherited scalar pipeline (the
-    #: vectorized probe cannot amortise its setup); results identical
+    #: bursts below this size take the inherited pipeline unscreened
+    #: (the vectorized probe cannot amortise its setup); same results
     VEC_MIN_BATCH = 8
 
     def __init__(self, space: FieldSpace = OVS_FIELDS, name: str = "ovs-vec",
@@ -672,91 +598,13 @@ class VecSwitch(OvsSwitch):
         # cache *stored* the key (probabilistic-insertion rejects never
         # create a slot), so the overlay tracks precisely the residents
         # added since the last refold — tight enough that an insertion
-        # probability of zero keeps the store empty and every burst on
-        # the proven-miss bulk path
+        # probability of zero keeps the store empty and every key a
+        # proven miss
         self._emc_store.note_insert(key)
 
     def invalidate_caches(self) -> None:
         super().invalidate_caches()
         self._emc_store.reset()
-
-    # -- batched slow-path bookkeeping ---------------------------------------
-
-    def _flush_run(self, run, run_set, batch: BatchResult, now: float,
-                   materialize: bool = True) -> None:
-        """The inherited run drain with the megaflow-hit bookkeeping
-        folded per chunk: a chunk whose every key hit (the prefix
-        contract puts the only possible miss last) updates the switch
-        and batch counters once instead of per packet.  The per-key
-        work that is stateful stays per-key, in key order — the EMC
-        insert (its RNG draw and any stored slot) and, in materialized
-        mode, the ``PacketResult`` list the caller reads — so the exit
-        state is bit-identical to the reference loop."""
-        start = 0
-        window = self._batch_window
-        n = len(run)
-        stats = self.stats
-        insert = self.microflow.insert
-        note_insert = self._note_emc_insert
-        while start < n:
-            chunk = run[start:start + window]
-            results = self.megaflow.lookup_batch(chunk, now)
-            if not results:
-                raise PrefixContractError(self.megaflow.tss, len(chunk))
-            if results[-1].hit:
-                append = batch.results.append
-                forwarded = 0
-                tuples = 0
-                probes = 0
-                for key, tss_result in zip(chunk, results):
-                    entry = tss_result.entry
-                    if insert(key, entry, now):
-                        note_insert(key)
-                    tuples += tss_result.tuples_scanned
-                    probes += tss_result.hash_probes
-                    if materialize:
-                        result = PacketResult(
-                            action=entry.action,
-                            path=LookupPath.MEGAFLOW,
-                            tuples_scanned=tss_result.tuples_scanned,
-                            hash_probes=tss_result.hash_probes,
-                            entry=entry,
-                        )
-                        append(result)
-                        if result.forwarded:
-                            forwarded += 1
-                    elif entry.action.is_forwarding():
-                        forwarded += 1
-                served = len(results)
-                stats.megaflow_hits += served
-                stats.tuples_scanned += tuples
-                stats.hash_probes += probes
-                stats.forwarded += forwarded
-                stats.drops += served - forwarded
-                batch.packets += served
-                batch.megaflow_hits += served
-                batch.tuples_scanned += tuples
-                batch.hash_probes += probes
-                batch.forwarded += forwarded
-                batch.drops += served - forwarded
-                start += served
-                if served == len(chunk):
-                    window = min(window * 2, self.MAX_BATCH_WINDOW)
-                continue
-            # the chunk ended in a TSS miss: replay it through the
-            # reference finishers
-            for key, tss_result in zip(chunk, results):
-                if tss_result.hit:
-                    self._finish_megaflow_hit(key, tss_result, now, batch,
-                                              materialize)
-                else:
-                    self._finish_upcall(key, tss_result, now, batch,
-                                        materialize)
-                    window = 1
-            start += len(results)
-        self._batch_window = window
-        run.clear()
-        run_set.clear()
 
     # -- the vectorized batch pipeline --------------------------------------
 
@@ -765,18 +613,21 @@ class VecSwitch(OvsSwitch):
                       materialize: bool = True) -> BatchResult:
         if not isinstance(keys, (list, tuple)):
             keys = list(keys)
+        store = self._emc_store
+        # before the shortcut too: the inherited pipeline fires
+        # ``_note_emc_insert`` all the same, and a feed of small bursts
+        # must not grow the overlay without bound
+        store.refresh(self.microflow)
         if len(keys) < self.VEC_MIN_BATCH:
-            # the inherited pipeline (which still scans the TSS through
-            # the vectorized subclass) is cheaper for tiny bursts
+            # the vectorized probe cannot amortise its setup (the TSS
+            # still answers through the columnar subclass)
             return super().process_batch(keys, now=now, materialize=materialize)
         now = self._advance(now)
         self.revalidator.maybe_sweep(now)
-        store = self._emc_store
-        store.refresh(self.microflow)
         batch = BatchResult()
         # a provably-empty store answers every probe "no" — skip even
         # the batch encode (the common state with EMC insertion off)
-        maybe = None
+        flags = None
         if not store.empty:
             # the cache serves the burst's hit prefix itself; only what
             # follows the first non-hit is encoded for the store to
@@ -787,15 +638,11 @@ class VecSwitch(OvsSwitch):
             if served:
                 keys = keys[served:]
             maybe = store.probe(self._codec.encode_keys(keys))
-        flags = None
-        if maybe is not None and (store.overlay or maybe.any()):
-            flags = maybe.tolist()
+            if store.overlay or maybe.any():
+                flags = maybe.tolist()
         self._prescan(keys, flags)
         try:
-            if flags is None:
-                self._resolve_absent(keys, batch, now, materialize)
-            else:
-                self._resolve_mixed(keys, flags, batch, now, materialize)
+            self._resolve(keys, batch, now, materialize, flags, store.overlay)
         finally:
             # the memo answers for this burst's keys against this
             # burst's tuple space; it must not outlive the call
@@ -835,130 +682,6 @@ class VecSwitch(OvsSwitch):
                 if not ((flag or key in overlay) and contains(key))
             ]
         tss.prescan(candidates)
-
-    def _resolve_absent(self, keys: Sequence[FlowKey], batch: BatchResult,
-                        now: float, materialize: bool) -> None:
-        """The whole burst is proven absent from the EMC (the common
-        shape of a cold covert lap): no key pays a per-key cache probe,
-        runs split only at within-burst duplicates, and the per-packet
-        counter ticks are deferred to one bulk add each — nothing reads
-        them mid-batch, so the exit state is bit-identical to the
-        per-key loop."""
-        overlay = self._emc_store.overlay
-        microflow = self.microflow
-        run: list[FlowKey] = []
-        run_set: set[FlowKey] = set()
-        certain_misses = 0
-        for key in keys:
-            # the truthiness guard spares the key hash while the
-            # overlay stays empty (it can only gain keys here when a
-            # flush's insert actually stores one)
-            possible = bool(overlay) and key in overlay
-            if run and (
-                key in run_set or (possible and microflow.contains(key))
-            ):
-                self._flush_run(run, run_set, batch, now, materialize)
-                # the flush may have installed this very key (every
-                # insert lands in the overlay, so the re-check restores
-                # the superset guarantee)
-                possible = possible or (bool(overlay) and key in overlay)
-            if possible:
-                entry = microflow.lookup(key, now)
-            else:
-                certain_misses += 1
-                entry = None
-            if entry is not None:
-                self._finish_microflow_hit(entry, now, batch, materialize)
-            else:
-                run.append(key)
-                run_set.add(key)
-        self.stats.packets += len(keys)
-        microflow.lookups += certain_misses
-        if run:
-            self._flush_run(run, run_set, batch, now, materialize)
-
-    def _serve_emc_hits(self, keys: Sequence[FlowKey], start: int,
-                        now: float, batch: BatchResult,
-                        materialize: bool) -> int:
-        """Serve the longest all-hit prefix of ``keys[start:]`` from the
-        EMC in one pass (:meth:`~repro.ovs.microflow.MicroflowCache.
-        lookup_hits`: the per-key probes, LRU touches included, with ON
-        trains coalesced) and fold the reference's per-hit bookkeeping
-        once per ``(entry, count)`` run and once per call.  Returns how
-        many keys were served; the next one, if any, is not a live
-        hit."""
-        hits = forwarded = 0
-        for entry, count in self.microflow.lookup_hits(keys, start, now):
-            entry.hits += count
-            entry.last_used = now
-            action = entry.action
-            if action.is_forwarding():
-                forwarded += count
-            if materialize:
-                append = batch.results.append
-                for _ in range(count):
-                    append(PacketResult(
-                        action=action,
-                        path=LookupPath.MICROFLOW,
-                        tuples_scanned=0,
-                        hash_probes=0,
-                        entry=entry,
-                    ))
-            hits += count
-        if hits:
-            stats = self.stats
-            stats.packets += hits
-            stats.emc_hits += hits
-            stats.forwarded += forwarded
-            stats.drops += hits - forwarded
-            batch.packets += hits
-            batch.emc_hits += hits
-            batch.forwarded += forwarded
-            batch.drops += hits - forwarded
-        return hits
-
-    def _resolve_mixed(self, keys: Sequence[FlowKey], flags: list,
-                       batch: BatchResult, now: float,
-                       materialize: bool) -> None:
-        """A burst with possible EMC residents whose first key is not a
-        live hit (``process_batch`` served that prefix).  An EMC hit
-        always finds the run empty — a resident key flushes it first —
-        so every hit is served right after a flush, by
-        :meth:`_serve_emc_hits`, and the per-key path handles misses
-        only: proven absent by the store, absent on probing, or a stale
-        slot for :meth:`~repro.ovs.microflow.MicroflowCache.lookup` to
-        purge."""
-        overlay = self._emc_store.overlay
-        microflow = self.microflow
-        run: list[FlowKey] = []
-        run_set: set[FlowKey] = set()
-        i = 0
-        n = len(keys)
-        while i < n:
-            key = keys[i]
-            # the probe is a superset of the residents: a negative
-            # proves the key has no slot, live or stale (the overlay
-            # catches keys inserted since the probe's snapshot)
-            possible = flags[i] or key in overlay
-            if run and (
-                key in run_set or (possible and microflow.contains(key))
-            ):
-                self._flush_run(run, run_set, batch, now, materialize)
-                # the flush may have inserted this very key
-                i += self._serve_emc_hits(keys, i, now, batch, materialize)
-                continue
-            self.stats.packets += 1
-            if possible:
-                microflow.lookup(key, now)
-            else:
-                # a proven miss: the reference lookup would tick the
-                # counter, match nothing and mutate nothing
-                microflow.lookups += 1
-            run.append(key)
-            run_set.add(key)
-            i += 1
-        if run:
-            self._flush_run(run, run_set, batch, now, materialize)
 
     @property
     def vec_tss_paths(self) -> dict[str, int]:

@@ -89,9 +89,10 @@ class TestVecTssPaths:
         assert set(state["vec_tss"]) == set(VEC_TSS_PATHS)
         assert sum(state["vec_tss"].values()) == state["tss_lookups"]
         # laps two and three are scanned once per burst and consumed
-        # from the memo; the cold lap's installs went scalar
+        # from the memo; the cold lap went scalar key by key, every
+        # lookup but each shard's first behind the previous one's install
         assert state["vec_tss"]["memo"] >= len(keys)
-        assert state["vec_tss"]["small_burst"] >= len(keys)
+        assert state["vec_tss"]["memo_invalidated"] >= len(keys) - 2
         assert vec_tss_paths(datapath) == state["vec_tss"]
 
     def test_scalar_engines_read_all_zero(self):
@@ -101,14 +102,16 @@ class TestVecTssPaths:
 
     def test_metric_family(self):
         tele = Telemetry()
-        paths = dict(zip(VEC_TSS_PATHS, range(1, 7)))
+        paths = dict(zip(VEC_TSS_PATHS, range(1, 8)))
         record_vec_tss(tele, paths, node="n0")
         text = prometheus_text(tele)
         assert 'repro_vec_tss_scan_lookups{node="n0"} 1' in text
         assert 'repro_vec_tss_memo_lookups{node="n0"} 2' in text
         assert ('repro_vec_tss_fallback_lookups'
                 '{node="n0",reason="small_burst"} 5') in text
-        assert text.count("repro_vec_tss_fallback_lookups{") == 4
+        assert ('repro_vec_tss_fallback_lookups'
+                '{node="n0",reason="memo_invalidated"} 6') in text
+        assert text.count("repro_vec_tss_fallback_lookups{") == 5
 
     def test_a_traced_campaign_exports_the_family(self):
         spec = SCENARIOS.get("k8s-deepscan").evolve(

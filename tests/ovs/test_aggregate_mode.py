@@ -11,8 +11,7 @@ import dataclasses
 
 import pytest
 
-from repro.flow.actions import Output
-from repro.ovs.switch import BatchResult, LookupPath, OvsSwitch, PacketResult
+from repro.ovs.switch import BatchResult, LookupPath, OvsSwitch
 from repro.perf.factory import sharded_switch_for_profile, switch_for_profile
 from repro.scenario.datapath import CachelessDatapath
 from repro.scenario.session import Session
@@ -161,17 +160,22 @@ class TestBatchResult:
         assert batch.results == []
         assert batch.forwarded == 1 and batch.drops == 1
 
-    def test_add_and_tally_agree(self):
-        via_add, via_tally = BatchResult(), BatchResult()
-        result = PacketResult(
-            action=Output(1), path=LookupPath.MEGAFLOW,
-            tuples_scanned=5, hash_probes=7, entry=None,
-        )
-        via_add.add(result)
-        via_tally.tally(LookupPath.MEGAFLOW, True, tuples_scanned=5,
-                        hash_probes=7)
-        for field in AGGREGATE_FIELDS:
-            assert getattr(via_add, field) == getattr(via_tally, field), field
+    def test_bulk_folds_equal_the_tally_of_the_results(self, k8s):
+        """``tally`` is the one per-packet fold; the switch's per-chunk
+        and per-hit-run folds add a path's sums in bulk.  Re-tallying a
+        materialized batch's own results packet by packet must land on
+        the counters the pipeline folded."""
+        space, rules, keys = k8s
+        for name, build in _builders(space):
+            switch = build()
+            switch.add_rules(rules)
+            for now, burst in ((0.1, keys), (0.2, keys[:200] * 2)):
+                batch = switch.process_batch(burst, now=now)
+                refold = BatchResult()
+                for result in batch.results:
+                    refold.tally(result.path, result.forwarded,
+                                 result.tuples_scanned, result.hash_probes)
+                assert _counters(refold) == _counters(batch), (name, now)
 
 
 class TestRebalancerInteraction:

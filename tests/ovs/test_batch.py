@@ -238,7 +238,9 @@ class TestVecBatchEquivalence:
     to the reference switch on the same traffic — results, stats, mask
     pvector, TSS counters and EMC occupancy — across the same
     configuration matrix the batch pipeline is held to (including the
-    duplicate-heavy victim interleave in ``_traffic``)."""
+    duplicate-heavy victim interleave in ``_traffic``).  The two share
+    the burst bookkeeping, so both are also held to the per-key oracle:
+    the same traffic through ``OvsSwitch.process()``, one key a call."""
 
     @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
     @pytest.mark.parametrize(
@@ -254,9 +256,14 @@ class TestVecBatchEquivalence:
              "tiny-emc"],
     )
     def test_vec_equals_reference(self, kwargs):
+        for materialize in (True, False):
+            self._check(kwargs, materialize)
+
+    def _check(self, kwargs, materialize):
         from repro.vec.engine import VecSwitch
 
         ref, dimensions = _custom_switch(**kwargs)
+        oracle, _ = _custom_switch(**kwargs)
         vec = VecSwitch(space=OVS_FIELDS, name="batch-eq", **kwargs)
         policy, _ = kubernetes_attack_policy()
         target = PolicyTarget(
@@ -267,29 +274,44 @@ class TestVecBatchEquivalence:
         keys = keys + keys[: len(keys) // 2]  # duplicate-heavy tail
 
         now = 1.0
+        oracle_results = []
         ref_results = []
         vec_results = []
         for start in range(0, len(keys), 41):
             chunk = keys[start:start + 41]
-            ref_results.extend(ref.process_batch(chunk, now=now).results)
-            vec_results.extend(vec.process_batch(chunk, now=now).results)
+            oracle_results.extend(oracle.process(key, now=now)
+                                  for key in chunk)
+            ref_results.extend(
+                ref.process_batch(chunk, now=now, materialize=materialize)
+                .results
+            )
+            vec_results.extend(
+                vec.process_batch(chunk, now=now, materialize=materialize)
+                .results
+            )
             now += 0.25
 
-        assert [_result_fields(r) for r in ref_results] == [
-            _result_fields(r) for r in vec_results
-        ]
-        assert dataclasses.asdict(ref.stats) == dataclasses.asdict(vec.stats)
-        assert ref.mask_count == vec.mask_count
-        assert ref.megaflow_count == vec.megaflow_count
-        rt, vt = ref.megaflow.tss, vec.megaflow.tss
-        assert rt.total_lookups == vt.total_lookups
-        assert rt.total_tuples_scanned == vt.total_tuples_scanned
-        assert rt.total_hash_probes == vt.total_hash_probes
-        assert rt.resorts == vt.resorts
-        assert [s.masks for s in rt.subtables()] == [
-            s.masks for s in vt.subtables()
-        ]
-        assert ref.microflow.occupancy == vec.microflow.occupancy
+        expected = [_result_fields(r) for r in oracle_results]
+        for results in (ref_results, vec_results):
+            assert [_result_fields(r) for r in results] == (
+                expected if materialize else []
+            )
+        ot = oracle.megaflow.tss
+        for switch in (ref, vec):
+            assert dataclasses.asdict(switch.stats) == dataclasses.asdict(
+                oracle.stats
+            )
+            assert switch.mask_count == oracle.mask_count
+            assert switch.megaflow_count == oracle.megaflow_count
+            tss = switch.megaflow.tss
+            assert tss.total_lookups == ot.total_lookups
+            assert tss.total_tuples_scanned == ot.total_tuples_scanned
+            assert tss.total_hash_probes == ot.total_hash_probes
+            assert tss.resorts == ot.resorts
+            assert [s.masks for s in tss.subtables()] == [
+                s.masks for s in ot.subtables()
+            ]
+            assert switch.microflow.occupancy == oracle.microflow.occupancy
 
 
 class TestCachelessBatch:

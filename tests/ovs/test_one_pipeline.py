@@ -1,0 +1,154 @@
+"""The burst pipeline is one implementation, in the reference classes.
+
+Cap → scan → consume (``ovs/tss.py``) and serve-hits → resolve → flush
+(``ovs/switch.py``) each exist once; ``repro.vec`` decides only *where
+the answers come from* and is pure.  A second consume loop, run drain
+or counter fold is a second implementation of one spec: it can only be
+held to the first by an equivalence matrix, and drifts the day that
+matrix is not extended.  "vec ≡ scalar bookkeeping" is true here by
+construction, and this file keeps it so.
+"""
+
+import ast
+import dataclasses
+from pathlib import Path
+
+import pytest
+
+from repro.ovs.megaflow import MegaflowCache
+from repro.ovs.stats import SwitchStats
+from repro.ovs.switch import BatchResult, OvsSwitch
+from repro.vec import HAVE_NUMPY
+
+SRC = Path(__file__).resolve().parent.parent.parent / "src" / "repro"
+
+#: the stateful half of the pipeline: written once, under ``ovs/``
+STATEFUL = {
+    "_consume": "ovs/tss.py",
+    "_serve_emc_hits": "ovs/switch.py",
+    "_resolve": "ovs/switch.py",
+    "_flush_run": "ovs/switch.py",
+    "_finish_upcall": "ovs/switch.py",
+}
+#: the forks this replaced — gone, under any spelling
+RETIRED = ("_finish_microflow_hit", "_finish_megaflow_hit",
+           "_resolve_absent", "_resolve_mixed")
+#: counters the reference classes own: nothing under ``vec/`` adds to one
+REFERENCE_COUNTERS = (
+    {spec.name for spec in dataclasses.fields(SwitchStats)}
+    | {spec.name for spec in dataclasses.fields(BatchResult)}
+    | {"lookups", "total_lookups", "total_tuples_scanned",
+       "total_hash_probes"}
+)
+
+
+def _trees(sub=""):
+    for path in sorted((SRC / sub).rglob("*.py")):
+        yield path.relative_to(SRC).as_posix(), ast.parse(
+            path.read_text(encoding="utf-8")
+        )
+
+
+def _functions(tree):
+    """``(qualified name, node)`` for every function in a module."""
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = f"{prefix}{child.name}"
+                if isinstance(child, ast.FunctionDef):
+                    yield name, child
+                yield from walk(child, f"{name}.")
+    return walk(tree, "")
+
+
+def _calls(node, name):
+    return [
+        call for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, (ast.Name, ast.Attribute))
+        and (getattr(call.func, "id", None) == name
+             or getattr(call.func, "attr", None) == name)
+    ]
+
+
+def test_each_stateful_step_is_defined_once_in_the_reference():
+    where = {name: [] for name in STATEFUL}
+    for rel, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in where:
+                where[node.name].append(rel)
+    assert where == {name: [rel] for name, rel in STATEFUL.items()}
+
+
+def test_the_retired_forks_are_gone_under_any_name():
+    mentions = [
+        f"{rel}:{node.lineno}"
+        for rel, tree in _trees() for node in ast.walk(tree)
+        if getattr(node, "name", None) in RETIRED
+        or getattr(node, "attr", None) in RETIRED
+    ]
+    assert not mentions, mentions
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+def test_the_vec_classes_restate_no_pipeline_step():
+    from repro.vec.engine import VecSwitch, VecTupleSpaceSearch
+
+    restated = [
+        name for name in vars(VecSwitch)
+        if name in ("_flush_run", "_serve_emc_hits")
+        or name.startswith(("_resolve", "_finish_"))
+    ]
+    assert not restated, restated
+    assert "_consume" not in vars(VecTupleSpaceSearch)
+    assert "_capped" not in vars(VecTupleSpaceSearch)
+
+
+def test_vec_constructs_no_result_and_writes_no_reference_counter():
+    built, written = [], []
+    for rel, tree in _trees("vec"):
+        for name in ("PacketResult", "TssLookupResult"):
+            built += [f"{rel}:{call.lineno} {name}("
+                      for call in _calls(tree, name)]
+        written += [
+            f"{rel}:{node.lineno} {node.target.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.AugAssign)
+            and isinstance(node.target, ast.Attribute)
+            and node.target.attr in REFERENCE_COUNTERS
+        ]
+    assert not built, built
+    assert not written, written
+
+
+def test_a_miss_result_is_built_by_the_oracle_and_the_one_consume():
+    """``TssLookupResult(None, …)`` — a TSS miss — comes from the
+    per-key oracle and from ``_consume``, nowhere else."""
+    builders = sorted(
+        qualified
+        for _rel, tree in _trees() for qualified, node in _functions(tree)
+        if any(
+            call.args and isinstance(call.args[0], ast.Constant)
+            and call.args[0].value is None
+            for call in _calls(node, "TssLookupResult")
+        )
+    )
+    assert builders == ["TupleSpaceSearch._consume",
+                        "TupleSpaceSearch.lookup"]
+
+
+def test_batch_result_has_one_counter_fold():
+    methods = {name for name, member in vars(BatchResult).items()
+               if callable(member) and not name.startswith("__")}
+    assert methods == {"tally"}
+
+
+def test_traced_entry_points_are_own_attributes():
+    """The benchmark's tracer patches ``vars(owner)[attr]``: a method
+    it wraps must be defined on the class it names, not inherited."""
+    assert "process_batch" in vars(OvsSwitch)
+    assert "lookup_batch" in vars(MegaflowCache)
+    if HAVE_NUMPY:
+        from repro.vec.engine import VecSwitch
+
+        assert "process_batch" in vars(VecSwitch)

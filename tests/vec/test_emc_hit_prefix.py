@@ -144,3 +144,23 @@ def test_an_all_hit_burst_never_encodes_its_keys(monkeypatch):
     vec.process_batch(burst[:100] + [fresh] + burst[100:], now=0.4,
                       materialize=False)
     assert calls == [len(burst) - 100 + 1]
+
+
+def test_small_bursts_cannot_grow_the_overlay_without_bound():
+    """Bursts under ``VEC_MIN_BATCH`` take the inherited pipeline, which
+    still reports every stored EMC insert to the store: a ``VecSwitch``
+    fed nothing else (a slow ``repro serve`` tick, any ``process()``
+    caller) must keep refolding, or the overlay holds one key per
+    insert, forever."""
+    from repro.vec.engine import VecEmcStore
+
+    vec = _build(VecSwitch, emc_entries=64)
+    assert 2 < VecSwitch.VEC_MIN_BATCH
+    for i in range(0, 20_000, 2):
+        vec.process_batch([_flow(1000 + i), _flow(1001 + i)],
+                          now=1e-4 * i, materialize=False)
+    assert vec.microflow.insertions == 20_000
+    assert vec.microflow.occupancy == 64
+    assert len(vec._emc_store.overlay) <= (
+        VecEmcStore.REFOLD_SLACK + vec.microflow.capacity
+    )

@@ -209,9 +209,11 @@ class TestMemoServesBurstyTraffic:
         _assert_same(ref, vec, "upcall mid-burst")
         paths = vec.megaflow.tss.path_lookups
         # before the install: memo (the fresh key's miss included);
-        # after it: the chunks' own scalar scans
+        # after it: the chunks' own scalar scans — the first of them
+        # finds the generation moved, the rest an unchanged table
         assert paths["memo"] - before["memo"] == 21
-        assert paths["small_burst"] - before["small_burst"] == 20
+        assert paths["memo_invalidated"] - before["memo_invalidated"] == 1
+        assert paths["small_burst"] - before["small_burst"] == 19
 
     def test_a_resident_evicted_mid_burst_is_probed_and_memoised(self):
         # a 2-slot EMC: every insert evicts, so keys resident as the
@@ -251,7 +253,30 @@ class TestMemoServesBurstyTraffic:
         paths = vec.megaflow.tss.path_lookups
         assert vec.mask_count == 1
         assert paths["memo"] == 0 and paths["scan"] == 0
-        assert paths["small_burst"] == vec.megaflow.tss.total_lookups
+        # one install (the first key's upcall), so one lookup behind a
+        # moved generation; every other chunk is just small
+        assert paths["memo_invalidated"] == 1
+        assert paths["small_burst"] == vec.megaflow.tss.total_lookups - 1
+
+    def test_a_small_chunk_behind_a_write_is_named(self):
+        # an install per key (mask churn, a cold covert lap): every
+        # lookup after the first re-probes behind the last one's install
+        vec = VecSwitch(space=OVS_FIELDS, name="memo-test")
+        vec.add_rules(RULES)
+        vec.process_batch(COVERT[:64], now=0.0, materialize=False)
+        paths = vec.megaflow.tss.path_lookups
+        assert vec.stats.upcalls == 64
+        assert paths["memo_invalidated"] == 63
+        assert paths["small_burst"] == 1
+        # a stable table: small chunks are just small
+        vec = _build(VecSwitch, emc_insertion_prob=0.0)
+        paths = vec.megaflow.tss.path_lookups
+        before = dict(paths)
+        for start in range(40, 100, 4):
+            vec.process_batch(COVERT[start:start + 4], now=1.0,
+                              materialize=False)
+        assert paths["small_burst"] - before["small_burst"] == 60
+        assert paths["memo_invalidated"] == before["memo_invalidated"]
 
     def test_every_lookup_is_counted_exactly_once(self):
         vec = _build(VecSwitch)
@@ -284,9 +309,9 @@ class TestStaleMemoIsNeverConsumed:
         assert [(r.hit, r.tuples_scanned) for r in vec_results] == \
             [(r.hit, r.tuples_scanned) for r in ref_results]
         assert tss.path_lookups["memo"] == before["memo"]
-        assert (tss.path_lookups["scan"] + tss.path_lookups["small_burst"]
-                == before["scan"] + before["small_burst"]
-                + len(vec_results))
+        fresh = ("scan", "small_burst", "memo_invalidated")
+        assert (sum(tss.path_lookups[path] for path in fresh)
+                == sum(before[path] for path in fresh) + len(vec_results))
         assert tss._memo is None  # dropped on sight
 
     def test_live_memo_is_consumed(self):
