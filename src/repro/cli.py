@@ -301,7 +301,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
             detect_threshold=args.detect_threshold,
             telemetry=telemetry,
         )
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, OSError) as exc:
         raise SystemExit(f"serve {spec.name!r}: {exc}")
 
     def live(snap: dict) -> None:

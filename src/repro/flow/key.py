@@ -36,8 +36,11 @@ class FlowKey:
         self._packed: int | None = None
 
     @classmethod
-    def from_tuple(cls, space: FieldSpace, values: tuple[int, ...]) -> "FlowKey":
-        """Build directly from an aligned value tuple (trusted input)."""
+    def from_tuple(cls, space: FieldSpace, values: tuple[int, ...],
+                   packed: int | None = None) -> "FlowKey":
+        """Build directly from an aligned value tuple (trusted input);
+        ``packed``, when the caller already holds it, must equal
+        ``space.pack(values)``."""
         if len(values) != len(space):
             raise ValueError(
                 f"tuple has {len(values)} values, space has {len(space)} fields"
@@ -45,7 +48,7 @@ class FlowKey:
         key = cls.__new__(cls)
         key.space = space
         key.values = values
-        key._packed = None
+        key._packed = packed
         return key
 
     @property

@@ -39,30 +39,41 @@ def parse_ethernet(data: bytes) -> Ethernet:
 
 
 def _parse_ethertype(ethertype: int, data: bytes) -> Layer | None:
+    # 802.1Q tags stack, and how deep is the sender's choice: walk them
+    # in a loop (linear time, constant stack), not one call per tag
+    outer = innermost = None
+    offset = 0
+    while (ethertype == ETHERTYPE_VLAN
+           and len(data) - offset >= Vlan.HEADER_LEN):
+        tci = int.from_bytes(data[offset:offset + 2], "big")
+        ethertype = int.from_bytes(data[offset + 2:offset + 4], "big")
+        vlan = Vlan(
+            vid=tci & 0x0FFF,
+            pcp=(tci >> 13) & 0x7,
+            dei=(tci >> 12) & 0x1,
+            ethertype=ethertype,
+        )
+        if innermost is None:
+            outer = vlan
+        else:
+            innermost.payload = vlan
+        innermost = vlan
+        offset += Vlan.HEADER_LEN
+    inner = _parse_untagged(ethertype, data[offset:])
+    if innermost is None:
+        return inner
+    innermost.payload = inner
+    return outer
+
+
+def _parse_untagged(ethertype: int, data: bytes) -> Layer | None:
     if not data:
         return None
     if ethertype == ETHERTYPE_IPV4:
         return _parse_ipv4(data)
     if ethertype == ETHERTYPE_ARP:
         return _parse_arp(data)
-    if ethertype == ETHERTYPE_VLAN:
-        return _parse_vlan(data)
     return Raw(data)
-
-
-def _parse_vlan(data: bytes) -> Layer:
-    if len(data) < Vlan.HEADER_LEN:
-        return Raw(data)
-    tci = int.from_bytes(data[0:2], "big")
-    inner_type = int.from_bytes(data[2:4], "big")
-    vlan = Vlan(
-        vid=tci & 0x0FFF,
-        pcp=(tci >> 13) & 0x7,
-        dei=(tci >> 12) & 0x1,
-        ethertype=inner_type,
-    )
-    vlan.payload = _parse_ethertype(inner_type, data[4:])
-    return vlan
 
 
 def _parse_arp(data: bytes) -> Layer:

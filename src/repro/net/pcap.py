@@ -23,6 +23,14 @@ LINKTYPE_ETHERNET = 1
 MAX_SNAPLEN = 262_144
 _GLOBAL_HEADER = struct.Struct("<IHHiIII")
 _RECORD_HEADER = struct.Struct("<IIII")
+#: bytes per refill of :meth:`PcapReader.blocks`' buffer: big enough to
+#: amortise the per-block work over hundreds of frames, small enough
+#: that a block's worth of temporaries stays in cache
+REFILL_BYTES = 1 << 16
+
+
+#: one refill's whole records: ``(buf, starts, lengths, stamps)``
+Block = tuple[bytes, list[int], list[int], list[float]]
 
 
 class PcapTruncatedError(ValueError):
@@ -117,6 +125,9 @@ class PcapReader:
     what the file still holds, and a record longer than the capture's
     own snaplen is clamped to it — the excess skipped, the record
     counted in ``oversized_records`` — as libpcap does.
+
+    The format is walked in one place, :meth:`blocks`, a bounded refill
+    buffer at a time; per-record iteration is a view over it.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -126,41 +137,98 @@ class PcapReader:
         #: records whose ``incl_len`` exceeded the snaplen (clamped)
         self.oversized_records = 0
 
-    def __iter__(self) -> Iterator[PcapPacket]:
+    def _read_global_header(self, handle: BinaryIO) -> struct.Struct:
+        """Parse the global header off a freshly opened capture, leaving
+        ``handle`` at its first record: sets ``snaplen`` / ``linktype``
+        and returns the record header in the file's byte order."""
+        header = handle.read(_GLOBAL_HEADER.size)
+        if len(header) < _GLOBAL_HEADER.size:
+            raise ValueError(f"{self.path} is not a pcap file (truncated header)")
+        magic = struct.unpack("<I", header[:4])[0]
+        if magic == MAGIC_LE:
+            endian = "<"
+        elif magic == MAGIC_BE:
+            endian = ">"
+        else:
+            raise ValueError(f"{self.path} has unknown pcap magic {magic:#x}")
+        fields = struct.unpack(endian + "IHHiIII", header)
+        self.snaplen, self.linktype = fields[5], fields[6]
+        return struct.Struct(endian + "IIII")
+
+    def read_header(self) -> None:
+        """Open the capture and check its global header, reading no
+        record: ``OSError`` for a file that cannot be opened,
+        ``ValueError`` for one that is not a pcap."""
         with open(self.path, "rb") as handle:
-            header = handle.read(_GLOBAL_HEADER.size)
-            if len(header) < _GLOBAL_HEADER.size:
-                raise ValueError(f"{self.path} is not a pcap file (truncated header)")
-            magic = struct.unpack("<I", header[:4])[0]
-            if magic == MAGIC_LE:
-                endian = "<"
-            elif magic == MAGIC_BE:
-                endian = ">"
-            else:
-                raise ValueError(f"{self.path} has unknown pcap magic {magic:#x}")
-            fields = struct.unpack(endian + "IHHiIII", header)
-            self.snaplen, self.linktype = fields[5], fields[6]
+            self._read_global_header(handle)
+
+    def blocks(self) -> Iterator[Block]:
+        """Yield ``(buf, starts, lengths, stamps)`` per refill of a
+        bounded buffer: record ``i`` of the block is
+        ``buf[starts[i]:starts[i] + lengths[i]]``, captured at
+        ``stamps[i]`` seconds.
+
+        Only whole records are yielded; the bytes of a record the
+        buffer ends inside are carried into the next refill, so peak
+        memory is one refill plus one record (at most the snaplen),
+        whatever the capture's size.  Everything before a cut is
+        yielded, then :class:`PcapTruncatedError` is raised.
+        """
+        with open(self.path, "rb") as handle:
+            record = self._read_global_header(handle)
+            header_len, unpack_from = record.size, record.unpack_from
             limit = min(self.snaplen or MAX_SNAPLEN, MAX_SNAPLEN)
-            #: bytes the file still holds past the read position
+            #: bytes the file still holds past the walked records
             left = os.fstat(handle.fileno()).st_size - _GLOBAL_HEADER.size
-            record = struct.Struct(endian + "IIII")
+            buf = b""
+            pos = 0
+            want = REFILL_BYTES
             while True:
-                raw = handle.read(record.size)
-                if not raw:
+                chunk = handle.read(want)
+                buf = buf[pos:] + chunk
+                pos, end, want = 0, len(buf), REFILL_BYTES
+                starts: list[int] = []
+                lengths: list[int] = []
+                stamps: list[float] = []
+                cut = None
+                while end - pos >= header_len:
+                    ts_sec, ts_usec, incl_len, _orig_len = unpack_from(buf, pos)
+                    if left < header_len + incl_len:
+                        cut = "mid-packet"
+                        break
+                    keep = incl_len if incl_len <= limit else limit
+                    data = pos + header_len
+                    if end - data < keep:
+                        # a record longer than the refill: fetch its rest
+                        want = max(REFILL_BYTES, keep - (end - data))
+                        break
+                    left -= header_len + incl_len
+                    starts.append(data)
+                    lengths.append(keep)
+                    stamps.append(ts_sec + ts_usec / 1_000_000)
+                    pos = data + keep
+                    if incl_len > limit:
+                        # the excess is skipped, never buffered
+                        self.oversized_records += 1
+                        pos += incl_len - limit
+                        if pos > end:
+                            handle.seek(pos - end, os.SEEK_CUR)
+                            pos = end
+                if starts:
+                    yield buf, starts, lengths, stamps
+                if cut is None and not chunk and end > pos:
+                    # end of file with part of a record in hand
+                    cut = ("mid-record" if end - pos < header_len
+                           else "mid-packet")
+                if cut is not None:
+                    raise PcapTruncatedError(f"{self.path} ends {cut}")
+                if not chunk:
                     return
-                if len(raw) < record.size:
-                    raise PcapTruncatedError(f"{self.path} ends mid-record")
-                ts_sec, ts_usec, incl_len, _orig_len = record.unpack(raw)
-                left -= record.size + incl_len
-                if left < 0:
-                    raise PcapTruncatedError(f"{self.path} ends mid-packet")
-                if incl_len > limit:
-                    self.oversized_records += 1
-                    data = handle.read(limit)
-                    handle.seek(incl_len - limit, os.SEEK_CUR)
-                else:
-                    data = handle.read(incl_len)
-                yield PcapPacket(ts_sec + ts_usec / 1_000_000, data)
+
+    def __iter__(self) -> Iterator[PcapPacket]:
+        for buf, starts, lengths, stamps in self.blocks():
+            for start, length, stamp in zip(starts, lengths, stamps):
+                yield PcapPacket(stamp, buf[start:start + length])
 
     def read_all(self) -> list[PcapPacket]:
         """Read the whole capture into memory."""

@@ -123,11 +123,15 @@ class SyntheticSource:
 
 
 class PcapSource:
-    """Replay a capture through the real frame parser.
+    """Replay a capture as bursts of flow keys.
 
-    Frames are parsed with
-    :func:`~repro.flow.extract.flow_key_from_packet` and grouped into
-    bursts of ``batch_size`` (a NIC rx-ring drain, not a timer); each
+    The capture is read a bounded block at a time
+    (:meth:`~repro.net.pcap.PcapReader.blocks`) and each block's keys
+    come from :class:`~repro.vec.ingest.FlowExtractor`: columnar for
+    frames of the common shape, the per-frame parser
+    (:func:`~repro.flow.extract.flow_key_from_packet`, the oracle) for
+    everything else.  Keys are grouped into bursts of ``batch_size`` (a
+    NIC rx-ring drain, not a timer), whatever the block edges; each
     burst carries the capture timestamp of its last frame so the
     datapath clock follows recorded time.
 
@@ -135,6 +139,10 @@ class PcapSource:
     parser rejects, a record longer than the capture's snaplen and a
     capture cut short mid-record are each counted — in ``malformed``
     and, by reason, under ``serve.ingest.malformed`` — and skipped.
+    Only a file that cannot be opened or is not a pcap at all raises,
+    and it raises here, at construction.  ``frames`` (and
+    ``serve.ingest.frames``) count the records read by the path that
+    extracted them.
     """
 
     def __init__(
@@ -145,6 +153,11 @@ class PcapSource:
         in_port: int = 0,
         telemetry=None,
     ) -> None:
+        # imported here, not with the module: only a pcap replay pays
+        # for (or needs) the extractor
+        from repro.net.pcap import PcapReader
+        from repro.vec.ingest import FlowExtractor
+
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self.path = Path(path)
@@ -154,12 +167,17 @@ class PcapSource:
         self.telemetry = NULL_TELEMETRY if telemetry is None else telemetry
         #: frames / records skipped or clamped so far, all reasons
         self.malformed = 0
+        #: records read so far, by the ingest path that extracted them
+        self.frames = {"columnar": 0, "reference": 0}
+        self.extractor = FlowExtractor(space, in_port)
+        PcapReader(self.path).read_header()
 
     def describe(self) -> dict:
         return {
             "type": "pcap",
             "path": str(self.path),
             "batch_size": self.batch_size,
+            "extractor": self.extractor.name,
         }
 
     def _note_malformed(self, reason: str, count: int = 1) -> None:
@@ -168,28 +186,43 @@ class PcapSource:
             "serve.ingest.malformed", reason=reason
         ).inc(count)
 
+    def _note_frames(self, path: str, count: int) -> None:
+        if count:
+            self.frames[path] += count
+            self.telemetry.counter("serve.ingest.frames", path=path).inc(count)
+
     def batches(self) -> Iterator[tuple[float, list[FlowKey]]]:
-        from repro.flow.extract import flow_key_from_packet
-        from repro.net.parse import ParseError
         from repro.net.pcap import PcapReader, PcapTruncatedError
 
+        batch_size = self.batch_size
         batch: list[FlowKey] = []
-        last_ts = 0.0
+        last = 0.0
         reader = PcapReader(self.path)
         try:
-            for packet in reader:
-                try:
-                    key = flow_key_from_packet(
-                        packet.data, in_port=self.in_port, space=self.space
-                    )
-                except ParseError:
-                    self._note_malformed("runt_frame")
-                    continue
-                batch.append(key)
-                last_ts = packet.timestamp
-                if len(batch) >= self.batch_size:
-                    yield last_ts, batch
+            for buf, starts, lengths, stamps in reader.blocks():
+                keys, columnar = self.extractor.extract(buf, starts, lengths)
+                self._note_frames("columnar", columnar)
+                self._note_frames("reference", len(keys) - columnar)
+                if columnar < len(keys):
+                    # only the reference path rejects a frame
+                    kept = [i for i, key in enumerate(keys)
+                            if key is not None]
+                    if len(kept) < len(keys):
+                        self._note_malformed("runt_frame",
+                                             len(keys) - len(kept))
+                        stamps = [stamps[i] for i in kept]
+                        keys = [keys[i] for i in kept]
+                done = 0
+                room = batch_size - len(batch)
+                while len(keys) - done >= room:
+                    batch += keys[done:done + room]
+                    done += room
+                    yield stamps[done - 1], batch
                     batch = []
+                    room = batch_size
+                if done < len(keys):
+                    batch += keys[done:]
+                    last = stamps[-1]
         except PcapTruncatedError:
             self._note_malformed("truncated_capture")
         finally:
@@ -197,7 +230,7 @@ class PcapSource:
                 self._note_malformed("oversized_record",
                                      reader.oversized_records)
         if batch:
-            yield last_ts, batch
+            yield last, batch
 
 
 @dataclasses.dataclass
@@ -518,14 +551,9 @@ def build_service(
         config = dataclasses.replace(
             config, runtime="processes", shards=workers
         )
-    datapath = config.build()
-    rules = session.surface.compile_rules(
-        session.policy, session.target, session.space
-    )
-    # applied before any fork: parallel workers inherit the compiled
-    # tables by memory, exactly as the serial shards hold them
-    datapath.add_rules(rules)
     if pcap is not None:
+        # first: a capture that cannot be read fails before anything
+        # is built
         source = PcapSource(
             pcap, space=session.space, batch_size=batch_size,
             telemetry=telemetry,
@@ -545,6 +573,13 @@ def build_service(
             tick=tick,
             max_packets=max_packets,
         )
+    datapath = config.build()
+    rules = session.surface.compile_rules(
+        session.policy, session.target, session.space
+    )
+    # applied before any fork: parallel workers inherit the compiled
+    # tables by memory, exactly as the serial shards hold them
+    datapath.add_rules(rules)
     return ServeService(
         datapath,
         source,

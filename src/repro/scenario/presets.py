@@ -197,6 +197,7 @@ SCENARIOS.register(
     ScenarioSpec(
         surface="k8s",
         name="k8s-serve",
+        backend="ovs-vec-auto",
         profile="kernel-noemc",
         shards=4,
         duration=30.0,
@@ -204,7 +205,8 @@ SCENARIOS.register(
         description="the deep-scan serve workload: the 512-mask "
         "Kubernetes covert stream replayed live through `repro serve` "
         "— EMC insertion off, so every packet after the first lap "
-        "deep-scans the exploded subtable list on its shard.  Serial "
+        "deep-scans the exploded subtable list on its shard, through "
+        "the columnar engine (ovs-vec-auto: scalar without NumPy).  Serial "
         "and parallel runs of this spec are byte-identical "
         "(tests/runtime/test_serve.py); the measured speedup is the "
         "pipeline benchmark's serve-parallel "

@@ -85,7 +85,7 @@ PINNED = {
     "calico-netdev-pmd4": ("VecSwitch", 4, "ShardedDatapath"),
     "calico-netdev-pmd4-alb": ("VecSwitch", 4, "ShardedDatapath"),
     "k8s-deepscan": ("VecSwitch", 1, "VecSwitch"),
-    "k8s-serve": ("OvsSwitch", 4, "ShardedDatapath"),
+    "k8s-serve": ("VecSwitch", 4, "ShardedDatapath"),
     "spread-campaign": ("VecSwitch", 4, "ShardedDatapath"),
     "calico-cacheless": ("CachelessDatapath", 1, "CachelessDatapath"),
     "calico-mask-limit": ("OvsSwitch", 1, "OvsSwitch"),

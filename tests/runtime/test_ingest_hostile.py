@@ -1,6 +1,7 @@
 """Hostile capture input: ``repro serve`` counts and skips malformed
 data — a runt frame, an oversized ``incl_len``, a capture cut short —
-and never raises out of the ingest loop or reads without bound."""
+and never raises out of the ingest loop or reads without bound; a frame
+of thousands of stacked VLAN tags costs linear time and no stack."""
 
 import struct
 
@@ -148,6 +149,27 @@ class TestServeSurvivesHostileCapture:
         assert _malformed(telemetry) == {
             "runt_frame": 1, "truncated_capture": 1,
         }
+
+    @pytest.mark.parametrize("tags", [500, 5000])
+    def test_vlan_tag_bomb_mid_capture_yields_a_key(self, tmp_path, tags):
+        # one 802.1Q tag per parser recursion used to be one frame that
+        # raised RecursionError — not a ParseError — out of the service
+        frames = _frames(8)
+        bomb = (frames[0][:12] + b"\x81\x00"
+                + b"\x00\x01\x81\x00" * (tags - 1) + b"\x00\x01\x08\x00"
+                + frames[0][14:])
+        path = _capture(tmp_path / "bomb.pcap",
+                        frames[:4] + [bomb] + frames[4:])
+        keys = _drain(PcapSource(path, batch_size=4))
+        assert len(keys) == 9
+        assert keys[4].get("eth_type") == 0x8100
+        assert keys[:4] + keys[5:] == _drain(
+            PcapSource(_capture(tmp_path / "clean.pcap", frames))
+        )
+        spec = SCENARIOS.get("k8s-serve").evolve(shards=2)
+        report = build_service(spec, pcap=path, batch_size=4).run()
+        assert report.stopped_by == "end-of-stream"
+        assert report.packets == 9
 
     def test_clean_capture_reports_nothing(self, tmp_path):
         path = _capture(tmp_path / "clean.pcap", _frames(24))

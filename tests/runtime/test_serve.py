@@ -184,6 +184,43 @@ class TestServeHonoursTheEngine:
             sort_keys=True,
         )
 
+    def test_pcap_replay_under_the_scalar_engine_equals_the_presets(
+            self, tmp_path):
+        from repro.attack.packets import CovertStreamGenerator
+        from repro.net.pcap import PcapWriter
+        from repro.scenario.session import Session
+
+        spec = SCENARIOS.get("k8s-serve").evolve(shards=2)
+        assert spec.backend == "ovs-vec-auto"
+        session = Session(spec)
+        generator = CovertStreamGenerator(
+            list(session.dimensions), dst_ip=session.target.pod_ip,
+            space=session.space,
+        )
+        frames = [bytes(generator.packet_for_key(key).build())
+                  for key in generator.keys()]
+        path = tmp_path / "covert.pcap"
+        with PcapWriter(path) as writer:
+            # three laps: the first installs, the rest deep-scan
+            writer.write_all(frames * 3, rate_pps=1000.0)
+
+        def replay(spec):
+            return build_service(spec, pcap=path, batch_size=64,
+                                 report_interval=0.1).run()
+
+        preset, scalar = replay(spec), replay(spec.evolve(backend="ovs"))
+        assert preset.source["extractor"] == "columnar"
+        assert preset.packets == 3 * 512 and preset.snapshots
+        assert preset.final["state"]["vec_tss"]["scan"] > 0
+        assert not any(scalar.final["state"]["vec_tss"].values())
+        assert json.dumps(
+            _without_engine_census(preset.deterministic_view()),
+            sort_keys=True,
+        ) == json.dumps(
+            _without_engine_census(scalar.deterministic_view()),
+            sort_keys=True,
+        )
+
 
 class _StopAfter:
     """Source wrapper that raises a signal (or calls a hook) just
@@ -284,3 +321,29 @@ class TestBuildService:
         spec = SCENARIOS.get("k8s-serve")
         assert spec.profile == "kernel-noemc"
         assert spec.attack_start == 0.0
+
+
+class TestServeCliRejectsUnreadableCaptures:
+    """A capture that cannot be opened, or is not a pcap, is a one-line
+    error before anything is built — it used to be a traceback out of
+    the running service."""
+
+    def _serve(self, path):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "k8s-serve", "--pcap", str(path)])
+        return str(exit_info.value.code)
+
+    def test_missing_file(self, tmp_path):
+        message = self._serve(tmp_path / "absent.pcap")
+        assert message.startswith("serve 'k8s-serve': ")
+        assert "absent.pcap" in message
+
+    def test_not_a_pcap(self, tmp_path):
+        path = tmp_path / "hello.pcap"
+        path.write_text("hello, this is not a capture at all\n")
+        message = self._serve(path)
+        assert message.startswith("serve 'k8s-serve': ")
+        assert "unknown pcap magic 0x6c6c6568" in message
+
