@@ -178,9 +178,9 @@ def record_vec_tss(telemetry, paths: dict, **labels: str) -> None:
     family: cumulative lookup counts since the datapath was built,
     sampled (hence gauges), deterministic like every ``sim.*`` count.
     Of the fallback reasons, ``memo_invalidated`` is the one a write
-    causes (a too-small chunk behind a moved tuple-space generation:
-    the cost a memo that survived an upcall would remove) and
-    ``small_burst`` the one the caller's burst shape does."""
+    causes (a too-small chunk behind a write no live memo absorbed: a
+    removal, a re-sort, or an install with no pre-scan in front of it)
+    and ``small_burst`` the one the caller's burst shape does."""
     telemetry.gauge("vec.tss.scan_lookups", **labels).set(paths["scan"])
     telemetry.gauge("vec.tss.memo_lookups", **labels).set(paths["memo"])
     for reason in VEC_TSS_FALLBACK_REASONS:

@@ -359,8 +359,12 @@ class OvsSwitch:
             # while it stays empty (it only gains keys when a flush's
             # insert actually stores one)
             possible = flags[i] or (key in overlay if overlay else False)
-            if run and (
-                key in run_set or (possible and microflow.contains(key))
+            # add first, then compare sizes: one key hash where a
+            # membership test plus an add would pay two.  Adding early
+            # is harmless — only the flush follows, and it clears the set
+            run_set.add(key)
+            if len(run_set) == len(run) or (
+                run and possible and microflow.contains(key)
             ):
                 self._flush_run(run, run_set, batch, now, materialize)
                 served = self._serve_emc_hits(keys, i, now, batch,
@@ -373,7 +377,6 @@ class OvsSwitch:
             else:
                 certain_misses += 1
             run.append(key)
-            run_set.add(key)
             i += 1
         self.stats.packets += n - hits
         microflow.lookups += certain_misses

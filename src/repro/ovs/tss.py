@@ -254,10 +254,6 @@ class TupleSpaceSearch:
     accounting is identical; only the constant factor differs.
     """
 
-    #: the subtable class — subclasses override it to attach per-subtable
-    #: acceleration state (the vec engine's columnar mirrors)
-    subtable_cls: type[Subtable] = Subtable
-
     def __init__(
         self,
         space: FieldSpace,
@@ -356,7 +352,7 @@ class TupleSpaceSearch:
         # staged lookups never probe the packed mirror, so don't
         # maintain one (it would double per-entry memory for nothing)
         packed = self.key_mode == "packed" and not self.staged
-        subtable = self.subtable_cls(
+        subtable = Subtable(
             masks,
             self._next_seq,
             self._stage_plan,

@@ -34,9 +34,12 @@ except ImportError:  # pragma: no cover - the container ships numpy
 #: remembered answer) and the scalar reference scan, split by why the
 #: columnar path stood aside.  A chunk too small for the columnar scan
 #: is ``memo_invalidated`` when the tuple space's generation has moved
-#: since this tuple space last answered a lookup (the run drain
-#: re-probing behind an upcall's install) and ``small_burst`` when it
-#: has not (the caller's run really was small).  Defined here,
+#: since this tuple space last answered a lookup and no live memo
+#: absorbed the write — a removal or a re-sort retired it, or the write
+#: was an install into a tuple space no pre-scan had paid for
+#: (``mask-churn``'s first burst, 255 of its 2,048 lookups) — and
+#: ``small_burst`` when it has not (the caller's run really was
+#: small).  Defined here,
 #: NumPy-free, because the ``repro.obs`` encoder names them for every
 #: engine
 VEC_TSS_FALLBACK_REASONS = ("staged", "tuple", "small_burst",
@@ -51,7 +54,6 @@ __all__ = [
     "require_numpy",
     "LaneCodec",
     "VecEmcStore",
-    "VecSubtable",
     "VecSwitch",
     "VecTupleSpaceSearch",
 ]
@@ -79,7 +81,7 @@ def require_numpy(what: str = "the vec columnar engine"):
 def __getattr__(name: str):
     # lazy re-exports: importing repro.vec must stay numpy-free so
     # `repro scenario --list` works (and degrades gracefully) without it
-    if name in ("LaneCodec", "VecEmcStore", "VecSubtable", "VecSwitch",
+    if name in ("LaneCodec", "VecEmcStore", "VecSwitch",
                 "VecTupleSpaceSearch"):
         from repro.vec import engine
 

@@ -8,11 +8,11 @@ nothing here constructs a result or writes a counter the reference
 observes, which is what keeps the engine byte-for-byte identical to
 ``ovs``.
 
-* **Dense mirror** (:class:`VecSubtable`, ``_dense_mirror``) — every
-  megaflow entry, in scan order, becomes one *column* of a lane-major
-  ``uint64`` array (its subtable's mask, its masked key, a mixed
-  fingerprint of the key's lanes).  Subtables mark their rows dirty on
-  mutation; the mirror is rebuilt once on the next scan.
+* **Dense mirror** (``_dense_mirror``) — every megaflow entry, in scan
+  order, becomes one *column* of a lane-major ``uint64`` array (its
+  subtable's mask, its masked key, a mixed fingerprint of the key's
+  lanes).  Any write retires it; the next scan rebuilds it in one
+  batched encode of every entry and every mask.
 
 * **Fingerprint scan** (``_dense_scan``) — resolves a whole burst
   against the mirror in column blocks: one fingerprint compare per
@@ -28,9 +28,16 @@ observes, which is what keeps the engine byte-for-byte identical to
   scan is pure its answers can be kept: a burst's EMC-miss candidates
   are scanned once, up front, and the run drain's chunks (one or two
   keys each on a bursty feed) consume from the memo instead of each
-  paying a scalar scan of every subtable.  Memo and mirror are stamped
-  with the tuple space's ``generation``, advanced by every ``insert`` /
-  ``remove`` / ``clear`` and ranked ``resort``, so a stale answer can
+  paying a scalar scan of every subtable.  The memo survives the
+  burst's own upcalls: an ``insert`` never moves another subtable in
+  the scan order, so it is *absorbed* — the subtable it wrote is
+  recorded with its depth, and a memo answer is the shallowest of the
+  pre-scan's and a live probe of the recorded subtables at or above it
+  (at, not only above: an entry replaced under the pre-scan's own hit
+  must come back as the live object).  ``remove`` / ``clear`` / ranked
+  ``resort`` can move or delete what the pre-scan proved, so they
+  retire the memo; the mirror is retired by every write.  Both are
+  stamped with the tuple space's ``generation``, so a stale answer can
   never be consumed.
 
 * **Superset EMC probe** (:class:`VecEmcStore`) — a sorted fingerprint
@@ -80,44 +87,18 @@ def _first_match(packed: int, tables: list, lo: int, hi: int):
     return None
 
 
-class VecSubtable(Subtable):
-    """A subtable carrying a lazily-rebuilt columnar mirror.
-
-    ``vec_lanes`` holds every entry's masked key as one ``(n, lanes)``
-    ``uint64`` row, ``vec_entries`` the entry objects in that order and
-    ``vec_mask`` the packed mask as one lane row.  ``vec_dirty`` is
-    flipped by every mutation; the scan rebuilds on first use after.
-    The owning tuple space advances its generation on the same
-    mutations (they all arrive through it), which retires its dense
-    mirror and scan memo.
-    """
-
-    __slots__ = ("vec_lanes", "vec_entries", "vec_mask", "vec_dirty")
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.vec_lanes = None
-        self.vec_entries: list = []
-        self.vec_mask = None
-        self.vec_dirty = True
-
-    def insert(self, masked_values, entry) -> None:
-        super().insert(masked_values, entry)
-        self.vec_dirty = True
-
-    def remove(self, masked_values) -> None:
-        super().remove(masked_values)
-        self.vec_dirty = True
-
-    def vec_mirror(self, codec: LaneCodec):
-        """The (entry_lanes, entries, mask_row) mirror, rebuilt if stale."""
-        if self.vec_dirty or self.vec_lanes is None:
-            self.vec_lanes = codec.encode_ints(list(self.entries_packed))
-            self.vec_entries = list(self.entries_packed.values())
-            assert self.packed_mask is not None
-            self.vec_mask = codec.encode_int(self.packed_mask)
-            self.vec_dirty = False
-        return self.vec_lanes, self.vec_entries, self.vec_mask
+def _shallowest(packed: int, hit: tuple | None, written: dict):
+    """``hit`` — a scan's answer for ``packed`` that predates the writes
+    to ``written``'s subtables (subtable -> depth) — brought up to date:
+    the first match among it and a live probe of every written subtable
+    no deeper than it.  ``<=``: an insert may have *replaced* the entry
+    ``hit`` names, and the live object is the answer."""
+    for table, depth in written.items():
+        if hit is None or depth <= hit[2]:
+            entry = table.entries_packed.get(packed & table.packed_mask)
+            if entry is not None:
+                hit = (entry, table, depth)
+    return hit
 
 
 class DenseMirror(NamedTuple):
@@ -138,8 +119,6 @@ class DenseMirror(NamedTuple):
 
 class VecTupleSpaceSearch(TupleSpaceSearch):
     """Tuple space search with a NumPy-columnar burst lookup."""
-
-    subtable_cls = VecSubtable
 
     #: below this many keys the scalar scan wins on constant factors
     #: (also keeps ranked resort-capped stubs off the dense path);
@@ -180,15 +159,24 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
         #: advanced by everything that changes what a scan would answer
         #: — ``insert`` (a subtable only ever arrives with its first
         #: entry), ``remove``, ``clear``, ranked ``resort`` — so the
-        #: dense mirror and the scan memo are each valid exactly
-        #: while the generation they were built at is still current
+        #: dense mirror and the scan memo are each valid exactly while
+        #: their stamp is still current.  The mirror's never moves; the
+        #: memo's is carried forward by an ``insert`` it absorbs
         self.generation = 0
         self._dense_cache: DenseMirror | None = None
         self._dense_generation = -1
         #: packed key -> ``(entry, subtable, depth)`` or ``None`` (a
-        #: miss), as a pre-scan at ``_memo_generation`` answered it
+        #: miss), as the pre-scan — or, for a key it did not cover, a
+        #: later probe of the live tables — answered it
         self._memo: dict[int, tuple | None] | None = None
         self._memo_generation = -1
+        #: subtable -> depth for every subtable an absorbed ``insert``
+        #: wrote since the pre-scan: what a memo answer must re-probe
+        self._memo_written: dict[Subtable, int] = {}
+        #: subtable -> depth over the live scan order, built on the
+        #: first absorbed insert into a subtable that was already there
+        #: (most bursts install nothing, or only new masks)
+        self._memo_depths: dict[Subtable, int] | None = None
         #: the generation as of the last ``lookup_batch`` (``None``:
         #: none yet) — a small chunk that finds it moved is re-probing
         #: behind a write, not a caller's small burst
@@ -208,8 +196,34 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
     # -- generation tracking -------------------------------------------------
 
     def insert(self, masks, masked_values, entry):
+        """The inherited insert; a live memo absorbs it.  In either scan
+        order an insert appends a subtable at the end, adds an entry to
+        a subtable or replaces one — it never moves another subtable's
+        depth, so everything the pre-scan proved about the *other*
+        subtables still holds and only the written one needs a live
+        probe (:func:`_shallowest`).  A memo some earlier ``remove`` /
+        ``clear`` / ranked ``resort`` retired stays retired."""
+        known = len(self._subtables)
         subtable = super().insert(masks, masked_values, entry)
-        self.generation += 1
+        generation = self.generation
+        self.generation = generation + 1
+        if self._memo is None or self._memo_generation != generation:
+            return subtable
+        self._memo_generation = generation + 1
+        written = self._memo_written
+        if subtable not in written:
+            if len(self._subtables) > known:
+                depth = len(self._subtables)
+            else:
+                # a subtable created under this memo is in ``written``
+                # from its first entry, so one map serves the memo
+                if self._memo_depths is None:
+                    self._memo_depths = {
+                        table: depth for depth, table
+                        in enumerate(self.subtables(), start=1)
+                    }
+                depth = self._memo_depths[subtable]
+            written[subtable] = depth
         return subtable
 
     def remove(self, masks, masked_values) -> None:
@@ -250,30 +264,26 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
             return self._dense_cache
         self._dense_generation = self.generation
         self._dense_cache = None
-        if self.scan_order == "ranked":
-            tables = list(self._ranked_tables())
-        else:
-            tables = list(self._subtables.values())
-        n_cols = sum(len(table.entries_packed) for table in tables)
+        tables = self.subtables()
+        counts = [len(table.entries_packed) for table in tables]
+        n_cols = sum(counts)
         if n_cols > self.DENSE_MAX_ENTRIES * len(tables):
             return None
         codec = self.codec
         n_lanes = codec.lanes
-        mask_t = np.empty((n_lanes, n_cols), dtype=np.uint64)
-        ent_t = np.empty((n_lanes, n_cols), dtype=np.uint64)
-        entry_flat: list = []
-        sub_of: list[int] = []
-        col = 0
-        for s, table in enumerate(tables):
-            entry_lanes, entries, mask_row = table.vec_mirror(codec)
-            count = len(entries)
-            if not count:
-                continue
-            mask_t[:, col:col + count] = mask_row[:, None]
-            ent_t[:, col:col + count] = entry_lanes.T
-            entry_flat.extend(entries)
-            sub_of.extend([s] * count)
-            col += count
+        # one encode for the entries and one for the masks, whatever the
+        # table count; the transposes are copied lane-major so the scan
+        # reads each lane of a column block as one contiguous run
+        ent_t = np.ascontiguousarray(codec.encode_ints(
+            [packed for table in tables for packed in table.entries_packed]
+        ).T)
+        mask_t = np.ascontiguousarray(np.repeat(
+            codec.encode_ints([table.packed_mask for table in tables]),
+            counts, axis=0,
+        ).T)
+        entry_flat = [entry for table in tables
+                      for entry in table.entries_packed.values()]
+        sub_of = [s for s, count in enumerate(counts) for _ in range(count)]
         fold_lanes = [l for l in range(n_lanes) if mask_t[l].any()] or [0]
         mults = np.array(
             [pow(_FOLD_MULT, i, 1 << 64) for i in range(len(fold_lanes))],
@@ -386,15 +396,18 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
 
     def prescan(self, packed_keys: list[int]) -> None:
         """Scan ``packed_keys`` (distinct packed ints) once and remember
-        the answers: until the generation advances, :meth:`lookup_batch`
-        chunks made only of these keys are consumed from the memo —
-        same results, credits and counters — instead of re-scanned."""
+        the answers: until something other than an ``insert`` writes the
+        tuple space, :meth:`lookup_batch` chunks made only of these keys
+        are consumed from the memo — same results, credits and counters
+        — instead of re-scanned."""
         self._memo = None
         if not self.prescan_pays(len(packed_keys)):
             return
         found = self._dense_scan(self._dense_mirror(), packed_keys)
         self._memo = dict(zip(packed_keys, found))
         self._memo_generation = self.generation
+        self._memo_written = {}
+        self._memo_depths = None
 
     def drop_memo(self) -> None:
         """Forget the pre-scan (the burst it served is over)."""
@@ -404,20 +417,24 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
 
     def _lookup_memoised(self, memo: dict, keys: Sequence[FlowKey],
                          n_tables: int) -> list[TssLookupResult]:
-        """Consume ``keys`` from a memo of the current generation.  A
-        key the pre-scan did not cover (an EMC resident evicted
-        mid-burst) is answered by scalar probes — the small-burst path,
-        minus the chunk's covered keys — and joins the memo."""
+        """Consume ``keys`` from a live memo, each answer brought up to
+        date with the inserts absorbed since.  A key the pre-scan did
+        not cover (an EMC resident evicted mid-burst) is answered by
+        scalar probes of the live tables — the small-burst path, minus
+        the chunk's covered keys — and joins the memo."""
         probed = 0
+        written = self._memo_written
         try:
             answers = [memo[key.packed] for key in keys]
         except KeyError:
-            tables = self._dense_mirror().tables
+            # the live order, not the mirror's: an absorbed insert has
+            # retired the mirror, and this must not rebuild it per key
+            tables = self.subtables()
             answers = []
             for key in keys:
                 packed = key.packed
                 if packed in memo:
-                    hit = memo[packed]
+                    hit = _shallowest(packed, memo[packed], written)
                 else:
                     hit = memo[packed] = _first_match(
                         packed, tables, 0, n_tables
@@ -426,6 +443,10 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
                 answers.append(hit)
                 if hit is None:
                     break  # the prefix ends here: probe no further
+        else:
+            if written:
+                answers = [_shallowest(key.packed, hit, written)
+                           for key, hit in zip(keys, answers)]
         results = self._consume(answers, n_tables)
         self.path_lookups["small_burst"] += probed
         self.path_lookups["memo"] += len(results) - probed
@@ -450,12 +471,12 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
         if memo is not None:
             if self._memo_generation == generation:
                 return self._lookup_memoised(memo, keys, n_tables)
-            self._memo = None  # the tuple space changed under it
+            self._memo = None  # retired: not only inserts since
         if not n_tables or len(keys) < self.VEC_MIN_BATCH:
             # too small to amortise the NumPy overhead: a caller's small
-            # run, or the run drain re-probing key by key because a
-            # write (an upcall's install, mostly) has just retired or
-            # pre-empted the memo
+            # run, or the run drain re-probing key by key behind a write
+            # no live memo absorbed (a removal or re-sort retired it, or
+            # no pre-scan paid for this tuple space in the first place)
             moved = answered is not None and answered != generation
             path = "memo_invalidated" if moved else "small_burst"
             answers = self._scan(keys)
@@ -661,12 +682,7 @@ class VecSwitch(OvsSwitch):
         simply misses the memo and takes the chunk's own scan.  Pure:
         nothing the reference observes is touched."""
         tss = self.megaflow.tss
-        # a chunk window of one means the last TSS chunk ended in an
-        # upcall: the tuple space is being written (a cold covert lap,
-        # mask churn), the next lookup most likely misses too, and its
-        # install would retire the memo before anything consumed it.
-        # The first chunk that hits re-opens the window
-        if self._batch_window == 1 or not tss.prescan_pays(len(keys)):
+        if not tss.prescan_pays(len(keys)):
             return
         packed = [key.packed for key in keys]
         if flags is None:

@@ -168,7 +168,9 @@ class TestServeHonoursTheEngine:
         vec = {workers: self._run(workers) for workers in (0, 2)}
         for report in vec.values():
             census = report.final["state"]["vec_tss"]
-            assert census["scan"] > 0 and census["memo"] > 0
+            # the columnar paths together: with a pre-scan in front of
+            # every burst the memo may answer all of them
+            assert census["scan"] + census["memo"] > 0
             # every packet probes its shard's EMC, and the counters
             # cross the worker mailbox like the census
             assert report.final["state"]["emc"]["lookups"] == report.packets
@@ -211,7 +213,8 @@ class TestServeHonoursTheEngine:
         preset, scalar = replay(spec), replay(spec.evolve(backend="ovs"))
         assert preset.source["extractor"] == "columnar"
         assert preset.packets == 3 * 512 and preset.snapshots
-        assert preset.final["state"]["vec_tss"]["scan"] > 0
+        census = preset.final["state"]["vec_tss"]
+        assert census["scan"] + census["memo"] > 0
         assert not any(scalar.final["state"]["vec_tss"].values())
         assert json.dumps(
             _without_engine_census(preset.deterministic_view()),

@@ -76,7 +76,7 @@ def _build(cls, scan_order="insertion", resort_interval=0,
     switch.process_batch(COVERT[:INSTALLED], now=0.0, materialize=False)
     # a lap of megaflow hits (the installs' EMC slots dropped first, so
     # it reaches the TSS) re-opens the chunk window the installs left at
-    # one: the very next burst is eligible for a pre-scan
+    # one: the next burst's runs are drained in chunks, not key by key
     switch.microflow.flush()
     switch.process_batch(COVERT[:32], now=0.0, materialize=False)
     assert switch._batch_window > 1
@@ -198,7 +198,7 @@ class TestMemoServesBurstyTraffic:
         assert paths["small_burst"] == before["small_burst"]
         assert paths["scan"] == before["scan"]
 
-    def test_an_upcall_mid_burst_retires_the_memo(self):
+    def test_an_upcall_mid_burst_keeps_the_memo(self):
         ref, vec = _build(OvsSwitch), _build(VecSwitch)
         fresh = COVERT[INSTALLED]
         burst = (_onoff_burst(COVERT[40:60]) + [fresh]
@@ -208,12 +208,11 @@ class TestMemoServesBurstyTraffic:
         vec.process_batch(burst, now=1.0)
         _assert_same(ref, vec, "upcall mid-burst")
         paths = vec.megaflow.tss.path_lookups
-        # before the install: memo (the fresh key's miss included);
-        # after it: the chunks' own scalar scans — the first of them
-        # finds the generation moved, the rest an unchanged table
-        assert paths["memo"] - before["memo"] == 21
-        assert paths["memo_invalidated"] - before["memo_invalidated"] == 1
-        assert paths["small_burst"] - before["small_burst"] == 19
+        # the fresh key's miss and everything behind its install: the
+        # memo absorbs the new subtable and goes on answering
+        assert paths["memo"] - before["memo"] == 41
+        assert paths["memo_invalidated"] == before["memo_invalidated"]
+        assert paths["small_burst"] == before["small_burst"]
 
     def test_a_resident_evicted_mid_burst_is_probed_and_memoised(self):
         # a 2-slot EMC: every insert evicts, so keys resident as the
@@ -233,17 +232,28 @@ class TestMemoServesBurstyTraffic:
         assert paths["memo"] > before["memo"]
         assert sum(paths.values()) == vec.megaflow.tss.total_lookups
 
-    def test_a_write_heavy_tuple_space_skips_the_pre_scan(self):
-        # the chunk window is one right after an upcall: no pre-scan,
-        # so a run of installs (mask churn) pays nothing for a memo
-        vec = _build(VecSwitch)
-        vec.process_batch(COVERT[INSTALLED:INSTALLED + 16], now=1.0)
-        assert vec._batch_window == 1
-        before = dict(vec.megaflow.tss.path_lookups)
-        vec.process_batch(_onoff_burst(COVERT[40:60]), now=1.1)
+    def test_mask_churn_is_served_from_the_memo_after_the_first_burst(self):
+        # every key a miss, an upcall and one more mask: only the first
+        # burst — an empty tuple space, no pre-scan pays — re-probes
+        # behind its own installs
+        ref = OvsSwitch(space=OVS_FIELDS, name="memo-test")
+        vec = VecSwitch(space=OVS_FIELDS, name="memo-test")
+        for switch in (ref, vec):
+            switch.add_rules(RULES)
         paths = vec.megaflow.tss.path_lookups
-        assert paths["memo"] == before["memo"]
-        assert paths["small_burst"] > before["small_burst"]
+        for burst in range(3):
+            keys = COVERT[64 * burst:64 * (burst + 1)]
+            before = dict(paths)
+            ref.process_batch(keys, now=0.1 * burst, materialize=False)
+            vec.process_batch(keys, now=0.1 * burst, materialize=False)
+            _assert_same(ref, vec, ("churn burst", burst))
+            assert vec._batch_window == 1
+            if burst:
+                assert paths["memo"] - before["memo"] == 64
+                assert paths["memo_invalidated"] == before["memo_invalidated"]
+        assert vec.stats.upcalls == vec.mask_count == 192
+        assert paths["memo_invalidated"] == 63
+        assert paths["small_burst"] == 1
 
     def test_a_near_empty_tuple_space_never_pre_scans(self):
         vec = VecSwitch(space=OVS_FIELDS)
@@ -291,8 +301,10 @@ class TestMemoServesBurstyTraffic:
 
 
 class TestStaleMemoIsNeverConsumed:
-    """Mutate the tuple space behind a live memo, then look up: the
-    answer must come from a rescan or the scalar fallback."""
+    """Write the tuple space behind a live memo, then look up: after
+    anything but an insert the answer must come from a rescan or the
+    scalar fallback; an insert is absorbed and the memo still answers
+    as the reference does."""
 
     def _prescanned(self, **kwargs):
         ref, vec = _build(OvsSwitch, **kwargs), _build(VecSwitch, **kwargs)
@@ -316,14 +328,30 @@ class TestStaleMemoIsNeverConsumed:
 
     def test_live_memo_is_consumed(self):
         ref, vec, tss, keys = self._prescanned()
+        before = tss.path_lookups["memo"]
         tss.lookup_batch(keys)
-        assert tss.path_lookups["memo"] == len(keys)
+        assert tss.path_lookups["memo"] - before == len(keys)
 
-    def test_slow_path_install(self):
+    def test_slow_path_install_is_absorbed(self):
+        # the one write that does not retire the memo: the new subtable
+        # is probed live behind the pre-scan's answers
         ref, vec, tss, keys = self._prescanned()
         for switch in (ref, vec):
             switch.slow_path.handle(COVERT[INSTALLED + 1], now=2.0)
-        self._check(ref, vec, tss, keys)
+        keys = keys + [COVERT[INSTALLED + 1]]
+        before = dict(tss.path_lookups)
+        ref_results = ref.megaflow.tss.lookup_batch(keys)
+        vec_results = tss.lookup_batch(keys)
+        assert [(r.entry, r.tuples_scanned, r.hash_probes)
+                for r in vec_results] == \
+            [(r.entry, r.tuples_scanned, r.hash_probes) for r in ref_results]
+        assert vec_results[-1].tuples_scanned == INSTALLED + 1
+        _assert_same(ref, vec, "absorbed install")
+        # all but the last from the memo; the installed key itself was
+        # never pre-scanned, so it is probed (and found) scalar
+        assert tss.path_lookups["memo"] - before["memo"] == len(keys) - 1
+        assert tss.path_lookups["small_burst"] - before["small_burst"] == 1
+        assert tss._memo is not None
 
     def test_entry_removal(self):
         ref, vec, tss, keys = self._prescanned()
@@ -364,8 +392,9 @@ class TestStaleMemoIsNeverConsumed:
         generation = tss.generation
         vec.megaflow.resort_subtables()
         assert tss.generation == generation
+        before = tss.path_lookups["memo"]
         tss.lookup_batch(keys)
-        assert tss.path_lookups["memo"] == len(keys)
+        assert tss.path_lookups["memo"] - before == len(keys)
 
 
 class _MuteTss(VecTupleSpaceSearch if HAVE_NUMPY else object):
