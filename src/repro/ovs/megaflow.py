@@ -64,6 +64,30 @@ class MegaflowEntry:
         return f"MegaflowEntry({self.match!r} -> {self.action!r}, hits={self.hits})"
 
 
+def refresh_run(slots: "Sequence[MegaflowEntry | None]", start: int,
+                stop: int, now: float) -> int:
+    """:meth:`MegaflowEntry.refresh` over the longest live prefix of
+    ``slots[start:stop]``, in one pass: each entry touched and its
+    subtable credited, inline and in slot order, exactly as per-entry
+    ``refresh(now)`` calls would.  Stops at the first slot that is
+    ``None`` or no longer alive and returns how many it served — that
+    slot is the caller's (the :meth:`MicroflowCache.lookup_hits
+    <repro.ovs.microflow.MicroflowCache.lookup_hits>` hit-prefix idiom,
+    for the simulator's covert slots)."""
+    served = 0
+    for entry in slots[start:stop]:
+        if entry is None or not entry.alive:
+            break
+        entry.hits += 1
+        entry.last_used = now
+        subtable = entry.subtable
+        if subtable is not None:
+            subtable.hits += 1
+            subtable.rank_hits += 1
+        served += 1
+    return served
+
+
 class CacheFullError(RuntimeError):
     """Raised when an insert exceeds the datapath flow limit."""
 
@@ -94,6 +118,14 @@ class MegaflowCache:
         self.inserts = 0
         self.rejected_inserts = 0
         self.expired_total = 0
+        #: the idle floor: a lower bound on the oldest ``last_used``
+        #: among live entries (DESIGN.md §7, clock contract).  A full
+        #: :meth:`expire_idle` pass re-derives it; :meth:`insert`,
+        #: :meth:`lookup` and :meth:`lookup_batch` lower it when handed
+        #: an earlier ``now``; removals can only leave it too low, which
+        #: is safe.  While ``now - floor`` is inside the timeout no
+        #: entry can be due, and a sweep is O(1).
+        self._idle_floor = float("inf")
 
     # -- size --------------------------------------------------------------
 
@@ -111,6 +143,8 @@ class MegaflowCache:
 
     def lookup(self, key: FlowKey, now: float = 0.0) -> TssLookupResult:
         """TSS lookup; touches the entry on hit."""
+        if now < self._idle_floor:
+            self._idle_floor = now
         result = self.tss.lookup(key)
         if result.entry is not None:
             entry: MegaflowEntry = result.entry  # type: ignore[assignment]
@@ -124,6 +158,8 @@ class MegaflowCache:
         results for a prefix of ``keys`` — the leading hits plus the
         first miss — with every hit entry touched in key order, exactly
         as per-key :meth:`lookup` calls would."""
+        if now < self._idle_floor:
+            self._idle_floor = now
         results = self.tss.lookup_batch(keys)
         for result in results:
             if result.entry is not None:
@@ -152,6 +188,8 @@ class MegaflowCache:
             )
         if existing is not None:
             existing.alive = False
+        if now < self._idle_floor:
+            self._idle_floor = now
         entry = MegaflowEntry(
             match=match,
             action=action,
@@ -183,16 +221,28 @@ class MegaflowCache:
         """Evict entries idle for longer than the timeout; returns the
         eviction count.  This is what forces the attacker to keep the
         covert stream flowing (and why 1–2 Mbps suffices: refreshing
-        8192 flows within 10 s needs only ~820 pps)."""
+        8192 flows within 10 s needs only ~820 pps).
+
+        While the idle floor is inside the timeout nothing is visited:
+        every live ``last_used`` is at or above the floor and float
+        subtraction is monotone, so ``now - last_used <= now - floor``
+        holds in floats and no entry can test idle.  Otherwise one pass
+        evicts the idle and re-derives the floor from the survivors —
+        capped at ``now``, so that a later hit stamped with the switch
+        clock (which no sweep runs ahead of) is never below it."""
         timeout = self.idle_timeout
-        # one pass, test inline: a sweep visits every live entry and on
-        # an attacked table evicts none of them
-        idle: list[MegaflowEntry] = [
-            entry
-            for subtable in self.tss.iter_subtables()
-            for entry in subtable.entries.values()
-            if now - entry.last_used > timeout  # type: ignore[attr-defined]
-        ]
+        if now - self._idle_floor <= timeout:
+            return 0
+        idle: list[MegaflowEntry] = []
+        floor = now
+        for subtable in self.tss.iter_subtables():
+            for entry in subtable.entries.values():
+                last_used = entry.last_used  # type: ignore[attr-defined]
+                if now - last_used > timeout:
+                    idle.append(entry)  # type: ignore[arg-type]
+                elif last_used < floor:
+                    floor = last_used
+        self._idle_floor = floor
         for entry in idle:
             self.remove_entry(entry)
         self.expired_total += len(idle)

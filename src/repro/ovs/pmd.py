@@ -68,6 +68,7 @@ from repro.ovs.stats import SwitchStats
 from repro.ovs.switch import BatchResult, OvsSwitch, PacketResult
 from repro.ovs.upcall import InstallGuard
 from repro.util.cadence import advance_if_due
+from repro.util.floatsum import add_repeated
 
 _MASK64 = (1 << 64) - 1
 
@@ -378,11 +379,15 @@ class ShardedDatapath(RetaDispatcher):
             load_floor=rebalance_load_floor,
         )
 
-    def record_bucket_cycles(self, bucket: int, cycles: float) -> None:
+    def record_bucket_cycles(self, bucket: int, cycles: float,
+                             count: int = 1) -> None:
         """Charge externally-modelled cycles (the simulator's cost-model
         view of traffic it does not replay packet-by-packet) to one RETA
-        bucket's load window."""
-        self.bucket_cycles[bucket] += cycles
+        bucket's load window — ``count`` packets of ``cycles`` each,
+        leaving exactly what ``count`` single charges would."""
+        self.bucket_cycles[bucket] = add_repeated(
+            self.bucket_cycles[bucket], cycles, count
+        )
 
     # -- datapath ----------------------------------------------------------
 

@@ -24,8 +24,9 @@ which yields Fig. 3's cliff when the mask count jumps from a handful to
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from repro.flow.key import FlowKey
 from repro.obs import (
@@ -35,7 +36,7 @@ from repro.obs import (
     record_vec_tss,
     vec_tss_paths,
 )
-from repro.ovs.megaflow import MegaflowEntry
+from repro.ovs.megaflow import MegaflowEntry, refresh_run
 from repro.ovs.pmd import shard_views
 from repro.ovs.switch import BatchResult, LookupPath, OvsSwitch
 from repro.perf.burst import KeyBurst
@@ -46,6 +47,7 @@ if TYPE_CHECKING:
 from repro.perf.series import TimeSeries, Window
 from repro.perf.workload import AttackerWorkload, VictimWorkload
 from repro.util.cadence import advance_if_due
+from repro.util.floatsum import add_repeated
 from repro.util.rng import DeterministicRng
 
 #: revalidator sweeps per second (ovs-vswitchd sweeps roughly every 500 ms)
@@ -92,6 +94,25 @@ class SimulationResult:
     def final_mask_count(self) -> int:
         """Megaflow masks at the end of the run."""
         return int(self.series.last("masks"))
+
+
+class _CovertSlots(NamedTuple):
+    """The attacker ledger read by covert index instead of by
+    ``(shard, FlowKey)`` hash: ``slots[i]`` is the entry the ledger
+    holds for ``burst.keys[i]`` on the shard it steers to, or ``None``
+    until index ``i`` is first read.  Valid only for the three things
+    it was built against — compared on every tick, so the view is
+    dropped exactly when a ledger ``get`` could answer differently."""
+
+    #: the key list object (re-probes and fleet control replace it)
+    burst: KeyBurst
+    #: the ledger object (events and the rebalance prune replace it)
+    ledger: dict
+    #: a copy of the bucket→shard map (``None`` on one shard)
+    reta: list[int] | None
+    #: each key's shard under ``reta`` (``None`` on one shard: all 0)
+    shard_map: list[int] | None
+    slots: list[MegaflowEntry | None]
 
 
 class DataplaneSimulator:
@@ -183,7 +204,12 @@ class DataplaneSimulator:
         # invalidated by identity when ``covert_keys`` is reassigned
         # (re-probes and fleet control replace the list wholesale)
         self._covert_burst_cache: KeyBurst | None = None
+        # the ledger of installed covert flows — what the EMC
+        # competition model counts and the rebalance prune filters.
+        # Only ever *replaced* when it loses entries, never cleared in
+        # place: the slot view below is valid per ledger object
         self._attacker_entries: dict[tuple[int, FlowKey], MegaflowEntry] = {}
+        self._covert_slot_view: _CovertSlots | None = None
         self._victim_entries: dict[FlowKey, MegaflowEntry] = {}
         # the per-PMD shard views: a sharded datapath exposes its shards
         # (each with its own mask set, caches and clocks); an unsharded
@@ -192,9 +218,6 @@ class DataplaneSimulator:
         # and victim capacity is evaluated per shard — with one shard
         # both reduce exactly to the single-datapath arithmetic.
         self._shards: list = shard_views(switch)
-        self._shard_of: Callable[[FlowKey], int] = getattr(
-            switch, "shard_of", lambda _key: 0
-        )
         # RETA-aware plumbing: the datapath when it dispatches through
         # an indirection table, and the victim's per-bucket load weights
         # (None = uniform; only skewed workloads need the Zipf profile)
@@ -232,9 +255,7 @@ class DataplaneSimulator:
                     "sim.victim.throughput_bps", node=node
                 ),
             }
-            self._last_upcalls = switch.stats.upcalls if getattr(
-                switch, "stats", None
-            ) is not None else 0
+            self._last_upcalls = self._slow_path_upcalls()
         self._bucket_weights: list[float] | None = None
         if self._reta_dp is not None and victim.skew > 0:
             # workload_seed is the raw scenario seed (never a forked
@@ -283,7 +304,8 @@ class DataplaneSimulator:
             if t0 <= when < t1:
                 action(self.switch)
                 # a slow-path change flushes caches; cached refs are stale
-                self._attacker_entries.clear()
+                # (a new ledger object, which also drops the slot view)
+                self._attacker_entries = {}
                 self._victim_entries.clear()
 
     def _covert_burst(self) -> KeyBurst:
@@ -294,6 +316,30 @@ class DataplaneSimulator:
             burst = KeyBurst(self.covert_keys)
             self._covert_burst_cache = burst
         return burst
+
+    def _covert_slots(self, burst: KeyBurst, multi: bool) -> _CovertSlots:
+        """The slot view over ``burst`` under the current RETA and
+        ledger — rebuilt, every slot unread, only when one of the three
+        is no longer the one it was built against."""
+        reta = self._reta_dp.reta if multi else None
+        view = self._covert_slot_view
+        if (
+            view is None
+            or view.burst is not burst
+            or view.ledger is not self._attacker_entries
+            or view.reta != reta
+        ):
+            shard_map = None
+            if multi:
+                shard_map = [
+                    reta[bucket] for bucket in burst.buckets(self._reta_dp)
+                ]
+                reta = list(reta)
+            view = self._covert_slot_view = _CovertSlots(
+                burst, self._attacker_entries, reta, shard_map,
+                [None] * len(burst),
+            )
+        return view
 
     def _refresh_victim_flows(self, now: float) -> None:
         """Keep the representative victim flows installed and hot (the
@@ -388,65 +434,90 @@ class DataplaneSimulator:
         reta_dp = self._reta_dp
         multi = reta_dp is not None and len(self._shards) > 1
         charge_buckets = multi and reta_dp.rebalancer.enabled
-        # per-tick hoists around the per-packet loop: the burst caches
-        # every key's RSS bucket (hash of the packed key, RETA-
-        # independent), and nothing inside the loop can remap the RETA
-        # (rebalances only fire from ``process_batch``/``advance_clock``),
-        # so the bucket→shard map is resolved once.  The per-packet
-        # cost/refresh/accumulate order is kept exactly as before —
-        # float accumulation and counter order stay bit-identical.
+        # the tick is served in runs, not packets.  The ledger is read
+        # through the slot view (by covert index: no ``(shard, key)``
+        # tuple, no ``FlowKey.__hash__``), and each maximal run of live
+        # slots is refreshed by one ``refresh_run`` and charged as
+        # ``(count, cost)`` per shard — per RETA bucket when the
+        # rebalancer is listening.  Nothing inside a run can remap the
+        # RETA or change a mask count (rebalances only fire from
+        # ``process_batch``/``advance_clock``, masks only move on
+        # upcalls), so within it a shard's hit cost is one number:
+        # memoised per shard, dropped after every ``handle_miss``, fixed
+        # for the tick under ranking.  Every accumulator still receives
+        # the same adds in the same order — ``add_repeated`` returns
+        # exactly what ``count`` sequential ``+=`` would — so float
+        # accumulation and counter order stay bit-identical.  A slot
+        # that reads ``None`` or dead asks the ledger before it takes
+        # the slow path: a duplicated covert key, or an entry replaced
+        # through another index, is found there as it always was.
         keys = burst.keys
         shards = self._shards
         switch = self.switch
         cost_model = self.cost_model
         entries = self._attacker_entries
         cursor = self._covert_cursor
+        view = self._covert_slots(burst, multi)
+        slots = view.slots
+        shard_map = view.shard_map
         if multi:
             buckets = burst.buckets(reta_dp)
             reta = reta_dp.reta
-            shard_map = [reta[bucket] for bucket in buckets]
-        # the expected hit cost is a pure function of a shard's mask
-        # count, and within this loop mask counts only move on upcalls:
-        # memoised per shard and dropped after every ``handle_miss``, so
-        # laps of hits over an unchanged tuple space pay one mask-count
-        # read and one cost-model call, not one of each per packet
-        hit_costs: list[float | None] = [None] * len(shards)
-        for _ in range(due):
+        hit_costs: list[float | None] = (
+            ranked_hit_costs if ranked else [None] * len(shards)
+        )
+        remaining = due
+        while remaining:
             index = cursor % n_keys
-            cursor += 1
-            key = keys[index]
-            if multi:
-                bucket = buckets[index]
-                shard = shard_map[index]
-            else:
-                bucket = 0
-                shard = self._shard_of(key)
-            view = shards[shard]
-            entry = entries.get((shard, key))
-            if entry is not None and entry.alive:
-                entry.refresh(t1)
-                if ranked:
-                    cost = ranked_hit_costs[shard]
-                else:
-                    cost = hit_costs[shard]
-                    if cost is None:
-                        cost = hit_costs[shard] = (
-                            cost_model.expected_megaflow_hit_cost(
-                                view.mask_count
-                            )
-                        )
-            else:
+            entry = slots[index]
+            if entry is None or not entry.alive:
+                key = keys[index]
+                shard = shard_map[index] if multi else 0
+                entry = entries.get((shard, key))
+                if entry is not None and entry.alive:
+                    slots[index] = entry  # a run starts here next turn
+                    continue
                 installed = switch.handle_miss(key, now=mid)
-                hit_costs = [None] * len(shards)
+                if not ranked:
+                    hit_costs = [None] * len(shards)
                 if installed is not None:
-                    entries[(shard, key)] = installed
+                    entries[(shard, key)] = slots[index] = installed
+                shard_view = shards[shard]
                 cost = cost_model.miss_cost(
-                    view.mask_count,
-                    rules_examined=view.rule_count,
+                    shard_view.mask_count,
+                    rules_examined=shard_view.rule_count,
                 )
-            cycles_by_shard[shard] += cost
-            if charge_buckets:
-                reta_dp.record_bucket_cycles(bucket, cost)
+                cycles_by_shard[shard] += cost
+                if charge_buckets:
+                    reta_dp.record_bucket_cycles(buckets[index], cost)
+                cursor += 1
+                remaining -= 1
+                continue
+            served = refresh_run(
+                slots, index, min(n_keys, index + remaining), t1
+            )
+            cursor += served
+            remaining -= served
+            if not multi:
+                groups = ((0, served),)
+            elif charge_buckets:
+                groups = Counter(buckets[index:index + served]).items()
+            else:
+                groups = Counter(shard_map[index:index + served]).items()
+            for group, count in groups:
+                shard = reta[group] if charge_buckets else group
+                cost = hit_costs[shard]
+                if cost is None:
+                    cost = hit_costs[shard] = (
+                        cost_model.expected_megaflow_hit_cost(
+                            shards[shard].mask_count
+                        )
+                    )
+                cycles_by_shard[shard] = add_repeated(
+                    cycles_by_shard[shard], cost, count
+                )
+                if charge_buckets:
+                    reta_dp.record_bucket_cycles(group, cost, count)
         self._covert_cursor = cursor
         return due, cycles_by_shard
 
@@ -829,16 +900,26 @@ class DataplaneSimulator:
                                node=node, shard=sid)
             charged += attacker + reval + served
         inst["charged"].inc(charged)
-        stats = getattr(self.switch, "stats", None)
-        if stats is not None:
-            upcalls = stats.upcalls
-            delta = upcalls - self._last_upcalls
-            if delta > 0:
-                tele.trace.record(
-                    "ovs.upcall.burst", t_next, node=node, upcalls=delta,
-                    masks=self.switch.mask_count,
-                )
-            self._last_upcalls = upcalls
+        upcalls = self._slow_path_upcalls()
+        delta = upcalls - self._last_upcalls
+        if delta > 0:
+            tele.trace.record(
+                "ovs.upcall.burst", t_next, node=node, upcalls=delta,
+                masks=self.switch.mask_count,
+            )
+        self._last_upcalls = upcalls
+
+    def _slow_path_upcalls(self) -> int:
+        """Upcalls handled so far, summed over shards and read from the
+        slow path's own counter: the model replay's installs go to it
+        directly (``handle_miss``), so ``stats.upcalls`` — ticked by
+        the fast path when *it* misses — never sees them.  A shard
+        whose slow path is out of reach (a worker handle, the cacheless
+        backend) answers with its ``stats``."""
+        return sum(
+            getattr(view, "slow_path", view.stats).upcalls
+            for view in self._shards
+        )
 
     def result(self) -> SimulationResult:
         """Wrap the (possibly step-driven) series in the result type."""

@@ -2,8 +2,10 @@
 timed.
 
 An install costs O(1) in the size of the table it lands in, a sweep
-O(entries) and a burst of EMC hits O(burst) whatever the cache's size
-— see DESIGN.md's complexity contract.  The cost measure is
+O(1) while the idle floor is inside the timeout and O(entries) when it
+is not, a burst of EMC hits O(burst) whatever the cache's size and an
+all-hit model-replay tick no key hash at all — see DESIGN.md's
+complexity contract.  The cost measure is
 the interpreter's own call count (Python and builtin calls alike, via
 ``cProfile``), a pure function of the code path: no wall clock, nothing
 to flake.  Growing the work 4x may grow the calls at most 4.5x; the
@@ -25,6 +27,9 @@ from repro.cms.kubernetes import KubernetesCms
 from repro.flow.fields import OVS_FIELDS
 from repro.net.addresses import ip_to_int
 from repro.ovs.switch import OvsSwitch
+from repro.perf.costmodel import CostModel
+from repro.perf.simulator import DataplaneSimulator
+from repro.perf.workload import AttackerWorkload, VictimWorkload
 from repro.vec import HAVE_NUMPY
 
 TARGET = PolicyTarget(pod_ip=ip_to_int("10.0.9.10"), output_port=42,
@@ -68,12 +73,62 @@ def test_a_sweep_is_linear_in_live_entries():
     small, large = _switch(), _switch()
     _install(small, N)
     _install(large, 4 * N)
-    # well inside the idle timeout: everything is visited, nothing evicted
-    calls_n = _calls(lambda: small.revalidator.sweep(now=1.0))
-    calls_4n = _calls(lambda: large.revalidator.sweep(now=1.0))
+    # installed at 0.0 and refreshed since: the floor is outside the
+    # timeout, so everything is visited, and nothing is evicted
+    for switch in (small, large):
+        for entry in switch.megaflow.entries():
+            entry.refresh(8.0)
+    calls_n = _calls(lambda: small.revalidator.sweep(now=10.5))
+    calls_4n = _calls(lambda: large.revalidator.sweep(now=10.5))
     assert large.revalidator.evicted_total == 0
     assert large.megaflow_count == 4 * N
-    assert calls_4n <= MAX_GROWTH * calls_n, (calls_n, calls_4n)
+    assert calls_n < calls_4n <= MAX_GROWTH * calls_n, (calls_n, calls_4n)
+
+
+def test_a_sweep_inside_the_idle_floor_iterates_no_subtable():
+    small, large = _switch(), _switch()
+    _install(small, N)
+    _install(large, 4 * N)
+    # nothing can be due 1 s after the oldest install: the sweep is
+    # counted and returns, whatever the table holds
+    calls_n = _calls(lambda: small.revalidator.sweep(now=1.0))
+    calls_4n = _calls(lambda: large.revalidator.sweep(now=1.0))
+    assert (small.revalidator.sweeps, large.revalidator.sweeps) == (1, 1)
+    assert calls_n == calls_4n < N, (calls_n, calls_4n)
+
+
+def _python_calls(work, name: str, filename: str) -> int:
+    """Calls to one Python function while ``work`` runs."""
+    profile = cProfile.Profile()
+    profile.enable()
+    work()
+    profile.disable()
+    return sum(
+        calls for (file, _line, func), (_cc, calls, *_rest)
+        in pstats.Stats(profile).stats.items()
+        if func == name and file.endswith(filename)
+    )
+
+
+def test_an_all_hit_model_replay_tick_hashes_no_flow_key():
+    switch = _switch()
+    simulator = DataplaneSimulator(
+        switch=switch,
+        cost_model=CostModel(),
+        victim=VictimWorkload(offered_bps=1e9),
+        # 1000-bit frames: 150 covert packets a tick, 1.5 laps
+        attacker=AttackerWorkload(rate_bps=150e3, frame_bytes=125,
+                                  start_time=0.0),
+        covert_keys=COVERT[:N],
+    )
+    simulator.start()
+    simulator.step()  # the ramp: N installs, hashed into the ledger
+    assert switch.megaflow_count == N
+    upcalls = switch.slow_path.upcalls
+    hashes = _python_calls(simulator.step, "__hash__", "flow/key.py")
+    assert switch.slow_path.upcalls == upcalls  # all hits
+    assert sum(e.hits for e in switch.megaflow.entries()) == 150 + 50
+    assert hashes == 0
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")

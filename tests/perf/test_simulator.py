@@ -152,3 +152,31 @@ class TestEvents:
         sim.events.sort(key=lambda e: e[0])
         sim.run()
         assert flushed  # the event ran
+
+
+class TestUpcallBurstEvents:
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_a_model_replay_ramp_shows_its_installs(self, shards):
+        """The model replay installs through ``handle_miss``, which the
+        fast path's ``stats.upcalls`` never sees: the burst events diff
+        the slow path's own counter, so they add up to every upcall of
+        the run — the attack's 512 installs, not only the victim's."""
+        from repro.obs import Telemetry
+        from repro.ovs.pmd import shard_views
+        from repro.scenario.presets import SCENARIOS
+        from repro.scenario.session import Session
+
+        telemetry = Telemetry()
+        result = Session(
+            SCENARIOS.get("k8s").evolve(
+                duration=20.0, attack_start=5.0, shards=shards
+            ),
+            telemetry=telemetry,
+        ).run()
+        bursts = [event.args["upcalls"] for event in telemetry.trace.events()
+                  if event.name == "ovs.upcall.burst"]
+        handled = sum(shard.slow_path.upcalls
+                      for shard in shard_views(result.datapath))
+        assert sum(bursts) == handled > 512
+        assert handled > result.datapath.stats.upcalls
+        assert max(bursts) > 100  # the ramp is visible as a burst

@@ -243,7 +243,11 @@ def _check_batches(path, space, batch_size):
 
 
 def _property(max_examples):
+    # derandomized: the tests below assert floors on what the corpus
+    # covered (frame totals, branch shares), which a random draw only
+    # usually meets — a fixed draw meets them or fails every time
     return settings(max_examples=max_examples, deadline=None, database=None,
+                    derandomize=True,
                     suppress_health_check=list(HealthCheck))
 
 

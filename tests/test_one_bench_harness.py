@@ -59,3 +59,15 @@ def test_every_bench_script_is_an_indexed_pytest_artefact():
         if problems:
             offenders[script.name] = problems
     assert not offenders, offenders
+
+
+def test_every_bench_script_cited_under_src_exists():
+    cited = {}
+    for source in sorted((REPO / "src").rglob("*.py")):
+        for path in re.findall(r"benchmarks/bench_\w+\.py",
+                               source.read_text(encoding="utf-8")):
+            cited.setdefault(path, source.relative_to(REPO))
+    assert cited  # tss.py and defense/__init__.py point at artefacts
+    missing = {path: str(where) for path, where in cited.items()
+               if not (REPO / path).is_file()}
+    assert not missing, missing
