@@ -49,23 +49,41 @@ def covert_keys_for_dimensions(
     ``pinned`` supplies every non-attacked field (eth_type, ip_dst,
     ip_proto, and the allow values of attacked fields are taken from
     the dimensions themselves).
+
+    Every value is validated once — the pinned fields as one key, each
+    dimension's flipped values per prefix length — and the product is
+    built from trusted tuples, each key with its packed form (the
+    pinned fields' packed int with the flipped values ORed in).
     """
     if not dimensions:
         raise ValueError("need at least one attack dimension")
     names = [dim.field for dim in dimensions]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate attack dimensions: {names}")
-    base = dict(pinned)
-    for dim in dimensions:
-        base.setdefault(dim.field, dim.allow_value)
+    base = FlowKey(space, {
+        name: value for name, value in pinned.items() if name not in names
+    })
+    template = list(base.values)
+    indices = [space.index_of(name) for name in names]
+    choices = []
+    for dim, index in zip(dimensions, indices):
+        offset = space.offsets[index]
+        flipped = [
+            space.specs[index].check(
+                bit_flip(dim.allow_value, prefix_len - 1, dim.width)
+            )
+            for prefix_len in range(1, dim.prefix_len + 1)
+        ]
+        choices.append([(value, value << offset) for value in flipped])
 
     keys: list[FlowKey] = []
-    ranges = [range(1, dim.prefix_len + 1) for dim in dimensions]
-    for combo in product(*ranges):
-        values = dict(base)
-        for dim, prefix_len in zip(dimensions, combo):
-            values[dim.field] = bit_flip(dim.allow_value, prefix_len - 1, dim.width)
-        keys.append(FlowKey(space, values))
+    base_packed = base.packed
+    for combo in product(*choices):
+        packed = base_packed
+        for index, (value, shifted) in zip(indices, combo):
+            template[index] = value
+            packed |= shifted
+        keys.append(FlowKey.from_tuple(space, tuple(template), packed))
     return keys
 
 

@@ -36,8 +36,40 @@ class CachelessResult:
     groups_probed: int
 
 
+#: per mask signature, masked key -> the best rule with that key
+Groups = list[tuple[tuple[int, ...], dict[tuple[int, ...], FlowRule]]]
+
+
+def compile_groups(table: FlowTable) -> tuple[Groups, list[FlowRule]]:
+    """Group ``table``'s rules by mask signature (the ESwitch
+    specialisation); rules constraining no field come back apart, in
+    lookup order.
+
+    Within a group, only the *best* rule per masked key is kept
+    (highest priority, earliest insertion) — collisions inside a group
+    have identical match regions.
+    """
+    groups: dict[tuple[int, ...], dict[tuple[int, ...], FlowRule]] = {}
+    wildcard_rules: list[FlowRule] = []
+    for rule in table:
+        if rule.match.is_wildcard():
+            wildcard_rules.append(rule)
+            continue
+        signature = rule.match.mask_signature()
+        bucket = groups.setdefault(signature, {})
+        existing = bucket.get(rule.match.values)
+        if existing is None or rule.sort_key() < existing.sort_key():
+            bucket[rule.match.values] = rule
+    return list(groups.items()), wildcard_rules
+
+
 class CachelessSwitch:
-    """A switch that classifies every packet against a compiled table."""
+    """A switch that classifies every packet against a compiled table.
+
+    The groups are compiled lazily, once per :attr:`FlowTable.version`
+    of :attr:`table`, so a rule added to or removed from the table by
+    any path is seen by the next packet.
+    """
 
     def __init__(self, space: FieldSpace, name: str = "eswitch",
                  miss_action: Action | None = None) -> None:
@@ -45,9 +77,6 @@ class CachelessSwitch:
         self.name = name
         self.table = FlowTable(space, name=f"{name}-rules")
         self.miss_action = miss_action or Drop()
-        self._groups: list[tuple[tuple[int, ...], dict[tuple[int, ...], FlowRule]]] = []
-        self._wildcard_rules: list[FlowRule] = []
-        self._compiled = False
         self.packets = 0
         self.total_groups_probed = 0
 
@@ -55,43 +84,17 @@ class CachelessSwitch:
 
     def add_rule(self, rule: FlowRule) -> FlowRule:
         """Install a rule; recompilation is lazy."""
-        added = self.table.add(rule)
-        self._compiled = False
-        return added
+        return self.table.add(rule)
 
     def add_rules(self, rules: list[FlowRule]) -> None:
         """Install several rules."""
-        for rule in rules:
-            self.table.add(rule)
-        self._compiled = False
-
-    def compile(self) -> None:
-        """Group rules by mask signature (the ESwitch specialisation).
-
-        Within a group, only the *best* rule per masked key is kept
-        (highest priority, earliest insertion) — collisions inside a
-        group have identical match regions.
-        """
-        groups: dict[tuple[int, ...], dict[tuple[int, ...], FlowRule]] = {}
-        self._wildcard_rules = []
-        for rule in self.table:
-            if rule.match.is_wildcard():
-                self._wildcard_rules.append(rule)
-                continue
-            signature = rule.match.mask_signature()
-            bucket = groups.setdefault(signature, {})
-            existing = bucket.get(rule.match.values)
-            if existing is None or rule.sort_key() < existing.sort_key():
-                bucket[rule.match.values] = rule
-        self._groups = list(groups.items())
-        self._compiled = True
+        self.table.add_all(rules)
 
     @property
     def group_count(self) -> int:
         """Static tuple groups — the per-packet scan bound."""
-        if not self._compiled:
-            self.compile()
-        return len(self._groups) + (1 if self._wildcard_rules else 0)
+        groups, wildcard_rules = self.table.compiled(compile_groups)
+        return len(groups) + (1 if wildcard_rules else 0)
 
     # -- datapath --------------------------------------------------------------
 
@@ -99,21 +102,20 @@ class CachelessSwitch:
         """Classify one packet; probes every group and picks the winner
         (groups cannot be ordered by priority in general because
         priorities interleave across groups)."""
-        if not self._compiled:
-            self.compile()
+        groups, wildcard_rules = self.table.compiled(compile_groups)
         self.packets += 1
         best: FlowRule | None = None
         probed = 0
-        for masks, bucket in self._groups:
+        for masks, bucket in groups:
             probed += 1
             masked = tuple(v & m for v, m in zip(key.values, masks))
             rule = bucket.get(masked)
             if rule is not None and (best is None or rule.sort_key() < best.sort_key()):
                 best = rule
-        for rule in self._wildcard_rules:
+        for rule in wildcard_rules:
             if best is None or rule.sort_key() < best.sort_key():
                 best = rule
-        if self._wildcard_rules:
+        if wildcard_rules:
             probed += 1
         self.total_groups_probed += probed
         if best is None:

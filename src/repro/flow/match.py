@@ -9,6 +9,7 @@ the paper's Fig. 2b.
 
 from __future__ import annotations
 
+from operator import and_
 from typing import Iterator, Mapping
 
 from repro.flow.fields import FieldSpace, FieldSpec
@@ -23,9 +24,13 @@ class FlowMatch:
     ``values`` and ``masks`` are tuples aligned with the space's field
     order.  A zero mask wildcards the field entirely; ``values`` are
     always stored pre-masked so equality and hashing are canonical.
+
+    Like :class:`~repro.flow.key.FlowKey`, a match lazily caches its
+    :attr:`packed` form, which the TSS packed-key path stores as the
+    subtable mask and the entry's hash key.
     """
 
-    __slots__ = ("space", "values", "masks")
+    __slots__ = ("space", "values", "masks", "_packed")
 
     def __init__(
         self,
@@ -45,6 +50,7 @@ class FlowMatch:
                 masks[index] = mask
         self.values: tuple[int, ...] = tuple(values)
         self.masks: tuple[int, ...] = tuple(masks)
+        self._packed: tuple[int, int] | None = None
 
     @classmethod
     def from_tuples(
@@ -52,14 +58,18 @@ class FlowMatch:
         space: FieldSpace,
         values: tuple[int, ...],
         masks: tuple[int, ...],
+        packed: tuple[int, int] | None = None,
     ) -> "FlowMatch":
-        """Build directly from aligned tuples (values are re-masked)."""
+        """Build directly from aligned tuples (values are masked here);
+        ``packed``, when the caller already holds it, must equal
+        ``(space.pack(masks), space.pack(masked values))``."""
         if len(values) != len(space) or len(masks) != len(space):
             raise ValueError("tuple lengths must equal the field count")
         match = cls.__new__(cls)
         match.space = space
         match.masks = tuple(masks)
-        match.values = tuple(v & m for v, m in zip(values, masks))
+        match.values = tuple(map(and_, values, masks))
+        match._packed = packed
         return match
 
     @classmethod
@@ -72,6 +82,16 @@ class FlowMatch:
         """An exact match on every field of a key (a microflow entry)."""
         masks = tuple(spec.max_value for spec in space.specs)
         return cls.from_tuples(space, key.values, masks)
+
+    @property
+    def packed(self) -> tuple[int, int]:
+        """``(packed mask, packed masked value)`` in the space's packed
+        layout (computed once, cached)."""
+        packed = self._packed
+        if packed is None:
+            pack = self.space.pack
+            packed = self._packed = (pack(self.masks), pack(self.values))
+        return packed
 
     # -- predicates --------------------------------------------------------
 

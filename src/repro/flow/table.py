@@ -8,15 +8,24 @@ order first; insertion sequence breaks ties.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Callable, Iterator, TypeVar
 
 from repro.flow.fields import FieldSpace
 from repro.flow.key import FlowKey
 from repro.flow.rule import FlowRule
 
+View = TypeVar("View")
+
 
 class FlowTable:
-    """An ordered, overlap-permitting wildcard rule table."""
+    """An ordered, overlap-permitting wildcard rule table.
+
+    The table is the only writer of its rules once they are added:
+    every change to the rule set goes through :meth:`add`,
+    :meth:`remove`, :meth:`remove_if` or :meth:`clear`, and each bumps
+    :attr:`version`.  That is the one invalidation rule of every view
+    compiled from the rules (:meth:`compiled`).
+    """
 
     def __init__(self, space: FieldSpace, name: str = "table0") -> None:
         self.space = space
@@ -24,6 +33,10 @@ class FlowTable:
         self._rules: list[FlowRule] = []
         self._next_seq = 0
         self._sorted = True
+        #: advanced by every change to the rule set
+        self.version = 0
+        #: compile function -> (version it was built at, view)
+        self._views: dict[Callable, tuple[int, object]] = {}
 
     # -- mutation ----------------------------------------------------------
 
@@ -38,6 +51,7 @@ class FlowTable:
         self._next_seq += 1
         self._rules.append(rule)
         self._sorted = False
+        self.version += 1
         return rule
 
     def add_all(self, rules: list[FlowRule]) -> None:
@@ -50,6 +64,7 @@ class FlowTable:
         for i, existing in enumerate(self._rules):
             if existing is rule:
                 del self._rules[i]
+                self.version += 1
                 return
         raise KeyError("rule not present in table")
 
@@ -58,11 +73,14 @@ class FlowTable:
         kept = [rule for rule in self._rules if not predicate(rule)]
         removed = len(self._rules) - len(kept)
         self._rules = kept
+        if removed:
+            self.version += 1
         return removed
 
     def clear(self) -> None:
         """Drop all rules (sequence numbers keep increasing)."""
         self._rules.clear()
+        self.version += 1
 
     # -- lookup ------------------------------------------------------------
 
@@ -96,6 +114,20 @@ class FlowTable:
             if rule.match.matches(key):
                 return rule, examined
         return None, examined
+
+    def compiled(self, compile: Callable[["FlowTable"], View]) -> View:
+        """``compile(self)``, built at most once per :attr:`version`.
+
+        ``compile`` must be a module-level function (it keys the cache)
+        that reads the rules and returns a view of them, such as the
+        slow path's rule plan or the cache-less backend's hash groups.
+        """
+        cached = self._views.get(compile)
+        if cached is not None and cached[0] == self.version:
+            return cached[1]  # type: ignore[return-value]
+        view = compile(self)
+        self._views[compile] = (self.version, view)
+        return view
 
     # -- introspection -----------------------------------------------------
 

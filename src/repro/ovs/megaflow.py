@@ -176,8 +176,10 @@ class MegaflowCache:
     ) -> MegaflowEntry:
         """Install a megaflow; raises :class:`CacheFullError` beyond the
         flow limit.  Re-inserting an identical (mask, key) replaces the
-        old entry, as a datapath flow mod would."""
-        masks = match.mask_signature()
+        old entry, as a datapath flow mod would.  The subtable is looked
+        up once; the packed mirror takes the match's :attr:`packed
+        <repro.flow.match.FlowMatch.packed>` form."""
+        masks = match.masks
         masked_values = match.values
         found = self.tss.find_subtable(masks)
         existing = found.entries.get(masked_values) if found is not None else None
@@ -197,7 +199,8 @@ class MegaflowCache:
             last_used=now,
             tenant=tenant,
         )
-        entry.subtable = self.tss.insert(masks, masked_values, entry)
+        entry.subtable = self.tss.insert_at(found, masks, masked_values,
+                                            entry, match.packed)
         self.inserts += 1
         return entry
 

@@ -116,6 +116,7 @@ class Subtable:
         created_seq: int,
         stage_plan: tuple[tuple[int, ...], ...] | None = None,
         space: FieldSpace | None = None,
+        packed_mask: int | None = None,
     ) -> None:
         self.masks = masks
         self.entries: dict[tuple[int, ...], object] = {}
@@ -127,8 +128,13 @@ class Subtable:
         self.dead = False
         self._space = space
         # packed fast path: one precomputed mask int plus an int-keyed
-        # mirror of `entries`, only maintained when a space is given
-        self.packed_mask: int | None = space.pack(masks) if space else None
+        # mirror of `entries`, only maintained when a space is given;
+        # `packed_mask`, when the caller holds it, is space.pack(masks)
+        if space is None:
+            packed_mask = None
+        elif packed_mask is None:
+            packed_mask = space.pack(masks)
+        self.packed_mask: int | None = packed_mask
         self.entries_packed: dict[int, object] = {}
         self._stage_plan = stage_plan
         # per-stage set of partial masked keys, maintained incrementally
@@ -157,11 +163,16 @@ class Subtable:
         self.hits += n
         self.rank_hits += n
 
-    def insert(self, masked_values: tuple[int, ...], entry: object) -> None:
-        """Add or replace the entry stored under ``masked_values``."""
+    def insert(self, masked_values: tuple[int, ...], entry: object,
+               packed: int | None = None) -> None:
+        """Add or replace the entry stored under ``masked_values``;
+        ``packed``, when the caller holds it, is
+        ``space.pack(masked_values)``."""
         self.entries[masked_values] = entry
         if self._space is not None:
-            self.entries_packed[self._space.pack(masked_values)] = entry
+            if packed is None:
+                packed = self._space.pack(masked_values)
+            self.entries_packed[packed] = entry
         if (
             self._stage_index is not None
             and self._stage_plan is not None
@@ -346,7 +357,8 @@ class TupleSpaceSearch:
         """The subtable for a mask, or ``None`` when absent."""
         return self._subtables.get(masks)
 
-    def _create_subtable(self, masks: tuple[int, ...]) -> Subtable:
+    def _create_subtable(self, masks: tuple[int, ...],
+                         packed_mask: int | None) -> Subtable:
         """Create the (empty) subtable for a mask :meth:`insert` found
         absent."""
         # staged lookups never probe the packed mirror, so don't
@@ -357,6 +369,7 @@ class TupleSpaceSearch:
             self._next_seq,
             self._stage_plan,
             space=self.space if packed else None,
+            packed_mask=packed_mask,
         )
         self._next_seq += 1
         self._subtables[masks] = subtable
@@ -366,15 +379,31 @@ class TupleSpaceSearch:
         return subtable
 
     def insert(self, masks: tuple[int, ...], masked_values: tuple[int, ...],
-               entry: object) -> Subtable:
+               entry: object, packed: tuple[int, int] | None = None) -> Subtable:
         """Insert (or replace) an entry under its mask's subtable,
-        creating the subtable on first use; returns the subtable."""
-        subtable = self._subtables.get(masks)
+        creating the subtable on first use; returns the subtable.
+
+        ``packed``, when the caller already holds it (a
+        :attr:`~repro.flow.match.FlowMatch.packed`), must equal
+        ``(space.pack(masks), space.pack(masked_values))``; the packed
+        mirror then packs nothing."""
+        return self.insert_at(self._subtables.get(masks), masks,
+                              masked_values, entry, packed)
+
+    def insert_at(self, subtable: Subtable | None, masks: tuple[int, ...],
+                  masked_values: tuple[int, ...], entry: object,
+                  packed: tuple[int, int] | None = None) -> Subtable:
+        """:meth:`insert` for a caller that has just asked
+        :meth:`find_subtable` for ``masks``: ``subtable`` is its answer
+        (``None``: the subtable is created here)."""
+        packed_mask = packed_value = None
+        if packed is not None:
+            packed_mask, packed_value = packed
         if subtable is None:
-            subtable = self._create_subtable(masks)
+            subtable = self._create_subtable(masks, packed_mask)
         if masked_values not in subtable.entries:
             self._entry_count += 1
-        subtable.insert(masked_values, entry)
+        subtable.insert(masked_values, entry, packed_value)
         return subtable
 
     def remove(self, masks: tuple[int, ...], masked_values: tuple[int, ...]) -> None:

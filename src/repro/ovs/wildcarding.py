@@ -49,13 +49,13 @@ bit (so still fails the rules the original failed, at the same field).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import getitem
 
-from repro.flow.fields import FieldSpace
 from repro.flow.key import FlowKey
 from repro.flow.match import FlowMatch
 from repro.flow.rule import FlowRule
 from repro.flow.table import FlowTable
-from repro.util.bits import first_diff_bit, mask_of_prefix
+from repro.util.bits import mask_of_prefix
 
 
 def prefix_cover_len(mask: int, width: int) -> int:
@@ -96,60 +96,90 @@ class WildcardingResult:
         )
 
 
+@dataclass(frozen=True)
+class RulePlan:
+    """A :class:`FlowTable` compiled for :func:`classify_with_wildcards`
+    (one per table version, see :meth:`FlowTable.compiled`).
+
+    ``rules`` holds, per rule in lookup order, the rule and its
+    constrained fields only, in field order, as ``(index, mask, value,
+    confirm_len, always_exact, width)``: ``confirm_len`` is the prefix a
+    satisfied field un-wildcards (the full width for ``always_exact``
+    fields, else the cover of the mask).  ``prefix_masks[i][n]`` is field
+    ``i``'s ``n``-bit prefix mask, ``packed_prefix_masks[i][n]`` the same
+    mask at the field's offset in the packed layout.
+    """
+
+    rules: tuple[tuple[FlowRule, tuple[tuple[int, int, int, int, bool, int], ...]], ...]
+    prefix_masks: tuple[tuple[int, ...], ...]
+    packed_prefix_masks: tuple[tuple[int, ...], ...]
+
+
+def compile_rule_plan(table: FlowTable) -> RulePlan:
+    """Compile ``table``'s rules, in lookup order, into a
+    :class:`RulePlan` — O(rules × fields), once per table version."""
+    space = table.space
+    rules = []
+    for rule in table:
+        checks = []
+        for index, spec in enumerate(space.specs):
+            mask = rule.match.masks[index]
+            if mask == 0:
+                continue
+            confirm_len = (
+                spec.width if spec.always_exact else prefix_cover_len(mask, spec.width)
+            )
+            checks.append((index, mask, rule.match.values[index], confirm_len,
+                           spec.always_exact, spec.width))
+        rules.append((rule, tuple(checks)))
+    prefix_masks = tuple(
+        tuple(mask_of_prefix(n, spec.width) for n in range(spec.width + 1))
+        for spec in space.specs
+    )
+    packed_prefix_masks = tuple(
+        tuple(mask << offset for mask in masks)
+        for masks, offset in zip(prefix_masks, space.offsets)
+    )
+    return RulePlan(tuple(rules), prefix_masks, packed_prefix_masks)
+
+
 def classify_with_wildcards(table: FlowTable, key: FlowKey) -> WildcardingResult:
     """Classify ``key`` against ``table`` and build the broadest megaflow
-    that preserves the classification decision (see module docstring)."""
-    space: FieldSpace = table.space
-    field_count = len(space)
-    prefix_lens = [0] * field_count
+    that preserves the classification decision (see module docstring).
+
+    Walks the table's :class:`RulePlan`.  A witness is the prefix up to
+    and including the first bit where the key differs from the rule
+    inside its mask, ``width - (diff).bit_length() + 1``; the megaflow
+    arrives with its packed form filled in.
+    """
+    plan = table.compiled(compile_rule_plan)
+    key_values = key.values
+    prefix_lens = [0] * len(plan.prefix_masks)
 
     winner: FlowRule | None = None
     examined = 0
-    for rule in table:
+    for rule, checks in plan.rules:
         examined += 1
-        matched = _examine_rule(rule, key, prefix_lens, space)
-        if matched:
+        for index, mask, value, confirm_len, always_exact, width in checks:
+            masked = key_values[index] & mask
+            if masked == value:
+                if confirm_len > prefix_lens[index]:
+                    prefix_lens[index] = confirm_len
+                continue
+            needed = width if always_exact else width - (masked ^ value).bit_length() + 1
+            if needed > prefix_lens[index]:
+                prefix_lens[index] = needed
+            break
+        else:
             winner = rule
             break
 
-    masks = tuple(
-        mask_of_prefix(prefix_lens[i], space.specs[i].width)
-        for i in range(field_count)
+    masks = tuple(map(getitem, plan.prefix_masks, prefix_lens))
+    packed_mask = sum(map(getitem, plan.packed_prefix_masks, prefix_lens))
+    megaflow = FlowMatch.from_tuples(
+        table.space, key_values, masks, (packed_mask, key.packed & packed_mask)
     )
-    megaflow = FlowMatch.from_tuples(space, key.values, masks)
     return WildcardingResult(rule=winner, megaflow=megaflow, rules_examined=examined)
-
-
-def _examine_rule(
-    rule: FlowRule,
-    key: FlowKey,
-    prefix_lens: list[int],
-    space: FieldSpace,
-) -> bool:
-    """Check ``rule`` field by field, accumulating un-wildcarding into
-    ``prefix_lens``.  Returns True when the rule matches the key."""
-    for index, spec in enumerate(space.specs):
-        mask = rule.match.masks[index]
-        if mask == 0:
-            continue
-        value = rule.match.values[index]
-        key_value = key.values[index]
-        if key_value & mask == value:
-            # confirmed: the whole constrained prefix must appear in the
-            # megaflow, else a cached packet could differ inside it
-            needed = spec.width if spec.always_exact else prefix_cover_len(mask, spec.width)
-            if needed > prefix_lens[index]:
-                prefix_lens[index] = needed
-        else:
-            # witness: the first differing bit inside the rule's mask
-            # proves the mismatch; the megaflow needs the prefix up to it
-            diff = first_diff_bit(key_value & mask, value, spec.width)
-            assert diff is not None  # a mismatch guarantees a differing bit
-            needed = spec.width if spec.always_exact else diff + 1
-            if needed > prefix_lens[index]:
-                prefix_lens[index] = needed
-            return False
-    return True
 
 
 def megaflow_table_rows(

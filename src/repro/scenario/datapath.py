@@ -218,10 +218,7 @@ class CachelessDatapath:
         self.inner.add_rules(rules)
 
     def remove_tenant_rules(self, tenant: str) -> int:
-        removed = self.inner.table.remove_if(lambda rule: rule.tenant == tenant)
-        if removed:
-            self.inner._compiled = False
-        return removed
+        return self.inner.table.remove_if(lambda rule: rule.tenant == tenant)
 
     def add_install_guard(self, guard: InstallGuard) -> None:
         raise ValueError(

@@ -195,16 +195,18 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
 
     # -- generation tracking -------------------------------------------------
 
-    def insert(self, masks, masked_values, entry):
-        """The inherited insert; a live memo absorbs it.  In either scan
-        order an insert appends a subtable at the end, adds an entry to
-        a subtable or replaces one — it never moves another subtable's
-        depth, so everything the pre-scan proved about the *other*
-        subtables still holds and only the written one needs a live
-        probe (:func:`_shallowest`).  A memo some earlier ``remove`` /
-        ``clear`` / ranked ``resort`` retired stays retired."""
+    def insert_at(self, subtable, masks, masked_values, entry, packed=None):
+        """The inherited insert (``insert`` lands here too); a live memo
+        absorbs it.  In either scan order an insert appends a subtable
+        at the end, adds an entry to a subtable or replaces one — it
+        never moves another subtable's depth, so everything the pre-scan
+        proved about the *other* subtables still holds and only the
+        written one needs a live probe (:func:`_shallowest`).  A memo
+        some earlier ``remove`` / ``clear`` / ranked ``resort`` retired
+        stays retired."""
         known = len(self._subtables)
-        subtable = super().insert(masks, masked_values, entry)
+        subtable = super().insert_at(subtable, masks, masked_values, entry,
+                                     packed)
         generation = self.generation
         self.generation = generation + 1
         if self._memo is None or self._memo_generation != generation:

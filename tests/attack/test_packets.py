@@ -1,5 +1,7 @@
 """Tests for the adversarial covert packet sequence generator."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,10 +10,12 @@ from repro.attack.analysis import AttackDimension, reachable_mask_count
 from repro.attack.packets import CovertStreamGenerator, covert_keys_for_dimensions
 from repro.ovs.pmd import rss_hash
 from repro.flow.fields import OVS_FIELDS, toy_single_field_space
+from repro.flow.key import FlowKey
 from repro.net.ipv4 import PROTO_TCP, PROTO_UDP, IPv4
 from repro.net.l4 import Tcp, Udp
 from repro.net.pcap import PcapReader
-from repro.util.bits import first_diff_bit
+from repro.scenario.registry import SURFACES
+from repro.util.bits import bit_flip, first_diff_bit
 
 IP_DIM = AttackDimension("ip_src", 0x0A00000A, 32, 32)
 DPORT_DIM = AttackDimension("tp_dst", 80, 16, 16)
@@ -67,6 +71,54 @@ class TestKeyGeneration:
         ]
         keys = covert_keys_for_dimensions(dims, pinned={})
         assert len(set(keys)) == reachable_mask_count(dims) == l1 * l2
+
+
+def _dict_built_keys(dimensions, pinned, space):
+    """The covert key list as a dict per combination, every value
+    checked by the ``FlowKey`` constructor (the reference)."""
+    base = dict(pinned)
+    for dim in dimensions:
+        base.setdefault(dim.field, dim.allow_value)
+    keys = []
+    ranges = [range(1, dim.prefix_len + 1) for dim in dimensions]
+    for combo in product(*ranges):
+        values = dict(base)
+        for dim, prefix_len in zip(dimensions, combo):
+            values[dim.field] = bit_flip(dim.allow_value, prefix_len - 1, dim.width)
+        keys.append(FlowKey(space, values))
+    return keys
+
+
+class TestCovertKeysFromTuples:
+    @pytest.mark.parametrize("surface", SURFACES.names())
+    def test_every_surface_gets_the_dict_built_keys(self, surface):
+        registered = SURFACES.get(surface)
+        space = registered.space()
+        dimensions = registered.build()[1]
+        pinned = CovertStreamGenerator(dimensions, dst_ip=0x0A000909,
+                                       space=space).pinned_fields()
+        keys = covert_keys_for_dimensions(dimensions, pinned, space)
+        reference = _dict_built_keys(dimensions, pinned, space)
+        assert [key.values for key in keys] == [key.values for key in reference]
+        assert all(key.packed == space.pack(key.values) for key in keys)
+
+    def test_a_pinned_value_an_attacked_field_overrides_is_not_checked(self):
+        pinned = {"ip_dst": 1, "tp_dst": 1 << 20}
+        keys = covert_keys_for_dimensions([IP_DIM, DPORT_DIM], pinned)
+        reference = _dict_built_keys([IP_DIM, DPORT_DIM], pinned, OVS_FIELDS)
+        assert [key.values for key in keys] == [key.values for key in reference]
+
+    @pytest.mark.parametrize("dimensions,pinned", [
+        ([IP_DIM], {"ip_dst": 1 << 32}),
+        ([IP_DIM], {"tp_src": -1}),
+        ([AttackDimension("tp_dst", 1 << 16, 16, 16)], {}),
+        ([IP_DIM, AttackDimension("tp_src", 1 << 17, 4, 16)], {}),
+    ])
+    def test_an_out_of_range_value_still_raises(self, dimensions, pinned):
+        with pytest.raises(ValueError):
+            _dict_built_keys(dimensions, pinned, OVS_FIELDS)
+        with pytest.raises(ValueError):
+            covert_keys_for_dimensions(dimensions, pinned)
 
 
 class TestCovertStreamGenerator:

@@ -67,6 +67,25 @@ class TestCachelessSwitch:
         switch.add_rule(FlowRule(FlowMatch(space, {"ip_src": (1, 0xFF)}), Drop(), priority=5))
         assert switch.process(FlowKey(space, {"ip_src": 1})).rule is first
 
+    def test_a_direct_table_mutation_is_seen_by_the_next_packet(self):
+        # the groups are keyed on FlowTable.version, so a rule that
+        # reaches switch.table by any path is classified against at once
+        space, switch = self._toy()
+        key = FlowKey(space, {"ip_src": 7})
+        assert switch.process(key).rule.priority == 0
+        exact = switch.table.add(
+            FlowRule(FlowMatch(space, {"ip_src": (7, 0xFF)}), Allow(), priority=20)
+        )
+        assert switch.process(key).rule is exact
+        assert switch.group_count == 2
+        switch.table.remove(exact)
+        assert switch.process(key).rule.priority == 0
+        switch.table.remove_if(lambda rule: rule.priority == 0)
+        assert switch.process(key).rule is None
+        switch.table.clear()
+        assert switch.group_count == 0
+        assert switch.process(FlowKey(space, {"ip_src": 0b00001010})).rule is None
+
     def test_miss_action(self):
         space = toy_single_field_space()
         switch = CachelessSwitch(space)

@@ -1,11 +1,13 @@
 """Complexity guards for installs, sweeps and bursts, counted, never
 timed.
 
-An install costs O(1) in the size of the table it lands in, a sweep
-O(1) while the idle floor is inside the timeout and O(entries) when it
-is not, a burst of EMC hits O(burst) whatever the cache's size and an
-all-hit model-replay tick no key hash at all — see DESIGN.md's
-complexity contract.  The cost measure is
+An install costs O(1) in the size of the table it lands in, walks a
+rule plan compiled once per flow-table version and packs nothing when
+its key's packed form is cached; a sweep costs O(1) while the idle
+floor is inside the timeout and O(entries) when it is not, a burst of
+EMC hits O(burst) whatever the cache's size, an all-hit model-replay
+tick no key hash at all, and the covert key list one check per distinct
+value — see DESIGN.md's complexity contract.  The cost measure is
 the interpreter's own call count (Python and builtin calls alike, via
 ``cProfile``), a pure function of the code path: no wall clock, nothing
 to flake.  Growing the work 4x may grow the calls at most 4.5x; the
@@ -21,10 +23,14 @@ import pstats
 import pytest
 
 from repro.attack.packets import CovertStreamGenerator
-from repro.attack.policy import kubernetes_attack_policy
+from repro.attack.policy import calico_attack_policy, kubernetes_attack_policy
 from repro.cms.base import PolicyTarget
 from repro.cms.kubernetes import KubernetesCms
+from repro.flow.actions import Drop
 from repro.flow.fields import OVS_FIELDS
+from repro.flow.key import FlowKey
+from repro.flow.match import FlowMatch
+from repro.flow.rule import FlowRule
 from repro.net.addresses import ip_to_int
 from repro.ovs.switch import OvsSwitch
 from repro.perf.costmodel import CostModel
@@ -108,6 +114,52 @@ def _python_calls(work, name: str, filename: str) -> int:
         in pstats.Stats(profile).stats.items()
         if func == name and file.endswith(filename)
     )
+
+
+def test_the_rule_plan_is_compiled_once_per_table_version():
+    switch = _switch()
+    compiles = _python_calls(lambda: _install(switch, N), "compile_rule_plan",
+                             "ovs/wildcarding.py")
+    assert compiles == 1
+
+    def install_around_a_rule_change():
+        for key in COVERT[N:N + 10]:
+            switch.handle_miss(key, now=0.0)
+        switch.add_rule(FlowRule(FlowMatch.wildcard(OVS_FIELDS), Drop()))
+        for key in COVERT[N + 10:N + 20]:
+            switch.handle_miss(key, now=0.0)
+
+    compiles = _python_calls(install_around_a_rule_change,
+                             "compile_rule_plan", "ovs/wildcarding.py")
+    assert compiles == 1
+
+
+def test_an_install_of_a_packed_key_packs_nothing():
+    switch = _switch()
+    assert switch.megaflow.tss.key_mode == "packed"
+    _install(switch, 1)  # the plan is compiled outside the count
+    keys = [FlowKey.from_tuple(OVS_FIELDS, key.values,
+                               OVS_FIELDS.pack(key.values))
+            for key in COVERT[1:N]]
+    packs = _python_calls(
+        lambda: [switch.handle_miss(key, now=0.0) for key in keys],
+        "pack", "flow/fields.py",
+    )
+    assert switch.megaflow_count == N
+    assert packs == 0
+    assert all(subtable.check_packed_consistency()
+               for subtable in switch.megaflow.tss.iter_subtables())
+
+
+def test_covert_keys_check_each_value_once():
+    dimensions = calico_attack_policy()[1]
+    generator = CovertStreamGenerator(dimensions, dst_ip=TARGET.pod_ip)
+    keys = []
+    checks = _python_calls(lambda: keys.extend(generator.keys()), "check",
+                           "flow/fields.py")
+    assert len(keys) == 8192
+    # one check per flipped value, plus the pinned fields' base key
+    assert checks <= sum(dim.prefix_len for dim in dimensions) + len(OVS_FIELDS)
 
 
 def test_an_all_hit_model_replay_tick_hashes_no_flow_key():
