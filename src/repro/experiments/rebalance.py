@@ -36,7 +36,9 @@ from repro.cms.kubernetes import KubernetesCms
 from repro.flow.fields import OVS_FIELDS
 from repro.net.addresses import ip_to_int
 from repro.ovs.pmd import ShardedDatapath
-from repro.perf.factory import sharded_switch_for_profile
+from repro.ovs.switch import OvsSwitch
+from repro.perf.costmodel import KERNEL_PROFILE
+from repro.perf.factory import DatapathConfig
 from repro.perf.workload import VictimWorkload
 from repro.scenario.session import Session
 from repro.scenario.spec import ScenarioSpec
@@ -179,10 +181,10 @@ def run_spread_strand(
     default budget cannot reliably hit.  That asymmetry *is* the
     moving-target payoff: every remap multiplies the attacker's
     probing bill."""
-    datapath = sharded_switch_for_profile(
-        "kernel", space=OVS_FIELDS, name=f"e10-strand-{shards}",
-        shards=shards, seed=seed, rebalance_interval=1.0,
-    )
+    datapath = DatapathConfig(
+        KERNEL_PROFILE, space=OVS_FIELDS, name=f"e10-strand-{shards}",
+        shards=shards, seed=seed, rebalance_interval=1.0
+    ).dispatched(OvsSwitch)
     policy, dimensions = kubernetes_attack_policy()
     target = PolicyTarget(
         pod_ip=ip_to_int("10.0.9.10"), output_port=3, tenant="mallory"

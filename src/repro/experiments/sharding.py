@@ -39,8 +39,9 @@ from repro.cms.kubernetes import KubernetesCms
 from repro.flow.fields import OVS_FIELDS
 from repro.net.addresses import ip_to_int
 from repro.ovs.pmd import ShardedDatapath
-from repro.perf.costmodel import CostModel
-from repro.perf.factory import sharded_switch_for_profile
+from repro.ovs.switch import OvsSwitch
+from repro.perf.costmodel import KERNEL_PROFILE, CostModel
+from repro.perf.factory import DatapathConfig
 from repro.util.ascii_chart import AsciiTable
 
 #: PMD shard counts the ablation sweeps
@@ -91,10 +92,10 @@ def build_attacked_shards(
     """
     if attacker not in ("naive", "spread"):
         raise ValueError(f"unknown attacker {attacker!r}: naive | spread")
-    datapath = sharded_switch_for_profile(
-        "kernel", space=OVS_FIELDS, name=f"e9-{attacker}-{shards}",
-        shards=shards, seed=seed,
-    )
+    datapath = DatapathConfig(
+        KERNEL_PROFILE, space=OVS_FIELDS, name=f"e9-{attacker}-{shards}",
+        shards=shards, seed=seed
+    ).dispatched(OvsSwitch)
     policy, dimensions = kubernetes_attack_policy()
     target = PolicyTarget(
         pod_ip=ip_to_int("10.0.9.10"), output_port=3, tenant="mallory"

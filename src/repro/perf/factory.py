@@ -8,8 +8,9 @@ timeout) register once and become addressable from specs and the CLI.
 
 :class:`DatapathConfig` is the one way a datapath gets built: engine ×
 shards × runtime plus the classifier and RETA knobs, one validation
-table, one shard factory.  :func:`switch_for_profile` and
-:func:`sharded_switch_for_profile` are its two leaf constructors.
+table, one shard factory.  :func:`switch_for_profile` is its leaf
+constructor (one shard's switch); :meth:`DatapathConfig.dispatched`
+builds the RETA dispatcher at any shard count, one shard included.
 """
 
 from __future__ import annotations
@@ -284,11 +285,11 @@ class DatapathConfig:
         )
 
     def dispatched(self, switch_cls: type[OvsSwitch]):
-        """The shards behind a RETA dispatcher, at any shard count and
-        unchecked (:func:`sharded_switch_for_profile` enters here).
-        Both runtimes are one :class:`~repro.ovs.pmd.RetaDispatcher`
-        built from the same arguments; the inline one adds the
-        rebalancer's knobs."""
+        """The shards behind a RETA dispatcher, at any shard count —
+        even one, where :meth:`build` hands back the bare switch — and
+        unchecked.  Both runtimes are one :class:`~repro.ovs.pmd.
+        RetaDispatcher` built from the same arguments; the inline one
+        adds the rebalancer's knobs."""
         common = dict(
             space=self.space,
             shards=self.shard_count,
@@ -308,40 +309,3 @@ class DatapathConfig:
                 getattr(self.profile, knob) if value is None else value
             )
         return ShardedDatapath(**common)
-
-
-def sharded_switch_for_profile(
-    profile: DatapathProfile | str,
-    space: FieldSpace = OVS_FIELDS,
-    name: str | None = None,
-    shards: int = 0,
-    staged_lookup: bool = False,
-    seed: int = 0,
-    scan_order: str | None = None,
-    key_mode: str = "packed",
-    reta_size: int = 0,
-    rebalance_interval: float | None = None,
-    rebalance_improvement: float | None = None,
-    rebalance_load_floor: float | None = None,
-    switch_cls: type[OvsSwitch] = OvsSwitch,
-) -> ShardedDatapath:
-    """A multi-PMD datapath: ``shards`` independent per-profile switches
-    behind the RETA dispatcher (``shards=0`` takes the profile's own
-    shard count; ``reta_size=0`` and ``rebalance_*=None`` take the
-    profile's RETA size and auto-lb settings) — always the dispatcher,
-    even around one shard, where :meth:`DatapathConfig.build` hands
-    back the bare switch."""
-    if isinstance(profile, str):
-        profile = profile_by_name(profile)
-    return DatapathConfig(
-        profile, space, name,
-        shards=shards,
-        staged=staged_lookup,
-        scan_order=scan_order,
-        key_mode=key_mode,
-        seed=seed,
-        reta_size=reta_size,
-        rebalance_interval=rebalance_interval,
-        rebalance_improvement=rebalance_improvement,
-        rebalance_load_floor=rebalance_load_floor,
-    ).dispatched(switch_cls)

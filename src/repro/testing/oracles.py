@@ -1,0 +1,159 @@
+"""The retired paths, one function each: the spec every fast path that
+replaced one is held to.
+
+Each function is the code as it stood before its fast path retired it,
+transcribed with public calls where it reached into internals.  None of
+them is fast, and none is used outside the tests: the differential
+machine swaps each into its *reference* datapath (a function for a
+method, or for the module global the slow path calls) and requires the
+datapath under test to leave the same state.
+
+Each docstring's ``Retired by`` line names the change that retired the
+path by the code that replaced it; ``tests/test_testing_package.py``
+checks that the named code exists.
+"""
+
+from __future__ import annotations
+
+from repro.flow.key import FlowKey
+from repro.flow.match import FlowMatch
+from repro.flow.rule import FlowRule
+from repro.flow.table import FlowTable
+from repro.ovs.megaflow import MegaflowCache, MegaflowEntry
+from repro.ovs.wildcarding import WildcardingResult, prefix_cover_len
+from repro.util.bits import first_diff_bit, mask_of_prefix
+
+__all__ = [
+    "classify_per_rule",
+    "expire_idle_full_pass",
+    "send_covert_per_packet",
+]
+
+
+def classify_per_rule(table: FlowTable, key: FlowKey) -> WildcardingResult:
+    """``classify_with_wildcards`` as a per-rule loop: every examined
+    rule re-derives its constrained fields, prefix cover and first
+    differing bit on every call, and the megaflow is built by
+    :meth:`FlowMatch.from_tuples` with no packed hint (it packs on
+    demand).
+
+    Retired by: ``repro.ovs.wildcarding.compile_rule_plan`` — the slow
+    path walks a rule plan compiled once per ``FlowTable.version``, and
+    its megaflow arrives packed.
+    """
+    space = table.space
+    prefix_lens = [0] * len(space)
+    winner = None
+    examined = 0
+    for rule in table:
+        examined += 1
+        if _examine_rule(rule, key, prefix_lens, space):
+            winner = rule
+            break
+    masks = tuple(
+        mask_of_prefix(prefix_lens[i], spec.width)
+        for i, spec in enumerate(space.specs)
+    )
+    return WildcardingResult(
+        rule=winner,
+        megaflow=FlowMatch.from_tuples(space, key.values, masks),
+        rules_examined=examined,
+    )
+
+
+def _examine_rule(rule: FlowRule, key: FlowKey, prefix_lens: list[int],
+                  space) -> bool:
+    """Check one rule field by field, widening ``prefix_lens`` with what
+    the check examined; ``True`` when the key matches the rule."""
+    for index, spec in enumerate(space.specs):
+        mask = rule.match.masks[index]
+        if mask == 0:
+            continue
+        value = rule.match.values[index]
+        key_value = key.values[index]
+        if key_value & mask == value:
+            needed = (spec.width if spec.always_exact
+                      else prefix_cover_len(mask, spec.width))
+            if needed > prefix_lens[index]:
+                prefix_lens[index] = needed
+        else:
+            diff = first_diff_bit(key_value & mask, value, spec.width)
+            needed = spec.width if spec.always_exact else diff + 1
+            if needed > prefix_lens[index]:
+                prefix_lens[index] = needed
+            return False
+    return True
+
+
+def expire_idle_full_pass(cache: MegaflowCache, now: float) -> int:
+    """:meth:`MegaflowCache.expire_idle` as a pass over every live entry,
+    every time: evict the entries idle longer than the timeout and count
+    them.
+
+    Retired by: ``repro.ovs.megaflow.MegaflowCache.expire_idle``'s idle
+    floor — a lower bound on the oldest live ``last_used`` lets a sweep
+    that no entry can be due in return at once.
+    """
+    idle = [entry for entry in cache.entries()
+            if now - entry.last_used > cache.idle_timeout]
+    for entry in idle:
+        cache.remove_entry(entry)
+    cache.expired_total += len(idle)
+    return len(idle)
+
+
+def send_covert_per_packet(sim, t0: float, t1: float) -> tuple[int, list[float]]:
+    """``DataplaneSimulator._send_covert``'s model replay one packet at a
+    time: per covert packet one ledger ``get`` by ``(shard, FlowKey)``,
+    one ``refresh`` or ``handle_miss``, one float add and one bucket
+    charge, in packet order.  ``sim`` is a
+    :class:`~repro.perf.simulator.DataplaneSimulator` replaying into a
+    datapath with flow caches.
+
+    Retired by: ``repro.ovs.megaflow.refresh_run`` — the tick is served
+    in runs of live ledger slots, each charged per shard by
+    ``repro.util.floatsum.add_repeated``.
+    """
+    shards = sim._shards
+    cycles_by_shard = [0.0] * len(shards)
+    if sim.attacker is None or not sim.covert_keys or not sim.covert_gate:
+        return 0, cycles_by_shard
+    due = sim.attacker.packets_due(t0, t1)
+    if due <= 0:
+        return 0, cycles_by_shard
+    keys = sim.covert_keys
+    mid = t0 + (t1 - t0) / 2
+    cost_model = sim.cost_model
+    ranked = sim.switch.scan_order == "ranked"
+    ranked_hit_costs = [
+        cost_model.megaflow_hit_cost(view.expected_scan_depth(), view.staged)
+        for view in shards
+    ] if ranked else []
+    reta_dp = sim._reta_dp
+    multi = reta_dp is not None and len(shards) > 1
+    charge_buckets = multi and reta_dp.rebalancer.enabled
+    entries: dict[tuple[int, FlowKey], MegaflowEntry] = sim._attacker_entries
+    for _ in range(due):
+        key = keys[sim._covert_cursor % len(keys)]
+        sim._covert_cursor += 1
+        bucket = reta_dp.bucket_of(key) if multi else 0
+        shard = reta_dp.reta[bucket] if multi else 0
+        view = shards[shard]
+        entry = entries.get((shard, key))
+        if entry is not None and entry.alive:
+            entry.refresh(t1)
+            cost = (
+                ranked_hit_costs[shard] if ranked
+                else cost_model.expected_megaflow_hit_cost(view.mask_count)
+            )
+        else:
+            installed = sim.switch.handle_miss(key, now=mid)
+            if installed is not None:
+                entries[(shard, key)] = installed
+            cost = cost_model.miss_cost(
+                view.mask_count, rules_examined=view.rule_count
+            )
+        cycles_by_shard[shard] += cost
+        if charge_buckets:
+            reta_dp.record_bucket_cycles(bucket, cost)
+    return due, cycles_by_shard

@@ -6,7 +6,9 @@ from repro.attack.packets import CovertStreamGenerator
 from repro.attack.policy import kubernetes_attack_policy
 from repro.experiments import sharding
 from repro.net.addresses import ip_to_int
-from repro.perf.factory import sharded_switch_for_profile
+from repro.ovs.switch import OvsSwitch
+from repro.perf.costmodel import KERNEL_PROFILE
+from repro.perf.factory import DatapathConfig
 
 SMALL_COUNTS = (1, 4)
 
@@ -30,7 +32,9 @@ class TestSpreadKeys:
     def test_spread_keys_cover_every_shard_per_mask(self):
         _policy, dimensions = kubernetes_attack_policy()
         generator = CovertStreamGenerator(dimensions, dst_ip=ip_to_int("10.0.9.10"))
-        datapath = sharded_switch_for_profile("kernel", shards=4, seed=0)
+        datapath = DatapathConfig(
+            KERNEL_PROFILE, shards=4, seed=0
+        ).dispatched(OvsSwitch)
         keys = generator.spread_keys(4, datapath.shard_of)
         # near 4x the naive stream (full-depth combos lack free entropy)
         assert len(keys) > 4 * 512 * 0.95

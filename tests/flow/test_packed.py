@@ -5,8 +5,14 @@ identity the packed lookup relies on."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.flow.fields import OVS_FIELDS, toy_single_field_space
+from repro.flow.fields import (
+    OVS_FIELDS,
+    FieldSpace,
+    FieldSpec,
+    toy_single_field_space,
+)
 from repro.flow.key import FlowKey
+from repro.flow.match import FlowMatch
 
 
 def _random_values(space):
@@ -70,3 +76,12 @@ class TestFlowKeyPacked:
         other = key.replace(ip_src=2)
         assert other.packed != key.packed
         assert other.packed == 2
+
+
+def test_a_match_built_elsewhere_packs_on_demand():
+    space = FieldSpace([FieldSpec("a", 5), FieldSpec("b", 11)], name="two")
+    match = FlowMatch(space, {"a": (0b10110, 0b11100), "b": (0x5A5, 0x7F0)})
+    assert match.packed == (space.pack(match.masks), space.pack(match.values))
+    hinted = FlowMatch.from_tuples(space, (0b10110, 0x5A5), match.masks,
+                                   match.packed)
+    assert hinted == match and hinted.packed is match.packed

@@ -3,16 +3,17 @@
 The contract the runtime's wire format rides on: a batch processed
 without materializing :class:`PacketResult` objects leaves *bit-
 identical* switch state and aggregate counters — only the per-packet
-result list is skipped.  Pinned across every backend family and both
-engine branches.
+result list is skipped.  The differential machine
+(``tests/test_differential_machine.py``) holds every inline engine to
+it in both modes; here are the cache-less backend, the bulk folds and
+the rebalancer's refusal.
 """
-
-import dataclasses
 
 import pytest
 
 from repro.ovs.switch import BatchResult, LookupPath, OvsSwitch
-from repro.perf.factory import sharded_switch_for_profile, switch_for_profile
+from repro.perf.costmodel import KERNEL_PROFILE
+from repro.perf.factory import DatapathConfig, switch_for_profile
 from repro.scenario.datapath import CachelessDatapath
 from repro.scenario.session import Session
 from repro.scenario.spec import ScenarioSpec
@@ -53,9 +54,9 @@ def _builders(space):
             "kernel", space=space, seed=7)),
         ("ovs-noemc", lambda: switch_for_profile(
             "kernel-noemc", space=space, seed=7)),
-        ("sharded-4", lambda: sharded_switch_for_profile(
-            "kernel", space=space, shards=4, seed=7,
-            rebalance_interval=0.0)),
+        ("sharded-4", lambda: DatapathConfig(
+            KERNEL_PROFILE, space, shards=4, seed=7,
+            rebalance_interval=0.0).dispatched(OvsSwitch)),
     ]
     if HAVE_NUMPY:
         from repro.vec.engine import VecSwitch
@@ -67,67 +68,7 @@ def _builders(space):
     return builders
 
 
-def _state(dp):
-    return {
-        "stats": dataclasses.asdict(dp.stats),
-        "mask_count": dp.mask_count,
-        "megaflow_count": dp.megaflow_count,
-        "tss_lookups": dp.tss_lookups,
-    }
-
-
 class TestBitIdentity:
-    def test_aggregate_matches_materialized_everywhere(self, k8s):
-        """Same bursts, two instances, both modes: every aggregate
-        counter and every piece of switch state matches.  Bursts cover
-        the install lap, cache-hit revisits, a tiny burst (the vec
-        engine's scalar fallback), and a post-idle-timeout lap."""
-        space, rules, keys = k8s
-        schedule = [
-            (0.1, keys),         # install lap
-            (0.2, keys[:200]),   # revisit: EMC/megaflow hits
-            (0.3, keys[:4]),     # tiny burst (vec scalar fallback)
-            (25.0, keys[::5]),   # past the idle timeout
-        ]
-        for name, build in _builders(space):
-            materialized, aggregate = build(), build()
-            materialized.add_rules(rules)
-            aggregate.add_rules(rules)
-            for now, burst in schedule:
-                ref = materialized.process_batch(burst, now=now)
-                agg = aggregate.process_batch(
-                    burst, now=now, materialize=False
-                )
-                assert _counters(agg) == _counters(ref), (name, now)
-                # the aggregate batch really skipped materialization
-                assert agg.results == []
-                assert len(agg) == len(ref) == ref.packets
-                # install pairs ship in both modes (the simulator's
-                # entry bookkeeping rides on them)
-                assert [k.packed for k, _ in agg.installed] == [
-                    k.packed for k, _ in ref.installed
-                ]
-            assert _state(aggregate) == _state(materialized), name
-
-    def test_installed_pairs_identical_across_modes(self, k8s):
-        """The install-tick pairs match key-for-key — including on the
-        multi-shard path, where both modes group them per shard."""
-        space, rules, keys = k8s
-        a = sharded_switch_for_profile(
-            "kernel", space=space, shards=4, seed=7, rebalance_interval=0.0
-        )
-        b = sharded_switch_for_profile(
-            "kernel", space=space, shards=4, seed=7, rebalance_interval=0.0
-        )
-        a.add_rules(rules)
-        b.add_rules(rules)
-        ref = a.process_batch(keys, now=0.1)
-        agg = b.process_batch(keys, now=0.1, materialize=False)
-        assert [k.packed for k, _ in agg.installed] == [
-            k.packed for k, _ in ref.installed
-        ]
-        assert len(agg.installed) == agg.upcalls
-
     def test_cacheless_aggregate_matches(self, k8s):
         space, _rules, keys = k8s
         from repro.defense.cacheless import CachelessSwitch  # noqa: F401
@@ -184,9 +125,8 @@ class TestRebalancerInteraction:
         datapath with the auto-lb on rejects them instead of silently
         starving it."""
         space, rules, keys = k8s
-        dp = sharded_switch_for_profile(
-            "kernel", space=space, shards=4, seed=7, rebalance_interval=5.0
-        )
+        dp = DatapathConfig(KERNEL_PROFILE, space, shards=4, seed=7,
+                            rebalance_interval=5.0).dispatched(OvsSwitch)
         dp.add_rules(rules)
         with pytest.raises(ValueError, match="auto-lb"):
             dp.process_batch(keys[:32], now=0.1, materialize=False)
@@ -195,9 +135,8 @@ class TestRebalancerInteraction:
 
     def test_single_shard_aggregate_always_allowed(self, k8s):
         space, rules, keys = k8s
-        dp = sharded_switch_for_profile(
-            "kernel", space=space, shards=1, seed=7, rebalance_interval=0.0
-        )
+        dp = DatapathConfig(KERNEL_PROFILE, space, shards=1, seed=7,
+                            rebalance_interval=0.0).dispatched(OvsSwitch)
         dp.add_rules(rules)
         batch = dp.process_batch(keys[:32], now=0.1, materialize=False)
         assert batch.packets == 32

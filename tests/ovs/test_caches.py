@@ -64,6 +64,19 @@ class TestMegaflowCache:
         assert cache.expire_idle(now=12.0) == 0  # idle only 4s
         assert cache.expire_idle(now=19.0) == 1
 
+    def test_a_stamp_back_to_the_clock_after_a_sweep_is_seen(self):
+        """An entry refreshed ahead of the clock (the simulator's
+        ``refresh(t_next)``) survives a sweep, then an EMC hit stamps it
+        back to the clock, which lowers no floor: the sweep's re-derived
+        floor is capped at its own time, so the entry still falls due."""
+        space = toy_single_field_space()
+        cache = MegaflowCache(space, idle_timeout=4.0)
+        entry = cache.insert(_match(space, 1), Allow(), now=0.0)
+        entry.refresh(6.0)
+        assert cache.expire_idle(now=5.0) == 0
+        entry.touch(5.0)
+        assert cache.expire_idle(now=9.5) == 1
+
     def test_evict_tenant(self):
         space = toy_single_field_space()
         cache = MegaflowCache(space)

@@ -17,11 +17,9 @@ from repro.net.ethernet import ETHERTYPE_IPV4
 from repro.net.ipv4 import PROTO_TCP
 from repro.ovs.pmd import RSS_FIELDS, ShardedDatapath, rss_hash, shard_seed
 from repro.ovs.stats import SwitchStats
-from repro.perf.factory import (
-    BACKENDS,
-    sharded_switch_for_profile,
-    switch_for_profile,
-)
+from repro.ovs.switch import OvsSwitch
+from repro.perf.costmodel import KERNEL_PROFILE
+from repro.perf.factory import BACKENDS, DatapathConfig, switch_for_profile
 from repro.vec import HAVE_NUMPY
 
 
@@ -57,7 +55,9 @@ class TestOneShardEquivalence:
     def test_identical_results_stats_and_caches(self):
         rules, stream = _rules_and_keys()
         plain = switch_for_profile("kernel", seed=3)
-        sharded = sharded_switch_for_profile("kernel", shards=1, seed=3)
+        sharded = DatapathConfig(
+            KERNEL_PROFILE, shards=1, seed=3
+        ).dispatched(OvsSwitch)
         plain.add_rules(rules)
         sharded.add_rules(rules)
 
@@ -75,7 +75,9 @@ class TestOneShardEquivalence:
     def test_one_shard_batch_delegates(self):
         rules, stream = _rules_and_keys(48)
         plain = switch_for_profile("kernel", seed=3)
-        sharded = sharded_switch_for_profile("kernel", shards=1, seed=3)
+        sharded = DatapathConfig(
+            KERNEL_PROFILE, shards=1, seed=3
+        ).dispatched(OvsSwitch)
         plain.add_rules(rules)
         sharded.add_rules(rules)
         a = plain.process_batch(stream, now=0.5)
@@ -91,7 +93,9 @@ class TestOneShardEquivalence:
         assert shard_seed(7, 1) != shard_seed(7, 2)
 
     def test_observables_mirror_single_switch(self):
-        sharded = sharded_switch_for_profile("kernel", shards=1, seed=0)
+        sharded = DatapathConfig(
+            KERNEL_PROFILE, shards=1, seed=0
+        ).dispatched(OvsSwitch)
         plain = switch_for_profile("kernel", seed=0)
         assert sharded.cache_capacity == plain.cache_capacity
         assert sharded.idle_timeout == plain.idle_timeout
@@ -113,10 +117,12 @@ class TestShardedDispatch:
         return bit-identical results to per-key process calls on the
         scalar shards (shards share no state)."""
         rules, stream = _rules_and_keys()
-        a = sharded_switch_for_profile("kernel", shards=4, seed=3)
-        b = sharded_switch_for_profile(
-            "kernel", shards=4, seed=3, switch_cls=BACKENDS.get(engine)()
-        )
+        a = DatapathConfig(
+            KERNEL_PROFILE, shards=4, seed=3
+        ).dispatched(OvsSwitch)
+        b = DatapathConfig(
+            KERNEL_PROFILE, shards=4, seed=3
+        ).dispatched(BACKENDS.get(engine)())
         a.add_rules(rules)
         b.add_rules(rules)
         sequential = [a.process(key, now=1.0) for key in stream]
@@ -128,7 +134,9 @@ class TestShardedDispatch:
         assert dataclasses.asdict(a.stats) == dataclasses.asdict(b.stats)
 
     def test_dispatch_is_deterministic_and_consistent(self):
-        datapath = sharded_switch_for_profile("kernel", shards=4, seed=0)
+        datapath = DatapathConfig(
+            KERNEL_PROFILE, shards=4, seed=0
+        ).dispatched(OvsSwitch)
         key = FlowKey(
             OVS_FIELDS,
             {"eth_type": ETHERTYPE_IPV4, "ip_src": 0x0A000001,
@@ -145,7 +153,9 @@ class TestShardedDispatch:
     def test_rss_ignores_non_steering_fields(self):
         """Only the 5-tuple steers: varying in_port or eth fields must
         not move a flow to another shard."""
-        datapath = sharded_switch_for_profile("kernel", shards=8, seed=0)
+        datapath = DatapathConfig(
+            KERNEL_PROFILE, shards=8, seed=0
+        ).dispatched(OvsSwitch)
         key = FlowKey(
             OVS_FIELDS,
             {"eth_type": ETHERTYPE_IPV4, "ip_src": 0x0A000001,
@@ -159,7 +169,9 @@ class TestShardedDispatch:
         }
 
     def test_rss_spreads_distinct_flows(self):
-        datapath = sharded_switch_for_profile("kernel", shards=4, seed=0)
+        datapath = DatapathConfig(
+            KERNEL_PROFILE, shards=4, seed=0
+        ).dispatched(OvsSwitch)
         shards_hit = {
             datapath.shard_of(
                 FlowKey(OVS_FIELDS, {"ip_src": 0x0A000000 + i, "tp_src": i})
@@ -175,7 +187,9 @@ class TestShardedDispatch:
 
     def test_rules_broadcast_and_tenant_removal(self):
         rules, _stream = _rules_and_keys()
-        datapath = sharded_switch_for_profile("kernel", shards=3, seed=0)
+        datapath = DatapathConfig(
+            KERNEL_PROFILE, shards=3, seed=0
+        ).dispatched(OvsSwitch)
         datapath.add_rules(rules)
         assert all(s.rule_count == len(rules) for s in datapath.shards)
         assert datapath.rule_count == len(rules)
@@ -185,7 +199,9 @@ class TestShardedDispatch:
 
     def test_handle_miss_lands_on_the_rss_shard(self):
         rules, stream = _rules_and_keys(16)
-        datapath = sharded_switch_for_profile("kernel", shards=4, seed=0)
+        datapath = DatapathConfig(
+            KERNEL_PROFILE, shards=4, seed=0
+        ).dispatched(OvsSwitch)
         datapath.add_rules(rules)
         key = stream[0]
         datapath.handle_miss(key, now=0.0)
@@ -195,7 +211,9 @@ class TestShardedDispatch:
 
     def test_mask_count_is_max_total_is_sum(self):
         rules, stream = _rules_and_keys(64)
-        datapath = sharded_switch_for_profile("kernel", shards=4, seed=0)
+        datapath = DatapathConfig(
+            KERNEL_PROFILE, shards=4, seed=0
+        ).dispatched(OvsSwitch)
         datapath.add_rules(rules)
         for key in stream:
             datapath.handle_miss(key, now=0.0)
@@ -206,7 +224,9 @@ class TestShardedDispatch:
 
     def test_invalidate_caches_flushes_every_shard(self):
         rules, stream = _rules_and_keys(32)
-        datapath = sharded_switch_for_profile("kernel", shards=4, seed=0)
+        datapath = DatapathConfig(
+            KERNEL_PROFILE, shards=4, seed=0
+        ).dispatched(OvsSwitch)
         datapath.add_rules(rules)
         datapath.process_batch(stream, now=0.0)
         assert datapath.megaflow_count > 0
@@ -227,7 +247,9 @@ class TestPerShardDeterminism:
         rules, stream = _rules_and_keys()
         runs = []
         for _ in range(2):
-            datapath = sharded_switch_for_profile("kernel", shards=3, seed=11)
+            datapath = DatapathConfig(
+                KERNEL_PROFILE, shards=3, seed=11
+            ).dispatched(OvsSwitch)
             datapath.add_rules(rules)
             batch = datapath.process_batch(stream, now=1.0)
             runs.append(
@@ -244,8 +266,12 @@ class TestPerShardDeterminism:
         # never reshuffles existing shards' RNG streams
         for i in range(4):
             assert shard_seed(7, i) == shard_seed(7, i)
-        small = sharded_switch_for_profile("kernel", shards=2, seed=7)
-        large = sharded_switch_for_profile("kernel", shards=4, seed=7)
+        small = DatapathConfig(
+            KERNEL_PROFILE, shards=2, seed=7
+        ).dispatched(OvsSwitch)
+        large = DatapathConfig(
+            KERNEL_PROFILE, shards=4, seed=7
+        ).dispatched(OvsSwitch)
         for i in range(2):
             assert (
                 small.shards[i].microflow.rng.seed
@@ -253,7 +279,9 @@ class TestPerShardDeterminism:
             )
 
     def test_shards_do_not_share_an_rng(self):
-        datapath = sharded_switch_for_profile("kernel", shards=3, seed=7)
+        datapath = DatapathConfig(
+            KERNEL_PROFILE, shards=3, seed=7
+        ).dispatched(OvsSwitch)
         seeds = {shard.microflow.rng.seed for shard in datapath.shards}
         assert len(seeds) == 3
 
@@ -276,7 +304,9 @@ class TestMergedStats:
 
     def test_datapath_stats_are_merged_shards(self):
         rules, stream = _rules_and_keys(48)
-        datapath = sharded_switch_for_profile("kernel", shards=4, seed=0)
+        datapath = DatapathConfig(
+            KERNEL_PROFILE, shards=4, seed=0
+        ).dispatched(OvsSwitch)
         datapath.add_rules(rules)
         datapath.process_batch(stream, now=0.0)
         # cross-check against independently hand-summed shard counters

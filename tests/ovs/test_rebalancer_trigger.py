@@ -8,7 +8,9 @@ series gates.
 
 import pytest
 
-from repro.perf.factory import sharded_switch_for_profile
+from repro.ovs.switch import OvsSwitch
+from repro.perf.costmodel import KERNEL_PROFILE
+from repro.perf.factory import DatapathConfig
 
 
 def charge_skewed_load(datapath, hot_shard=0, cycles=1e9):
@@ -20,10 +22,10 @@ def charge_skewed_load(datapath, hot_shard=0, cycles=1e9):
 
 
 def build(shards=4, **rebalance_kwargs):
-    return sharded_switch_for_profile(
-        "kernel", shards=shards, seed=0, rebalance_interval=1.0,
-        **rebalance_kwargs,
-    )
+    return DatapathConfig(
+        KERNEL_PROFILE, shards=shards, seed=0, rebalance_interval=1.0,
+        **rebalance_kwargs
+    ).dispatched(OvsSwitch)
 
 
 class TestPlan:

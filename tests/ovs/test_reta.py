@@ -21,7 +21,9 @@ from repro.ovs.pmd import (
     effective_reta_size,
     rss_hash,
 )
-from repro.perf.factory import sharded_switch_for_profile, switch_for_profile
+from repro.ovs.switch import OvsSwitch
+from repro.perf.costmodel import KERNEL_PROFILE
+from repro.perf.factory import DatapathConfig, switch_for_profile
 from repro.scenario.datapath import CachelessDatapath
 
 
@@ -60,7 +62,9 @@ class TestRetaTable:
         dispatch must equal the pre-RETA ``rss_hash % shards`` for
         every shard count — including ones that don't divide 128."""
         for shards in (1, 2, 3, 4, 5, 8):
-            datapath = sharded_switch_for_profile("kernel", shards=shards, seed=0)
+            datapath = DatapathConfig(
+                KERNEL_PROFILE, shards=shards, seed=0
+            ).dispatched(OvsSwitch)
             assert datapath.reta == [
                 b % shards for b in range(datapath.reta_size)
             ]
@@ -69,7 +73,9 @@ class TestRetaTable:
                 assert datapath.shard_of(key) == direct
 
     def test_bucket_is_stable_shard_follows_the_table(self):
-        datapath = sharded_switch_for_profile("kernel", shards=4, seed=0)
+        datapath = DatapathConfig(
+            KERNEL_PROFILE, shards=4, seed=0
+        ).dispatched(OvsSwitch)
         key = _keys(1)[0]
         bucket = datapath.bucket_of(key)
         assert datapath.shard_of(key) == datapath.reta[bucket]
@@ -78,7 +84,9 @@ class TestRetaTable:
         assert datapath.shard_of(key) == datapath.reta[bucket]
 
     def test_default_reta_size(self):
-        datapath = sharded_switch_for_profile("kernel", shards=4, seed=0)
+        datapath = DatapathConfig(
+            KERNEL_PROFILE, shards=4, seed=0
+        ).dispatched(OvsSwitch)
         assert datapath.reta_size == DEFAULT_RETA_SIZE
 
     def test_rejects_negative_rebalance_interval(self):
@@ -94,7 +102,9 @@ class TestRetaTable:
 class TestBucketAccounting:
     def test_dispatch_accumulates_per_bucket_load(self):
         rules, dimensions, target = _attack_setup()
-        datapath = sharded_switch_for_profile("kernel", shards=4, seed=0)
+        datapath = DatapathConfig(
+            KERNEL_PROFILE, shards=4, seed=0
+        ).dispatched(OvsSwitch)
         datapath.add_rules(rules)
         keys = CovertStreamGenerator(dimensions, dst_ip=target.pod_ip).keys()[:64]
         datapath.process_batch(keys, now=0.0)
@@ -108,13 +118,17 @@ class TestBucketAccounting:
         assert sum(per_shard) == pytest.approx(sum(loads))
 
     def test_external_cycles_feed_the_window(self):
-        datapath = sharded_switch_for_profile("kernel", shards=2, seed=0)
+        datapath = DatapathConfig(
+            KERNEL_PROFILE, shards=2, seed=0
+        ).dispatched(OvsSwitch)
         datapath.record_bucket_cycles(3, 1000.0)
         assert datapath.bucket_cycles[3] == 1000.0
         assert datapath.rebalancer.bucket_loads()[3] == pytest.approx(1000.0)
 
     def test_one_shard_fast_path_skips_accounting(self):
-        datapath = sharded_switch_for_profile("kernel", shards=1, seed=0)
+        datapath = DatapathConfig(
+            KERNEL_PROFILE, shards=1, seed=0
+        ).dispatched(OvsSwitch)
         rules, dimensions, target = _attack_setup()
         datapath.add_rules(rules)
         keys = CovertStreamGenerator(dimensions, dst_ip=target.pod_ip).keys()[:8]
@@ -124,9 +138,9 @@ class TestBucketAccounting:
 
 class TestPmdRebalancer:
     def _datapath(self, shards=4, interval=1.0):
-        return sharded_switch_for_profile(
-            "kernel", shards=shards, seed=0, rebalance_interval=interval
-        )
+        return DatapathConfig(
+            KERNEL_PROFILE, shards=shards, seed=0, rebalance_interval=interval
+        ).dispatched(OvsSwitch)
 
     def test_disabled_by_interval_zero_and_by_one_shard(self):
         assert not self._datapath(interval=0.0).rebalancer.enabled
@@ -208,7 +222,9 @@ class TestTssLookupsSurface:
 
     def test_sharded_sums_shard_counters(self):
         rules, dimensions, target = _attack_setup()
-        datapath = sharded_switch_for_profile("kernel", shards=4, seed=0)
+        datapath = DatapathConfig(
+            KERNEL_PROFILE, shards=4, seed=0
+        ).dispatched(OvsSwitch)
         datapath.add_rules(rules)
         keys = CovertStreamGenerator(dimensions, dst_ip=target.pod_ip).keys()[:32]
         datapath.process_batch(keys, now=0.0)
@@ -241,7 +257,9 @@ class TestTssLookupsSurface:
             def expected_scan_depth(self):
                 return self._depth
 
-        datapath = sharded_switch_for_profile("kernel", shards=2, seed=0)
+        datapath = DatapathConfig(
+            KERNEL_PROFILE, shards=2, seed=0
+        ).dispatched(OvsSwitch)
         datapath.shards = [FakeShard(2.0, 1), FakeShard(6.0, 3)]
         assert datapath.expected_scan_depth() == pytest.approx(
             (2.0 * 1 + 6.0 * 3) / 4
@@ -264,12 +282,16 @@ class TestSpreadMaskInvariance:
         rules, dimensions, target = _attack_setup()
         generator = CovertStreamGenerator(dimensions, dst_ip=target.pod_ip)
 
-        naive = sharded_switch_for_profile("kernel", shards=1, seed=0)
+        naive = DatapathConfig(
+            KERNEL_PROFILE, shards=1, seed=0
+        ).dispatched(OvsSwitch)
         naive.add_rules(rules)
         for key in generator.keys():
             naive.handle_miss(key, now=0.0)
 
-        spread = sharded_switch_for_profile("kernel", shards=4, seed=0)
+        spread = DatapathConfig(
+            KERNEL_PROFILE, shards=4, seed=0
+        ).dispatched(OvsSwitch)
         spread.add_rules(rules)
         for key in generator.spread_keys(4, spread.shard_of):
             spread.handle_miss(key, now=0.0)
@@ -282,7 +304,9 @@ class TestSpreadMaskInvariance:
     def test_every_shard_carries_a_subset_of_the_base_masks(self):
         rules, dimensions, target = _attack_setup()
         generator = CovertStreamGenerator(dimensions, dst_ip=target.pod_ip)
-        datapath = sharded_switch_for_profile("kernel", shards=2, seed=0)
+        datapath = DatapathConfig(
+            KERNEL_PROFILE, shards=2, seed=0
+        ).dispatched(OvsSwitch)
         datapath.add_rules(rules)
         for key in generator.spread_keys(2, datapath.shard_of):
             datapath.handle_miss(key, now=0.0)

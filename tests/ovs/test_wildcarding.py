@@ -23,6 +23,10 @@ from repro.ovs.wildcarding import (
     megaflow_table_rows,
     prefix_cover_len,
 )
+from repro.testing import oracles
+from repro.util.bits import mask_of_prefix
+
+_ACTIONS = (Allow(), Drop(), Output(1), Output(2))
 
 
 class TestPrefixCoverLen:
@@ -40,7 +44,6 @@ class TestPrefixCoverLen:
 
     @given(st.integers(1, 255))
     def test_cover_contains_all_set_bits(self, mask):
-        from repro.util.bits import mask_of_prefix
         cover = prefix_cover_len(mask, 8)
         assert mask_of_prefix(cover, 8) & mask == mask
 
@@ -199,7 +202,6 @@ _PROP_SPACE = FieldSpace(
 def random_tables(draw):
     table = FlowTable(_PROP_SPACE)
     n_rules = draw(st.integers(1, 6))
-    actions = [Allow(), Drop(), Output(1), Output(2)]
     for i in range(n_rules):
         fields = {}
         for spec in _PROP_SPACE.specs:
@@ -210,7 +212,7 @@ def random_tables(draw):
         table.add(
             FlowRule(
                 FlowMatch(_PROP_SPACE, fields),
-                draw(st.sampled_from(actions)),
+                draw(st.sampled_from(_ACTIONS)),
                 priority=draw(st.integers(0, 3)),
             )
         )
@@ -245,8 +247,77 @@ class TestCorrectnessInvariant:
     @settings(max_examples=150, deadline=None)
     @given(random_tables(), random_keys())
     def test_megaflow_masks_are_prefixes(self, table, key):
-        from repro.util.bits import mask_of_prefix
         result = classify_with_wildcards(table, key)
         for mask, spec in zip(result.megaflow.masks, _PROP_SPACE.specs):
             cover = prefix_cover_len(mask, spec.width)
             assert mask == mask_of_prefix(cover, spec.width)
+
+
+# -- the compiled walk held to the per-rule loop, over any field space -------
+
+@st.composite
+def _spaces(draw):
+    """Fig. 2's one 8-bit field (1 in 8), else 1-4 fields of 1-13 bits
+    (so packed offsets fall mid-byte), sometimes one ``always_exact``."""
+    if draw(st.integers(0, 7)) == 0:
+        return toy_single_field_space()
+    widths = draw(st.lists(st.integers(1, 13), min_size=1, max_size=4))
+    exact = draw(st.none() | st.integers(0, len(widths) - 1))
+    return FieldSpace([FieldSpec(f"f{i}", width, always_exact=(i == exact))
+                       for i, width in enumerate(widths)], name="generated")
+
+
+@st.composite
+def _table_ops(draw, space):
+    kind = draw(st.sampled_from(["add"] * 3 + ["classify"] * 3
+                                + ["remove", "remove_if", "clear"]))
+    if kind == "add":
+        fields = {}
+        for spec in space.specs:
+            shape = draw(st.sampled_from(["wild", "prefix", "exact", "arbitrary"]))
+            if shape == "wild":
+                continue
+            if shape == "prefix":
+                mask = mask_of_prefix(draw(st.integers(1, spec.width)), spec.width)
+            elif shape == "exact":
+                mask = spec.max_value
+            else:
+                mask = draw(st.integers(1, spec.max_value))
+            fields[spec.name] = (draw(st.integers(0, spec.max_value)), mask)
+        return kind, FlowRule(FlowMatch(space, fields),
+                              draw(st.sampled_from(_ACTIONS)),
+                              priority=draw(st.integers(0, 2)))
+    if kind == "classify":
+        return kind, tuple(draw(st.integers(0, spec.max_value))
+                           for spec in space.specs), draw(st.booleans())
+    return kind, draw(st.integers(0, 64))
+
+
+@settings(max_examples=300)
+@given(_spaces().flatmap(lambda space: st.tuples(
+    st.just(space), st.lists(_table_ops(space), min_size=1, max_size=24))))
+def test_the_compiled_walk_matches_the_per_rule_loop(script):
+    """Rules change *between* classifications, so a plan that outlived
+    its table version would answer for rules that are gone."""
+    space, ops = script
+    table = FlowTable(space)
+    for kind, arg, *packed in ops:
+        if kind == "add":
+            table.add(arg)
+        elif kind == "remove" and table.rules():
+            table.remove(table.rules()[arg % len(table.rules())])
+        elif kind == "remove_if":
+            table.remove_if(lambda rule: rule.priority == arg % 3)
+        elif kind == "clear":
+            table.clear()
+        elif kind == "classify":
+            # half the keys arrive with their packed form cached
+            key = FlowKey.from_tuple(space, arg,
+                                     space.pack(arg) if packed[0] else None)
+            got = classify_with_wildcards(table, key)
+            want = oracles.classify_per_rule(table, key)
+            assert got.rule is want.rule is table.lookup(key)
+            assert got.rules_examined == want.rules_examined
+            assert (got.megaflow.masks, got.megaflow.values) == \
+                (want.megaflow.masks, want.megaflow.values)
+            assert got.megaflow.packed == want.megaflow.packed

@@ -91,6 +91,18 @@ class TestPathCosts:
     def test_capacity_positive(self, masks):
         assert CostModel().megaflow_path_capacity_pps(masks) > 0
 
+    def test_charges_meet_the_closed_form_conditions(self):
+        """The default constants are integers and the expected scan depth a
+        half-integer, staged included — so a whole Calico campaign's
+        charges (150 ticks of 3906 packets against 8193 masks) are sums
+        of half-integers under 2**52, and a steady tick's charge is one
+        multiply in ``add_repeated``, not ``count`` adds."""
+        model = CostModel()
+        for staged in (False, True):
+            cost = model.expected_megaflow_hit_cost(8193, staged)
+            assert (2 * cost).is_integer()
+            assert 150 * 3906 * cost < 2 ** 52
+
 
 class TestProfiles:
     def test_kernel_profile_shape(self):

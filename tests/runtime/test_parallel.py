@@ -16,11 +16,8 @@ import signal
 
 import pytest
 
-from repro.perf.factory import (
-    PROFILES,
-    DatapathConfig,
-    sharded_switch_for_profile,
-)
+from repro.ovs.switch import OvsSwitch
+from repro.perf.factory import PROFILES, DatapathConfig
 from repro.runtime.parallel import BATCH_WIRE_FIELDS, WorkerCrashError
 from repro.scenario.session import Session
 from repro.scenario.spec import ScenarioSpec
@@ -41,10 +38,10 @@ def k8s():
 
 
 def _serial(space, rules, shards, profile="kernel"):
-    dp = sharded_switch_for_profile(
-        profile, space=space, shards=shards, seed=7, name="ref",
-        rebalance_interval=0.0,
-    )
+    dp = DatapathConfig(
+        PROFILES.get(profile), space=space, shards=shards, seed=7, name="ref",
+        rebalance_interval=0.0
+    ).dispatched(OvsSwitch)
     dp.add_rules(rules)
     return dp
 

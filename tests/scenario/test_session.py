@@ -7,7 +7,8 @@ import pytest
 
 from repro.cli import main
 from repro.experiments.fig2 import FIG2B_EXPECTED
-from repro.perf.factory import DatapathConfig, sharded_switch_for_profile
+from repro.ovs.switch import OvsSwitch
+from repro.perf.factory import DatapathConfig
 from repro.scenario import SCENARIOS, ScenarioSpec, Session
 
 
@@ -189,10 +190,10 @@ class TestRebalanceSessions:
             SCENARIOS.get("k8s").evolve(duration=20.0, attack_start=6.0)
         )
         plain = session.run()
-        one = sharded_switch_for_profile(
+        one = DatapathConfig(
             session.profile, space=session.space, shards=1,
-            seed=session.spec.seed, rebalance_interval=2.0,
-        )
+            seed=session.spec.seed, rebalance_interval=2.0
+        ).dispatched(OvsSwitch)
         report = session.build_campaign(one).run()
         assert report.simulation.series.rows == plain.series.rows
         assert one.rebalancer.rebalances == 0  # nothing to move

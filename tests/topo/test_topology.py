@@ -60,9 +60,13 @@ class TestNode:
         assert node.drain_mailbox() == []
 
     def test_accepts_sharded_datapath(self):
-        from repro.perf.factory import sharded_switch_for_profile
+        from repro.ovs.switch import OvsSwitch
+        from repro.perf.costmodel import KERNEL_PROFILE
+        from repro.perf.factory import DatapathConfig
 
-        datapath = sharded_switch_for_profile("kernel", shards=2, seed=0)
+        datapath = DatapathConfig(
+            KERNEL_PROFILE, shards=2, seed=0
+        ).dispatched(OvsSwitch)
         node = Node("server1", switch=datapath)
         node.provision_pod("web", "10.0.2.10", tenant="alice")
         # rule management broadcast to every shard

@@ -1,19 +1,17 @@
-"""The burst pre-scan and its memo: ``VecSwitch`` must stay bit-identical
-to ``OvsSwitch`` on every observable while the scan answers come from
-the memo, a stale memo must never be consumed, and the ``path_lookups``
-counters must say which path answered."""
-
-import dataclasses
+"""The burst pre-scan and its memo, one path at a time: ``VecSwitch``
+stays bit-identical to ``OvsSwitch`` while the scan answers come from
+the memo, a stale memo is never consumed, and the ``path_lookups``
+counters say which path answered.  Generated bursts over the whole
+configuration product are the differential machine's
+(``tests/test_differential_machine.py``)."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.attack.packets import CovertStreamGenerator
 from repro.attack.policy import kubernetes_attack_policy
 from repro.cms.base import PolicyTarget
 from repro.cms.kubernetes import KubernetesCms
-from repro.flow.actions import Drop, Output
+from repro.flow.actions import Output
 from repro.flow.fields import OVS_FIELDS
 from repro.flow.key import FlowKey
 from repro.flow.match import FlowMatch
@@ -21,6 +19,7 @@ from repro.flow.rule import FlowRule
 from repro.net.addresses import ip_to_int
 from repro.ovs.switch import OvsSwitch
 from repro.ovs.tss import PrefixContractError
+from repro.testing import fingerprint
 from repro.vec import HAVE_NUMPY, VEC_TSS_PATHS
 
 pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
@@ -35,7 +34,7 @@ _POLICY, _DIMENSIONS = kubernetes_attack_policy()
 RULES = KubernetesCms().compile(_POLICY, TARGET, OVS_FIELDS)
 COVERT = CovertStreamGenerator(_DIMENSIONS, dst_ip=TARGET.pod_ip).keys()
 #: covert keys installed up front (one mask each); the rest of the
-#: covert set stays fresh, so drawing one forces an upcall mid-burst
+#: covert set stays fresh, so using one forces an upcall mid-burst
 INSTALLED = 224
 VICTIMS = [
     FlowKey(OVS_FIELDS, {
@@ -45,8 +44,6 @@ VICTIMS = [
     })
     for i in range(48)
 ]
-#: what a burst draws from: deep-scan hits, shallow victim hits, misses
-POOL = COVERT[:INSTALLED] + VICTIMS + COVERT[INSTALLED:INSTALLED + 40]
 
 
 def _ones(bits):
@@ -57,13 +54,6 @@ VICTIM_RULE = FlowRule(
     match=FlowMatch(OVS_FIELDS, {"eth_type": (0x0800, _ones(16)),
                                  "ip_dst": (VICTIM_IP, _ones(32))}),
     action=Output(7), priority=10, tenant="victim",
-)
-#: the rule a tenant adds and removes between bursts (flushes caches)
-EXTRA_RULE = FlowRule(
-    match=FlowMatch(OVS_FIELDS, {"eth_type": (0x0800, _ones(16)),
-                                 "ip_dst": (VICTIM_IP, _ones(32)),
-                                 "tp_dst": (8443, _ones(16))}),
-    action=Drop(), priority=50, tenant="extra",
 )
 
 
@@ -83,101 +73,6 @@ def _build(cls, scan_order="insertion", resort_interval=0,
     return switch
 
 
-def _state(switch):
-    """Everything the bit-identity claim covers, comparable across two
-    switches (entries compare by value: match, action, hits, times)."""
-    tss = switch.megaflow.tss
-    emc = switch.microflow
-    return {
-        "stats": dataclasses.asdict(switch.stats),
-        "clock": switch.clock,
-        "window": switch._batch_window,
-        "tss": (tss.total_lookups, tss.total_tuples_scanned,
-                tss.total_hash_probes, tss.resorts,
-                tss._lookups_since_resort),
-        "pvector": [(s.masks, s.hits, s.rank_hits, len(s))
-                    for s in tss.subtables()],
-        "megaflows": switch.megaflow.entries(),
-        "emc": [(i, [(slot.key.values, slot.last_used, slot.entry)
-                     for slot in bucket])
-                for i, bucket in enumerate(emc._sets) if bucket],
-        "emc_counters": (emc.lookups, emc.hits, emc.insertions,
-                         emc.evictions, emc.stale_hits),
-    }
-
-
-def _assert_same(ref, vec, context):
-    ref_state, vec_state = _state(ref), _state(vec)
-    for field in ref_state:
-        assert vec_state[field] == ref_state[field], (field, context)
-
-
-# -- the differential search ------------------------------------------------
-
-#: mostly keys with a megaflow behind them (the memo's regime), now
-#: and then one from anywhere in the pool — a fresh one forces an upcall
-_known = st.integers(0, INSTALLED + len(VICTIMS) - 1)
-_key_index = st.one_of(*[_known] * 7, st.integers(0, len(POOL) - 1))
-_burst = st.tuples(
-    st.just("burst"),
-    st.lists(st.tuples(_key_index, st.integers(1, 6)),
-             min_size=8, max_size=48),
-    st.sampled_from([0.0, 0.01, 0.3]),
-)
-_ops = st.lists(
-    st.one_of(
-        _burst, _burst, _burst, _burst,
-        st.tuples(st.just("advance"), st.sampled_from([0.5, 4.0, 11.0])),
-        st.sampled_from([("add_rule",), ("remove_rule",)]),
-    ),
-    min_size=3, max_size=9,
-)
-_configs = st.fixed_dictionaries({
-    # a resort interval of 37 lands inside most bursts
-    "order": st.sampled_from([("insertion", 0), ("ranked", 0),
-                              ("ranked", 37)]),
-    # "EMC size 0" is insertion switched off, as the noemc profiles do
-    "emc": st.sampled_from([(8192, 0.0), (256, 1.0), (8192, 1.0)]),
-    "materialize": st.booleans(),
-})
-
-
-@settings(max_examples=60, deadline=None)
-@given(config=_configs, ops=_ops)
-def test_vec_switch_matches_the_reference_after_every_burst(config, ops):
-    kwargs = dict(
-        scan_order=config["order"][0], resort_interval=config["order"][1],
-        emc_entries=config["emc"][0], emc_insertion_prob=config["emc"][1],
-    )
-    ref, vec = _build(OvsSwitch, **kwargs), _build(VecSwitch, **kwargs)
-    materialize = config["materialize"]
-    now = 0.0
-    for step, op in enumerate(ops):
-        if op[0] == "burst":
-            now += op[2]
-            burst = [POOL[i] for i, repeat in op[1] for _ in range(repeat)]
-            ref_batch = ref.process_batch(burst, now=now,
-                                          materialize=materialize)
-            vec_batch = vec.process_batch(burst, now=now,
-                                          materialize=materialize)
-            assert vec_batch.results == ref_batch.results, step
-            assert vec_batch.installed == ref_batch.installed, step
-            assert vec.megaflow.tss._memo is None  # never outlives a burst
-        elif op[0] == "advance":
-            now += op[1]
-            ref.advance_clock(now)
-            vec.advance_clock(now)
-        elif op[0] == "add_rule":
-            ref.add_rule(EXTRA_RULE)
-            vec.add_rule(EXTRA_RULE)
-        else:
-            ref.remove_tenant_rules("extra")
-            vec.remove_tenant_rules("extra")
-        _assert_same(ref, vec, (step, op[0]))
-
-
-# -- the paths, one at a time ------------------------------------------------
-
 def _onoff_burst(keys, repeat=3):
     """ON trains: every key ``repeat`` times back to back, so each run
     of EMC misses is one key long (its duplicate flushes it)."""
@@ -192,7 +87,8 @@ class TestMemoServesBurstyTraffic:
         burst = _onoff_burst(COVERT[40:120])
         ref.process_batch(burst, now=1.0)
         vec.process_batch(burst, now=1.0)
-        _assert_same(ref, vec, "on-off burst")
+        assert fingerprint(vec) == fingerprint(ref), "on-off burst"
+        assert vec._batch_window == ref._batch_window, "on-off burst"
         paths = vec.megaflow.tss.path_lookups
         assert paths["memo"] - before["memo"] == len(burst)
         assert paths["small_burst"] == before["small_burst"]
@@ -206,7 +102,8 @@ class TestMemoServesBurstyTraffic:
         ref.process_batch(burst, now=1.0)
         before = dict(vec.megaflow.tss.path_lookups)
         vec.process_batch(burst, now=1.0)
-        _assert_same(ref, vec, "upcall mid-burst")
+        assert fingerprint(vec) == fingerprint(ref), "upcall mid-burst"
+        assert vec._batch_window == ref._batch_window, "upcall mid-burst"
         paths = vec.megaflow.tss.path_lookups
         # the fresh key's miss and everything behind its install: the
         # memo absorbs the new subtable and goes on answering
@@ -226,7 +123,8 @@ class TestMemoServesBurstyTraffic:
         before = dict(vec.megaflow.tss.path_lookups)
         ref.process_batch(burst, now=1.0)
         vec.process_batch(burst, now=1.0)
-        _assert_same(ref, vec, "evicted residents")
+        assert fingerprint(vec) == fingerprint(ref), "evicted residents"
+        assert vec._batch_window == ref._batch_window, "evicted residents"
         paths = vec.megaflow.tss.path_lookups
         assert paths["small_burst"] > before["small_burst"]
         assert paths["memo"] > before["memo"]
@@ -246,8 +144,8 @@ class TestMemoServesBurstyTraffic:
             before = dict(paths)
             ref.process_batch(keys, now=0.1 * burst, materialize=False)
             vec.process_batch(keys, now=0.1 * burst, materialize=False)
-            _assert_same(ref, vec, ("churn burst", burst))
-            assert vec._batch_window == 1
+            assert fingerprint(vec) == fingerprint(ref), burst
+            assert vec._batch_window == ref._batch_window == 1
             if burst:
                 assert paths["memo"] - before["memo"] == 64
                 assert paths["memo_invalidated"] == before["memo_invalidated"]
@@ -346,7 +244,8 @@ class TestStaleMemoIsNeverConsumed:
                 for r in vec_results] == \
             [(r.entry, r.tuples_scanned, r.hash_probes) for r in ref_results]
         assert vec_results[-1].tuples_scanned == INSTALLED + 1
-        _assert_same(ref, vec, "absorbed install")
+        assert fingerprint(vec) == fingerprint(ref), "absorbed install"
+        assert vec._batch_window == ref._batch_window, "absorbed install"
         # all but the last from the memo; the installed key itself was
         # never pre-scanned, so it is probed (and found) scalar
         assert tss.path_lookups["memo"] - before["memo"] == len(keys) - 1
