@@ -20,7 +20,7 @@ attack-side accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.attack.analysis import (
     AttackDimension,
@@ -52,14 +52,28 @@ class CampaignReport:
     covert_packet_count: int
 
     def headline(self) -> str:
-        """The paper-style one-liner."""
+        """The paper-style one-liner.  A window the run holds no sample
+        of — an attack starting at 0, or after the run ends — reads
+        ``n/a``, and the ratio is left out."""
         sim = self.simulation
-        return (
+        pre = _mean_or_none(sim.pre_attack_mean_bps)
+        post = _mean_or_none(sim.post_attack_mean_bps)
+        line = (
             f"masks={sim.final_mask_count()} "
-            f"pre={sim.pre_attack_mean_bps() / 1e9:.2f} Gbps "
-            f"post={sim.post_attack_mean_bps() / 1e9:.3f} Gbps "
-            f"({sim.degradation():.1%} of baseline)"
+            + ("pre=n/a " if pre is None else f"pre={pre / 1e9:.2f} Gbps ")
+            + ("post=n/a" if post is None else f"post={post / 1e9:.3f} Gbps")
         )
+        if pre is None or post is None:
+            return line
+        return f"{line} ({post / pre:.1%} of baseline)"
+
+
+def _mean_or_none(mean: Callable[[], float]) -> float | None:
+    """``mean()``, or ``None`` when its window holds no sample."""
+    try:
+        return mean()
+    except ValueError:
+        return None
 
 
 class AttackCampaign:

@@ -61,7 +61,7 @@ from pathlib import Path
 from repro.attack.analysis import predict, required_refresh_bps
 from repro.attack.packets import CovertStreamGenerator
 from repro.net.addresses import ip_to_int
-from repro.ovs.tss import KEY_MODES, SCAN_ORDERS
+from repro.ovs.tss import SCAN_ORDERS
 from repro.scenario import BACKENDS, DEFENSES, PROFILES, SCENARIOS, SURFACES, Session
 from repro.util.units import format_bps
 from repro.vec import HAVE_NUMPY, NumpyUnavailableError
@@ -165,7 +165,6 @@ def _print_scenario_list() -> None:
     print("backends:    " + ", ".join(BACKENDS.names()))
     print("defenses:    " + ", ".join(DEFENSES.names()))
     print("scan orders: " + ", ".join(SCAN_ORDERS) + " (--scan-order)")
-    print("key modes:   " + ", ".join(KEY_MODES) + " (--key-mode)")
     print("shards:      any N >= 1 (--shards; RSS-dispatched PMD shards)")
     print("runtime:     inline, or N worker processes "
           "(`repro serve --workers N`)")
@@ -190,7 +189,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         raise SystemExit(str(exc))
     overrides = {}
     for field_name in ("duration", "attack_start", "seed", "profile", "backend",
-                       "scan_order", "key_mode", "shards", "reta_size",
+                       "scan_order", "shards", "reta_size",
                        "rebalance_interval", "rebalance_improvement",
                        "rebalance_load_floor", "workload_skew",
                        "attacker_strategy", "reprobe_interval"):
@@ -452,9 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument("--scan-order", choices=list(SCAN_ORDERS),
                           default=None, dest="scan_order",
                           help="TSS subtable visit order (default: profile's)")
-    scenario.add_argument("--key-mode", choices=list(KEY_MODES),
-                          default=None, dest="key_mode",
-                          help="TSS hash-key representation (default: packed)")
     scenario.add_argument("--shards", type=int, default=None,
                           help="PMD shard count (RSS-dispatched classifier "
                           "instances; default: the profile's)")

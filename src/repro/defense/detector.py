@@ -47,11 +47,11 @@ class MaskAnomalyDetector:
         """Attribute each subtable to the tenants of its entries and
         flag tenants whose distinct-mask footprint exceeds the
         threshold."""
-        masks_by_tenant: dict[str, set[tuple[int, ...]]] = {}
-        for masks, _values, entry in switch.megaflow.tss.iter_entries():
+        masks_by_tenant: dict[str, set[int]] = {}
+        for mask, _value, entry in switch.megaflow.tss.iter_entries():
             megaflow: MegaflowEntry = entry  # type: ignore[assignment]
             tenant = megaflow.tenant or "<anonymous>"
-            masks_by_tenant.setdefault(tenant, set()).add(masks)
+            masks_by_tenant.setdefault(tenant, set()).add(mask)
         counts = {tenant: len(masks) for tenant, masks in masks_by_tenant.items()}
         flagged = sorted(t for t, n in counts.items() if n > self.threshold)
         verdict = DetectorVerdict(

@@ -35,9 +35,9 @@ class MaskLimitGuard:
         self.rejected = 0
 
     def __call__(self, context: InstallContext) -> FlowMatch | None:
-        masks = context.match.mask_signature()
+        mask = context.match.packed[0]
         tss = context.cache.tss
-        if tss.find_subtable(masks) is not None:
+        if tss.find_subtable(mask) is not None:
             return None  # mask already exists: no new subtable
         if self.mode == "reject":
             if tss.mask_count < self.max_masks:
@@ -49,9 +49,9 @@ class MaskLimitGuard:
         # "exact" mode: the cap counts the all-exact subtable too, so
         # while it does not exist one slot stays reserved for it
         exact = FlowMatch.exact(context.match.space, context.key)
-        exact_masks = exact.mask_signature()
-        exact_exists = tss.find_subtable(exact_masks) is not None
-        if masks == exact_masks:
+        exact_mask = exact.packed[0]
+        exact_exists = tss.find_subtable(exact_mask) is not None
+        if mask == exact_mask:
             # the new mask IS the all-exact mask: it fits iff under cap
             if tss.mask_count < self.max_masks:
                 return None

@@ -53,16 +53,14 @@ ZIPF_ALPHA = 1.1
 def build_attacked_switch(
     n_masks: int = DEFAULT_MASKS,
     scan_order: str = "insertion",
-    key_mode: str = "packed",
     resort_interval: int = DEFAULT_RESORT_INTERVAL,
 ) -> OvsSwitch:
     """A switch whose megaflow cache holds the first ``n_masks`` masks
     of the real Calico attack, installed through the real slow path."""
     switch = OvsSwitch(
         space=OVS_FIELDS,
-        name=f"ranking-{scan_order}-{key_mode}-{n_masks}",
+        name=f"ranking-{scan_order}-{n_masks}",
         scan_order=scan_order,
-        key_mode=key_mode,
         resort_interval=resort_interval,
     )
     policy, dimensions = calico_attack_policy()

@@ -102,7 +102,6 @@ class MegaflowCache:
         idle_timeout: float = DEFAULT_IDLE_TIMEOUT,
         staged: bool = False,
         scan_order: str = "insertion",
-        key_mode: str = "packed",
         resort_interval: int = 0,
     ) -> None:
         self.space = space
@@ -112,7 +111,6 @@ class MegaflowCache:
             space,
             staged=staged,
             scan_order=scan_order,
-            key_mode=key_mode,
             resort_interval=resort_interval,
         )
         self.inserts = 0
@@ -177,12 +175,11 @@ class MegaflowCache:
         """Install a megaflow; raises :class:`CacheFullError` beyond the
         flow limit.  Re-inserting an identical (mask, key) replaces the
         old entry, as a datapath flow mod would.  The subtable is looked
-        up once; the packed mirror takes the match's :attr:`packed
+        up once, by the match's :attr:`packed
         <repro.flow.match.FlowMatch.packed>` form."""
-        masks = match.masks
-        masked_values = match.values
-        found = self.tss.find_subtable(masks)
-        existing = found.entries.get(masked_values) if found is not None else None
+        packed_mask, packed_value = match.packed
+        found = self.tss.find_subtable(packed_mask)
+        existing = found.get(packed_value) if found is not None else None
         if existing is None and self.entry_count >= self.flow_limit:
             self.rejected_inserts += 1
             raise CacheFullError(
@@ -199,8 +196,8 @@ class MegaflowCache:
             last_used=now,
             tenant=tenant,
         )
-        entry.subtable = self.tss.insert_at(found, masks, masked_values,
-                                            entry, match.packed)
+        entry.subtable = self.tss.insert_at(found, packed_mask, packed_value,
+                                            entry)
         self.inserts += 1
         return entry
 
@@ -214,11 +211,10 @@ class MegaflowCache:
         already replaced or evicted only has its own ``alive`` cleared —
         whatever now lives under its (mask, key) stays cached."""
         entry.alive = False
-        masks = entry.match.mask_signature()
-        masked_values = entry.match.values
-        found = self.tss.find_subtable(masks)
-        if found is not None and found.entries.get(masked_values) is entry:
-            self.tss.remove(masks, masked_values)
+        packed_mask, packed_value = entry.match.packed
+        found = self.tss.find_subtable(packed_mask)
+        if found is not None and found.get(packed_value) is entry:
+            self.tss.remove(packed_mask, packed_value)
 
     def expire_idle(self, now: float) -> int:
         """Evict entries idle for longer than the timeout; returns the

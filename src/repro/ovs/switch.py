@@ -145,7 +145,6 @@ class OvsSwitch:
         emc_insertion_prob: float = 1.0,
         staged_lookup: bool = False,
         scan_order: str = "insertion",
-        key_mode: str = "packed",
         resort_interval: int = 0,
         resort_every_sweeps: int = 1,
         rng: DeterministicRng | None = None,
@@ -159,7 +158,6 @@ class OvsSwitch:
             idle_timeout=idle_timeout,
             staged=staged_lookup,
             scan_order=scan_order,
-            key_mode=key_mode,
             resort_interval=resort_interval,
         )
         self.microflow = MicroflowCache(

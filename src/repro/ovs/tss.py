@@ -7,42 +7,39 @@ assigned to different masks, rendering TSS a costly linear search when
 there are lots of masks."  — the paper, Section 2.
 
 This module implements exactly that structure: a :class:`Subtable` per
-distinct mask, holding a Python dict from masked key tuples to entries,
-and a :class:`TupleSpaceSearch` that scans the subtables sequentially.
-The scan cost (``tuples_scanned``, ``hash_probes``) is reported on every
+distinct mask, holding a Python dict from masked keys to entries, and a
+:class:`TupleSpaceSearch` that scans the subtables sequentially.  The
+scan cost (``tuples_scanned``, ``hash_probes``) is reported on every
 lookup so the complexity attack is *measurable*, and because the scan is
 a real linear search over real hash tables the wall-clock benchmarks in
 ``benchmarks/bench_tss_linear_scan.py`` reproduce the linear blow-up
 directly.
 
-Two orthogonal hot-path optimisations model what real OVS does:
+Keys are packed integers, the one representation: the field space fixes
+a bit offset per field, every :class:`~repro.flow.key.FlowKey` caches
+one packed integer, and each subtable holds one packed mask — masking a
+key down to a subtable is a single ``packed & mask``, and every hash
+table keys on ints.  The per-field tuple-keyed search this replaced is
+the reference the differential machine holds it to
+(:class:`repro.testing.oracles.TupleKeyedSearch`).
 
-* **Packed keys** (``key_mode="packed"``, the default): the field space
-  fixes a bit offset per field, every :class:`~repro.flow.key.FlowKey`
-  caches one packed integer, and each subtable precomputes one packed
-  mask integer — masking a key down to a subtable becomes a single
-  ``packed & mask`` and the per-tuple hash tables key on ints.  The
-  tuple-keyed dicts are still maintained as the checked reference
-  (``key_mode="tuple"`` scans them instead; equivalence tests assert
-  both paths agree probe for probe).
-
-* **Subtable ranking** (``scan_order="ranked"``): subtables live in a
-  pvector-style list that is periodically re-sorted by recent hit count
-  (OVS's dpcls subtable ranking), either explicitly via :meth:`resort`
-  — the revalidator sweep calls it — or automatically every
-  ``resort_interval`` lookups.  Ranking makes *benign* heavy-tailed
-  traffic cheap (hot subtables move to the front) but does **not** blunt
-  the attack: the covert stream spreads hits uniformly across every
-  subtable, so no ordering beats any other — the expected scan stays
-  ``(n+1)/2`` (the ``experiments/ranking.py`` ablation measures both).
+With *subtable ranking* (``scan_order="ranked"``) subtables live in a
+pvector-style list that is periodically re-sorted by recent hit count
+(OVS's dpcls subtable ranking), either explicitly via :meth:`resort` —
+the revalidator sweep calls it — or automatically every
+``resort_interval`` lookups.  Ranking makes *benign* heavy-tailed
+traffic cheap (hot subtables move to the front) but does **not** blunt
+the attack: the covert stream spreads hits uniformly across every
+subtable, so no ordering beats any other — the expected scan stays
+``(n+1)/2`` (the ``experiments/ranking.py`` ablation measures both).
 
 The optional *staged lookup* models the OVS optimisation of the same
 name: each subtable's mask is split into stages (metadata / L2 / L3 /
 L4) and a per-stage index lets the scan abandon a subtable early.  It
 reduces hash-probe work per subtable but does **not** reduce the number
 of subtables visited — which is why it does not stop the attack (an
-ablation benchmark shows this).  Staged lookups use the tuple path (the
-stage indexes key on partial tuples).
+ablation benchmark shows this).  A stage index keys on the packed key
+under the subtable's mask cut down to that stage's fields.
 """
 
 from __future__ import annotations
@@ -64,9 +61,6 @@ DEFAULT_STAGES: tuple[tuple[str, ...], ...] = (
 
 #: valid ``TupleSpaceSearch.scan_order`` values
 SCAN_ORDERS = ("insertion", "ranked")
-
-#: valid ``TupleSpaceSearch.key_mode`` values
-KEY_MODES = ("packed", "tuple")
 
 
 class PrefixContractError(RuntimeError):
@@ -102,24 +96,23 @@ class TssLookupResult:
 
 
 class Subtable:
-    """All megaflow entries sharing one wildcard mask."""
+    """All megaflow entries sharing one wildcard mask, keyed on the
+    packed masked key (``packed & packed_mask``)."""
 
     __slots__ = (
-        "masks", "entries", "hits", "created_seq",
-        "packed_mask", "entries_packed", "rank_hits", "dead",
-        "_space", "_stage_index", "_stage_plan", "_stage_dirty",
+        "packed_mask", "entries", "hits", "rank_hits", "created_seq",
+        "dead", "_space", "_stage_masks", "_stage_index", "_stage_dirty",
     )
 
     def __init__(
         self,
-        masks: tuple[int, ...],
+        packed_mask: int,
         created_seq: int,
-        stage_plan: tuple[tuple[int, ...], ...] | None = None,
-        space: FieldSpace | None = None,
-        packed_mask: int | None = None,
+        space: FieldSpace,
+        stage_plan: tuple[int, ...] | None = None,
     ) -> None:
-        self.masks = masks
-        self.entries: dict[tuple[int, ...], object] = {}
+        self.packed_mask = packed_mask
+        self.entries: dict[int, object] = {}
         self.hits = 0
         #: hits since the last ranked re-sort (exponentially decayed)
         self.rank_hits = 0
@@ -127,27 +120,22 @@ class Subtable:
         #: True once destroyed — lets the ranked scan list compact lazily
         self.dead = False
         self._space = space
-        # packed fast path: one precomputed mask int plus an int-keyed
-        # mirror of `entries`, only maintained when a space is given;
-        # `packed_mask`, when the caller holds it, is space.pack(masks)
-        if space is None:
-            packed_mask = None
-        elif packed_mask is None:
-            packed_mask = space.pack(masks)
-        self.packed_mask: int | None = packed_mask
-        self.entries_packed: dict[int, object] = {}
-        self._stage_plan = stage_plan
-        # per-stage set of partial masked keys, maintained incrementally
-        # on insert and rebuilt lazily after removals; only allocated
-        # when staged lookup is enabled
-        self._stage_index: list[set[tuple[int, ...]]] | None = (
-            [set() for _ in stage_plan] if stage_plan else None
-        )
+        # staged lookup: per stage, this mask cut down to the stage's
+        # fields, and the set of entries' partial keys under it —
+        # maintained incrementally on insert, rebuilt lazily after
+        # removals
+        self._stage_masks: tuple[int, ...] | None = None
+        self._stage_index: list[set[int]] | None = None
+        if stage_plan:
+            self._stage_masks = tuple(packed_mask & fields
+                                      for fields in stage_plan)
+            self._stage_index = [set() for _ in stage_plan]
         self._stage_dirty = False
 
-    def mask_key(self, key_values: tuple[int, ...]) -> tuple[int, ...]:
-        """Mask a flow key's values down to this subtable's mask."""
-        return tuple(v & m for v, m in zip(key_values, self.masks))
+    @property
+    def masks(self) -> tuple[int, ...]:
+        """The mask per field (unpacked on demand: no lookup reads it)."""
+        return self._space.unpack(self.packed_mask)
 
     def credit_hit(self) -> None:
         """Record one lookup hit (cumulative + ranking counters)."""
@@ -163,28 +151,28 @@ class Subtable:
         self.hits += n
         self.rank_hits += n
 
-    def insert(self, masked_values: tuple[int, ...], entry: object,
-               packed: int | None = None) -> None:
-        """Add or replace the entry stored under ``masked_values``;
-        ``packed``, when the caller holds it, is
-        ``space.pack(masked_values)``."""
-        self.entries[masked_values] = entry
-        if self._space is not None:
-            if packed is None:
-                packed = self._space.pack(masked_values)
-            self.entries_packed[packed] = entry
-        if (
-            self._stage_index is not None
-            and self._stage_plan is not None
-            and not self._stage_dirty
-        ):
+    def get(self, packed: int) -> object | None:
+        """The entry stored under the packed masked key, or ``None``."""
+        return self.entries.get(packed)
+
+    def items(self) -> Iterable[tuple[int, object]]:
+        """``(packed masked key, entry)`` pairs."""
+        return self.entries.items()
+
+    def insert(self, packed: int, entry: object) -> bool:
+        """Add or replace the entry stored under the packed masked key;
+        ``True`` when it was not there before."""
+        entries = self.entries
+        new = packed not in entries
+        entries[packed] = entry
+        if self._stage_index is not None and not self._stage_dirty:
             # while dirty, skip the incremental update: the pending
             # rebuild will cover this entry anyway
-            for stage, indices in enumerate(self._stage_plan):
-                partial = tuple(masked_values[i] for i in indices)
-                self._stage_index[stage].add(partial)
+            for mask, index in zip(self._stage_masks, self._stage_index):
+                index.add(packed & mask)
+        return new
 
-    def remove(self, masked_values: tuple[int, ...]) -> None:
+    def remove(self, packed: int) -> None:
         """Remove an entry; stage indexes are rebuilt lazily on next use.
 
         Removal only marks the index dirty (a stale partial key can at
@@ -192,47 +180,27 @@ class Subtable:
         sweeps, tenant quarantine — never pay the O(entries × stages)
         rebuild per entry; the next staged lookup rebuilds once.
         """
-        del self.entries[masked_values]
-        if self._space is not None:
-            del self.entries_packed[self._space.pack(masked_values)]
+        del self.entries[packed]
         if self._stage_index is not None:
             self._stage_dirty = True
 
     def _rebuild_stage_index(self) -> None:
-        assert self._stage_index is not None and self._stage_plan is not None
-        for stage, indices in enumerate(self._stage_plan):
-            self._stage_index[stage] = {
-                tuple(masked[i] for i in indices) for masked in self.entries
-            }
+        self._stage_index = [{packed & mask for packed in self.entries}
+                             for mask in self._stage_masks]
         self._stage_dirty = False
 
-    def lookup_staged(self, masked_values: tuple[int, ...]) -> tuple[object | None, int]:
-        """Staged probe: returns ``(entry, probes_used)``; aborts at the
-        first stage whose partial key has no entries."""
-        if self._stage_index is None or self._stage_plan is None:
-            entry = self.entries.get(masked_values)
-            return entry, 1
+    def lookup_staged(self, packed: int) -> tuple[object | None, int]:
+        """Staged probe of a packed flow key: returns ``(entry,
+        probes_used)``; aborts at the first stage whose partial key has
+        no entries."""
         if self._stage_dirty:
             self._rebuild_stage_index()
         probes = 0
-        for stage, indices in enumerate(self._stage_plan):
+        for mask, index in zip(self._stage_masks, self._stage_index):
             probes += 1
-            partial = tuple(masked_values[i] for i in indices)
-            if partial not in self._stage_index[stage]:
+            if packed & mask not in index:
                 return None, probes
-        return self.entries.get(masked_values), probes
-
-    def check_packed_consistency(self) -> bool:
-        """True when the int-keyed mirror agrees with the tuple dict
-        entry for entry (the packed path's checked-reference invariant)."""
-        if self._space is None:
-            return not self.entries_packed
-        if len(self.entries) != len(self.entries_packed):
-            return False
-        return all(
-            self.entries_packed.get(self._space.pack(masked)) is entry
-            for masked, entry in self.entries.items()
-        )
+        return self.entries.get(packed & self.packed_mask), probes
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -254,15 +222,9 @@ class TupleSpaceSearch:
       ``resort_interval`` lookups.  Between re-sorts the scan pays no
       ordering cost at all.
 
-    ``key_mode`` selects the hash-key representation scanned:
-
-    * ``"packed"`` (default) — one integer per key/mask, masked with a
-      single ``&`` per subtable;
-    * ``"tuple"`` — the per-field tuple reference path.
-
-    Both modes visit the same subtables in the same order and probe one
-    hash table per subtable, so ``tuples_scanned`` / ``hash_probes``
-    accounting is identical; only the constant factor differs.
+    Subtables are addressed by their packed mask and entries by their
+    packed masked key — a :attr:`~repro.flow.match.FlowMatch.packed`
+    pair, for a caller holding a match.
     """
 
     def __init__(
@@ -270,25 +232,21 @@ class TupleSpaceSearch:
         space: FieldSpace,
         staged: bool = False,
         scan_order: str = "insertion",
-        key_mode: str = "packed",
         resort_interval: int = 0,
     ) -> None:
         if scan_order not in SCAN_ORDERS:
             raise ValueError(
                 f"unknown scan_order {scan_order!r}; valid: {SCAN_ORDERS}"
             )
-        if key_mode not in KEY_MODES:
-            raise ValueError(f"unknown key_mode {key_mode!r}; valid: {KEY_MODES}")
         if resort_interval < 0:
             raise ValueError("resort_interval must be >= 0")
         self.space = space
         self.staged = staged
         self.scan_order = scan_order
-        self.key_mode = key_mode
         #: lookups between automatic ranked re-sorts (0 = only explicit
         #: / revalidator-driven re-sorts)
         self.resort_interval = resort_interval
-        self._subtables: dict[tuple[int, ...], Subtable] = {}
+        self._subtables: dict[int, Subtable] = {}
         # running total of entries over all subtables, kept by insert /
         # remove / clear — the only paths that may mutate a subtable
         self._entry_count = 0
@@ -304,9 +262,9 @@ class TupleSpaceSearch:
         self.total_tuples_scanned = 0
         self.total_hash_probes = 0
 
-    def _build_stage_plan(self) -> tuple[tuple[int, ...], ...]:
+    def _build_stage_plan(self) -> tuple[int, ...]:
         """Map DEFAULT_STAGES onto this field space (skipping stages with
-        no fields present)."""
+        no fields present): per stage, the packed mask of its fields."""
         plan: list[tuple[int, ...]] = []
         covered: set[int] = set()
         for stage_fields in DEFAULT_STAGES:
@@ -319,7 +277,12 @@ class TupleSpaceSearch:
         leftovers = tuple(i for i in range(len(self.space)) if i not in covered)
         if leftovers:
             plan.append(leftovers)
-        return tuple(plan)
+        specs = self.space.specs
+        return tuple(
+            self.space.pack([spec.max_value if i in indices else 0
+                             for i, spec in enumerate(specs)])
+            for indices in plan
+        )
 
     # -- structure ---------------------------------------------------------
 
@@ -353,69 +316,51 @@ class TupleSpaceSearch:
         (the idle sweep) that must not pay or disturb the scan order."""
         return iter(self._subtables.values())
 
-    def find_subtable(self, masks: tuple[int, ...]) -> Subtable | None:
-        """The subtable for a mask, or ``None`` when absent."""
-        return self._subtables.get(masks)
+    def find_subtable(self, packed_mask: int) -> Subtable | None:
+        """The subtable for a packed mask, or ``None`` when absent."""
+        return self._subtables.get(packed_mask)
 
-    def _create_subtable(self, masks: tuple[int, ...],
-                         packed_mask: int | None) -> Subtable:
+    def _create_subtable(self, packed_mask: int) -> Subtable:
         """Create the (empty) subtable for a mask :meth:`insert` found
         absent."""
-        # staged lookups never probe the packed mirror, so don't
-        # maintain one (it would double per-entry memory for nothing)
-        packed = self.key_mode == "packed" and not self.staged
-        subtable = Subtable(
-            masks,
-            self._next_seq,
-            self._stage_plan,
-            space=self.space if packed else None,
-            packed_mask=packed_mask,
-        )
+        subtable = Subtable(packed_mask, self._next_seq, self.space,
+                            self._stage_plan)
         self._next_seq += 1
-        self._subtables[masks] = subtable
+        self._subtables[packed_mask] = subtable
         if self.scan_order == "ranked":
             # new subtables join the back of the pvector (no hits yet)
             self._scan_list.append(subtable)
         return subtable
 
-    def insert(self, masks: tuple[int, ...], masked_values: tuple[int, ...],
-               entry: object, packed: tuple[int, int] | None = None) -> Subtable:
+    def insert(self, packed_mask: int, packed_value: int,
+               entry: object) -> Subtable:
         """Insert (or replace) an entry under its mask's subtable,
         creating the subtable on first use; returns the subtable.
+        ``packed_value`` is the packed masked key."""
+        return self.insert_at(self._subtables.get(packed_mask), packed_mask,
+                              packed_value, entry)
 
-        ``packed``, when the caller already holds it (a
-        :attr:`~repro.flow.match.FlowMatch.packed`), must equal
-        ``(space.pack(masks), space.pack(masked_values))``; the packed
-        mirror then packs nothing."""
-        return self.insert_at(self._subtables.get(masks), masks,
-                              masked_values, entry, packed)
-
-    def insert_at(self, subtable: Subtable | None, masks: tuple[int, ...],
-                  masked_values: tuple[int, ...], entry: object,
-                  packed: tuple[int, int] | None = None) -> Subtable:
+    def insert_at(self, subtable: Subtable | None, packed_mask: int,
+                  packed_value: int, entry: object) -> Subtable:
         """:meth:`insert` for a caller that has just asked
-        :meth:`find_subtable` for ``masks``: ``subtable`` is its answer
-        (``None``: the subtable is created here)."""
-        packed_mask = packed_value = None
-        if packed is not None:
-            packed_mask, packed_value = packed
+        :meth:`find_subtable` for ``packed_mask``: ``subtable`` is its
+        answer (``None``: the subtable is created here)."""
         if subtable is None:
-            subtable = self._create_subtable(masks, packed_mask)
-        if masked_values not in subtable.entries:
+            subtable = self._create_subtable(packed_mask)
+        if subtable.insert(packed_value, entry):
             self._entry_count += 1
-        subtable.insert(masked_values, entry, packed_value)
         return subtable
 
-    def remove(self, masks: tuple[int, ...], masked_values: tuple[int, ...]) -> None:
+    def remove(self, packed_mask: int, packed_value: int) -> None:
         """Remove an entry; empty subtables disappear (as OVS destroys
         empty subtables, shrinking the scan)."""
-        subtable = self._subtables.get(masks)
+        subtable = self._subtables.get(packed_mask)
         if subtable is None:
-            raise KeyError(f"no subtable for mask {masks}")
-        subtable.remove(masked_values)
+            raise KeyError(f"no subtable for mask {packed_mask:#x}")
+        subtable.remove(packed_value)
         self._entry_count -= 1
         if not subtable.entries:
-            del self._subtables[masks]
+            del self._subtables[packed_mask]
             if self.scan_order == "ranked":
                 # lazy compaction: bulk evictions mark dead subtables and
                 # pay one O(n) filter on the next ranked access, not O(n)
@@ -503,31 +448,20 @@ class TupleSpaceSearch:
             tables = self._subtables.values()
         tuples_scanned = 0
         hash_probes = 0
-        if self.staged or self.key_mode == "tuple":
-            key_values = key.values
-            for subtable in tables:
-                tuples_scanned += 1
-                masked = subtable.mask_key(key_values)
-                if self.staged:
-                    entry, probes = subtable.lookup_staged(masked)
-                    hash_probes += probes
-                else:
-                    entry = subtable.entries.get(masked)
-                    hash_probes += 1
-                if entry is not None:
-                    subtable.credit_hit()
-                    self._account(tuples_scanned, hash_probes)
-                    return TssLookupResult(entry, tuples_scanned, hash_probes)
-        else:
-            packed = key.packed
-            for subtable in tables:
-                tuples_scanned += 1
+        staged = self.staged
+        packed = key.packed
+        for subtable in tables:
+            tuples_scanned += 1
+            if staged:
+                entry, probes = subtable.lookup_staged(packed)
+                hash_probes += probes
+            else:
+                entry = subtable.entries.get(packed & subtable.packed_mask)
                 hash_probes += 1
-                entry = subtable.entries_packed.get(packed & subtable.packed_mask)
-                if entry is not None:
-                    subtable.credit_hit()
-                    self._account(tuples_scanned, hash_probes)
-                    return TssLookupResult(entry, tuples_scanned, hash_probes)
+            if entry is not None:
+                subtable.credit_hit()
+                self._account(tuples_scanned, hash_probes)
+                return TssLookupResult(entry, tuples_scanned, hash_probes)
         self._account(tuples_scanned, hash_probes)
         return TssLookupResult(None, tuples_scanned, hash_probes)
 
@@ -590,37 +524,20 @@ class TupleSpaceSearch:
             tables = self._subtables.values()
         pending = range(len(keys))
         resolved: list[tuple[object, Subtable, int] | None] = [None] * len(keys)
-        if self.key_mode == "packed":
-            packed = [key.packed for key in keys]
-            for depth, subtable in enumerate(tables, start=1):
-                if not pending:
-                    break
-                entries = subtable.entries_packed
-                mask = subtable.packed_mask
-                still: list[int] = []
-                for i in pending:
-                    entry = entries.get(packed[i] & mask)
-                    if entry is None:
-                        still.append(i)
-                    else:
-                        resolved[i] = (entry, subtable, depth)
-                pending = still
-        else:
-            values = [key.values for key in keys]
-            for depth, subtable in enumerate(tables, start=1):
-                if not pending:
-                    break
-                entries = subtable.entries
-                masks = subtable.masks
-                still = []
-                for i in pending:
-                    masked = tuple(v & m for v, m in zip(values[i], masks))
-                    entry = entries.get(masked)
-                    if entry is None:
-                        still.append(i)
-                    else:
-                        resolved[i] = (entry, subtable, depth)
-                pending = still
+        packed = [key.packed for key in keys]
+        for depth, subtable in enumerate(tables, start=1):
+            if not pending:
+                break
+            entries = subtable.entries
+            mask = subtable.packed_mask
+            still: list[int] = []
+            for i in pending:
+                entry = entries.get(packed[i] & mask)
+                if entry is None:
+                    still.append(i)
+                else:
+                    resolved[i] = (entry, subtable, depth)
+            pending = still
         return resolved
 
     def _consume(self, answers: Iterable,
@@ -681,27 +598,24 @@ class TupleSpaceSearch:
             if self._lookups_since_resort >= self.resort_interval:
                 self.resort()
 
-    def iter_entries(self) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], object]]:
-        """Iterate ``(masks, masked_values, entry)`` over the whole space."""
-        for masks, subtable in self._subtables.items():
-            for masked_values, entry in subtable.entries.items():
-                yield masks, masked_values, entry
+    def iter_entries(self) -> Iterator[tuple[int, int, object]]:
+        """Iterate ``(packed mask, packed masked key, entry)`` over the
+        whole space."""
+        for packed_mask, subtable in self._subtables.items():
+            for packed_value, entry in subtable.items():
+                yield packed_mask, packed_value, entry
 
     def remove_if(self, predicate: Callable[[object], bool]) -> int:
         """Remove entries matching a predicate; returns the count."""
-        doomed = [
-            (masks, masked_values)
-            for masks, subtable in self._subtables.items()
-            for masked_values, entry in subtable.entries.items()
-            if predicate(entry)
-        ]
-        for masks, masked_values in doomed:
-            self.remove(masks, masked_values)
+        doomed = [(packed_mask, packed_value)
+                  for packed_mask, packed_value, entry in self.iter_entries()
+                  if predicate(entry)]
+        for packed_mask, packed_value in doomed:
+            self.remove(packed_mask, packed_value)
         return len(doomed)
 
     def __repr__(self) -> str:
         return (
             f"TupleSpaceSearch({self.mask_count} masks, {self.entry_count} entries, "
-            f"staged={self.staged}, scan_order={self.scan_order!r}, "
-            f"key_mode={self.key_mode!r})"
+            f"staged={self.staged}, scan_order={self.scan_order!r})"
         )

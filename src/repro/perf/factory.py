@@ -136,8 +136,12 @@ def switch_for_profile(
     default; a string overrides it (a :class:`~repro.scenario.spec.
     ScenarioSpec`'s ``scan_order`` flows through here).
     ``switch_cls`` picks the engine — :class:`OvsSwitch` or a drop-in
-    subclass such as the vectorized ``repro.vec`` engine.
+    subclass such as the vectorized ``repro.vec`` engine.  Keys are
+    packed integers, the one representation: ``key_mode`` accepts
+    ``"packed"`` and nothing else, and goes once no caller passes it.
     """
+    if key_mode != "packed":
+        raise ValueError(f"unknown key_mode {key_mode!r}: keys are packed")
     if isinstance(profile, str):
         profile = profile_by_name(profile)
     return switch_cls(
@@ -150,7 +154,6 @@ def switch_for_profile(
         emc_insertion_prob=profile.emc_insertion_prob,
         staged_lookup=staged_lookup,
         scan_order=scan_order or profile.scan_order,
-        key_mode=key_mode,
         rng=DeterministicRng(seed),
     )
 
@@ -184,7 +187,6 @@ class DatapathConfig:
     shards: int = 0
     staged: bool = False
     scan_order: str | None = None
-    key_mode: str = "packed"
     seed: int = 0
     reta_size: int = 0
     rebalance_interval: float | None = None
@@ -203,7 +205,7 @@ class DatapathConfig:
             staged=spec.staged_lookup,
             scan_order=spec.scan_order or None,
             **{field: getattr(spec, field) for field in (
-                "shards", "key_mode", "seed", "reta_size", *REBALANCE_KNOBS
+                "shards", "seed", "reta_size", *REBALANCE_KNOBS
             )},
         )
 
@@ -280,7 +282,6 @@ class DatapathConfig:
             staged_lookup=self.staged,
             seed=shard_seed(self.seed, i),
             scan_order=self.scan_order,
-            key_mode=self.key_mode,
             switch_cls=switch_cls,
         )
 

@@ -41,6 +41,7 @@ from repro.ovs.pmd import shard_views
 from repro.ovs.switch import BatchResult, LookupPath, OvsSwitch
 from repro.perf.burst import KeyBurst
 from repro.perf.costmodel import CostModel
+from repro.perf.eventsim import analytic_victim_hit_rate
 
 if TYPE_CHECKING:
     from repro.scenario.datapath import Datapath
@@ -52,10 +53,6 @@ from repro.util.rng import DeterministicRng
 
 #: revalidator sweeps per second (ovs-vswitchd sweeps roughly every 500 ms)
 REVALIDATOR_SWEEPS_PER_SEC = 2.0
-
-#: upper bound on per-packet EMC locality even for a cache big enough to
-#: hold every flow (hash collisions, cold starts)
-EMC_MAX_LOCALITY = 0.98
 
 #: an event mutating the switch at a given time (e.g. policy injection)
 SimEvent = tuple[float, Callable[[OvsSwitch], None]]
@@ -617,17 +614,15 @@ class DataplaneSimulator:
             entries[(0, key)] = entry
 
     def _emc_hit_rate(self, attack_active: bool) -> float:
-        """Capacity-competition model of the exact-match layer: with far
-        more live flows than cache entries, per-packet locality caps at
-        entries/flows (each flow's entry is evicted before its next
-        packet arrives, on average)."""
-        active_flows = self.victim.concurrent_flows
-        if attack_active:
-            active_flows += len(self._attacker_entries)
-        if active_flows <= 0:
-            return EMC_MAX_LOCALITY
-        capacity = self.switch.cache_capacity
-        return EMC_MAX_LOCALITY * min(1.0, capacity / active_flows)
+        """Capacity-competition model of the exact-match layer
+        (:func:`~repro.perf.eventsim.analytic_victim_hit_rate`): the
+        victim's flows compete for the cache with every attacker ledger
+        entry while the attack is active."""
+        return analytic_victim_hit_rate(
+            self.switch.cache_capacity,
+            self.victim.concurrent_flows,
+            len(self._attacker_entries) if attack_active else 0,
+        )
 
     def _victim_avg_cost(self, view, emc_hit_rate: float) -> float:
         """Expected per-packet cycles for the victim share served by one

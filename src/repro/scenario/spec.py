@@ -55,8 +55,8 @@ class ScenarioSpec:
     #: datapath profile (:data:`repro.scenario.registry.PROFILES` name)
     profile: str = "kernel"
     #: classifier engine (:data:`repro.scenario.registry.BACKENDS` name)
-    #: — the engine and nothing else: ``shards`` and ``key_mode`` are
-    #: their own fields, the runtime is picked where a run is launched
+    #: — the engine and nothing else: ``shards`` is its own field, the
+    #: runtime is picked where a run is launched
     backend: str = "ovs"
     #: active defenses, applied in order
     defenses: tuple[DefenseUse, ...] = ()
@@ -97,8 +97,8 @@ class ScenarioSpec:
     #: TSS subtable visit order ("insertion" | "ranked");
     #: empty string defers to the datapath profile's default
     scan_order: str = ""
-    #: TSS hash-key representation ("packed" fast path | "tuple"
-    #: reference); both yield identical results and scan accounting
+    #: TSS hash-key representation: ``"packed"``, the only one — kept
+    #: until no caller passes it; anything else is rejected
     key_mode: str = "packed"
     #: forwarding shards (PMD threads, one classifier each; packets are
     #: RSS-dispatched); 0 defers to the datapath profile's default, and
@@ -180,6 +180,10 @@ class ScenarioSpec:
             )
         if self.reprobe_interval < 0:
             raise ValueError("reprobe_interval must be >= 0 (0 = never)")
+        if self.key_mode != "packed":
+            raise ValueError(
+                f"unknown key_mode {self.key_mode!r}: keys are packed"
+            )
         if self.covert_replay not in ("model", "datapath"):
             raise ValueError(
                 f"unknown covert_replay {self.covert_replay!r}: "

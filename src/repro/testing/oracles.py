@@ -1,12 +1,13 @@
-"""The retired paths, one function each: the spec every fast path that
-replaced one is held to.
+"""The retired paths, one each: the spec every fast path that replaced
+one is held to.
 
-Each function is the code as it stood before its fast path retired it,
+Each is the code as it stood before its fast path retired it,
 transcribed with public calls where it reached into internals.  None of
 them is fast, and none is used outside the tests: the differential
 machine swaps each into its *reference* datapath (a function for a
-method, or for the module global the slow path calls) and requires the
-datapath under test to leave the same state.
+method or for the module global the slow path calls, a class for the
+tuple space every reference shard scans) and requires the datapath
+under test to leave the same state.
 
 Each docstring's ``Retired by`` line names the change that retired the
 path by the code that replaced it; ``tests/test_testing_package.py``
@@ -15,19 +16,121 @@ checks that the named code exists.
 
 from __future__ import annotations
 
+from repro.flow.fields import FieldSpace
 from repro.flow.key import FlowKey
 from repro.flow.match import FlowMatch
 from repro.flow.rule import FlowRule
 from repro.flow.table import FlowTable
 from repro.ovs.megaflow import MegaflowCache, MegaflowEntry
+from repro.ovs.tss import Subtable, TssLookupResult, TupleSpaceSearch
 from repro.ovs.wildcarding import WildcardingResult, prefix_cover_len
 from repro.util.bits import first_diff_bit, mask_of_prefix
 
 __all__ = [
+    "TupleKeyedSearch",
     "classify_per_rule",
     "expire_idle_full_pass",
     "send_covert_per_packet",
 ]
+
+
+class _TupleKeyedSubtable(Subtable):
+    """A subtable keyed on the tuple of masked field values.  Its staged
+    probe derives each stage's partial tuples from the entries it holds
+    at the time of the probe, so it keeps no stage index to go stale."""
+
+    __slots__ = ("field_masks", "_stage_fields")
+
+    def __init__(self, packed_mask: int, created_seq: int, space: FieldSpace,
+                 stage_plan: tuple[int, ...] | None = None) -> None:
+        super().__init__(packed_mask, created_seq, space)
+        self.field_masks = space.unpack(packed_mask)
+        #: per stage, the positions of its fields
+        self._stage_fields = [
+            tuple(i for i, mask in enumerate(space.unpack(fields)) if mask)
+            for fields in stage_plan or ()
+        ]
+
+    def mask_key(self, values: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(v & m for v, m in zip(values, self.field_masks))
+
+    def get(self, packed: int) -> object | None:
+        return self.entries.get(self._space.unpack(packed))
+
+    def items(self) -> list[tuple[int, object]]:
+        pack = self._space.pack
+        return [(pack(values), entry) for values, entry in self.entries.items()]
+
+    def insert(self, packed: int, entry: object) -> bool:
+        values = self._space.unpack(packed)
+        new = values not in self.entries
+        self.entries[values] = entry
+        return new
+
+    def remove(self, packed: int) -> None:
+        del self.entries[self._space.unpack(packed)]
+
+    def lookup_staged(self, masked: tuple[int, ...]) -> tuple[object | None, int]:
+        probes = 0
+        for fields in self._stage_fields:
+            probes += 1
+            partial = tuple(masked[i] for i in fields)
+            if all(tuple(values[i] for i in fields) != partial
+                   for values in self.entries):
+                return None, probes
+        return self.entries.get(masked), probes
+
+
+class TupleKeyedSearch(TupleSpaceSearch):
+    """The tuple space keyed on per-field tuples: every subtable masks a
+    key field by field and probes a dict keyed on the masked tuple, and
+    a staged probe compares tuples of one stage's fields.  Entries come
+    and go by their packed form, as on the fast path, and are unpacked
+    to their tuples here.
+
+    Retired by: ``repro.ovs.tss.Subtable`` — one dict per mask keyed on
+    ``packed & packed_mask``, stage indexes on ``packed & stage mask``.
+    """
+
+    def _create_subtable(self, packed_mask: int) -> Subtable:
+        subtable = _TupleKeyedSubtable(packed_mask, self._next_seq,
+                                       self.space, self._stage_plan)
+        self._next_seq += 1
+        self._subtables[packed_mask] = subtable
+        if self.scan_order == "ranked":
+            self._scan_list.append(subtable)
+        return subtable
+
+    def lookup(self, key: FlowKey) -> TssLookupResult:
+        tuples_scanned = hash_probes = 0
+        for subtable in self.subtables():
+            tuples_scanned += 1
+            masked = subtable.mask_key(key.values)
+            if self.staged:
+                entry, probes = subtable.lookup_staged(masked)
+            else:
+                entry, probes = subtable.entries.get(masked), 1
+            hash_probes += probes
+            if entry is not None:
+                subtable.credit_hit()
+                self._account(tuples_scanned, hash_probes)
+                return TssLookupResult(entry, tuples_scanned, hash_probes)
+        self._account(tuples_scanned, hash_probes)
+        return TssLookupResult(None, tuples_scanned, hash_probes)
+
+    def _scan(self, keys) -> list:
+        """Key by key, the first subtable holding the masked tuple."""
+        tables = self.subtables()
+        answers = []
+        for key in keys:
+            hit = None
+            for depth, subtable in enumerate(tables, start=1):
+                entry = subtable.entries.get(subtable.mask_key(key.values))
+                if entry is not None:
+                    hit = (entry, subtable, depth)
+                    break
+            answers.append(hit)
+        return answers
 
 
 def classify_per_rule(table: FlowTable, key: FlowKey) -> WildcardingResult:

@@ -42,8 +42,8 @@ except ImportError:  # pragma: no cover - the container ships numpy
 #: small).  Defined here,
 #: NumPy-free, because the ``repro.obs`` encoder names them for every
 #: engine
-VEC_TSS_FALLBACK_REASONS = ("staged", "tuple", "small_burst",
-                            "memo_invalidated", "sparse_mirror")
+VEC_TSS_FALLBACK_REASONS = ("staged", "small_burst", "memo_invalidated",
+                            "sparse_mirror")
 VEC_TSS_PATHS = ("scan", "memo") + VEC_TSS_FALLBACK_REASONS
 
 __all__ = [

@@ -45,11 +45,10 @@ observes, which is what keeps the engine byte-for-byte identical to
   miss, so :meth:`~repro.ovs.switch.OvsSwitch._resolve` skips the
   per-key cache probe for those keys.
 
-Configurations the packed mirror cannot serve (staged lookup, tuple
-key mode), chunks too small to amortise the NumPy overhead and tuple
-spaces holding many entries per subtable take the inherited scalar
-scan — same results either way — and ``path_lookups`` counts which
-path answered every lookup.
+Staged lookup (which the dense mirror cannot serve), chunks too small
+to amortise the NumPy overhead and tuple spaces holding many entries
+per subtable take the inherited scalar scan — same results either way
+— and ``path_lookups`` counts which path answered every lookup.
 """
 
 from __future__ import annotations
@@ -81,7 +80,7 @@ def _first_match(packed: int, tables: list, lo: int, hi: int):
     ``packed``, or ``None``."""
     for s in range(lo, hi):
         table = tables[s]
-        entry = table.entries_packed.get(packed & table.packed_mask)
+        entry = table.entries.get(packed & table.packed_mask)
         if entry is not None:
             return entry, table, s + 1
     return None
@@ -95,7 +94,7 @@ def _shallowest(packed: int, hit: tuple | None, written: dict):
     ``hit`` names, and the live object is the answer."""
     for table, depth in written.items():
         if hit is None or depth <= hit[2]:
-            entry = table.entries_packed.get(packed & table.packed_mask)
+            entry = table.entries.get(packed & table.packed_mask)
             if entry is not None:
                 hit = (entry, table, depth)
     return hit
@@ -144,7 +143,6 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
         space: FieldSpace,
         staged: bool = False,
         scan_order: str = "insertion",
-        key_mode: str = "packed",
         resort_interval: int = 0,
         codec: LaneCodec | None = None,
     ) -> None:
@@ -152,7 +150,6 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
             space,
             staged=staged,
             scan_order=scan_order,
-            key_mode=key_mode,
             resort_interval=resort_interval,
         )
         self.codec = codec or LaneCodec(space)
@@ -181,21 +178,16 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
         #: none yet) — a small chunk that finds it moved is re-probing
         #: behind a write, not a caller's small burst
         self._answered_generation: int | None = None
-        #: why the packed columnar mirror can never serve this
-        #: configuration (staged lookup, tuple key mode), or ``None``
-        #: when it can
-        self._scalar_reason = (
-            "staged" if staged
-            else "tuple" if key_mode != "packed"
-            else None
-        )
+        #: why the columnar mirror can never serve this configuration
+        #: (staged lookup), or ``None`` when it can
+        self._scalar_reason = "staged" if staged else None
         #: lookups answered per path (deterministic: a pure function of
         #: the operation sequence)
         self.path_lookups = dict.fromkeys(VEC_TSS_PATHS, 0)
 
     # -- generation tracking -------------------------------------------------
 
-    def insert_at(self, subtable, masks, masked_values, entry, packed=None):
+    def insert_at(self, subtable, packed_mask, packed_value, entry):
         """The inherited insert (``insert`` lands here too); a live memo
         absorbs it.  In either scan order an insert appends a subtable
         at the end, adds an entry to a subtable or replaces one — it
@@ -205,8 +197,8 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
         some earlier ``remove`` / ``clear`` / ranked ``resort`` retired
         stays retired."""
         known = len(self._subtables)
-        subtable = super().insert_at(subtable, masks, masked_values, entry,
-                                     packed)
+        subtable = super().insert_at(subtable, packed_mask, packed_value,
+                                     entry)
         generation = self.generation
         self.generation = generation + 1
         if self._memo is None or self._memo_generation != generation:
@@ -228,8 +220,8 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
             written[subtable] = depth
         return subtable
 
-    def remove(self, masks, masked_values) -> None:
-        super().remove(masks, masked_values)
+    def remove(self, packed_mask, packed_value) -> None:
+        super().remove(packed_mask, packed_value)
         self.generation += 1
 
     def clear(self) -> None:
@@ -267,7 +259,7 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
         self._dense_generation = self.generation
         self._dense_cache = None
         tables = self.subtables()
-        counts = [len(table.entries_packed) for table in tables]
+        counts = [len(table.entries) for table in tables]
         n_cols = sum(counts)
         if n_cols > self.DENSE_MAX_ENTRIES * len(tables):
             return None
@@ -277,14 +269,14 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
         # table count; the transposes are copied lane-major so the scan
         # reads each lane of a column block as one contiguous run
         ent_t = np.ascontiguousarray(codec.encode_ints(
-            [packed for table in tables for packed in table.entries_packed]
+            [packed for table in tables for packed in table.entries]
         ).T)
         mask_t = np.ascontiguousarray(np.repeat(
             codec.encode_ints([table.packed_mask for table in tables]),
             counts, axis=0,
         ).T)
         entry_flat = [entry for table in tables
-                      for entry in table.entries_packed.values()]
+                      for entry in table.entries.values()]
         sub_of = [s for s, count in enumerate(counts) for _ in range(count)]
         fold_lanes = [l for l in range(n_lanes) if mask_t[l].any()] or [0]
         mults = np.array(
@@ -608,7 +600,6 @@ class VecSwitch(OvsSwitch):
             space,
             staged=tss.staged,
             scan_order=tss.scan_order,
-            key_mode=tss.key_mode,
             resort_interval=tss.resort_interval,
             codec=codec,
         )

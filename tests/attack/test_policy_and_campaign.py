@@ -3,7 +3,7 @@
 import pytest
 
 from repro.attack.analysis import reachable_mask_count
-from repro.attack.campaign import AttackCampaign
+from repro.attack.campaign import AttackCampaign, CampaignReport
 from repro.attack.policy import (
     calico_attack_policy,
     kubernetes_attack_policy,
@@ -101,6 +101,38 @@ class TestCampaign:
         report = self._campaign().run()
         text = report.headline()
         assert "masks=" in text and "Gbps" in text
+
+    @pytest.mark.parametrize("pre, post, headline", [
+        (1e9, 2.5e8, "masks=512 pre=1.00 Gbps post=0.250 Gbps "
+                     "(25.0% of baseline)"),
+        (None, 2.5e8, "masks=512 pre=n/a post=0.250 Gbps"),
+        (1e9, None, "masks=512 pre=1.00 Gbps post=n/a"),
+        (None, None, "masks=512 pre=n/a post=n/a"),
+    ], ids=["both", "no-pre", "no-post", "neither"])
+    def test_headline_reads_n_a_for_a_window_with_no_sample(
+        self, pre, post, headline
+    ):
+        """A window the series holds no sample of (its mean raises
+        ``ValueError``) reads ``n/a``, and the ratio is left out."""
+
+        def mean(value):
+            def window_mean():
+                if value is None:
+                    raise ValueError("no samples in window")
+                return value
+            return window_mean
+
+        class Simulation:
+            pre_attack_mean_bps = staticmethod(mean(pre))
+            post_attack_mean_bps = staticmethod(mean(post))
+
+            @staticmethod
+            def final_mask_count():
+                return 512
+
+        report = CampaignReport(prediction=None, simulation=Simulation(),
+                                covert_packet_count=0)
+        assert report.headline() == headline
 
     def test_throughput_drops_after_attack(self):
         report = self._campaign(duration=40.0, start=10.0).run()

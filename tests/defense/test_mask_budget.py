@@ -57,7 +57,7 @@ class TestHardCapRegression:
             assert result.forwarded == (value == 0b00001010)
         assert guard.degraded > 0
         assert switch.mask_count <= 3
-        exact_mask = tuple(spec.max_value for spec in space.specs)
+        exact_mask = space.pack([spec.max_value for spec in space.specs])
         assert switch.megaflow.tss.find_subtable(exact_mask) is not None
 
     def test_max_masks_one_degrades_everything(self):

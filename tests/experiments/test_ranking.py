@@ -10,6 +10,7 @@ from repro.experiments.ranking import (
     run_ranking_ablation,
     render,
 )
+from repro.perf.factory import switch_for_profile
 from repro.scenario.session import Session
 from repro.scenario.spec import ScenarioSpec
 from repro.util.rng import DeterministicRng
@@ -77,18 +78,13 @@ class TestRankedScenarioPlumbing:
         datapath = session.build_datapath()
         assert datapath.scan_order == "ranked"
 
-    def test_spec_round_trips_scan_order_and_key_mode(self):
-        spec = ScenarioSpec(surface="calico", scan_order="ranked", key_mode="tuple")
+    def test_spec_round_trips_scan_order(self):
+        spec = ScenarioSpec(surface="calico", scan_order="ranked")
         assert ScenarioSpec.from_dict(spec.to_dict()) == spec
-        assert spec.to_dict()["scan_order"] == "ranked"
+        assert spec.to_dict() == {"surface": "calico", "scan_order": "ranked"}
 
-    def test_tuple_backend_matches_packed_backend(self):
-        """The tuple-keyed reference TSS (``key_mode="tuple"``)
-        reproduces the packed fast path's probe results exactly."""
-        results = {}
-        for key_mode in ("packed", "tuple"):
-            spec = ScenarioSpec(surface="fig2", key_mode=key_mode,
-                                name=f"eq-{key_mode}")
-            probe = Session(spec).measure()
-            results[key_mode] = (probe.measured, probe.rows)
-        assert results["packed"] == results["tuple"]
+    def test_keys_are_packed_and_nothing_else(self):
+        with pytest.raises(ValueError, match="keys are packed"):
+            ScenarioSpec(surface="calico", key_mode="tuple")
+        with pytest.raises(ValueError, match="keys are packed"):
+            switch_for_profile("kernel", key_mode="tuple")

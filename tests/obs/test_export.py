@@ -102,16 +102,16 @@ class TestVecTssPaths:
 
     def test_metric_family(self):
         tele = Telemetry()
-        paths = dict(zip(VEC_TSS_PATHS, range(1, 8)))
+        paths = dict(zip(VEC_TSS_PATHS, range(1, 7)))
         record_vec_tss(tele, paths, node="n0")
         text = prometheus_text(tele)
         assert 'repro_vec_tss_scan_lookups{node="n0"} 1' in text
         assert 'repro_vec_tss_memo_lookups{node="n0"} 2' in text
         assert ('repro_vec_tss_fallback_lookups'
-                '{node="n0",reason="small_burst"} 5') in text
+                '{node="n0",reason="small_burst"} 4') in text
         assert ('repro_vec_tss_fallback_lookups'
-                '{node="n0",reason="memo_invalidated"} 6') in text
-        assert text.count("repro_vec_tss_fallback_lookups{") == 5
+                '{node="n0",reason="memo_invalidated"} 5') in text
+        assert text.count("repro_vec_tss_fallback_lookups{") == 4
 
     def test_a_traced_campaign_exports_the_family(self):
         spec = SCENARIOS.get("k8s-deepscan").evolve(

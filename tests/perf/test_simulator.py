@@ -111,6 +111,30 @@ class TestAttackRun:
         emc_index = series.columns.index("emc_hit_rate")
         assert last[emc_index] <= first[emc_index]
 
+    @pytest.mark.parametrize("victim_flows, ledger, active, rate", [
+        (0, 0, False, 0.98),
+        (128, 0, False, 0.98),
+        (128, 512, False, 0.98),
+        (128, 512, True, 0.98 * 0.4),
+        (1024, 0, False, 0.98 * 0.25),
+    ], ids=["no-flows", "fits", "inactive-attack-holds-no-slot",
+            "active-attack-shares", "victim-over-capacity"])
+    def test_emc_hit_rate_is_the_capacity_competition_model(
+        self, victim_flows, ledger, active, rate
+    ):
+        """0.98 × min(1, EMC entries / competing flows) over the kernel
+        profile's 256 entries; the attacker's ledger entries compete
+        only while the attack is active."""
+        simulator = DataplaneSimulator(
+            switch=switch_for_profile("kernel"),
+            cost_model=CostModel(),
+            victim=VictimWorkload(concurrent_flows=victim_flows),
+            duration=1.0,
+        )
+        assert simulator.switch.cache_capacity == 256
+        simulator._attacker_entries = {(0, i): None for i in range(ledger)}
+        assert simulator._emc_hit_rate(active) == rate
+
     def test_masks_sustained_by_refresh(self):
         # run long enough that the first-installed megaflows would idle
         # out (10s) unless the covert stream refreshed them

@@ -332,8 +332,6 @@ class TestAutoLbTuningKnobs:
             ({"rebalance_improvement": 0.2}, "inline", "one shard"),
             ({"rebalance_load_floor": 10.0}, "inline", "one shard"),
             ({"rebalance_interval": 2.0}, "inline", "one shard"),
-            ({"key_mode": "tuple", "rebalance_load_floor": 10.0},
-             "inline", "one shard"),
             ({"backend": "ovs-vec-auto", "rebalance_interval": 2.0},
              "inline", "one shard"),
             ({"backend": "cacheless", "rebalance_improvement": 0.2},
@@ -347,7 +345,7 @@ class TestAutoLbTuningKnobs:
         ],
         ids=[
             "ovs-improvement", "ovs-floor", "ovs-interval",
-            "ovs-tuple-keys", "ovs-vec-interval", "cacheless-improvement",
+            "ovs-vec-interval", "cacheless-improvement",
             "cacheless-interval", "processes-interval", "processes-floor",
         ],
     )
@@ -444,6 +442,24 @@ class TestCliScenario:
         out = capsys.readouterr().out
         assert "masks=" in out
         assert (tmp_path / "prefix8.csv").exists()
+
+    @pytest.mark.parametrize("args, headline", [
+        (["k8s-serve"], "pre=n/a post=1.000 Gbps\n"),
+        (["calico", "--duration", "20"], "pre=1.00 Gbps post=n/a\n"),
+        (["calico", "--attack-start", "0"], "pre=n/a post=0.007 Gbps\n"),
+    ], ids=["k8s-serve", "calico-ends-before-its-attack",
+            "calico-attacks-at-zero"])
+    def test_a_window_with_no_sample_reads_n_a(self, capsys, args, headline):
+        assert main(["scenario", *args]) == 0
+        assert capsys.readouterr().out.endswith(headline)
+
+    def test_keys_have_no_mode_to_pick(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["scenario", "calico", "--key-mode", "tuple"])
+        assert excinfo.value.code == 2
+        capsys.readouterr()
+        assert main(["scenario", "--list"]) == 0
+        assert "key" not in capsys.readouterr().out
 
     def test_probe_scenario_via_cli(self, capsys):
         assert main(["scenario", "fig2"]) == 0

@@ -1,18 +1,18 @@
 """One differential machine for every fast path.
 
-The claim: whatever engine, shard count, scan order, key mode or result
-mode answers, a datapath leaves exactly what the scalar per-key
-reference leaves.  The machine draws one point of
+The claim: whatever engine, shard count, scan order or result mode
+answers, a datapath leaves exactly what the scalar per-key reference
+leaves.  The machine draws one point of
 :class:`~repro.perf.factory.DatapathConfig`'s product and builds two
 datapaths from it, each driven by a ``DataplaneSimulator``:
 
 * the system under test, as configured;
 * the reference: the same point on the scalar ``ovs`` engine, with the
   retired paths of :mod:`repro.testing.oracles` swapped in — the
-  per-rule classify loop for the slow path, the full-pass
-  ``expire_idle`` for every cache, the per-packet model replay for the
-  simulator — and bursts processed one key at a time through
-  ``process()``.
+  per-rule classify loop for the slow path, the tuple-keyed tuple space
+  and the full-pass ``expire_idle`` for every cache, the per-packet
+  model replay for the simulator — and bursts processed one key at a
+  time through ``process()``.
 
 Both take the same generated operations — bursts in both result modes,
 clock moves, rule changes, install guards, RETA remaps, simulator ticks
@@ -20,12 +20,13 @@ with their perturbations, and direct writes to one shard's megaflow
 cache under a live pre-scan — and after every one their
 :func:`~repro.testing.fingerprint` must be equal.  The running counts
 both sides keep (TSS entries and masks, EMC occupancy) are invariants
-of both.
+of both, and so is ``alive``: an entry anything still references is
+alive exactly while its cache holds it.
 
 The machine runs once per point of the product's main axes — engine,
-shards with the rebalancer, staging, scan order, key mode — with those
-pinned and the rest drawn, and a last test asserts floors on what the
-runs' corpus covered.
+shards with the rebalancer, staging, scan order — with those pinned and
+the rest drawn, and a last test asserts floors on what the runs' corpus
+covered.
 """
 
 import zlib
@@ -113,7 +114,7 @@ MASKS = [
     for eth_mask in (0, 0xFFFF)
 ]
 #: a mask nothing installs: removing under it must raise on both sides
-ABSENT_MASK = (1,) + (0,) * (len(OVS_FIELDS) - 1)
+ABSENT_MASK = OVS_FIELDS.pack((1,) + (0,) * (len(OVS_FIELDS) - 1))
 ACTIONS = (Allow(), Drop(), Output(1), Output(2))
 TENANTS = ("extra", "bob")
 TP_SRC = OVS_FIELDS.index_of("tp_src")
@@ -185,13 +186,20 @@ def _batch_view(batch):
 
 
 def _resolved(tss, key):
-    """``(masks, masked values)`` of the entry ``key`` resolves to, in
-    scan order, without a lookup's credits and counts; else ``None``."""
+    """``(packed mask, packed masked key)`` of the entry ``key`` resolves
+    to, in scan order, without a lookup's credits and counts; else
+    ``None``."""
     for subtable in tss.subtables():
-        masked = subtable.mask_key(key.values)
+        masked = key.packed & subtable.packed_mask
         if masked in subtable.entries:
-            return subtable.masks, masked
+            return subtable.packed_mask, masked
     return None
+
+
+def _evicted(entry):
+    """Marks ``entry`` evicted, for a predicate that removes it."""
+    entry.alive = False
+    return True
 
 
 def _lookup_view(results):
@@ -299,22 +307,20 @@ _axes = {
         "reprobe_interval": st.sampled_from([0.0, 2.0]),
     }),
 }
-#: what a point pins: engine, shards with the rebalancer, staging, scan
-#: order (the resort interval drawn) and key mode
+#: what a point pins: engine, shards with the rebalancer, staging and
+#: scan order (the resort interval drawn)
 POINTS = {
     f"{engine}-{shards}shard{'-rebalanced' * rebalancer}"
-    f"{'-staged' * staged}-{order}-{key_mode}": {
+    f"{'-staged' * staged}-{order}": {
         "engine": st.just(engine), "shards": st.just(shards),
         "rebalancer": st.just(rebalancer), "staged": st.just(staged),
         "order": (st.just(("insertion", 0)) if order == "insertion"
                   else st.sampled_from(RANKED)),
-        "key_mode": st.just(key_mode),
     }
     for engine in ENGINES
     for shards, rebalancer in ((1, False), (2, False), (2, True))
     for staged in (False, True)
     for order in ("insertion", "ranked")
-    for key_mode in ("packed", "tuple")
 }
 _pool_key = st.integers(0, len(POOL) - 1)
 _pick = st.integers(0, 63)  # taken modulo whatever exists
@@ -402,8 +408,7 @@ class DifferentialMachine(RuleBasedStateMachine):
         def datapath(engine):
             built = DatapathConfig(
                 profile, engine=engine, shards=self.shards, reta_size=16,
-                staged=config["staged"], scan_order=scan_order,
-                key_mode=config["key_mode"], seed=3,
+                staged=config["staged"], scan_order=scan_order, seed=3,
                 rebalance_interval=2.0 if self.rebalancing else None,
             ).build()
             for shard in shard_views(built):
@@ -418,9 +423,13 @@ class DifferentialMachine(RuleBasedStateMachine):
             if config["eager"] and config["engine"] == "ovs-vec":
                 shard.megaflow.tss.PRESCAN_MIN_WORK = 1
         for shard in shard_views(self.ref):
-            shard.megaflow.expire_idle = MethodType(
-                oracles.expire_idle_full_pass, shard.megaflow
+            cache = shard.megaflow
+            cache.tss = oracles.TupleKeyedSearch(
+                OVS_FIELDS, staged=config["staged"], scan_order=scan_order,
+                resort_interval=resort_interval,
             )
+            cache.expire_idle = MethodType(oracles.expire_idle_full_pass,
+                                           cache)
         self.sim = _simulator(self.sut, config["sim"], oracle=False)
         self.ref_sim = _simulator(self.ref, config["sim"], oracle=True)
         #: per shard, every entry a direct insert made: (sut's, ref's)
@@ -643,16 +652,17 @@ class DifferentialMachine(RuleBasedStateMachine):
                 inserts = 0
             elif kind in ("insert", "insert_existing", "replace"):
                 _, pick, key, action, tenant, when = op
+                values = POOL[key].values
                 if kind == "insert":
-                    masks, values = MASKS[pick % len(MASKS)], POOL[key].values
+                    masks = MASKS[pick % len(MASKS)]
                 elif not live[0]:
                     continue
                 elif kind == "insert_existing":
-                    masks = live[0][pick % len(live[0])][0]
-                    values = POOL[key].values
+                    masks = OVS_FIELDS.unpack(live[0][pick % len(live[0])][0])
                 else:  # a flow mod of what the key resolves to, if it does
-                    masks, values = (_resolved(tss, POOL[key])
-                                     or live[0][pick % len(live[0])][:2])
+                    packed = (_resolved(tss, POOL[key])
+                              or live[0][pick % len(live[0])][:2])
+                    masks, values = map(OVS_FIELDS.unpack, packed)
                 match = FlowMatch.from_tuples(OVS_FIELDS, values, masks)
                 now = self._now(when)
                 pair = [_outcome(lambda c=cache: c.insert(
@@ -682,20 +692,20 @@ class DifferentialMachine(RuleBasedStateMachine):
                     for cache, entry in zip(caches,
                                             inserted[op[1] % len(inserted)]):
                         cache.remove_entry(entry)
+            # a write behind the cache's back evicts what it removes
             elif kind == "remove":
                 for cache, side in zip(caches, live):
                     if side:
-                        masks, values, entry = side[op[1] % len(side)]
+                        mask, value, entry = side[op[1] % len(side)]
                         entry.alive = False
-                        cache.tss.remove(masks, values)
+                        cache.tss.remove(mask, value)
             elif kind == "remove_missing":
-                assert [_outcome(lambda c=cache: c.tss.remove(
-                    ABSENT_MASK, (0,) * len(ABSENT_MASK))) for cache in caches
-                        ] == [KeyError] * 2
+                assert [_outcome(lambda c=cache: c.tss.remove(ABSENT_MASK, 0))
+                        for cache in caches] == [KeyError] * 2
             elif kind == "remove_if":
                 removed = [cache.tss.remove_if(
-                    lambda entry: entry.match.values[TP_DST] % 2 == op[1])
-                    for cache in caches]
+                    lambda entry: entry.match.values[TP_DST] % 2 == op[1]
+                    and _evicted(entry)) for cache in caches]
                 assert removed[0] == removed[1]
             elif kind == "evict_tenant":
                 assert caches[0].evict_tenant(op[1]) == \
@@ -709,6 +719,8 @@ class DifferentialMachine(RuleBasedStateMachine):
                     cache.flush()
             elif kind == "clear":
                 for cache in caches:
+                    for entry in cache.entries():
+                        entry.alive = False
                     cache.tss.clear()
             else:
                 for cache in caches:
@@ -775,12 +787,31 @@ class DifferentialMachine(RuleBasedStateMachine):
                 assert all(subtables)  # empties are destroyed
                 assert shard.megaflow.entry_count == \
                     len(shard.megaflow.entries())
-                assert all(s.check_packed_consistency() for s in subtables)
                 emc = shard.microflow
                 assert emc.occupancy == sum(map(len, emc._sets))
                 assert all(len(bucket) <= emc.ways for bucket in emc._sets)
                 # purges and flushes only ever shrink it
                 assert emc.occupancy <= emc.insertions - emc.evictions
+
+    @invariant()
+    def alive_exactly_while_cached(self):
+        """``alive`` is how an EMC slot or a simulator ledger learns its
+        entry was evicted or replaced: every entry still referenced is
+        alive exactly while its cache holds it."""
+        sides = ((self.sut, self.sim, 0), (self.ref, self.ref_sim, 1))
+        for datapath, sim, side in sides:
+            shards = shard_views(datapath)
+            held = {id(entry) for shard in shards
+                    for entry in shard.megaflow.entries()}
+            referenced = [
+                *(slot.entry for shard in shards
+                  for bucket in shard.microflow._sets for slot in bucket),
+                *sim._attacker_entries.values(),
+                *sim._victim_entries.values(),
+                *(pair[side] for pairs in self.inserted for pair in pairs),
+            ]
+            for entry in referenced:
+                assert entry.alive == (id(entry) in held), entry_view(entry)
 
     def teardown(self):
         # plan recompiles: versions compiled per shard, beyond the first
@@ -806,10 +837,10 @@ def _machine_at(point):
 
 @pytest.mark.parametrize("point", sorted(POINTS))
 def test_every_point_of_the_product_leaves_what_the_reference_leaves(point):
-    # a sixteenth of the profile's examples at each point.  A failure is
+    # a twelfth of the profile's examples at each point.  A failure is
     # shrunk and reported alone: the first state where the two part
     run_state_machine_as_test(_machine_at(point), settings=settings(
-        max_examples=max(1, settings.default.max_examples // 16),
+        max_examples=max(1, settings.default.max_examples // 12),
         stateful_step_count=25, report_multiple_bugs=False,
     ))
     CENSUS["points"] += 1

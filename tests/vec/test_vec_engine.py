@@ -209,12 +209,11 @@ class TestVecTssLookupBatch:
         mask = FlowMatch(
             OVS_FIELDS,
             {"ip_src": (0, 0xFFFFFFFF), "ip_dst": (0, 0xFFFFFFFF)},
-        ).masks
+        ).packed[0]
         for i, key in enumerate(keys):
-            masked = tuple(v & m for v, m in zip(key.values, mask))
             entry = f"entry-{i}"
-            ref.insert(mask, masked, entry)
-            vec.insert(mask, masked, entry)
+            ref.insert(mask, key.packed & mask, entry)
+            vec.insert(mask, key.packed & mask, entry)
         vec_results = vec.lookup_batch(keys)
         assert vec._dense_cache is None
         ref_results = ref.lookup_batch(keys)
