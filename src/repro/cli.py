@@ -404,7 +404,10 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     """The ``experiment`` command."""
     from repro.experiments import runner
 
-    return runner.main(args.names or ["all"])
+    argv = args.names or ["all"]
+    if args.csv is not None:
+        argv = [*argv, "--csv", args.csv]
+    return runner.main(argv)
 
 
 def cmd_demo(_args: argparse.Namespace) -> int:
@@ -614,6 +617,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     experiment = sub.add_parser("experiment", help="run paper experiments")
     experiment.add_argument("names", nargs="*", help="experiment ids (default: all)")
+    experiment.add_argument("--csv", metavar="DIR", default=None,
+                            help="directory for CSV dumps (every experiment writes here)")
     experiment.set_defaults(func=cmd_experiment)
 
     demo = sub.add_parser("demo", help="print the Fig. 2 worked example")

@@ -122,7 +122,7 @@ EXPERIMENTS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(prog="repro experiment", description=__doc__)
     parser.add_argument(
         "experiments",
         nargs="*",

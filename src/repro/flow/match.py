@@ -21,16 +21,19 @@ from repro.util.bits import mask_of_prefix, ones, popcount
 class FlowMatch:
     """An immutable wildcard match over a :class:`FieldSpace`.
 
-    ``values`` and ``masks`` are tuples aligned with the space's field
-    order.  A zero mask wildcards the field entirely; ``values`` are
-    always stored pre-masked so equality and hashing are canonical.
+    A match is one ``(packed mask, packed masked value)`` pair, its
+    :attr:`packed` form, or equivalently the ``values`` and ``masks``
+    tuples aligned with the space's field order.  A zero mask wildcards
+    the field entirely; values are always stored pre-masked so equality
+    and hashing are canonical.
 
-    Like :class:`~repro.flow.key.FlowKey`, a match lazily caches its
-    :attr:`packed` form, which the TSS packed-key path stores as the
-    subtable mask and the entry's hash key.
+    Each form is derived from the other on first read and cached: rules
+    are built from per-field pairs and pack when the slow path compiles
+    them, megaflows are born packed (:meth:`from_packed`) and unpack
+    only for diagnostics, guards and reports.
     """
 
-    __slots__ = ("space", "values", "masks", "_packed")
+    __slots__ = ("space", "_values", "_masks", "_packed")
 
     def __init__(
         self,
@@ -48,8 +51,8 @@ class FlowMatch:
                 spec.check(mask)
                 values[index] = value & mask
                 masks[index] = mask
-        self.values: tuple[int, ...] = tuple(values)
-        self.masks: tuple[int, ...] = tuple(masks)
+        self._values: tuple[int, ...] | None = tuple(values)
+        self._masks: tuple[int, ...] | None = tuple(masks)
         self._packed: tuple[int, int] | None = None
 
     @classmethod
@@ -58,18 +61,27 @@ class FlowMatch:
         space: FieldSpace,
         values: tuple[int, ...],
         masks: tuple[int, ...],
-        packed: tuple[int, int] | None = None,
     ) -> "FlowMatch":
         """Build directly from aligned tuples (values are masked here);
-        ``packed``, when the caller already holds it, must equal
-        ``(space.pack(masks), space.pack(masked values))``."""
+        the packed pair is computed only if something reads it."""
         if len(values) != len(space) or len(masks) != len(space):
             raise ValueError("tuple lengths must equal the field count")
         match = cls.__new__(cls)
         match.space = space
-        match.masks = tuple(masks)
-        match.values = tuple(map(and_, values, masks))
-        match._packed = packed
+        match._masks = tuple(masks)
+        match._values = tuple(map(and_, values, masks))
+        match._packed = None
+        return match
+
+    @classmethod
+    def from_packed(cls, space: FieldSpace, packed_mask: int,
+                    packed_value: int) -> "FlowMatch":
+        """Build from the packed pair (the value is masked here); the
+        per-field tuples are unpacked only if something reads them."""
+        match = cls.__new__(cls)
+        match.space = space
+        match._masks = match._values = None
+        match._packed = (packed_mask, packed_value & packed_mask)
         return match
 
     @classmethod
@@ -90,8 +102,24 @@ class FlowMatch:
         packed = self._packed
         if packed is None:
             pack = self.space.pack
-            packed = self._packed = (pack(self.masks), pack(self.values))
+            packed = self._packed = (pack(self._masks), pack(self._values))
         return packed
+
+    @property
+    def values(self) -> tuple[int, ...]:
+        """Per-field masked values (unpacked once, cached)."""
+        values = self._values
+        if values is None:
+            values = self._values = self.space.unpack(self._packed[1])
+        return values
+
+    @property
+    def masks(self) -> tuple[int, ...]:
+        """Per-field masks (unpacked once, cached)."""
+        masks = self._masks
+        if masks is None:
+            masks = self._masks = self.space.unpack(self._packed[0])
+        return masks
 
     # -- predicates --------------------------------------------------------
 

@@ -24,7 +24,7 @@ DEFAULT_FLOW_LIMIT = 200_000
 DEFAULT_IDLE_TIMEOUT = 10.0
 
 
-@dataclass
+@dataclass(slots=True)
 class MegaflowEntry:
     """One cached megaflow: a wildcard match, its action, and bookkeeping."""
 
@@ -178,9 +178,10 @@ class MegaflowCache:
         up once, by the match's :attr:`packed
         <repro.flow.match.FlowMatch.packed>` form."""
         packed_mask, packed_value = match.packed
-        found = self.tss.find_subtable(packed_mask)
+        tss = self.tss
+        found = tss.find_subtable(packed_mask)
         existing = found.get(packed_value) if found is not None else None
-        if existing is None and self.entry_count >= self.flow_limit:
+        if existing is None and tss.entry_count >= self.flow_limit:
             self.rejected_inserts += 1
             raise CacheFullError(
                 f"datapath flow limit reached ({self.flow_limit} flows)"
@@ -189,15 +190,9 @@ class MegaflowCache:
             existing.alive = False
         if now < self._idle_floor:
             self._idle_floor = now
-        entry = MegaflowEntry(
-            match=match,
-            action=action,
-            created_at=now,
-            last_used=now,
-            tenant=tenant,
-        )
-        entry.subtable = self.tss.insert_at(found, packed_mask, packed_value,
-                                            entry)
+        # positional arguments: half the cost of keywords, on every install
+        entry = MegaflowEntry(match, action, now, now, 0, tenant)
+        entry.subtable = tss.insert_at(found, packed_mask, packed_value, entry)
         self.inserts += 1
         return entry
 

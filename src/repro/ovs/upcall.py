@@ -52,7 +52,7 @@ class InstallRejected(Exception):
     """Raised by a guard to veto the installation of a megaflow."""
 
 
-@dataclass
+@dataclass(slots=True)
 class UpcallResult:
     """Outcome of one slow-path upcall."""
 
@@ -123,9 +123,4 @@ class SlowPath:
             skipped = "flow-limit"
         if skipped is not None:
             self.installs_skipped += 1
-        return UpcallResult(
-            action=action,
-            classification=result,
-            installed=installed,
-            install_skipped=skipped,
-        )
+        return UpcallResult(action, result, installed, skipped)

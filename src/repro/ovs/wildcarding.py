@@ -44,12 +44,25 @@ lookup would give it.  Sketch: a packet agreeing with the original on
 every un-wildcarded prefix agrees on every confirmed field (so still
 matches the rules the original matched) and agrees up to each witness
 bit (so still fails the rules the original failed, at the same field).
+
+Packed walk
+-----------
+The model above is evaluated on packed integers, one AND/XOR per rule
+examined (:class:`RulePlan`, compiled once per table version): ``diff =
+(key & mask) ^ value``.  A zero ``diff`` is a match and un-wildcards the
+rule's confirm bits.  Otherwise the highest set bit of ``diff`` is the
+witness bit: field 0 is the most significant, so that bit lies in the
+first field the key fails, and the rule's confirm bits above that
+field's boundary are exactly the fields it satisfied first.  Prefixes
+nest within a field, so OR-ing every examined rule's bits keeps each
+field's longest prefix, and the megaflow is born as its packed pair.
+The field-by-field loop of the model is the walk's reference,
+``repro.testing.oracles.classify_per_rule``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import getitem
 
 from repro.flow.key import FlowKey
 from repro.flow.match import FlowMatch
@@ -72,7 +85,7 @@ def prefix_cover_len(mask: int, width: int) -> int:
     return width - trailing
 
 
-@dataclass
+@dataclass(slots=True)
 class WildcardingResult:
     """Outcome of one slow-path classification.
 
@@ -99,87 +112,72 @@ class WildcardingResult:
 @dataclass(frozen=True)
 class RulePlan:
     """A :class:`FlowTable` compiled for :func:`classify_with_wildcards`
-    (one per table version, see :meth:`FlowTable.compiled`).
+    (one per table version, see :meth:`FlowTable.compiled`), in the
+    space's packed layout.
 
-    ``rules`` holds, per rule in lookup order, the rule and its
-    constrained fields only, in field order, as ``(index, mask, value,
-    confirm_len, always_exact, width)``: ``confirm_len`` is the prefix a
-    satisfied field un-wildcards (the full width for ``always_exact``
-    fields, else the cover of the mask).  ``prefix_masks[i][n]`` is field
-    ``i``'s ``n``-bit prefix mask, ``packed_prefix_masks[i][n]`` the same
-    mask at the field's offset in the packed layout.
+    ``rules`` holds, per rule in lookup order, ``(rule, mask, value,
+    confirm)``: the rule's packed mask and masked value, and ``confirm``,
+    the bits a satisfied rule un-wildcards — per constrained field the
+    whole field when it is ``always_exact``, else the prefix covering
+    its mask.  For the field holding packed bit ``b``, ``top[b]`` is the
+    field's upper boundary ``1 << (offset + width)`` and ``low[b]`` the
+    lowest bit a witness at ``b`` un-wildcards: ``1 << offset`` for an
+    ``always_exact`` field, else ``1 << b``.
     """
 
-    rules: tuple[tuple[FlowRule, tuple[tuple[int, int, int, int, bool, int], ...]], ...]
-    prefix_masks: tuple[tuple[int, ...], ...]
-    packed_prefix_masks: tuple[tuple[int, ...], ...]
+    rules: tuple[tuple[FlowRule, int, int, int], ...]
+    top: tuple[int, ...]
+    low: tuple[int, ...]
 
 
 def compile_rule_plan(table: FlowTable) -> RulePlan:
     """Compile ``table``'s rules, in lookup order, into a
-    :class:`RulePlan` — O(rules × fields), once per table version."""
+    :class:`RulePlan` — O(rules × fields + bits), once per table
+    version."""
     space = table.space
+    fields = list(zip(space.specs, space.offsets))
     rules = []
     for rule in table:
-        checks = []
-        for index, spec in enumerate(space.specs):
-            mask = rule.match.masks[index]
-            if mask == 0:
-                continue
-            confirm_len = (
-                spec.width if spec.always_exact else prefix_cover_len(mask, spec.width)
-            )
-            checks.append((index, mask, rule.match.values[index], confirm_len,
-                           spec.always_exact, spec.width))
-        rules.append((rule, tuple(checks)))
-    prefix_masks = tuple(
-        tuple(mask_of_prefix(n, spec.width) for n in range(spec.width + 1))
-        for spec in space.specs
-    )
-    packed_prefix_masks = tuple(
-        tuple(mask << offset for mask in masks)
-        for masks, offset in zip(prefix_masks, space.offsets)
-    )
-    return RulePlan(tuple(rules), prefix_masks, packed_prefix_masks)
+        confirm = 0
+        for (spec, offset), mask in zip(fields, rule.match.masks):
+            if mask:
+                cover = spec.width if spec.always_exact else prefix_cover_len(mask, spec.width)
+                confirm |= mask_of_prefix(cover, spec.width) << offset
+        rules.append((rule, *rule.match.packed, confirm))
+    top: list[int] = []
+    low: list[int] = []
+    for spec, offset in reversed(fields):  # least significant field first
+        for bit in range(offset, offset + spec.width):
+            top.append(1 << (offset + spec.width))
+            low.append(1 << (offset if spec.always_exact else bit))
+    return RulePlan(tuple(rules), tuple(top), tuple(low))
 
 
 def classify_with_wildcards(table: FlowTable, key: FlowKey) -> WildcardingResult:
     """Classify ``key`` against ``table`` and build the broadest megaflow
     that preserves the classification decision (see module docstring).
 
-    Walks the table's :class:`RulePlan`.  A witness is the prefix up to
-    and including the first bit where the key differs from the rule
-    inside its mask, ``width - (diff).bit_length() + 1``; the megaflow
-    arrives with its packed form filled in.
+    Walks the table's :class:`RulePlan` on the packed key (the module
+    docstring's packed walk); the megaflow is born as its packed pair.
     """
     plan = table.compiled(compile_rule_plan)
-    key_values = key.values
-    prefix_lens = [0] * len(plan.prefix_masks)
-
+    top, low = plan.top, plan.low
+    packed = key.packed
+    acc = 0
     winner: FlowRule | None = None
     examined = 0
-    for rule, checks in plan.rules:
+    for rule, mask, value, confirm in plan.rules:
         examined += 1
-        for index, mask, value, confirm_len, always_exact, width in checks:
-            masked = key_values[index] & mask
-            if masked == value:
-                if confirm_len > prefix_lens[index]:
-                    prefix_lens[index] = confirm_len
-                continue
-            needed = width if always_exact else width - (masked ^ value).bit_length() + 1
-            if needed > prefix_lens[index]:
-                prefix_lens[index] = needed
-            break
-        else:
+        diff = (packed & mask) ^ value
+        if not diff:
+            acc |= confirm
             winner = rule
             break
-
-    masks = tuple(map(getitem, plan.prefix_masks, prefix_lens))
-    packed_mask = sum(map(getitem, plan.packed_prefix_masks, prefix_lens))
-    megaflow = FlowMatch.from_tuples(
-        table.space, key_values, masks, (packed_mask, key.packed & packed_mask)
-    )
-    return WildcardingResult(rule=winner, megaflow=megaflow, rules_examined=examined)
+        bit = diff.bit_length() - 1
+        boundary = top[bit]
+        acc |= (confirm & -boundary) | (boundary - low[bit])
+    megaflow = FlowMatch.from_packed(table.space, acc, packed)
+    return WildcardingResult(winner, megaflow, examined)
 
 
 def megaflow_table_rows(

@@ -141,8 +141,9 @@ def classify_per_rule(table: FlowTable, key: FlowKey) -> WildcardingResult:
     demand).
 
     Retired by: ``repro.ovs.wildcarding.compile_rule_plan`` — the slow
-    path walks a rule plan compiled once per ``FlowTable.version``, and
-    its megaflow arrives packed.
+    path walks a packed rule plan compiled once per
+    ``FlowTable.version``, one AND/XOR per rule on the packed key, and
+    its megaflow is born as its packed pair (``FlowMatch.from_packed``).
     """
     space = table.space
     prefix_lens = [0] * len(space)

@@ -88,6 +88,18 @@ class TestCliMisc:
         assert main(["experiment", "masks"]) == 0
         assert "8192" in capsys.readouterr().out
 
+    def test_experiment_csv_is_forwarded(self, tmp_path, capsys):
+        assert main(["experiment", "fig2", "--csv", str(tmp_path)]) == 0
+        assert "00001010" in (tmp_path / "fig2.csv").read_text()
+
+    def test_unknown_experiment_names_the_command(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["experiment", "bogus"])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro experiment ")
+        assert "'bogus'" in err
+
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

@@ -82,6 +82,5 @@ def test_a_match_built_elsewhere_packs_on_demand():
     space = FieldSpace([FieldSpec("a", 5), FieldSpec("b", 11)], name="two")
     match = FlowMatch(space, {"a": (0b10110, 0b11100), "b": (0x5A5, 0x7F0)})
     assert match.packed == (space.pack(match.masks), space.pack(match.values))
-    hinted = FlowMatch.from_tuples(space, (0b10110, 0x5A5), match.masks,
-                                   match.packed)
-    assert hinted == match and hinted.packed is match.packed
+    born = FlowMatch.from_packed(space, *match.packed)
+    assert (born.masks, born.values) == (match.masks, match.values)

@@ -2,12 +2,13 @@
 timed.
 
 An install costs O(1) in the size of the table it lands in, walks a
-rule plan compiled once per flow-table version and packs nothing when
-its key's packed form is cached; a sweep costs O(1) while the idle
-floor is inside the timeout and O(entries) when it is not, packing
-nothing even when it evicts every entry, a burst of EMC hits O(burst) whatever the cache's size, an all-hit model-replay
-tick no key hash at all, and the covert key list one check per distinct
-value — see DESIGN.md's complexity contract.  The cost measure is
+rule plan compiled once per flow-table version, packs nothing when its
+key's packed form is cached and builds no per-field tuple; a sweep
+costs O(1) while the idle floor is inside the timeout and O(entries)
+when it is not, packing nothing even when it evicts every entry, a
+burst of EMC hits O(burst) whatever the cache's size, an all-hit
+model-replay tick no key hash at all, and the covert key list one check
+per distinct value — see DESIGN.md's complexity contract.  The cost measure is
 the interpreter's own call count (Python and builtin calls alike, via
 ``cProfile``), a pure function of the code path: no wall clock, nothing
 to flake.  Growing the work 4x may grow the calls at most 4.5x; the
@@ -103,23 +104,28 @@ def test_a_sweep_inside_the_idle_floor_iterates_no_subtable():
     assert calls_n == calls_4n < N, (calls_n, calls_4n)
 
 
-def _python_calls(work, name: str, filename: str) -> int:
-    """Calls to one Python function while ``work`` runs."""
+def _python_calls(work, *functions: str) -> int | list[int]:
+    """Calls to each Python function, named ``"module/file.py:name"``,
+    while ``work`` runs (a bare count for one function)."""
     profile = cProfile.Profile()
     profile.enable()
     work()
     profile.disable()
-    return sum(
-        calls for (file, _line, func), (_cc, calls, *_rest)
-        in pstats.Stats(profile).stats.items()
-        if func == name and file.endswith(filename)
-    )
+    stats = pstats.Stats(profile).stats.items()
+    counts = []
+    for function in functions:
+        filename, name = function.split(":")
+        counts.append(sum(
+            calls for (file, _line, func), (_cc, calls, *_rest) in stats
+            if func == name and file.endswith(filename)
+        ))
+    return counts[0] if len(counts) == 1 else counts
 
 
 def test_the_rule_plan_is_compiled_once_per_table_version():
     switch = _switch()
-    compiles = _python_calls(lambda: _install(switch, N), "compile_rule_plan",
-                             "ovs/wildcarding.py")
+    compiles = _python_calls(lambda: _install(switch, N),
+                             "ovs/wildcarding.py:compile_rule_plan")
     assert compiles == 1
 
     def install_around_a_rule_change():
@@ -130,29 +136,50 @@ def test_the_rule_plan_is_compiled_once_per_table_version():
             switch.handle_miss(key, now=0.0)
 
     compiles = _python_calls(install_around_a_rule_change,
-                             "compile_rule_plan", "ovs/wildcarding.py")
+                             "ovs/wildcarding.py:compile_rule_plan")
     assert compiles == 1
+
+
+def _packed_keys(keys: list[FlowKey]) -> list[FlowKey]:
+    """The keys again, each with its packed form cached."""
+    return [FlowKey.from_tuple(OVS_FIELDS, key.values,
+                               OVS_FIELDS.pack(key.values)) for key in keys]
 
 
 def test_an_install_of_a_packed_key_packs_nothing():
     switch = _switch()
     _install(switch, 1)  # the plan is compiled outside the count
-    keys = [FlowKey.from_tuple(OVS_FIELDS, key.values,
-                               OVS_FIELDS.pack(key.values))
-            for key in COVERT[1:N]]
+    keys = _packed_keys(COVERT[1:N])
     packs = _python_calls(
         lambda: [switch.handle_miss(key, now=0.0) for key in keys],
-        "pack", "flow/fields.py",
+        "flow/fields.py:pack",
     )
     assert switch.megaflow_count == N
     assert packs == 0
+
+
+def test_an_install_is_born_packed():
+    """The megaflow is the walk's packed pair: no install builds or
+    unpacks a per-field tuple, and the entry holding it is slotted."""
+    switch = _switch()
+    _install(switch, 1)
+    keys = _packed_keys(COVERT[1:N])
+    installed = []
+    from_tuples, unpacks = _python_calls(
+        lambda: installed.extend(switch.handle_miss(key, now=0.0)
+                                 for key in keys),
+        "flow/match.py:from_tuples", "flow/fields.py:unpack",
+    )
+    assert switch.megaflow_count == N
+    assert (from_tuples, unpacks) == (0, 0)
+    assert not any(hasattr(entry, "__dict__") for entry in installed)
 
 
 def test_a_sweep_that_evicts_everything_packs_nothing():
     switch = _switch()
     _install(switch, N)
     packs = _python_calls(lambda: switch.revalidator.sweep(now=20.0),
-                          "pack", "flow/fields.py")
+                          "flow/fields.py:pack")
     assert switch.revalidator.evicted_total == N
     assert switch.megaflow_count == switch.mask_count == 0
     assert packs == 0
@@ -162,8 +189,8 @@ def test_covert_keys_check_each_value_once():
     dimensions = calico_attack_policy()[1]
     generator = CovertStreamGenerator(dimensions, dst_ip=TARGET.pod_ip)
     keys = []
-    checks = _python_calls(lambda: keys.extend(generator.keys()), "check",
-                           "flow/fields.py")
+    checks = _python_calls(lambda: keys.extend(generator.keys()),
+                           "flow/fields.py:check")
     assert len(keys) == 8192
     # one check per flipped value, plus the pinned fields' base key
     assert checks <= sum(dim.prefix_len for dim in dimensions) + len(OVS_FIELDS)
@@ -184,7 +211,7 @@ def test_an_all_hit_model_replay_tick_hashes_no_flow_key():
     simulator.step()  # the ramp: N installs, hashed into the ledger
     assert switch.megaflow_count == N
     upcalls = switch.slow_path.upcalls
-    hashes = _python_calls(simulator.step, "__hash__", "flow/key.py")
+    hashes = _python_calls(simulator.step, "flow/key.py:__hash__")
     assert switch.slow_path.upcalls == upcalls  # all hits
     assert sum(e.hits for e in switch.megaflow.entries()) == 150 + 50
     assert hashes == 0

@@ -19,6 +19,7 @@ from repro.flow.match import FlowMatch, MatchBuilder
 from repro.flow.rule import FlowRule
 from repro.flow.table import FlowTable
 from repro.ovs.wildcarding import (
+    WildcardingResult,
     classify_with_wildcards,
     megaflow_table_rows,
     prefix_cover_len,
@@ -268,32 +269,42 @@ def _spaces(draw):
 
 
 @st.composite
+def _matches(draw, space):
+    """Each field wild, a prefix, exact or an arbitrary mask."""
+    fields = {}
+    for spec in space.specs:
+        shape = draw(st.sampled_from(["wild", "prefix", "exact", "arbitrary"]))
+        if shape == "wild":
+            continue
+        if shape == "prefix":
+            mask = mask_of_prefix(draw(st.integers(1, spec.width)), spec.width)
+        elif shape == "exact":
+            mask = spec.max_value
+        else:
+            mask = draw(st.integers(1, spec.max_value))
+        fields[spec.name] = (draw(st.integers(0, spec.max_value)), mask)
+    return FlowMatch(space, fields)
+
+
+def _values(space):
+    return st.tuples(*(st.integers(0, spec.max_value) for spec in space.specs))
+
+
+@st.composite
 def _table_ops(draw, space):
     kind = draw(st.sampled_from(["add"] * 3 + ["classify"] * 3
                                 + ["remove", "remove_if", "clear"]))
     if kind == "add":
-        fields = {}
-        for spec in space.specs:
-            shape = draw(st.sampled_from(["wild", "prefix", "exact", "arbitrary"]))
-            if shape == "wild":
-                continue
-            if shape == "prefix":
-                mask = mask_of_prefix(draw(st.integers(1, spec.width)), spec.width)
-            elif shape == "exact":
-                mask = spec.max_value
-            else:
-                mask = draw(st.integers(1, spec.max_value))
-            fields[spec.name] = (draw(st.integers(0, spec.max_value)), mask)
-        return kind, FlowRule(FlowMatch(space, fields),
+        return kind, FlowRule(draw(_matches(space)),
                               draw(st.sampled_from(_ACTIONS)),
                               priority=draw(st.integers(0, 2)))
     if kind == "classify":
-        return kind, tuple(draw(st.integers(0, spec.max_value))
-                           for spec in space.specs), draw(st.booleans())
+        return kind, draw(_values(space)), draw(st.booleans())
     return kind, draw(st.integers(0, 64))
 
 
-@settings(max_examples=300)
+# three times the profile's examples: 300 in tier-1, 3000 under ``deep``
+@settings(max_examples=3 * settings.default.max_examples)
 @given(_spaces().flatmap(lambda space: st.tuples(
     st.just(space), st.lists(_table_ops(space), min_size=1, max_size=24))))
 def test_the_compiled_walk_matches_the_per_rule_loop(script):
@@ -321,3 +332,24 @@ def test_the_compiled_walk_matches_the_per_rule_loop(script):
             assert (got.megaflow.masks, got.megaflow.values) == \
                 (want.megaflow.masks, want.megaflow.values)
             assert got.megaflow.packed == want.megaflow.packed
+
+
+@settings(max_examples=200)
+@given(_spaces().flatmap(lambda space: st.tuples(
+    _matches(space), _matches(space), _values(space))))
+def test_a_match_born_packed_is_the_match_built_from_tuples(drawn):
+    """The slow path's megaflows are born packed and unpack on demand;
+    everything that reads them must see the match the tuples build."""
+    match, other, values = drawn
+    space = match.space
+    born = FlowMatch.from_packed(space, *match.packed)
+    other_born = FlowMatch.from_packed(space, *other.packed)
+    assert born == match and hash(born) == hash(match)
+    assert repr(born) == repr(match)
+    key = FlowKey.from_tuple(space, values)
+    assert born.matches(key) == match.matches(key)
+    assert born.covers(other_born) == match.covers(other)
+    assert other_born.covers(born) == other.covers(match)
+    assert born.overlaps(other_born) == match.overlaps(other)
+    assert WildcardingResult(None, born, 0).prefix_lens == \
+        WildcardingResult(None, match, 0).prefix_lens
