@@ -154,15 +154,16 @@ class MegaflowCache:
         """Batched TSS lookup over a burst of keys (see
         :meth:`~repro.ovs.tss.TupleSpaceSearch.lookup_batch`): returns
         results for a prefix of ``keys`` — the leading hits plus the
-        first miss — with every hit entry touched in key order, exactly
-        as per-key :meth:`lookup` calls would."""
+        first miss — with every hit entry touched inline, in key order,
+        exactly as per-key :meth:`lookup` calls would."""
         if now < self._idle_floor:
             self._idle_floor = now
         results = self.tss.lookup_batch(keys)
         for result in results:
-            if result.entry is not None:
-                entry: MegaflowEntry = result.entry  # type: ignore[assignment]
-                entry.touch(now)
+            entry = result.entry
+            if entry is not None:
+                entry.hits += 1  # type: ignore[attr-defined]
+                entry.last_used = now  # type: ignore[attr-defined]
         return results
 
     def insert(

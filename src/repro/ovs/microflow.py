@@ -202,6 +202,13 @@ class MicroflowCache:
                 yield slot.key
 
     @property
+    def can_store(self) -> bool:
+        """Whether :meth:`insert` can ever store a key: ``False`` with
+        insertion off (``insertion_prob`` 0), when every insert returns
+        ``False`` without a draw and the cache can only shrink."""
+        return self.insertion_prob > 0.0
+
+    @property
     def occupancy(self) -> int:
         """Number of stored entries (O(1): the running count)."""
         return self._occupancy

@@ -330,6 +330,12 @@ class OvsSwitch:
         misses only — absent, or a stale slot for :meth:`~repro.ovs.
         microflow.MicroflowCache.lookup` to purge.
 
+        An EMC that holds nothing and cannot store (insertion off) makes
+        both breaks impossible: no key can hit, and no flush can store a
+        duplicate's earlier copy.  The whole burst is then one run,
+        handed to :meth:`_flush_run` with no per-key loop, and every
+        key's probe is a certain miss.
+
         A caller holding a conservative *superset* of the EMC's
         residents screens the keys with it: ``flags[i]`` says ``keys[i]``
         may have been resident as the burst opened (``None``: none
@@ -344,10 +350,15 @@ class OvsSwitch:
         (slow path, install guards, the insert hook) can read them.
         """
         microflow = self.microflow
+        n = len(keys)
+        if not microflow.occupancy and not microflow.can_store:
+            self.stats.packets += n
+            microflow.lookups += n
+            self._flush_run(keys, batch, now, materialize)
+            return
         run: list[FlowKey] = []
         run_set: set[FlowKey] = set()
         certain_misses = hits = 0
-        n = len(keys)
         if flags is None:
             flags = [overlay is None] * n
         i = 0
@@ -359,12 +370,15 @@ class OvsSwitch:
             possible = flags[i] or (key in overlay if overlay else False)
             # add first, then compare sizes: one key hash where a
             # membership test plus an add would pay two.  Adding early
-            # is harmless — only the flush follows, and it clears the set
+            # is harmless — only the flush follows, and the set is
+            # emptied with the run
             run_set.add(key)
             if len(run_set) == len(run) or (
                 run and possible and microflow.contains(key)
             ):
-                self._flush_run(run, run_set, batch, now, materialize)
+                self._flush_run(run, batch, now, materialize)
+                run.clear()
+                run_set.clear()
                 served = self._serve_emc_hits(keys, i, now, batch,
                                               materialize)
                 hits += served
@@ -379,11 +393,10 @@ class OvsSwitch:
         self.stats.packets += n - hits
         microflow.lookups += certain_misses
         if run:
-            self._flush_run(run, run_set, batch, now, materialize)
+            self._flush_run(run, batch, now, materialize)
 
-    def _flush_run(self, run: list[FlowKey], run_set: set[FlowKey],
-                   batch: BatchResult, now: float,
-                   materialize: bool) -> None:
+    def _flush_run(self, run: Sequence[FlowKey], batch: BatchResult,
+                   now: float, materialize: bool) -> None:
         """Drain a run of EMC-missed keys through the TSS in bucketed
         chunks.  Chunk size is semantically free — ``lookup_batch``
         answers a prefix that stops at the first miss, whatever the
@@ -395,12 +408,14 @@ class OvsSwitch:
         contract puts the only possible miss last, and it is finished
         after the hits before it.  What is stateful per key stays per
         key, in key order: the EMC insert (its RNG draw and any stored
-        slot) and, in materialized mode, the ``PacketResult``."""
+        slot; not called at all when the EMC cannot store) and, in
+        materialized mode, the ``PacketResult``."""
         start = 0
         window = self._batch_window
         n = len(run)
         stats = self.stats
-        insert = self.microflow.insert
+        microflow = self.microflow
+        insert = microflow.insert if microflow.can_store else None
         note_insert = self._note_emc_insert
         while start < n:
             chunk = run[start:start + window]
@@ -412,7 +427,7 @@ class OvsSwitch:
             forwarded = tuples = probes = 0
             for key, tss_result in zip(chunk, results):
                 entry = tss_result.entry
-                if insert(key, entry, now):
+                if insert is not None and insert(key, entry, now):
                     note_insert(key)
                 tuples += tss_result.tuples_scanned
                 probes += tss_result.hash_probes
@@ -444,8 +459,6 @@ class OvsSwitch:
             elif served == len(chunk):
                 window = min(window * 2, self.MAX_BATCH_WINDOW)
         self._batch_window = window
-        run.clear()
-        run_set.clear()
 
     def _note_emc_insert(self, key: FlowKey) -> None:
         """Hook: a key was just *stored* in the microflow cache.  The

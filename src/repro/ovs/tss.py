@@ -44,8 +44,7 @@ under the subtable's mask cut down to that stage's fields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from repro.flow.fields import FieldSpace
 from repro.flow.key import FlowKey
@@ -79,9 +78,12 @@ class PrefixContractError(RuntimeError):
         )
 
 
-@dataclass(slots=True)
-class TssLookupResult:
-    """One TSS lookup's outcome and its cost accounting."""
+class TssLookupResult(NamedTuple):
+    """One TSS lookup's outcome and its cost accounting.
+
+    Immutable, so a scan's answer *is* the result: one object may stand
+    for every copy of a key in a burst, or be handed out again by a
+    memo."""
 
     entry: Optional[object]
     #: subtables visited before (and including) the hit, or all on miss
@@ -89,6 +91,8 @@ class TssLookupResult:
     #: individual hash-table probes performed (≥1 per subtable visited
     #: without staging; possibly fewer aborts with staging)
     hash_probes: int
+    #: the subtable holding ``entry`` (``None`` on a miss)
+    subtable: Optional["Subtable"] = None
 
     @property
     def hit(self) -> bool:
@@ -141,15 +145,6 @@ class Subtable:
         """Record one lookup hit (cumulative + ranking counters)."""
         self.hits += 1
         self.rank_hits += 1
-
-    def credit_hits(self, n: int) -> None:
-        """Record ``n`` lookup hits at once — the burst consume loop
-        groups consecutive hits on the same subtable and credits them in
-        one call.  Integer adds, so exactly equivalent to ``n``
-        :meth:`credit_hit` calls (``rank_hits`` may be a float after a
-        ranked re-sort halving; adding an int keeps it exact)."""
-        self.hits += n
-        self.rank_hits += n
 
     def get(self, packed: int) -> object | None:
         """The entry stored under the packed masked key, or ``None``."""
@@ -461,7 +456,8 @@ class TupleSpaceSearch:
             if entry is not None:
                 subtable.credit_hit()
                 self._account(tuples_scanned, hash_probes)
-                return TssLookupResult(entry, tuples_scanned, hash_probes)
+                return TssLookupResult(entry, tuples_scanned, hash_probes,
+                                       subtable)
         self._account(tuples_scanned, hash_probes)
         return TssLookupResult(None, tuples_scanned, hash_probes)
 
@@ -513,8 +509,8 @@ class TupleSpaceSearch:
         return keys
 
     def _scan(self, keys: Sequence[FlowKey]) -> list:
-        """Per key the ``(entry, subtable, depth)`` of its first match
-        in scan order, or ``None`` for a miss.  Subtable-major: each
+        """Per key the :class:`TssLookupResult` of its first match in
+        scan order, or ``None`` for a miss.  Subtable-major: each
         subtable's hash table and mask are fetched once and probed for
         every still-pending key.  Pure — no counter, credit or re-sort
         is touched."""
@@ -523,7 +519,7 @@ class TupleSpaceSearch:
         else:
             tables = self._subtables.values()
         pending = range(len(keys))
-        resolved: list[tuple[object, Subtable, int] | None] = [None] * len(keys)
+        resolved: list[TssLookupResult | None] = [None] * len(keys)
         packed = [key.packed for key in keys]
         for depth, subtable in enumerate(tables, start=1):
             if not pending:
@@ -536,49 +532,42 @@ class TupleSpaceSearch:
                 if entry is None:
                     still.append(i)
                 else:
-                    resolved[i] = (entry, subtable, depth)
+                    resolved[i] = TssLookupResult(entry, depth, depth,
+                                                  subtable)
             pending = still
         return resolved
 
     def _consume(self, answers: Iterable,
                  n_tables: int) -> list[TssLookupResult]:
-        """Apply scan ``answers`` (one per key, in key order) under the
+        """Apply scan ``answers`` (one per key, in key order: a hit's
+        :class:`TssLookupResult`, or ``None`` for a miss) under the
         burst contract: the leading hits plus the first miss are
         consumed, the rest ignored.  The one stateful half of every
         burst lookup, whatever produced the answers.
 
-        ``_account`` is pure counter addition, so the burst's calls are
-        summed; per-key order only matters for the ranked auto-resort
-        tick, and :meth:`_capped` guarantees the burst cannot cross a
-        resort boundary before its final consumed lookup — applying the
-        summed tick afterwards fires the same resort at the same lookup
-        count as per-key :meth:`lookup` calls.  Rank credits are
-        grouped: consecutive hits on the same subtable (duplicate keys,
-        elephant-flow bursts) fold into one ``credit_hits(n)`` call —
-        integer adds, so the counters land exactly where per-key
-        ``credit_hit`` calls would put them.
+        A hit's answer is its result, passed through (immutable, so the
+        copies of one key may share it); only the miss is built here.
+        Each hit credits its subtable inline, once per key — what a
+        per-key ``credit_hit`` does.  ``_account`` is pure counter
+        addition, so the burst's calls are summed; per-key order only
+        matters for the ranked auto-resort tick, and :meth:`_capped`
+        guarantees the burst cannot cross a resort boundary before its
+        final consumed lookup — applying the summed tick afterwards
+        fires the same resort at the same lookup count as per-key
+        :meth:`lookup` calls.
         """
         results: list[TssLookupResult] = []
         scanned = 0
-        last_table = None
-        pending_credits = 0
-        for hit in answers:
-            if hit is None:
+        for result in answers:
+            if result is None:
                 results.append(TssLookupResult(None, n_tables, n_tables))
                 scanned += n_tables
                 break
-            entry, table, depth = hit
-            results.append(TssLookupResult(entry, depth, depth))
-            if table is last_table:
-                pending_credits += 1
-            else:
-                if pending_credits:
-                    last_table.credit_hits(pending_credits)
-                last_table = table
-                pending_credits = 1
-            scanned += depth
-        if pending_credits:
-            last_table.credit_hits(pending_credits)
+            results.append(result)
+            subtable = result.subtable
+            subtable.hits += 1
+            subtable.rank_hits += 1
+            scanned += result.tuples_scanned
         consumed = len(results)
         self.total_lookups += consumed
         self.total_tuples_scanned += scanned

@@ -22,6 +22,7 @@ from repro.flow.match import FlowMatch
 from repro.flow.rule import FlowRule
 from repro.flow.table import FlowTable
 from repro.ovs.megaflow import MegaflowCache, MegaflowEntry
+from repro.ovs.switch import LookupPath, PacketResult
 from repro.ovs.tss import Subtable, TssLookupResult, TupleSpaceSearch
 from repro.ovs.wildcarding import WildcardingResult, prefix_cover_len
 from repro.util.bits import first_diff_bit, mask_of_prefix
@@ -30,6 +31,7 @@ __all__ = [
     "TupleKeyedSearch",
     "classify_per_rule",
     "expire_idle_full_pass",
+    "flush_run_per_key",
     "send_covert_per_packet",
 ]
 
@@ -114,7 +116,8 @@ class TupleKeyedSearch(TupleSpaceSearch):
             if entry is not None:
                 subtable.credit_hit()
                 self._account(tuples_scanned, hash_probes)
-                return TssLookupResult(entry, tuples_scanned, hash_probes)
+                return TssLookupResult(entry, tuples_scanned, hash_probes,
+                                       subtable)
         self._account(tuples_scanned, hash_probes)
         return TssLookupResult(None, tuples_scanned, hash_probes)
 
@@ -127,7 +130,7 @@ class TupleKeyedSearch(TupleSpaceSearch):
             for depth, subtable in enumerate(tables, start=1):
                 entry = subtable.entries.get(subtable.mask_key(key.values))
                 if entry is not None:
-                    hit = (entry, subtable, depth)
+                    hit = TssLookupResult(entry, depth, depth, subtable)
                     break
             answers.append(hit)
         return answers
@@ -187,6 +190,46 @@ def _examine_rule(rule: FlowRule, key: FlowKey, prefix_lens: list[int],
                 prefix_lens[index] = needed
             return False
     return True
+
+
+def flush_run_per_key(switch, run, batch, now: float,
+                      materialize: bool) -> None:
+    """``OvsSwitch._flush_run`` one key at a time: per key one
+    ``MegaflowCache.lookup`` — its own scan, ``credit_hit`` and
+    ``touch`` — then, on a hit, the EMC insert offered whether or not
+    the EMC can store, the megaflow-hit counters and the result; on a
+    miss, the upcall.  ``switch`` is the
+    :class:`~repro.ovs.switch.OvsSwitch` whose run it drains.
+
+    Retired by: ``repro.ovs.switch.OvsSwitch._flush_run`` — the run
+    answered in chunks by ``lookup_batch`` (each scan answer passed
+    through by ``_consume``, each hit entry touched inline), the
+    megaflow-hit counters folded per chunk, and no
+    ``MicroflowCache.insert`` call when the EMC cannot store.
+    """
+    stats = switch.stats
+    for key in run:
+        result = switch.megaflow.lookup(key, now)
+        entry = result.entry
+        if entry is None:
+            switch._finish_upcall(key, result, now, batch, materialize)
+            continue
+        if switch.microflow.insert(key, entry, now):
+            switch._note_emc_insert(key)
+        forwarded = entry.action.is_forwarding()
+        stats.megaflow_hits += 1
+        stats.record_scan(result.tuples_scanned, result.hash_probes)
+        if forwarded:
+            stats.forwarded += 1
+        else:
+            stats.drops += 1
+        batch.tally(LookupPath.MEGAFLOW, forwarded, result.tuples_scanned,
+                    result.hash_probes)
+        if materialize:
+            batch.results.append(PacketResult(
+                entry.action, LookupPath.MEGAFLOW, result.tuples_scanned,
+                result.hash_probes, entry,
+            ))
 
 
 def expire_idle_full_pass(cache: MegaflowCache, now: float) -> int:

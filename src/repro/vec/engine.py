@@ -4,8 +4,9 @@ The burst pipeline — cap, scan, consume; serve the EMC's hits, gather
 the misses into runs, drain the runs — is the reference classes' own
 (:mod:`repro.ovs.tss`, :mod:`repro.ovs.switch`).  This module changes
 only *where the answers come from*, and every piece of it is pure:
-nothing here constructs a result or writes a counter the reference
-observes, which is what keeps the engine byte-for-byte identical to
+nothing here writes a counter the reference observes — the hit answers
+it builds are the immutable results the inherited ``_consume`` passes
+through — which is what keeps the engine byte-for-byte identical to
 ``ovs``.
 
 * **Dense mirror** (``_dense_mirror``) — every megaflow entry, in scan
@@ -76,27 +77,27 @@ _FOLD_MULT = 0x9E3779B97F4A7C15
 
 def _first_match(packed: int, tables: list, lo: int, hi: int):
     """The reference probe loop over ``tables[lo:hi]``, minus every side
-    effect: ``(entry, subtable, depth)`` of the first subtable holding
+    effect: the :class:`TssLookupResult` of the first subtable holding
     ``packed``, or ``None``."""
     for s in range(lo, hi):
         table = tables[s]
         entry = table.entries.get(packed & table.packed_mask)
         if entry is not None:
-            return entry, table, s + 1
+            return TssLookupResult(entry, s + 1, s + 1, table)
     return None
 
 
-def _shallowest(packed: int, hit: tuple | None, written: dict):
+def _shallowest(packed: int, hit: TssLookupResult | None, written: dict):
     """``hit`` — a scan's answer for ``packed`` that predates the writes
     to ``written``'s subtables (subtable -> depth) — brought up to date:
     the first match among it and a live probe of every written subtable
     no deeper than it.  ``<=``: an insert may have *replaced* the entry
     ``hit`` names, and the live object is the answer."""
     for table, depth in written.items():
-        if hit is None or depth <= hit[2]:
+        if hit is None or depth <= hit.tuples_scanned:
             entry = table.entries.get(packed & table.packed_mask)
             if entry is not None:
-                hit = (entry, table, depth)
+                hit = TssLookupResult(entry, depth, depth, table)
     return hit
 
 
@@ -162,10 +163,10 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
         self.generation = 0
         self._dense_cache: DenseMirror | None = None
         self._dense_generation = -1
-        #: packed key -> ``(entry, subtable, depth)`` or ``None`` (a
+        #: packed key -> its hit's ``TssLookupResult`` or ``None`` (a
         #: miss), as the pre-scan — or, for a key it did not cover, a
         #: later probe of the live tables — answered it
-        self._memo: dict[int, tuple | None] | None = None
+        self._memo: dict[int, TssLookupResult | None] | None = None
         self._memo_generation = -1
         #: subtable -> depth for every subtable an absorbed ``insert``
         #: wrote since the pre-scan: what a memo answer must re-probe
@@ -295,11 +296,11 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
     # -- the pure scan -------------------------------------------------------
 
     def _dense_scan(self, dense: DenseMirror, uniq_packed: list[int]) -> list:
-        """The inherited ``_scan``'s answers — per key the ``(entry,
-        subtable, depth)`` of its first match in scan order, or ``None``
-        — for distinct packed keys, resolved against the dense mirror.
-        Pure, so the answers hold for as long as the generation does
-        and may be consumed any number of times, in any order."""
+        """The inherited ``_scan``'s answers — per key the
+        :class:`TssLookupResult` of its first match in scan order, or
+        ``None`` — for distinct packed keys, resolved against the dense
+        mirror.  Pure, so the answers hold for as long as the generation
+        does and may be consumed any number of times, in any order."""
         (tables, mask_t, ent_t, fent, fold_lanes, mults, entry_flat, sub_of,
          n_cols) = dense
         n_uniq = len(uniq_packed)
@@ -352,7 +353,8 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
                     for u, c in zip(pending[good].tolist(),
                                     (cols[good] + start).tolist()):
                         s = sub_of[c]
-                        found[u] = (entry_flat[c], tables[s], s + 1)
+                        found[u] = TssLookupResult(entry_flat[c], s + 1,
+                                                   s + 1, tables[s])
                 bad = claimed[~ok]
                 if bad.size:
                     # fingerprint collision at the claimed column (it

@@ -5,12 +5,17 @@ without materializing :class:`PacketResult` objects leaves *bit-
 identical* switch state and aggregate counters — only the per-packet
 result list is skipped.  The differential machine
 (``tests/test_differential_machine.py``) holds every inline engine to
-it in both modes; here are the cache-less backend, the bulk folds and
-the rebalancer's refusal.
+it in both modes; here are the cache-less backend, the bulk folds, the
+rebalancer's refusal and what an EMC-off burst costs.
 """
+
+from collections import Counter
 
 import pytest
 
+import repro.ovs.tss
+from repro.ovs.megaflow import MegaflowEntry
+from repro.ovs.microflow import MicroflowCache
 from repro.ovs.switch import BatchResult, LookupPath, OvsSwitch
 from repro.perf.costmodel import KERNEL_PROFILE
 from repro.perf.factory import DatapathConfig, switch_for_profile
@@ -117,6 +122,59 @@ class TestBatchResult:
                     refold.tally(result.path, result.forwarded,
                                  result.tuples_scanned, result.hash_probes)
                 assert _counters(refold) == _counters(batch), (name, now)
+
+
+def _count(monkeypatch, counts, owner, name):
+    """Count the calls to ``owner.<name>`` in ``counts[name]``."""
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+class TestEmcOffBurst:
+    #: distinct keys, and the burst: every one of them N // D times, in
+    #: laps, so each lap repeats every key of the one before
+    D, N = 32, 256
+
+    @pytest.mark.parametrize("engine", ["ovs", "ovs-vec"] if HAVE_NUMPY
+                             else ["ovs"])
+    def test_an_all_hit_burst_is_one_run_with_no_per_hit_call(
+            self, k8s, monkeypatch, engine):
+        """An EMC that holds nothing and cannot store makes a burst's
+        repeats change no result, so they cost nothing either: the
+        burst is one run — no break at a repeat — with no EMC insert and
+        no entry ``touch`` per hit, and the vec engine builds one
+        answer per distinct key."""
+        space, rules, keys = k8s
+        modules = [repro.ovs.tss]
+        switch_cls = OvsSwitch
+        if engine == "ovs-vec":
+            import repro.vec.engine as vec_engine
+
+            modules.append(vec_engine)
+            switch_cls = vec_engine.VecSwitch
+        switch = switch_for_profile("kernel-noemc", space=space, seed=7,
+                                    switch_cls=switch_cls)
+        switch.add_rules(rules)
+        distinct = keys[:self.D]
+        switch.process_batch(distinct, now=0.1, materialize=False)
+        burst = distinct * (self.N // self.D)
+        counts = Counter()
+        _count(monkeypatch, counts, OvsSwitch, "_flush_run")
+        _count(monkeypatch, counts, MicroflowCache, "insert")
+        _count(monkeypatch, counts, MegaflowEntry, "touch")
+        for module in modules:
+            _count(monkeypatch, counts, module, "TssLookupResult")
+        batch = switch.process_batch(burst, now=0.2, materialize=False)
+        assert batch.megaflow_hits == self.N
+        assert (counts["_flush_run"], counts["insert"], counts["touch"]) \
+            == (1, 0, 0)
+        if engine == "ovs-vec":
+            assert counts["TssLookupResult"] <= self.D
 
 
 class TestRebalancerInteraction:

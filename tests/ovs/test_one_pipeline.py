@@ -38,7 +38,7 @@ REFERENCE_COUNTERS = (
     {spec.name for spec in dataclasses.fields(SwitchStats)}
     | {spec.name for spec in dataclasses.fields(BatchResult)}
     | {"lookups", "total_lookups", "total_tuples_scanned",
-       "total_hash_probes"}
+       "total_hash_probes", "hits", "rank_hits"}
 )
 
 
@@ -104,12 +104,18 @@ def test_the_vec_classes_restate_no_pipeline_step():
     assert "_capped" not in vars(VecTupleSpaceSearch)
 
 
-def test_vec_constructs_no_result_and_writes_no_reference_counter():
+def test_vec_builds_only_hit_answers_and_writes_no_reference_counter():
+    """``repro.vec`` may build a hit's ``TssLookupResult`` — a scan's
+    answer is the result ``_consume`` passes through — but no
+    ``PacketResult`` and no miss (the test below), and it adds to no
+    counter the reference classes own.  Nothing calls a grouped
+    ``credit_hits``: ``_consume`` credits each hit's subtable inline."""
+    from repro.ovs.tss import Subtable
+
     built, written = [], []
     for rel, tree in _trees("vec"):
-        for name in ("PacketResult", "TssLookupResult"):
-            built += [f"{rel}:{call.lineno} {name}("
-                      for call in _calls(tree, name)]
+        built += [f"{rel}:{call.lineno} PacketResult("
+                  for call in _calls(tree, "PacketResult")]
         written += [
             f"{rel}:{node.lineno} {node.target.attr}"
             for node in ast.walk(tree)
@@ -119,6 +125,9 @@ def test_vec_constructs_no_result_and_writes_no_reference_counter():
         ]
     assert not built, built
     assert not written, written
+    assert not hasattr(Subtable, "credit_hits")
+    assert not [f"{rel}:{call.lineno}" for rel, tree in _trees()
+                for call in _calls(tree, "credit_hits")]
 
 
 def test_a_miss_result_is_built_by_the_oracle_and_the_one_consume():

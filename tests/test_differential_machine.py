@@ -10,9 +10,9 @@ datapaths from it, each driven by a ``DataplaneSimulator``:
 * the reference: the same point on the scalar ``ovs`` engine, with the
   retired paths of :mod:`repro.testing.oracles` swapped in — the
   per-rule classify loop for the slow path, the tuple-keyed tuple space
-  and the full-pass ``expire_idle`` for every cache, the per-packet
-  model replay for the simulator — and bursts processed one key at a
-  time through ``process()``.
+  and the full-pass ``expire_idle`` for every cache, the per-key run
+  drain for every shard, the per-packet model replay for the simulator
+  — and bursts processed one key at a time through ``process()``.
 
 Both take the same generated operations — bursts in both result modes,
 clock moves, rule changes, install guards, RETA remaps, simulator ticks
@@ -420,6 +420,7 @@ class DifferentialMachine(RuleBasedStateMachine):
         self.ref = datapath("ovs")
         for shard in shard_views(self.sut):
             self._count_sweeps(shard.megaflow)
+            self._count_one_runs(shard)
             if config["eager"] and config["engine"] == "ovs-vec":
                 shard.megaflow.tss.PRESCAN_MIN_WORK = 1
         for shard in shard_views(self.ref):
@@ -430,6 +431,7 @@ class DifferentialMachine(RuleBasedStateMachine):
             )
             cache.expire_idle = MethodType(oracles.expire_idle_full_pass,
                                            cache)
+            shard._flush_run = MethodType(oracles.flush_run_per_key, shard)
         self.sim = _simulator(self.sut, config["sim"], oracle=False)
         self.ref_sim = _simulator(self.ref, config["sim"], oracle=True)
         #: per shard, every entry a direct insert made: (sut's, ref's)
@@ -466,6 +468,22 @@ class DifferentialMachine(RuleBasedStateMachine):
             return expire_idle(now)
 
         cache.expire_idle = counted
+
+    @staticmethod
+    def _count_one_runs(switch):
+        """Counts the bursts ``_resolve`` takes as one run — the EMC
+        empty and unable to store — that repeat a key: where a per-key
+        loop would have broken the run."""
+        resolve = switch._resolve
+
+        def counted(keys, *args):
+            emc = switch.microflow
+            if (not emc.occupancy and not emc.can_store
+                    and len({key.packed for key in keys}) < len(keys)):
+                CENSUS["one-run bursts"] += 1
+            return resolve(keys, *args)
+
+        switch._resolve = counted
 
     def _pair(self, shard):
         index = shard % self.shards
@@ -855,5 +873,6 @@ def test_the_points_reach_what_each_fast_path_is_there_for():
         assert CENSUS["memo after insert"] * 4 >= CENSUS["memo lookups"] > 0, \
             CENSUS
     assert all(CENSUS[regime] >= 10 for regime in REPLAY_REGIMES), CENSUS
+    assert CENSUS["one-run bursts"] >= 10, CENSUS
     assert CENSUS["sweep skipped"] and CENSUS["sweep full"], CENSUS
     assert all(CENSUS["recompiles " + engine] for engine in ENGINES), CENSUS

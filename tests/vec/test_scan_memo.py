@@ -74,8 +74,9 @@ def _build(cls, scan_order="insertion", resort_interval=0,
 
 
 def _onoff_burst(keys, repeat=3):
-    """ON trains: every key ``repeat`` times back to back, so each run
-    of EMC misses is one key long (its duplicate flushes it)."""
+    """ON trains: every key ``repeat`` times back to back, so with an
+    EMC that stores, each run of EMC misses is one key long (its
+    duplicate flushes it); with insertion off the burst is one run."""
     return [key for key in keys for _ in range(repeat)]
 
 
