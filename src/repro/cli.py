@@ -169,7 +169,6 @@ def _print_scenario_list() -> None:
     print("runtime:     inline, or N worker processes "
           "(`repro serve --workers N`)")
     print("rebalance:   --rebalance-interval SECONDS (0 = static RSS), "
-          "--rebalance-improvement FRAC, --rebalance-load-floor PPS, "
           "--reta-size BUCKETS, --workload-skew ZIPF (elephant flows)")
     if not HAVE_NUMPY:
         print("note:        the 'ovs-vec' backend needs NumPy, which is not "
@@ -190,8 +189,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     overrides = {}
     for field_name in ("duration", "attack_start", "seed", "profile", "backend",
                        "scan_order", "shards", "reta_size",
-                       "rebalance_interval", "rebalance_improvement",
-                       "rebalance_load_floor", "workload_skew",
+                       "rebalance_interval", "workload_skew",
                        "attacker_strategy", "reprobe_interval"):
         value = getattr(args, field_name)
         if value is not None:
@@ -466,17 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
                           dest="rebalance_interval",
                           help="PMD auto-load-balance interval in seconds "
                           "(0 = static RSS; default: the profile's)")
-    scenario.add_argument("--rebalance-improvement", type=float, default=None,
-                          dest="rebalance_improvement",
-                          help="minimum relative imbalance improvement "
-                          "(0..1) before the auto-lb applies a remap "
-                          "(needs a sharded datapath; default: the "
-                          "profile's)")
-    scenario.add_argument("--rebalance-load-floor", type=float, default=None,
-                          dest="rebalance_load_floor",
-                          help="per-PMD load (packets/s) below which the "
-                          "auto-lb leaves the spread alone (needs a sharded "
-                          "datapath; default: the profile's)")
     scenario.add_argument("--workload-skew", type=float, default=None,
                           dest="workload_skew",
                           help="Zipf skew of the victim's per-bucket load "

@@ -356,8 +356,6 @@ class ShardedDatapath(RetaDispatcher):
         name: str = "pmd",
         reta_size: int = DEFAULT_RETA_SIZE,
         rebalance_interval: float = 0.0,
-        rebalance_improvement: float = 0.0,
-        rebalance_load_floor: float = 0.0,
     ) -> None:
         if rebalance_interval < 0:
             raise ValueError(
@@ -372,12 +370,7 @@ class ShardedDatapath(RetaDispatcher):
         self.bucket_packets: list[int] = [0] * self.reta_size
         self.bucket_tuples: list[int] = [0] * self.reta_size
         self.bucket_cycles: list[float] = [0.0] * self.reta_size
-        self.rebalancer = PmdRebalancer(
-            self,
-            interval=rebalance_interval,
-            improvement_threshold=rebalance_improvement,
-            load_floor=rebalance_load_floor,
-        )
+        self.rebalancer = PmdRebalancer(self, interval=rebalance_interval)
 
     def record_bucket_cycles(self, bucket: int, cycles: float,
                              count: int = 1) -> None:
@@ -400,15 +393,7 @@ class ShardedDatapath(RetaDispatcher):
             key_or_packet = flow_key_from_packet(
                 key_or_packet, in_port=in_port, space=self.space
             )
-        self._advance(now)
-        if len(self.shards) == 1:
-            return self.shards[0].process(key_or_packet, now=now)
-        bucket = self.bucket_of(key_or_packet)
-        result = self.shards[self.reta[bucket]].process(key_or_packet, now=now)
-        self.bucket_packets[bucket] += 1
-        self.bucket_tuples[bucket] += result.tuples_scanned
-        self.rebalancer.maybe_rebalance(self.clock)
-        return result
+        return self.process_batch((key_or_packet,), now=now).results[0]
 
     def process_batch(self, keys: Sequence[FlowKey] | Iterable[FlowKey],
                       now: float | None = None,
@@ -527,13 +512,8 @@ class PmdRebalancer:
     #: mean per-PMD load
     min_imbalance = 1.05
 
-    def __init__(
-        self,
-        datapath: ShardedDatapath,
-        interval: float = 0.0,
-        improvement_threshold: float = 0.0,
-        load_floor: float = 0.0,
-    ) -> None:
+    def __init__(self, datapath: ShardedDatapath,
+                 interval: float = 0.0) -> None:
         # late import: repro.perf.__init__ pulls in the factory, which
         # imports this module — the calibration constants themselves
         # are dependency-free
@@ -546,32 +526,9 @@ class PmdRebalancer:
         self.interval = interval
         self.cycles_base = DEFAULT_CYCLES_MEGAFLOW_BASE
         self.cycles_probe = DEFAULT_CYCLES_TUPLE_PROBE
-        if improvement_threshold < 0:
-            raise ValueError(
-                "improvement_threshold must be >= 0 (0 = always remap, "
-                f"the pre-trigger behaviour), got {improvement_threshold}"
-            )
-        if load_floor < 0:
-            raise ValueError(
-                f"load_floor must be >= 0 (0 = no floor), got {load_floor}"
-            )
-        #: OVS ``pmd-auto-lb-improvement-threshold``: a due pass only
-        #: applies its remap when the estimated post-remap variance
-        #: improvement (fraction of the pre-remap per-PMD load variance)
-        #: reaches this; 0 (default) applies every pass — the
-        #: pre-trigger behaviour, bit for bit
-        self.improvement_threshold = improvement_threshold
-        #: OVS ``pmd-auto-lb-load-threshold`` analogue: the mean
-        #: per-bucket window load (cycles) a pass needs before acting;
-        #: an idle node never shuffles its RETA.  0 (default) disables
-        #: the floor
-        self.load_floor = load_floor
         self.last_rebalance = 0.0
         #: rebalance passes that ran (whether or not they moved anything)
         self.rebalances = 0
-        #: due passes declined by the trigger condition (their load
-        #: window is *kept*, so pressure accumulates until worth acting)
-        self.deferred = 0
         #: buckets remapped across all passes
         self.buckets_moved = 0
 
@@ -610,17 +567,14 @@ class PmdRebalancer:
         self.last_rebalance = anchor
         return self.rebalance()
 
-    def plan(
-        self, loads: Sequence[float] | None = None
-    ) -> tuple[list[tuple[int, int]], list[float], list[float]]:
+    def plan(self) -> tuple[list[tuple[int, int]], list[float], list[float]]:
         """Plan one greedy pass on a *scratch* RETA: move the
         best-fitting bucket from the hottest shard to the coolest until
         balanced (or out of moves).  Returns ``(moves, per_shard_before,
         per_shard_after)`` where each move is ``(bucket, dest_shard)``;
         nothing is mutated."""
         dp = self.datapath
-        if loads is None:
-            loads = self.bucket_loads()
+        loads = self.bucket_loads()
         reta = list(dp.reta)
         per_shard = self.shard_loads(loads)
         before = list(per_shard)
@@ -660,41 +614,11 @@ class PmdRebalancer:
                 moves.append((best, cool))
         return moves, before, per_shard
 
-    @staticmethod
-    def _variance(values: Sequence[float]) -> float:
-        mean = sum(values) / len(values)
-        return sum((v - mean) ** 2 for v in values) / len(values)
-
-    def _triggered(self, before: Sequence[float], after: Sequence[float],
-                   mean_bucket_load: float) -> bool:
-        """OVS's pmd-auto-lb trigger: act only when the node is loaded
-        enough to care *and* the planned remap is estimated to improve
-        the per-PMD load variance enough to be worth the churn.  The
-        defaults (both 0) accept every pass — the pre-trigger
-        behaviour."""
-        if mean_bucket_load < self.load_floor:
-            return False
-        if self.improvement_threshold <= 0:
-            return True
-        var_before = self._variance(before)
-        if var_before <= 0:
-            return False  # already flat: no improvement possible
-        improvement = (var_before - self._variance(after)) / var_before
-        return improvement >= self.improvement_threshold
-
     def rebalance(self) -> int:
-        """One pass: plan the greedy remap, check the trigger condition,
-        and — when triggered — apply the moves and reset the load
-        window.  A declined pass keeps its window (pressure accumulates
-        until acting is worthwhile) and counts in ``deferred``.
-        Returns buckets moved."""
+        """One pass: plan the greedy remap, apply it, and reset the load
+        window.  Returns buckets moved."""
         dp = self.datapath
-        loads = self.bucket_loads()
-        moves, before, after = self.plan(loads)
-        mean_bucket_load = sum(loads) / len(loads) if loads else 0.0
-        if not self._triggered(before, after, mean_bucket_load):
-            self.deferred += 1
-            return 0
+        moves, before, after = self.plan()
         self.rebalances += 1
         for bucket, dest in moves:
             dp.reta[bucket] = dest

@@ -13,11 +13,14 @@ from repro.ovs.megaflow import MegaflowCache
 from repro.ovs.microflow import MicroflowCache
 from repro.util.cadence import advance_if_due
 
-DEFAULT_SWEEP_INTERVAL = 0.5
+#: seconds between sweeps, on a grid anchored at time 0
+SWEEP_INTERVAL = 0.5
 
 
 class Revalidator:
-    """Sweeps idle megaflows and purges stale microflow references."""
+    """Sweeps idle megaflows and purges stale microflow references
+    every :data:`SWEEP_INTERVAL` seconds, re-sorting a ranked subtable
+    order on every sweep."""
 
     #: optional span recorder (``Telemetry.attach`` wires these three;
     #: class-level defaults keep the un-instrumented path branch-cheap)
@@ -25,24 +28,10 @@ class Revalidator:
     trace_node = ""
     trace_shard = -1
 
-    def __init__(
-        self,
-        cache: MegaflowCache,
-        microflow: MicroflowCache | None = None,
-        sweep_interval: float = DEFAULT_SWEEP_INTERVAL,
-        resort_every: int = 1,
-    ) -> None:
-        if sweep_interval <= 0:
-            raise ValueError("sweep_interval must be positive")
-        if resort_every < 1:
-            raise ValueError("resort_every must be >= 1")
+    def __init__(self, cache: MegaflowCache,
+                 microflow: MicroflowCache | None = None) -> None:
         self.cache = cache
         self.microflow = microflow
-        self.sweep_interval = sweep_interval
-        #: re-rank the TSS subtable order every Nth sweep (the
-        #: configurable re-sort interval of ``scan_order="ranked"``;
-        #: a no-op for other scan orders)
-        self.resort_every = resort_every
         self.last_sweep = 0.0
         self.sweeps = 0
         self.evicted_total = 0
@@ -53,12 +42,12 @@ class Revalidator:
         ``last_sweep`` is aligned to the sweep-interval grid rather than
         set to ``now``: a long idle gap still yields one (catch-up)
         sweep, but the *cadence* — the sweep count over a span of
-        simulated time, and with it the ranked ``resort_every``
-        re-sort rhythm — depends only on simulated time, never on when
-        callers happened to check.  (An off-grid ``now`` would otherwise
+        simulated time, and with it the ranked re-sort rhythm —
+        depends only on simulated time, never on when callers happened
+        to check.  (An off-grid ``now`` would otherwise
         phase-shift every subsequent sweep.)
         """
-        anchor = advance_if_due(self.last_sweep, now, self.sweep_interval)
+        anchor = advance_if_due(self.last_sweep, now, SWEEP_INTERVAL)
         if anchor is None:
             return 0
         evicted = self.sweep(now)  # sets last_sweep = now ...
@@ -80,6 +69,5 @@ class Revalidator:
         self.evicted_total += evicted
         if evicted and self.microflow is not None:
             self.microflow.invalidate_dead()
-        if self.sweeps % self.resort_every == 0:
-            self.cache.resort_subtables()
+        self.cache.resort_subtables()
         return evicted

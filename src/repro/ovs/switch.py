@@ -146,7 +146,6 @@ class OvsSwitch:
         staged_lookup: bool = False,
         scan_order: str = "insertion",
         resort_interval: int = 0,
-        resort_every_sweeps: int = 1,
         rng: DeterministicRng | None = None,
     ) -> None:
         self.name = name
@@ -167,9 +166,7 @@ class OvsSwitch:
             rng=(rng or DeterministicRng(0)).fork("emc"),
         )
         self.slow_path = SlowPath(self.table, self.megaflow)
-        self.revalidator = Revalidator(
-            self.megaflow, self.microflow, resort_every=resort_every_sweeps
-        )
+        self.revalidator = Revalidator(self.megaflow, self.microflow)
         self.stats = SwitchStats()
         #: the switch's monotonic clock: ``process``/``process_batch``/
         #: ``advance_clock`` only ever move it forward (a stale ``now``

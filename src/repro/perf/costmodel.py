@@ -46,14 +46,6 @@ class DatapathProfile:
     #: coolest; 0 disables (the static-RSS setting, bit-identical to a
     #: RETA that never moves)
     rebalance_interval: float = 0.0
-    #: pmd-auto-lb trigger: minimum estimated post-remap variance
-    #: improvement (fraction of the pre-remap per-PMD load variance)
-    #: before a due pass applies its moves; 0 = apply every pass (the
-    #: pre-trigger behaviour, bit for bit)
-    rebalance_improvement: float = 0.0
-    #: pmd-auto-lb trigger: minimum mean per-bucket window load
-    #: (cycles) before a due pass acts; 0 = no floor
-    rebalance_load_floor: float = 0.0
 
 
 #: the kernel datapath (what a Kubernetes node uses — Fig. 3's setting):

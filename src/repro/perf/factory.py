@@ -162,21 +162,16 @@ def switch_for_profile(
 #: worker process each behind the aggregate-only mailbox
 RUNTIMES = ("inline", "processes")
 
-#: the PMD auto-lb knobs — honoured only by a datapath with a rebalancer
-REBALANCE_KNOBS = (
-    "rebalance_interval", "rebalance_improvement", "rebalance_load_floor",
-)
-
-
 @dataclass(frozen=True)
 class DatapathConfig:
     """Which datapath to build — engine × shards × runtime plus the
     classifier and RETA knobs — and the one way to build it.
 
-    ``shards=0``, ``reta_size=0``, ``scan_order=None`` and a ``None``
-    rebalance knob each mean "the profile's", the convention specs and
-    the leaf constructors share; each is resolved by one expression
-    below (``scan_order`` by :func:`switch_for_profile`).
+    ``shards=0``, ``reta_size=0``, ``scan_order=None`` and
+    ``rebalance_interval=None`` each mean "the profile's", the
+    convention specs and the leaf constructors share; each is resolved
+    by one expression below (``scan_order`` by
+    :func:`switch_for_profile`).
     """
 
     profile: DatapathProfile
@@ -190,8 +185,6 @@ class DatapathConfig:
     seed: int = 0
     reta_size: int = 0
     rebalance_interval: float | None = None
-    rebalance_improvement: float | None = None
-    rebalance_load_floor: float | None = None
 
     @classmethod
     def from_spec(cls, spec, profile: DatapathProfile, space: FieldSpace,
@@ -205,7 +198,7 @@ class DatapathConfig:
             staged=spec.staged_lookup,
             scan_order=spec.scan_order or None,
             **{field: getattr(spec, field) for field in (
-                "shards", "seed", "reta_size", *REBALANCE_KNOBS
+                "shards", "seed", "reta_size", "rebalance_interval"
             )},
         )
 
@@ -219,9 +212,10 @@ class DatapathConfig:
 
     def check(self) -> None:
         """The validation table.  A datapath has a PMD rebalancer iff it
-        is inline with ``shards > 1``; an explicit non-zero rebalance
-        knob reaching any other datapath is an error, not silently
-        ignored (``None``, the profile's default, never is).  The
+        is inline with ``shards > 1``; an explicit non-zero
+        ``rebalance_interval`` reaching any other datapath is an error,
+        not silently ignored (``None``, the profile's default, never
+        is).  The
         ``cacheless`` engine builds inline on one shard only."""
         BACKENDS.get(self.engine)  # unknown name: lists the valid ones
         if self.runtime not in RUNTIMES:
@@ -243,14 +237,12 @@ class DatapathConfig:
             why = "one shard"
         else:
             return
-        for knob in REBALANCE_KNOBS:
-            if getattr(self, knob):
-                raise ValueError(
-                    f"{knob} tunes the multi-PMD auto-lb; the "
-                    f"{self.engine} datapath being built has no "
-                    f"rebalancer ({why}) — only an inline datapath with "
-                    "shards > 1 has one"
-                )
+        if self.rebalance_interval:
+            raise ValueError(
+                "rebalance_interval tunes the multi-PMD auto-lb; the "
+                f"{self.engine} datapath being built has no rebalancer "
+                f"({why}) — only an inline datapath with shards > 1 has one"
+            )
 
     def build(self):
         """The configured :class:`~repro.scenario.datapath.Datapath`.
@@ -290,7 +282,7 @@ class DatapathConfig:
         even one, where :meth:`build` hands back the bare switch — and
         unchecked.  Both runtimes are one :class:`~repro.ovs.pmd.
         RetaDispatcher` built from the same arguments; the inline one
-        adds the rebalancer's knobs."""
+        adds the rebalancer's interval."""
         common = dict(
             space=self.space,
             shards=self.shard_count,
@@ -304,9 +296,7 @@ class DatapathConfig:
             from repro.runtime.parallel import ParallelDatapath
 
             return ParallelDatapath(**common)
-        for knob in REBALANCE_KNOBS:
-            value = getattr(self, knob)
-            common[knob] = (
-                getattr(self.profile, knob) if value is None else value
-            )
-        return ShardedDatapath(**common)
+        interval = self.rebalance_interval
+        if interval is None:
+            interval = self.profile.rebalance_interval
+        return ShardedDatapath(**common, rebalance_interval=interval)

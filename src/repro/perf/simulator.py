@@ -38,6 +38,7 @@ from repro.obs import (
 )
 from repro.ovs.megaflow import MegaflowEntry, refresh_run
 from repro.ovs.pmd import shard_views
+from repro.ovs.revalidator import SWEEP_INTERVAL
 from repro.ovs.switch import BatchResult, LookupPath, OvsSwitch
 from repro.perf.burst import KeyBurst
 from repro.perf.costmodel import CostModel
@@ -50,9 +51,6 @@ from repro.perf.workload import AttackerWorkload, VictimWorkload
 from repro.util.cadence import advance_if_due
 from repro.util.floatsum import add_repeated
 from repro.util.rng import DeterministicRng
-
-#: revalidator sweeps per second (ovs-vswitchd sweeps roughly every 500 ms)
-REVALIDATOR_SWEEPS_PER_SEC = 2.0
 
 #: an event mutating the switch at a given time (e.g. policy injection)
 SimEvent = tuple[float, Callable[[OvsSwitch], None]]
@@ -787,7 +785,7 @@ class DataplaneSimulator:
             reval_cycles = (
                 view.megaflow_count
                 * self.cost_model.cycles_revalidate_flow
-                * REVALIDATOR_SWEEPS_PER_SEC
+                / SWEEP_INTERVAL
             )
             shard_attacker_per_sec = cycles_by_shard[index] / self.dt
             attacker_cycles += cycles_by_shard[index]

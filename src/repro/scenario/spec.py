@@ -113,17 +113,6 @@ class ScenarioSpec:
     #: (bit-identical to a static RSS spread); ``None`` defers to the
     #: datapath profile's default
     rebalance_interval: float | None = None
-    #: minimum relative load-imbalance improvement (0..1) a candidate
-    #: RETA remap must promise before the auto-lb applies it; 0 applies
-    #: every candidate, ``None`` defers to the profile's default.  Only
-    #: meaningful on a datapath with a rebalancer (inline, shards > 1)
-    #: — ``DatapathConfig.check`` rejects it elsewhere
-    rebalance_improvement: float | None = None
-    #: per-PMD load (packets/s) below which the auto-lb leaves the
-    #: spread alone; 0 disables the floor, ``None`` defers to the
-    #: profile's default.  Same rebalancer-only constraint as
-    #: ``rebalance_improvement``
-    rebalance_load_floor: float | None = None
     #: Zipf skew of the victim's per-hash-bucket load (0 = uniform; ~1+
     #: = the heavy-tailed elephant-flow regime that leaves statically
     #: hashed PMDs asymmetrically loaded)
@@ -154,22 +143,6 @@ class ScenarioSpec:
             raise ValueError(
                 "rebalance_interval must be >= 0 (0 disables; omit for the "
                 "profile default)"
-            )
-        if (
-            self.rebalance_improvement is not None
-            and self.rebalance_improvement < 0
-        ):
-            raise ValueError(
-                "rebalance_improvement must be >= 0 (0 applies every "
-                "candidate remap; omit for the profile default)"
-            )
-        if (
-            self.rebalance_load_floor is not None
-            and self.rebalance_load_floor < 0
-        ):
-            raise ValueError(
-                "rebalance_load_floor must be >= 0 (0 disables the floor; "
-                "omit for the profile default)"
             )
         if self.workload_skew < 0:
             raise ValueError("workload_skew must be >= 0 (0 = uniform)")

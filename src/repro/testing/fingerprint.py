@@ -104,7 +104,7 @@ def fingerprint(datapath, sim=None) -> dict:
         )
         state["rebalancer"] = (
             rebalancer.last_rebalance, rebalancer.rebalances,
-            rebalancer.deferred, rebalancer.buckets_moved,
+            rebalancer.buckets_moved,
         )
     if sim is not None:
         state["sim"] = _simulator(sim)

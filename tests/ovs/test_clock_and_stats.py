@@ -13,7 +13,7 @@ from repro.flow.fields import toy_single_field_space
 from repro.flow.key import FlowKey
 from repro.flow.match import FlowMatch
 from repro.flow.rule import FlowRule
-from repro.ovs.revalidator import Revalidator
+from repro.ovs.revalidator import SWEEP_INTERVAL, Revalidator
 from repro.ovs.switch import OvsSwitch
 from repro.scenario.datapath import CachelessDatapath
 
@@ -86,12 +86,12 @@ class TestMonotonicClock:
 class TestSweepCadence:
     """The revalidator cadence bugfix: ``maybe_sweep`` aligns
     ``last_sweep`` to the sweep-interval grid, so the sweep count (and
-    with it the ranked ``resort_every`` re-sort rhythm) is a function
-    of simulated time — not of when callers happened to check."""
+    with it the ranked re-sort rhythm) is a function of simulated time
+    — not of when callers happened to check."""
 
     def _reval(self):
         space, switch = _toy_switch()
-        return Revalidator(switch.megaflow, sweep_interval=0.5)
+        return Revalidator(switch.megaflow)
 
     def test_off_grid_call_does_not_phase_shift_the_cadence(self):
         # the original bug: a call at t=0.7 set last_sweep=0.7, pushing
@@ -128,14 +128,12 @@ class TestSweepCadence:
         assert reval.last_sweep == 0.7
 
     def test_resort_cadence_follows_simulated_time(self):
-        """resort_every counts grid sweeps: the same simulated span
-        re-sorts the same number of times under any call pattern."""
+        """Re-sorts ride grid sweeps: the same simulated span re-sorts
+        the same number of times under any call pattern."""
         space = toy_single_field_space()
 
         def run(times):
-            switch = OvsSwitch(
-                space=space, scan_order="ranked", resort_every_sweeps=2
-            )
+            switch = OvsSwitch(space=space, scan_order="ranked")
             for now in times:
                 switch.advance_clock(now)
             return switch.revalidator.sweeps
@@ -143,6 +141,18 @@ class TestSweepCadence:
         assert run([0.7, 1.05, 1.6, 2.1]) == run(
             [tick * 0.1 for tick in range(22)]
         )
+
+    def test_a_ranked_switch_resorts_on_every_sweep(self):
+        """One re-sort per sweep, and no knob to thin them out."""
+        space = toy_single_field_space()
+        switch = OvsSwitch(space=space, scan_order="ranked")
+        for tick in range(1, 12):
+            switch.advance_clock(tick * SWEEP_INTERVAL)
+            assert switch.megaflow.tss.resorts == switch.revalidator.sweeps
+        assert switch.revalidator.sweeps == 11
+        with pytest.raises(TypeError, match="resort_every_sweeps"):
+            OvsSwitch(space=space, scan_order="ranked",
+                      resort_every_sweeps=2)
 
 
 class TestStatsSnapshot:

@@ -15,6 +15,8 @@ from pathlib import Path
 import pytest
 
 from repro.ovs.pmd import PmdRebalancer, RetaDispatcher, ShardedDatapath
+from repro.ovs.revalidator import Revalidator
+from repro.ovs.switch import OvsSwitch
 from repro.runtime.parallel import ParallelDatapath
 
 SRC = Path(__file__).resolve().parent.parent.parent / "src"
@@ -88,14 +90,18 @@ def test_only_the_lifecycle_and_the_overlapped_rounds_ask_about_workers():
 
 
 def test_constructors_take_no_dead_knobs():
+    """The auto-lb has one knob, its interval; the revalidator has
+    none — it sweeps on its module constant and re-sorts every sweep."""
     def knobs(cls):
         return set(inspect.signature(cls.__init__).parameters) - {"self"}
 
     common = {"space", "shard_factory", "shards", "name", "reta_size"}
-    rebalance = {"rebalance_interval", "rebalance_improvement",
-                 "rebalance_load_floor"}
     assert knobs(ParallelDatapath) == common
-    assert knobs(ShardedDatapath) == common | rebalance
-    assert knobs(PmdRebalancer) == {
-        "datapath", "interval", "improvement_threshold", "load_floor",
+    assert knobs(ShardedDatapath) == common | {"rebalance_interval"}
+    assert knobs(PmdRebalancer) == {"datapath", "interval"}
+    assert knobs(Revalidator) == {"cache", "microflow"}
+    assert knobs(OvsSwitch) == {
+        "space", "name", "flow_limit", "idle_timeout", "emc_entries",
+        "emc_ways", "emc_insertion_prob", "staged_lookup", "scan_order",
+        "resort_interval", "rng",
     }

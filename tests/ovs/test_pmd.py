@@ -133,6 +133,62 @@ class TestShardedDispatch:
         assert a.shard_mask_counts == b.shard_mask_counts
         assert dataclasses.asdict(a.stats) == dataclasses.asdict(b.stats)
 
+    @pytest.mark.parametrize("shards", [2, 4, 8])
+    def test_per_key_process_fills_the_burst_bucket_window(self, shards):
+        """``process`` is the one-key burst: a stream sent key by key
+        leaves the per-bucket load window a single burst of it leaves."""
+        rules, stream = _rules_and_keys()
+        per_key, burst = (
+            DatapathConfig(
+                KERNEL_PROFILE, shards=shards, seed=3
+            ).dispatched(OvsSwitch)
+            for _ in range(2)
+        )
+        per_key.add_rules(rules)
+        burst.add_rules(rules)
+        for key in stream:
+            per_key.process(key, now=0.5)
+        burst.process_batch(stream, now=0.5)
+        assert sum(per_key.bucket_packets) == len(stream)
+        assert per_key.bucket_packets == burst.bucket_packets
+        assert per_key.bucket_tuples == burst.bucket_tuples
+        assert dataclasses.asdict(per_key.stats) == \
+            dataclasses.asdict(burst.stats)
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_a_packet_is_steered_like_its_key(self, shards):
+        from repro.flow.extract import flow_key_from_packet
+        from repro.net.ethernet import Ethernet
+        from repro.net.ipv4 import IPv4
+        from repro.net.l4 import Tcp
+
+        rules, _stream = _rules_and_keys()
+        by_packet, by_key = (
+            DatapathConfig(
+                KERNEL_PROFILE, shards=shards, seed=3
+            ).dispatched(OvsSwitch)
+            for _ in range(2)
+        )
+        by_packet.add_rules(rules)
+        by_key.add_rules(rules)
+        packets = [
+            Ethernet() / IPv4(src=f"10.0.1.{i}", dst="10.0.9.10")
+            / Tcp(sport=40000 + i, dport=80)
+            for i in range(16)
+        ]
+        packet_results = [by_packet.process(p, in_port=2, now=1.0)
+                          for p in packets]
+        key_results = [
+            by_key.process(flow_key_from_packet(p, in_port=2,
+                                                space=OVS_FIELDS), now=1.0)
+            for p in packets
+        ]
+        assert [_result_fields(r) for r in packet_results] == [
+            _result_fields(r) for r in key_results
+        ]
+        assert by_packet.shard_mask_counts == by_key.shard_mask_counts
+        assert by_packet.bucket_packets == by_key.bucket_packets
+
     def test_dispatch_is_deterministic_and_consistent(self):
         datapath = DatapathConfig(
             KERNEL_PROFILE, shards=4, seed=0

@@ -184,6 +184,39 @@ class TestPmdRebalancer:
         assert datapath.rebalancer.rebalance() == 0
         assert datapath.reta == identity
 
+    def test_per_key_process_drives_the_rebalancer(self):
+        """``process`` is a one-key burst, so it checks the auto-lb
+        grid after dispatch like any burst does: a pass falls due at
+        the first packet on or past each grid point, and the window it
+        resets holds the packets since the last pass."""
+        rules, dimensions, target = _attack_setup()
+        datapath = self._datapath(shards=2, interval=1.0)
+        datapath.add_rules(rules)
+        keys = CovertStreamGenerator(dimensions, dst_ip=target.pod_ip).keys()
+        for tick, key in enumerate(keys[:10]):
+            datapath.process(key, now=tick * 0.25)
+        rebalancer = datapath.rebalancer
+        assert rebalancer.rebalances == 2  # at 1.0 and 2.0
+        assert rebalancer.last_rebalance == 2.0
+        assert sum(datapath.bucket_packets) == 1  # the packet at 2.25
+
+    def test_every_pass_is_traced(self):
+        from repro.obs import Telemetry
+
+        telemetry = Telemetry()
+        datapath = self._datapath(shards=2)
+        telemetry.attach(datapath, node="n0")
+        for bucket in range(0, datapath.reta_size, 2):
+            datapath.record_bucket_cycles(bucket, 100.0)
+        moved = datapath.rebalancer.rebalance()
+        assert datapath.rebalancer.rebalance() == 0  # a fresh, idle window
+        passes = [event.args for event in telemetry.trace.events()
+                  if event.name == "ovs.pmd.rebalance"]
+        assert [(p["passes"], p["buckets_moved"]) for p in passes] == [
+            (1, moved), (2, 0),
+        ]
+        assert moved > 0
+
     def test_maybe_rebalance_follows_the_interval_grid(self):
         datapath = self._datapath(interval=2.0)
         rebalancer = datapath.rebalancer
@@ -205,6 +238,51 @@ class TestPmdRebalancer:
         datapath.advance_clock(1.0)
         assert datapath.rebalancer.rebalances == 1
         assert datapath.rebalancer.buckets_moved > 0
+
+
+class TestPlan:
+    """``plan`` is the rebalance pass without its side effects, and a
+    pass applies exactly its plan: no trigger stands between them."""
+
+    @staticmethod
+    def _loaded(shape="skewed", shards=4):
+        """A rebalancing datapath with one load window: ``skewed`` puts
+        a lot on shard 0's buckets and a little elsewhere, ``mild``
+        puts shard 0 just past ``min_imbalance``, ``idle`` nothing."""
+        datapath = DatapathConfig(
+            KERNEL_PROFILE, shards=shards, seed=0, rebalance_interval=1.0
+        ).dispatched(OvsSwitch)
+        hot, cool = {"skewed": (1e9, 1e7), "mild": (1.1e6, 1e6),
+                     "idle": (0.0, 0.0)}[shape]
+        for bucket, shard in enumerate(datapath.reta):
+            datapath.record_bucket_cycles(bucket, hot if shard == 0 else cool)
+        return datapath
+
+    def test_plan_does_not_mutate(self):
+        datapath = self._loaded()
+        reta_before = list(datapath.reta)
+        cycles_before = list(datapath.bucket_cycles)
+        moves, before, after = datapath.rebalancer.plan()
+        assert moves, "skewed load should produce moves"
+        assert datapath.reta == reta_before
+        assert datapath.bucket_cycles == cycles_before
+        assert max(after) - min(after) < max(before) - min(before)
+
+    @pytest.mark.parametrize("shape", ["skewed", "mild", "idle"])
+    def test_plan_matches_applied_rebalance(self, shape):
+        planner = self._loaded(shape)
+        applier = self._loaded(shape)
+        moves, _before, _after = planner.rebalancer.plan()
+        assert bool(moves) == (shape != "idle")
+        moved = applier.rebalancer.rebalance()
+        assert moved == len(moves)
+        expected = list(planner.reta)
+        for bucket, dest in moves:
+            expected[bucket] = dest
+        assert applier.reta == expected
+        assert applier.rebalancer.rebalances == 1
+        assert applier.rebalancer.buckets_moved == moved
+        assert applier.bucket_cycles == [0.0] * applier.reta_size
 
 
 class TestTssLookupsSurface:

@@ -10,7 +10,7 @@ from repro.flow.rule import FlowRule
 from repro.net.ethernet import Ethernet
 from repro.net.ipv4 import IPv4
 from repro.net.l4 import Tcp
-from repro.ovs.revalidator import Revalidator
+from repro.ovs.revalidator import SWEEP_INTERVAL
 from repro.ovs.switch import LookupPath, OvsSwitch
 from repro.ovs.upcall import InstallRejected
 
@@ -128,11 +128,16 @@ class TestIdleExpiryIntegration:
         switch.advance_clock(0.1)  # below the 0.5s interval
         assert reval.sweeps == sweeps_before
 
-    def test_revalidator_validation(self):
-        space, switch = _toy_switch()
-        with pytest.raises(ValueError):
-            Revalidator(switch.megaflow, sweep_interval=0)
 
+    def test_revalidator_sweeps_on_its_constant_grid(self):
+        space, switch = _toy_switch()
+        reval = switch.revalidator
+        for k in range(1, 5):
+            switch.advance_clock(k * SWEEP_INTERVAL - 0.01)
+            assert reval.sweeps == k - 1
+            switch.advance_clock(k * SWEEP_INTERVAL)
+            assert reval.sweeps == k
+            assert reval.last_sweep == k * SWEEP_INTERVAL
 
 class TestFlowLimit:
     def test_upcall_install_skipped_at_limit(self):

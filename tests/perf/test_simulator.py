@@ -10,14 +10,15 @@ from repro.attack.policy import kubernetes_attack_policy
 from repro.flow.key import FlowKey
 from repro.flow.fields import OVS_FIELDS
 from repro.net.addresses import ip_to_int
-from repro.perf.costmodel import CostModel
-from repro.perf.factory import switch_for_profile
+from repro.perf.costmodel import KERNEL_PROFILE, CostModel
+from repro.perf.factory import DatapathConfig, switch_for_profile
 from repro.perf.simulator import DataplaneSimulator
 from repro.perf.workload import AttackerWorkload, VictimWorkload
 
 
-def _simulator(duration=20.0, start=5.0, rate_bps=2e6, events=None, noise=0.0):
-    switch = switch_for_profile("kernel")
+def _simulator(duration=20.0, start=5.0, rate_bps=2e6, events=None, noise=0.0,
+               telemetry=None, switch=None):
+    switch = switch or switch_for_profile("kernel")
     policy, dims = kubernetes_attack_policy()
     target = PolicyTarget(pod_ip=ip_to_int("10.0.9.10"), output_port=3, tenant="mallory")
     rules = KubernetesCms().compile(policy, target)
@@ -46,6 +47,7 @@ def _simulator(duration=20.0, start=5.0, rate_bps=2e6, events=None, noise=0.0):
         events=events if events is not None else default_events,
         duration=duration,
         noise=noise,
+        telemetry=telemetry,
     )
 
 
@@ -162,6 +164,34 @@ class TestAttackRun:
         result = simulator.run()
         with pytest.raises(ValueError):
             result.post_attack_mean_bps()
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+def test_the_revalidator_charge_follows_the_sweep_interval(shards):
+    """Each tick charges every megaflow — on every shard — once per
+    revalidator sweep, at the sweep interval the revalidator itself
+    runs on (the model's rate: one coarse tick lets the switch take a
+    single catch-up sweep)."""
+    from repro.obs import Telemetry
+    from repro.ovs.revalidator import SWEEP_INTERVAL
+
+    telemetry = Telemetry()
+    simulator = _simulator(
+        duration=20.0, start=5.0, telemetry=telemetry,
+        switch=DatapathConfig(KERNEL_PROFILE, shards=shards).build(),
+    )
+    simulator.start()
+    per_flow = simulator.cost_model.cycles_revalidate_flow
+    charged = 0.0
+    while simulator.t < 10.0:
+        simulator.step()
+        megaflows = simulator.switch.megaflow_count
+        revalidate = telemetry.profile.by_layer().get("ovs", 0.0)
+        assert revalidate - charged == pytest.approx(
+            megaflows * per_flow / SWEEP_INTERVAL * simulator.dt
+        )
+        charged = revalidate
+    assert simulator.switch.megaflow_count > 512  # the attack's masks
 
 
 class TestEvents:

@@ -271,51 +271,9 @@ class TestRebalanceSessions:
 
 
 class TestAutoLbTuningKnobs:
-    """The pmd-auto-lb trigger knobs (improvement threshold and load
-    floor) must flow spec → builder → rebalancer, round-trip through
-    the dict form, and fail loudly on datapaths with no rebalancer."""
-
-    def test_knobs_reach_the_rebalancer(self):
-        session = Session(
-            ScenarioSpec(
-                surface="k8s",
-                shards=4,
-                rebalance_interval=2.0,
-                rebalance_improvement=0.25,
-                rebalance_load_floor=123.0,
-            )
-        )
-        rebalancer = session.build_datapath().rebalancer
-        assert rebalancer.improvement_threshold == 0.25
-        assert rebalancer.load_floor == 123.0
-
-    def test_unset_knobs_defer_to_the_profile(self):
-        session = Session(
-            ScenarioSpec(surface="k8s", profile="netdev-pmd4-alb")
-        )
-        rebalancer = session.build_datapath().rebalancer
-        profile = session.profile
-        assert rebalancer.improvement_threshold == \
-            profile.rebalance_improvement
-        assert rebalancer.load_floor == profile.rebalance_load_floor
-
-    def test_spec_round_trips_and_defaults_are_omitted(self):
-        spec = ScenarioSpec(
-            surface="k8s",
-            shards=4,
-            rebalance_improvement=0.1,
-            rebalance_load_floor=50.0,
-        )
-        assert ScenarioSpec.from_dict(spec.to_dict()) == spec
-        bare = ScenarioSpec(surface="k8s").to_dict()
-        assert "rebalance_improvement" not in bare
-        assert "rebalance_load_floor" not in bare
-
-    def test_negative_knobs_rejected(self):
-        with pytest.raises(ValueError):
-            ScenarioSpec(surface="k8s", rebalance_improvement=-0.1)
-        with pytest.raises(ValueError):
-            ScenarioSpec(surface="k8s", rebalance_load_floor=-5.0)
+    """The pmd-auto-lb's one knob, ``rebalance_interval``, fails
+    loudly on datapaths with no rebalancer; the trigger knobs it once
+    had are unknown names everywhere."""
 
     @staticmethod
     def _config(runtime, **spec_fields):
@@ -329,38 +287,41 @@ class TestAutoLbTuningKnobs:
     @pytest.mark.parametrize(
         "changes, runtime, reason",
         [
-            ({"rebalance_improvement": 0.2}, "inline", "one shard"),
-            ({"rebalance_load_floor": 10.0}, "inline", "one shard"),
             ({"rebalance_interval": 2.0}, "inline", "one shard"),
             ({"backend": "ovs-vec-auto", "rebalance_interval": 2.0},
              "inline", "one shard"),
-            ({"backend": "cacheless", "rebalance_improvement": 0.2},
-             "inline", "cacheless"),
             ({"backend": "cacheless", "rebalance_interval": 5.0},
              "inline", "cacheless"),
             ({"shards": 2, "rebalance_interval": 5.0},
              "processes", "worker processes"),
-            ({"shards": 2, "rebalance_load_floor": 10.0},
-             "processes", "worker processes"),
         ],
         ids=[
-            "ovs-improvement", "ovs-floor", "ovs-interval",
-            "ovs-vec-interval", "cacheless-improvement",
-            "cacheless-interval", "processes-interval", "processes-floor",
+            "ovs-interval", "ovs-vec-interval", "cacheless-interval",
+            "processes-interval",
         ],
     )
     def test_rebalancerless_datapaths_reject_the_knobs(
         self, changes, runtime, reason
     ):
-        """The validation table's no-rebalancer rows: any explicit
-        non-zero knob is an error naming the field and the reason."""
+        """The validation table's no-rebalancer rows: an explicit
+        non-zero interval is an error naming the field and the reason."""
         session, config = self._config(runtime, **changes)
-        (knob,) = (name for name in changes if name.startswith("rebalance"))
-        with pytest.raises(ValueError, match=f"{knob} .*{reason}"):
+        with pytest.raises(ValueError,
+                           match=f"rebalance_interval .*{reason}"):
             config.build()
         if runtime == "inline":
-            with pytest.raises(ValueError, match=knob):
+            with pytest.raises(ValueError, match="rebalance_interval"):
                 session.build_datapath()
+
+    @pytest.mark.parametrize(
+        "retired", ["rebalance_improvement", "rebalance_load_floor"]
+    )
+    def test_the_trigger_knobs_are_unknown_spec_fields(self, retired):
+        data = {**ScenarioSpec(surface="k8s", shards=4).to_dict(),
+                retired: 0.0}
+        with pytest.raises(ValueError,
+                           match=f"unknown ScenarioSpec fields.*{retired}"):
+            ScenarioSpec.from_dict(data)
 
     @pytest.mark.parametrize("shards, runtime", [(1, "inline"),
                                                  (2, "processes")])
@@ -460,6 +421,23 @@ class TestCliScenario:
         capsys.readouterr()
         assert main(["scenario", "--list"]) == 0
         assert "key" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--rebalance-improvement", "0.5"),
+        ("--rebalance-load-floor", "1"),
+    ])
+    def test_the_auto_lb_trigger_has_no_flags(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["scenario", "calico", flag, value])
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_list_names_no_trigger_flag(self, capsys):
+        assert main(["scenario", "--list"]) == 0
+        out = capsys.readouterr().out
+        assert "--rebalance-interval" in out
+        assert "--rebalance-improvement" not in out
+        assert "--rebalance-load-floor" not in out
 
     def test_probe_scenario_via_cli(self, capsys):
         assert main(["scenario", "fig2"]) == 0
