@@ -31,7 +31,7 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.util.registry import Registry
 
@@ -273,8 +273,3 @@ def dotted_name(node: ast.AST) -> str:
         return ".".join(reversed(parts))
     return ""
 
-
-def walk_with_scope(src: SourceFile) -> Iterable[ast.AST]:
-    """Plain ``ast.walk`` over the module — here as a hook point so a
-    future cross-file pass can reuse the per-file iteration."""
-    return ast.walk(src.tree)

@@ -215,22 +215,6 @@ class CovertStreamGenerator:
 
         return KeyBurst(self.keys())
 
-    def spread_burst(
-        self,
-        shards: int,
-        shard_of: Callable[[FlowKey], int],
-        max_tries_per_shard: int = 32,
-    ):
-        """:meth:`spread_keys` as a pre-packed
-        :class:`~repro.perf.burst.KeyBurst` (see :meth:`burst`)."""
-        from repro.perf.burst import KeyBurst
-
-        return KeyBurst(
-            self.spread_keys(
-                shards, shard_of, max_tries_per_shard=max_tries_per_shard
-            )
-        )
-
     def spread_keys(
         self,
         shards: int,

@@ -238,10 +238,6 @@ class MatchBuilder:
         """Match ``ip_src`` against a CIDR block such as ``"10.0.0.0/8"``."""
         return self._cidr("ip_src", cidr)
 
-    def ip_dst_cidr(self, cidr: str) -> "MatchBuilder":
-        """Match ``ip_dst`` against a CIDR block."""
-        return self._cidr("ip_dst", cidr)
-
     def _cidr(self, name: str, cidr: str) -> "MatchBuilder":
         network, prefix_len = parse_cidr(cidr)
         self._fields[name] = (network, prefix_to_mask(prefix_len))

@@ -5,11 +5,16 @@ implements an exact-match store over all header fields" — the paper,
 Section 2.
 
 Modelled after the netdev datapath's Exact Match Cache: a fixed number
-of entries organised as ``n_sets`` sets of ``ways`` slots, indexed by a
+of entries organised as ``n_sets`` sets of ``ways`` slots, placed by a
 hash of the full flow key, with optional probabilistic insertion (real
 OVS inserts with probability 1/100 by default to resist exactly the kind
 of thrashing this attack performs — the simulator exposes the knob so
 the ablation can quantify how little it helps against 8k covert flows).
+
+The set placement decides which keys collide, and so every eviction; it
+is computed only where a slot is added or purged.  Every probe finds its
+slot through one dict on the key's packed int instead: one cache serves
+one switch's field space, so equal packed ints are equal keys.
 
 Entries reference :class:`~repro.ovs.megaflow.MegaflowEntry` objects and
 are lazily invalidated when the referenced megaflow dies.
@@ -18,7 +23,7 @@ are lazily invalidated when the referenced megaflow dies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.flow.key import FlowKey
 from repro.ovs.megaflow import MegaflowEntry
@@ -29,7 +34,7 @@ DEFAULT_ENTRIES = 8192
 DEFAULT_WAYS = 2
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class _Slot:
     key: FlowKey
     entry: MegaflowEntry
@@ -58,10 +63,11 @@ class MicroflowCache:
         self.insertion_prob = insertion_prob
         self.rng = rng or DeterministicRng(0)
         self._sets: list[list[_Slot]] = [[] for _ in range(self.n_sets)]
-        #: stored slots, live and stale: a running count kept by the
-        #: five writers of ``_sets`` (``insert`` append, LRU eviction,
-        #: stale purge in ``lookup``, ``invalidate_dead``, ``flush``)
-        self._occupancy = 0
+        #: packed key -> its slot, exactly the slots in ``_sets``: kept
+        #: in step by the four writers of ``_sets`` (``insert`` and its
+        #: LRU eviction, the stale purge in ``lookup``,
+        #: ``invalidate_dead``, ``flush``)
+        self._index: dict[int, _Slot] = {}
         # statistics
         self.lookups = 0
         self.hits = 0
@@ -85,26 +91,24 @@ class MicroflowCache:
         matches at all, later inserts (for *other* keys) cannot turn
         this key's miss into a hit, so its lookup commutes with them.
         """
-        return any(
-            slot.key == key for slot in self._sets[self._set_index(key)]
-        )
+        return key.packed in self._index
 
     def lookup(self, key: FlowKey, now: float = 0.0) -> MegaflowEntry | None:
         """Exact-match probe; stale entries (dead megaflows) are purged
         on contact and reported as misses."""
         self.lookups += 1
-        bucket = self._sets[self._set_index(key)]
-        for i, slot in enumerate(bucket):
-            if slot.key == key:
-                if not slot.entry.alive:
-                    del bucket[i]
-                    self._occupancy -= 1
-                    self.stale_hits += 1
-                    return None
-                slot.last_used = now
-                self.hits += 1
-                return slot.entry
-        return None
+        packed = key.packed
+        slot = self._index.get(packed)
+        if slot is None:
+            return None
+        if not slot.entry.alive:
+            del self._index[packed]
+            self._sets[self._set_index(key)].remove(slot)
+            self.stale_hits += 1
+            return None
+        slot.last_used = now
+        self.hits += 1
+        return slot.entry
 
     def lookup_hits(self, keys: Sequence[FlowKey], start: int,
                     now: float = 0.0) -> list[tuple[MegaflowEntry, int]]:
@@ -119,32 +123,27 @@ class MicroflowCache:
         A repeat of the previous key — the rest of an ON train — is the
         same slot at the same ``now``: a counter bump, not a probe.
         """
-        sets = self._sets
-        set_index = self._set_index
+        index = self._index
         runs: list[tuple[MegaflowEntry, int]] = []
-        prev = entry = None
+        prev = prev_packed = entry = None
         count = 0
         for i in range(start, len(keys)):
             key = keys[i]
-            if key is prev or key == prev:
-                count += 1
-                continue
-            for slot in sets[set_index(key)]:
-                if slot.key is key or slot.key == key:
-                    break
-            else:
-                break  # no slot: the prefix ends here
-            if not slot.entry.alive:
-                break  # stale: lookup() purges it and reports the miss
-            slot.last_used = now
-            prev = key
-            if slot.entry is entry:
-                count += 1
-                continue
-            if count:
-                runs.append((entry, count))
-            entry = slot.entry
-            count = 1
+            if key is not prev:
+                prev = key
+                packed = key.packed
+                if packed != prev_packed:
+                    slot = index.get(packed)
+                    if slot is None or not slot.entry.alive:
+                        break  # absent, or stale: lookup() purges it
+                    slot.last_used = now
+                    prev_packed = packed
+                    if slot.entry is not entry:
+                        if count:
+                            runs.append((entry, count))
+                        entry = slot.entry
+                        count = 0
+            count += 1
         if count:
             runs.append((entry, count))
         served = sum(count for _, count in runs)
@@ -162,19 +161,20 @@ class MicroflowCache:
             # RNG entirely — nothing else consumes this fork
             if self.insertion_prob <= 0.0 or self.rng.random() >= self.insertion_prob:
                 return False
+        index = self._index
+        packed = key.packed
+        slot = index.get(packed)
+        if slot is not None:
+            slot.entry = entry
+            slot.last_used = now
+            return True
         bucket = self._sets[self._set_index(key)]
-        for slot in bucket:
-            if slot.key == key:
-                slot.entry = entry
-                slot.last_used = now
-                return True
         if len(bucket) >= self.ways:
             victim = min(range(len(bucket)), key=lambda i: bucket[i].last_used)
-            del bucket[victim]
-            self._occupancy -= 1
+            del index[bucket.pop(victim).key.packed]
             self.evictions += 1
-        bucket.append(_Slot(key, entry, now))
-        self._occupancy += 1
+        slot = index[packed] = _Slot(key, entry, now)
+        bucket.append(slot)
         self.insertions += 1
         return True
 
@@ -185,21 +185,16 @@ class MicroflowCache:
             keep = [slot for slot in bucket if slot.entry.alive]
             removed += len(bucket) - len(keep)
             bucket[:] = keep
-        self._occupancy -= removed
+        if removed:
+            self._index = {packed: slot for packed, slot
+                           in self._index.items() if slot.entry.alive}
         return removed
 
     def flush(self) -> None:
         """Empty the cache."""
         for bucket in self._sets:
             bucket.clear()
-        self._occupancy = 0
-
-    def resident_keys(self) -> Iterator[FlowKey]:
-        """Every stored key, live and stale slots alike (a stale slot
-        still answers :meth:`contains`), in set order."""
-        for bucket in self._sets:
-            for slot in bucket:
-                yield slot.key
+        self._index.clear()
 
     @property
     def can_store(self) -> bool:
@@ -210,8 +205,8 @@ class MicroflowCache:
 
     @property
     def occupancy(self) -> int:
-        """Number of stored entries (O(1): the running count)."""
-        return self._occupancy
+        """Number of stored entries, live and stale."""
+        return len(self._index)
 
     @property
     def hit_rate(self) -> float:

@@ -313,19 +313,22 @@ class OvsSwitch:
         return hits
 
     def _resolve(self, keys: Sequence[FlowKey], batch: BatchResult,
-                 now: float, materialize: bool,
-                 flags: Sequence[bool] | None = None,
-                 overlay: set[FlowKey] | None = None) -> None:
+                 now: float, materialize: bool) -> None:
         """The per-key loop: gather ``keys`` — whose first is not a live
         EMC hit — into runs of EMC misses and drain each through the
         TSS.  A run breaks wherever sequential semantics demand it: at a
-        key the EMC may already hold (its outcome depends on the run's
-        pending inserts) and at a duplicate within the run.  The flush
-        may have stored that very key, so the EMC serves what it now
-        can (:meth:`_serve_emc_hits`) before the loop resumes: an EMC
-        hit therefore always finds the run empty, and this loop handles
+        key the EMC holds (its outcome depends on the run's pending
+        inserts) and at a duplicate within the run.  The flush may have
+        stored that very key, so the EMC serves what it now can
+        (:meth:`_serve_emc_hits`) before the loop resumes: an EMC hit
+        therefore always finds the run empty, and this loop handles
         misses only — absent, or a stale slot for :meth:`~repro.ovs.
         microflow.MicroflowCache.lookup` to purge.
+
+        Every key is screened against the EMC's exact index
+        (:meth:`~repro.ovs.microflow.MicroflowCache.contains`): a key
+        with no slot skips the cache probe and pays only the
+        lookup-counter tick a certain miss would.
 
         An EMC that holds nothing and cannot store (insertion off) makes
         both breaks impossible: no key can hit, and no flush can store a
@@ -333,18 +336,9 @@ class OvsSwitch:
         handed to :meth:`_flush_run` with no per-key loop, and every
         key's probe is a certain miss.
 
-        A caller holding a conservative *superset* of the EMC's
-        residents screens the keys with it: ``flags[i]`` says ``keys[i]``
-        may have been resident as the burst opened (``None``: none
-        was), ``overlay`` is the live set of keys stored since.  A key
-        in neither provably has no slot, so it skips the cache probe
-        and pays only the lookup-counter tick a certain miss would.
-        Unscreened (``overlay=None``, the default) every key may be
-        resident and probes the cache.
-
         ``stats.packets`` and the certain misses' ``microflow.lookups``
         ticks are added once at the end: nothing that runs mid-burst
-        (slow path, install guards, the insert hook) can read them.
+        (slow path, install guards) can read them.
         """
         microflow = self.microflow
         n = len(keys)
@@ -353,26 +347,20 @@ class OvsSwitch:
             microflow.lookups += n
             self._flush_run(keys, batch, now, materialize)
             return
+        contains = microflow.contains
         run: list[FlowKey] = []
-        run_set: set[FlowKey] = set()
+        run_set: set[int] = set()
         certain_misses = hits = 0
-        if flags is None:
-            flags = [overlay is None] * n
         i = 0
         while i < n:
             key = keys[i]
-            # testing the overlay's truth first spares the key hash
-            # while it stays empty (it only gains keys when a flush's
-            # insert actually stores one)
-            possible = flags[i] or (key in overlay if overlay else False)
-            # add first, then compare sizes: one key hash where a
+            resident = contains(key)
+            # add first, then compare sizes: one set probe where a
             # membership test plus an add would pay two.  Adding early
             # is harmless — only the flush follows, and the set is
             # emptied with the run
-            run_set.add(key)
-            if len(run_set) == len(run) or (
-                run and possible and microflow.contains(key)
-            ):
+            run_set.add(key.packed)
+            if len(run_set) == len(run) or (run and resident):
                 self._flush_run(run, batch, now, materialize)
                 run.clear()
                 run_set.clear()
@@ -381,7 +369,7 @@ class OvsSwitch:
                 hits += served
                 i += served
                 continue
-            if possible:
+            if resident:
                 microflow.lookup(key, now)
             else:
                 certain_misses += 1
@@ -413,7 +401,6 @@ class OvsSwitch:
         stats = self.stats
         microflow = self.microflow
         insert = microflow.insert if microflow.can_store else None
-        note_insert = self._note_emc_insert
         while start < n:
             chunk = run[start:start + window]
             results = self.megaflow.lookup_batch(chunk, now)
@@ -424,8 +411,8 @@ class OvsSwitch:
             forwarded = tuples = probes = 0
             for key, tss_result in zip(chunk, results):
                 entry = tss_result.entry
-                if insert is not None and insert(key, entry, now):
-                    note_insert(key)
+                if insert is not None:
+                    insert(key, entry, now)
                 tuples += tss_result.tuples_scanned
                 probes += tss_result.hash_probes
                 if entry.action.is_forwarding():
@@ -457,18 +444,11 @@ class OvsSwitch:
                 window = min(window * 2, self.MAX_BATCH_WINDOW)
         self._batch_window = window
 
-    def _note_emc_insert(self, key: FlowKey) -> None:
-        """Hook: a key was just *stored* in the microflow cache.  The
-        base pipeline needs no bookkeeping; the columnar engine overlays
-        the key onto its membership mirror so the next batched EMC probe
-        stays a superset of the live cache."""
-
     def _finish_upcall(self, key: FlowKey, tss_result, now: float,
                        batch: BatchResult, materialize: bool) -> None:
         upcall = self.slow_path.handle(key, now)
         if upcall.installed is not None:
-            if self.microflow.insert(key, upcall.installed, now):
-                self._note_emc_insert(key)
+            self.microflow.insert(key, upcall.installed, now)
             batch.installed.append((key, upcall.installed))
         self.stats.upcalls += 1
         if upcall.install_skipped is not None:

@@ -106,7 +106,7 @@ def _worker_main(conn: Connection, switch: OvsSwitch) -> None:
             op = message[0]
             if op == "batch":
                 _, packed_keys, now = message
-                keys = [from_tuple(space, unpack(p)) for p in packed_keys]
+                keys = [from_tuple(space, unpack(p), p) for p in packed_keys]
                 sub = switch.process_batch(keys, now=now, materialize=False)
                 conn.send(
                     ("ok", tuple(getattr(sub, f) for f in BATCH_WIRE_FIELDS))

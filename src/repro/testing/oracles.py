@@ -6,8 +6,8 @@ transcribed with public calls where it reached into internals.  None of
 them is fast, and none is used outside the tests: the differential
 machine swaps each into its *reference* datapath (a function for a
 method or for the module global the slow path calls, a class for the
-tuple space every reference shard scans) and requires the datapath
-under test to leave the same state.
+tuple space every reference shard scans and for its exact-match cache)
+and requires the datapath under test to leave the same state.
 
 Each docstring's ``Retired by`` line names the change that retired the
 path by the code that replaced it; ``tests/test_testing_package.py``
@@ -22,12 +22,14 @@ from repro.flow.match import FlowMatch
 from repro.flow.rule import FlowRule
 from repro.flow.table import FlowTable
 from repro.ovs.megaflow import MegaflowCache, MegaflowEntry
+from repro.ovs.microflow import MicroflowCache, _Slot
 from repro.ovs.switch import LookupPath, PacketResult
 from repro.ovs.tss import Subtable, TssLookupResult, TupleSpaceSearch
 from repro.ovs.wildcarding import WildcardingResult, prefix_cover_len
 from repro.util.bits import first_diff_bit, mask_of_prefix
 
 __all__ = [
+    "SetScanMicroflowCache",
     "TupleKeyedSearch",
     "classify_per_rule",
     "expire_idle_full_pass",
@@ -136,6 +138,95 @@ class TupleKeyedSearch(TupleSpaceSearch):
         return answers
 
 
+class SetScanMicroflowCache(MicroflowCache):
+    """The exact-match cache probed by scanning the key's set: ``lookup``,
+    ``lookup_hits``, ``contains`` and ``insert`` compare the key
+    (``FlowKey.__eq__``) with every slot of ``_sets[hash(key) % n_sets]``
+    and never read the packed-int index, and the occupancy is the count
+    of stored slots.  The inherited ``invalidate_dead`` and ``flush``
+    prune and clear ``_sets``; the index they keep in step stays empty.
+
+    Retired by: ``repro.ovs.microflow.MicroflowCache.lookup`` — every
+    probe finds its slot in one dict on the key's packed int, and the
+    set index is computed only where a slot is added or purged.
+    """
+
+    def contains(self, key: FlowKey) -> bool:
+        return any(slot.key == key
+                   for slot in self._sets[self._set_index(key)])
+
+    def lookup(self, key: FlowKey, now: float = 0.0) -> MegaflowEntry | None:
+        self.lookups += 1
+        bucket = self._sets[self._set_index(key)]
+        for i, slot in enumerate(bucket):
+            if slot.key == key:
+                if not slot.entry.alive:
+                    del bucket[i]
+                    self.stale_hits += 1
+                    return None
+                slot.last_used = now
+                self.hits += 1
+                return slot.entry
+        return None
+
+    def lookup_hits(self, keys, start: int,
+                    now: float = 0.0) -> list[tuple[MegaflowEntry, int]]:
+        runs: list[tuple[MegaflowEntry, int]] = []
+        prev = entry = None
+        count = 0
+        for key in keys[start:]:
+            if key == prev:
+                count += 1
+                continue
+            for slot in self._sets[self._set_index(key)]:
+                if slot.key == key:
+                    break
+            else:
+                break  # no slot: the prefix ends here
+            if not slot.entry.alive:
+                break  # stale: lookup() purges it and reports the miss
+            slot.last_used = now
+            prev = key
+            if slot.entry is entry:
+                count += 1
+                continue
+            if count:
+                runs.append((entry, count))
+            entry = slot.entry
+            count = 1
+        if count:
+            runs.append((entry, count))
+        served = sum(count for _, count in runs)
+        self.lookups += served
+        self.hits += served
+        return runs
+
+    def insert(self, key: FlowKey, entry: MegaflowEntry,
+               now: float = 0.0) -> bool:
+        if self.insertion_prob < 1.0:
+            if (self.insertion_prob <= 0.0
+                    or self.rng.random() >= self.insertion_prob):
+                return False
+        bucket = self._sets[self._set_index(key)]
+        for slot in bucket:
+            if slot.key == key:
+                slot.entry = entry
+                slot.last_used = now
+                return True
+        if len(bucket) >= self.ways:
+            victim = min(range(len(bucket)),
+                         key=lambda i: bucket[i].last_used)
+            del bucket[victim]
+            self.evictions += 1
+        bucket.append(_Slot(key, entry, now))
+        self.insertions += 1
+        return True
+
+    @property
+    def occupancy(self) -> int:
+        return sum(map(len, self._sets))
+
+
 def classify_per_rule(table: FlowTable, key: FlowKey) -> WildcardingResult:
     """``classify_with_wildcards`` as a per-rule loop: every examined
     rule re-derives its constrained fields, prefix cover and first
@@ -214,8 +305,7 @@ def flush_run_per_key(switch, run, batch, now: float,
         if entry is None:
             switch._finish_upcall(key, result, now, batch, materialize)
             continue
-        if switch.microflow.insert(key, entry, now):
-            switch._note_emc_insert(key)
+        switch.microflow.insert(key, entry, now)
         forwarded = entry.action.is_forwarding()
         stats.megaflow_hits += 1
         stats.record_scan(result.tuples_scanned, result.hash_probes)

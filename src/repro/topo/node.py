@@ -10,7 +10,7 @@ from repro.flow.actions import Output
 from repro.flow.fields import OVS_FIELDS, FieldSpace
 from repro.flow.match import FlowMatch
 from repro.flow.rule import FlowRule
-from repro.net.addresses import MacAddr, int_to_ip, ip_to_int
+from repro.net.addresses import MacAddr, ip_to_int
 from repro.net.ethernet import ETHERTYPE_IPV4
 from repro.ovs.switch import OvsSwitch
 from repro.util.bits import ones
@@ -29,10 +29,6 @@ class Pod:
     tenant: str
     node_name: str
     port_no: int
-
-    @property
-    def ip_str(self) -> str:
-        return int_to_ip(self.ip)
 
     def policy_target(self) -> PolicyTarget:
         """This pod's virtual port as a policy attachment point."""

@@ -50,10 +50,6 @@ class EventLoop:
         heapq.heappush(self._heap, (when, phase, self._seq, fn))
         self._seq += 1
 
-    def peek_time(self) -> float | None:
-        """The next event's time, or ``None`` when drained."""
-        return self._heap[0][0] if self._heap else None
-
     def run(self, until: float | None = None) -> int:
         """Execute events in order until the heap drains (or the next
         event lies beyond ``until``); returns events executed."""

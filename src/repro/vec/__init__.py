@@ -53,7 +53,6 @@ __all__ = [
     "NumpyUnavailableError",
     "require_numpy",
     "LaneCodec",
-    "VecEmcStore",
     "VecSwitch",
     "VecTupleSpaceSearch",
 ]
@@ -81,8 +80,7 @@ def require_numpy(what: str = "the vec columnar engine"):
 def __getattr__(name: str):
     # lazy re-exports: importing repro.vec must stay numpy-free so
     # `repro scenario --list` works (and degrades gracefully) without it
-    if name in ("LaneCodec", "VecEmcStore", "VecSwitch",
-                "VecTupleSpaceSearch"):
+    if name in ("LaneCodec", "VecSwitch", "VecTupleSpaceSearch"):
         from repro.vec import engine
 
         return getattr(engine, name)

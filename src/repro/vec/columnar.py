@@ -7,15 +7,9 @@ A :class:`LaneCodec` lifts a *batch* of those integers into NumPy: each
 key becomes one row of a ``(n, lanes)`` ``uint64`` array, big-endian
 lane order, where ``lanes = ceil(total_bits / 64)``.  The default OVS
 space packs to 136 bits and therefore spans three lanes; toy spaces fit
-one.  Two properties carry over from the scalar layout:
-
-* masking distributes over the lane split — ``lanes(v) & lanes(m) ==
-  lanes(v & m)`` row-wise, the identity the vectorized subtable scan
-  relies on (``keys & mask`` for the whole batch at once); and
-* lexicographic row order equals numeric order of the packed integers,
-  so a sorted row array supports exact membership via
-  ``np.searchsorted`` — single-``uint64`` compares when one lane
-  suffices, a structured (void) row view otherwise.
+one.  Masking distributes over the lane split — ``lanes(v) & lanes(m)
+== lanes(v & m)`` row-wise — which is the identity the vectorized
+subtable scan relies on (``keys & mask`` for the whole batch at once).
 """
 
 from __future__ import annotations
@@ -23,7 +17,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.flow.fields import FieldSpace
-from repro.flow.key import FlowKey
 from repro.vec import require_numpy
 
 np = require_numpy("the columnar key codec")
@@ -32,7 +25,7 @@ np = require_numpy("the columnar key codec")
 class LaneCodec:
     """Encode packed key/mask integers of one field space as lane rows."""
 
-    __slots__ = ("space", "lanes", "nbytes", "_void_dtype", "_bytes_cache")
+    __slots__ = ("space", "lanes", "nbytes", "_bytes_cache")
 
     #: encoded-bytes memo bound — cleared wholesale when exceeded
     BYTES_CACHE_MAX = 1 << 17
@@ -44,7 +37,6 @@ class LaneCodec:
         #: significant bits, matching the packed layout's field order
         self.lanes = max(1, -(-total_bits // 64))
         self.nbytes = self.lanes * 8
-        self._void_dtype = np.dtype([("", np.uint64)] * self.lanes)
         #: packed int -> big-endian bytes memo: sustained streams revisit
         #: the same keys (that is what makes them an attack), so the
         #: ``int.to_bytes`` cost is paid once per distinct key
@@ -77,70 +69,6 @@ class LaneCodec:
             .reshape(n, self.lanes)
             .astype(np.uint64)
         )
-
-    def encode_keys(self, keys: Sequence[FlowKey]) -> "np.ndarray":
-        """``(n, lanes)`` rows for a burst of flow keys — one ``pack()``
-        per batch, via each key's cached packed integer."""
-        return self.encode_ints([key.packed for key in keys])
-
-    def encode_int(self, packed: int) -> "np.ndarray":
-        """``(lanes,)`` row for one packed integer (e.g. a subtable mask)."""
-        return self.encode_ints([packed])[0]
-
-    # -- fingerprints ------------------------------------------------------
-
-    def fold(self, lanes: "np.ndarray") -> "np.ndarray":
-        """One ``uint64`` fingerprint per ``(n, lanes)`` row.
-
-        A multiply-xor fold of the lanes: equal rows always fold equal,
-        distinct rows collide only with hash-collision probability.
-        Callers that can absorb false positives (the EMC's superset
-        probe) trade the exact lexicographic rows for native-speed
-        ``uint64`` comparisons.
-        """
-        if self.lanes == 1:
-            return lanes.reshape(-1)
-        acc = lanes[:, 0].copy()
-        for lane in range(1, self.lanes):
-            acc *= np.uint64(0x9E3779B97F4A7C15)
-            acc ^= lanes[:, lane]
-        return acc
-
-    # -- ordering / membership ---------------------------------------------
-
-    def rows(self, lanes: "np.ndarray") -> "np.ndarray":
-        """A 1-D sortable view of ``(n, lanes)`` rows.
-
-        With one lane this is the plain ``uint64`` column; with more it
-        is a structured (void) view whose comparison is lexicographic
-        over the lanes — i.e. numeric order of the packed integers.
-        """
-        if self.lanes == 1:
-            return lanes.reshape(-1)
-        return np.ascontiguousarray(lanes).view(self._void_dtype).reshape(-1)
-
-    def member(self, sorted_rows: "np.ndarray",
-               query_rows: "np.ndarray") -> "tuple[np.ndarray, np.ndarray]":
-        """Exact membership of each query row in a sorted row array.
-
-        Returns ``(found, pos)``: a boolean mask and, where found, the
-        row's index within ``sorted_rows``.  ``searchsorted`` with the
-        ``"left"`` side lands on the first equal row, so a single
-        equality check at the landing position decides membership.
-        """
-        m = sorted_rows.shape[0]
-        if m == 0:
-            n = query_rows.shape[0]
-            return (
-                np.zeros(n, dtype=bool),
-                np.zeros(n, dtype=np.intp),
-            )
-        pos = np.searchsorted(sorted_rows, query_rows)
-        safe = np.minimum(pos, m - 1)
-        # pos == m means the query exceeds every row, so the clamped
-        # equality check is False there by construction
-        found = sorted_rows[safe] == query_rows
-        return found, safe
 
     def __repr__(self) -> str:
         return f"LaneCodec({self.space.name}: {self.lanes} x uint64)"

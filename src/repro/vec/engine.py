@@ -41,11 +41,6 @@ through — which is what keeps the engine byte-for-byte identical to
   stamped with the tuple space's ``generation``, so a stale answer can
   never be consumed.
 
-* **Superset EMC probe** (:class:`VecEmcStore`) — a sorted fingerprint
-  array over every key that may be EMC-resident.  A negative proves a
-  miss, so :meth:`~repro.ovs.switch.OvsSwitch._resolve` skips the
-  per-key cache probe for those keys.
-
 Staged lookup (which the dense mirror cannot serve), chunks too small
 to amortise the NumPy overhead and tuple spaces holding many entries
 per subtable take the inherited scalar scan — same results either way
@@ -58,7 +53,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 from repro.flow.fields import OVS_FIELDS, FieldSpace
 from repro.flow.key import FlowKey
-from repro.ovs.microflow import MicroflowCache
 from repro.ovs.switch import BatchResult, OvsSwitch
 from repro.ovs.tss import Subtable, TssLookupResult, TupleSpaceSearch
 from repro.vec import VEC_TSS_PATHS, require_numpy
@@ -145,7 +139,6 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
         staged: bool = False,
         scan_order: str = "insertion",
         resort_interval: int = 0,
-        codec: LaneCodec | None = None,
     ) -> None:
         super().__init__(
             space,
@@ -153,7 +146,7 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
             scan_order=scan_order,
             resort_interval=resort_interval,
         )
-        self.codec = codec or LaneCodec(space)
+        self.codec = LaneCodec(space)
         #: advanced by everything that changes what a scan would answer
         #: — ``insert`` (a subtable only ever arrives with its first
         #: entry), ``remove``, ``clear``, ranked ``resort`` — so the
@@ -494,80 +487,6 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
         return results
 
 
-class VecEmcStore:
-    """A columnar, conservatively-superset mirror of the EMC residents.
-
-    The batch pipeline needs one question answered per key: *could* this
-    key be in the exact-match cache?  The store keeps a sorted
-    fingerprint array of every key known to have been a resident (the
-    base), plus a small overlay set of keys inserted since the base was
-    built.  Deletions (evictions, stale purges, flushes) are never
-    tracked — they only shrink the cache, so the store stays a superset
-    and a negative probe *proves* absence.  Fingerprint collisions are
-    harmless for the same reason: they can only turn a certain miss
-    into a "maybe", never the reverse.  The base is refolded from the
-    live cache when the overlay or the staleness bloat grows past
-    bounds, keeping the probe tight without hooking every eviction
-    path.
-    """
-
-    __slots__ = ("codec", "_fps", "_base_count", "overlay")
-
-    #: overlay entries / stale-bloat slack tolerated before a refold
-    REFOLD_SLACK = 64
-
-    def __init__(self, codec: LaneCodec) -> None:
-        self.codec = codec
-        self._fps = np.empty(0, dtype=np.uint64)
-        self._base_count = 0
-        #: keys inserted since the base was built (checked per key in
-        #: the batch loop — membership here means "possibly resident")
-        self.overlay: set[FlowKey] = set()
-
-    def note_insert(self, key: FlowKey) -> None:
-        """Record a *stored* EMC insert — supersets never miss one."""
-        self.overlay.add(key)
-
-    def reset(self) -> None:
-        """Forget everything (the cache was flushed)."""
-        self._fps = np.empty(0, dtype=np.uint64)
-        self._base_count = 0
-        self.overlay.clear()
-
-    def refresh(self, microflow: MicroflowCache) -> None:
-        """Refold the base from the live cache when the overlay or the
-        deletion bloat has grown past the slack bound."""
-        slack = self.REFOLD_SLACK
-        if (
-            len(self.overlay) <= slack
-            and self._base_count <= microflow.occupancy + slack
-        ):
-            return
-        packed = [key.packed for key in microflow.resident_keys()]
-        fps = self.codec.fold(self.codec.encode_ints(packed))
-        fps.sort()
-        self._fps = fps
-        self._base_count = len(packed)
-        self.overlay.clear()
-
-    @property
-    def empty(self) -> bool:
-        """True when no key can possibly be resident (base and overlay
-        both empty) — the caller may skip the probe outright."""
-        return self._fps.shape[0] == 0 and not self.overlay
-
-    def probe(self, lanes) -> "np.ndarray":
-        """Vectorized maybe-resident probe for a whole batch of key rows
-        (the overlay is consulted separately, per key, by the caller)."""
-        fps = self._fps
-        if fps.shape[0] == 0:
-            return np.zeros(lanes.shape[0], dtype=bool)
-        query = self.codec.fold(lanes)
-        pos = np.searchsorted(fps, query)
-        np.minimum(pos, fps.shape[0] - 1, out=pos)
-        return fps[pos] == query
-
-
 class VecSwitch(OvsSwitch):
     """An :class:`OvsSwitch` running the columnar vectorized fast path.
 
@@ -577,23 +496,14 @@ class VecSwitch(OvsSwitch):
     * the megaflow TSS is swapped (empty, at construction) for a
       :class:`VecTupleSpaceSearch`, so every chunk the inherited run
       drain looks up is answered column-wise or from the burst memo;
-    * :meth:`process_batch` screens what follows the burst's EMC hit
-      prefix against the :class:`VecEmcStore` and hands the inherited
-      :meth:`~repro.ovs.switch.OvsSwitch._resolve` the verdicts, so keys
-      proven absent skip the per-key Python probe;
     * the burst's EMC-miss candidates are scanned against the tuple
-      space once, up front (:meth:`_prescan`).
+      space once, up front (:meth:`_prescan`), before the inherited
+      :meth:`~repro.ovs.switch.OvsSwitch._resolve` drains them.
     """
-
-    #: bursts below this size take the inherited pipeline unscreened
-    #: (the vectorized probe cannot amortise its setup); same results
-    VEC_MIN_BATCH = 8
 
     def __init__(self, space: FieldSpace = OVS_FIELDS, name: str = "ovs-vec",
                  **kwargs) -> None:
         super().__init__(space=space, name=name, **kwargs)
-        codec = LaneCodec(space)
-        self._codec = codec
         # swap the (still empty) TSS for the columnar subclass with the
         # same configuration; MegaflowCache reaches it via .tss, so the
         # slow path and revalidator see the swap transparently
@@ -603,24 +513,7 @@ class VecSwitch(OvsSwitch):
             staged=tss.staged,
             scan_order=tss.scan_order,
             resort_interval=tss.resort_interval,
-            codec=codec,
         )
-        self._emc_store = VecEmcStore(codec)
-
-    # -- EMC bookkeeping ----------------------------------------------------
-
-    def _note_emc_insert(self, key) -> None:
-        # the base pipeline fires this hook exactly when the microflow
-        # cache *stored* the key (probabilistic-insertion rejects never
-        # create a slot), so the overlay tracks precisely the residents
-        # added since the last refold — tight enough that an insertion
-        # probability of zero keeps the store empty and every key a
-        # proven miss
-        self._emc_store.note_insert(key)
-
-    def invalidate_caches(self) -> None:
-        super().invalidate_caches()
-        self._emc_store.reset()
 
     # -- the vectorized batch pipeline --------------------------------------
 
@@ -629,70 +522,49 @@ class VecSwitch(OvsSwitch):
                       materialize: bool = True) -> BatchResult:
         if not isinstance(keys, (list, tuple)):
             keys = list(keys)
-        store = self._emc_store
-        # before the shortcut too: the inherited pipeline fires
-        # ``_note_emc_insert`` all the same, and a feed of small bursts
-        # must not grow the overlay without bound
-        store.refresh(self.microflow)
-        if len(keys) < self.VEC_MIN_BATCH:
-            # the vectorized probe cannot amortise its setup (the TSS
-            # still answers through the columnar subclass)
-            return super().process_batch(keys, now=now, materialize=materialize)
         now = self._advance(now)
         self.revalidator.maybe_sweep(now)
         batch = BatchResult()
-        # a provably-empty store answers every probe "no" — skip even
-        # the batch encode (the common state with EMC insertion off)
-        flags = None
-        if not store.empty:
+        if self.microflow.occupancy:
             # the cache serves the burst's hit prefix itself; only what
-            # follows the first non-hit is encoded for the store to
-            # screen (an all-hit burst never consults it)
+            # follows the first non-hit is pre-scanned
             served = self._serve_emc_hits(keys, 0, now, batch, materialize)
             if served == len(keys):
                 return batch
             if served:
                 keys = keys[served:]
-            maybe = store.probe(self._codec.encode_keys(keys))
-            if store.overlay or maybe.any():
-                flags = maybe.tolist()
-        self._prescan(keys, flags)
+        self._prescan(keys)
         try:
-            self._resolve(keys, batch, now, materialize, flags, store.overlay)
+            self._resolve(keys, batch, now, materialize)
         finally:
             # the memo answers for this burst's keys against this
             # burst's tuple space; it must not outlive the call
             self.megaflow.tss.drop_memo()
         return batch
 
-    def _prescan(self, keys: Sequence[FlowKey], flags: list | None) -> None:
+    def _prescan(self, keys: Sequence[FlowKey]) -> None:
         """Scan the burst's EMC-miss candidates against the tuple space
         once, before the per-key loop: a bursty feed splits into runs of
         one or two keys (an ON train's second packet is a within-run
         duplicate), and each run's ``lookup_batch`` chunk then consumes
         its answers from the memo instead of paying a scalar scan of
-        every subtable.  Candidates are the distinct keys the EMC cannot
-        serve as the burst opens — proven absent by the store, or
-        flagged "maybe" but since evicted; a resident evicted mid-burst
-        simply misses the memo and takes the chunk's own scan.  Pure:
-        nothing the reference observes is touched."""
+        every subtable.  Candidates are the distinct keys the EMC holds
+        no slot for as the burst opens; a resident evicted mid-burst
+        simply misses the memo and takes the chunk's own scan.  A burst
+        too small for the columnar scan is not pre-scanned either: its
+        chunks are answered by scalar scans, which it would only add a
+        mirror rebuild to.  Pure: nothing the reference observes is
+        touched."""
         tss = self.megaflow.tss
-        if not tss.prescan_pays(len(keys)):
+        if len(keys) < tss.VEC_MIN_BATCH or not tss.prescan_pays(len(keys)):
             return
-        packed = [key.packed for key in keys]
-        if flags is None:
-            candidates = list(dict.fromkeys(packed))
-        else:
-            # equal keys carry equal flags, so any occurrence will do
-            overlay = self._emc_store.overlay
+        distinct = {key.packed: key for key in keys}
+        if self.microflow.occupancy:
             contains = self.microflow.contains
-            candidates = [
-                p for p, (flag, key) in dict(
-                    zip(packed, zip(flags, keys))
-                ).items()
-                if not ((flag or key in overlay) and contains(key))
-            ]
-        tss.prescan(candidates)
+            tss.prescan([packed for packed, key in distinct.items()
+                         if not contains(key)])
+        else:  # no slot to screen against (an empty cache)
+            tss.prescan(list(distinct))
 
     @property
     def vec_tss_paths(self) -> dict[str, int]:
@@ -705,5 +577,5 @@ class VecSwitch(OvsSwitch):
         return (
             f"VecSwitch({self.name}: {len(self.table)} rules, "
             f"{self.mask_count} masks, {self.megaflow_count} megaflows, "
-            f"{self._codec.lanes} lanes)"
+            f"{self.megaflow.tss.codec.lanes} lanes)"
         )

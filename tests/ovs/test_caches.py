@@ -283,3 +283,122 @@ class TestMicroflowCache:
             found = cache.lookup(self._key(v))
             # either still cached (then it must be the right entry) or evicted
             assert found is None or found.match is not None
+
+    # the packed-int index: it holds exactly the slots in ``_sets``, each
+    # in the set its key hashes to, through every writer of ``_sets``
+
+    @staticmethod
+    def _assert_index_matches_sets(cache):
+        stored = {}
+        for i, bucket in enumerate(cache._sets):
+            assert len(bucket) <= cache.ways
+            for slot in bucket:
+                assert cache._set_index(slot.key) == i
+                stored[slot.key.packed] = slot
+        assert cache._index.keys() == stored.keys()
+        assert all(cache._index[packed] is slot
+                   for packed, slot in stored.items())
+        assert cache.occupancy == len(stored)
+
+    def test_an_eviction_drops_the_victim_from_the_index(self):
+        cache = MicroflowCache(entries=2, ways=2)  # one set, two ways
+        cache.insert(self._key(1), self._entry(), now=1.0)
+        cache.insert(self._key(2), self._entry(), now=2.0)
+        cache.insert(self._key(3), self._entry(), now=3.0)  # evicts key 1
+        assert not cache.contains(self._key(1))
+        assert cache.contains(self._key(2)) and cache.contains(self._key(3))
+        self._assert_index_matches_sets(cache)
+
+    def test_a_stale_purge_drops_the_key_from_the_index(self):
+        cache = MicroflowCache(entries=16, ways=2)
+        entry = self._entry()
+        cache.insert(self._key(1), entry)
+        entry.alive = False
+        assert cache.contains(self._key(1))  # stale slots still count
+        assert cache.lookup(self._key(1)) is None
+        assert not cache.contains(self._key(1))
+        self._assert_index_matches_sets(cache)
+
+    def test_invalidate_dead_drops_dead_keys_from_the_index(self):
+        cache = MicroflowCache(entries=16, ways=2)
+        live, dead = self._entry(), self._entry()
+        cache.insert(self._key(1), live)
+        cache.insert(self._key(2), dead)
+        cache.insert(self._key(3), dead)
+        dead.alive = False
+        assert cache.invalidate_dead() == 2
+        assert cache.contains(self._key(1))
+        assert not cache.contains(self._key(2))
+        assert not cache.contains(self._key(3))
+        self._assert_index_matches_sets(cache)
+
+    def test_flush_empties_the_index(self):
+        cache = MicroflowCache(entries=8, ways=2)
+        for i in range(6):
+            cache.insert(self._key(i), self._entry())
+        cache.flush()
+        assert not any(cache.contains(self._key(i)) for i in range(6))
+        self._assert_index_matches_sets(cache)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        insertion_prob=st.sampled_from([1.0, 0.5]),
+        ops=st.lists(st.one_of(
+            *[st.tuples(st.just("insert"), st.integers(0, 7),
+                        st.integers(0, 3))] * 4,
+            st.tuples(st.just("lookup"), st.integers(0, 7)),
+            st.tuples(st.just("hits"), st.lists(st.integers(0, 7),
+                                                max_size=6)),
+            st.tuples(st.just("kill"), st.integers(0, 3)),
+            st.tuples(st.just("invalidate_dead")),
+            st.tuples(st.just("flush")),
+        ), min_size=8, max_size=40),
+    )
+    def test_the_index_probes_as_the_set_scan_does(self, insertion_prob,
+                                                   ops):
+        """Fed one history, the indexed cache and the retired set scan
+        (``oracles.SetScanMicroflowCache``) give every probe the same
+        answer and keep the same slots and counters; the index holds
+        exactly the stored slots after every step."""
+        from repro.testing.oracles import SetScanMicroflowCache
+
+        # 8 keys over two 2-way sets: inserts evict
+        caches = [cls(entries=4, ways=2, insertion_prob=insertion_prob,
+                      rng=DeterministicRng(7))
+                  for cls in (MicroflowCache, SetScanMicroflowCache)]
+        entries = [self._entry() for _ in range(4)]
+        for step, op in enumerate(ops):
+            now = float(step)
+            answers = []
+            for cache in caches:
+                # every probe builds fresh keys: equal, never identical
+                if op[0] == "insert":
+                    answer = cache.insert(self._key(op[1]), entries[op[2]],
+                                          now)
+                elif op[0] == "lookup":
+                    answer = id(cache.lookup(self._key(op[1]), now))
+                elif op[0] == "hits":
+                    answer = [(id(entry), count) for entry, count in
+                              cache.lookup_hits([self._key(v) for v in op[1]],
+                                                0, now)]
+                elif op[0] == "kill":
+                    entries[op[1]].alive = False
+                    answer = None
+                elif op[0] == "invalidate_dead":
+                    answer = cache.invalidate_dead()
+                else:
+                    answer = cache.flush()
+                answers.append((answer, [cache.contains(self._key(v))
+                                         for v in range(8)]))
+            if op[0] == "kill":
+                entries[op[1]] = self._entry()
+            assert answers[0] == answers[1], op
+            ours, ref = caches
+            assert [[(s.key.values, id(s.entry), s.last_used)
+                     for s in bucket] for bucket in ours._sets] == \
+                   [[(s.key.values, id(s.entry), s.last_used)
+                     for s in bucket] for bucket in ref._sets]
+            for name in ("lookups", "hits", "insertions", "evictions",
+                         "stale_hits", "occupancy"):
+                assert getattr(ours, name) == getattr(ref, name), name
+            self._assert_index_matches_sets(ours)

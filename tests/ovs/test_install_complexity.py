@@ -227,8 +227,7 @@ def test_an_all_hit_burst_does_not_pay_for_the_size_of_the_emc():
         switch = VecSwitch(space=OVS_FIELDS, name="complexity",
                            emc_entries=emc_entries)
         switch.add_rules(RULES)
-        # install, then let the EMC store refold its overlay: the burst
-        # counted is the steady state
+        # install, then hit: the burst counted is the steady state
         for now in (0.0, 0.1, 0.2):
             switch.process_batch(burst, now=now, materialize=False)
         batches = []
@@ -240,3 +239,32 @@ def test_an_all_hit_burst_does_not_pay_for_the_size_of_the_emc():
 
     small, large = calls_with(8192), calls_with(32768)
     assert large <= 1.1 * small, (small, large)
+
+
+@pytest.mark.parametrize("vec", [
+    False,
+    pytest.param(True, marks=pytest.mark.skipif(
+        not HAVE_NUMPY, reason="numpy not installed")),
+])
+def test_an_all_hit_burst_neither_hashes_nor_compares_a_key(vec):
+    """The EMC finds a slot by the key's packed int: an all-hit burst of
+    ON trains — each key followed by an equal, distinct object, as a
+    capture extracts them — hashes no key and compares none."""
+    if vec:
+        from repro.vec.engine import VecSwitch as cls
+    else:
+        cls = OvsSwitch
+    switch = cls(space=OVS_FIELDS, name="complexity")
+    switch.add_rules(RULES)
+    burst = [copy for key in COVERT[:128] for copy in (
+        key, FlowKey.from_tuple(OVS_FIELDS, key.values, key.packed))]
+    for now in (0.0, 0.1):
+        switch.process_batch(burst, now=now, materialize=False)
+    batches = []
+    hashes, compares = _python_calls(
+        lambda: batches.append(
+            switch.process_batch(burst, now=0.2, materialize=False)),
+        "flow/key.py:__hash__", "flow/key.py:__eq__",
+    )
+    assert batches[0].emc_hits == len(burst) == 256
+    assert (hashes, compares) == (0, 0)

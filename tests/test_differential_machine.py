@@ -10,9 +10,10 @@ datapaths from it, each driven by a ``DataplaneSimulator``:
 * the reference: the same point on the scalar ``ovs`` engine, with the
   retired paths of :mod:`repro.testing.oracles` swapped in — the
   per-rule classify loop for the slow path, the tuple-keyed tuple space
-  and the full-pass ``expire_idle`` for every cache, the per-key run
-  drain for every shard, the per-packet model replay for the simulator
-  — and bursts processed one key at a time through ``process()``.
+  and the full-pass ``expire_idle`` for every cache, the set-scan EMC
+  and the per-key run drain for every shard, the per-packet model
+  replay for the simulator — and bursts processed one key at a time
+  through ``process()``.
 
 Both take the same generated operations — bursts in both result modes,
 clock moves, rule changes, install guards, RETA remaps, simulator ticks
@@ -432,6 +433,12 @@ class DifferentialMachine(RuleBasedStateMachine):
             cache.expire_idle = MethodType(oracles.expire_idle_full_pass,
                                            cache)
             shard._flush_run = MethodType(oracles.flush_run_per_key, shard)
+            emc = shard.microflow
+            shard.microflow = shard.revalidator.microflow = \
+                oracles.SetScanMicroflowCache(
+                    entries=emc.capacity, ways=emc.ways,
+                    insertion_prob=emc.insertion_prob, rng=emc.rng,
+                )
         self.sim = _simulator(self.sut, config["sim"], oracle=False)
         self.ref_sim = _simulator(self.ref, config["sim"], oracle=True)
         #: per shard, every entry a direct insert made: (sut's, ref's)

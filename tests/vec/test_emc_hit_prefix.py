@@ -19,7 +19,6 @@ from repro.vec import HAVE_NUMPY
 pytestmark = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
 if HAVE_NUMPY:
-    from repro.vec.columnar import LaneCodec
     from repro.vec.engine import VecSwitch
 
 VICTIM_IP = ip_to_int("10.0.9.77")
@@ -110,44 +109,3 @@ def test_train_heavy_feed_matches_the_reference(emc, materialize):
     if emc == dict(emc_entries=8192):
         assert vec.microflow.stale_hits > 0
         assert vec.stats.emc_hits > 0.9 * len(feed)
-
-
-def test_an_all_hit_burst_never_encodes_its_keys(monkeypatch):
-    vec = _build(VecSwitch)
-    burst = _feed(seed=3, packets=256)
-    vec.process_batch(burst, now=0.1, materialize=False)  # installs
-    vec.process_batch(burst, now=0.2, materialize=False)  # refolds the store
-    calls = []
-    encode_keys = LaneCodec.encode_keys
-    monkeypatch.setattr(
-        LaneCodec, "encode_keys",
-        lambda codec, keys: calls.append(len(keys)) or encode_keys(codec, keys),
-    )
-    batch = vec.process_batch(burst, now=0.3, materialize=False)
-    assert batch.emc_hits == len(burst)
-    assert calls == []
-    # a miss in the middle: only what follows the hit prefix is encoded
-    fresh = _flow(500)
-    vec.process_batch(burst[:100] + [fresh] + burst[100:], now=0.4,
-                      materialize=False)
-    assert calls == [len(burst) - 100 + 1]
-
-
-def test_small_bursts_cannot_grow_the_overlay_without_bound():
-    """Bursts under ``VEC_MIN_BATCH`` take the inherited pipeline, which
-    still reports every stored EMC insert to the store: a ``VecSwitch``
-    fed nothing else (a slow ``repro serve`` tick, any ``process()``
-    caller) must keep refolding, or the overlay holds one key per
-    insert, forever."""
-    from repro.vec.engine import VecEmcStore
-
-    vec = _build(VecSwitch, emc_entries=64)
-    assert 2 < VecSwitch.VEC_MIN_BATCH
-    for i in range(0, 20_000, 2):
-        vec.process_batch([_flow(1000 + i), _flow(1001 + i)],
-                          now=1e-4 * i, materialize=False)
-    assert vec.microflow.insertions == 20_000
-    assert vec.microflow.occupancy == 64
-    assert len(vec._emc_store.overlay) <= (
-        VecEmcStore.REFOLD_SLACK + vec.microflow.capacity
-    )
