@@ -12,9 +12,9 @@ setup(
     name="repro",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    # numpy powers the `ovs-vec` columnar engine; everything else is
-    # pure stdlib, and repro degrades gracefully (clear error from the
-    # vec backend, all other backends unaffected) when it is missing
+    # numpy powers the columnar engine; everything else is pure
+    # stdlib, and repro degrades gracefully when it is missing (the
+    # `ovs` backend runs the bit-identical scalar engine instead)
     install_requires=["numpy"],
     # `repro lint` / `repro scenario` etc. from the shell once installed
     entry_points={"console_scripts": ["repro = repro.cli:main"]},

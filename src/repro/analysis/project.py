@@ -9,6 +9,7 @@ trips over it at runtime.
 
 from __future__ import annotations
 
+from itertools import product
 from pathlib import Path
 from typing import Iterator
 
@@ -38,34 +39,39 @@ class ProtocolConformanceChecker(Checker):
     under-implement it."""
 
     rule = "protocol-conformance"
-    contract = ("every BACKENDS engine, in every runtime x shards cell "
+    contract = ("every BACKENDS engine, and the scalar OvsSwitch the "
+                "platform falls back to, in every runtime x shards cell "
                 "DatapathConfig accepts, must build a datapath exposing "
                 "the full Datapath surface (DATAPATH_SURFACE is the "
                 "single source of truth)")
-    scope = "BACKENDS x runtimes (builds each cell once)"
+    scope = "engines x runtimes (builds each cell once)"
     project_level = True
 
     def check_project(self, root: Path) -> Iterator[Finding]:
+        from repro.ovs.switch import OvsSwitch
         from repro.perf.factory import BACKENDS, PROFILES, DatapathConfig
         from repro.scenario.datapath import DATAPATH_SURFACE, Datapath
-        from repro.vec import NumpyUnavailableError
 
         profile = PROFILES.get("kernel")
-        cells = [(name, *cell) for name in BACKENDS.names()
-                 for cell in _PROBE_CELLS]
-        for name, runtime, shards in cells:
+        # each backend as the platform resolves it, and the scalar
+        # OvsSwitch by class: it is the no-NumPy platform's ``ovs``
+        engines = [(repr(name), name, BACKENDS.get(name))
+                   for name in BACKENDS.names()]
+        engines.append(("OvsSwitch", "ovs", lambda: OvsSwitch))
+        for (label, name, resolve), (runtime, shards) in product(
+                engines, _PROBE_CELLS):
             config = DatapathConfig(
                 profile, name=f"lint-{name}", engine=name, runtime=runtime,
                 shards=shards, seed=1,
             )
-            cell = f"backend {name!r} ({runtime}, shards={shards})"
+            cell = f"engine {label} ({runtime}, shards={shards})"
             try:
                 config.check()
             except ValueError:
                 continue  # the validation table rejects this cell
             datapath = None
             try:
-                datapath = config.build()
+                datapath = config._assemble(resolve())
                 missing = sorted(
                     member for member in DATAPATH_SURFACE
                     if not hasattr(datapath, member)
@@ -87,8 +93,6 @@ class ProtocolConformanceChecker(Checker):
                         "despite exposing every member",
                         path=_BACKENDS_PATH,
                     )
-            except NumpyUnavailableError:
-                continue  # the engine's own resolver: unbuildable here
             except Exception as exc:  # noqa: BLE001 - report, don't crash
                 yield self.finding(
                     None, None,

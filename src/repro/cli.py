@@ -58,13 +58,13 @@ import argparse
 import sys
 from pathlib import Path
 
+from repro import vec
 from repro.attack.analysis import predict, required_refresh_bps
 from repro.attack.packets import CovertStreamGenerator
 from repro.net.addresses import ip_to_int
 from repro.ovs.tss import SCAN_ORDERS
 from repro.scenario import BACKENDS, DEFENSES, PROFILES, SCENARIOS, SURFACES, Session
 from repro.util.units import format_bps
-from repro.vec import HAVE_NUMPY, NumpyUnavailableError
 
 
 def _make_telemetry(args: argparse.Namespace):
@@ -135,27 +135,11 @@ def cmd_craft(args: argparse.Namespace) -> int:
     return 0
 
 
-def _backend_tag(backend: str) -> str:
-    """The per-preset backend annotation for the ``--list`` views:
-    which engine the preset runs on and whether it wants NumPy."""
-    if backend == "ovs-vec":
-        state = "numpy installed" if HAVE_NUMPY else "NUMPY MISSING"
-        return f"[{backend}: needs numpy — {state}]"
-    if backend == "ovs-vec-auto":
-        state = (
-            "numpy installed: vectorized"
-            if HAVE_NUMPY
-            else "no numpy: scalar fallback"
-        )
-        return f"[{backend}: {state}]"
-    return f"[{backend}]"
-
-
 def _print_scenario_list() -> None:
     print("scenarios:")
     for name, spec in SCENARIOS.items():
         print(
-            f"  {name:24s} {_backend_tag(spec.backend):44s} "
+            f"  {name:24s} {f'[{spec.backend}]':12s} "
             f"{spec.description or spec.surface}"
         )
     print("\nsurfaces:")
@@ -163,6 +147,9 @@ def _print_scenario_list() -> None:
         print(f"  {name:24s} {surface.description}")
     print("\nprofiles:    " + ", ".join(PROFILES.names()))
     print("backends:    " + ", ".join(BACKENDS.names()))
+    print("engine:      ovs runs " + (
+        "the columnar VecSwitch (NumPy installed)" if vec.HAVE_NUMPY
+        else "the scalar OvsSwitch (no NumPy)"))
     print("defenses:    " + ", ".join(DEFENSES.names()))
     print("scan orders: " + ", ".join(SCAN_ORDERS) + " (--scan-order)")
     print("shards:      any N >= 1 (--shards; RSS-dispatched PMD shards)")
@@ -170,9 +157,6 @@ def _print_scenario_list() -> None:
           "(`repro serve --workers N`)")
     print("rebalance:   --rebalance-interval SECONDS (0 = static RSS), "
           "--reta-size BUCKETS, --workload-skew ZIPF (elephant flows)")
-    if not HAVE_NUMPY:
-        print("note:        the 'ovs-vec' backend needs NumPy, which is not "
-              "installed (pip install numpy)")
 
 
 def cmd_scenario(args: argparse.Namespace) -> int:
@@ -201,7 +185,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         if overrides:
             spec = spec.evolve(**overrides)
         result = Session(spec, telemetry=telemetry).run()
-    except (KeyError, ValueError, NumpyUnavailableError) as exc:
+    except (KeyError, ValueError) as exc:
         raise SystemExit(f"scenario {spec.name!r}: {exc}")
     print(result.render())
     if args.csv is not None:
@@ -219,7 +203,7 @@ def _print_fleet_list() -> None:
     print("fleet campaigns:")
     for name, spec in FLEETS.items():
         print(
-            f"  {name:24s} {_backend_tag(spec.scenario.backend):44s} "
+            f"  {name:24s} {f'[{spec.scenario.backend}]':12s} "
             f"{spec.description or spec.scenario.surface}"
         )
     print("\nmobility:        " + ", ".join(MOBILITY.names()))
@@ -258,7 +242,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         if overrides:
             spec = spec.evolve(**overrides)
         result = FleetSession(spec, telemetry=telemetry).run()
-    except (KeyError, ValueError, NumpyUnavailableError) as exc:
+    except (KeyError, ValueError) as exc:
         raise SystemExit(f"fleet {spec.name!r}: {exc}")
     print(result.render())
     if args.csv is not None:
@@ -351,7 +335,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         if overrides:
             spec = spec.evolve(**overrides)
         result = Session(spec, telemetry=telemetry).run()
-    except (KeyError, ValueError, NumpyUnavailableError) as exc:
+    except (KeyError, ValueError) as exc:
         raise SystemExit(f"trace {spec.name!r}: {exc}")
 
     out: Path = args.output

@@ -61,10 +61,6 @@ def run_degradation_sweep(
         spec = ScenarioSpec(
             surface=name,
             name=f"degradation-{name}",
-            # the sweep is wall-clock-bound (four full campaigns): run
-            # it on the auto-vectorized backend — bit-identical to
-            # "ovs", scalar fallback (with a warning) without numpy
-            backend="ovs-vec-auto",
             duration=duration,
             attack_start=attack_start,
         )

@@ -10,13 +10,8 @@ from repro.util.registry import Registry
 FLEETS: Registry[FleetSpec] = Registry("fleet campaign")
 
 #: the per-node cell most fleet presets run: the k8s surface (512
-#: masks) on the kernel profile, compressed to a fleet-friendly length.
-#: Fleet runs are wall-clock-bound (N nodes tick every dt), so they
-#: default to the auto-vectorized backend — bit-identical to ``ovs``,
-#: with a loud scalar fallback when numpy is absent
-_K8S_NODE = SCENARIOS.get("k8s").evolve(
-    duration=80.0, attack_start=10.0, backend="ovs-vec-auto"
-)
+#: masks) on the kernel profile, compressed to a fleet-friendly length
+_K8S_NODE = SCENARIOS.get("k8s").evolve(duration=80.0, attack_start=10.0)
 
 FLEETS.register(
     "fleet-rolling16",

@@ -250,6 +250,12 @@ class TupleSpaceSearch:
         self._scan_dead = 0
         self._lookups_since_resort = 0
         self.resorts = 0
+        #: advanced by every write that can change what a scan answers —
+        #: ``insert_at`` (``insert`` lands there), ``remove``, ``clear``
+        #: and a ranked :meth:`resort` — so anything derived from the
+        #: tables (the columnar engine's mirror and burst memo) is valid
+        #: exactly while its stamp is current
+        self.generation = 0
         self._next_seq = 0
         self._stage_plan = self._build_stage_plan() if staged else None
         # lookup statistics (cumulative)
@@ -344,6 +350,7 @@ class TupleSpaceSearch:
             subtable = self._create_subtable(packed_mask)
         if subtable.insert(packed_value, entry):
             self._entry_count += 1
+        self.generation += 1
         return subtable
 
     def remove(self, packed_mask: int, packed_value: int) -> None:
@@ -354,6 +361,7 @@ class TupleSpaceSearch:
             raise KeyError(f"no subtable for mask {packed_mask:#x}")
         subtable.remove(packed_value)
         self._entry_count -= 1
+        self.generation += 1
         if not subtable.entries:
             del self._subtables[packed_mask]
             if self.scan_order == "ranked":
@@ -369,6 +377,7 @@ class TupleSpaceSearch:
         self._entry_count = 0
         self._scan_list.clear()
         self._scan_dead = 0
+        self.generation += 1
 
     # -- ranking -----------------------------------------------------------
 
@@ -394,6 +403,7 @@ class TupleSpaceSearch:
             subtable.rank_hits /= 2.0
         self._lookups_since_resort = 0
         self.resorts += 1
+        self.generation += 1
 
     def expected_scan_depth(self) -> float:
         """Expected subtables visited per *hit* if hits keep their

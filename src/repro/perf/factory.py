@@ -15,7 +15,6 @@ builds the RETA dispatcher at any shard count, one shard included.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -72,41 +71,22 @@ def profile_by_name(name: str) -> DatapathProfile:
 #: else — shard count and runtime are :class:`DatapathConfig`'s other
 #: axes.  Resolvers run at build time, so listing never imports NumPy
 BACKENDS: Registry[Callable[[], type]] = Registry("datapath backend")
-BACKENDS.register("ovs", lambda: OvsSwitch)
 
 
-@BACKENDS.register("ovs-vec")
-def _vec_engine() -> type:
-    """The columnar vectorized engine (:mod:`repro.vec`) — bit-identical
-    to ``ovs``, just faster on bursts.  Asking for it without NumPy
-    raises a clear :class:`~repro.vec.NumpyUnavailableError`."""
-    from repro.vec import require_numpy
+@BACKENDS.register("ovs")
+def _ovs_engine() -> type:
+    """The OVS pipeline on the engine the platform can run: the
+    columnar :class:`~repro.vec.engine.VecSwitch` when NumPy is
+    importable, else the scalar :class:`OvsSwitch`.  The two are held
+    bit-identical, so the choice moves wall clock only — the all-zero
+    ``vec.tss.*`` census is what shows a scalar run."""
+    from repro import vec
 
-    require_numpy("the ovs-vec backend")
+    if not vec.HAVE_NUMPY:
+        return OvsSwitch
     from repro.vec.engine import VecSwitch
 
     return VecSwitch
-
-
-@BACKENDS.register("ovs-vec-auto")
-def _vec_auto_engine() -> type:
-    """``ovs-vec`` when NumPy is importable, the scalar ``ovs`` engine
-    otherwise — with a loud warning on the fallback, never a silent
-    behaviour change.  Both engines are pinned bit-identical, so the
-    choice only moves wall clock; wall-clock-bound presets (fleet,
-    multi-PMD, degradation sweeps) use this as their default backend."""
-    from repro.vec import HAVE_NUMPY
-
-    if HAVE_NUMPY:
-        return _vec_engine()
-    warnings.warn(
-        "numpy is not installed: the ovs-vec-auto backend is falling "
-        "back to the scalar 'ovs' engine (bit-identical results, "
-        "slower wall clock)",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    return OvsSwitch
 
 
 @BACKENDS.register("cacheless")
@@ -250,7 +230,13 @@ class DatapathConfig:
         around one shard is pinned identical to
         (``tests/ovs/test_pmd.py``)."""
         self.check()
-        switch_cls = BACKENDS.get(self.engine)()
+        return self._assemble(BACKENDS.get(self.engine)())
+
+    def _assemble(self, switch_cls: type):
+        """The datapath :meth:`build` makes of this config, on
+        ``switch_cls`` — the one place that shape is decided, so the
+        lint probe and the tests that build a checked config by class
+        get what :meth:`build` would."""
         if self.engine == "cacheless":
             return switch_cls(self.space, name=self.base_name)
         if self.runtime == "inline" and self.shard_count == 1:

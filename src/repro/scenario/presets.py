@@ -116,7 +116,6 @@ SCENARIOS.register(
     ScenarioSpec(
         surface="calico",
         name="calico-sharded",
-        backend="ovs-vec-auto",
         shards=4,
         duration=120.0,
         attack_start=30.0,
@@ -128,24 +127,11 @@ SCENARIOS.register(
     ScenarioSpec(
         surface="calico",
         name="calico-vec",
-        backend="ovs-vec",
         duration=120.0,
         attack_start=30.0,
-        description="the 8192-mask attack on the columnar vectorized "
-        "engine (bit-identical to 'calico', just faster)",
-    ),
-)
-SCENARIOS.register(
-    "calico-vec-pmd4",
-    ScenarioSpec(
-        surface="calico",
-        name="calico-vec-pmd4",
-        backend="ovs-vec",
-        profile="netdev-pmd4",
-        duration=120.0,
-        attack_start=30.0,
-        description="the 8192-mask attack vs 4 RSS-sharded vectorized "
-        "PMD datapaths",
+        description="field for field 'calico' under another name, kept "
+        "only because the pipeline benchmark's mask-churn workload "
+        "names it",
     ),
 )
 SCENARIOS.register(
@@ -153,7 +139,6 @@ SCENARIOS.register(
     ScenarioSpec(
         surface="calico",
         name="calico-netdev-pmd4",
-        backend="ovs-vec-auto",
         profile="netdev-pmd4",
         duration=120.0,
         attack_start=30.0,
@@ -165,7 +150,6 @@ SCENARIOS.register(
     ScenarioSpec(
         surface="calico",
         name="calico-netdev-pmd4-alb",
-        backend="ovs-vec-auto",
         profile="netdev-pmd4-alb",
         workload_skew=1.1,
         duration=120.0,
@@ -179,7 +163,6 @@ SCENARIOS.register(
     ScenarioSpec(
         surface="k8s",
         name="k8s-deepscan",
-        backend="ovs-vec-auto",
         profile="kernel-noemc",
         covert_replay="datapath",
         duration=120.0,
@@ -197,7 +180,6 @@ SCENARIOS.register(
     ScenarioSpec(
         surface="k8s",
         name="k8s-serve",
-        backend="ovs-vec-auto",
         profile="kernel-noemc",
         shards=4,
         duration=30.0,
@@ -206,7 +188,7 @@ SCENARIOS.register(
         "Kubernetes covert stream replayed live through `repro serve` "
         "— EMC insertion off, so every packet after the first lap "
         "deep-scans the exploded subtable list on its shard, through "
-        "the columnar engine (ovs-vec-auto: scalar without NumPy).  Serial "
+        "the columnar engine (scalar without NumPy).  Serial "
         "and parallel runs of this spec are byte-identical "
         "(tests/runtime/test_serve.py); the measured speedup is the "
         "pipeline benchmark's serve-parallel "
@@ -218,7 +200,6 @@ SCENARIOS.register(
     ScenarioSpec(
         surface="k8s",
         name="spread-campaign",
-        backend="ovs-vec-auto",
         shards=4,
         workload_skew=1.1,
         rebalance_interval=5.0,

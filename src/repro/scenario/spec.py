@@ -54,9 +54,12 @@ class ScenarioSpec:
     surface: str
     #: datapath profile (:data:`repro.scenario.registry.PROFILES` name)
     profile: str = "kernel"
-    #: classifier engine (:data:`repro.scenario.registry.BACKENDS` name)
-    #: — the engine and nothing else: ``shards`` is its own field, the
-    #: runtime is picked where a run is launched
+    #: classifier engine (:data:`repro.scenario.registry.BACKENDS`
+    #: name): ``ovs``, the OVS cache pipeline — computed by the columnar
+    #: engine when NumPy is installed, else by the scalar one, with
+    #: bit-identical results — or ``cacheless``.  The engine and nothing
+    #: else: ``shards`` is its own field, the runtime is picked where a
+    #: run is launched
     backend: str = "ovs"
     #: active defenses, applied in order
     defenses: tuple[DefenseUse, ...] = ()

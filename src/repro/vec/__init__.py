@@ -1,4 +1,4 @@
-"""The columnar vectorized datapath engine (the ``ovs-vec`` backend).
+"""The columnar vectorized datapath engine (what ``ovs`` runs on NumPy).
 
 The paper's attack inflates the megaflow mask count so every cache miss
 degenerates into a long linear subtable scan; everything this repo
@@ -13,10 +13,13 @@ mixed ``uint64`` fingerprint compare per cell, confirming each claimed
 match exactly before it counts.
 
 NumPy is a declared dependency, but the package degrades gracefully
-without it: importing :mod:`repro.vec` always succeeds, ``HAVE_NUMPY``
-says whether the engine is usable, and :func:`require_numpy` raises a
-:class:`NumpyUnavailableError` with install guidance — the registry
-builder and CLI surface that as a clear error instead of a traceback.
+without it: importing :mod:`repro.vec` always succeeds, and
+``HAVE_NUMPY`` says whether the engine is usable — the ``ovs`` backend
+reads it at build time and runs the scalar
+:class:`~repro.ovs.switch.OvsSwitch` when it is false (bit-identical
+results, slower wall clock).  The NumPy-only modules import through
+:func:`require_numpy`, which raises a :class:`NumpyUnavailableError`
+with install guidance instead of a bare ``ImportError``.
 """
 
 from __future__ import annotations
@@ -59,20 +62,21 @@ __all__ = [
 
 
 class NumpyUnavailableError(RuntimeError):
-    """The ``ovs-vec`` engine was requested but NumPy is not installed."""
+    """A NumPy-only module (the columnar engine, its key codec) was
+    imported without NumPy installed."""
 
 
 def require_numpy(what: str = "the vec columnar engine"):
     """Return the ``numpy`` module, or raise a clear, actionable error.
 
-    Every entry point into the vectorized engine funnels through here so
-    a missing NumPy yields one well-worded failure instead of an
-    ImportError deep inside a registry builder.
+    Every NumPy-only module imports NumPy through here, so a missing
+    NumPy yields one well-worded failure instead of a bare
+    ImportError.
     """
     if not HAVE_NUMPY:
         raise NumpyUnavailableError(
             f"{what} requires NumPy, which is not installed; "
-            "install it (pip install numpy) or pick the 'ovs' backend"
+            "install it (pip install numpy)"
         )
     return _np
 

@@ -1,4 +1,4 @@
-"""The vectorized datapath engine behind the ``ovs-vec`` backend.
+"""The vectorized datapath engine the ``ovs`` backend runs on NumPy.
 
 The burst pipeline — cap, scan, consume; serve the EMC's hits, gather
 the misses into runs, drain the runs — is the reference classes' own
@@ -7,7 +7,7 @@ only *where the answers come from*, and every piece of it is pure:
 nothing here writes a counter the reference observes — the hit answers
 it builds are the immutable results the inherited ``_consume`` passes
 through — which is what keeps the engine byte-for-byte identical to
-``ovs``.
+the scalar :class:`~repro.ovs.switch.OvsSwitch`.
 
 * **Dense mirror** (``_dense_mirror``) — every megaflow entry, in scan
   order, becomes one *column* of a lane-major ``uint64`` array (its
@@ -58,7 +58,7 @@ from repro.ovs.tss import Subtable, TssLookupResult, TupleSpaceSearch
 from repro.vec import VEC_TSS_PATHS, require_numpy
 from repro.vec.columnar import LaneCodec
 
-np = require_numpy("the ovs-vec datapath engine")
+np = require_numpy("the columnar datapath engine")
 
 #: odd multiplier (the golden-ratio constant) mixing the lanes of the
 #: scan fingerprint: plain XOR folding cancels when two lanes carry the
@@ -147,13 +147,9 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
             resort_interval=resort_interval,
         )
         self.codec = LaneCodec(space)
-        #: advanced by everything that changes what a scan would answer
-        #: — ``insert`` (a subtable only ever arrives with its first
-        #: entry), ``remove``, ``clear``, ranked ``resort`` — so the
-        #: dense mirror and the scan memo are each valid exactly while
-        #: their stamp is still current.  The mirror's never moves; the
-        #: memo's is carried forward by an ``insert`` it absorbs
-        self.generation = 0
+        # the dense mirror and the scan memo are stamped with the
+        # inherited ``generation``.  The mirror's stamp never moves; the
+        # memo's is carried forward by an ``insert`` it absorbs
         self._dense_cache: DenseMirror | None = None
         self._dense_generation = -1
         #: packed key -> its hit's ``TssLookupResult`` or ``None`` (a
@@ -179,25 +175,27 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
         #: the operation sequence)
         self.path_lookups = dict.fromkeys(VEC_TSS_PATHS, 0)
 
-    # -- generation tracking -------------------------------------------------
+    # -- the memo absorbs inserts -------------------------------------------
 
     def insert_at(self, subtable, packed_mask, packed_value, entry):
-        """The inherited insert (``insert`` lands here too); a live memo
-        absorbs it.  In either scan order an insert appends a subtable
-        at the end, adds an entry to a subtable or replaces one — it
-        never moves another subtable's depth, so everything the pre-scan
-        proved about the *other* subtables still holds and only the
-        written one needs a live probe (:func:`_shallowest`).  A memo
-        some earlier ``remove`` / ``clear`` / ranked ``resort`` retired
-        stays retired."""
+        """The inherited insert (``insert`` lands here too), which a
+        live memo absorbs; with none live it is the inherited insert
+        and nothing more.  In either scan order an insert appends a
+        subtable at the end, adds an entry to a subtable or replaces
+        one — it never moves another subtable's depth, so everything
+        the pre-scan proved about the *other* subtables still holds and
+        only the written one needs a live probe (:func:`_shallowest`).
+        A memo some earlier ``remove`` / ``clear`` / ranked ``resort``
+        retired stays retired."""
+        if self._memo is None or self._memo_generation != self.generation:
+            # nearly every install (all outside a pre-scanned burst):
+            # the base method named outright is cheaper than ``super()``
+            return TupleSpaceSearch.insert_at(self, subtable, packed_mask,
+                                              packed_value, entry)
         known = len(self._subtables)
         subtable = super().insert_at(subtable, packed_mask, packed_value,
                                      entry)
-        generation = self.generation
-        self.generation = generation + 1
-        if self._memo is None or self._memo_generation != generation:
-            return subtable
-        self._memo_generation = generation + 1
+        self._memo_generation = self.generation
         written = self._memo_written
         if subtable not in written:
             if len(self._subtables) > known:
@@ -213,19 +211,6 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
                 depth = self._memo_depths[subtable]
             written[subtable] = depth
         return subtable
-
-    def remove(self, packed_mask, packed_value) -> None:
-        super().remove(packed_mask, packed_value)
-        self.generation += 1
-
-    def clear(self) -> None:
-        super().clear()
-        self.generation += 1
-
-    def resort(self) -> None:
-        super().resort()
-        if self.scan_order == "ranked":  # a no-op for the other orders
-            self.generation += 1
 
     # -- the dense entry-column mirror --------------------------------------
 
@@ -501,9 +486,8 @@ class VecSwitch(OvsSwitch):
       :meth:`~repro.ovs.switch.OvsSwitch._resolve` drains them.
     """
 
-    def __init__(self, space: FieldSpace = OVS_FIELDS, name: str = "ovs-vec",
-                 **kwargs) -> None:
-        super().__init__(space=space, name=name, **kwargs)
+    def __init__(self, space: FieldSpace = OVS_FIELDS, **kwargs) -> None:
+        super().__init__(space=space, **kwargs)
         # swap the (still empty) TSS for the columnar subclass with the
         # same configuration; MegaflowCache reaches it via .tss, so the
         # slow path and revalidator see the swap transparently

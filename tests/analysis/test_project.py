@@ -6,6 +6,7 @@ from repro.analysis.core import CHECKERS
 from repro.perf.factory import DatapathConfig
 from repro.scenario import BACKENDS, SCENARIOS
 from repro.scenario.spec import ScenarioSpec
+from repro.vec import HAVE_NUMPY
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -20,21 +21,27 @@ class TestProtocolConformance:
         assert [f.format() for f in _findings("protocol-conformance")] == []
 
     def test_probes_the_config_product_not_backend_names(self, monkeypatch):
-        """Every engine in every cell the validation table accepts —
-        vectorized shards on worker processes included."""
+        """Every engine class in every cell the validation table accepts
+        — the scalar OvsSwitch and the engine ``ovs`` resolves to, each
+        on worker processes too — and ``cacheless`` on its one cell."""
         built = []
-        build = DatapathConfig.build
+        assemble = DatapathConfig._assemble
 
-        def spy(config):
-            built.append((config.engine, config.runtime, config.shards))
-            return build(config)
+        def spy(config, switch_cls):
+            built.append((config.engine, switch_cls.__name__,
+                          config.runtime, config.shards))
+            return assemble(config, switch_cls)
 
-        monkeypatch.setattr(DatapathConfig, "build", spy)
+        monkeypatch.setattr(DatapathConfig, "_assemble", spy)
         assert _findings("protocol-conformance") == []
         cells = [("inline", 1), ("inline", 2), ("processes", 2)]
-        expected = [(engine, *cell) for engine in BACKENDS.names()
-                    for cell in cells if engine != "cacheless"]
-        assert built == expected + [("cacheless", "inline", 1)]
+        classes = ["OvsSwitch", BACKENDS.get("ovs")().__name__]
+        assert sorted(built) == sorted(
+            [("ovs", cls, *cell) for cls in classes for cell in cells]
+            + [("cacheless", "CachelessDatapath", "inline", 1)]
+        )
+        if HAVE_NUMPY:
+            assert classes == ["OvsSwitch", "VecSwitch"]
 
     def test_under_implemented_backend_flagged(self, monkeypatch):
         class Stub:

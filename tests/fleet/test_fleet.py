@@ -16,12 +16,11 @@ def base_scenario(duration=16.0, attack_start=5.0, **overrides):
     )
 
 
-def deepscan(backend):
+def deepscan():
     """The datapath-replay campaign (every covert tick a real
     ``process_batch`` burst), shortened to reach 512 masks and stop."""
-    return SCENARIOS.get("k8s-deepscan").evolve(
-        backend=backend, duration=14.0, attack_start=4.0
-    )
+    return SCENARIOS.get("k8s-deepscan").evolve(duration=14.0,
+                                                attack_start=4.0)
 
 
 def run_quiet(spec, order=None):
@@ -65,24 +64,27 @@ class TestSpec:
 
 class TestSingleNodeEquivalence:
     @pytest.mark.parametrize(
-        "scenario",
+        "scenario, have_numpy",
         [
-            pytest.param(base_scenario(), id="k8s"),
-            pytest.param(deepscan("ovs"), id="k8s-deepscan-ovs"),
+            pytest.param(base_scenario(), HAVE_NUMPY, id="k8s"),
+            pytest.param(deepscan(), False, id="k8s-deepscan-OvsSwitch"),
             pytest.param(
-                deepscan("ovs-vec"),
-                id="k8s-deepscan-ovs-vec",
+                deepscan(), True,
+                id="k8s-deepscan-VecSwitch",
                 marks=pytest.mark.skipif(
                     not HAVE_NUMPY, reason="numpy not installed"
                 ),
             ),
         ],
     )
-    def test_one_node_static_fleet_is_bitwise_session(self, scenario):
+    def test_one_node_static_fleet_is_bitwise_session(
+            self, scenario, have_numpy, monkeypatch):
         """The tentpole contract: the fleet layer is pure orchestration
         — one node under a static attacker IS the classic Session run,
         row for row, on the model replay and on the datapath replay of
-        either engine."""
+        either engine (the scalar one is what a platform without NumPy
+        runs)."""
+        monkeypatch.setattr("repro.vec.HAVE_NUMPY", have_numpy)
         plain = Session(scenario).run()
         session = FleetSession(
             FleetSpec(scenario=scenario, nodes=1, mobility="static")

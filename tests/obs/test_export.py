@@ -95,10 +95,20 @@ class TestVecTssPaths:
         assert state["vec_tss"]["memo_invalidated"] >= len(keys) - 2
         assert vec_tss_paths(datapath) == state["vec_tss"]
 
-    def test_scalar_engines_read_all_zero(self):
-        spec = SCENARIOS.get("k8s-deepscan").evolve(backend="ovs")
-        paths = datapath_state(Session(spec).build_datapath())["vec_tss"]
-        assert paths == dict.fromkeys(VEC_TSS_PATHS, 0)
+    def test_scalar_engines_read_all_zero(self, monkeypatch):
+        monkeypatch.setattr("repro.vec.HAVE_NUMPY", False)
+        session = Session(SCENARIOS.get("k8s-deepscan"))
+        datapath = session.build_datapath()
+        datapath.add_rules(session.surface.compile_rules(
+            session.policy, session.target, session.space
+        ))
+        keys = session.surface.covert_keys(
+            session.dimensions, session.target, session.space
+        )
+        datapath.process_batch(keys, now=0.0, materialize=False)
+        state = datapath_state(datapath)
+        assert state["tss_lookups"] >= len(keys)
+        assert state["vec_tss"] == dict.fromkeys(VEC_TSS_PATHS, 0)
 
     def test_metric_family(self):
         tele = Telemetry()
@@ -133,9 +143,9 @@ class TestVecTssPaths:
 class TestEmcCounters:
     """The exact-match cache's counters, through the encoder."""
 
-    def _run(self, shards, backend="ovs-vec"):
+    def _run(self, shards):
         spec = SCENARIOS.get("k8s-deepscan").evolve(
-            shards=shards, backend=backend, profile="netdev"
+            shards=shards, profile="netdev"
         )
         session = Session(spec)
         datapath = session.build_datapath()
@@ -164,9 +174,10 @@ class TestEmcCounters:
         assert emc["hits"] == emc["insertions"] == emc["occupancy"] == n_keys
         assert emc_counters(datapath) == emc
 
-    def test_the_engine_does_not_show(self):
+    def test_the_engine_does_not_show(self, monkeypatch):
         vec, _ = self._run(shards=1)
-        ref, _ = self._run(shards=1, backend="ovs")
+        monkeypatch.setattr("repro.vec.HAVE_NUMPY", False)
+        ref, _ = self._run(shards=1)
         assert emc_counters(vec) == emc_counters(ref)
 
     def test_a_cacheless_datapath_reads_all_zero(self):

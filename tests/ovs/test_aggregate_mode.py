@@ -140,8 +140,8 @@ class TestEmcOffBurst:
     #: laps, so each lap repeats every key of the one before
     D, N = 32, 256
 
-    @pytest.mark.parametrize("engine", ["ovs", "ovs-vec"] if HAVE_NUMPY
-                             else ["ovs"])
+    @pytest.mark.parametrize("engine", ["OvsSwitch", "VecSwitch"]
+                             if HAVE_NUMPY else ["OvsSwitch"])
     def test_an_all_hit_burst_is_one_run_with_no_per_hit_call(
             self, k8s, monkeypatch, engine):
         """An EMC that holds nothing and cannot store makes a burst's
@@ -152,7 +152,7 @@ class TestEmcOffBurst:
         space, rules, keys = k8s
         modules = [repro.ovs.tss]
         switch_cls = OvsSwitch
-        if engine == "ovs-vec":
+        if engine == "VecSwitch":
             import repro.vec.engine as vec_engine
 
             modules.append(vec_engine)
@@ -173,7 +173,7 @@ class TestEmcOffBurst:
         assert batch.megaflow_hits == self.N
         assert (counts["_flush_run"], counts["insert"], counts["touch"]) \
             == (1, 0, 0)
-        if engine == "ovs-vec":
+        if engine == "VecSwitch":
             assert counts["TssLookupResult"] <= self.D
 
 

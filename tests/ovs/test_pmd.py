@@ -19,8 +19,14 @@ from repro.ovs.pmd import RSS_FIELDS, ShardedDatapath, rss_hash, shard_seed
 from repro.ovs.stats import SwitchStats
 from repro.ovs.switch import OvsSwitch
 from repro.perf.costmodel import KERNEL_PROFILE
-from repro.perf.factory import BACKENDS, DatapathConfig, switch_for_profile
+from repro.perf.factory import DatapathConfig, switch_for_profile
 from repro.vec import HAVE_NUMPY
+
+if HAVE_NUMPY:
+    from repro.vec.engine import VecSwitch
+
+#: the engine classes the ``ovs`` backend can run, by class
+ENGINES = (OvsSwitch, VecSwitch) if HAVE_NUMPY else (OvsSwitch,)
 
 
 def _rules_and_keys(count=96):
@@ -104,14 +110,8 @@ class TestOneShardEquivalence:
 
 
 class TestShardedDispatch:
-    @pytest.mark.parametrize(
-        "engine",
-        [
-            "ovs",
-            pytest.param("ovs-vec", marks=pytest.mark.skipif(
-                not HAVE_NUMPY, reason="numpy not installed")),
-        ],
-    )
+    @pytest.mark.parametrize("engine", ENGINES,
+                             ids=lambda cls: cls.__name__)
     def test_batch_matches_sequential_process(self, engine):
         """process_batch across shards — scalar or columnar ones — must
         return bit-identical results to per-key process calls on the
@@ -122,7 +122,7 @@ class TestShardedDispatch:
         ).dispatched(OvsSwitch)
         b = DatapathConfig(
             KERNEL_PROFILE, shards=4, seed=3
-        ).dispatched(BACKENDS.get(engine)())
+        ).dispatched(engine)
         a.add_rules(rules)
         b.add_rules(rules)
         sequential = [a.process(key, now=1.0) for key in stream]

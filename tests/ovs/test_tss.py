@@ -50,6 +50,53 @@ class TestStructure:
         assert tss.entry_count == 1
 
 
+def _two_mask_tss(scan_order):
+    tss = _single_field_tss(scan_order=scan_order)
+    tss.insert(0xF0, 0x10, "a")
+    tss.insert(0xF0, 0x20, "b")
+    tss.insert(0xFF, 0x33, "c")
+    return tss
+
+
+#: write -> (scan order, the write, whether it may change what a scan
+#: answers — then it, and only then, advances ``generation``)
+_WRITES = {
+    "insert": ("insertion", lambda tss: tss.insert(0xF0, 0x30, "d"), True),
+    "insert-new-mask": ("insertion",
+                        lambda tss: tss.insert(0xFC, 0x44, "d"), True),
+    "replace": ("insertion", lambda tss: tss.insert(0xF0, 0x10, "a2"), True),
+    "remove": ("insertion", lambda tss: tss.remove(0xF0, 0x10), True),
+    "remove-last-of-mask": ("ranked", lambda tss: tss.remove(0xFF, 0x33),
+                            True),
+    "clear": ("insertion", lambda tss: tss.clear(), True),
+    "ranked-resort": ("ranked", lambda tss: tss.resort(), True),
+    "insertion-resort": ("insertion", lambda tss: tss.resort(), False),
+    "lookup-batch": ("ranked", lambda tss: tss.lookup_batch(
+        [FlowKey(toy_single_field_space(), {"ip_src": 0x33})]), False),
+}
+
+
+class TestGeneration:
+    """``generation`` stamps what a scan would answer: whatever is
+    derived from the tables (the columnar mirror, a burst memo) is
+    valid exactly while its stamp is current."""
+
+    @pytest.mark.parametrize("write", sorted(_WRITES))
+    def test_advances_on_every_write_a_scan_can_see(self, write):
+        scan_order, apply, advances = _WRITES[write]
+        tss = _two_mask_tss(scan_order)
+        before = tss.generation
+        apply(tss)
+        assert tss.generation == before + advances
+
+    def test_a_failed_remove_leaves_it(self):
+        tss = _two_mask_tss("insertion")
+        before = tss.generation
+        with pytest.raises(KeyError):
+            tss.remove(0xAA, 0xAA)
+        assert tss.generation == before
+
+
 class TestLookup:
     def test_hit_and_scan_count(self):
         space = toy_single_field_space()

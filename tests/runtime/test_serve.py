@@ -153,18 +153,19 @@ def _without_engine_census(view):
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 class TestServeHonoursTheEngine:
-    """``build_service`` runs the engine the spec names on either
+    """``build_service`` runs the engine the platform picks on either
     runtime (it used to build scalar shards whatever the spec said) —
     observed through the shared encoder's ``vec_tss`` census, which
-    also crosses the worker mailbox."""
+    also crosses the worker mailbox.  The scalar reference is the
+    engine a platform without NumPy runs."""
 
     def _run(self, workers, **changes):
         spec = SCENARIOS.get("k8s-deepscan").evolve(shards=2, **changes)
         return build_service(spec, workers=workers, duration=1.0,
                              rate_pps=2560.0, report_interval=0.5).run()
 
-    def test_vec_shards_on_both_runtimes_match_the_scalar_run(self):
-        assert SCENARIOS.get("k8s-deepscan").backend == "ovs-vec-auto"
+    def test_vec_shards_on_both_runtimes_match_the_scalar_run(
+            self, monkeypatch):
         vec = {workers: self._run(workers) for workers in (0, 2)}
         for report in vec.values():
             census = report.final["state"]["vec_tss"]
@@ -177,7 +178,8 @@ class TestServeHonoursTheEngine:
         views = {w: r.deterministic_view() for w, r in vec.items()}
         assert json.dumps(views[0], sort_keys=True) == \
             json.dumps(views[2], sort_keys=True)
-        scalar = self._run(0, backend="ovs")
+        monkeypatch.setattr("repro.vec.HAVE_NUMPY", False)
+        scalar = self._run(0)
         assert not any(scalar.final["state"]["vec_tss"].values())
         assert json.dumps(
             _without_engine_census(views[2]), sort_keys=True
@@ -187,13 +189,12 @@ class TestServeHonoursTheEngine:
         )
 
     def test_pcap_replay_under_the_scalar_engine_equals_the_presets(
-            self, tmp_path):
+            self, tmp_path, monkeypatch):
         from repro.attack.packets import CovertStreamGenerator
         from repro.net.pcap import PcapWriter
         from repro.scenario.session import Session
 
         spec = SCENARIOS.get("k8s-serve").evolve(shards=2)
-        assert spec.backend == "ovs-vec-auto"
         session = Session(spec)
         generator = CovertStreamGenerator(
             list(session.dimensions), dst_ip=session.target.pod_ip,
@@ -210,7 +211,9 @@ class TestServeHonoursTheEngine:
             return build_service(spec, pcap=path, batch_size=64,
                                  report_interval=0.1).run()
 
-        preset, scalar = replay(spec), replay(spec.evolve(backend="ovs"))
+        preset = replay(spec)
+        monkeypatch.setattr("repro.vec.HAVE_NUMPY", False)
+        scalar = replay(spec)
         assert preset.source["extractor"] == "columnar"
         assert preset.packets == 3 * 512 and preset.snapshots
         census = preset.final["state"]["vec_tss"]

@@ -1,15 +1,16 @@
 """Batch-first end-to-end: the datapath covert-replay mode, the
-``ovs-vec-auto`` backend, the deep-scan preset, and the bit-identity
-of vec-backed simulator and fleet runs against the scalar reference."""
+deep-scan preset, and the bit-identity of vec-backed simulator and
+fleet runs against the scalar reference — the engine a platform
+without NumPy runs (``repro.vec.HAVE_NUMPY`` patched false)."""
 
 import pytest
 
+import repro.vec
 from repro.fleet import FleetSession, FleetSpec
 from repro.perf.simulator import DataplaneSimulator
 from repro.perf.costmodel import CostModel
 from repro.perf.workload import VictimWorkload
 from repro.scenario import SCENARIOS, ScenarioSpec, Session
-from repro.scenario.registry import BACKENDS
 from repro.vec import HAVE_NUMPY
 
 requires_numpy = pytest.mark.skipif(not HAVE_NUMPY,
@@ -48,7 +49,7 @@ class TestDeepscanPreset:
     def test_preset_shape(self):
         spec = SCENARIOS.get("k8s-deepscan")
         spec.validate()
-        assert spec.backend == "ovs-vec-auto"
+        assert spec.backend == "ovs"
         assert spec.profile == "kernel-noemc"
         assert spec.covert_replay == "datapath"
 
@@ -74,10 +75,11 @@ class TestDatapathReplayIdentity:
         ],
         ids=["plain", "sharded2", "mask-limit", "emc-on"],
     )
-    def test_vec_series_identical_to_scalar(self, overrides):
+    def test_vec_series_identical_to_scalar(self, overrides, monkeypatch):
         base = deepscan(**overrides)
-        ref = Session(base.evolve(backend="ovs")).run()
-        vec = Session(base.evolve(backend="ovs-vec")).run()
+        vec = Session(base).run()
+        monkeypatch.setattr(repro.vec, "HAVE_NUMPY", False)
+        ref = Session(base).run()
         assert vec.series.columns == ref.series.columns
         assert vec.series.rows == ref.series.rows
         assert vec.final_mask_count() == ref.final_mask_count()
@@ -85,7 +87,7 @@ class TestDatapathReplayIdentity:
 
     @requires_numpy
     def test_seed_stable(self):
-        spec = deepscan(backend="ovs-vec", seed=23)
+        spec = deepscan(seed=23)
         assert Session(spec).run().series.rows == \
             Session(spec).run().series.rows
 
@@ -100,17 +102,12 @@ class TestDatapathReplayIdentity:
 
 class TestFleetIdentity:
     @requires_numpy
-    def test_two_node_fleet_identical_across_engines(self):
-        def fleet(backend):
-            spec = FleetSpec(
-                scenario=deepscan(backend=backend),
-                nodes=2,
-                mobility="rolling",
-                dwell=3.0,
-            )
-            return FleetSession(spec).run()
-
-        ref, vec = fleet("ovs"), fleet("ovs-vec")
+    def test_two_node_fleet_identical_across_engines(self, monkeypatch):
+        spec = FleetSpec(scenario=deepscan(), nodes=2, mobility="rolling",
+                         dwell=3.0)
+        vec = FleetSession(spec).run()
+        monkeypatch.setattr(repro.vec, "HAVE_NUMPY", False)
+        ref = FleetSession(spec).run()
         assert vec.aggregate.rows == ref.aggregate.rows
         for ref_node, vec_node in zip(ref.node_series, vec.node_series):
             assert vec_node.rows == ref_node.rows
@@ -119,7 +116,7 @@ class TestFleetIdentity:
     @requires_numpy
     def test_reversed_step_order_is_inert(self):
         spec = FleetSpec(
-            scenario=deepscan(backend="ovs-vec"),
+            scenario=deepscan(),
             nodes=3,
             mobility="staggered",
             dwell=3.0,
@@ -129,42 +126,22 @@ class TestFleetIdentity:
         assert forward.aggregate.rows == reverse.aggregate.rows
 
 
-class TestAutoBackend:
-    def test_auto_backend_registered(self):
-        assert "ovs-vec-auto" in BACKENDS.names()
-
-    @requires_numpy
-    def test_auto_resolves_to_vec_when_numpy_present(self):
-        from repro.vec.engine import VecSwitch
-
-        datapath = Session(deepscan()).build_datapath()
-        assert isinstance(datapath, VecSwitch)
-
-    def test_auto_falls_back_loudly_without_numpy(self, monkeypatch):
-        monkeypatch.setattr("repro.vec.HAVE_NUMPY", False)
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            datapath = Session(deepscan()).build_datapath()
-        from repro.ovs.switch import OvsSwitch
-
-        assert type(datapath) is OvsSwitch
-
-    @requires_numpy
-    def test_auto_series_matches_pinned_backends(self):
-        base = deepscan()
-        auto = Session(base).run()
-        ref = Session(base.evolve(backend="ovs")).run()
-        assert auto.series.rows == ref.series.rows
-
-
 class TestCliAnnotations:
-    def test_scenario_list_annotates_backends(self, capsys):
+    @pytest.mark.parametrize("have_numpy", [
+        pytest.param(True, marks=requires_numpy), False,
+    ], ids=["numpy", "no-numpy"])
+    def test_scenario_list_names_the_engine_in_use(self, capsys,
+                                                   monkeypatch, have_numpy):
         from repro.cli import _print_scenario_list
 
+        monkeypatch.setattr(repro.vec, "HAVE_NUMPY", have_numpy)
         _print_scenario_list()
         out = capsys.readouterr().out
-        assert "k8s-deepscan" in out
-        assert "ovs-vec-auto" in out
-        assert "numpy" in out
+        assert "k8s-deepscan" in out and "[ovs]" in out
+        engine = [line for line in out.splitlines()
+                  if line.startswith("engine:")]
+        assert len(engine) == 1
+        assert ("VecSwitch" if have_numpy else "OvsSwitch") in engine[0]
 
     def test_fleet_list_annotates_backends(self, capsys):
         from repro.cli import _print_fleet_list
@@ -172,13 +149,4 @@ class TestCliAnnotations:
         _print_fleet_list()
         out = capsys.readouterr().out
         assert "fleet-rolling16" in out
-        assert "ovs-vec-auto" in out
-
-
-def test_wall_clock_presets_default_to_auto_backend():
-    from repro.fleet.presets import FLEETS
-
-    assert SCENARIOS.get("calico-sharded").backend == "ovs-vec-auto"
-    assert SCENARIOS.get("spread-campaign").backend == "ovs-vec-auto"
-    for name in ("fleet-rolling16", "fleet-coordinated4", "fleet-spread4"):
-        assert FLEETS.get(name).scenario.backend == "ovs-vec-auto"
+        assert "[ovs]" in out

@@ -288,15 +288,13 @@ class TestAutoLbTuningKnobs:
         "changes, runtime, reason",
         [
             ({"rebalance_interval": 2.0}, "inline", "one shard"),
-            ({"backend": "ovs-vec-auto", "rebalance_interval": 2.0},
-             "inline", "one shard"),
             ({"backend": "cacheless", "rebalance_interval": 5.0},
              "inline", "cacheless"),
             ({"shards": 2, "rebalance_interval": 5.0},
              "processes", "worker processes"),
         ],
         ids=[
-            "ovs-interval", "ovs-vec-interval", "cacheless-interval",
+            "ovs-interval", "cacheless-interval",
             "processes-interval",
         ],
     )
@@ -351,8 +349,8 @@ class TestAutoLbTuningKnobs:
     @pytest.mark.parametrize("retired", ["sharded", "parallel", "ovs-tuple"])
     def test_retired_backend_names_are_plain_unknown_names(self, retired):
         """No alias table, no deprecation shim: the existing
-        unknown-name error, listing the four engines."""
-        with pytest.raises(KeyError, match="ovs-vec-auto"):
+        unknown-name error, listing the two engines."""
+        with pytest.raises(KeyError, match=r"\['ovs', 'cacheless'\]"):
             Session(ScenarioSpec(surface="k8s", backend=retired))
 
 
@@ -362,12 +360,10 @@ class TestCliScenario:
         out = capsys.readouterr().out
         assert "fig3" in out and "cacheless" in out and "detector" in out
         assert "--shards" in out
-        # the backend axis names the four engines and nothing else
+        # the backend axis names the two engines and nothing else
         backends = next(line for line in out.splitlines()
                         if line.startswith("backends:"))
-        assert backends.split(":")[1].split() == [
-            "ovs,", "ovs-vec,", "ovs-vec-auto,", "cacheless",
-        ]
+        assert backends.split(":")[1].split() == ["ovs,", "cacheless"]
 
     def test_shards_override(self, capsys):
         assert main(

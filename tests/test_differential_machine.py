@@ -7,7 +7,7 @@ leaves.  The machine draws one point of
 datapaths from it, each driven by a ``DataplaneSimulator``:
 
 * the system under test, as configured;
-* the reference: the same point on the scalar ``ovs`` engine, with the
+* the reference: the same point on the scalar ``OvsSwitch``, with the
   retired paths of :mod:`repro.testing.oracles` swapped in — the
   per-rule classify loop for the slow path, the tuple-keyed tuple space
   and the full-pass ``expire_idle`` for every cache, the set-scan EMC
@@ -60,7 +60,7 @@ from repro.flow.rule import FlowRule
 from repro.net.addresses import ip_to_int
 from repro.ovs.megaflow import CacheFullError
 from repro.ovs.pmd import shard_views
-from repro.ovs.switch import BatchResult, LookupPath
+from repro.ovs.switch import BatchResult, LookupPath, OvsSwitch
 from repro.ovs.wildcarding import classify_with_wildcards, compile_rule_plan
 from repro.perf.costmodel import CostModel, DatapathProfile
 from repro.perf.factory import DatapathConfig
@@ -71,7 +71,12 @@ from repro.testing.fingerprint import entry_view
 from repro.util.bits import mask_of_prefix
 from repro.vec import HAVE_NUMPY
 
-ENGINES = ("ovs", "ovs-vec") if HAVE_NUMPY else ("ovs",)
+if HAVE_NUMPY:
+    from repro.vec.engine import VecSwitch
+
+#: every engine class the ``ovs`` backend can run, built by class: the
+#: platform picks one, the machine holds both
+ENGINES = (OvsSwitch, VecSwitch) if HAVE_NUMPY else (OvsSwitch,)
 
 TARGET = PolicyTarget(pod_ip=ip_to_int("10.0.9.10"), output_port=42,
                       tenant="mallory")
@@ -311,7 +316,7 @@ _axes = {
 #: what a point pins: engine, shards with the rebalancer, staging and
 #: scan order (the resort interval drawn)
 POINTS = {
-    f"{engine}-{shards}shard{'-rebalanced' * rebalancer}"
+    f"{engine.__name__}-{shards}shard{'-rebalanced' * rebalancer}"
     f"{'-staged' * staged}-{order}": {
         "engine": st.just(engine), "shards": st.just(shards),
         "rebalancer": st.just(rebalancer), "staged": st.just(staged),
@@ -406,23 +411,25 @@ class DifferentialMachine(RuleBasedStateMachine):
             idle_timeout=config["idle_timeout"],
         )
 
-        def datapath(engine):
-            built = DatapathConfig(
-                profile, engine=engine, shards=self.shards, reta_size=16,
-                staged=config["staged"], scan_order=scan_order, seed=3,
-                rebalance_interval=2.0 if self.rebalancing else None,
-            ).build()
+        datapath_config = DatapathConfig(
+            profile, shards=self.shards, reta_size=16,
+            staged=config["staged"], scan_order=scan_order, seed=3,
+            rebalance_interval=2.0 if self.rebalancing else None,
+        )
+
+        def datapath(switch_cls):
+            built = datapath_config._assemble(switch_cls)
             for shard in shard_views(built):
                 shard.megaflow.tss.resort_interval = resort_interval
             built.add_rules(RULES)
             return built
 
         self.sut = datapath(config["engine"])
-        self.ref = datapath("ovs")
+        self.ref = datapath(OvsSwitch)
         for shard in shard_views(self.sut):
             self._count_sweeps(shard.megaflow)
             self._count_one_runs(shard)
-            if config["eager"] and config["engine"] == "ovs-vec":
+            if config["eager"] and config["engine"] is not OvsSwitch:
                 shard.megaflow.tss.PRESCAN_MIN_WORK = 1
         for shard in shard_views(self.ref):
             cache = shard.megaflow
@@ -841,7 +848,7 @@ class DifferentialMachine(RuleBasedStateMachine):
     def teardown(self):
         # plan recompiles: versions compiled per shard, beyond the first
         versions = Counter(index for index, _version in self.compiled)
-        CENSUS["recompiles " + self.config["engine"]] += sum(
+        CENSUS["recompiles " + self.config["engine"].__name__] += sum(
             n - 1 for n in versions.values())
 
 
@@ -882,4 +889,5 @@ def test_the_points_reach_what_each_fast_path_is_there_for():
     assert all(CENSUS[regime] >= 10 for regime in REPLAY_REGIMES), CENSUS
     assert CENSUS["one-run bursts"] >= 10, CENSUS
     assert CENSUS["sweep skipped"] and CENSUS["sweep full"], CENSUS
-    assert all(CENSUS["recompiles " + engine] for engine in ENGINES), CENSUS
+    assert all(CENSUS["recompiles " + engine.__name__]
+               for engine in ENGINES), CENSUS
