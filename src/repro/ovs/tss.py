@@ -253,7 +253,7 @@ class TupleSpaceSearch:
         #: advanced by every write that can change what a scan answers —
         #: ``insert_at`` (``insert`` lands there), ``remove``, ``clear``
         #: and a ranked :meth:`resort` — so anything derived from the
-        #: tables (the columnar engine's mirror and burst memo) is valid
+        #: tables (the columnar engine's mirror and scan memo) is valid
         #: exactly while its stamp is current
         self.generation = 0
         self._next_seq = 0

@@ -7,7 +7,9 @@ exactly what the scalar per-key reference leaves.  When a fast path
 retires the code it replaces, that code is not deleted: it moves to
 :mod:`repro.testing.oracles`, one function per retired path, and the
 differential machine in ``tests/`` swaps it into the reference
-datapath.  :func:`fingerprint` is how the two are compared.
+datapath.  :func:`fingerprint` is how the two are compared.  The
+simulator's closed-form EMC model has its ground truth here too: the
+event-driven micro-simulation of :mod:`repro.testing.eventsim`.
 
 Test-only: nothing else under ``src/repro/`` imports this package, and
 importing it loads neither NumPy nor hypothesis (``repro.obs``, which

@@ -5,7 +5,7 @@ scheduled callback by ``(time, phase, seq)`` —
 
 * **time** — any totally ordered numeric clock.  The fleet simulator
   (:mod:`repro.fleet`) schedules integer ticks through it; the EMC
-  micro-simulation (:mod:`repro.perf.eventsim`) schedules float
+  micro-simulation (:mod:`repro.testing.eventsim`) schedules float
   arrival times;
 * **phase** — same-time events execute in a fixed phase order, making
   a pipeline (or a tie-break rule) explicit in the ordering key rather

@@ -25,21 +25,25 @@ the scalar :class:`~repro.ovs.switch.OvsSwitch`.
   inherited ``_scan`` returns, for :meth:`~repro.ovs.tss.
   TupleSpaceSearch._consume` to apply.
 
-* **Burst memo** (:meth:`VecTupleSpaceSearch.prescan`) — because the
-  scan is pure its answers can be kept: a burst's EMC-miss candidates
-  are scanned once, up front, and the run drain's chunks (one or two
-  keys each on a bursty feed) consume from the memo instead of each
-  paying a scalar scan of every subtable.  The memo survives the
-  burst's own upcalls: an ``insert`` never moves another subtable in
-  the scan order, so it is *absorbed* — the subtable it wrote is
-  recorded with its depth, and a memo answer is the shallowest of the
-  pre-scan's and a live probe of the recorded subtables at or above it
-  (at, not only above: an entry replaced under the pre-scan's own hit
-  must come back as the live object).  ``remove`` / ``clear`` / ranked
-  ``resort`` can move or delete what the pre-scan proved, so they
-  retire the memo; the mirror is retired by every write.  Both are
-  stamped with the tuple space's ``generation``, so a stale answer can
-  never be consumed.
+* **Scan memo** (:meth:`VecTupleSpaceSearch.prescan`) — because the
+  scan is pure its answers can be kept: every distinct key after a
+  burst's hit prefix is answered once, up front, and the run drain's
+  chunks (one or two keys each on a bursty feed) consume from the memo
+  instead of each paying a scalar scan of every subtable.  The memo
+  survives the burst's own upcalls: an ``insert`` never moves another
+  subtable in the scan order, so it is *absorbed* — the subtable it
+  wrote is recorded with its depth, and a memo answer is the
+  shallowest of the pre-scan's and a live probe of the recorded
+  subtables at or above it (at, not only above: an entry replaced
+  under the pre-scan's own hit must come back as the live object).
+  ``remove`` / ``clear`` / ranked ``resort`` can move or delete what
+  the pre-scan proved, so they retire the memo; the mirror is retired
+  by every write.  Both are stamped with the tuple space's
+  ``generation``, so a stale answer can never be consumed.  The memo
+  outlives its burst: while it is exact — the same generation, no
+  insert absorbed — the next pre-scan takes its answers for the keys
+  it holds and scans only the rest, so a victim's recurring keys are
+  scanned once per generation, not once per burst.
 
 Staged lookup (which the dense mirror cannot serve), chunks too small
 to amortise the NumPy overhead and tuple spaces holding many entries
@@ -130,7 +134,7 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
     #: scan costs ~20 µs of fixed NumPy call overhead per column block,
     #: a scalar probe ~0.07 µs per (key, subtable): measured break-even
     #: sits at 300-700 pairs whatever the mix of keys and columns, and
-    #: the margin covers the candidate selection in front of the scan
+    #: the margin covers gathering the burst's keys in front of the scan
     PRESCAN_MIN_WORK = 1024
 
     def __init__(
@@ -354,14 +358,14 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
                 pending = pending[~matched]
         return found
 
-    # -- the per-burst memo --------------------------------------------------
+    # -- the scan memo -------------------------------------------------------
 
     def prescan_pays(self, n_keys: int) -> bool:
         """Whether pre-scanning ``n_keys`` keys can beat answering them
         chunk by chunk: the columnar path must be able to serve this
         tuple space at all, and the (key, column) work must outweigh
         the scan's fixed overhead.  Callers pass an upper bound first to
-        skip candidate selection outright on a near-empty tuple space."""
+        skip building the key list outright on a near-empty tuple space."""
         if self._scalar_reason is not None:
             return False
         dense = self._dense_mirror()
@@ -369,23 +373,39 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
                 and n_keys * dense.n_cols >= self.PRESCAN_MIN_WORK)
 
     def prescan(self, packed_keys: list[int]) -> None:
-        """Scan ``packed_keys`` (distinct packed ints) once and remember
-        the answers: until something other than an ``insert`` writes the
-        tuple space, :meth:`lookup_batch` chunks made only of these keys
-        are consumed from the memo — same results, credits and counters
-        — instead of re-scanned."""
+        """Answer ``packed_keys`` (distinct packed ints) up front and
+        remember the answers: until something other than an ``insert``
+        writes the tuple space, :meth:`lookup_batch` chunks made only of
+        these keys are consumed from the memo — same results, credits
+        and counters — instead of re-scanned.  The memo before it
+        answers the keys it holds while it is still exact (the same
+        generation, no insert absorbed since), so only the keys new to
+        the generation are scanned: column-wise when that pays, else
+        by the pure scalar probe.  The new memo holds these keys and no
+        others; one that carries nothing over and whose scan would not
+        pay is not built."""
+        carried = self._memo
         self._memo = None
-        if not self.prescan_pays(len(packed_keys)):
+        if (carried is None or self._memo_generation != self.generation
+                or self._memo_written):
+            memo, fresh = {}, packed_keys
+        else:
+            memo = {packed: carried[packed] for packed in packed_keys
+                    if packed in carried}
+            fresh = [packed for packed in packed_keys if packed not in memo]
+        if self.prescan_pays(len(fresh)):
+            found = self._dense_scan(self._dense_mirror(), fresh)
+        elif memo:
+            tables = self.subtables()
+            found = [_first_match(packed, tables, 0, len(tables))
+                     for packed in fresh]
+        else:
             return
-        found = self._dense_scan(self._dense_mirror(), packed_keys)
-        self._memo = dict(zip(packed_keys, found))
+        memo.update(zip(fresh, found))
+        self._memo = memo
         self._memo_generation = self.generation
         self._memo_written = {}
         self._memo_depths = None
-
-    def drop_memo(self) -> None:
-        """Forget the pre-scan (the burst it served is over)."""
-        self._memo = None
 
     # -- where a burst's answers come from -----------------------------------
 
@@ -393,9 +413,10 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
                          n_tables: int) -> list[TssLookupResult]:
         """Consume ``keys`` from a live memo, each answer brought up to
         date with the inserts absorbed since.  A key the pre-scan did
-        not cover (an EMC resident evicted mid-burst) is answered by
-        scalar probes of the live tables — the small-burst path, minus
-        the chunk's covered keys — and joins the memo."""
+        not cover (a direct caller's chunk; :class:`VecSwitch`
+        pre-scans every key it looks up) is answered by scalar probes
+        of the live tables — the small-burst path, minus the chunk's
+        covered keys — and joins the memo."""
         probed = 0
         written = self._memo_written
         try:
@@ -428,7 +449,7 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
 
     def lookup_batch(self, keys: Sequence[FlowKey]) -> list[TssLookupResult]:
         """The inherited burst lookup with the answers taken from the
-        burst memo when one is live, else — for a chunk large enough to
+        scan memo when one is live, else — for a chunk large enough to
         amortise the NumPy overhead — resolved column-major in
         fingerprint blocks; everything else is the inherited scalar
         scan.  ``path_lookups`` counts which it was."""
@@ -480,10 +501,12 @@ class VecSwitch(OvsSwitch):
 
     * the megaflow TSS is swapped (empty, at construction) for a
       :class:`VecTupleSpaceSearch`, so every chunk the inherited run
-      drain looks up is answered column-wise or from the burst memo;
-    * the burst's EMC-miss candidates are scanned against the tuple
-      space once, up front (:meth:`_prescan`), before the inherited
-      :meth:`~repro.ovs.switch.OvsSwitch._resolve` drains them.
+      drain looks up is answered column-wise or from the scan memo;
+    * the distinct keys after the burst's hit prefix are answered
+      against the tuple space once, up front (:meth:`_prescan`), before
+      the inherited :meth:`~repro.ovs.switch.OvsSwitch._resolve` drains
+      them; the answers carry over to the next burst while the tuple
+      space is unchanged.
     """
 
     def __init__(self, space: FieldSpace = OVS_FIELDS, **kwargs) -> None:
@@ -518,37 +541,29 @@ class VecSwitch(OvsSwitch):
             if served:
                 keys = keys[served:]
         self._prescan(keys)
-        try:
-            self._resolve(keys, batch, now, materialize)
-        finally:
-            # the memo answers for this burst's keys against this
-            # burst's tuple space; it must not outlive the call
-            self.megaflow.tss.drop_memo()
+        self._resolve(keys, batch, now, materialize)
         return batch
 
     def _prescan(self, keys: Sequence[FlowKey]) -> None:
-        """Scan the burst's EMC-miss candidates against the tuple space
-        once, before the per-key loop: a bursty feed splits into runs of
-        one or two keys (an ON train's second packet is a within-run
+        """Answer the burst's distinct keys against the tuple space
+        once, before the per-key loop: a bursty feed splits into runs
+        of one or two keys (an ON train's second packet is a within-run
         duplicate), and each run's ``lookup_batch`` chunk then consumes
         its answers from the memo instead of paying a scalar scan of
-        every subtable.  Candidates are the distinct keys the EMC holds
-        no slot for as the burst opens; a resident evicted mid-burst
-        simply misses the memo and takes the chunk's own scan.  A burst
-        too small for the columnar scan is not pre-scanned either: its
-        chunks are answered by scalar scans, which it would only add a
-        mirror rebuild to.  Pure: nothing the reference observes is
-        touched."""
+        every subtable.  Every key after the hit prefix is covered, so
+        a resident the EMC evicts mid-burst is answered from the memo
+        too; a key the last burst's memo answered at an unchanged
+        generation is carried over, not scanned again.  A burst too
+        small for the columnar scan retires the memo instead (a memo
+        holds one burst's keys or none, so it stays bounded by the
+        burst): its chunks are answered by scalar scans, which a
+        pre-scan would only add a mirror rebuild to.  Pure: nothing the
+        reference observes is touched."""
         tss = self.megaflow.tss
         if len(keys) < tss.VEC_MIN_BATCH or not tss.prescan_pays(len(keys)):
+            tss._memo = None
             return
-        distinct = {key.packed: key for key in keys}
-        if self.microflow.occupancy:
-            contains = self.microflow.contains
-            tss.prescan([packed for packed, key in distinct.items()
-                         if not contains(key)])
-        else:  # no slot to screen against (an empty cache)
-            tss.prescan(list(distinct))
+        tss.prescan(list(dict.fromkeys([key.packed for key in keys])))
 
     @property
     def vec_tss_paths(self) -> dict[str, int]:

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.perf.eventsim import (
-    analytic_victim_hit_rate,
+from repro.perf.eventsim import analytic_victim_hit_rate
+from repro.testing.eventsim import (
     analytic_victim_hit_rate_weighted,
     simulate_emc_competition,
 )

@@ -22,7 +22,9 @@ cache under a live pre-scan — and after every one their
 :func:`~repro.testing.fingerprint` must be equal.  The running counts
 both sides keep (TSS entries and masks, EMC occupancy) are invariants
 of both, and so is ``alive``: an entry anything still references is
-alive exactly while its cache holds it.
+alive exactly while its cache holds it.  On the columnar engine a scan
+memo stamped at the live generation answers every key it holds as a
+live scan does.
 
 The machine runs once per point of the product's main axes — engine,
 shards with the rebalancer, staging, scan order — with those pinned and
@@ -72,7 +74,7 @@ from repro.util.bits import mask_of_prefix
 from repro.vec import HAVE_NUMPY
 
 if HAVE_NUMPY:
-    from repro.vec.engine import VecSwitch
+    from repro.vec.engine import VecSwitch, _first_match, _shallowest
 
 #: every engine class the ``ovs`` backend can run, built by class: the
 #: platform picks one, the machine holds both
@@ -512,8 +514,6 @@ class DifferentialMachine(RuleBasedStateMachine):
     def burst(self, picks, when, materialize):
         keys = [POOL[i] for i, repeat in picks for _ in range(repeat)]
         now = self._now(when)
-        tables = [shard.megaflow.tss for shard in shard_views(self.sut)]
-        memos = [getattr(tss, "_memo", None) for tss in tables]
         if self.rebalancing:
             # the rebalancer acts at burst end, which per-key calls
             # would move: the reference runs one scalar burst
@@ -531,11 +531,6 @@ class DifferentialMachine(RuleBasedStateMachine):
         assert _batch_view(got) == _batch_view(want)
         if not isinstance(got, type):
             assert materialize or got.results == []
-            # a burst's own pre-scan never outlives it: after it a shard
-            # holds no memo, or the one a cache episode left before it
-            for tss, memo in zip(tables, memos):
-                after = getattr(tss, "_memo", None)
-                assert after is None or after is memo
 
     @rule(when=st.sampled_from([0.5, 1.0, -1.0]))
     def advance_clock(self, when):
@@ -844,6 +839,28 @@ class DifferentialMachine(RuleBasedStateMachine):
             ]
             for entry in referenced:
                 assert entry.alive == (id(entry) in held), entry_view(entry)
+
+    @invariant()
+    def memo_answers_as_a_live_scan(self):
+        """A scan memo outlives its burst, so it must be exact whenever
+        it is current: every key a memo stamped at the live generation
+        holds — left by a burst or a cache episode, inserts absorbed or
+        not — resolves to the entry, depth and subtable a live scan of
+        the tables finds."""
+        for shard in shard_views(self.sut):
+            tss = shard.megaflow.tss
+            if (getattr(tss, "_memo", None) is None
+                    or tss._memo_generation != tss.generation):
+                continue
+            tables = tss.subtables()
+            for packed, hit in tss._memo.items():
+                got = _shallowest(packed, hit, tss._memo_written)
+                want = _first_match(packed, tables, 0, len(tables))
+                assert (got is None) == (want is None), packed
+                if got is not None:
+                    assert got.entry is want.entry, packed
+                    assert got.tuples_scanned == want.tuples_scanned, packed
+                    assert got.subtable is want.subtable, packed
 
     def teardown(self):
         # plan recompiles: versions compiled per shard, beyond the first

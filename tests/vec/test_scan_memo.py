@@ -112,24 +112,26 @@ class TestMemoServesBurstyTraffic:
         assert paths["memo_invalidated"] == before["memo_invalidated"]
         assert paths["small_burst"] == before["small_burst"]
 
-    def test_a_resident_evicted_mid_burst_is_probed_and_memoised(self):
+    def test_a_resident_evicted_mid_burst_is_answered_from_the_memo(self):
         # a 2-slot EMC: every insert evicts, so keys resident as the
-        # burst opens (not pre-scanned) need the TSS again later in it
+        # burst opens need the TSS again later in it — pre-scanned with
+        # the rest, they are memo answers, not scalar probes
         kwargs = dict(emc_entries=2, emc_insertion_prob=1.0)
         ref, vec = _build(OvsSwitch, **kwargs), _build(VecSwitch, **kwargs)
         lap = COVERT[40:72]
         burst = lap + lap
         for switch in (ref, vec):
             switch.process_batch(lap[-2:] + lap[:14], now=0.5)
-        before = dict(vec.megaflow.tss.path_lookups)
+        tss = vec.megaflow.tss
+        before, looked_up = dict(tss.path_lookups), tss.total_lookups
         ref.process_batch(burst, now=1.0)
         vec.process_batch(burst, now=1.0)
         assert fingerprint(vec) == fingerprint(ref), "evicted residents"
         assert vec._batch_window == ref._batch_window, "evicted residents"
-        paths = vec.megaflow.tss.path_lookups
-        assert paths["small_burst"] > before["small_burst"]
-        assert paths["memo"] > before["memo"]
-        assert sum(paths.values()) == vec.megaflow.tss.total_lookups
+        paths = tss.path_lookups
+        assert paths["small_burst"] == before["small_burst"]
+        assert paths["memo"] - before["memo"] == tss.total_lookups - looked_up
+        assert sum(paths.values()) == tss.total_lookups
 
     def test_mask_churn_is_served_from_the_memo_after_the_first_burst(self):
         # every key a miss, an upcall and one more mask: only the first
@@ -197,6 +199,153 @@ class TestMemoServesBurstyTraffic:
         assert set(tss.path_lookups) == set(VEC_TSS_PATHS)
         assert sum(tss.path_lookups.values()) == tss.total_lookups
         assert vec.vec_tss_paths == tss.path_lookups
+
+
+def _scanned(monkeypatch, tss):
+    """Records every packed key a pre-scan or chunk answers by scanning:
+    ``dense`` per :meth:`_dense_scan` call, ``scalar`` per probe."""
+    import repro.vec.engine as engine
+
+    seen = {"dense": [], "scalar": []}
+    dense_scan, first_match = tss._dense_scan, engine._first_match
+
+    def dense(mirror, packed_keys):
+        seen["dense"].append(list(packed_keys))
+        return dense_scan(mirror, packed_keys)
+
+    def scalar(packed, *args):
+        seen["scalar"].append(packed)
+        return first_match(packed, *args)
+
+    monkeypatch.setattr(tss, "_dense_scan", dense)
+    monkeypatch.setattr(engine, "_first_match", scalar)
+    return seen
+
+
+def _packed(keys):
+    return {key.packed for key in keys}
+
+
+def _retire_by_insert(switch):
+    switch.slow_path.handle(COVERT[INSTALLED + 1], now=1.0)
+
+
+def _retire_by_remove(switch):
+    # the megaflow of a key both bursts hold (entries list in install
+    # order, one per covert key)
+    switch.megaflow.remove_entry(switch.megaflow.entries()[50])
+
+
+def _retire_by_clear(switch):
+    switch.invalidate_caches()
+    for key in COVERT[:INSTALLED]:
+        switch.slow_path.handle(key, now=1.0)
+
+
+def _retire_by_resort(switch):
+    switch.megaflow.resort_subtables()
+
+
+class TestTheMemoOutlivesItsBurst:
+    """While the tuple space is unchanged a key's scan answer is too:
+    the memo carries over to the next burst, which scans only the keys
+    new to the generation — and any write but an absorbed insert's
+    carrying nothing to the next burst still leaves the memo exact."""
+
+    BURST = _onoff_burst(COVERT[40:120])
+
+    def test_a_repeated_burst_is_not_scanned_again(self, monkeypatch):
+        ref = _build(OvsSwitch, emc_insertion_prob=0.0)
+        vec = _build(VecSwitch, emc_insertion_prob=0.0)
+        tss = vec.megaflow.tss
+        for switch in (ref, vec):
+            switch.process_batch(self.BURST, now=1.0)
+        generation, before = tss.generation, dict(tss.path_lookups)
+        seen = _scanned(monkeypatch, tss)
+        for switch in (ref, vec):
+            switch.process_batch(self.BURST, now=1.0)
+        assert fingerprint(vec) == fingerprint(ref), "repeated burst"
+        assert tss.generation == generation
+        assert seen == {"dense": [], "scalar": []}
+        assert tss.path_lookups["memo"] - before["memo"] == len(self.BURST)
+
+    @pytest.mark.parametrize("new, scan", [(1, "scalar"), (10, "dense")])
+    def test_a_burst_scans_only_its_new_keys(self, monkeypatch, new, scan):
+        ref = _build(OvsSwitch, emc_insertion_prob=0.0)
+        vec = _build(VecSwitch, emc_insertion_prob=0.0)
+        tss = vec.megaflow.tss
+        for switch in (ref, vec):
+            switch.process_batch(self.BURST, now=1.0)
+        seen = _scanned(monkeypatch, tss)
+        added = COVERT[120:120 + new]
+        burst = self.BURST + _onoff_burst(added)
+        for switch in (ref, vec):
+            switch.process_batch(burst, now=1.0)
+        assert fingerprint(vec) == fingerprint(ref), new
+        # one new key is not worth a columnar scan: it is probed scalar
+        assert tss.prescan_pays(new) == (scan == "dense")
+        packed = [key.packed for key in added]
+        assert seen == {"dense": [packed] if scan == "dense" else [],
+                        "scalar": packed if scan == "scalar" else []}
+        assert set(tss._memo) == _packed(burst)
+
+    def test_the_memo_holds_every_key_after_the_hit_prefix(self):
+        # COVERT[:32] are EMC residents after the build: four of them
+        # open the burst (the hit prefix), four more follow the misses
+        ref, vec = _build(OvsSwitch), _build(VecSwitch)
+        burst = COVERT[0:4] + _onoff_burst(COVERT[60:100]) + COVERT[4:8]
+        assert all(map(vec.microflow.contains, COVERT[:8]))
+        tss = vec.megaflow.tss
+        for switch in (ref, vec):
+            switch.process_batch(burst, now=1.0)
+        assert fingerprint(vec) == fingerprint(ref), "hit prefix"
+        assert set(tss._memo) == _packed(burst[4:])
+        assert tss._memo_generation == tss.generation
+
+    @pytest.mark.parametrize("write", [_retire_by_insert, _retire_by_remove,
+                                       _retire_by_clear, _retire_by_resort],
+                             ids=["insert", "remove", "clear", "resort"])
+    def test_a_write_between_bursts_starts_a_fresh_memo(self, monkeypatch,
+                                                        write):
+        order = "ranked" if write is _retire_by_resort else "insertion"
+        ref = _build(OvsSwitch, scan_order=order, emc_insertion_prob=0.0)
+        vec = _build(VecSwitch, scan_order=order, emc_insertion_prob=0.0)
+        tss = vec.megaflow.tss
+        for switch in (ref, vec):
+            switch.process_batch(self.BURST, now=1.0)
+        assert tss._memo is not None  # it outlives its burst
+        generation = tss.generation
+        for switch in (ref, vec):
+            write(switch)
+        assert tss.generation != generation
+        if write is _retire_by_insert:
+            assert tss._memo_written  # absorbed, not retired
+        seen = _scanned(monkeypatch, tss)
+        for switch in (ref, vec):
+            switch.process_batch(self.BURST, now=1.0)
+        assert fingerprint(vec) == fingerprint(ref), write.__name__
+        assert vec._batch_window == ref._batch_window, write.__name__
+        assert seen == {"dense": [list(dict.fromkeys(
+            key.packed for key in self.BURST))], "scalar": []}
+
+    def test_an_install_is_rescanned_by_the_next_burst(self, monkeypatch):
+        # the fresh key misses at the pre-scan and is installed mid-burst:
+        # its remembered answer is a miss that only the absorbed insert
+        # corrects, so the next burst must scan it (and all) again
+        ref, vec = _build(OvsSwitch), _build(VecSwitch)
+        tss = vec.megaflow.tss
+        burst = (_onoff_burst(COVERT[40:60]) + [COVERT[INSTALLED]] * 2
+                 + _onoff_burst(COVERT[60:80]))
+        for switch in (ref, vec):
+            switch.process_batch(burst, now=1.0)
+            switch.microflow.flush()
+        assert fingerprint(vec) == fingerprint(ref), "first"
+        seen = _scanned(monkeypatch, tss)
+        for switch in (ref, vec):
+            switch.process_batch(burst, now=1.0)
+        assert fingerprint(vec) == fingerprint(ref), "second"
+        assert ref.stats.upcalls == vec.stats.upcalls
+        assert [set(keys) for keys in seen["dense"]] == [_packed(burst)]
 
 
 class TestStaleMemoIsNeverConsumed:
