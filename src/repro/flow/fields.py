@@ -79,6 +79,10 @@ class FieldSpace:
             shift -= spec.width
             offsets.append(shift)
         self._offsets: tuple[int, ...] = tuple(offsets)
+        #: ``(offset, max_value)`` per field: what :meth:`unpack` reads
+        self._unpack_plan: tuple[tuple[int, int], ...] = tuple(
+            (offset, spec.max_value) for spec, offset in zip(self.specs, offsets)
+        )
 
     def __iter__(self) -> Iterator[FieldSpec]:
         return iter(self.specs)
@@ -141,10 +145,7 @@ class FieldSpace:
 
     def unpack(self, packed: int) -> tuple[int, ...]:
         """Inverse of :meth:`pack`: the aligned value tuple."""
-        return tuple(
-            (packed >> offset) & spec.max_value
-            for spec, offset in zip(self.specs, self._offsets)
-        )
+        return tuple([(packed >> offset) & mask for offset, mask in self._unpack_plan])
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{s.name}:{s.width}" for s in self.specs)

@@ -10,20 +10,22 @@ from repro.flow.fields import FieldSpace
 class FlowKey:
     """A packet's extracted header values within a :class:`FieldSpace`.
 
-    Internally a tuple aligned with the space's field order, so keys are
-    cheap to hash — they are the lookup keys of both the microflow cache
-    and the per-tuple hash tables of the megaflow cache.
+    A key holds two forms of the same header values, each a plain slot:
+    :attr:`values`, a tuple aligned with the space's field order, and
+    :attr:`packed`, the space's fixed bit layout as one integer (which
+    the EMC index, the scan memo and the TSS packed-key fast path mask
+    with one ``&`` per subtable).  A key is built from either form and
+    derives the other on first read: :meth:`from_packed` keys (the
+    shard workers' — keys cross the mailbox as packed ints) never
+    unpack unless something reads :attr:`values`, such as
+    :meth:`__hash__` placing the key in an EMC set.
 
     Unspecified fields default to zero, which mirrors how OVS zero-fills
     flow-key members that a packet does not carry (e.g. ``tp_src`` for a
     non-TCP/UDP packet).
-
-    The key also lazily caches its :attr:`packed` integer form (the
-    space's fixed bit layout), which the TSS packed-key fast path masks
-    with one ``&`` per subtable instead of a per-field comprehension.
     """
 
-    __slots__ = ("space", "values", "_packed")
+    __slots__ = ("space", "values", "packed")
 
     def __init__(self, space: FieldSpace, values: Mapping[str, int] | None = None) -> None:
         self.space = space
@@ -33,7 +35,6 @@ class FlowKey:
                 spec = space.spec(name)
                 filled[space.index_of(name)] = spec.check(value)
         self.values: tuple[int, ...] = tuple(filled)
-        self._packed: int | None = None
 
     @classmethod
     def from_tuple(cls, space: FieldSpace, values: tuple[int, ...],
@@ -48,16 +49,30 @@ class FlowKey:
         key = cls.__new__(cls)
         key.space = space
         key.values = values
-        key._packed = packed
+        if packed is not None:
+            key.packed = packed
         return key
 
-    @property
-    def packed(self) -> int:
-        """The packed-integer form of the key (computed once, cached)."""
-        packed = self._packed
-        if packed is None:
-            packed = self._packed = self.space.pack(self.values)
-        return packed
+    @classmethod
+    def from_packed(cls, space: FieldSpace, packed: int) -> "FlowKey":
+        """Build from the packed-integer form alone (trusted input: it
+        must be ``space.pack`` of some in-range value tuple)."""
+        key = cls.__new__(cls)
+        key.space = space
+        key.packed = packed
+        return key
+
+    def __getattr__(self, name: str):
+        # reached only when a slot is unset: derive the missing form
+        if name == "values":
+            values = self.values = self.space.unpack(self.packed)
+            return values
+        if name == "packed":
+            packed = self.packed = self.space.pack(self.values)
+            return packed
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
 
     def get(self, name: str) -> int:
         """Value of one field."""
@@ -79,13 +94,16 @@ class FlowKey:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FlowKey):
             return NotImplemented
-        # values first: unequal keys (the common probe outcome) differ
-        # there, and equal ones nearly always share one space object
-        return self.values == other.values and (
+        # packed first: one int compare, and every key already holds
+        # its packed form on the hot path; equal spaces share one bit
+        # layout, so this is the relation comparing ``values`` would be
+        return self.packed == other.packed and (
             self.space is other.space or self.space == other.space
         )
 
     def __hash__(self) -> int:
+        # the tuple hash places a key in its EMC set: kept on ``values``
+        # so a packed-only key lands where its tuple-built twin does
         return hash(self.values)
 
     def __repr__(self) -> str:

@@ -23,10 +23,11 @@ Batch replies are **compact aggregates** — the eight
 per-packet :class:`PacketResult` objects — so the wire format is the
 aggregate-only result mode (``materialize=False``) and a reply costs
 O(1) whatever the burst's size.  Keys cross the pipe as their packed
-integers (every :class:`~repro.flow.key.FlowKey` caches one) and are
-rebuilt worker-side from the shared
-:class:`~repro.flow.fields.FieldSpace` — far cheaper than pickling key
-objects, and bit-exact by construction.
+integers and the worker builds each key from its int alone
+(:meth:`~repro.flow.key.FlowKey.from_packed`) — far cheaper than
+pickling key objects, and bit-exact by construction.  Only the EMC's
+set placement reads a key's value tuple (its hash: an insert into a
+new slot, a purge), so a shard with EMC insertion off decodes no key.
 
 **Determinism contract.**  Workers are forked *after* the parent builds
 every shard switch and applies initial rule state, so worker ``i``
@@ -95,8 +96,7 @@ def _worker_main(conn: Connection, switch: OvsSwitch) -> None:
     dies, so the parent reports the real failure, not a bare exit code.
     """
     space = switch.space
-    unpack = space.unpack
-    from_tuple = FlowKey.from_tuple
+    from_packed = FlowKey.from_packed
     try:
         while True:
             try:
@@ -106,7 +106,7 @@ def _worker_main(conn: Connection, switch: OvsSwitch) -> None:
             op = message[0]
             if op == "batch":
                 _, packed_keys, now = message
-                keys = [from_tuple(space, unpack(p), p) for p in packed_keys]
+                keys = [from_packed(space, p) for p in packed_keys]
                 sub = switch.process_batch(keys, now=now, materialize=False)
                 conn.send(
                     ("ok", tuple(getattr(sub, f) for f in BATCH_WIRE_FIELDS))

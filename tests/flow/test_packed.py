@@ -1,7 +1,12 @@
 """Tests for the packed-integer field layout (the TSS fast path's
-foundation): pack/unpack round-trips and the mask-distributivity
-identity the packed lookup relies on."""
+foundation): pack/unpack round-trips, the mask-distributivity
+identity the packed lookup relies on, and the two ways to build a
+:class:`FlowKey` (from values, from its packed int) agreeing."""
 
+import copy
+import pickle
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,11 +69,39 @@ class TestFlowKeyPacked:
         assert key.packed == OVS_FIELDS.pack(key.values)
 
     def test_packed_is_cached(self):
-        key = FlowKey(toy_single_field_space(), {"ip_src": 42})
-        assert key._packed is None
+        """The ``packed`` slot starts unset on a values-built key, is
+        filled by the first read, and is never packed again."""
+        space = toy_single_field_space()
+        calls = []
+        pack = space.pack
+        space.pack = lambda values: calls.append(values) or pack(values)
+        key = FlowKey(space, {"ip_src": 42})
+        slot = FlowKey.packed  # the slot descriptor: reads no fallback
+        with pytest.raises(AttributeError):
+            slot.__get__(key)
         first = key.packed
-        assert key._packed == first
+        assert slot.__get__(key) == first == 42
         assert key.packed == first
+        assert calls == [(42,)]
+
+    def test_values_are_derived_once(self):
+        space = toy_single_field_space()
+        calls = []
+        unpack = space.unpack
+        space.unpack = lambda packed: calls.append(packed) or unpack(packed)
+        key = FlowKey.from_packed(space, 42)
+        slot = FlowKey.values
+        with pytest.raises(AttributeError):
+            slot.__get__(key)
+        assert key.values == (42,) == slot.__get__(key)
+        assert key.values == (42,)
+        assert calls == [42]
+
+    def test_unknown_attribute_is_still_an_error(self):
+        key = FlowKey.from_packed(toy_single_field_space(), 1)
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            key.nope
+        assert getattr(key, "__deepcopy__", None) is None
 
     def test_replace_recomputes(self):
         key = FlowKey(toy_single_field_space(), {"ip_src": 1})
@@ -76,6 +109,51 @@ class TestFlowKeyPacked:
         other = key.replace(ip_src=2)
         assert other.packed != key.packed
         assert other.packed == 2
+
+
+def _agree(a, b):
+    """Every observable of two keys that should be the same key."""
+    assert a == b and b == a
+    assert not (a != b)
+    assert hash(a) == hash(b)
+    assert a.values == b.values and a.packed == b.packed
+    assert list(a.items()) == list(b.items())
+    assert repr(a) == repr(b)
+    for spec in a.space.specs:
+        assert a.get(spec.name) == b.get(spec.name)
+
+
+class TestFromPacked:
+    """A key built from its packed int is the key built from its
+    values: same identity, same hash (so the same EMC placement), same
+    fields, same copies."""
+
+    @pytest.mark.parametrize(
+        "space", [OVS_FIELDS, toy_single_field_space()], ids=["ovs", "toy"]
+    )
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_both_constructions_agree(self, space, data):
+        values = data.draw(_random_values(space))
+        by_values = FlowKey.from_tuple(space, values)
+        by_packed = FlowKey.from_packed(space, space.pack(values))
+        _agree(by_values, by_packed)
+        # a fresh packed-only key hashes before anything else reads it
+        assert hash(FlowKey.from_packed(space, space.pack(values))) == hash(by_values)
+        first = space.specs[0]
+        _agree(by_values.replace(**{first.name: 0}),
+               by_packed.replace(**{first.name: 0}))
+        for key in (FlowKey.from_packed(space, space.pack(values)), by_values):
+            _agree(pickle.loads(pickle.dumps(key)), by_values)
+            _agree(copy.deepcopy(key), by_values)
+
+    def test_unequal_spaces_never_match(self):
+        one = FieldSpace([FieldSpec("a", 8)], name="one")
+        other = FieldSpace([FieldSpec("b", 8)], name="other")
+        assert FlowKey.from_packed(one, 5) != FlowKey.from_packed(other, 5)
+        assert FlowKey.from_packed(one, 5) == FlowKey.from_tuple(
+            FieldSpace([FieldSpec("a", 8)]), (5,)
+        )
 
 
 def test_a_match_built_elsewhere_packs_on_demand():

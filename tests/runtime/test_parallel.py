@@ -11,14 +11,21 @@ defenses) and the worker-crash diagnostics.
 """
 
 import dataclasses
+import multiprocessing
 import os
 import signal
 
 import pytest
 
+from repro.flow.fields import FieldSpace
+from repro.obs.export import emc_counters
 from repro.ovs.switch import OvsSwitch
 from repro.perf.factory import PROFILES, DatapathConfig
-from repro.runtime.parallel import BATCH_WIRE_FIELDS, WorkerCrashError
+from repro.runtime.parallel import (
+    BATCH_WIRE_FIELDS,
+    WorkerCrashError,
+    _worker_main,
+)
 from repro.scenario.session import Session
 from repro.scenario.spec import ScenarioSpec
 
@@ -95,6 +102,13 @@ class TestEquivalence:
             assert par.expected_scan_depth() == pytest.approx(
                 serial.expected_scan_depth()
             )
+            # the workers' keys are packed-only, so every EMC insert
+            # into a new slot hashes a lazily unpacked ``values``: the
+            # same inserts, hits and evictions show it places the key
+            # where the serial twin's tuple-built key lands
+            emc = emc_counters(serial)
+            assert emc["insertions"] > 0
+            assert emc_counters(par, par.observe()) == emc
 
     def test_noemc_profile_matches(self, k8s):
         """The deep-scan serve profile (EMC insertion off) — what the
@@ -108,6 +122,43 @@ class TestEquivalence:
                 got = par.process_batch(keys, now=now)
                 assert _counters(got) == _counters(ref)
             assert _final_state(par) == _final_state(serial)
+
+
+def test_worker_never_unpacks_a_key(k8s, monkeypatch):
+    """A shard worker builds its keys from the packed ints the mailbox
+    carries and decodes none of them: on the deep-scan serve profile
+    (EMC insertion off) nothing in a burst reads a key's ``values``.
+    The worker loop runs in-process over a pipe with its messages
+    queued, and answers what the inline switch answers."""
+    space, rules, keys = k8s
+
+    def shard():
+        switch = DatapathConfig(
+            PROFILES.get("kernel-noemc"), space=space, seed=7, name="ref"
+        ).build()
+        switch.add_rules(rules)
+        return switch
+
+    worker, reference = shard(), shard()
+    parent_end, worker_end = multiprocessing.Pipe()
+    parent_end.send(("batch", [key.packed for key in keys], 0.1))
+    parent_end.send(("stop",))
+    calls = []
+    unpack = FieldSpace.unpack
+    monkeypatch.setattr(
+        FieldSpace, "unpack",
+        lambda self, packed: calls.append(packed) or unpack(self, packed),
+    )
+    _worker_main(worker_end, worker)
+    kind, reply = parent_end.recv()
+    assert (kind, parent_end.recv()) == ("ok", ("ok", None))
+    parent_end.close()
+    worker_end.close()
+    assert calls == []
+    monkeypatch.undo()
+    ref = reference.process_batch(keys, now=0.1, materialize=False)
+    assert reply == _counters(ref)
+    assert ref.upcalls > 0
 
 
 class TestLifecycle:
