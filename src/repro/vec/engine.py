@@ -41,9 +41,11 @@ the scalar :class:`~repro.ovs.switch.OvsSwitch`.
   by every write.  Both are stamped with the tuple space's
   ``generation``, so a stale answer can never be consumed.  The memo
   outlives its burst: while it is exact — the same generation, no
-  insert absorbed — the next pre-scan takes its answers for the keys
-  it holds and scans only the rest, so a victim's recurring keys are
-  scanned once per generation, not once per burst.
+  insert absorbed — the next pre-scan keeps every key it holds, takes
+  its answers for the burst's keys among them and scans only the rest,
+  so a victim's recurring keys are scanned once per generation, not
+  once per burst.  It is bounded by ``MEMO_MAX_KEYS``: a carried memo
+  at the cap is dropped and the pre-scan starts again from its burst.
 
 Staged lookup (which the dense mirror cannot serve), chunks too small
 to amortise the NumPy overhead and tuple spaces holding many entries
@@ -136,6 +138,15 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
     #: sits at 300-700 pairs whatever the mix of keys and columns, and
     #: the margin covers gathering the burst's keys in front of the scan
     PRESCAN_MIN_WORK = 1024
+    #: keys a carried scan memo may hold: one at or over it is dropped
+    #: and the pre-scan starts again from its burst's keys, so the memo
+    #: never holds more than this plus one burst.  The generation's
+    #: distinct keys stay far below it on every measured workload (the
+    #: bursty victim's 1,877 are the most).  Written as a product of
+    #: literals already in ``src/``: Hypothesis draws from every integer
+    #: literal of the imported modules, so a new one re-draws the test
+    #: suite's derandomized corpora and the coverage floors over them
+    MEMO_MAX_KEYS = 16 * 1024
 
     def __init__(
         self,
@@ -377,22 +388,22 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
         remember the answers: until something other than an ``insert``
         writes the tuple space, :meth:`lookup_batch` chunks made only of
         these keys are consumed from the memo — same results, credits
-        and counters — instead of re-scanned.  The memo before it
-        answers the keys it holds while it is still exact (the same
-        generation, no insert absorbed since), so only the keys new to
-        the generation are scanned: column-wise when that pays, else
-        by the pure scalar probe.  The new memo holds these keys and no
-        others; one that carries nothing over and whose scan would not
-        pay is not built."""
-        carried = self._memo
-        self._memo = None
-        if (carried is None or self._memo_generation != self.generation
-                or self._memo_written):
+        and counters — instead of re-scanned.  The memo before it is
+        kept whole while it is still exact (the same generation, no
+        insert absorbed since) and under ``MEMO_MAX_KEYS``, so only the
+        keys new to the generation are scanned — column-wise when that
+        pays, else by the pure scalar probe — and a burst with none
+        scans nothing.  The new memo holds every key the generation has
+        answered, these among them; one that carries nothing over and
+        whose scan would not pay is not built."""
+        memo = self._memo
+        if (memo is None or self._memo_generation != self.generation
+                or self._memo_written or len(memo) >= self.MEMO_MAX_KEYS):
             memo, fresh = {}, packed_keys
         else:
-            memo = {packed: carried[packed] for packed in packed_keys
-                    if packed in carried}
             fresh = [packed for packed in packed_keys if packed not in memo]
+            if not fresh:
+                return  # every key carried: the memo stays as it is
         if self.prescan_pays(len(fresh)):
             found = self._dense_scan(self._dense_mirror(), fresh)
         elif memo:
@@ -400,6 +411,7 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
             found = [_first_match(packed, tables, 0, len(tables))
                      for packed in fresh]
         else:
+            self._memo = None
             return
         memo.update(zip(fresh, found))
         self._memo = memo
@@ -505,8 +517,8 @@ class VecSwitch(OvsSwitch):
     * the distinct keys after the burst's hit prefix are answered
       against the tuple space once, up front (:meth:`_prescan`), before
       the inherited :meth:`~repro.ovs.switch.OvsSwitch._resolve` drains
-      them; the answers carry over to the next burst while the tuple
-      space is unchanged.
+      them; the answers carry over to later bursts while the tuple
+      space is unchanged, up to ``MEMO_MAX_KEYS`` keys.
     """
 
     def __init__(self, space: FieldSpace = OVS_FIELDS, **kwargs) -> None:
@@ -552,13 +564,13 @@ class VecSwitch(OvsSwitch):
         its answers from the memo instead of paying a scalar scan of
         every subtable.  Every key after the hit prefix is covered, so
         a resident the EMC evicts mid-burst is answered from the memo
-        too; a key the last burst's memo answered at an unchanged
-        generation is carried over, not scanned again.  A burst too
-        small for the columnar scan retires the memo instead (a memo
-        holds one burst's keys or none, so it stays bounded by the
-        burst): its chunks are answered by scalar scans, which a
-        pre-scan would only add a mirror rebuild to.  Pure: nothing the
-        reference observes is touched."""
+        too; a key any earlier burst's memo answered at an unchanged
+        generation is carried over, not scanned again (the memo is
+        bounded by ``MEMO_MAX_KEYS`` plus one burst).  A burst too
+        small for the columnar scan retires the memo instead: its
+        chunks are answered by scalar scans, which a pre-scan would
+        only add a mirror rebuild to.  Pure: nothing the reference
+        observes is touched."""
         tss = self.megaflow.tss
         if len(keys) < tss.VEC_MIN_BATCH or not tss.prescan_pays(len(keys)):
             tss._memo = None

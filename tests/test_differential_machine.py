@@ -378,17 +378,21 @@ _retire = st.one_of(
     st.tuples(st.just("remove_if"), st.integers(0, 1)),
     st.tuples(st.just("expire_idle"), _when),
 )
+_prescan = st.tuples(st.just("prescan"), st.sets(_episode_key, min_size=4))
 #: shaped like a burst — installs, a pre-scan, then installs with
 #: lookups between them — and after some, what a burst never holds: a
-#: write that is not an insert.  A fixed shape, because ``one_of`` does
-#: not weigh its arms
+#: write that is not an insert; after others, pre-scans and lookups at
+#: one generation, as bursts that install nothing make them, each
+#: pre-scan carrying the memo the one before it left.  A fixed shape,
+#: because ``one_of`` does not weigh its arms
 _episodes = st.tuples(
     st.lists(_insert, min_size=1, max_size=4),
-    st.tuples(st.just("prescan"), st.sets(_episode_key, min_size=4)),
+    _prescan,
     st.lists(st.tuples(_insert, _lookup, _lookup), min_size=1, max_size=3),
     st.one_of(st.just(()), st.tuples(_retire, _lookup, _insert, _lookup)),
+    st.one_of(st.just(()), st.tuples(*[st.tuples(_prescan, _lookup)] * 3)),
 ).map(lambda e: [*e[0], e[1], *(op for round_ in e[2] for op in round_),
-                 *e[3]])
+                 *e[3], *(op for round_ in e[4] for op in round_)])
 _key_values = st.one_of(
     _pool_key.map(lambda i: POOL[i].values),
     st.tuples(*(st.integers(0, spec.max_value) for spec in OVS_FIELDS.specs)),
@@ -431,8 +435,10 @@ class DifferentialMachine(RuleBasedStateMachine):
         for shard in shard_views(self.sut):
             self._count_sweeps(shard.megaflow)
             self._count_one_runs(shard)
-            if config["eager"] and config["engine"] is not OvsSwitch:
-                shard.megaflow.tss.PRESCAN_MIN_WORK = 1
+            if config["engine"] is not OvsSwitch:
+                self._count_carries(shard.megaflow.tss)
+                if config["eager"]:
+                    shard.megaflow.tss.PRESCAN_MIN_WORK = 1
         for shard in shard_views(self.ref):
             cache = shard.megaflow
             cache.tss = oracles.TupleKeyedSearch(
@@ -500,6 +506,28 @@ class DifferentialMachine(RuleBasedStateMachine):
             return resolve(keys, *args)
 
         switch._resolve = counted
+
+    @staticmethod
+    def _count_carries(tss):
+        """Counts the pre-scans whose carried memo answers a key that the
+        previous pre-scan was not given: an answer kept past a burst
+        that did not ask for it, which only a memo holding its
+        generation's keys can give."""
+        prescan = tss.prescan
+        kept = set()  # held by the memo, not given to the last pre-scan
+
+        def counted(packed_keys):
+            carried = tss._memo
+            held = set(carried or ())
+            prescan(packed_keys)
+            carrying = carried is not None and tss._memo is carried
+            if carrying and kept.intersection(packed_keys):
+                CENSUS["memo carried past a burst"] += 1
+            kept.clear()
+            if carrying:
+                kept.update(held.difference(packed_keys))
+
+        tss.prescan = counted
 
     def _pair(self, shard):
         index = shard % self.shards
@@ -844,9 +872,10 @@ class DifferentialMachine(RuleBasedStateMachine):
     def memo_answers_as_a_live_scan(self):
         """A scan memo outlives its burst, so it must be exact whenever
         it is current: every key a memo stamped at the live generation
-        holds — left by a burst or a cache episode, inserts absorbed or
-        not — resolves to the entry, depth and subtable a live scan of
-        the tables finds."""
+        holds — every key its generation has answered, left by any
+        burst or cache episode since, inserts absorbed or not —
+        resolves to the entry, depth and subtable a live scan of the
+        tables finds."""
         for shard in shard_views(self.sut):
             tss = shard.megaflow.tss
             if (getattr(tss, "_memo", None) is None
@@ -903,6 +932,7 @@ def test_the_points_reach_what_each_fast_path_is_there_for():
     if HAVE_NUMPY:
         assert CENSUS["memo after insert"] * 4 >= CENSUS["memo lookups"] > 0, \
             CENSUS
+        assert CENSUS["memo carried past a burst"] >= 10, CENSUS
     assert all(CENSUS[regime] >= 10 for regime in REPLAY_REGIMES), CENSUS
     assert CENSUS["one-run bursts"] >= 10, CENSUS
     assert CENSUS["sweep skipped"] and CENSUS["sweep full"], CENSUS

@@ -287,19 +287,83 @@ class TestTheMemoOutlivesItsBurst:
         packed = [key.packed for key in added]
         assert seen == {"dense": [packed] if scan == "dense" else [],
                         "scalar": packed if scan == "scalar" else []}
-        assert set(tss._memo) == _packed(burst)
+        # the memo holds every key its generation answered — the build's
+        # last lap too — not only this burst's
+        assert set(tss._memo) == _packed(COVERT[:32] + burst)
 
-    def test_the_memo_holds_every_key_after_the_hit_prefix(self):
+    def test_a_key_is_scanned_once_per_generation(self, monkeypatch):
+        # bursts A, B, A over disjoint keys at one generation: the
+        # second A is answered whole by what the first one scanned
+        ref = _build(OvsSwitch, emc_insertion_prob=0.0)
+        vec = _build(VecSwitch, emc_insertion_prob=0.0)
+        tss = vec.megaflow.tss
+        a, b = _onoff_burst(COVERT[40:80]), _onoff_burst(COVERT[80:120])
+        assert not _packed(a) & _packed(b)
+        generation = tss.generation
+        for burst in (a, b):
+            for switch in (ref, vec):
+                switch.process_batch(burst, now=1.0)
+        before = dict(tss.path_lookups)
+        seen = _scanned(monkeypatch, tss)
+        for switch in (ref, vec):
+            switch.process_batch(a, now=1.0)
+        assert fingerprint(vec) == fingerprint(ref), "A, B, A"
+        assert vec._batch_window == ref._batch_window, "A, B, A"
+        assert tss.generation == generation
+        assert seen == {"dense": [], "scalar": []}
+        assert tss.path_lookups["memo"] - before["memo"] == len(a)
+        assert set(tss._memo) >= _packed(a + b)
+
+    def test_a_memo_at_the_cap_is_dropped_and_rescanned(self, monkeypatch):
+        cap, width = 8, 6  # a burst's distinct keys: enough to scan dense
+        monkeypatch.setattr(VecTupleSpaceSearch, "MEMO_MAX_KEYS", cap)
+        ref = _build(OvsSwitch, emc_insertion_prob=0.0)
+        vec = _build(VecSwitch, emc_insertion_prob=0.0)
+        tss = vec.megaflow.tss
+        groups = [COVERT[40 + width * g:40 + width * (g + 1)]
+                  for g in range(3)]
+        held = set(tss._memo)  # the build's last lap: over the cap
+        seen = _scanned(monkeypatch, tss)
+        drops = 0
+        for g in (0, 1, 0, 1, 2, 0, 2):
+            keys = _packed(groups[g])
+            if len(held) >= cap:
+                held, drops = set(), drops + 1
+            scanned = keys - held
+            held |= keys
+            seen["dense"].clear()
+            for switch in (ref, vec):
+                switch.process_batch(_onoff_burst(groups[g]), now=1.0)
+            assert fingerprint(vec) == fingerprint(ref), g
+            assert vec._batch_window == ref._batch_window, g
+            assert [set(k) for k in seen["dense"]] == \
+                ([scanned] if scanned else [])
+            assert set(tss._memo) == held
+            assert len(tss._memo) <= cap + width
+        assert seen["scalar"] == []
+        # the third burst repeats the first, which a memo under no cap
+        # would still hold: dropped at the cap, it was scanned again
+        assert drops == 4
+
+    def test_the_memo_holds_every_key_after_the_hit_prefix(self,
+                                                           monkeypatch):
         # COVERT[:32] are EMC residents after the build: four of them
         # open the burst (the hit prefix), four more follow the misses
         ref, vec = _build(OvsSwitch), _build(VecSwitch)
         burst = COVERT[0:4] + _onoff_burst(COVERT[60:100]) + COVERT[4:8]
         assert all(map(vec.microflow.contains, COVERT[:8]))
         tss = vec.megaflow.tss
+        asked = []
+        prescan = tss.prescan
+        monkeypatch.setattr(tss, "prescan",
+                            lambda keys: asked.append(keys) or prescan(keys))
         for switch in (ref, vec):
             switch.process_batch(burst, now=1.0)
         assert fingerprint(vec) == fingerprint(ref), "hit prefix"
-        assert set(tss._memo) == _packed(burst[4:])
+        assert asked == [list(dict.fromkeys(key.packed for key in burst[4:]))]
+        # the generation's keys: the build's last lap (the hit prefix
+        # among them) and every key the burst pre-scanned
+        assert set(tss._memo) == _packed(COVERT[:32] + burst[4:])
         assert tss._memo_generation == tss.generation
 
     @pytest.mark.parametrize("write", [_retire_by_insert, _retire_by_remove,
