@@ -103,18 +103,6 @@ class FlowTable:
                 return rule
         return None
 
-    def lookup_with_trace(self, key: FlowKey) -> tuple[FlowRule | None, list[FlowRule]]:
-        """Like :meth:`lookup` but also returns every rule *examined*,
-        in order, including the winner (the set that contributes to
-        megaflow un-wildcarding)."""
-        self._ensure_sorted()
-        examined: list[FlowRule] = []
-        for rule in self._rules:
-            examined.append(rule)
-            if rule.match.matches(key):
-                return rule, examined
-        return None, examined
-
     def compiled(self, compile: Callable[["FlowTable"], View]) -> View:
         """``compile(self)``, built at most once per :attr:`version`.
 

@@ -199,13 +199,9 @@ class RetaDispatcher:
 
     def bucket_of_packed(self, packed: int) -> int:
         """The RETA bucket of a key given as its packed integer — the
-        one place the steering hash is taken."""
+        one place the steering hash is taken (stable across rebalances:
+        only the bucket→shard map moves, never the hash)."""
         return rss_hash(packed & self._rss_mask) % self.reta_size
-
-    def bucket_of(self, key: FlowKey) -> int:
-        """The RETA bucket ``key``'s packets hash to (stable across
-        rebalances: only the bucket→shard map moves, never the hash)."""
-        return self.bucket_of_packed(key.packed)
 
     def shard_of(self, key: FlowKey) -> int:
         """The shard index ``key``'s packets are steered to, under the
@@ -384,16 +380,9 @@ class ShardedDatapath(RetaDispatcher):
 
     # -- datapath ----------------------------------------------------------
 
-    def process(self, key_or_packet, in_port: int = 0,
-                now: float | None = None) -> PacketResult:
-        """Single-key special case of :meth:`process_batch`."""
-        if not isinstance(key_or_packet, FlowKey):
-            from repro.flow.extract import flow_key_from_packet
-
-            key_or_packet = flow_key_from_packet(
-                key_or_packet, in_port=in_port, space=self.space
-            )
-        return self.process_batch((key_or_packet,), now=now).results[0]
+    #: the single-key special case of :meth:`process_batch`: one body
+    #: for every in-process datapath
+    process = OvsSwitch.process
 
     def process_batch(self, keys: Sequence[FlowKey] | Iterable[FlowKey],
                       now: float | None = None,

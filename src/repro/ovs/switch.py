@@ -234,7 +234,9 @@ class OvsSwitch:
 
         This is the single-key special case of :meth:`process_batch` —
         the batch entry is the primary datapath protocol; per-packet
-        callers pay a one-element burst.  ``now`` may only move the
+        callers pay a one-element burst.  Every in-process datapath
+        (the RETA-sharded one, the cache-less adapter) shares this body
+        over its own ``process_batch``.  ``now`` may only move the
         switch clock forward (see :meth:`_advance`); a stale value is
         clamped to the current clock.
         """

@@ -442,34 +442,13 @@ class TupleSpaceSearch:
     # -- lookup ------------------------------------------------------------
 
     def lookup(self, key: FlowKey) -> TssLookupResult:
-        """Sequentially scan subtables for the first matching entry.
+        """Scan the subtables for ``key``'s first matching entry — the
+        one-key burst of :meth:`lookup_batch`.
 
         OVS guarantees megaflows are non-overlapping, so "first match"
         and "only match" coincide; the scan order merely affects cost.
         """
-        if self.scan_order == "ranked":
-            tables = self._ranked_tables()
-        else:
-            tables = self._subtables.values()
-        tuples_scanned = 0
-        hash_probes = 0
-        staged = self.staged
-        packed = key.packed
-        for subtable in tables:
-            tuples_scanned += 1
-            if staged:
-                entry, probes = subtable.lookup_staged(packed)
-                hash_probes += probes
-            else:
-                entry = subtable.entries.get(packed & subtable.packed_mask)
-                hash_probes += 1
-            if entry is not None:
-                subtable.credit_hit()
-                self._account(tuples_scanned, hash_probes)
-                return TssLookupResult(entry, tuples_scanned, hash_probes,
-                                       subtable)
-        self._account(tuples_scanned, hash_probes)
-        return TssLookupResult(None, tuples_scanned, hash_probes)
+        return self.lookup_batch((key,))[0]
 
     def lookup_batch(self, keys: Sequence[FlowKey]) -> list[TssLookupResult]:
         """Scan a burst of keys, walking the subtable list **once** for
@@ -481,31 +460,25 @@ class TupleSpaceSearch:
         subtable, a changed scan list), so keys after it must be
         re-scanned against the post-upcall state — resubmit the
         remainder after handling the miss.  Within the prefix the call
-        is *exactly* equivalent to per-key :meth:`lookup`: same entries,
-        same ``tuples_scanned``/``hash_probes``, same hit crediting and
-        accounting, and ranked auto-re-sorts fire on the same lookup
-        they would sequentially.
+        is *exactly* equivalent to looking the keys up one at a time:
+        same entries, same ``tuples_scanned``/``hash_probes``, same hit
+        crediting and accounting, and ranked auto-re-sorts fire on the
+        same lookup they would sequentially.
 
-        Three steps, each written once: :meth:`_capped` stops the burst
-        at the next ranked re-sort, the pure :meth:`_scan` answers the
-        keys, and :meth:`_consume` applies the answers.  A subclass
-        that finds the answers another way (the columnar engine)
-        replaces only the middle step.
+        Three steps, each written once and run in every configuration:
+        :meth:`_capped` stops the burst at the next ranked re-sort, the
+        pure :meth:`_scan` answers the keys (staged, it also counts each
+        key's stage probes), and :meth:`_consume` applies the answers.
+        A subclass that finds the answers another way (the columnar
+        engine) replaces only the middle step.  The per-key scan this
+        is held to is :class:`repro.testing.oracles.TupleKeyedSearch`.
         """
         if not keys:
             return []
-        if self.staged:
-            # stage indexes rebuild per lookup: fall back to per-key
-            # lookups, honouring the prefix contract
-            results: list[TssLookupResult] = []
-            for key in keys:
-                result = self.lookup(key)
-                results.append(result)
-                if not result.hit:
-                    break
-            return results
         keys = self._capped(keys)
-        return self._consume(self._scan(keys), len(self._subtables))
+        probes = [0] * len(keys) if self.staged else None
+        return self._consume(self._scan(keys, probes), len(self._subtables),
+                             probes)
 
     def _capped(self, keys: Sequence[FlowKey]) -> Sequence[FlowKey]:
         """``keys`` cut where a sequential caller would hit the ranked
@@ -518,12 +491,20 @@ class TupleSpaceSearch:
                 return keys[:room]
         return keys
 
-    def _scan(self, keys: Sequence[FlowKey]) -> list:
+    def _scan(self, keys: Sequence[FlowKey],
+              probes: list[int] | None = None) -> list:
         """Per key the :class:`TssLookupResult` of its first match in
         scan order, or ``None`` for a miss.  Subtable-major: each
         subtable's hash table and mask are fetched once and probed for
-        every still-pending key.  Pure — no counter, credit or re-sort
-        is touched."""
+        every still-pending key.
+
+        Staged lookup passes ``probes``, one zero per key: each
+        subtable then probes stage by stage, and each key's stage
+        probes are summed there — a hit's answer carries its sum, and
+        :meth:`_consume` reads a miss's.  Otherwise pure: no counter,
+        credit or re-sort is touched (a staged probe may rebuild a
+        subtable's stage index after a removal, which no answer sees).
+        """
         if self.scan_order == "ranked":
             tables: Iterable[Subtable] = self._ranked_tables()
         else:
@@ -534,21 +515,32 @@ class TupleSpaceSearch:
         for depth, subtable in enumerate(tables, start=1):
             if not pending:
                 break
-            entries = subtable.entries
-            mask = subtable.packed_mask
             still: list[int] = []
-            for i in pending:
-                entry = entries.get(packed[i] & mask)
-                if entry is None:
-                    still.append(i)
-                else:
-                    resolved[i] = TssLookupResult(entry, depth, depth,
-                                                  subtable)
+            if probes is None:
+                entries = subtable.entries
+                mask = subtable.packed_mask
+                for i in pending:
+                    entry = entries.get(packed[i] & mask)
+                    if entry is None:
+                        still.append(i)
+                    else:
+                        resolved[i] = TssLookupResult(entry, depth, depth,
+                                                      subtable)
+            else:
+                staged = subtable.lookup_staged
+                for i in pending:
+                    entry, used = staged(packed[i])
+                    probes[i] += used
+                    if entry is None:
+                        still.append(i)
+                    else:
+                        resolved[i] = TssLookupResult(entry, depth,
+                                                      probes[i], subtable)
             pending = still
         return resolved
 
-    def _consume(self, answers: Iterable,
-                 n_tables: int) -> list[TssLookupResult]:
+    def _consume(self, answers: Iterable, n_tables: int,
+                 probes: list[int] | None = None) -> list[TssLookupResult]:
         """Apply scan ``answers`` (one per key, in key order: a hit's
         :class:`TssLookupResult`, or ``None`` for a miss) under the
         burst contract: the leading hits plus the first miss are
@@ -557,20 +549,24 @@ class TupleSpaceSearch:
 
         A hit's answer is its result, passed through (immutable, so the
         copies of one key may share it); only the miss is built here.
-        Each hit credits its subtable inline, once per key — what a
-        per-key ``credit_hit`` does.  ``_account`` is pure counter
-        addition, so the burst's calls are summed; per-key order only
-        matters for the ranked auto-resort tick, and :meth:`_capped`
-        guarantees the burst cannot cross a resort boundary before its
-        final consumed lookup — applying the summed tick afterwards
-        fires the same resort at the same lookup count as per-key
-        :meth:`lookup` calls.
+        Its hash probes are one per subtable, or, staged, the count
+        :meth:`_scan` left in ``probes``, which also sum to the burst's
+        ``total_hash_probes``.  Each hit credits its subtable inline,
+        once per key.  The accounting is pure counter addition, so the
+        burst's is summed; per-key order only matters for the ranked
+        auto-resort tick, and :meth:`_capped` guarantees the burst
+        cannot cross a resort boundary before its final consumed
+        lookup — applying the summed tick afterwards fires the same
+        resort at the same lookup count as one lookup per key.
         """
         results: list[TssLookupResult] = []
         scanned = 0
         for result in answers:
             if result is None:
-                results.append(TssLookupResult(None, n_tables, n_tables))
+                results.append(TssLookupResult(
+                    None, n_tables,
+                    n_tables if probes is None else probes[len(results)],
+                ))
                 scanned += n_tables
                 break
             results.append(result)
@@ -581,21 +577,13 @@ class TupleSpaceSearch:
         consumed = len(results)
         self.total_lookups += consumed
         self.total_tuples_scanned += scanned
-        self.total_hash_probes += scanned
+        self.total_hash_probes += (scanned if probes is None
+                                   else sum(probes[:consumed]))
         if self.scan_order == "ranked" and self.resort_interval:
             self._lookups_since_resort += consumed
             if self._lookups_since_resort >= self.resort_interval:
                 self.resort()
         return results
-
-    def _account(self, tuples_scanned: int, hash_probes: int) -> None:
-        self.total_lookups += 1
-        self.total_tuples_scanned += tuples_scanned
-        self.total_hash_probes += hash_probes
-        if self.scan_order == "ranked" and self.resort_interval:
-            self._lookups_since_resort += 1
-            if self._lookups_since_resort >= self.resort_interval:
-                self.resort()
 
     def iter_entries(self) -> Iterator[tuple[int, int, object]]:
         """Iterate ``(packed mask, packed masked key, entry)`` over the

@@ -179,33 +179,3 @@ def classify_with_wildcards(table: FlowTable, key: FlowKey) -> WildcardingResult
     megaflow = FlowMatch.from_packed(table.space, acc, packed)
     return WildcardingResult(winner, megaflow, examined)
 
-
-def megaflow_table_rows(
-    table: FlowTable,
-    keys: list[FlowKey],
-) -> list[tuple[str, str, str]]:
-    """Render the (key, mask, action) rows that classifying ``keys``
-    would install — the exact format of the paper's Fig. 2b.
-
-    Rows are deduplicated by (masked key, mask) and reported in the
-    order first produced.  Single-field spaces render as plain binary
-    strings; wider spaces join fields with ``,``.
-    """
-    rows: list[tuple[str, str, str]] = []
-    seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    for key in keys:
-        result = classify_with_wildcards(table, key)
-        identity = (result.megaflow.values, result.megaflow.masks)
-        if identity in seen:
-            continue
-        seen.add(identity)
-        space = table.space
-        key_text = ",".join(
-            spec.format(value) for spec, value in zip(space.specs, result.megaflow.values)
-        )
-        mask_text = ",".join(
-            spec.format(mask) for spec, mask in zip(space.specs, result.megaflow.masks)
-        )
-        action = result.rule.action.kind if result.rule else "miss"
-        rows.append((key_text, mask_text, action))
-    return rows

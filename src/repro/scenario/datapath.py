@@ -10,10 +10,11 @@ capacity, staged flag).
 The protocol is **batch-first**: ``process_batch`` is the primary
 entry point — backends amortise per-burst work (clock/revalidator
 bookkeeping, bucketed TSS chunk lookups) across it — and ``process``
-is contractually the single-key special case (``process(k)`` must
-equal ``process_batch([k]).results[0]``, state and stats included).
-``handle_miss`` remains the known-miss slow-path shortcut for replay
-harnesses.
+is the single-key special case by construction: every in-process
+backend shares :meth:`OvsSwitch.process`'s one body,
+``process_batch([k]).results[0]`` (the parallel runtime refuses it:
+per-packet results never cross its worker pipe).  ``handle_miss``
+remains the known-miss slow-path shortcut for replay harnesses.
 
 Three implementation families ship
 (:class:`~repro.perf.factory.DatapathConfig` picks among them):
@@ -45,7 +46,7 @@ from repro.flow.key import FlowKey
 from repro.flow.rule import FlowRule
 from repro.ovs.megaflow import MegaflowEntry
 from repro.ovs.stats import SwitchStats
-from repro.ovs.switch import BatchResult, LookupPath, PacketResult
+from repro.ovs.switch import BatchResult, LookupPath, OvsSwitch, PacketResult
 from repro.ovs.upcall import InstallGuard
 
 
@@ -161,17 +162,9 @@ class CachelessDatapath:
 
     # -- datapath ----------------------------------------------------------
 
-    def process(self, key_or_packet, in_port: int = 0,
-                now: float | None = None) -> PacketResult:
-        """The single-key special case of :meth:`process_batch` (the
-        batch-first protocol contract)."""
-        if not isinstance(key_or_packet, FlowKey):
-            from repro.flow.extract import flow_key_from_packet
-
-            key_or_packet = flow_key_from_packet(
-                key_or_packet, in_port=in_port, space=self.space
-            )
-        return self.process_batch((key_or_packet,), now=now).results[0]
+    #: the single-key special case of :meth:`process_batch`: one body
+    #: for every in-process datapath
+    process = OvsSwitch.process
 
     def process_batch(self, keys: Sequence[FlowKey] | Iterable[FlowKey],
                       now: float | None = None,

@@ -90,7 +90,9 @@ class TupleKeyedSearch(TupleSpaceSearch):
     key field by field and probes a dict keyed on the masked tuple, and
     a staged probe compares tuples of one stage's fields.  Entries come
     and go by their packed form, as on the fast path, and are unpacked
-    to their tuples here.
+    to their tuples here.  Its :meth:`lookup` is the per-key scan, with
+    its own per-key accounting (:meth:`_account`), that every burst
+    lookup is held to.
 
     Retired by: ``repro.ovs.tss.Subtable`` — one dict per mask keyed on
     ``packed & packed_mask``, stage indexes on ``packed & stage mask``.
@@ -123,8 +125,38 @@ class TupleKeyedSearch(TupleSpaceSearch):
         self._account(tuples_scanned, hash_probes)
         return TssLookupResult(None, tuples_scanned, hash_probes)
 
-    def _scan(self, keys) -> list:
-        """Key by key, the first subtable holding the masked tuple."""
+    def lookup_batch(self, keys) -> list[TssLookupResult]:
+        """Staged, the burst as a sequential caller makes it: key by
+        key through :meth:`lookup`, up to the ranked re-sort cap and
+        the first miss.  Unstaged, the inherited burst over
+        :meth:`_scan` below.
+
+        Retired by: ``repro.ovs.tss.TupleSpaceSearch._scan`` — staged
+        probes are summed per key in the one subtable-major scan, and
+        a single-key lookup is the one-key burst.
+        """
+        if not self.staged:
+            return super().lookup_batch(keys)
+        results = []
+        for key in self._capped(keys):
+            result = self.lookup(key)
+            results.append(result)
+            if not result.hit:
+                break
+        return results
+
+    def _account(self, tuples_scanned: int, hash_probes: int) -> None:
+        self.total_lookups += 1
+        self.total_tuples_scanned += tuples_scanned
+        self.total_hash_probes += hash_probes
+        if self.scan_order == "ranked" and self.resort_interval:
+            self._lookups_since_resort += 1
+            if self._lookups_since_resort >= self.resort_interval:
+                self.resort()
+
+    def _scan(self, keys, probes=None) -> list:
+        """Key by key, the first subtable holding the masked tuple
+        (``probes`` is ignored: a staged burst never reaches here)."""
         tables = self.subtables()
         answers = []
         for key in keys:
@@ -373,7 +405,7 @@ def send_covert_per_packet(sim, t0: float, t1: float) -> tuple[int, list[float]]
     for _ in range(due):
         key = keys[sim._covert_cursor % len(keys)]
         sim._covert_cursor += 1
-        bucket = reta_dp.bucket_of(key) if multi else 0
+        bucket = reta_dp.bucket_of_packed(key.packed) if multi else 0
         shard = reta_dp.reta[bucket] if multi else 0
         view = shards[shard]
         entry = entries.get((shard, key))

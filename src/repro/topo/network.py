@@ -101,51 +101,15 @@ class CloudNetwork:
     def send(self, packet: Layer | bytes, from_pod: str,
              now: float | None = None) -> DeliveryResult:
         """Deliver a packet from a pod to the destination its IPv4
-        header names, through both hypervisor switches and the fabric."""
-        if now is None:
-            now = self.clock
-        src_node, src_pod = self.find_pod(from_pod)
-        if isinstance(packet, (bytes, bytearray)):
-            from repro.net.parse import parse_ethernet
-            packet = parse_ethernet(bytes(packet))
-        ip = packet.get_layer(IPv4)
-        if ip is None:
-            return DeliveryResult(False, [], None, "no-route")
-        located = self.node_for_ip(ip.dst)
-        if located is None:
-            return DeliveryResult(False, [], None, "no-route")
-        dst_node, dst_pod = located
-
-        hops: list[PacketResult] = []
-        frame_len = len(packet.build())
-
-        # hop 1: source node's OVS (ingress from the pod's port)
-        key = flow_key_from_packet(packet, in_port=src_pod.port_no, space=self.space)
-        result = src_node.switch.process(key, now=now)
-        hops.append(result)
-        if not result.forwarded:
-            return DeliveryResult(False, hops, dst_pod, f"dropped@{src_node.name}")
-
-        if dst_node is src_node:
-            return self._local_delivery(result, hops, dst_pod, src_node)
-
-        # fabric hop
-        if not self.fabric.transmit(src_node.name, dst_node.name, frame_len):
-            return DeliveryResult(False, hops, dst_pod, "no-route")
-
-        # hop 2: destination node's OVS (ingress from the uplink)
-        key = flow_key_from_packet(packet, in_port=UPLINK_PORT, space=self.space)
-        result = dst_node.switch.process(key, now=now)
-        hops.append(result)
-        if not result.forwarded:
-            return DeliveryResult(False, hops, dst_pod, f"dropped@{dst_node.name}")
-        return self._local_delivery(result, hops, dst_pod, dst_node)
+        header names, through both hypervisor switches and the fabric:
+        the one-packet burst of :meth:`send_burst`."""
+        return self.send_burst([packet], from_pod, now)[0]
 
     def send_burst(self, packets: list[Layer | bytes], from_pod: str,
                    now: float | None = None) -> list[DeliveryResult]:
-        """Deliver a burst of packets from one pod — the batch-first
-        counterpart of :meth:`send` (which remains the single-packet
-        special case).
+        """Deliver a burst of packets from one pod, each to the
+        destination its IPv4 header names, through both hypervisor
+        switches and the fabric.
 
         All first hops run as one ``process_batch`` on the source
         node's switch, then the surviving packets' second hops as one

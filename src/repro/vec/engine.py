@@ -142,11 +142,8 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
     #: and the pre-scan starts again from its burst's keys, so the memo
     #: never holds more than this plus one burst.  The generation's
     #: distinct keys stay far below it on every measured workload (the
-    #: bursty victim's 1,877 are the most).  Written as a product of
-    #: literals already in ``src/``: Hypothesis draws from every integer
-    #: literal of the imported modules, so a new one re-draws the test
-    #: suite's derandomized corpora and the coverage floors over them
-    MEMO_MAX_KEYS = 16 * 1024
+    #: bursty victim's 1,877 are the most)
+    MEMO_MAX_KEYS = 16384
 
     def __init__(
         self,

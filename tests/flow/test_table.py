@@ -53,15 +53,6 @@ class TestFlowTable:
         table.add(_rule(MatchBuilder(space).ip_src("10.0.0.1").build()))
         assert table.lookup(FlowKey(space, {"ip_src": 0x0B000001})) is None
 
-    def test_lookup_with_trace(self):
-        space = toy_single_field_space()
-        table = FlowTable(space)
-        allow = table.add(_rule(FlowMatch(space, {"ip_src": (10, 0xFF)}), Allow(), priority=10))
-        deny = table.add(_rule(FlowMatch.wildcard(space), Drop(), priority=0))
-        winner, examined = table.lookup_with_trace(FlowKey(space, {"ip_src": 99}))
-        assert winner is deny
-        assert examined == [allow, deny]
-
     def test_space_mismatch_rejected(self):
         table = FlowTable(OVS_FIELDS)
         wrong = _rule(FlowMatch.wildcard(toy_single_field_space()))

@@ -16,6 +16,7 @@ from repro.flow.key import FlowKey
 from repro.ovs.switch import OvsSwitch
 from repro.perf.factory import switch_for_profile
 from repro.scenario.datapath import CachelessDatapath
+from repro.testing.oracles import TupleKeyedSearch
 
 
 def _loaded_switch():
@@ -101,8 +102,16 @@ def _custom_switch(**kwargs):
 class TestTssLookupBatch:
     """The TSS-level burst lookup: prefix contract and accounting."""
 
-    def _tss_with_keys(self, **kwargs):
+    def _tss_with_keys(self, oracle=False, **kwargs):
+        """A tuple space holding 24 covert megaflows, and their keys;
+        ``oracle`` swaps in the per-key tuple-keyed search first."""
         switch, dimensions = _custom_switch(**kwargs)
+        if oracle:
+            tss = switch.megaflow.tss
+            switch.megaflow.tss = TupleKeyedSearch(
+                OVS_FIELDS, staged=tss.staged, scan_order=tss.scan_order,
+                resort_interval=tss.resort_interval,
+            )
         covert = CovertStreamGenerator(
             dimensions, dst_ip=ip_to_int("10.0.9.10")
         ).keys()[:24]
@@ -112,7 +121,7 @@ class TestTssLookupBatch:
 
     def test_all_hits_match_per_key_lookup(self):
         tss, covert = self._tss_with_keys()
-        reference, _ = self._tss_with_keys()
+        reference, _ = self._tss_with_keys(oracle=True)
         batch_results = tss.lookup_batch(covert)
         single_results = [reference.lookup(key) for key in covert]
         assert len(batch_results) == len(covert)
@@ -121,6 +130,32 @@ class TestTssLookupBatch:
         ]
         assert tss.total_lookups == reference.total_lookups
         assert tss.total_tuples_scanned == reference.total_tuples_scanned
+
+    def test_a_staged_ranked_burst_stops_at_the_resort_and_matches_the_oracle(self):
+        config = {"staged_lookup": True, "scan_order": "ranked",
+                  "resort_interval": 5}
+        tss, covert = self._tss_with_keys(**config)
+        reference, _ = self._tss_with_keys(oracle=True, **config)
+        alien = FlowKey(OVS_FIELDS, {"ip_src": 1, "ip_dst": 2})
+        burst = covert[:7] + [alien]
+        first = tss.lookup_batch(burst)
+        # capped at the auto-re-sort, which fired on the 5th lookup
+        assert len(first) == 5
+        assert tss.resorts == 1
+        rest = tss.lookup_batch(burst[5:])
+        assert [r.hit for r in rest] == [True, True, False]
+        per_key = [reference.lookup(key) for key in burst]
+
+        def seen(results):
+            return [(r.hit, r.tuples_scanned, r.hash_probes,
+                     r.subtable and r.subtable.packed_mask) for r in results]
+
+        assert seen(first + rest) == seen(per_key)
+        # stage probes abort early: a probe count is not a depth
+        assert any(r.hash_probes != r.tuples_scanned for r in per_key)
+        for counter in ("total_lookups", "total_tuples_scanned",
+                        "total_hash_probes", "resorts"):
+            assert getattr(tss, counter) == getattr(reference, counter)
 
     def test_prefix_stops_at_first_miss(self):
         tss, covert = self._tss_with_keys()

@@ -23,7 +23,7 @@ SRC = Path(__file__).resolve().parent.parent.parent / "src"
 
 #: what the dispatcher shares; a runtime restating one has forked it
 SHARED = (
-    "bucket_of_packed", "bucket_of", "shard_of", "_split", "_fold",
+    "bucket_of_packed", "shard_of", "_split", "_fold",
     "add_rule", "add_rules", "remove_tenant_rules", "invalidate_caches",
     "stats", "shard_mask_counts", "mask_count", "total_mask_count",
     "megaflow_count", "tss_lookups", "expected_scan_depth", "rule_count",

@@ -132,9 +132,9 @@ def test_vec_builds_only_hit_answers_and_writes_no_reference_counter():
 
 def test_a_miss_result_is_built_by_the_oracle_and_the_one_consume():
     """``TssLookupResult(None, …)`` — a TSS miss — comes from the
-    per-key oracles (the scalar lookup, and the tuple-keyed one the
-    differential machine's reference scans) and from ``_consume``,
-    nowhere else."""
+    per-key oracle the differential machine's reference scans and from
+    ``_consume``, nowhere else: a single-key ``lookup`` is the one-key
+    burst, so the reference class keeps no second scan loop."""
     builders = sorted(
         qualified
         for _rel, tree in _trees() for qualified, node in _functions(tree)
@@ -145,8 +145,40 @@ def test_a_miss_result_is_built_by_the_oracle_and_the_one_consume():
         )
     )
     assert builders == ["TupleKeyedSearch.lookup",
-                        "TupleSpaceSearch._consume",
-                        "TupleSpaceSearch.lookup"]
+                        "TupleSpaceSearch._consume"]
+
+
+def test_the_tuple_space_keeps_no_per_key_accounting():
+    """The burst's summed accounting in ``_consume`` is the only one;
+    the per-key ``_account`` lives with the oracle's per-key scan."""
+    from repro.ovs.tss import TupleSpaceSearch
+    from repro.testing.oracles import TupleKeyedSearch
+
+    assert not hasattr(TupleSpaceSearch, "_account")
+    assert "_account" in vars(TupleKeyedSearch)
+
+
+def test_one_process_body_besides_the_parallel_refusal():
+    """``process(key_or_packet)`` is written once, on ``OvsSwitch``, and
+    every other in-process datapath shares it; the only other body is
+    ``ParallelDatapath``'s refusal (the protocol's stub has none)."""
+    from repro.ovs.pmd import ShardedDatapath
+    from repro.scenario.datapath import CachelessDatapath
+
+    bodies = sorted(
+        f"{rel}:{qualified}"
+        for rel, tree in _trees() for qualified, node in _functions(tree)
+        if node.name == "process"
+        and [arg.arg for arg in node.args.args][1:2] == ["key_or_packet"]
+        and not (len(node.body) == 1
+                 and isinstance(node.body[0], ast.Expr)
+                 and isinstance(node.body[0].value, ast.Constant)
+                 and node.body[0].value.value is Ellipsis)
+    )
+    assert bodies == ["ovs/switch.py:OvsSwitch.process",
+                      "runtime/parallel.py:ParallelDatapath.process"]
+    assert ShardedDatapath.process is OvsSwitch.process
+    assert CachelessDatapath.process is OvsSwitch.process
 
 
 def test_batch_result_has_one_counter_fold():

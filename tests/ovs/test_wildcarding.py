@@ -21,7 +21,6 @@ from repro.flow.table import FlowTable
 from repro.ovs.wildcarding import (
     WildcardingResult,
     classify_with_wildcards,
-    megaflow_table_rows,
     prefix_cover_len,
 )
 from repro.testing import oracles
@@ -94,12 +93,6 @@ class TestFig2Exact:
             if isinstance(result.rule.action, Drop):
                 masks.add(result.megaflow.masks)
         assert len(masks) == 8
-
-    def test_megaflow_table_rows_deduplicate(self):
-        space, table = _fig2_table()
-        keys = [FlowKey(space, {"ip_src": v}) for v in range(256)]
-        rows = megaflow_table_rows(table, keys)
-        assert len(rows) == 9  # 1 allow + 8 deny
 
 
 class TestCrossProduct:

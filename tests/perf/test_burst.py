@@ -50,7 +50,7 @@ class TestKeyBurst:
         burst = KeyBurst(keys)
         dispatcher = make(2)
         first = burst.buckets(dispatcher)
-        assert first == [dispatcher.bucket_of(key) for key in keys]
+        assert first == [dispatcher.bucket_of_packed(key.packed) for key in keys]
         assert burst.buckets(dispatcher) is first
         assert burst.buckets(make(4)) is not first
 

@@ -114,9 +114,9 @@ L3_KINDS = ["tcp", "udp", "icmp", "other", "arp"] + ["udp"] * 2 + ["tcp"] * 4
 
 
 @st.composite
-def l3(draw):
+def l3(draw, kinds=L3_KINDS):
     """Whatever rides under the Ethernet header (and any VLAN tags)."""
-    kind = draw(st.sampled_from(L3_KINDS))
+    kind = draw(st.sampled_from(kinds))
     if kind == "arp":
         return Arp(sender_ip=draw(addresses), target_ip=draw(addresses))
     ip = IPv4(src=draw(addresses), dst=draw(addresses),
@@ -152,14 +152,16 @@ byte_values = st.one_of(st.sampled_from(EDGES), st.integers(0, 255))
 
 
 @st.composite
-def frames(draw):
+def frames(draw, shapes=SHAPES, damages=DAMAGE, kinds=L3_KINDS):
     """One record's bytes: a crafted frame, then maybe damage."""
-    shape = draw(st.sampled_from(SHAPES))
+    shape = draw(st.sampled_from(shapes))
     if shape == "junk":  # sometimes longer than a snaplen or a refill
         size = draw(st.sampled_from([0, 5, 13, 14, 33, 300, 3000, 70_000,
                                      300_000]))
-        return bytes([draw(st.integers(0, 255))]) * size
-    inner = draw(l3())
+        # never zero: behind a lying length, a zero-filled body reads as
+        # thousands of empty records (an empty record is the size-0 junk)
+        return bytes([draw(st.integers(1, 255))]) * size
+    inner = draw(l3(kinds))
     if shape == "vlan":
         for vid in draw(st.lists(st.integers(0, 4095), min_size=1,
                                  max_size=3)):
@@ -168,7 +170,7 @@ def frames(draw):
     if shape == "options" and isinstance(inner, IPv4):
         frame = _with_ip_options(frame, draw(st.integers(1, 10)),
                                  draw(st.integers(0, 255)))
-    damage = draw(st.sampled_from(DAMAGE))
+    damage = draw(st.sampled_from(damages))
     if damage == "flip":  # bytes anywhere
         for _ in range(draw(st.integers(1, 3))):
             frame[draw(st.integers(0, len(frame) - 1))] = draw(
@@ -182,20 +184,40 @@ def frames(draw):
     return bytes(frame)
 
 
+#: a record of any shape, whose header now and then lies about its
+#: length (the walk then reads whatever follows as record headers)
+any_record = st.tuples(frames(), st.sampled_from(LENGTH_LIES))
+#: a record the columnar branch takes (a plain IPv4 TCP/UDP frame, even
+#: cut to the smallest snaplen) and one it hands to the reference (a
+#: VLAN tag, IP options, ARP/ICMP or junk), both undamaged and honest
+columnar_record = st.tuples(
+    frames(["plain"], ["none"], ["tcp", "udp"]), st.just(0))
+reference_record = st.tuples(
+    frames(["vlan", "options", "junk"], ["none"]), st.just(0))
+
+
 @st.composite
 def captures(draw):
-    """A whole capture file's bytes and how to read it."""
+    """A whole capture file's bytes and how to read it.
+
+    A long capture is made of triples — a columnar record, a reference
+    record, a record of any shape — so each branch takes at least a
+    third of the records read before a lie or the final cut ends the
+    walk, whatever the corpus draws."""
     endian = draw(st.sampled_from("<>"))
     snaplen = draw(st.sampled_from([0, 60, 96, 2000, 65535]))
     out = [struct.pack(endian + "IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, snaplen, 1)]
     record = struct.Struct(endian + "IIII")
-    for frame in draw(st.one_of(st.lists(frames(), max_size=3),
-                                st.lists(frames(), min_size=16, max_size=48))):
+    triples = st.tuples(columnar_record, reference_record, any_record)
+    records = draw(st.one_of(
+        st.lists(any_record, max_size=3),
+        st.lists(triples, min_size=6, max_size=16).map(
+            lambda drawn: [one for triple in drawn for one in triple]),
+    ))
+    for frame, lie in records:
         sec = draw(st.integers(0, 2**32 - 1))
         usec = draw(st.integers(0, 999_999))
-        # now and then the header lies about the length, and the walk
-        # reads whatever follows as record headers
-        incl_len = max(0, len(frame) + draw(st.sampled_from(LENGTH_LIES)))
+        incl_len = max(0, len(frame) + lie)
         out.append(record.pack(sec, usec, incl_len, len(frame)) + frame)
     data = b"".join(out)
     cut = draw(st.one_of(st.just(0), st.integers(1, 40)))
