@@ -140,14 +140,9 @@ class MegaflowCache:
     # -- operations ---------------------------------------------------------
 
     def lookup(self, key: FlowKey, now: float = 0.0) -> TssLookupResult:
-        """TSS lookup; touches the entry on hit."""
-        if now < self._idle_floor:
-            self._idle_floor = now
-        result = self.tss.lookup(key)
-        if result.entry is not None:
-            entry: MegaflowEntry = result.entry  # type: ignore[assignment]
-            entry.touch(now)
-        return result
+        """TSS lookup; touches the entry on hit — the one-key burst of
+        :meth:`lookup_batch`."""
+        return self.lookup_batch((key,), now)[0]
 
     def lookup_batch(self, keys: "Sequence[FlowKey]",
                      now: float = 0.0) -> list[TssLookupResult]:

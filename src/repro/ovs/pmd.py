@@ -227,15 +227,8 @@ class RetaDispatcher:
 
     @staticmethod
     def _fold(batch: BatchResult, sub: BatchResult) -> None:
-        """Add one shard's aggregate-only reply into the burst's."""
-        batch.packets += sub.packets
-        batch.tuples_scanned += sub.tuples_scanned
-        batch.hash_probes += sub.hash_probes
-        batch.forwarded += sub.forwarded
-        batch.drops += sub.drops
-        batch.upcalls += sub.upcalls
-        batch.emc_hits += sub.emc_hits
-        batch.megaflow_hits += sub.megaflow_hits
+        """Add one shard's reply into the burst's."""
+        batch.add(sub)
         batch.installed.extend(sub.installed)
 
     def advance_clock(self, now: float) -> None:

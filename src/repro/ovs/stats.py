@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -12,11 +12,18 @@ class SwitchStats:
 
     The experiment harness samples these each tick; Fig. 3's right axis
     is ``masks`` over time, and the degradation tables derive from the
-    scan counters.
+    scan counters.  A burst counts into its own
+    :class:`~repro.ovs.switch.BatchResult` (these counters, for one
+    burst), which the datapath folds in here once (:meth:`add`), as
+    OVS adds its PMD counters once per batch.
     """
 
+    #: packets processed (in an aggregate-only burst, the only
+    #: population count)
     packets: int = 0
+    #: packets served by the exact-match (microflow) layer
     emc_hits: int = 0
+    #: packets served by the megaflow (TSS) layer
     megaflow_hits: int = 0
     upcalls: int = 0
     drops: int = 0
@@ -25,27 +32,31 @@ class SwitchStats:
     tuples_scanned: int = 0
     hash_probes: int = 0
 
-    def record_scan(self, tuples_scanned: int, hash_probes: int) -> None:
-        """Accumulate one TSS scan's cost."""
-        self.tuples_scanned += tuples_scanned
-        self.hash_probes += hash_probes
+    def add(self, other: "SwitchStats") -> None:
+        """Add every counter of ``other`` (a burst's, a shard's) into
+        these — the one fold, so no caller sums fields by hand.  It is
+        spelled out, not a loop over :data:`COUNTERS`: it runs once per
+        burst, and a ``getattr`` / ``setattr`` pair per field costs
+        several times as much (``tests/ovs/test_pmd.py`` holds it to
+        every field)."""
+        self.packets += other.packets
+        self.emc_hits += other.emc_hits
+        self.megaflow_hits += other.megaflow_hits
+        self.upcalls += other.upcalls
+        self.drops += other.drops
+        self.forwarded += other.forwarded
+        self.upcalls_rejected += other.upcalls_rejected
+        self.tuples_scanned += other.tuples_scanned
+        self.hash_probes += other.hash_probes
 
     @classmethod
     def merge(cls, *stats: "SwitchStats") -> "SwitchStats":
-        """Sum counters across several stats objects into a fresh one.
-
-        The aggregation point for multi-switch datapaths — the sharded
-        per-PMD backend merges its shards' snapshots this way, and fleet
-        runs can fold per-node stats the same way — so consumers never
-        hand-sum fields (and silently miss new counters)."""
+        """Sum counters across several stats objects into a fresh one —
+        how the sharded per-PMD backend merges its shards' snapshots,
+        and how fleet runs can fold per-node stats."""
         merged = cls()
         for one in stats:
-            for spec in dataclasses.fields(cls):
-                setattr(
-                    merged,
-                    spec.name,
-                    getattr(merged, spec.name) + getattr(one, spec.name),
-                )
+            merged.add(one)
         return merged
 
     @property
@@ -61,28 +72,19 @@ class SwitchStats:
 
     def snapshot(self) -> dict[str, float]:
         """A plain-dict copy for time-series recording."""
-        return {
-            "packets": self.packets,
-            "emc_hits": self.emc_hits,
-            "megaflow_hits": self.megaflow_hits,
-            "upcalls": self.upcalls,
-            "drops": self.drops,
-            "forwarded": self.forwarded,
-            "upcalls_rejected": self.upcalls_rejected,
-            "tuples_scanned": self.tuples_scanned,
-            "hash_probes": self.hash_probes,
-            "emc_hit_rate": self.emc_hit_rate,
-            "avg_tuples_per_megaflow_lookup": self.avg_tuples_per_megaflow_lookup,
-        }
+        snap: dict[str, float] = {name: getattr(self, name)
+                                  for name in COUNTERS}
+        snap["emc_hit_rate"] = self.emc_hit_rate
+        snap["avg_tuples_per_megaflow_lookup"] = (
+            self.avg_tuples_per_megaflow_lookup
+        )
+        return snap
 
     def reset(self) -> None:
         """Zero every counter."""
-        self.packets = 0
-        self.emc_hits = 0
-        self.megaflow_hits = 0
-        self.upcalls = 0
-        self.drops = 0
-        self.forwarded = 0
-        self.upcalls_rejected = 0
-        self.tuples_scanned = 0
-        self.hash_probes = 0
+        for name in COUNTERS:
+            setattr(self, name, 0)
+
+
+#: the counter fields, in declaration order
+COUNTERS = tuple(spec.name for spec in dataclasses.fields(SwitchStats))

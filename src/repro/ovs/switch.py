@@ -71,11 +71,14 @@ class PacketResult:
 
 
 @dataclass
-class BatchResult:
-    """Aggregate outcome of a :meth:`OvsSwitch.process_batch` call.
+class BatchResult(SwitchStats):
+    """Outcome of a :meth:`OvsSwitch.process_batch` call: the burst's
+    :class:`~repro.ovs.stats.SwitchStats` — the pipeline counts into
+    it and nowhere else; the switch adds it to its ``stats`` once, at
+    the end of the burst — plus what the burst produced.
 
     In the default **materialized** mode per-packet results stay
-    available (order matches the input keys); the aggregates save
+    available (order matches the input keys); the counters save
     callers a Python-level reduce on the hot path.  In **aggregate-only**
     mode (``process_batch(..., materialize=False)``) ``results`` stays
     empty and only the counters are folded — the columnar result mode
@@ -86,18 +89,6 @@ class BatchResult:
     """
 
     results: list[PacketResult] = field(default_factory=list)
-    #: packets processed (== ``len(results)`` in materialized mode; the
-    #: only population count available in aggregate-only mode)
-    packets: int = 0
-    tuples_scanned: int = 0
-    hash_probes: int = 0
-    forwarded: int = 0
-    drops: int = 0
-    upcalls: int = 0
-    #: packets served by the exact-match (microflow) layer
-    emc_hits: int = 0
-    #: packets served by the megaflow (TSS) layer
-    megaflow_hits: int = 0
     #: ``(key, entry)`` per upcall that installed a megaflow, in key
     #: order — recorded in *both* result modes, so aggregate-only
     #: callers that maintain entry maps (the simulator's datapath
@@ -260,7 +251,10 @@ class OvsSwitch:
         of keys that miss it are looked up through the TSS in *bucketed*
         chunks (:meth:`_resolve` gathers them, :meth:`_flush_run` drains
         them).  As with :meth:`process`, a stale ``now`` is clamped to
-        the monotonic clock.
+        the monotonic clock.  Every step counts into the burst's
+        :class:`BatchResult` only; ``stats`` gets it in one
+        :meth:`~repro.ovs.stats.SwitchStats.add` at the end (nothing
+        that runs mid-burst reads ``stats``).
 
         ``materialize=False`` selects the aggregate-only result mode:
         cache state, stats and every :class:`BatchResult` counter are
@@ -278,6 +272,7 @@ class OvsSwitch:
         if served < len(keys):
             self._resolve(keys[served:] if served else keys, batch, now,
                           materialize)
+        self.stats.add(batch)
         return batch
 
     def _serve_emc_hits(self, keys: Sequence[FlowKey], start: int,
@@ -303,11 +298,6 @@ class OvsSwitch:
                 )
             hits += count
         if hits:
-            stats = self.stats
-            stats.packets += hits
-            stats.emc_hits += hits
-            stats.forwarded += forwarded
-            stats.drops += hits - forwarded
             batch.packets += hits
             batch.emc_hits += hits
             batch.forwarded += forwarded
@@ -338,21 +328,20 @@ class OvsSwitch:
         handed to :meth:`_flush_run` with no per-key loop, and every
         key's probe is a certain miss.
 
-        ``stats.packets`` and the certain misses' ``microflow.lookups``
-        ticks are added once at the end: nothing that runs mid-burst
-        (slow path, install guards) can read them.
+        The certain misses' ``microflow.lookups`` ticks are added once
+        at the end: nothing that runs mid-burst (slow path, install
+        guards) can read them.
         """
         microflow = self.microflow
         n = len(keys)
         if not microflow.occupancy and not microflow.can_store:
-            self.stats.packets += n
             microflow.lookups += n
             self._flush_run(keys, batch, now, materialize)
             return
         contains = microflow.contains
         run: list[FlowKey] = []
         run_set: set[int] = set()
-        certain_misses = hits = 0
+        certain_misses = 0
         i = 0
         while i < n:
             key = keys[i]
@@ -366,10 +355,7 @@ class OvsSwitch:
                 self._flush_run(run, batch, now, materialize)
                 run.clear()
                 run_set.clear()
-                served = self._serve_emc_hits(keys, i, now, batch,
-                                              materialize)
-                hits += served
-                i += served
+                i += self._serve_emc_hits(keys, i, now, batch, materialize)
                 continue
             if resident:
                 microflow.lookup(key, now)
@@ -377,7 +363,6 @@ class OvsSwitch:
                 certain_misses += 1
             run.append(key)
             i += 1
-        self.stats.packets += n - hits
         microflow.lookups += certain_misses
         if run:
             self._flush_run(run, batch, now, materialize)
@@ -400,7 +385,6 @@ class OvsSwitch:
         start = 0
         window = self._batch_window
         n = len(run)
-        stats = self.stats
         microflow = self.microflow
         insert = microflow.insert if microflow.can_store else None
         while start < n:
@@ -427,11 +411,6 @@ class OvsSwitch:
                     ))
             served = len(results)
             if served:
-                stats.megaflow_hits += served
-                stats.tuples_scanned += tuples
-                stats.hash_probes += probes
-                stats.forwarded += forwarded
-                stats.drops += served - forwarded
                 batch.packets += served
                 batch.megaflow_hits += served
                 batch.tuples_scanned += tuples
@@ -452,16 +431,9 @@ class OvsSwitch:
         if upcall.installed is not None:
             self.microflow.insert(key, upcall.installed, now)
             batch.installed.append((key, upcall.installed))
-        self.stats.upcalls += 1
         if upcall.install_skipped is not None:
-            self.stats.upcalls_rejected += 1
-        self.stats.record_scan(tss_result.tuples_scanned, tss_result.hash_probes)
-        forwarded = upcall.action.is_forwarding()
-        if forwarded:
-            self.stats.forwarded += 1
-        else:
-            self.stats.drops += 1
-        batch.tally(LookupPath.UPCALL, forwarded,
+            batch.upcalls_rejected += 1
+        batch.tally(LookupPath.UPCALL, upcall.action.is_forwarding(),
                     tss_result.tuples_scanned, tss_result.hash_probes)
         if materialize:
             batch.results.append(PacketResult(

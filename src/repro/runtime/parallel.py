@@ -18,7 +18,7 @@ inherited, not restated — and changes only *where a shard runs*:
   here: both send to every involved worker *before* awaiting any reply,
   so the shards work concurrently — the runtime's whole point.
 
-Batch replies are **compact aggregates** — the eight
+Batch replies are **compact aggregates** — the nine
 :class:`~repro.ovs.switch.BatchResult` counters as a plain tuple, never
 per-packet :class:`PacketResult` objects — so the wire format is the
 aggregate-only result mode (``materialize=False``) and a reply costs
@@ -59,16 +59,14 @@ from repro.flow.rule import FlowRule
 from repro.obs.export import observe_switch as _observe_switch
 from repro.ovs.megaflow import MegaflowEntry
 from repro.ovs.pmd import DEFAULT_RETA_SIZE, RetaDispatcher
+from repro.ovs.stats import COUNTERS
 from repro.ovs.switch import BatchResult, OvsSwitch, PacketResult
 from repro.ovs.upcall import InstallGuard
 
 #: the aggregate counters a batch reply carries, in wire order — the
-#: :class:`BatchResult` columnar fields (``installed`` pairs stay
-#: worker-side: entries never cross the pipe)
-BATCH_WIRE_FIELDS = (
-    "packets", "tuples_scanned", "hash_probes", "forwarded",
-    "drops", "upcalls", "emc_hits", "megaflow_hits",
-)
+#: burst's whole :class:`~repro.ovs.stats.SwitchStats` counter set
+#: (``installed`` pairs stay worker-side: entries never cross the pipe)
+BATCH_WIRE_FIELDS = COUNTERS
 
 #: the switch methods a worker runs by name on the parent's behalf: a
 #: ``(name, *args)`` message is answered with the call's return value

@@ -47,7 +47,6 @@ from repro.obs.export import (
 )
 from repro.perf.burst import KeyBurst
 from repro.perf.workload import AttackerWorkload
-from repro.runtime.parallel import BATCH_WIRE_FIELDS
 
 #: default seconds of simulated time per synthetic burst (matches the
 #: simulator's coalescing granularity: one burst per tick)
@@ -354,21 +353,22 @@ class ServeService:
         # explicit None check: an empty registry is len() == 0 / falsy
         self.telemetry = NULL_TELEMETRY if telemetry is None else telemetry
         self.telemetry.attach(datapath)
-        # the per-burst wire counters: the eight aggregate BatchResult
-        # deltas the parallel workers ship over the mailbox, accumulated
-        # as telemetry series (None when telemetry is disabled — the
-        # hot loop then skips instrumentation entirely)
+        # the per-burst wire counters: eight of the BatchResult
+        # counters the parallel workers ship over the mailbox, each
+        # paired with its telemetry series by name (None when telemetry
+        # is disabled — the hot loop then skips instrumentation entirely)
         self._wire_counters = None
         if self.telemetry.enabled:
+            counter = self.telemetry.counter
             self._wire_counters = (
-                self.telemetry.counter("serve.batch.packets"),
-                self.telemetry.counter("serve.batch.tuples_scanned"),
-                self.telemetry.counter("serve.batch.hash_probes"),
-                self.telemetry.counter("serve.batch.forwarded"),
-                self.telemetry.counter("serve.batch.drops"),
-                self.telemetry.counter("serve.batch.upcalls"),
-                self.telemetry.counter("serve.batch.emc_hits"),
-                self.telemetry.counter("serve.batch.megaflow_hits"),
+                ("packets", counter("serve.batch.packets")),
+                ("tuples_scanned", counter("serve.batch.tuples_scanned")),
+                ("hash_probes", counter("serve.batch.hash_probes")),
+                ("forwarded", counter("serve.batch.forwarded")),
+                ("drops", counter("serve.batch.drops")),
+                ("upcalls", counter("serve.batch.upcalls")),
+                ("emc_hits", counter("serve.batch.emc_hits")),
+                ("megaflow_hits", counter("serve.batch.megaflow_hits")),
             )
 
     # -- shutdown ------------------------------------------------------------
@@ -461,8 +461,7 @@ class ServeService:
                 self.packets += batch.packets
                 self.batches += 1
                 if wire_counters is not None:
-                    for counter, field in zip(wire_counters,
-                                              BATCH_WIRE_FIELDS):
+                    for field, counter in wire_counters:
                         counter.inc(getattr(batch, field))
                 if next_report is None:
                     next_report = now + self.report_interval

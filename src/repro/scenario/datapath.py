@@ -152,9 +152,6 @@ class CachelessDatapath:
         self.name = name
         self.space = space
         self.clock = 0.0
-        #: classifications served (the protocol's ``tss_lookups``
-        #: analogue: every packet is one scan over the static groups)
-        self.tss_lookups = 0
         #: protocol-surface scan accounting: packets, forwarded/drops
         #: and per-classification group probes (the cache-layer
         #: counters — EMC hits, upcalls — stay zero: there is no cache)
@@ -176,15 +173,8 @@ class CachelessDatapath:
         for key in keys:
             outcome = classify(key)
             probed = outcome.groups_probed
-            forwarded = outcome.action.is_forwarding()
-            self.tss_lookups += 1
-            self.stats.packets += 1
-            self.stats.record_scan(probed, probed)
-            if forwarded:
-                self.stats.forwarded += 1
-            else:
-                self.stats.drops += 1
-            batch.tally(LookupPath.CACHELESS, forwarded, probed, probed)
+            batch.tally(LookupPath.CACHELESS, outcome.action.is_forwarding(),
+                        probed, probed)
             if materialize:
                 batch.results.append(PacketResult(
                     action=outcome.action,
@@ -193,6 +183,7 @@ class CachelessDatapath:
                     hash_probes=probed,
                     entry=None,
                 ))
+        self.stats.add(batch)
         return batch
 
     def handle_miss(self, key: FlowKey, now: float = 0.0) -> MegaflowEntry | None:
@@ -239,6 +230,12 @@ class CachelessDatapath:
     @property
     def staged(self) -> bool:
         return False
+
+    @property
+    def tss_lookups(self) -> int:
+        """Classifications served (the protocol's ``tss_lookups``
+        analogue: every packet is one scan over the static groups)."""
+        return self.stats.packets
 
     @property
     def scan_order(self) -> str:

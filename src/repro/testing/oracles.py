@@ -318,11 +318,12 @@ def _examine_rule(rule: FlowRule, key: FlowKey, prefix_lens: list[int],
 def flush_run_per_key(switch, run, batch, now: float,
                       materialize: bool) -> None:
     """``OvsSwitch._flush_run`` one key at a time: per key one
-    ``MegaflowCache.lookup`` — its own scan, ``credit_hit`` and
-    ``touch`` — then, on a hit, the EMC insert offered whether or not
-    the EMC can store, the megaflow-hit counters and the result; on a
-    miss, the upcall.  ``switch`` is the
-    :class:`~repro.ovs.switch.OvsSwitch` whose run it drains.
+    ``MegaflowCache.lookup`` — a one-key burst, its entry touched —
+    then, on a hit, the EMC insert offered whether or not the EMC can
+    store, the megaflow-hit counters and the result; on a miss, the
+    upcall.  ``switch`` is the :class:`~repro.ovs.switch.OvsSwitch`
+    whose run it drains, ``batch`` the burst's
+    :class:`~repro.ovs.switch.BatchResult` it counts into.
 
     Retired by: ``repro.ovs.switch.OvsSwitch._flush_run`` — the run
     answered in chunks by ``lookup_batch`` (each scan answer passed
@@ -330,7 +331,6 @@ def flush_run_per_key(switch, run, batch, now: float,
     megaflow-hit counters folded per chunk, and no
     ``MicroflowCache.insert`` call when the EMC cannot store.
     """
-    stats = switch.stats
     for key in run:
         result = switch.megaflow.lookup(key, now)
         entry = result.entry
@@ -338,15 +338,8 @@ def flush_run_per_key(switch, run, batch, now: float,
             switch._finish_upcall(key, result, now, batch, materialize)
             continue
         switch.microflow.insert(key, entry, now)
-        forwarded = entry.action.is_forwarding()
-        stats.megaflow_hits += 1
-        stats.record_scan(result.tuples_scanned, result.hash_probes)
-        if forwarded:
-            stats.forwarded += 1
-        else:
-            stats.drops += 1
-        batch.tally(LookupPath.MEGAFLOW, forwarded, result.tuples_scanned,
-                    result.hash_probes)
+        batch.tally(LookupPath.MEGAFLOW, entry.action.is_forwarding(),
+                    result.tuples_scanned, result.hash_probes)
         if materialize:
             batch.results.append(PacketResult(
                 entry.action, LookupPath.MEGAFLOW, result.tuples_scanned,

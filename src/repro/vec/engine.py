@@ -541,16 +541,19 @@ class VecSwitch(OvsSwitch):
         now = self._advance(now)
         self.revalidator.maybe_sweep(now)
         batch = BatchResult()
+        rest = keys
         if self.microflow.occupancy:
             # the cache serves the burst's hit prefix itself; only what
             # follows the first non-hit is pre-scanned
             served = self._serve_emc_hits(keys, 0, now, batch, materialize)
             if served == len(keys):
-                return batch
-            if served:
-                keys = keys[served:]
-        self._prescan(keys)
-        self._resolve(keys, batch, now, materialize)
+                rest = None
+            elif served:
+                rest = keys[served:]
+        if rest is not None:
+            self._prescan(rest)
+            self._resolve(rest, batch, now, materialize)
+        self.stats.add(batch)
         return batch
 
     def _prescan(self, keys: Sequence[FlowKey]) -> None:

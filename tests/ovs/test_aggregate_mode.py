@@ -9,6 +9,7 @@ it in both modes; here are the cache-less backend, the bulk folds, the
 rebalancer's refusal and what an EMC-off burst costs.
 """
 
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -16,6 +17,7 @@ import pytest
 import repro.ovs.tss
 from repro.ovs.megaflow import MegaflowEntry
 from repro.ovs.microflow import MicroflowCache
+from repro.ovs.stats import COUNTERS
 from repro.ovs.switch import BatchResult, LookupPath, OvsSwitch
 from repro.perf.costmodel import KERNEL_PROFILE
 from repro.perf.factory import DatapathConfig, switch_for_profile
@@ -122,6 +124,64 @@ class TestBatchResult:
                     refold.tally(result.path, result.forwarded,
                                  result.tuples_scanned, result.hash_probes)
                 assert _counters(refold) == _counters(batch), (name, now)
+
+
+class TestStatsFoldOncePerBurst:
+    """``stats`` moves by exactly the burst's counters: the pipeline
+    counts into the burst's :class:`BatchResult` only, and the datapath
+    adds it to ``stats`` once, at the end of the burst."""
+
+    #: per-shard megaflow budget: the first burst's upcalls overflow it
+    FLOW_LIMIT = 8
+
+    def _datapaths(self, space):
+        profile = dataclasses.replace(KERNEL_PROFILE,
+                                      flow_limit=self.FLOW_LIMIT)
+        datapaths = [
+            ("ovs", lambda: switch_for_profile(profile, space=space,
+                                               seed=7)),
+            ("sharded-2", lambda: DatapathConfig(
+                profile, space, shards=2, seed=7,
+                rebalance_interval=0.0).dispatched(OvsSwitch)),
+            ("cacheless", lambda: CachelessDatapath(space)),
+        ]
+        if HAVE_NUMPY:
+            from repro.vec.engine import VecSwitch
+
+            datapaths.append(("vec", lambda: switch_for_profile(
+                profile, space=space, seed=7, switch_cls=VecSwitch)))
+        return datapaths
+
+    @pytest.mark.parametrize("materialize", [True, False])
+    def test_the_stats_delta_is_the_burst(self, k8s, materialize):
+        space, rules, keys = k8s
+        for name, build in self._datapaths(space):
+            datapath = build()
+            datapath.add_rules(rules)
+
+            def burst(keys, now):
+                before = [getattr(datapath.stats, f) for f in COUNTERS]
+                batch = datapath.process_batch(keys, now=now,
+                                               materialize=materialize)
+                delta = [getattr(datapath.stats, f) - was
+                         for f, was in zip(COUNTERS, before)]
+                assert delta == [getattr(batch, f) for f in COUNTERS], (
+                    name, now)
+                return batch
+
+            # installs until the flow limit, then rejected upcalls
+            first = burst(keys[:64], 0.1)
+            installed = [key for key, _entry in first.installed]
+            # what it installed, served by the EMC alone
+            hits = burst(installed, 0.2)
+            # one more key the full cache cannot take
+            rejected = burst(keys[-1:], 0.3)
+            if datapath.has_flow_cache:
+                assert first.upcalls_rejected > 0, name
+                assert hits.emc_hits == hits.packets == len(installed), name
+                assert rejected.upcalls_rejected == 1, name
+            else:
+                assert first.packets == 64 and not installed
 
 
 def _count(monkeypatch, counts, owner, name):

@@ -185,6 +185,37 @@ def test_batch_result_has_one_counter_fold():
     methods = {name for name, member in vars(BatchResult).items()
                if callable(member) and not name.startswith("__")}
     assert methods == {"tally"}
+    assert issubclass(BatchResult, SwitchStats)
+
+
+def _writes_a_stats_counter(target, counters):
+    """``stats.<counter>`` or ``<anything>.stats.<counter>``."""
+    return (
+        isinstance(target, ast.Attribute) and target.attr in counters
+        and (getattr(target.value, "id", None) == "stats"
+             or getattr(target.value, "attr", None) == "stats")
+    )
+
+
+def test_only_the_stats_module_writes_a_switch_stats_counter():
+    """A burst counts into its ``BatchResult`` and nowhere else; the
+    datapath adds it to ``stats`` once per burst, through
+    ``SwitchStats.add``.  No function outside ``ovs/stats.py`` assigns
+    or adds to a ``SwitchStats`` counter of a ``stats`` object."""
+    counters = {spec.name for spec in dataclasses.fields(SwitchStats)}
+    written = sorted({
+        f"{rel}:{node.lineno} {qualified}"
+        for rel, tree in _trees() if rel != "ovs/stats.py"
+        for qualified, function in _functions(tree)
+        for node in ast.walk(function)
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+        for attribute in ast.walk(target)
+        if _writes_a_stats_counter(attribute, counters)
+    })
+    assert not written, written
+    assert not hasattr(SwitchStats, "record_scan")
 
 
 def test_traced_entry_points_are_own_attributes():

@@ -16,7 +16,7 @@ from repro.net.addresses import ip_to_int
 from repro.net.ethernet import ETHERTYPE_IPV4
 from repro.net.ipv4 import PROTO_TCP
 from repro.ovs.pmd import RSS_FIELDS, ShardedDatapath, rss_hash, shard_seed
-from repro.ovs.stats import SwitchStats
+from repro.ovs.stats import COUNTERS, SwitchStats
 from repro.ovs.switch import OvsSwitch
 from repro.perf.costmodel import KERNEL_PROFILE
 from repro.perf.factory import DatapathConfig, switch_for_profile
@@ -352,6 +352,17 @@ class TestMergedStats:
         assert merged.upcalls == 2
         assert merged.tuples_scanned == 10
         assert merged.hash_probes == 5
+
+    def test_add_folds_every_counter(self):
+        """``add`` is spelled out field by field: a counter it missed
+        would vanish from every datapath's ``stats``."""
+        other = SwitchStats(**{name: 10 + i
+                               for i, name in enumerate(COUNTERS)})
+        folded = SwitchStats(**dict.fromkeys(COUNTERS, 1))
+        folded.add(other)
+        assert [getattr(folded, name) for name in COUNTERS] == [
+            11 + i for i in range(len(COUNTERS))
+        ]
 
     def test_merge_of_nothing_is_zero(self):
         assert dataclasses.asdict(SwitchStats.merge()) == dataclasses.asdict(

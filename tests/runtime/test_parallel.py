@@ -44,9 +44,14 @@ def k8s():
     return session.space, rules, keys
 
 
+def _profile(profile):
+    """A profile by name, or as given."""
+    return PROFILES.get(profile) if isinstance(profile, str) else profile
+
+
 def _serial(space, rules, shards, profile="kernel"):
     dp = DatapathConfig(
-        PROFILES.get(profile), space=space, shards=shards, seed=7, name="ref",
+        _profile(profile), space=space, shards=shards, seed=7, name="ref",
         rebalance_interval=0.0
     ).dispatched(OvsSwitch)
     dp.add_rules(rules)
@@ -55,7 +60,7 @@ def _serial(space, rules, shards, profile="kernel"):
 
 def _parallel(space, rules, shards, profile="kernel"):
     dp = DatapathConfig(
-        PROFILES.get(profile), space=space, name="ref", shards=shards,
+        _profile(profile), space=space, name="ref", shards=shards,
         seed=7, runtime="processes",
     ).build()
     dp.add_rules(rules)
@@ -121,6 +126,23 @@ class TestEquivalence:
                 ref = serial.process_batch(keys, now=now, materialize=False)
                 got = par.process_batch(keys, now=now)
                 assert _counters(got) == _counters(ref)
+            assert _final_state(par) == _final_state(serial)
+
+
+    def test_a_flow_limited_burst_has_the_inline_wire_tuple(self, k8s):
+        """A burst that fills the shards' flow limit rejects upcalls:
+        the worker's reply carries ``upcalls_rejected`` like every other
+        counter of the burst, so the parallel wire tuple is the inline
+        one and the merged stats agree."""
+        space, rules, keys = k8s
+        limited = dataclasses.replace(PROFILES.get("kernel"), flow_limit=8)
+        serial = _serial(space, rules, 2, profile=limited)
+        with _parallel(space, rules, 2, profile=limited) as par:
+            for now, burst in ((0.1, keys[:64]), (0.2, keys[64:96])):
+                ref = serial.process_batch(burst, now=now, materialize=False)
+                got = par.process_batch(burst, now=now)
+                assert ref.upcalls_rejected > 0
+                assert _counters(got) == _counters(ref), f"burst at t={now}"
             assert _final_state(par) == _final_state(serial)
 
 

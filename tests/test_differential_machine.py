@@ -62,6 +62,7 @@ from repro.flow.rule import FlowRule
 from repro.net.addresses import ip_to_int
 from repro.ovs.megaflow import CacheFullError
 from repro.ovs.pmd import shard_views
+from repro.ovs.stats import COUNTERS
 from repro.ovs.switch import BatchResult, LookupPath, OvsSwitch
 from repro.ovs.wildcarding import classify_with_wildcards, compile_rule_plan
 from repro.perf.costmodel import CostModel, DatapathProfile
@@ -155,6 +156,8 @@ def per_key_batch(datapath, keys, now, materialize):
         result = target.process(key, now=now)
         batch.tally(result.path, result.forwarded, result.tuples_scanned,
                     result.hash_probes)
+        if result.install_skipped:
+            batch.upcalls_rejected += 1
         if materialize:
             batch.results.append(result)
         if result.path is LookupPath.UPCALL and result.entry is not None:
@@ -183,9 +186,7 @@ def _batch_view(batch):
     # a multi-shard burst groups its installs per shard, the per-key
     # reference in key order: the same pairs, by key
     return (
-        (batch.packets, batch.tuples_scanned, batch.hash_probes,
-         batch.forwarded, batch.drops, batch.upcalls, batch.emc_hits,
-         batch.megaflow_hits),
+        tuple(getattr(batch, name) for name in COUNTERS),
         [(r.action, r.path, r.tuples_scanned, r.hash_probes, _entry(r.entry),
           r.install_skipped) for r in batch.results],
         [(key.packed, entry_view(entry)) for key, entry
