@@ -41,7 +41,7 @@ Groups = list[tuple[tuple[int, ...], dict[tuple[int, ...], FlowRule]]]
 
 
 def compile_groups(table: FlowTable) -> tuple[Groups, list[FlowRule]]:
-    """Group ``table``'s rules by mask signature (the ESwitch
+    """Group ``table``'s rules by their mask tuple (the ESwitch
     specialisation); rules constraining no field come back apart, in
     lookup order.
 
@@ -55,8 +55,7 @@ def compile_groups(table: FlowTable) -> tuple[Groups, list[FlowRule]]:
         if rule.match.is_wildcard():
             wildcard_rules.append(rule)
             continue
-        signature = rule.match.mask_signature()
-        bucket = groups.setdefault(signature, {})
+        bucket = groups.setdefault(rule.match.masks, {})
         existing = bucket.get(rule.match.values)
         if existing is None or rule.sort_key() < existing.sort_key():
             bucket[rule.match.values] = rule

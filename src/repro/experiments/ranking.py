@@ -14,7 +14,10 @@ This ablation measures exactly that, on the real TSS with the real
 Calico attack masks installed through the real slow path: two lookup
 streams (Zipf-skewed "benign" and round-robin "attack") are driven
 through insertion-ordered and ranked switches, and the measured mean
-``tuples_scanned`` per lookup is compared.  Ranking collapses the
+``tuples_scanned`` per lookup is compared.  The streams go straight to
+the TSS, with no clock and so no revalidator sweep: :func:`drive`
+re-ranks the subtables itself, after every ``resort_every``-th lookup
+(128 by default), in the sweep's place.  Ranking collapses the
 benign scan severalfold and buys nothing against the attack — it can
 even do slightly *worse* there, because the round-robin covert stream
 anti-correlates with each re-sort (it next visits exactly the
@@ -43,8 +46,8 @@ from repro.util.rng import DeterministicRng
 #: 8192 behaves identically but takes proportionally longer in Python)
 DEFAULT_MASKS = 512
 
-#: lookups between automatic ranked re-sorts in the ablation switches
-DEFAULT_RESORT_INTERVAL = 128
+#: lookups between the ranked re-sorts :func:`drive` runs
+DEFAULT_RESORT_EVERY = 128
 
 #: Zipf exponent for the benign stream (heavy-tailed flow popularity)
 ZIPF_ALPHA = 1.1
@@ -53,7 +56,6 @@ ZIPF_ALPHA = 1.1
 def build_attacked_switch(
     n_masks: int = DEFAULT_MASKS,
     scan_order: str = "insertion",
-    resort_interval: int = DEFAULT_RESORT_INTERVAL,
 ) -> OvsSwitch:
     """A switch whose megaflow cache holds the first ``n_masks`` masks
     of the real Calico attack, installed through the real slow path."""
@@ -61,7 +63,6 @@ def build_attacked_switch(
         space=OVS_FIELDS,
         name=f"ranking-{scan_order}-{n_masks}",
         scan_order=scan_order,
-        resort_interval=resort_interval,
     )
     policy, dimensions = calico_attack_policy()
     target = PolicyTarget(pod_ip=ip_to_int("10.0.9.10"), output_port=3, tenant="m")
@@ -117,20 +118,23 @@ def attack_stream(keys: Sequence[FlowKey], count: int) -> list[FlowKey]:
     return list(islice(cycle(keys), count))
 
 
-def drive(switch: OvsSwitch, stream: Iterable[FlowKey],
-          warmup: int = 0) -> float:
-    """Run a stream through the TSS; returns mean tuples scanned per
-    lookup over the post-warmup portion (warmup lets ranking converge)."""
+def drive(switch: OvsSwitch, stream: Iterable[FlowKey], warmup: int = 0,
+          resort_every: int = DEFAULT_RESORT_EVERY) -> float:
+    """Run a stream through the TSS, re-ranking a ranked subtable order
+    after every ``resort_every``-th lookup (0: never); returns mean
+    tuples scanned per lookup over the post-warmup portion (warmup lets
+    ranking converge)."""
     tss = switch.megaflow.tss
     stream = list(stream)
-    for key in stream[:warmup]:
-        tss.lookup(key)
     base_scanned = tss.total_tuples_scanned
-    base_lookups = tss.total_lookups
-    for key in stream[warmup:]:
+    for n, key in enumerate(stream, start=1):
         tss.lookup(key)
-    lookups = tss.total_lookups - base_lookups
-    if not lookups:
+        if resort_every and n % resort_every == 0:
+            tss.resort()
+        if n == warmup:
+            base_scanned = tss.total_tuples_scanned
+    lookups = len(stream) - warmup
+    if lookups <= 0:
         raise ValueError("empty measurement stream")
     return (tss.total_tuples_scanned - base_scanned) / lookups
 
@@ -151,7 +155,7 @@ def run_ranking_ablation(
     lookups: int = 2048,
     warmup: int = 1024,
     seed: int = 7,
-    resort_interval: int = DEFAULT_RESORT_INTERVAL,
+    resort_every: int = DEFAULT_RESORT_EVERY,
 ) -> list[RankingRow]:
     """Measure mean scan depth for {benign, attack} × {insertion,
     ranked}; ranking must help the former and not the latter."""
@@ -159,9 +163,7 @@ def run_ranking_ablation(
     for traffic in ("benign-skewed", "attack"):
         baseline = None
         for scan_order in ("insertion", "ranked"):
-            switch = build_attacked_switch(
-                n_masks, scan_order=scan_order, resort_interval=resort_interval
-            )
+            switch = build_attacked_switch(n_masks, scan_order=scan_order)
             keys = megaflow_keys(switch)
             if traffic == "benign-skewed":
                 stream = benign_stream(
@@ -169,7 +171,8 @@ def run_ranking_ablation(
                 )
             else:
                 stream = attack_stream(keys, warmup + lookups)
-            avg = drive(switch, stream, warmup=warmup)
+            avg = drive(switch, stream, warmup=warmup,
+                        resort_every=resort_every)
             if baseline is None:
                 baseline = avg
             rows.append(

@@ -171,17 +171,9 @@ class FlowMatch:
             if mask:
                 yield spec, value, mask
 
-    def mask_signature(self) -> tuple[int, ...]:
-        """The mask tuple alone — the identity of a TSS tuple/subtable."""
-        return self.masks
-
     def specificity(self) -> int:
         """Total number of exactly-matched bits (popcount of all masks)."""
         return sum(popcount(mask) for mask in self.masks)
-
-    def apply_mask(self, key: FlowKey) -> tuple[int, ...]:
-        """Mask a key down to this match's mask (the TSS hash input)."""
-        return tuple(kv & mask for kv, mask in zip(key.values, self.masks))
 
     # -- dunder ------------------------------------------------------------
 
@@ -250,14 +242,6 @@ class MatchBuilder:
     def ip_dst(self, address: str | int) -> "MatchBuilder":
         """Exact-match the IP destination address."""
         return self.field("ip_dst", ip_to_int(address))
-
-    def tp_port_range(self, name: str, low: int, high: int) -> "MatchBuilder":
-        """Port ranges are not a single mask; use
-        :func:`port_range_to_prefixes` and emit one rule per prefix."""
-        raise NotImplementedError(
-            "a port range maps to multiple prefix matches; "
-            "use port_range_to_prefixes() and one rule per prefix"
-        )
 
     def build(self) -> FlowMatch:
         """Materialise the accumulated fields."""

@@ -102,17 +102,12 @@ class MegaflowCache:
         idle_timeout: float = DEFAULT_IDLE_TIMEOUT,
         staged: bool = False,
         scan_order: str = "insertion",
-        resort_interval: int = 0,
     ) -> None:
         self.space = space
         self.flow_limit = flow_limit
         self.idle_timeout = idle_timeout
-        self.tss = TupleSpaceSearch(
-            space,
-            staged=staged,
-            scan_order=scan_order,
-            resort_interval=resort_interval,
-        )
+        self.tss = TupleSpaceSearch(space, staged=staged,
+                                    scan_order=scan_order)
         self.inserts = 0
         self.rejected_inserts = 0
         self.expired_total = 0
@@ -191,11 +186,6 @@ class MegaflowCache:
         entry.subtable = tss.insert_at(found, packed_mask, packed_value, entry)
         self.inserts += 1
         return entry
-
-    def resort_subtables(self) -> None:
-        """Re-rank the TSS subtable order by recent hits (no-op unless
-        ``scan_order="ranked"``) — the revalidator sweep's hook."""
-        self.tss.resort()
 
     def remove_entry(self, entry: MegaflowEntry) -> None:
         """Evict one entry.  Removal is by identity: an entry that was

@@ -62,12 +62,14 @@ class Revalidator:
         return evicted
 
     def sweep(self, now: float) -> int:
-        """Unconditionally evict idle megaflows (and clean the EMC)."""
+        """Unconditionally evict idle megaflows (and clean the EMC),
+        then re-rank a ranked subtable order — the tuple space's one
+        re-sort, always between bursts."""
         self.last_sweep = now
         self.sweeps += 1
         evicted = self.cache.expire_idle(now)
         self.evicted_total += evicted
         if evicted and self.microflow is not None:
             self.microflow.invalidate_dead()
-        self.cache.resort_subtables()
+        self.cache.tss.resort()
         return evicted

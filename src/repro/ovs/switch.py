@@ -136,7 +136,6 @@ class OvsSwitch:
         emc_insertion_prob: float = 1.0,
         staged_lookup: bool = False,
         scan_order: str = "insertion",
-        resort_interval: int = 0,
         rng: DeterministicRng | None = None,
     ) -> None:
         self.name = name
@@ -148,7 +147,6 @@ class OvsSwitch:
             idle_timeout=idle_timeout,
             staged=staged_lookup,
             scan_order=scan_order,
-            resort_interval=resort_interval,
         )
         self.microflow = MicroflowCache(
             entries=emc_entries,

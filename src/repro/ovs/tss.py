@@ -25,13 +25,13 @@ the reference the differential machine holds it to
 
 With *subtable ranking* (``scan_order="ranked"``) subtables live in a
 pvector-style list that is periodically re-sorted by recent hit count
-(OVS's dpcls subtable ranking), either explicitly via :meth:`resort` —
-the revalidator sweep calls it — or automatically every
-``resort_interval`` lookups.  Ranking makes *benign* heavy-tailed
-traffic cheap (hot subtables move to the front) but does **not** blunt
-the attack: the covert stream spreads hits uniformly across every
-subtable, so no ordering beats any other — the expected scan stays
-``(n+1)/2`` (the ``experiments/ranking.py`` ablation measures both).
+(OVS's dpcls subtable ranking) via :meth:`resort`, which the
+revalidator sweep calls on its timer — between bursts, never inside
+one.  Ranking makes *benign* heavy-tailed traffic cheap (hot subtables
+move to the front) but does **not** blunt the attack: the covert
+stream spreads hits uniformly across every subtable, so no ordering
+beats any other — the expected scan stays ``(n+1)/2`` (the
+``experiments/ranking.py`` ablation measures both).
 
 The optional *staged lookup* models the OVS optimisation of the same
 name: each subtable's mask is split into stages (metadata / L2 / L3 /
@@ -213,9 +213,8 @@ class TupleSpaceSearch:
       matching the kernel datapath's mask array;
     * ``"ranked"`` — OVS's netdev-datapath subtable ranking: a cached
       pvector-style list re-sorted by recent hit count only when
-      :meth:`resort` runs (the revalidator sweep calls it) or every
-      ``resort_interval`` lookups.  Between re-sorts the scan pays no
-      ordering cost at all.
+      :meth:`resort` runs (the revalidator sweep calls it).  Between
+      re-sorts the scan pays no ordering cost at all.
 
     Subtables are addressed by their packed mask and entries by their
     packed masked key — a :attr:`~repro.flow.match.FlowMatch.packed`
@@ -227,20 +226,14 @@ class TupleSpaceSearch:
         space: FieldSpace,
         staged: bool = False,
         scan_order: str = "insertion",
-        resort_interval: int = 0,
     ) -> None:
         if scan_order not in SCAN_ORDERS:
             raise ValueError(
                 f"unknown scan_order {scan_order!r}; valid: {SCAN_ORDERS}"
             )
-        if resort_interval < 0:
-            raise ValueError("resort_interval must be >= 0")
         self.space = space
         self.staged = staged
         self.scan_order = scan_order
-        #: lookups between automatic ranked re-sorts (0 = only explicit
-        #: / revalidator-driven re-sorts)
-        self.resort_interval = resort_interval
         self._subtables: dict[int, Subtable] = {}
         # running total of entries over all subtables, kept by insert /
         # remove / clear — the only paths that may mutate a subtable
@@ -248,7 +241,6 @@ class TupleSpaceSearch:
         # the pvector: ranked scan order, compacted lazily after removals
         self._scan_list: list[Subtable] = []
         self._scan_dead = 0
-        self._lookups_since_resort = 0
         self.resorts = 0
         #: advanced by every write that can change what a scan answers —
         #: ``insert_at`` (``insert`` lands there), ``remove``, ``clear``
@@ -401,7 +393,6 @@ class TupleSpaceSearch:
         tables.sort(key=lambda s: (-s.rank_hits, s.created_seq))
         for subtable in tables:
             subtable.rank_hits /= 2.0
-        self._lookups_since_resort = 0
         self.resorts += 1
         self.generation += 1
 
@@ -462,34 +453,22 @@ class TupleSpaceSearch:
         remainder after handling the miss.  Within the prefix the call
         is *exactly* equivalent to looking the keys up one at a time:
         same entries, same ``tuples_scanned``/``hash_probes``, same hit
-        crediting and accounting, and ranked auto-re-sorts fire on the
-        same lookup they would sequentially.
+        crediting and accounting.  Nothing re-sorts the scan list
+        inside a burst (only the revalidator's sweep does, between
+        bursts), so every key of it sees the same pvector.
 
-        Three steps, each written once and run in every configuration:
-        :meth:`_capped` stops the burst at the next ranked re-sort, the
-        pure :meth:`_scan` answers the keys (staged, it also counts each
-        key's stage probes), and :meth:`_consume` applies the answers.
-        A subclass that finds the answers another way (the columnar
-        engine) replaces only the middle step.  The per-key scan this
-        is held to is :class:`repro.testing.oracles.TupleKeyedSearch`.
+        Two steps, each written once and run in every configuration:
+        the pure :meth:`_scan` answers the keys (staged, it also counts
+        each key's stage probes), and :meth:`_consume` applies the
+        answers.  A subclass that finds the answers another way (the
+        columnar engine) replaces only the first.  The per-key scan
+        this is held to is :class:`repro.testing.oracles.TupleKeyedSearch`.
         """
         if not keys:
             return []
-        keys = self._capped(keys)
         probes = [0] * len(keys) if self.staged else None
         return self._consume(self._scan(keys, probes), len(self._subtables),
                              probes)
-
-    def _capped(self, keys: Sequence[FlowKey]) -> Sequence[FlowKey]:
-        """``keys`` cut where a sequential caller would hit the ranked
-        auto-re-sort, so every key of the burst sees the same frozen
-        pvector and the re-sort can only fall due on the burst's last
-        lookup."""
-        if self.scan_order == "ranked" and self.resort_interval:
-            room = self.resort_interval - self._lookups_since_resort
-            if room < len(keys):
-                return keys[:room]
-        return keys
 
     def _scan(self, keys: Sequence[FlowKey],
               probes: list[int] | None = None) -> list:
@@ -553,11 +532,7 @@ class TupleSpaceSearch:
         :meth:`_scan` left in ``probes``, which also sum to the burst's
         ``total_hash_probes``.  Each hit credits its subtable inline,
         once per key.  The accounting is pure counter addition, so the
-        burst's is summed; per-key order only matters for the ranked
-        auto-resort tick, and :meth:`_capped` guarantees the burst
-        cannot cross a resort boundary before its final consumed
-        lookup — applying the summed tick afterwards fires the same
-        resort at the same lookup count as one lookup per key.
+        burst's is summed.
         """
         results: list[TssLookupResult] = []
         scanned = 0
@@ -579,10 +554,6 @@ class TupleSpaceSearch:
         self.total_tuples_scanned += scanned
         self.total_hash_probes += (scanned if probes is None
                                    else sum(probes[:consumed]))
-        if self.scan_order == "ranked" and self.resort_interval:
-            self._lookups_since_resort += consumed
-            if self._lookups_since_resort >= self.resort_interval:
-                self.resort()
         return results
 
     def iter_entries(self) -> Iterator[tuple[int, int, object]]:

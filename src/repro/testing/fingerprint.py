@@ -7,9 +7,15 @@ engine answered their lookups.  Entries are compared by value — match,
 packed form, action, hits, times — so the two sides never need to share
 an object, and floats that accumulate (``rank_hits``, charged cycles,
 the series) are compared by ``float.hex``.
+
+A run compared with a *committed* record goes by digest instead:
+:func:`result_digest` is what ``tests/golden/`` holds per preset and
+seed.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 from repro.ovs.megaflow import MegaflowEntry
 from repro.ovs.pmd import shard_views
@@ -36,8 +42,7 @@ def _shard(switch) -> dict:
                      float(subtable.rank_hits).hex(), len(subtable))
                     for subtable in tss.subtables()],
         "tss": (tss.total_lookups, tss.total_tuples_scanned,
-                tss.total_hash_probes, tss.resorts,
-                tss._lookups_since_resort),
+                tss.total_hash_probes, tss.resorts),
         "megaflows": [entry_view(entry) for entry in cache.entries()],
         "cache": (cache.inserts, cache.rejected_inserts, cache.expired_total),
         "emc": [(index, [(slot.key.values, slot.last_used,
@@ -109,3 +114,20 @@ def fingerprint(datapath, sim=None) -> dict:
     if sim is not None:
         state["sim"] = _simulator(sim)
     return state
+
+
+def series_digest(series) -> str:
+    """SHA-256 over a campaign's whole time series, as
+    ``repr((columns, rows))``: float-exact, since ``repr`` round-trips."""
+    return hashlib.sha256(
+        repr((series.columns, series.rows)).encode()
+    ).hexdigest()
+
+
+def result_digest(result) -> str:
+    """SHA-256 of one :class:`~repro.scenario.session.ScenarioResult`:
+    a campaign by its series (:func:`series_digest`), a probe-mode run
+    (no series) by its rendered megaflow table."""
+    if result.report is None:
+        return hashlib.sha256(result.render().encode()).hexdigest()
+    return series_digest(result.series)

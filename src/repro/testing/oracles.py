@@ -127,9 +127,8 @@ class TupleKeyedSearch(TupleSpaceSearch):
 
     def lookup_batch(self, keys) -> list[TssLookupResult]:
         """Staged, the burst as a sequential caller makes it: key by
-        key through :meth:`lookup`, up to the ranked re-sort cap and
-        the first miss.  Unstaged, the inherited burst over
-        :meth:`_scan` below.
+        key through :meth:`lookup`, up to the first miss.  Unstaged,
+        the inherited burst over :meth:`_scan` below.
 
         Retired by: ``repro.ovs.tss.TupleSpaceSearch._scan`` — staged
         probes are summed per key in the one subtable-major scan, and
@@ -138,7 +137,7 @@ class TupleKeyedSearch(TupleSpaceSearch):
         if not self.staged:
             return super().lookup_batch(keys)
         results = []
-        for key in self._capped(keys):
+        for key in keys:
             result = self.lookup(key)
             results.append(result)
             if not result.hit:
@@ -149,10 +148,6 @@ class TupleKeyedSearch(TupleSpaceSearch):
         self.total_lookups += 1
         self.total_tuples_scanned += tuples_scanned
         self.total_hash_probes += hash_probes
-        if self.scan_order == "ranked" and self.resort_interval:
-            self._lookups_since_resort += 1
-            if self._lookups_since_resort >= self.resort_interval:
-                self.resort()
 
     def _scan(self, keys, probes=None) -> list:
         """Key by key, the first subtable holding the masked tuple

@@ -1,6 +1,6 @@
 """The vectorized datapath engine the ``ovs`` backend runs on NumPy.
 
-The burst pipeline — cap, scan, consume; serve the EMC's hits, gather
+The burst pipeline — scan, consume; serve the EMC's hits, gather
 the misses into runs, drain the runs — is the reference classes' own
 (:mod:`repro.ovs.tss`, :mod:`repro.ovs.switch`).  This module changes
 only *where the answers come from*, and every piece of it is pure:
@@ -120,8 +120,7 @@ class DenseMirror(NamedTuple):
 class VecTupleSpaceSearch(TupleSpaceSearch):
     """Tuple space search with a NumPy-columnar burst lookup."""
 
-    #: below this many keys the scalar scan wins on constant factors
-    #: (also keeps ranked resort-capped stubs off the dense path);
+    #: below this many keys the scalar scan wins on constant factors;
     #: results are identical either way
     VEC_MIN_BATCH = 16
     #: average entries per subtable above which the dense mirror is not
@@ -150,14 +149,8 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
         space: FieldSpace,
         staged: bool = False,
         scan_order: str = "insertion",
-        resort_interval: int = 0,
     ) -> None:
-        super().__init__(
-            space,
-            staged=staged,
-            scan_order=scan_order,
-            resort_interval=resort_interval,
-        )
+        super().__init__(space, staged=staged, scan_order=scan_order)
         self.codec = LaneCodec(space)
         # the dense mirror and the scan memo are stamped with the
         # inherited ``generation``.  The mirror's stamp never moves; the
@@ -466,7 +459,6 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
             results = super().lookup_batch(keys)
             self.path_lookups[self._scalar_reason] += len(results)
             return results
-        keys = self._capped(keys)
         n_tables = len(self._subtables)
         generation = self.generation
         answered = self._answered_generation
@@ -525,10 +517,7 @@ class VecSwitch(OvsSwitch):
         # slow path and revalidator see the swap transparently
         tss = self.megaflow.tss
         self.megaflow.tss = VecTupleSpaceSearch(
-            space,
-            staged=tss.staged,
-            scan_order=tss.scan_order,
-            resort_interval=tss.resort_interval,
+            space, staged=tss.staged, scan_order=tss.scan_order,
         )
 
     # -- the vectorized batch pipeline --------------------------------------

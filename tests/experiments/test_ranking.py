@@ -16,7 +16,7 @@ from repro.scenario.spec import ScenarioSpec
 from repro.util.rng import DeterministicRng
 
 #: small enough for the tier-1 suite, large enough for ranking to bite
-SMALL = dict(n_masks=64, lookups=512, warmup=256, resort_interval=32)
+SMALL = dict(n_masks=64, lookups=512, warmup=256, resort_every=32)
 
 
 @pytest.fixture(scope="module")

@@ -82,21 +82,9 @@ class TestFlowMatch:
         assert a.overlaps(b) and b.overlaps(a)
         assert not a.overlaps(c)
 
-    def test_mask_signature_identity(self):
-        a = FlowMatch(OVS_FIELDS, {"ip_src": (1, 0xFFFFFFFF)})
-        b = FlowMatch(OVS_FIELDS, {"ip_src": (2, 0xFFFFFFFF)})
-        assert a.mask_signature() == b.mask_signature()
-
     def test_specificity(self):
         match = FlowMatch(OVS_FIELDS, {"ip_src": (0, 0xFF000000), "tp_dst": (80, 0xFFFF)})
         assert match.specificity() == 8 + 16
-
-    def test_apply_mask(self):
-        match = FlowMatch(OVS_FIELDS, {"ip_src": (0x0A000000, 0xFF000000)})
-        key = FlowKey(OVS_FIELDS, {"ip_src": 0x0A112233, "tp_dst": 80})
-        masked = match.apply_mask(key)
-        assert masked[OVS_FIELDS.index_of("ip_src")] == 0x0A000000
-        assert masked[OVS_FIELDS.index_of("tp_dst")] == 0
 
     def test_builder_helpers(self):
         match = (
@@ -112,10 +100,6 @@ class TestFlowMatch:
             {"ip_src": 0x0A00000A, "ip_dst": 0x0A000014, "ip_proto": 6, "tp_dst": 80},
         )
         assert match.matches(key)
-
-    def test_port_range_builder_is_explicitly_unsupported(self):
-        with pytest.raises(NotImplementedError):
-            MatchBuilder(OVS_FIELDS).tp_port_range("tp_dst", 80, 90)
 
 
 @st.composite

@@ -110,7 +110,6 @@ class TestTssLookupBatch:
             tss = switch.megaflow.tss
             switch.megaflow.tss = TupleKeyedSearch(
                 OVS_FIELDS, staged=tss.staged, scan_order=tss.scan_order,
-                resort_interval=tss.resort_interval,
             )
         covert = CovertStreamGenerator(
             dimensions, dst_ip=ip_to_int("10.0.9.10")
@@ -131,20 +130,22 @@ class TestTssLookupBatch:
         assert tss.total_lookups == reference.total_lookups
         assert tss.total_tuples_scanned == reference.total_tuples_scanned
 
-    def test_a_staged_ranked_burst_stops_at_the_resort_and_matches_the_oracle(self):
-        config = {"staged_lookup": True, "scan_order": "ranked",
-                  "resort_interval": 5}
+    def test_a_staged_ranked_burst_after_a_resort_matches_the_oracle(self):
+        config = {"staged_lookup": True, "scan_order": "ranked"}
         tss, covert = self._tss_with_keys(**config)
         reference, _ = self._tss_with_keys(oracle=True, **config)
         alien = FlowKey(OVS_FIELDS, {"ip_src": 1, "ip_dst": 2})
+        first = tss.lookup_batch(covert[5:8])
+        assert [r.tuples_scanned for r in first] == [6, 7, 8]
+        per_key = [reference.lookup(key) for key in covert[5:8]]
+        # the three hit subtables move to the front of the pvector
+        tss.resort()
+        reference.resort()
         burst = covert[:7] + [alien]
-        first = tss.lookup_batch(burst)
-        # capped at the auto-re-sort, which fired on the 5th lookup
-        assert len(first) == 5
-        assert tss.resorts == 1
-        rest = tss.lookup_batch(burst[5:])
-        assert [r.hit for r in rest] == [True, True, False]
-        per_key = [reference.lookup(key) for key in burst]
+        rest = tss.lookup_batch(burst)
+        assert [r.hit for r in rest] == [True] * 7 + [False]
+        assert [r.tuples_scanned for r in rest[4:7]] == [8, 1, 2]
+        per_key += [reference.lookup(key) for key in burst]
 
         def seen(results):
             return [(r.hit, r.tuples_scanned, r.hash_probes,
@@ -167,17 +168,6 @@ class TestTssLookupBatch:
         assert [r.hit for r in results] == [True, True, True, False]
         assert results[3].tuples_scanned == tss.mask_count
         assert tss.total_lookups == 4
-
-    def test_ranked_burst_stops_at_resort_boundary(self):
-        tss, covert = self._tss_with_keys(
-            scan_order="ranked", resort_interval=5
-        )
-        assert tss.resorts == 0
-        results = tss.lookup_batch(covert)
-        # capped at the auto-re-sort, which fired on the 5th lookup
-        assert len(results) == 5
-        assert tss.resorts == 1
-        assert tss.lookup_batch(covert[5:]) is not None
 
     def test_empty_burst(self):
         tss, _covert = self._tss_with_keys()

@@ -15,9 +15,12 @@ from pathlib import Path
 import pytest
 
 from repro.ovs.pmd import PmdRebalancer, RetaDispatcher, ShardedDatapath
+from repro.ovs.megaflow import MegaflowCache
 from repro.ovs.revalidator import Revalidator
 from repro.ovs.switch import OvsSwitch
+from repro.ovs.tss import TupleSpaceSearch
 from repro.runtime.parallel import ParallelDatapath
+from repro.vec import HAVE_NUMPY
 
 SRC = Path(__file__).resolve().parent.parent.parent / "src"
 
@@ -91,7 +94,9 @@ def test_only_the_lifecycle_and_the_overlapped_rounds_ask_about_workers():
 
 def test_constructors_take_no_dead_knobs():
     """The auto-lb has one knob, its interval; the revalidator has
-    none — it sweeps on its module constant and re-sorts every sweep."""
+    none — it sweeps on its module constant and re-sorts every sweep,
+    the tuple space's only re-sort, so no layer under the switch takes
+    a re-sort cadence either."""
     def knobs(cls):
         return set(inspect.signature(cls.__init__).parameters) - {"self"}
 
@@ -103,5 +108,13 @@ def test_constructors_take_no_dead_knobs():
     assert knobs(OvsSwitch) == {
         "space", "name", "flow_limit", "idle_timeout", "emc_entries",
         "emc_ways", "emc_insertion_prob", "staged_lookup", "scan_order",
-        "resort_interval", "rng",
+        "rng",
     }
+    assert knobs(MegaflowCache) == {
+        "space", "flow_limit", "idle_timeout", "staged", "scan_order",
+    }
+    assert knobs(TupleSpaceSearch) == {"space", "staged", "scan_order"}
+    if HAVE_NUMPY:
+        from repro.vec.engine import VecTupleSpaceSearch
+
+        assert knobs(VecTupleSpaceSearch) == knobs(TupleSpaceSearch)

@@ -30,9 +30,12 @@ STATEFUL = {
     "_flush_run": "ovs/switch.py",
     "_finish_upcall": "ovs/switch.py",
 }
-#: the forks this replaced — gone, under any spelling
+#: the forks this replaced, and the lookup-count re-sort trigger with
+#: its burst cap (the revalidator's sweep is the one re-sort) — gone,
+#: under any spelling
 RETIRED = ("_finish_microflow_hit", "_finish_megaflow_hit",
-           "_resolve_absent", "_resolve_mixed")
+           "_resolve_absent", "_resolve_mixed", "_capped",
+           "_lookups_since_resort", "resort_interval", "resort_subtables")
 #: counters the reference classes own: nothing under ``vec/`` adds to one
 REFERENCE_COUNTERS = (
     {spec.name for spec in dataclasses.fields(SwitchStats)}
@@ -86,6 +89,7 @@ def test_the_retired_forks_are_gone_under_any_name():
         for rel, tree in _trees() for node in ast.walk(tree)
         if getattr(node, "name", None) in RETIRED
         or getattr(node, "attr", None) in RETIRED
+        or getattr(node, "arg", None) in RETIRED  # a parameter or keyword
     ]
     assert not mentions, mentions
 
@@ -101,7 +105,6 @@ def test_the_vec_classes_restate_no_pipeline_step():
     ]
     assert not restated, restated
     assert "_consume" not in vars(VecTupleSpaceSearch)
-    assert "_capped" not in vars(VecTupleSpaceSearch)
 
 
 def test_vec_builds_only_hit_answers_and_writes_no_reference_counter():

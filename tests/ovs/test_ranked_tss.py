@@ -88,21 +88,23 @@ class TestModeEquivalence:
         st.lists(st.integers(0, 255), min_size=4, max_size=24),
     )
     def test_resorted_ranked_returns_identical_entries(self, raw_entries, probes):
-        """After re-sorting, ranked may scan fewer subtables but must
-        still return exactly the same entry for every key."""
+        """After re-sorting (here every third lookup), ranked may scan
+        fewer subtables but must still return exactly the same entry
+        for every key."""
         space = toy_single_field_space()
         regions = _disjoint_regions(raw_entries)
         insertion = TupleSpaceSearch(space, scan_order="insertion")
-        ranked = TupleSpaceSearch(space, scan_order="ranked", resort_interval=3)
+        ranked = TupleSpaceSearch(space, scan_order="ranked")
         for mask, masked in regions:
             insertion.insert(mask, masked, (mask, masked))
             ranked.insert(mask, masked, (mask, masked))
-        for probe in probes:
+        for n, probe in enumerate(probes, start=1):
             key = FlowKey(space, {"ip_src": probe})
             assert ranked.lookup(key).entry == insertion.lookup(key).entry
+            if n % 3 == 0:
+                ranked.resort()
 
-    @pytest.mark.parametrize("scan_order, resort_interval",
-                             [("insertion", 0), ("ranked", 3)])
+    @pytest.mark.parametrize("scan_order", ["insertion", "ranked"])
     @settings(max_examples=40, deadline=None)
     @given(
         st.lists(
@@ -113,16 +115,15 @@ class TestModeEquivalence:
         st.lists(st.lists(st.integers(0, 255), min_size=1, max_size=8),
                  min_size=1, max_size=4),
     )
-    def test_bursts_agree_with_the_oracle(self, scan_order, resort_interval,
-                                          raw_entries, bursts):
+    def test_bursts_agree_with_the_oracle(self, scan_order, raw_entries,
+                                          bursts):
         """``lookup_batch`` answers every burst as the tuple-keyed
         oracle's key-major scan does — same prefix, entries and
-        accounting, re-sorts on the same lookup — with a subtable
-        destroyed between bursts."""
+        accounting — with a subtable destroyed and the pvector
+        re-sorted between bursts."""
         space = toy_single_field_space()
         regions = _disjoint_regions(raw_entries)
-        searches = [search(space, scan_order=scan_order,
-                           resort_interval=resort_interval)
+        searches = [search(space, scan_order=scan_order)
                     for search in (TupleSpaceSearch, TupleKeyedSearch)]
         for mask, masked in regions:
             for tss in searches:
@@ -133,18 +134,19 @@ class TestModeEquivalence:
                                for r in tss.lookup_batch(keys)]
                               for tss in searches)
             assert packed == oracle and packed
-            if i < len(regions):
-                for tss in searches:
+            for tss in searches:
+                if i < len(regions):
                     tss.remove(*regions[i])
+                tss.resort()
             assert len({(t.total_lookups, t.total_tuples_scanned,
                          t.total_hash_probes, t.resorts, t.mask_count)
                         for t in searches}) == 1
 
 
 class TestRanking:
-    def _two_table_tss(self, **kwargs):
+    def _two_table_tss(self):
         space = toy_single_field_space()
-        tss = TupleSpaceSearch(space, scan_order="ranked", **kwargs)
+        tss = TupleSpaceSearch(space, scan_order="ranked")
         tss.insert(0xF0, 0x20, "cold")  # created first: scanned first
         tss.insert(0xFF, 0x01, "hot")
         return space, tss
@@ -160,14 +162,6 @@ class TestRanking:
         assert tss.lookup(hot_key).tuples_scanned == 1
         # and the cold entry is still found (now at position 2)
         assert tss.lookup(FlowKey(space, {"ip_src": 0x25})).entry == "cold"
-
-    def test_auto_resort_interval(self):
-        space, tss = self._two_table_tss(resort_interval=4)
-        hot_key = FlowKey(space, {"ip_src": 0x01})
-        for _ in range(8):
-            tss.lookup(hot_key)
-        assert tss.resorts >= 1
-        assert tss.lookup(hot_key).tuples_scanned == 1
 
     def test_resort_decays_rank_counters(self):
         space, tss = self._two_table_tss()

@@ -293,9 +293,6 @@ def _simulator(datapath, config, oracle):
 
 # -- strategies ------------------------------------------------------------
 
-#: a resort interval of 5 lands inside most bursts, one of 1 caps every
-#: chunk at one key
-RANKED = [("ranked", 0), ("ranked", 5), ("ranked", 1)]
 #: what every point draws.  A repeated choice weighs the draw (the first
 #: one is what shrinking reaches for)
 _axes = {
@@ -317,14 +314,14 @@ _axes = {
     }),
 }
 #: what a point pins: engine, shards with the rebalancer, staging and
-#: scan order (the resort interval drawn)
+#: scan order.  A ranked pvector is re-sorted by the revalidator's
+#: sweeps, between bursts, and by ``cache_episode``'s ``resort``
 POINTS = {
     f"{engine.__name__}-{shards}shard{'-rebalanced' * rebalancer}"
     f"{'-staged' * staged}-{order}": {
         "engine": st.just(engine), "shards": st.just(shards),
         "rebalancer": st.just(rebalancer), "staged": st.just(staged),
-        "order": (st.just(("insertion", 0)) if order == "insertion"
-                  else st.sampled_from(RANKED)),
+        "order": st.just(order),
     }
     for engine in ENGINES
     for shards, rebalancer in ((1, False), (2, False), (2, True))
@@ -409,7 +406,7 @@ class DifferentialMachine(RuleBasedStateMachine):
         self.config = config
         self.shards = config["shards"]
         self.rebalancing = config["rebalancer"] and self.shards > 1
-        scan_order, resort_interval = config["order"]
+        scan_order = config["order"]
         emc_entries, emc_ways, emc_insertion_prob = config["emc"]
         profile = DatapathProfile(
             name="machine", emc_entries=emc_entries, emc_ways=emc_ways,
@@ -426,8 +423,6 @@ class DifferentialMachine(RuleBasedStateMachine):
 
         def datapath(switch_cls):
             built = datapath_config._assemble(switch_cls)
-            for shard in shard_views(built):
-                shard.megaflow.tss.resort_interval = resort_interval
             built.add_rules(RULES)
             return built
 
@@ -444,7 +439,6 @@ class DifferentialMachine(RuleBasedStateMachine):
             cache = shard.megaflow
             cache.tss = oracles.TupleKeyedSearch(
                 OVS_FIELDS, staged=config["staged"], scan_order=scan_order,
-                resort_interval=resort_interval,
             )
             cache.expire_idle = MethodType(oracles.expire_idle_full_pass,
                                            cache)
@@ -780,7 +774,7 @@ class DifferentialMachine(RuleBasedStateMachine):
                     cache.tss.clear()
             else:
                 for cache in caches:
-                    cache.resort_subtables()
+                    cache.tss.resort()
 
     @rule(shard=st.integers(0, 1), mask=st.integers(0, len(MASKS) - 1),
           key=_episode_key,

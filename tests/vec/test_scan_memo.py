@@ -57,10 +57,10 @@ VICTIM_RULE = FlowRule(
 )
 
 
-def _build(cls, scan_order="insertion", resort_interval=0,
-           emc_entries=8192, emc_insertion_prob=1.0):
+def _build(cls, scan_order="insertion", emc_entries=8192,
+           emc_insertion_prob=1.0):
     switch = cls(space=OVS_FIELDS, name="memo-test", scan_order=scan_order,
-                 resort_interval=resort_interval, emc_entries=emc_entries,
+                 emc_entries=emc_entries,
                  emc_insertion_prob=emc_insertion_prob)
     switch.add_rules(RULES + [VICTIM_RULE])
     switch.process_batch(COVERT[:INSTALLED], now=0.0, materialize=False)
@@ -243,7 +243,7 @@ def _retire_by_clear(switch):
 
 
 def _retire_by_resort(switch):
-    switch.megaflow.resort_subtables()
+    switch.megaflow.tss.resort()
 
 
 class TestTheMemoOutlivesItsBurst:
@@ -497,13 +497,13 @@ class TestStaleMemoIsNeverConsumed:
     def test_ranked_resort(self):
         ref, vec, tss, keys = self._prescanned(scan_order="ranked")
         for switch in (ref, vec):
-            switch.megaflow.resort_subtables()
+            switch.megaflow.tss.resort()
         self._check(ref, vec, tss, keys)
 
     def test_resort_is_not_a_mutation_in_insertion_order(self):
         ref, vec, tss, keys = self._prescanned()
         generation = tss.generation
-        vec.megaflow.resort_subtables()
+        vec.megaflow.tss.resort()
         assert tss.generation == generation
         before = tss.path_lookups["memo"]
         tss.lookup_batch(keys)

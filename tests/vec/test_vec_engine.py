@@ -167,19 +167,20 @@ class TestVecTssLookupBatch:
         assert not vec_results[-1].hit
         assert _counters(vec) == _counters(ref)
 
-    def test_ranked_burst_stops_at_resort_boundary(self):
-        ref, vec, covert = _tss_pairs(
-            scan_order="ranked", resort_interval=21
-        )
-        ref_results = ref.lookup_batch(covert[:64])
-        vec_results = vec.lookup_batch(covert[:64])
-        # capped at the auto-re-sort boundary, which then fired
-        assert len(vec_results) == 21
-        assert _fields(vec_results) == _fields(ref_results)
-        assert vec.resorts == ref.resorts == 1
-        # both scans resorted into the same pvector order
+    def test_ranked_bursts_agree_across_a_resort(self):
+        ref, vec, covert = _tss_pairs(scan_order="ranked")
+        assert _fields(vec.lookup_batch(covert[40:64])) == \
+            _fields(ref.lookup_batch(covert[40:64]))
+        for tss in (ref, vec):
+            tss.resort()
+        # both scans resorted into the same pvector order, and the
+        # dense mirror follows it
         assert [s.masks for s in vec.subtables()] == \
             [s.masks for s in ref.subtables()]
+        vec_results = vec.lookup_batch(covert[:64])
+        assert _fields(vec_results) == _fields(ref.lookup_batch(covert[:64]))
+        assert vec_results[40].tuples_scanned == 1
+        assert _counters(vec) == _counters(ref)
 
     def test_dense_fallback_on_entry_heavy_subtables(self):
         # one subtable holding 40 entries blows the DENSE_MAX_ENTRIES
