@@ -178,10 +178,10 @@ def record_vec_tss(telemetry, paths: dict, **labels: str) -> None:
     family: cumulative lookup counts since the datapath was built,
     sampled (hence gauges), deterministic like every ``sim.*`` count.
     Of the fallback reasons, ``memo_invalidated`` is the one a write
-    causes (a too-small chunk behind a write no live memo absorbed: a
+    causes (a scalar answer behind a write no live memo absorbed: a
     removal, a re-sort, or an install with no pre-scan in front of it)
-    and ``small_burst`` the one the caller's burst shape does (a small
-    chunk no pre-scan covered: the columnar switch pre-scans every key
+    and ``small_burst`` the one the caller's burst shape does (a key
+    no pre-scan covered: the columnar switch pre-scans every key
     after a burst's hit prefix, so its evicted EMC residents are
     ``memo`` answers)."""
     telemetry.gauge("vec.tss.scan_lookups", **labels).set(paths["scan"])

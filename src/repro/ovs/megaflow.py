@@ -111,14 +111,6 @@ class MegaflowCache:
         self.inserts = 0
         self.rejected_inserts = 0
         self.expired_total = 0
-        #: the idle floor: a lower bound on the oldest ``last_used``
-        #: among live entries (DESIGN.md §7, clock contract).  A full
-        #: :meth:`expire_idle` pass re-derives it; :meth:`insert`,
-        #: :meth:`lookup` and :meth:`lookup_batch` lower it when handed
-        #: an earlier ``now``; removals can only leave it too low, which
-        #: is safe.  While ``now - floor`` is inside the timeout no
-        #: entry can be due, and a sweep is O(1).
-        self._idle_floor = float("inf")
 
     # -- size --------------------------------------------------------------
 
@@ -144,17 +136,10 @@ class MegaflowCache:
         """Batched TSS lookup over a burst of keys (see
         :meth:`~repro.ovs.tss.TupleSpaceSearch.lookup_batch`): returns
         results for a prefix of ``keys`` — the leading hits plus the
-        first miss — with every hit entry touched inline, in key order,
-        exactly as per-key :meth:`lookup` calls would."""
-        if now < self._idle_floor:
-            self._idle_floor = now
-        results = self.tss.lookup_batch(keys)
-        for result in results:
-            entry = result.entry
-            if entry is not None:
-                entry.hits += 1  # type: ignore[attr-defined]
-                entry.last_used = now  # type: ignore[attr-defined]
-        return results
+        first miss — with every hit entry touched and the idle floor
+        lowered at ``now``, exactly as per-key :meth:`lookup` calls
+        would."""
+        return self.tss.lookup_batch(keys, now)
 
     def insert(
         self,
@@ -179,8 +164,8 @@ class MegaflowCache:
             )
         if existing is not None:
             existing.alive = False
-        if now < self._idle_floor:
-            self._idle_floor = now
+        if now < tss.idle_floor:
+            tss.idle_floor = now
         # positional arguments: half the cost of keywords, on every install
         entry = MegaflowEntry(match, action, now, now, 0, tenant)
         entry.subtable = tss.insert_at(found, packed_mask, packed_value, entry)
@@ -203,26 +188,28 @@ class MegaflowCache:
         covert stream flowing (and why 1–2 Mbps suffices: refreshing
         8192 flows within 10 s needs only ~820 pps).
 
-        While the idle floor is inside the timeout nothing is visited:
-        every live ``last_used`` is at or above the floor and float
-        subtraction is monotone, so ``now - last_used <= now - floor``
-        holds in floats and no entry can test idle.  Otherwise one pass
-        evicts the idle and re-derives the floor from the survivors —
-        capped at ``now``, so that a later hit stamped with the switch
-        clock (which no sweep runs ahead of) is never below it."""
+        While the tuple space's idle floor is inside the timeout nothing
+        is visited: every live ``last_used`` is at or above the floor and
+        float subtraction is monotone, so ``now - last_used <= now -
+        floor`` holds in floats and no entry can test idle.  Otherwise
+        one pass evicts the idle and re-derives the floor from the
+        survivors — capped at ``now``, so that a later hit stamped with
+        the switch clock (which no sweep runs ahead of) is never below
+        it."""
         timeout = self.idle_timeout
-        if now - self._idle_floor <= timeout:
+        tss = self.tss
+        if now - tss.idle_floor <= timeout:
             return 0
         idle: list[MegaflowEntry] = []
         floor = now
-        for subtable in self.tss.iter_subtables():
+        for subtable in tss.iter_subtables():
             for entry in subtable.entries.values():
                 last_used = entry.last_used  # type: ignore[attr-defined]
                 if now - last_used > timeout:
                     idle.append(entry)  # type: ignore[arg-type]
                 elif last_used < floor:
                     floor = last_used
-        self._idle_floor = floor
+        tss.idle_floor = floor
         for entry in idle:
             self.remove_entry(entry)
         self.expired_total += len(idle)

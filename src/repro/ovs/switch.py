@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.flow.actions import Action
@@ -35,9 +36,12 @@ from repro.ovs.megaflow import (
 from repro.ovs.microflow import MicroflowCache
 from repro.ovs.revalidator import Revalidator
 from repro.ovs.stats import SwitchStats
-from repro.ovs.tss import PrefixContractError
 from repro.ovs.upcall import InstallGuard, SlowPath
 from repro.util.rng import DeterministicRng
+
+
+_TUPLES = attrgetter("tuples_scanned")
+_PROBES = attrgetter("hash_probes")
 
 
 class LookupPath(enum.Enum):
@@ -100,7 +104,7 @@ class BatchResult(SwitchStats):
         """Fold one packet's outcome into the aggregates — the one
         per-packet counter fold of both result modes (materialized
         callers append their :class:`PacketResult` to ``results`` beside
-        it; the switch's per-chunk folds add one path's sums in bulk)."""
+        it; the switch's per-burst folds add one path's sums in bulk)."""
         self.packets += 1
         self.tuples_scanned += tuples_scanned
         self.hash_probes += hash_probes
@@ -162,12 +166,6 @@ class OvsSwitch:
         #: is clamped), so idle accounting and revalidator sweeps can
         #: never be un-expired by an out-of-order caller
         self.clock = 0.0
-        #: the adaptive TSS chunk window, persisted across runs: chunk
-        #: size is semantically free (``lookup_batch`` returns a prefix
-        #: that stops at the first miss), so a hit-heavy steady state
-        #: keeps its large window between bursts instead of re-ramping
-        #: from one key every run
-        self._batch_window = 1
 
     # -- configuration -----------------------------------------------------
 
@@ -214,9 +212,6 @@ class OvsSwitch:
             self.clock = now
         return self.clock
 
-    #: batched TSS chunks never grow beyond this many keys
-    MAX_BATCH_WINDOW = 1024
-
     def process(self, key_or_packet: FlowKey | Layer | bytes,
                 in_port: int = 0, now: float | None = None) -> PacketResult:
         """Run one packet (or pre-extracted key) through the pipeline.
@@ -244,13 +239,13 @@ class OvsSwitch:
         Semantically identical to calling :meth:`process` per key with
         the same ``now`` — bit-identical results, stats and cache state
         — but the per-burst overhead is amortised: the clock update and
-        revalidator check run once, the EMC serves each run of
-        consecutive hits in one pass (:meth:`_serve_emc_hits`), and runs
-        of keys that miss it are looked up through the TSS in *bucketed*
-        chunks (:meth:`_resolve` gathers them, :meth:`_flush_run` drains
-        them).  As with :meth:`process`, a stale ``now`` is clamped to
-        the monotonic clock.  Every step counts into the burst's
-        :class:`BatchResult` only; ``stats`` gets it in one
+        revalidator check run once, and the burst is one walk in key
+        order (:meth:`_resolve`) in which the EMC serves each run of
+        consecutive hits in one pass (:meth:`_serve_emc_hits`) and the
+        megaflow hits between two upcalls are credited in one step.  As
+        with :meth:`process`, a stale ``now`` is clamped to the monotonic
+        clock.  Every step counts into the burst's :class:`BatchResult`
+        only; ``stats`` gets it in one
         :meth:`~repro.ovs.stats.SwitchStats.add` at the end (nothing
         that runs mid-burst reads ``stats``).
 
@@ -266,10 +261,7 @@ class OvsSwitch:
         now = self._advance(now)
         self.revalidator.maybe_sweep(now)
         batch = BatchResult()
-        served = self._serve_emc_hits(keys, 0, now, batch, materialize)
-        if served < len(keys):
-            self._resolve(keys[served:] if served else keys, batch, now,
-                          materialize)
+        self._resolve(keys, batch, now, materialize)
         self.stats.add(batch)
         return batch
 
@@ -304,124 +296,122 @@ class OvsSwitch:
 
     def _resolve(self, keys: Sequence[FlowKey], batch: BatchResult,
                  now: float, materialize: bool) -> None:
-        """The per-key loop: gather ``keys`` — whose first is not a live
-        EMC hit — into runs of EMC misses and drain each through the
-        TSS.  A run breaks wherever sequential semantics demand it: at a
-        key the EMC holds (its outcome depends on the run's pending
-        inserts) and at a duplicate within the run.  The flush may have
-        stored that very key, so the EMC serves what it now can
-        (:meth:`_serve_emc_hits`) before the loop resumes: an EMC hit
-        therefore always finds the run empty, and this loop handles
-        misses only — absent, or a stale slot for :meth:`~repro.ovs.
-        microflow.MicroflowCache.lookup` to purge.
+        """The burst's one walk over ``keys``, in key order.
 
-        Every key is screened against the EMC's exact index
-        (:meth:`~repro.ovs.microflow.MicroflowCache.contains`): a key
-        with no slot skips the cache probe and pays only the
-        lookup-counter tick a certain miss would.
+        Each key's EMC probe is inline.  A key the EMC's exact index
+        holds (:meth:`~repro.ovs.microflow.MicroflowCache.contains`)
+        opens a run of live hits, served in one pass
+        (:meth:`_serve_emc_hits`), or is a stale slot that
+        :meth:`~repro.ovs.microflow.MicroflowCache.lookup` purges; any
+        other key is a certain miss and pays only the lookup-counter
+        tick.  An EMC miss draws the tuple space's next pure answer
+        (:meth:`~repro.ovs.tss.TupleSpaceSearch._answers`, one lazy
+        source per stretch, fed the positions of the stretch's EMC
+        misses as the walk meets them).  A megaflow hit is offered to
+        the EMC at once: the insert's RNG
+        draw, the slot it stores and the slot that evicts are the only
+        state the walk must write in key order, because the next key's
+        probe reads them.  A TSS miss ends a *stretch*: the tuple space
+        changes only at its upcall, so the stretch's megaflow hits are
+        credited in one summed step (:meth:`~repro.ovs.tss.
+        TupleSpaceSearch._credit`) before :meth:`_finish_upcall` runs
+        (its install guards may read the cache), and the last stretch is
+        credited at the end of the burst.
 
-        An EMC that holds nothing and cannot store (insertion off) makes
-        both breaks impossible: no key can hit, and no flush can store a
-        duplicate's earlier copy.  The whole burst is then one run,
-        handed to :meth:`_flush_run` with no per-key loop, and every
-        key's probe is a certain miss.
-
-        The certain misses' ``microflow.lookups`` ticks are added once
-        at the end: nothing that runs mid-burst (slow path, install
-        guards) can read them.
+        An EMC that holds nothing and cannot store (insertion off) stays
+        so for the whole burst: no key is probed and no insert offered,
+        so each stretch is answered whole, in one step
+        (:meth:`~repro.ovs.tss.TupleSpaceSearch._stretch`).  The certain
+        misses' ``microflow.lookups`` ticks and the megaflow
+        hits' ``BatchResult`` counters are added once, at the end:
+        nothing that runs mid-burst reads them.
         """
         microflow = self.microflow
-        n = len(keys)
-        if not microflow.occupancy and not microflow.can_store:
-            microflow.lookups += n
-            self._flush_run(keys, batch, now, materialize)
-            return
-        contains = microflow.contains
-        run: list[FlowKey] = []
-        run_set: set[int] = set()
-        certain_misses = 0
-        i = 0
-        while i < n:
-            key = keys[i]
-            resident = contains(key)
-            # add first, then compare sizes: one set probe where a
-            # membership test plus an add would pay two.  Adding early
-            # is harmless — only the flush follows, and the set is
-            # emptied with the run
-            run_set.add(key.packed)
-            if len(run_set) == len(run) or (run and resident):
-                self._flush_run(run, batch, now, materialize)
-                run.clear()
-                run_set.clear()
-                i += self._serve_emc_hits(keys, i, now, batch, materialize)
-                continue
-            if resident:
-                microflow.lookup(key, now)
-            else:
-                certain_misses += 1
-            run.append(key)
-            i += 1
-        microflow.lookups += certain_misses
-        if run:
-            self._flush_run(run, batch, now, materialize)
-
-    def _flush_run(self, run: Sequence[FlowKey], batch: BatchResult,
-                   now: float, materialize: bool) -> None:
-        """Drain a run of EMC-missed keys through the TSS in bucketed
-        chunks.  Chunk size is semantically free — ``lookup_batch``
-        answers a prefix that stops at the first miss, whatever the
-        size — so the window is a pure cost heuristic, persisted across
-        runs: a miss resets it to one (the upcall mutated the tuple
-        space: re-probe small), a clean full chunk doubles it.
-
-        The megaflow-hit bookkeeping is folded per chunk — the prefix
-        contract puts the only possible miss last, and it is finished
-        after the hits before it.  What is stateful per key stays per
-        key, in key order: the EMC insert (its RNG draw and any stored
-        slot; not called at all when the EMC cannot store) and, in
-        materialized mode, the ``PacketResult``."""
-        start = 0
-        window = self._batch_window
-        n = len(run)
-        microflow = self.microflow
+        tss = self.megaflow.tss
         insert = microflow.insert if microflow.can_store else None
-        while start < n:
-            chunk = run[start:start + window]
-            results = self.megaflow.lookup_batch(chunk, now)
-            if not results:
-                raise PrefixContractError(self.megaflow.tss, len(chunk))
-            start += len(results)
-            miss = None if results[-1].hit else results.pop()
-            forwarded = tuples = probes = 0
-            for key, tss_result in zip(chunk, results):
-                entry = tss_result.entry
+        probes: list[int] | None = [] if tss.staged else None
+        results = batch.results
+        credited: list = []
+        tuples = probed = 0
+        i, n = 0, len(keys)
+        if not microflow.occupancy and insert is None:
+            microflow.lookups += n
+            while i < n:
+                stretch = tss._stretch(keys, i, probes)
+                i += len(stretch)
+                miss = None
+                if stretch[-1] is None:
+                    stretch.pop()
+                    miss = tss._missed(None if probes is None
+                                       else probes[-1])
+                credited += tss._credit(stretch, now, miss)
+                tuples += sum(map(_TUPLES, stretch))
+                probed += sum(map(_PROBES, stretch))
+                if materialize:
+                    results.extend(PacketResult(
+                        result.entry.action, LookupPath.MEGAFLOW,
+                        result.tuples_scanned, result.hash_probes,
+                        result.entry,
+                    ) for result in stretch)
+                if miss is not None:
+                    self._finish_upcall(keys[i - 1], miss, now, batch,
+                                        materialize)
+        else:
+            contains = microflow.contains
+            # the positions of the stretch's EMC misses, appended as the
+            # walk meets them: its answers are drawn one per miss
+            asked: list[int] = []
+            answers = tss._answers(keys, asked, probes)
+            stretch = []
+            certain_misses = 0
+            while i < n:
+                key = keys[i]
+                if contains(key):
+                    served = self._serve_emc_hits(keys, i, now, batch,
+                                                  materialize)
+                    if served:
+                        i += served
+                        continue
+                    microflow.lookup(key, now)
+                else:
+                    certain_misses += 1
+                asked.append(i)
+                result = next(answers)
+                i += 1
+                if result is None:
+                    miss = tss._missed(None if probes is None
+                                       else probes[-1])
+                    credited += tss._credit(stretch, now, miss)
+                    self._finish_upcall(key, miss, now, batch, materialize)
+                    stretch, asked = [], []
+                    answers = tss._answers(keys, asked, probes)
+                    continue
+                stretch.append(result)
+                tuples += result.tuples_scanned
+                probed += result.hash_probes
+                entry = result.entry
                 if insert is not None:
                     insert(key, entry, now)
-                tuples += tss_result.tuples_scanned
-                probes += tss_result.hash_probes
-                if entry.action.is_forwarding():
-                    forwarded += 1
                 if materialize:
-                    batch.results.append(PacketResult(
+                    results.append(PacketResult(
                         entry.action, LookupPath.MEGAFLOW,
-                        tss_result.tuples_scanned, tss_result.hash_probes,
-                        entry,
+                        result.tuples_scanned, result.hash_probes, entry,
                     ))
-            served = len(results)
-            if served:
-                batch.packets += served
-                batch.megaflow_hits += served
-                batch.tuples_scanned += tuples
-                batch.hash_probes += probes
-                batch.forwarded += forwarded
-                batch.drops += served - forwarded
-            if miss is not None:
-                self._finish_upcall(chunk[served], miss, now, batch,
-                                    materialize)
-                window = 1
-            elif served == len(chunk):
-                window = min(window * 2, self.MAX_BATCH_WINDOW)
-        self._batch_window = window
+            microflow.lookups += certain_misses
+            if stretch:
+                credited += tss._credit(stretch, now)
+        served = forwarded = 0
+        for result, count in credited:
+            served += count
+            if result.entry.action.is_forwarding():
+                forwarded += count
+        if served:
+            batch.packets += served
+            batch.megaflow_hits += served
+            batch.tuples_scanned += tuples
+            batch.hash_probes += probed
+            batch.forwarded += forwarded
+            batch.drops += served - forwarded
 
     def _finish_upcall(self, key: FlowKey, tss_result, now: float,
                        batch: BatchResult, materialize: bool) -> None:

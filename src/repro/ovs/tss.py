@@ -44,10 +44,13 @@ under the subtable's mask cut down to that stage's fields.
 
 from __future__ import annotations
 
+from collections import Counter
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from repro.flow.fields import FieldSpace
 from repro.flow.key import FlowKey
+from repro.util.floatsum import add_repeated
 
 #: default stage boundaries (field name prefixes per stage) mirroring
 #: OVS's metadata / L2 / L3 / L4 staging
@@ -60,22 +63,6 @@ DEFAULT_STAGES: tuple[tuple[str, ...], ...] = (
 
 #: valid ``TupleSpaceSearch.scan_order`` values
 SCAN_ORDERS = ("insertion", "ranked")
-
-
-class PrefixContractError(RuntimeError):
-    """``lookup_batch`` answered a non-empty burst with no result.
-
-    The prefix contract promises at least one result per non-empty
-    burst (the leading hits, or the first miss); a caller draining a
-    run can neither skip the burst uncounted nor retry it forever.
-    """
-
-    def __init__(self, tss: object, burst_len: int) -> None:
-        super().__init__(
-            f"{type(tss).__name__}.lookup_batch returned no result for a "
-            f"burst of {burst_len} keys; the prefix contract requires the "
-            "leading hits plus the first miss"
-        )
 
 
 class TssLookupResult(NamedTuple):
@@ -250,6 +237,13 @@ class TupleSpaceSearch:
         self.generation = 0
         self._next_seq = 0
         self._stage_plan = self._build_stage_plan() if staged else None
+        #: the idle floor: a lower bound on the oldest ``last_used`` among
+        #: live entries (DESIGN.md §7, clock contract), kept by whatever
+        #: stamps one — a lookup handed ``now`` (:meth:`_credit`) and
+        #: ``MegaflowCache.insert`` lower it, and only
+        #: ``MegaflowCache.expire_idle`` reads it or re-derives it.
+        #: Removals can only leave it too low, which is safe
+        self.idle_floor = float("inf")
         # lookup statistics (cumulative)
         self.total_lookups = 0
         self.total_tuples_scanned = 0
@@ -441,120 +435,158 @@ class TupleSpaceSearch:
         """
         return self.lookup_batch((key,))[0]
 
-    def lookup_batch(self, keys: Sequence[FlowKey]) -> list[TssLookupResult]:
-        """Scan a burst of keys, walking the subtable list **once** for
-        the whole burst instead of once per key.
+    def lookup_batch(self, keys: Sequence[FlowKey],
+                     now: float | None = None) -> list[TssLookupResult]:
+        """Look up a burst of keys under the **prefix contract**.
 
-        Returns results for a **prefix** of ``keys``: every leading hit,
+        Returns results for a prefix of ``keys``: every leading hit,
         plus the first miss when one occurs.  A miss ends the prefix
         because the caller's upcall will mutate the tuple space (a new
         subtable, a changed scan list), so keys after it must be
         re-scanned against the post-upcall state — resubmit the
         remainder after handling the miss.  Within the prefix the call
         is *exactly* equivalent to looking the keys up one at a time:
-        same entries, same ``tuples_scanned``/``hash_probes``, same hit
-        crediting and accounting.  Nothing re-sorts the scan list
-        inside a burst (only the revalidator's sweep does, between
-        bursts), so every key of it sees the same pvector.
+        same entries, same ``tuples_scanned``/``hash_probes``, same
+        credit and accounting.  Nothing re-sorts the scan list inside a
+        burst (only the revalidator's sweep does, between bursts), so
+        every key of it sees the same pvector.  With ``now`` (the
+        megaflow cache's lookup) each hit's entry is touched and the
+        idle floor lowered too; without, entries are opaque.
 
         Two steps, each written once and run in every configuration:
-        the pure :meth:`_scan` answers the keys (staged, it also counts
-        each key's stage probes), and :meth:`_consume` applies the
-        answers.  A subclass that finds the answers another way (the
-        columnar engine) replaces only the first.  The per-key scan
-        this is held to is :class:`repro.testing.oracles.TupleKeyedSearch`.
+        the pure :meth:`_stretch` answers the keys up to the first miss,
+        and :meth:`_consume` applies the answers.  A subclass that finds
+        the answers another way (the columnar engine) replaces only the
+        first.  The per-key scan this is held to is
+        :class:`repro.testing.oracles.TupleKeyedSearch`.
         """
-        if not keys:
-            return []
-        probes = [0] * len(keys) if self.staged else None
-        return self._consume(self._scan(keys, probes), len(self._subtables),
-                             probes)
+        probes: list[int] | None = [] if self.staged else None
+        return self._consume(self._stretch(keys, 0, probes), probes, now)
 
-    def _scan(self, keys: Sequence[FlowKey],
-              probes: list[int] | None = None) -> list:
-        """Per key the :class:`TssLookupResult` of its first match in
-        scan order, or ``None`` for a miss.  Subtable-major: each
-        subtable's hash table and mask are fetched once and probed for
-        every still-pending key.
+    def _stretch(self, keys: Sequence[FlowKey], start: int,
+                 probes: list[int] | None = None,
+                 ) -> list[TssLookupResult | None]:
+        """The answers of ``keys[start:]`` (see :meth:`_answers`) up to
+        and including the first miss, in one list: a stretch no write
+        divides, drawn whole."""
+        stretch = []
+        for hit in self._answers(keys, range(start, len(keys)), probes):
+            stretch.append(hit)
+            if hit is None:
+                break
+        return stretch
 
-        Staged lookup passes ``probes``, one zero per key: each
-        subtable then probes stage by stage, and each key's stage
-        probes are summed there — a hit's answer carries its sum, and
-        :meth:`_consume` reads a miss's.  Otherwise pure: no counter,
-        credit or re-sort is touched (a staged probe may rebuild a
-        subtable's stage index after a removal, which no answer sees).
+    def _answers(self, keys: Sequence[FlowKey], positions: Iterable[int],
+                 probes: list[int] | None = None,
+                 ) -> Iterator[TssLookupResult | None]:
+        """Per position drawn from ``positions``, lazily, the
+        :class:`TssLookupResult` of ``keys[position]``'s first match in
+        scan order, or ``None`` for a miss.  The answers hold until the
+        next write, so a caller draws no further than a stretch (its
+        first miss's upcall writes); ``positions`` may be a list the
+        caller appends to between draws.  Pure: no counter, credit or
+        re-sort is touched (a staged probe may rebuild a subtable's
+        stage index after a removal, which no answer sees).
+
+        Staged lookup passes ``probes``: each subtable then probes stage
+        by stage, and each key's stage probes are appended to it — a
+        hit's answer carries the same sum, and a miss's is the caller's
+        to read (``probes[-1]``).  Unstaged, a subtable costs one probe.
         """
         if self.scan_order == "ranked":
             tables: Iterable[Subtable] = self._ranked_tables()
         else:
             tables = self._subtables.values()
-        pending = range(len(keys))
-        resolved: list[TssLookupResult | None] = [None] * len(keys)
-        packed = [key.packed for key in keys]
-        for depth, subtable in enumerate(tables, start=1):
-            if not pending:
-                break
-            still: list[int] = []
+        for i in positions:
+            packed = keys[i].packed
+            hit = None
             if probes is None:
-                entries = subtable.entries
-                mask = subtable.packed_mask
-                for i in pending:
-                    entry = entries.get(packed[i] & mask)
-                    if entry is None:
-                        still.append(i)
-                    else:
-                        resolved[i] = TssLookupResult(entry, depth, depth,
-                                                      subtable)
+                for depth, subtable in enumerate(tables, start=1):
+                    entry = subtable.entries.get(packed & subtable.packed_mask)
+                    if entry is not None:
+                        hit = TssLookupResult(entry, depth, depth, subtable)
+                        break
             else:
-                staged = subtable.lookup_staged
-                for i in pending:
-                    entry, used = staged(packed[i])
-                    probes[i] += used
-                    if entry is None:
-                        still.append(i)
-                    else:
-                        resolved[i] = TssLookupResult(entry, depth,
-                                                      probes[i], subtable)
-            pending = still
-        return resolved
+                used = 0
+                for depth, subtable in enumerate(tables, start=1):
+                    entry, stage_probes = subtable.lookup_staged(packed)
+                    used += stage_probes
+                    if entry is not None:
+                        hit = TssLookupResult(entry, depth, used, subtable)
+                        break
+                probes.append(used)
+            yield hit
 
-    def _consume(self, answers: Iterable, n_tables: int,
-                 probes: list[int] | None = None) -> list[TssLookupResult]:
-        """Apply scan ``answers`` (one per key, in key order: a hit's
-        :class:`TssLookupResult`, or ``None`` for a miss) under the
-        burst contract: the leading hits plus the first miss are
-        consumed, the rest ignored.  The one stateful half of every
-        burst lookup, whatever produced the answers.
+    def _missed(self, probes: int | None = None) -> TssLookupResult:
+        """A miss's result: every subtable visited, with ``probes`` hash
+        probes — the staged count :meth:`_answers` left, or (``None``)
+        one per subtable."""
+        n_tables = len(self._subtables)
+        return TssLookupResult(None, n_tables,
+                               n_tables if probes is None else probes)
 
-        A hit's answer is its result, passed through (immutable, so the
-        copies of one key may share it); only the miss is built here.
-        Its hash probes are one per subtable, or, staged, the count
-        :meth:`_scan` left in ``probes``, which also sum to the burst's
-        ``total_hash_probes``.  Each hit credits its subtable inline,
-        once per key.  The accounting is pure counter addition, so the
-        burst's is summed.
+    def _consume(self, stretch: list, probes: list[int] | None = None,
+                 now: float | None = None) -> list[TssLookupResult]:
+        """Apply a :meth:`_stretch` — the leading hits' answers, and a
+        ``None`` for the miss that ends it, if one does — as the results
+        of the prefix contract.  A hit's answer is its result, passed
+        through (immutable, so the copies of one key may share it); the
+        miss is built by :meth:`_missed` — staged, from the probe count
+        :meth:`_answers` appended last — and the stretch is credited in
+        one :meth:`_credit`."""
+        if stretch and stretch[-1] is None:
+            stretch.pop()
+            miss = self._missed(None if probes is None else probes[-1])
+            self._credit(stretch, now, miss)
+            stretch.append(miss)
+        else:
+            self._credit(stretch, now)
+        return stretch
+
+    def _credit(self, hits: Sequence[TssLookupResult],
+                now: float | None = None,
+                miss: TssLookupResult | None = None,
+                ) -> list[tuple[TssLookupResult, int]]:
+        """The summed credit step: apply a stretch of lookups that no
+        write divides — the answers of its hits, in any order, and the
+        ``miss`` that ends it, if one does — and return the hits as
+        ``(answer, count)`` pairs, one per distinct entry (a bare tuple
+        space's entries are opaque and may be shared: there, one per
+        subtable).
+
+        Per pair, the subtable's ``hits`` gain the count and its
+        ``rank_hits`` the same count of ``+ 1``
+        (:func:`~repro.util.floatsum.add_repeated`: bit for bit what
+        the per-key adds leave), and, with ``now``, the entry gains the
+        count in ``hits`` and ``last_used = now``.  The ``total_*`` sums
+        gain the stretch's, and a lookup at ``now`` lowers the idle
+        floor.  Every counter here is a sum that only a sweep, a
+        re-sort or an upcall's install guards read — so a caller
+        credits a stretch before the upcall that ends it, and nothing
+        else can tell the summed step from per-key credit.
         """
-        results: list[TssLookupResult] = []
-        scanned = 0
-        for result in answers:
-            if result is None:
-                results.append(TssLookupResult(
-                    None, n_tables,
-                    n_tables if probes is None else probes[len(results)],
-                ))
-                scanned += n_tables
-                break
-            results.append(result)
+        groups = _grouped(hits, _SUBTABLE if now is None else _ENTRY)
+        for result, count in groups:
             subtable = result.subtable
-            subtable.hits += 1
-            subtable.rank_hits += 1
-            scanned += result.tuples_scanned
-        consumed = len(results)
-        self.total_lookups += consumed
-        self.total_tuples_scanned += scanned
-        self.total_hash_probes += (scanned if probes is None
-                                   else sum(probes[:consumed]))
-        return results
+            subtable.hits += count
+            subtable.rank_hits = add_repeated(subtable.rank_hits, 1, count)
+            if now is not None:
+                entry = result.entry
+                entry.hits += count  # type: ignore[attr-defined]
+                entry.last_used = now  # type: ignore[attr-defined]
+        lookups = len(hits)
+        tuples = sum(map(_TUPLES, hits))
+        probes = sum(map(_PROBES, hits))
+        if miss is not None:
+            lookups += 1
+            tuples += miss.tuples_scanned
+            probes += miss.hash_probes
+        self.total_lookups += lookups
+        self.total_tuples_scanned += tuples
+        self.total_hash_probes += probes
+        if now is not None and lookups and now < self.idle_floor:
+            self.idle_floor = now
+        return groups
 
     def iter_entries(self) -> Iterator[tuple[int, int, object]]:
         """Iterate ``(packed mask, packed masked key, entry)`` over the
@@ -577,3 +609,18 @@ class TupleSpaceSearch:
             f"TupleSpaceSearch({self.mask_count} masks, {self.entry_count} entries, "
             f"staged={self.staged}, scan_order={self.scan_order!r})"
         )
+
+
+_ENTRY, _TUPLES, _PROBES, _SUBTABLE = map(itemgetter, range(4))
+
+
+def _grouped(results: Sequence[TssLookupResult], part: Callable
+             ) -> list[tuple[TssLookupResult, int]]:
+    """``results`` as ``(result, count)`` pairs, one per distinct object
+    ``part(result)`` (counted by identity: an entry need not be
+    hashable), in first-seen order."""
+    if len(results) < 2:
+        return [(result, 1) for result in results]
+    ids = [*map(id, map(part, results))]
+    holder = dict(zip(ids, results))
+    return [(holder[i], count) for i, count in Counter(ids).items()]

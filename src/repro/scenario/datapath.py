@@ -9,7 +9,8 @@ capacity, staged flag).
 
 The protocol is **batch-first**: ``process_batch`` is the primary
 entry point — backends amortise per-burst work (clock/revalidator
-bookkeeping, bucketed TSS chunk lookups) across it — and ``process``
+bookkeeping, one summed megaflow credit per stretch between upcalls)
+across it — and ``process``
 is the single-key special case by construction: every in-process
 backend shares :meth:`OvsSwitch.process`'s one body,
 ``process_batch([k]).results[0]`` (the parallel runtime refuses it:

@@ -33,7 +33,7 @@ __all__ = [
     "TupleKeyedSearch",
     "classify_per_rule",
     "expire_idle_full_pass",
-    "flush_run_per_key",
+    "resolve_per_key",
     "send_covert_per_packet",
 ]
 
@@ -91,8 +91,8 @@ class TupleKeyedSearch(TupleSpaceSearch):
     a staged probe compares tuples of one stage's fields.  Entries come
     and go by their packed form, as on the fast path, and are unpacked
     to their tuples here.  Its :meth:`lookup` is the per-key scan, with
-    its own per-key accounting (:meth:`_account`), that every burst
-    lookup is held to.
+    its own per-key credit and accounting (:meth:`_account`), that every
+    burst lookup is held to.
 
     Retired by: ``repro.ovs.tss.Subtable`` — one dict per mask keyed on
     ``packed & packed_mask``, stage indexes on ``packed & stage mask``.
@@ -108,38 +108,59 @@ class TupleKeyedSearch(TupleSpaceSearch):
         return subtable
 
     def lookup(self, key: FlowKey) -> TssLookupResult:
-        tuples_scanned = hash_probes = 0
-        for subtable in self.subtables():
-            tuples_scanned += 1
-            masked = subtable.mask_key(key.values)
-            if self.staged:
-                entry, probes = subtable.lookup_staged(masked)
-            else:
-                entry, probes = subtable.entries.get(masked), 1
-            hash_probes += probes
-            if entry is not None:
-                subtable.credit_hit()
-                self._account(tuples_scanned, hash_probes)
-                return TssLookupResult(entry, tuples_scanned, hash_probes,
-                                       subtable)
-        self._account(tuples_scanned, hash_probes)
-        return TssLookupResult(None, tuples_scanned, hash_probes)
+        probes: list[int] = []
+        result = next(self._answers((key,), (0,), probes))
+        if result is None:
+            result = TssLookupResult(None, len(self.subtables()), probes[0])
+        else:
+            result.subtable.credit_hit()
+        self._account(result.tuples_scanned, result.hash_probes)
+        return result
 
-    def lookup_batch(self, keys) -> list[TssLookupResult]:
-        """Staged, the burst as a sequential caller makes it: key by
-        key through :meth:`lookup`, up to the first miss.  Unstaged,
-        the inherited burst over :meth:`_scan` below.
+    def _answers(self, keys, positions, probes=None):
+        """Per position, the first subtable holding ``keys[position]``'s
+        masked tuple — staged, the first whose stages all hold its
+        partial tuples — with no credit: :meth:`lookup`'s scan, and a
+        walk's answers when this tuple space serves a switch.  Each
+        key's probes, summed over the subtables it visited, are
+        appended to ``probes``."""
+        tables = self.subtables()
+        for i in positions:
+            key = keys[i]
+            hit = None
+            used = 0
+            for depth, subtable in enumerate(tables, start=1):
+                masked = subtable.mask_key(key.values)
+                if self.staged:
+                    entry, stage_probes = subtable.lookup_staged(masked)
+                else:
+                    entry, stage_probes = subtable.entries.get(masked), 1
+                used += stage_probes
+                if entry is not None:
+                    hit = TssLookupResult(entry, depth, used, subtable)
+                    break
+            if probes is not None:
+                probes.append(used)
+            yield hit
 
-        Retired by: ``repro.ovs.tss.TupleSpaceSearch._scan`` — staged
-        probes are summed per key in the one subtable-major scan, and
-        a single-key lookup is the one-key burst.
+    def lookup_batch(self, keys, now=None) -> list[TssLookupResult]:
+        """The burst as a sequential caller makes it: key by key through
+        :meth:`lookup`, up to the first miss; with ``now`` (the megaflow
+        cache's lookup) each lookup lowers the idle floor and each hit
+        touches its entry (``MegaflowEntry.touch``).
+
+        Retired by: ``repro.ovs.tss.TupleSpaceSearch._credit`` — a
+        burst's lookups answered by the pure ``_answers`` and credited
+        in one summed step per stretch, per distinct answer.
         """
-        if not self.staged:
-            return super().lookup_batch(keys)
         results = []
         for key in keys:
             result = self.lookup(key)
             results.append(result)
+            if now is not None:
+                self.idle_floor = min(self.idle_floor, now)
+                if result.hit:
+                    result.entry.touch(now)
             if not result.hit:
                 break
         return results
@@ -148,21 +169,6 @@ class TupleKeyedSearch(TupleSpaceSearch):
         self.total_lookups += 1
         self.total_tuples_scanned += tuples_scanned
         self.total_hash_probes += hash_probes
-
-    def _scan(self, keys, probes=None) -> list:
-        """Key by key, the first subtable holding the masked tuple
-        (``probes`` is ignored: a staged burst never reaches here)."""
-        tables = self.subtables()
-        answers = []
-        for key in keys:
-            hit = None
-            for depth, subtable in enumerate(tables, start=1):
-                entry = subtable.entries.get(subtable.mask_key(key.values))
-                if entry is not None:
-                    hit = TssLookupResult(entry, depth, depth, subtable)
-                    break
-            answers.append(hit)
-        return answers
 
 
 class SetScanMicroflowCache(MicroflowCache):
@@ -310,23 +316,34 @@ def _examine_rule(rule: FlowRule, key: FlowKey, prefix_lens: list[int],
     return True
 
 
-def flush_run_per_key(switch, run, batch, now: float,
-                      materialize: bool) -> None:
-    """``OvsSwitch._flush_run`` one key at a time: per key one
-    ``MegaflowCache.lookup`` — a one-key burst, its entry touched —
-    then, on a hit, the EMC insert offered whether or not the EMC can
-    store, the megaflow-hit counters and the result; on a miss, the
-    upcall.  ``switch`` is the :class:`~repro.ovs.switch.OvsSwitch`
-    whose run it drains, ``batch`` the burst's
-    :class:`~repro.ovs.switch.BatchResult` it counts into.
+def resolve_per_key(switch, keys, batch, now: float,
+                    materialize: bool) -> None:
+    """``OvsSwitch._resolve`` one key at a time: per key one
+    ``MicroflowCache.lookup``; a hit touches its entry and is tallied,
+    and a miss takes one ``MegaflowCache.lookup`` — a one-key burst,
+    its entry touched — then, on a hit, the EMC insert offered whether
+    or not the EMC can store, the megaflow-hit tally and the result; on
+    a miss, the upcall.  ``switch`` is the
+    :class:`~repro.ovs.switch.OvsSwitch` whose burst it walks,
+    ``batch`` the burst's :class:`~repro.ovs.switch.BatchResult` it
+    counts into.
 
-    Retired by: ``repro.ovs.switch.OvsSwitch._flush_run`` — the run
-    answered in chunks by ``lookup_batch`` (each scan answer passed
-    through by ``_consume``, each hit entry touched inline), the
-    megaflow-hit counters folded per chunk, and no
-    ``MicroflowCache.insert`` call when the EMC cannot store.
+    Retired by: ``repro.ovs.switch.OvsSwitch._resolve`` — one walk in
+    key order: the EMC's hit runs served in one pass and certain misses
+    never probed, each miss answered by the tuple space's pure
+    ``_answers``, the megaflow hits between two upcalls credited in one
+    summed step, and no ``MicroflowCache.insert`` call when the EMC
+    cannot store.
     """
-    for key in run:
+    for key in keys:
+        entry = switch.microflow.lookup(key, now)
+        if entry is not None:
+            entry.touch(now)
+            batch.tally(LookupPath.MICROFLOW, entry.action.is_forwarding())
+            if materialize:
+                batch.results.append(PacketResult(
+                    entry.action, LookupPath.MICROFLOW, 0, 0, entry))
+            continue
         result = switch.megaflow.lookup(key, now)
         entry = result.entry
         if entry is None:

@@ -26,6 +26,8 @@ def add_repeated(total: float, cost: float, count: int) -> float:
     runs the literal loop."""
     if count <= 0:
         return total
+    if type(total) is int and type(cost) is int:
+        return total + count * cost  # ints never round
     if (
         (2.0 * total).is_integer()
         and (2.0 * cost).is_integer()

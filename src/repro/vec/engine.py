@@ -1,13 +1,15 @@
 """The vectorized datapath engine the ``ovs`` backend runs on NumPy.
 
-The burst pipeline — scan, consume; serve the EMC's hits, gather
-the misses into runs, drain the runs — is the reference classes' own
-(:mod:`repro.ovs.tss`, :mod:`repro.ovs.switch`).  This module changes
-only *where the answers come from*, and every piece of it is pure:
-nothing here writes a counter the reference observes — the hit answers
-it builds are the immutable results the inherited ``_consume`` passes
-through — which is what keeps the engine byte-for-byte identical to
-the scalar :class:`~repro.ovs.switch.OvsSwitch`.
+The burst pipeline — answer, credit; one walk over the burst in key
+order that serves the EMC's hit runs, offers each megaflow hit to the
+EMC and credits each stretch between two upcalls in one step — is the
+reference classes' own (:mod:`repro.ovs.tss`, :mod:`repro.ovs.switch`).
+This module changes only *where the answers come from*, and every piece
+of it is pure: nothing here writes a counter the reference observes —
+the hit answers it builds are the immutable results the inherited walk
+and ``_consume`` pass through — which is what keeps the engine
+byte-for-byte identical to the scalar :class:`~repro.ovs.switch.
+OvsSwitch`.
 
 * **Dense mirror** (``_dense_mirror``) — every megaflow entry, in scan
   order, becomes one *column* of a lane-major ``uint64`` array (its
@@ -22,14 +24,16 @@ the scalar :class:`~repro.ovs.switch.OvsSwitch`.
   the (astronomically rare) collision — reference dict probes over just
   that block's subtables.  Resolved keys drop out of later blocks where
   the reference scan would have stopped probing.  It returns what the
-  inherited ``_scan`` returns, for :meth:`~repro.ovs.tss.
-  TupleSpaceSearch._consume` to apply.
+  inherited scalar probe (:meth:`~repro.ovs.tss.TupleSpaceSearch.
+  _answers`) would, for the inherited steps to apply.
 
 * **Scan memo** (:meth:`VecTupleSpaceSearch.prescan`) — because the
   scan is pure its answers can be kept: every distinct key after a
-  burst's hit prefix is answered once, up front, and the run drain's
-  chunks (one or two keys each on a bursty feed) consume from the memo
-  instead of each paying a scalar scan of every subtable.  The memo
+  burst's hit prefix is answered once, up front, and the walk's EMC
+  misses (one or two keys between hit runs on a bursty feed) take their
+  answers from the memo instead of each paying a scalar scan of every
+  subtable; with no EMC a stretch's hits are drawn from an exact memo
+  in one C-level pass (:meth:`VecTupleSpaceSearch._stretch`).  The memo
   survives the burst's own upcalls: an ``insert`` never moves another
   subtable in the scan order, so it is *absorbed* — the subtable it
   wrote is recorded with its depth, and a memo answer is the
@@ -46,16 +50,22 @@ the scalar :class:`~repro.ovs.switch.OvsSwitch`.
   so a victim's recurring keys are scanned once per generation, not
   once per burst.  It is bounded by ``MEMO_MAX_KEYS``: a carried memo
   at the cap is dropped and the pre-scan starts again from its burst.
+  A burst too small to pre-scan keeps an exact memo.  A burst that
+  meets no live memo — its table grew under its own installs —
+  pre-scans its rest once the table has held still across two answers
+  (:meth:`VecTupleSpaceSearch._ahead`).
 
-Staged lookup (which the dense mirror cannot serve), chunks too small
+Staged lookup (which the dense mirror cannot serve), bursts too small
 to amortise the NumPy overhead and tuple spaces holding many entries
-per subtable take the inherited scalar scan — same results either way
+per subtable take the inherited scalar probe — same results either way
 — and ``path_lookups`` counts which path answered every lookup.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from itertools import chain, takewhile
+from operator import attrgetter
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from repro.flow.fields import OVS_FIELDS, FieldSpace
 from repro.flow.key import FlowKey
@@ -73,6 +83,11 @@ np = require_numpy("the columnar datapath engine")
 #: collide with hash probability (and the exact re-check keeps even
 #: that harmless)
 _FOLD_MULT = 0x9E3779B97F4A7C15
+
+#: a memo lookup's default: a key the memo does not hold (``None`` is
+#: a remembered miss)
+_UNSEEN = object()
+_PACKED = attrgetter("packed")
 
 
 def _first_match(packed: int, tables: list, lo: int, hi: int):
@@ -129,7 +144,11 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
     #: of subtables with a handful of megaflows each
     DENSE_MAX_ENTRIES = 4
     #: entry columns scanned per block — small enough that every
-    #: per-lane pass stays on a cache-friendly contiguous buffer
+    #: per-lane pass stays on a cache-friendly contiguous buffer.  A
+    #: block holds up to ``BLOCK * BLOCK`` (key, column) cells: a scan
+    #: of fewer than ``BLOCK`` keys — a bursty feed's few new keys per
+    #: burst — widens its blocks to match, paying the fixed NumPy cost
+    #: per block over more columns
     BLOCK = 96
     #: (key, column) pairs below which a burst pre-scan is not run.  A
     #: scan costs ~20 µs of fixed NumPy call overhead per column block,
@@ -169,10 +188,13 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
         #: first absorbed insert into a subtable that was already there
         #: (most bursts install nothing, or only new masks)
         self._memo_depths: dict[Subtable, int] | None = None
-        #: the generation as of the last ``lookup_batch`` (``None``:
-        #: none yet) — a small chunk that finds it moved is re-probing
-        #: behind a write, not a caller's small burst
+        #: the generation as of the last answer (``None``: none yet) —
+        #: a scalar answer that finds it moved is re-probing behind a
+        #: write, not a caller's small burst
         self._answered_generation: int | None = None
+        #: the last generation at which :meth:`_ahead` considered
+        #: pre-scanning the rest of a burst: once per generation
+        self._ahead_generation = -1
         #: why the columnar mirror can never serve this configuration
         #: (staged lookup), or ``None`` when it can
         self._scalar_reason = "staged" if staged else None
@@ -279,7 +301,7 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
     # -- the pure scan -------------------------------------------------------
 
     def _dense_scan(self, dense: DenseMirror, uniq_packed: list[int]) -> list:
-        """The inherited ``_scan``'s answers — per key the
+        """The inherited ``_answers`` — per key the
         :class:`TssLookupResult` of its first match in scan order, or
         ``None`` — for distinct packed keys, resolved against the dense
         mirror.  Pure, so the answers hold for as long as the generation
@@ -289,7 +311,7 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
         n_uniq = len(uniq_packed)
         lanes = self.codec.encode_ints(uniq_packed)  # (n_uniq, L)
         n_lanes = self.codec.lanes
-        block = self.BLOCK
+        block = max(self.BLOCK, self.BLOCK * self.BLOCK // max(n_uniq, 1))
         ar = np.arange(n_uniq, dtype=np.intp)
         pending = ar
         found: list = [None] * n_uniq
@@ -363,7 +385,7 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
 
     def prescan_pays(self, n_keys: int) -> bool:
         """Whether pre-scanning ``n_keys`` keys can beat answering them
-        chunk by chunk: the columnar path must be able to serve this
+        one by one: the columnar path must be able to serve this
         tuple space at all, and the (key, column) work must outweigh
         the scan's fixed overhead.  Callers pass an upper bound first to
         skip building the key list outright on a near-empty tuple space."""
@@ -376,9 +398,9 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
     def prescan(self, packed_keys: list[int]) -> None:
         """Answer ``packed_keys`` (distinct packed ints) up front and
         remember the answers: until something other than an ``insert``
-        writes the tuple space, :meth:`lookup_batch` chunks made only of
-        these keys are consumed from the memo — same results, credits
-        and counters — instead of re-scanned.  The memo before it is
+        writes the tuple space, these keys' answers are taken from the
+        memo — same results, credits and counters — instead of
+        re-scanned.  The memo before it is
         kept whole while it is still exact (the same generation, no
         insert absorbed since) and under ``MEMO_MAX_KEYS``, so only the
         keys new to the generation are scanned — column-wise when that
@@ -411,74 +433,123 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
 
     # -- where a burst's answers come from -----------------------------------
 
-    def _lookup_memoised(self, memo: dict, keys: Sequence[FlowKey],
-                         n_tables: int) -> list[TssLookupResult]:
-        """Consume ``keys`` from a live memo, each answer brought up to
-        date with the inserts absorbed since.  A key the pre-scan did
-        not cover (a direct caller's chunk; :class:`VecSwitch`
-        pre-scans every key it looks up) is answered by scalar probes
-        of the live tables — the small-burst path, minus the chunk's
-        covered keys — and joins the memo."""
-        probed = 0
-        written = self._memo_written
-        try:
-            answers = [memo[key.packed] for key in keys]
-        except KeyError:
-            # the live order, not the mirror's: an absorbed insert has
-            # retired the mirror, and this must not rebuild it per key
-            tables = self.subtables()
-            answers = []
-            for key in keys:
-                packed = key.packed
-                if packed in memo:
-                    hit = _shallowest(packed, memo[packed], written)
-                else:
-                    hit = memo[packed] = _first_match(
-                        packed, tables, 0, n_tables
-                    )
-                    probed += 1
-                answers.append(hit)
-                if hit is None:
-                    break  # the prefix ends here: probe no further
-        else:
-            if written:
-                answers = [_shallowest(key.packed, hit, written)
-                           for key, hit in zip(keys, answers)]
-        results = self._consume(answers, n_tables)
-        self.path_lookups["small_burst"] += probed
-        self.path_lookups["memo"] += len(results) - probed
-        return results
-
-    def lookup_batch(self, keys: Sequence[FlowKey]) -> list[TssLookupResult]:
-        """The inherited burst lookup with the answers taken from the
-        scan memo when one is live, else — for a chunk large enough to
-        amortise the NumPy overhead — resolved column-major in
-        fingerprint blocks; everything else is the inherited scalar
-        scan.  ``path_lookups`` counts which it was."""
-        if self._scalar_reason is not None:
-            results = super().lookup_batch(keys)
-            self.path_lookups[self._scalar_reason] += len(results)
-            return results
-        n_tables = len(self._subtables)
+    def _answers(self, keys: Sequence[FlowKey], positions: Iterable[int],
+                 probes: list[int] | None = None,
+                 ) -> Iterator[TssLookupResult | None]:
+        """The inherited pure answers, taken from the scan memo while one
+        is live: the pre-scan's answer brought up to date with the
+        inserts absorbed since (:func:`_shallowest`), or — for a key the
+        pre-scan did not cover — a live probe (:func:`_first_match`)
+        that joins the memo.  With no live memo they are the inherited
+        scalar probes, until the tuple space has held still across two
+        answers — the second behind a burst's own installs is the first
+        that can tell a stable table from one still being written: the
+        rest of the burst is then pre-scanned (:meth:`_ahead`) and the
+        memo answers from there.  ``path_lookups`` counts which path
+        answered each key."""
+        paths = self.path_lookups
         generation = self.generation
+        memo = self._memo
+        if memo is not None and self._memo_generation != generation:
+            memo = self._memo = None  # retired: not only inserts since
         answered = self._answered_generation
         self._answered_generation = generation
-        memo = self._memo
-        if memo is not None:
-            if self._memo_generation == generation:
-                return self._lookup_memoised(memo, keys, n_tables)
-            self._memo = None  # retired: not only inserts since
-        if not n_tables or len(keys) < self.VEC_MIN_BATCH:
-            # too small to amortise the NumPy overhead: a caller's small
-            # run, or the run drain re-probing key by key behind a write
-            # no live memo absorbed (a removal or re-sort retired it, or
-            # no pre-scan paid for this tuple space in the first place)
+        positions = iter(positions)
+        if memo is None:
             moved = answered is not None and answered != generation
-            path = "memo_invalidated" if moved else "small_burst"
-            answers = self._scan(keys)
-        elif (dense := self._dense_mirror()) is None:
+            for i in positions:
+                if not moved and (memo := self._ahead(keys, i)) is not None:
+                    positions = chain((i,), positions)
+                    break
+                # the first answer behind a write no live memo absorbed
+                # is a re-probe; the rest are a small burst's
+                paths[self._scalar_reason
+                      or ("memo_invalidated" if moved else "small_burst")] += 1
+                moved = False
+                yield next(super()._answers(keys, (i,), probes))
+            else:
+                return
+        written = self._memo_written
+        for packed in map(_PACKED, map(keys.__getitem__, positions)):
+            hit = memo.get(packed, _UNSEEN)
+            if hit is _UNSEEN:
+                # the live order, not the mirror's: an absorbed insert
+                # has retired the mirror, and this must not rebuild it
+                # per key
+                tables = self.subtables()
+                hit = memo[packed] = _first_match(packed, tables, 0,
+                                                  len(tables))
+                paths["small_burst"] += 1
+            else:
+                if written:
+                    hit = _shallowest(packed, hit, written)
+                paths["memo"] += 1
+            yield hit
+
+    def _stretch(self, keys: Sequence[FlowKey], start: int,
+                 probes: list[int] | None = None,
+                 ) -> list[TssLookupResult | None]:
+        """The inherited stretch; from an exact memo (the live
+        generation, no insert absorbed) its leading hits are drawn in
+        one pass at C speed — ``takewhile`` over ``memo.get`` stops at
+        the first key whose answer is a miss or that the memo does not
+        hold — and only that key is answered by :meth:`_answers`."""
+        memo = self._memo
+        if (memo is None or self._memo_generation != self.generation
+                or self._memo_written):
+            return super()._stretch(keys, start, probes)
+        self._answered_generation = self.generation
+        stretch: list[TssLookupResult | None] = []
+        i, n = start, len(keys)
+        while i < n:
+            hits = [*takewhile(bool, map(memo.get, map(
+                _PACKED, map(keys.__getitem__, range(i, n)))))]
+            self.path_lookups["memo"] += len(hits)
+            stretch += hits
+            i += len(hits)
+            if i == n:
+                break
+            hit = next(self._answers(keys, (i,), probes))
+            stretch.append(hit)
+            i += 1
+            if hit is None:
+                break
+        return stretch
+
+    def _ahead(self, keys: Sequence[FlowKey], start: int
+               ) -> dict[int, TssLookupResult | None] | None:
+        """Pre-scan ``keys[start:]`` — the rest of a burst met with no
+        live memo on a table that has held still — once per generation,
+        when the columnar path serves this tuple space, the rest is no
+        small burst and the scan pays; the memo this leaves, if any."""
+        if (self._scalar_reason is None
+                and self._ahead_generation != self.generation
+                and len(keys) - start >= self.VEC_MIN_BATCH):
+            self._ahead_generation = self.generation
+            if self.prescan_pays(len(keys) - start):
+                self.prescan(list(dict.fromkeys(
+                    [keys[i].packed for i in range(start, len(keys))])))
+        return self._memo
+
+    def lookup_batch(self, keys: Sequence[FlowKey],
+                     now: float | None = None) -> list[TssLookupResult]:
+        """The inherited burst lookup — its answers from :meth:`_answers`
+        — except for a direct caller's burst large enough to amortise
+        the NumPy overhead with no live memo: that one is resolved
+        column-major in fingerprint blocks (path ``scan``), or, on a
+        mirror refused for holding too many entries per subtable, by
+        the inherited scalar probe (``sparse_mirror``)."""
+        memo_live = (self._memo is not None
+                     and self._memo_generation == self.generation)
+        if (memo_live or self._scalar_reason is not None
+                or not self._subtables or len(keys) < self.VEC_MIN_BATCH):
+            return super().lookup_batch(keys, now)
+        self._memo = None
+        self._answered_generation = self.generation
+        dense = self._dense_mirror()
+        if dense is None:
             path = "sparse_mirror"
-            answers = self._scan(keys)
+            stretch = TupleSpaceSearch._stretch(self, keys, 0)
         else:
             # burst dedup: the scan is pure, so identical keys in one
             # burst — elephant flows, benign victim traffic — are
@@ -488,8 +559,10 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
             uniq: dict[int, int] = {}
             rep = [uniq.setdefault(key.packed, len(uniq)) for key in keys]
             found = self._dense_scan(dense, list(uniq))
-            answers = map(found.__getitem__, rep)
-        results = self._consume(answers, n_tables)
+            stretch = [*map(found.__getitem__, rep)]
+            if None in stretch:
+                del stretch[stretch.index(None) + 1:]
+        results = self._consume(stretch, None, now)
         self.path_lookups[path] += len(results)
         return results
 
@@ -501,11 +574,11 @@ class VecSwitch(OvsSwitch):
     the reference implementation's own; the subclass only feeds it:
 
     * the megaflow TSS is swapped (empty, at construction) for a
-      :class:`VecTupleSpaceSearch`, so every chunk the inherited run
-      drain looks up is answered column-wise or from the scan memo;
+      :class:`VecTupleSpaceSearch`, so every key the inherited walk
+      answers is answered from the scan memo where one is live;
     * the distinct keys after the burst's hit prefix are answered
       against the tuple space once, up front (:meth:`_prescan`), before
-      the inherited :meth:`~repro.ovs.switch.OvsSwitch._resolve` drains
+      the inherited :meth:`~repro.ovs.switch.OvsSwitch._resolve` walks
       them; the answers carry over to later bursts while the tuple
       space is unchanged, up to ``MEMO_MAX_KEYS`` keys.
     """
@@ -547,22 +620,22 @@ class VecSwitch(OvsSwitch):
 
     def _prescan(self, keys: Sequence[FlowKey]) -> None:
         """Answer the burst's distinct keys against the tuple space
-        once, before the per-key loop: a bursty feed splits into runs
-        of one or two keys (an ON train's second packet is a within-run
-        duplicate), and each run's ``lookup_batch`` chunk then consumes
-        its answers from the memo instead of paying a scalar scan of
-        every subtable.  Every key after the hit prefix is covered, so
-        a resident the EMC evicts mid-burst is answered from the memo
-        too; a key any earlier burst's memo answered at an unchanged
-        generation is carried over, not scanned again (the memo is
-        bounded by ``MEMO_MAX_KEYS`` plus one burst).  A burst too
-        small for the columnar scan retires the memo instead: its
-        chunks are answered by scalar scans, which a pre-scan would
-        only add a mirror rebuild to.  Pure: nothing the reference
-        observes is touched."""
+        once, before the walk: a bursty feed asks the tuple space for
+        one or two keys between EMC hits, and each then takes its answer
+        from the memo instead of paying a scalar scan of every subtable.
+        Every key after the hit prefix is covered, so a resident the EMC
+        evicts mid-burst is answered from the memo too; a key any
+        earlier burst's memo answered at an unchanged generation is
+        carried over, not scanned again (the memo is bounded by
+        ``MEMO_MAX_KEYS`` plus one burst).  A burst too small for the
+        columnar scan — an empty keep-alive included — scans nothing: it
+        keeps a memo that is still exact (the same generation, no insert
+        absorbed), whose misses its live probes join, and drops any
+        other.  Pure: nothing the reference observes is touched."""
         tss = self.megaflow.tss
         if len(keys) < tss.VEC_MIN_BATCH or not tss.prescan_pays(len(keys)):
-            tss._memo = None
+            if tss._memo_written:
+                tss._memo = None
             return
         tss.prescan(list(dict.fromkeys([key.packed for key in keys])))
 

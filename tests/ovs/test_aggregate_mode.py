@@ -202,12 +202,13 @@ class TestEmcOffBurst:
 
     @pytest.mark.parametrize("engine", ["OvsSwitch", "VecSwitch"]
                              if HAVE_NUMPY else ["OvsSwitch"])
-    def test_an_all_hit_burst_is_one_run_with_no_per_hit_call(
+    def test_an_all_hit_burst_is_credited_once_per_entry(
             self, k8s, monkeypatch, engine):
         """An EMC that holds nothing and cannot store makes a burst's
         repeats change no result, so they cost nothing either: the
-        burst is one run — no break at a repeat — with no EMC insert and
-        no entry ``touch`` per hit, and the vec engine builds one
+        burst has no upcall, so one summed credit covers it — one
+        ``(answer, count)`` pair per distinct entry — with no EMC insert
+        and no entry ``touch`` per hit, and the vec engine builds one
         answer per distinct key."""
         space, rules, keys = k8s
         modules = [repro.ovs.tss]
@@ -224,15 +225,22 @@ class TestEmcOffBurst:
         switch.process_batch(distinct, now=0.1, materialize=False)
         burst = distinct * (self.N // self.D)
         counts = Counter()
-        _count(monkeypatch, counts, OvsSwitch, "_flush_run")
+        credited = []
+        tss = switch.megaflow.tss
+        credit = tss._credit
+        monkeypatch.setattr(tss, "_credit", lambda *args: credited.append(
+            credit(*args)) or credited[-1])
         _count(monkeypatch, counts, MicroflowCache, "insert")
         _count(monkeypatch, counts, MegaflowEntry, "touch")
         for module in modules:
             _count(monkeypatch, counts, module, "TssLookupResult")
         batch = switch.process_batch(burst, now=0.2, materialize=False)
         assert batch.megaflow_hits == self.N
-        assert (counts["_flush_run"], counts["insert"], counts["touch"]) \
-            == (1, 0, 0)
+        assert len(credited) == 1
+        entries = {id(answer.entry) for answer, _count in credited[0]}
+        assert len(entries) == len(credited[0])
+        assert sum(count for _, count in credited[0]) == self.N
+        assert (counts["insert"], counts["touch"]) == (0, 0)
         if engine == "VecSwitch":
             assert counts["TssLookupResult"] <= self.D
 

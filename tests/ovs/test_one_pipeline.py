@@ -1,12 +1,12 @@
 """The burst pipeline is one implementation, in the reference classes.
 
-Cap → scan → consume (``ovs/tss.py``) and serve-hits → resolve → flush
-(``ovs/switch.py``) each exist once; ``repro.vec`` decides only *where
-the answers come from* and is pure.  A second consume loop, run drain
-or counter fold is a second implementation of one spec: it can only be
-held to the first by an equivalence matrix, and drifts the day that
-matrix is not extended.  "vec ≡ scalar bookkeeping" is true here by
-construction, and this file keeps it so.
+Answer → consume → credit (``ovs/tss.py``) and serve-hits → walk →
+upcall (``ovs/switch.py``) each exist once; ``repro.vec`` decides only
+*where the answers come from* and is pure.  A second consume loop,
+credit step, burst walk or counter fold is a second implementation of
+one spec: it can only be held to the first by an equivalence matrix,
+and drifts the day that matrix is not extended.  "vec ≡ scalar
+bookkeeping" is true here by construction, and this file keeps it so.
 """
 
 import ast
@@ -25,17 +25,19 @@ SRC = Path(__file__).resolve().parent.parent.parent / "src" / "repro"
 #: the stateful half of the pipeline: written once, under ``ovs/``
 STATEFUL = {
     "_consume": "ovs/tss.py",
+    "_credit": "ovs/tss.py",
     "_serve_emc_hits": "ovs/switch.py",
     "_resolve": "ovs/switch.py",
-    "_flush_run": "ovs/switch.py",
     "_finish_upcall": "ovs/switch.py",
 }
-#: the forks this replaced, and the lookup-count re-sort trigger with
-#: its burst cap (the revalidator's sweep is the one re-sort) — gone,
-#: under any spelling
+#: the forks this replaced, the lookup-count re-sort trigger with its
+#: burst cap (the revalidator's sweep is the one re-sort), and the run
+#: drain with its chunk window (the burst is one walk) — gone, under
+#: any spelling
 RETIRED = ("_finish_microflow_hit", "_finish_megaflow_hit",
            "_resolve_absent", "_resolve_mixed", "_capped",
-           "_lookups_since_resort", "resort_interval", "resort_subtables")
+           "_lookups_since_resort", "resort_interval", "resort_subtables",
+           "_flush_run", "_batch_window", "MAX_BATCH_WINDOW")
 #: counters the reference classes own: nothing under ``vec/`` adds to one
 REFERENCE_COUNTERS = (
     {spec.name for spec in dataclasses.fields(SwitchStats)}
@@ -100,20 +102,20 @@ def test_the_vec_classes_restate_no_pipeline_step():
 
     restated = [
         name for name in vars(VecSwitch)
-        if name in ("_flush_run", "_serve_emc_hits")
+        if name == "_serve_emc_hits"
         or name.startswith(("_resolve", "_finish_"))
     ]
     assert not restated, restated
-    assert "_consume" not in vars(VecTupleSpaceSearch)
+    assert not {"_consume", "_credit", "_missed"} & set(
+        vars(VecTupleSpaceSearch))
 
 
 def test_vec_builds_only_hit_answers_and_writes_no_reference_counter():
     """``repro.vec`` may build a hit's ``TssLookupResult`` — a scan's
     answer is the result ``_consume`` passes through — but no
     ``PacketResult`` and no miss (the test below), and it adds to no
-    counter the reference classes own.  Nothing calls a grouped
-    ``credit_hits``: ``_consume`` credits each hit's subtable inline."""
-    from repro.ovs.tss import Subtable
+    counter the reference classes own.  Credit is one summed step,
+    defined in ``ovs/tss.py`` and called only under ``ovs/``."""
 
     built, written = [], []
     for rel, tree in _trees("vec"):
@@ -128,15 +130,19 @@ def test_vec_builds_only_hit_answers_and_writes_no_reference_counter():
         ]
     assert not built, built
     assert not written, written
-    assert not hasattr(Subtable, "credit_hits")
-    assert not [f"{rel}:{call.lineno}" for rel, tree in _trees()
-                for call in _calls(tree, "credit_hits")]
+    callers = sorted({
+        f"{rel}:{qualified}"
+        for rel, tree in _trees() if not rel.startswith("testing/")
+        for qualified, node in _functions(tree) if _calls(node, "_credit")
+    })
+    assert callers == ["ovs/switch.py:OvsSwitch._resolve",
+                       "ovs/tss.py:TupleSpaceSearch._consume"]
 
 
-def test_a_miss_result_is_built_by_the_oracle_and_the_one_consume():
+def test_a_miss_result_is_built_by_the_oracle_and_the_one_builder():
     """``TssLookupResult(None, …)`` — a TSS miss — comes from the
     per-key oracle the differential machine's reference scans and from
-    ``_consume``, nowhere else: a single-key ``lookup`` is the one-key
+    ``_missed``, nowhere else: a single-key ``lookup`` is the one-key
     burst, so the reference class keeps no second scan loop."""
     builders = sorted(
         qualified
@@ -148,7 +154,7 @@ def test_a_miss_result_is_built_by_the_oracle_and_the_one_consume():
         )
     )
     assert builders == ["TupleKeyedSearch.lookup",
-                        "TupleSpaceSearch._consume"]
+                        "TupleSpaceSearch._missed"]
 
 
 def test_the_tuple_space_keeps_no_per_key_accounting():

@@ -11,7 +11,7 @@ datapaths from it, each driven by a ``DataplaneSimulator``:
   retired paths of :mod:`repro.testing.oracles` swapped in — the
   per-rule classify loop for the slow path, the tuple-keyed tuple space
   and the full-pass ``expire_idle`` for every cache, the set-scan EMC
-  and the per-key run drain for every shard, the per-packet model
+  and the per-key burst walk for every shard, the per-packet model
   replay for the simulator — and bursts processed one key at a time
   through ``process()``.
 
@@ -430,7 +430,7 @@ class DifferentialMachine(RuleBasedStateMachine):
         self.ref = datapath(OvsSwitch)
         for shard in shard_views(self.sut):
             self._count_sweeps(shard.megaflow)
-            self._count_one_runs(shard)
+            self._count_unprobed(shard)
             if config["engine"] is not OvsSwitch:
                 self._count_carries(shard.megaflow.tss)
                 if config["eager"]:
@@ -442,7 +442,7 @@ class DifferentialMachine(RuleBasedStateMachine):
             )
             cache.expire_idle = MethodType(oracles.expire_idle_full_pass,
                                            cache)
-            shard._flush_run = MethodType(oracles.flush_run_per_key, shard)
+            shard._resolve = MethodType(oracles.resolve_per_key, shard)
             emc = shard.microflow
             shard.microflow = shard.revalidator.microflow = \
                 oracles.SetScanMicroflowCache(
@@ -480,24 +480,24 @@ class DifferentialMachine(RuleBasedStateMachine):
         expire_idle = cache.expire_idle
 
         def counted(now):
-            skipped = now - cache._idle_floor <= cache.idle_timeout
+            skipped = now - cache.tss.idle_floor <= cache.idle_timeout
             CENSUS["sweep skipped" if skipped else "sweep full"] += 1
             return expire_idle(now)
 
         cache.expire_idle = counted
 
     @staticmethod
-    def _count_one_runs(switch):
-        """Counts the bursts ``_resolve`` takes as one run — the EMC
-        empty and unable to store — that repeat a key: where a per-key
-        loop would have broken the run."""
+    def _count_unprobed(switch):
+        """Counts the bursts ``_resolve`` walks with no EMC probe — the EMC
+        empty and unable to store — that repeat a key: where a probing
+        walk would have had a duplicate to serve from the EMC."""
         resolve = switch._resolve
 
         def counted(keys, *args):
             emc = switch.microflow
             if (not emc.occupancy and not emc.can_store
                     and len({key.packed for key in keys}) < len(keys)):
-                CENSUS["one-run bursts"] += 1
+                CENSUS["unprobed bursts"] += 1
             return resolve(keys, *args)
 
         switch._resolve = counted
@@ -929,7 +929,7 @@ def test_the_points_reach_what_each_fast_path_is_there_for():
             CENSUS
         assert CENSUS["memo carried past a burst"] >= 10, CENSUS
     assert all(CENSUS[regime] >= 10 for regime in REPLAY_REGIMES), CENSUS
-    assert CENSUS["one-run bursts"] >= 10, CENSUS
+    assert CENSUS["unprobed bursts"] >= 10, CENSUS
     assert CENSUS["sweep skipped"] and CENSUS["sweep full"], CENSUS
     assert all(CENSUS["recompiles " + engine.__name__]
                for engine in ENGINES), CENSUS

@@ -18,7 +18,6 @@ from repro.flow.match import FlowMatch
 from repro.flow.rule import FlowRule
 from repro.net.addresses import ip_to_int
 from repro.ovs.switch import OvsSwitch
-from repro.ovs.tss import PrefixContractError
 from repro.testing import fingerprint
 from repro.vec import HAVE_NUMPY, VEC_TSS_PATHS
 
@@ -65,18 +64,17 @@ def _build(cls, scan_order="insertion", emc_entries=8192,
     switch.add_rules(RULES + [VICTIM_RULE])
     switch.process_batch(COVERT[:INSTALLED], now=0.0, materialize=False)
     # a lap of megaflow hits (the installs' EMC slots dropped first, so
-    # it reaches the TSS) re-opens the chunk window the installs left at
-    # one: the next burst's runs are drained in chunks, not key by key
+    # it reaches the TSS): the memo holds its keys at the generation
+    # every later burst starts from
     switch.microflow.flush()
     switch.process_batch(COVERT[:32], now=0.0, materialize=False)
-    assert switch._batch_window > 1
     return switch
 
 
 def _onoff_burst(keys, repeat=3):
     """ON trains: every key ``repeat`` times back to back, so with an
-    EMC that stores, each run of EMC misses is one key long (its
-    duplicate flushes it); with insertion off the burst is one run."""
+    EMC that stores a key asks the tuple space once and its repeats are
+    EMC hits; with insertion off every copy asks it."""
     return [key for key in keys for _ in range(repeat)]
 
 
@@ -89,7 +87,6 @@ class TestMemoServesBurstyTraffic:
         ref.process_batch(burst, now=1.0)
         vec.process_batch(burst, now=1.0)
         assert fingerprint(vec) == fingerprint(ref), "on-off burst"
-        assert vec._batch_window == ref._batch_window, "on-off burst"
         paths = vec.megaflow.tss.path_lookups
         assert paths["memo"] - before["memo"] == len(burst)
         assert paths["small_burst"] == before["small_burst"]
@@ -104,7 +101,6 @@ class TestMemoServesBurstyTraffic:
         before = dict(vec.megaflow.tss.path_lookups)
         vec.process_batch(burst, now=1.0)
         assert fingerprint(vec) == fingerprint(ref), "upcall mid-burst"
-        assert vec._batch_window == ref._batch_window, "upcall mid-burst"
         paths = vec.megaflow.tss.path_lookups
         # the fresh key's miss and everything behind its install: the
         # memo absorbs the new subtable and goes on answering
@@ -127,7 +123,6 @@ class TestMemoServesBurstyTraffic:
         ref.process_batch(burst, now=1.0)
         vec.process_batch(burst, now=1.0)
         assert fingerprint(vec) == fingerprint(ref), "evicted residents"
-        assert vec._batch_window == ref._batch_window, "evicted residents"
         paths = tss.path_lookups
         assert paths["small_burst"] == before["small_burst"]
         assert paths["memo"] - before["memo"] == tss.total_lookups - looked_up
@@ -148,7 +143,6 @@ class TestMemoServesBurstyTraffic:
             ref.process_batch(keys, now=0.1 * burst, materialize=False)
             vec.process_batch(keys, now=0.1 * burst, materialize=False)
             assert fingerprint(vec) == fingerprint(ref), burst
-            assert vec._batch_window == ref._batch_window == 1
             if burst:
                 assert paths["memo"] - before["memo"] == 64
                 assert paths["memo_invalidated"] == before["memo_invalidated"]
@@ -165,7 +159,7 @@ class TestMemoServesBurstyTraffic:
         assert vec.mask_count == 1
         assert paths["memo"] == 0 and paths["scan"] == 0
         # one install (the first key's upcall), so one lookup behind a
-        # moved generation; every other chunk is just small
+        # moved generation; every other lookup is just small
         assert paths["memo_invalidated"] == 1
         assert paths["small_burst"] == vec.megaflow.tss.total_lookups - 1
 
@@ -179,7 +173,7 @@ class TestMemoServesBurstyTraffic:
         assert vec.stats.upcalls == 64
         assert paths["memo_invalidated"] == 63
         assert paths["small_burst"] == 1
-        # a stable table: small chunks are just small
+        # a stable table: small bursts are just small
         vec = _build(VecSwitch, emc_insertion_prob=0.0)
         paths = vec.megaflow.tss.path_lookups
         before = dict(paths)
@@ -202,7 +196,7 @@ class TestMemoServesBurstyTraffic:
 
 
 def _scanned(monkeypatch, tss):
-    """Records every packed key a pre-scan or chunk answers by scanning:
+    """Records every packed key a pre-scan or a lookup answers by scanning:
     ``dense`` per :meth:`_dense_scan` call, ``scalar`` per probe."""
     import repro.vec.engine as engine
 
@@ -269,6 +263,27 @@ class TestTheMemoOutlivesItsBurst:
         assert seen == {"dense": [], "scalar": []}
         assert tss.path_lookups["memo"] - before["memo"] == len(self.BURST)
 
+    @pytest.mark.parametrize("between", [[], COVERT[40:44]],
+                             ids=["empty", "small"])
+    def test_a_small_burst_keeps_an_exact_memo(self, monkeypatch, between):
+        # a keep-alive between two full bursts, too small to pre-scan:
+        # the memo it finds is exact, so it stays, and the next full
+        # burst is answered whole from it
+        ref = _build(OvsSwitch, emc_insertion_prob=0.0)
+        vec = _build(VecSwitch, emc_insertion_prob=0.0)
+        tss = vec.megaflow.tss
+        for switch in (ref, vec):
+            switch.process_batch(self.BURST, now=1.0)
+            switch.process_batch(between, now=1.0)
+        assert tss._memo is not None
+        before = dict(tss.path_lookups)
+        seen = _scanned(monkeypatch, tss)
+        for switch in (ref, vec):
+            switch.process_batch(self.BURST, now=1.0)
+        assert fingerprint(vec) == fingerprint(ref), "after a small burst"
+        assert seen == {"dense": [], "scalar": []}
+        assert tss.path_lookups["memo"] - before["memo"] == len(self.BURST)
+
     @pytest.mark.parametrize("new, scan", [(1, "scalar"), (10, "dense")])
     def test_a_burst_scans_only_its_new_keys(self, monkeypatch, new, scan):
         ref = _build(OvsSwitch, emc_insertion_prob=0.0)
@@ -308,7 +323,6 @@ class TestTheMemoOutlivesItsBurst:
         for switch in (ref, vec):
             switch.process_batch(a, now=1.0)
         assert fingerprint(vec) == fingerprint(ref), "A, B, A"
-        assert vec._batch_window == ref._batch_window, "A, B, A"
         assert tss.generation == generation
         assert seen == {"dense": [], "scalar": []}
         assert tss.path_lookups["memo"] - before["memo"] == len(a)
@@ -335,7 +349,6 @@ class TestTheMemoOutlivesItsBurst:
             for switch in (ref, vec):
                 switch.process_batch(_onoff_burst(groups[g]), now=1.0)
             assert fingerprint(vec) == fingerprint(ref), g
-            assert vec._batch_window == ref._batch_window, g
             assert [set(k) for k in seen["dense"]] == \
                 ([scanned] if scanned else [])
             assert set(tss._memo) == held
@@ -388,7 +401,6 @@ class TestTheMemoOutlivesItsBurst:
         for switch in (ref, vec):
             switch.process_batch(self.BURST, now=1.0)
         assert fingerprint(vec) == fingerprint(ref), write.__name__
-        assert vec._batch_window == ref._batch_window, write.__name__
         assert seen == {"dense": [list(dict.fromkeys(
             key.packed for key in self.BURST))], "scalar": []}
 
@@ -459,7 +471,6 @@ class TestStaleMemoIsNeverConsumed:
             [(r.entry, r.tuples_scanned, r.hash_probes) for r in ref_results]
         assert vec_results[-1].tuples_scanned == INSTALLED + 1
         assert fingerprint(vec) == fingerprint(ref), "absorbed install"
-        assert vec._batch_window == ref._batch_window, "absorbed install"
         # all but the last from the memo; the installed key itself was
         # never pre-scanned, so it is probed (and found) scalar
         assert tss.path_lookups["memo"] - before["memo"] == len(keys) - 1
@@ -508,23 +519,3 @@ class TestStaleMemoIsNeverConsumed:
         before = tss.path_lookups["memo"]
         tss.lookup_batch(keys)
         assert tss.path_lookups["memo"] - before == len(keys)
-
-
-class _MuteTss(VecTupleSpaceSearch if HAVE_NUMPY else object):
-    """A tuple space that breaks the prefix contract: no result at all
-    for a non-empty burst."""
-
-    def lookup_batch(self, keys):
-        return []
-
-
-@pytest.mark.parametrize("cls", [OvsSwitch] + ([VecSwitch] if HAVE_NUMPY
-                                               else []))
-def test_an_empty_prefix_is_a_contract_error_not_a_silent_drop(cls):
-    switch = cls(space=OVS_FIELDS, emc_insertion_prob=0.0)
-    switch.add_rule(VICTIM_RULE)
-    switch.megaflow.tss = _MuteTss(OVS_FIELDS)
-    with pytest.raises(PrefixContractError, match="returned no result"):
-        switch.process_batch(VICTIMS[:12], now=1.0)
-    # nothing was served, and nothing claims to have been
-    assert switch.stats.megaflow_hits == switch.stats.upcalls == 0
