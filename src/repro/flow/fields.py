@@ -24,6 +24,11 @@ from repro.net.addresses import int_to_ip
 from repro.util.bits import ones, to_binary
 
 
+#: the fields RSS hashes, when present in the space (the classic NIC
+#: 5-tuple; fields outside it — MACs, ports-of-entry — don't steer)
+RSS_FIELDS = ("ip_src", "ip_dst", "ip_proto", "tp_src", "tp_dst")
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """One header field: a name, a bit width and a pretty-printer."""
@@ -83,6 +88,12 @@ class FieldSpace:
         self._unpack_plan: tuple[tuple[int, int], ...] = tuple(
             (offset, spec.max_value) for spec, offset in zip(self.specs, offsets)
         )
+        #: the steering fields' bits of the packed layout: a key's RSS
+        #: hash input is ``packed & rss_mask`` (one AND, no per-field work)
+        self.rss_mask: int = self.pack(tuple(
+            spec.max_value if spec.name in RSS_FIELDS else 0
+            for spec in self.specs
+        ))
 
     def __iter__(self) -> Iterator[FieldSpec]:
         return iter(self.specs)

@@ -5,27 +5,34 @@ from __future__ import annotations
 from typing import Iterator, Mapping
 
 from repro.flow.fields import FieldSpace
+from repro.util.bits import rss_hash
 
 
 class FlowKey:
     """A packet's extracted header values within a :class:`FieldSpace`.
 
-    A key holds two forms of the same header values, each a plain slot:
-    :attr:`values`, a tuple aligned with the space's field order, and
-    :attr:`packed`, the space's fixed bit layout as one integer (which
-    the EMC index, the scan memo and the TSS packed-key fast path mask
-    with one ``&`` per subtable).  A key is built from either form and
-    derives the other on first read: :meth:`from_packed` keys (the
-    shard workers' — keys cross the mailbox as packed ints) never
-    unpack unless something reads :attr:`values`, such as
-    :meth:`__hash__` placing the key in an EMC set.
+    A key holds three derived forms of the same header values, each a
+    plain slot: :attr:`values`, a tuple aligned with the space's field
+    order; :attr:`packed`, the space's fixed bit layout as one integer
+    (which the EMC index, the scan memo and the TSS packed-key fast path
+    mask with one ``&`` per subtable); and :attr:`rss`, the steering
+    hash ``rss_hash(packed & space.rss_mask)`` the RETA dispatcher
+    buckets it by — what a NIC hands over in the packet's descriptor,
+    taken here in software on first read, so a key object sent again
+    (a covert key list sent lap after lap) hashes once.  A key is built
+    from either of the first two and derives the others on first read:
+    :meth:`from_packed` keys (the shard workers' — keys cross the
+    mailbox as packed ints) never unpack unless something reads
+    :attr:`values`, such as :meth:`__hash__` placing the key in an EMC
+    set.  The block extractor builds its keys with all three set
+    (:meth:`from_forms`), the hash folded for the whole block at once.
 
     Unspecified fields default to zero, which mirrors how OVS zero-fills
     flow-key members that a packet does not carry (e.g. ``tp_src`` for a
     non-TCP/UDP packet).
     """
 
-    __slots__ = ("space", "values", "packed")
+    __slots__ = ("space", "values", "packed", "rss")
 
     def __init__(self, space: FieldSpace, values: Mapping[str, int] | None = None) -> None:
         self.space = space
@@ -62,6 +69,20 @@ class FlowKey:
         key.packed = packed
         return key
 
+    @classmethod
+    def from_forms(cls, space: FieldSpace, values: tuple[int, ...],
+                   packed: int, rss: int) -> "FlowKey":
+        """Build with every derived form already held (trusted input:
+        ``packed == space.pack(values)`` and ``rss ==
+        rss_hash(packed & space.rss_mask)``) — the block extractor's
+        one construction per accepted frame."""
+        key = cls.__new__(cls)
+        key.space = space
+        key.values = values
+        key.packed = packed
+        key.rss = rss
+        return key
+
     def __getattr__(self, name: str):
         # reached only when a slot is unset: derive the missing form
         if name == "values":
@@ -70,6 +91,9 @@ class FlowKey:
         if name == "packed":
             packed = self.packed = self.space.pack(self.values)
             return packed
+        if name == "rss":
+            rss = self.rss = rss_hash(self.packed & self.space.rss_mask)
+            return rss
         raise AttributeError(
             f"{type(self).__name__!r} object has no attribute {name!r}"
         )

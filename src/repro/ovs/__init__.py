@@ -23,7 +23,7 @@ from repro.ovs.wildcarding import (
 from repro.ovs.megaflow import MegaflowCache, MegaflowEntry
 from repro.ovs.tss import Subtable, TssLookupResult, TupleSpaceSearch
 from repro.ovs.microflow import MicroflowCache
-from repro.ovs.pmd import ShardedDatapath, rss_hash, shard_seed, shard_views
+from repro.ovs.pmd import ShardedDatapath, shard_seed, shard_views
 from repro.ovs.upcall import InstallContext, InstallRejected, SlowPath, UpcallResult
 from repro.ovs.revalidator import Revalidator
 from repro.ovs.switch import BatchResult, LookupPath, OvsSwitch, PacketResult
@@ -50,7 +50,6 @@ __all__ = [
     "WildcardingResult",
     "classify_with_wildcards",
     "prefix_cover_len",
-    "rss_hash",
     "shard_seed",
     "shard_views",
 ]

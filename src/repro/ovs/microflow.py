@@ -76,10 +76,10 @@ class MicroflowCache:
         self.stale_hits = 0
 
     def _set_index(self, key: FlowKey) -> int:
-        # FlowKey.__hash__ folds only int field values (a tuple of
-        # ints), which CPython hashes without per-process salting, so
+        # the value FlowKey.__hash__ returns, without its frame: a tuple
+        # of ints, which CPython hashes without per-process salting, so
         # set placement is deterministic across runs
-        return hash(key) % self.n_sets  # repro-lint: disable=determinism-hash
+        return hash(key.values) % self.n_sets  # repro-lint: disable=determinism-hash
 
     def contains(self, key: FlowKey) -> bool:
         """Whether *any* slot (live or stale) currently stores ``key``.
@@ -170,8 +170,9 @@ class MicroflowCache:
             return True
         bucket = self._sets[self._set_index(key)]
         if len(bucket) >= self.ways:
-            victim = min(range(len(bucket)), key=lambda i: bucket[i].last_used)
-            del index[bucket.pop(victim).key.packed]
+            # the least recently used slot; of equally old ones, the first
+            ages = [slot.last_used for slot in bucket]
+            del index[bucket.pop(ages.index(min(ages))).key.packed]
             self.evictions += 1
         slot = index[packed] = _Slot(key, entry, now)
         bucket.append(slot)

@@ -13,12 +13,16 @@ independent :class:`~repro.ovs.switch.OvsSwitch` shards behind an
 RSS-style dispatcher.  Packets are dispatched NIC-style through an
 **RSS indirection table** (RETA): the deterministic hash of the packed
 5-tuple selects one of ``reta_size`` buckets, and the table maps each
-bucket to a PMD shard.  Slow-path rule management is broadcast to
-every shard (every PMD consults the same OpenFlow tables), and the
-observables are aggregated — ``mask_count`` reports the *max per
-shard* (the scan bound a packet actually meets), ``total_mask_count``
-the sum, and ``stats`` a :meth:`~repro.ovs.stats.SwitchStats.merge` of
-the shards.  :class:`ShardedDatapath` is the inline runtime — it adds
+bucket to a PMD shard.  The hash travels with the packet, as a NIC's
+does in the DPDK descriptor: every key carries it
+(:attr:`~repro.flow.key.FlowKey.rss` — folded per block by the capture
+extractor, else taken in software on the key's first dispatch), and
+the dispatcher only takes it modulo the table size.  Slow-path rule
+management is broadcast to every shard (every PMD consults the same
+OpenFlow tables), and the observables are aggregated — ``mask_count``
+reports the *max per shard* (the scan bound a packet actually meets),
+``total_mask_count`` the sum, and ``stats`` a
+:meth:`~repro.ovs.stats.SwitchStats.merge` of the shards.  :class:`ShardedDatapath` is the inline runtime — it adds
 what needs the shards in reach: materialized per-packet results, the
 per-bucket load window and the rebalancer;
 :class:`~repro.runtime.parallel.ParallelDatapath` inherits the same
@@ -70,12 +74,6 @@ from repro.ovs.upcall import InstallGuard
 from repro.util.cadence import advance_if_due
 from repro.util.floatsum import add_repeated
 
-_MASK64 = (1 << 64) - 1
-
-#: the fields RSS hashes, when present in the space (the classic NIC
-#: 5-tuple; fields outside it — MACs, ports-of-entry — don't steer)
-RSS_FIELDS = ("ip_src", "ip_dst", "ip_proto", "tp_src", "tp_dst")
-
 #: default RSS indirection-table size (NICs ship 64–512 bucket RETAs)
 DEFAULT_RETA_SIZE = 128
 
@@ -94,23 +92,6 @@ def effective_reta_size(requested: int, shards: int) -> int:
     size = max(requested, shards)
     remainder = size % shards
     return size if remainder == 0 else size + (shards - remainder)
-
-
-def rss_hash(value: int) -> int:
-    """A deterministic 64-bit mix of an arbitrary-width packed value.
-
-    Stands in for the NIC's Toeplitz hash: stable across processes (no
-    salted ``hash()``), sensitive to every input bit, cheap.  Wide
-    packed values are folded 64 bits at a time through a splitmix-style
-    round.
-    """
-    mixed = 0x9E3779B97F4A7C15
-    while True:
-        mixed = ((mixed ^ (value & _MASK64)) * 0xBF58476D1CE4E5B9) & _MASK64
-        mixed ^= mixed >> 31
-        value >>= 64
-        if not value:
-            return mixed
 
 
 def shard_views(datapath) -> list:
@@ -168,14 +149,6 @@ class RetaDispatcher:
         self.name = name
         self.space = space
         self.shards: list = [shard_factory(i) for i in range(shards)]
-        # the RSS hash input: mask the packed key down to the steering
-        # fields with one precomputed AND (zero per-field work per packet)
-        self._rss_mask = space.pack(
-            tuple(
-                spec.max_value if spec.name in RSS_FIELDS else 0
-                for spec in space.specs
-            )
-        )
         #: the RSS indirection table: bucket -> shard index.  Starts as
         #: the identity spread (bucket % shards), which dispatches
         #: exactly like ``rss_hash(key) % shards`` (see
@@ -197,32 +170,27 @@ class RetaDispatcher:
             self.clock = now
         return self.clock
 
-    def bucket_of_packed(self, packed: int) -> int:
-        """The RETA bucket of a key given as its packed integer — the
-        one place the steering hash is taken (stable across rebalances:
-        only the bucket→shard map moves, never the hash)."""
-        return rss_hash(packed & self._rss_mask) % self.reta_size
-
     def shard_of(self, key: FlowKey) -> int:
         """The shard index ``key``'s packets are steered to, under the
         *current* indirection table."""
         if len(self.shards) == 1:
             return 0
-        return self.reta[self.bucket_of_packed(key.packed)]
+        return self.reta[key.rss % self.reta_size]
 
     def _split(self, keys: Iterable[FlowKey]) -> dict[int, list[FlowKey]]:
         """A burst's per-shard sub-bursts, each in arrival order (as a
         NIC queue would hold them).  A lone shard takes the whole burst
         — even an empty one, so its clock still advances; with several,
-        only the shards that received keys appear."""
+        only the shards that received keys appear.  Each key's bucket
+        is its carried steering hash (:attr:`FlowKey.rss`, a stable
+        value: only the bucket→shard map moves, never the hash) modulo
+        the table size."""
         if len(self.shards) == 1:
             return {0: keys if isinstance(keys, list) else list(keys)}
-        reta, bucket_of_packed = self.reta, self.bucket_of_packed
+        reta, size = self.reta, self.reta_size
         by_shard: dict[int, list[FlowKey]] = {}
         for key in keys:
-            by_shard.setdefault(
-                reta[bucket_of_packed(key.packed)], []
-            ).append(key)
+            by_shard.setdefault(reta[key.rss % size], []).append(key)
         return by_shard
 
     @staticmethod
@@ -414,8 +382,8 @@ class ShardedDatapath(RetaDispatcher):
                 ))
             return batch
         keys = list(keys)
-        bucket_of_packed = self.bucket_of_packed
-        key_buckets = [bucket_of_packed(key.packed) for key in keys]
+        size = self.reta_size
+        key_buckets = [key.rss % size for key in keys]
         by_position: dict[int, list[int]] = {}
         for position, bucket in enumerate(key_buckets):
             by_position.setdefault(self.reta[bucket], []).append(position)

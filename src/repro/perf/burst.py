@@ -6,9 +6,10 @@ position from scratch for every packet sent.  A :class:`KeyBurst` packs
 that bookkeeping once per key *list* instead: the keys, their cached
 packed integers (the same integers the columnar
 :class:`~repro.vec.columnar.LaneCodec` consumes) and, lazily, their RSS
-indirection-table buckets — computed by the dispatcher itself, the one
-holder of the steering hash.  Burst assembly then becomes C-level list
-slicing (:meth:`cyclic_slice`) rather than a per-packet modulo loop.
+indirection-table buckets — each key's carried steering hash
+(:attr:`~repro.flow.key.FlowKey.rss`) modulo the dispatcher's table
+size.  Burst assembly then becomes C-level list slicing
+(:meth:`cyclic_slice`) rather than a per-packet modulo loop.
 
 Bursts treat their key list as immutable: the simulator invalidates its
 cached burst by *identity* when the covert key list is reassigned (the
@@ -45,15 +46,16 @@ class KeyBurst:
 
     def buckets(self, dispatcher) -> list[int]:
         """Each key's RSS indirection-table bucket under ``dispatcher``
-        (a :class:`~repro.ovs.pmd.RetaDispatcher`, asked through its
-        own ``bucket_of_packed``).
+        (a :class:`~repro.ovs.pmd.RetaDispatcher`): ``key.rss`` modulo
+        its ``reta_size``, as the dispatcher itself takes it.
 
         Buckets depend only on the hash of the packed key masked to the
         steering fields — never on the bucket→shard map — so they are
         stable across RETA rebalances and cached per dispatcher.
         """
         if self._buckets is None or self._buckets_for is not dispatcher:
-            self._buckets = list(map(dispatcher.bucket_of_packed, self.packed))
+            size = dispatcher.reta_size
+            self._buckets = [key.rss % size for key in self.keys]
             self._buckets_for = dispatcher
         return self._buckets
 

@@ -410,7 +410,7 @@ def send_covert_per_packet(sim, t0: float, t1: float) -> tuple[int, list[float]]
     for _ in range(due):
         key = keys[sim._covert_cursor % len(keys)]
         sim._covert_cursor += 1
-        bucket = reta_dp.bucket_of_packed(key.packed) if multi else 0
+        bucket = key.rss % reta_dp.reta_size if multi else 0
         shard = reta_dp.reta[bucket] if multi else 0
         view = shards[shard]
         entry = entries.get((shard, key))

@@ -14,6 +14,7 @@ from repro.util.bits import (
     mask_of_prefix,
     ones,
     popcount,
+    rss_hash,
     to_binary,
 )
 from repro.util.units import (
@@ -43,5 +44,6 @@ __all__ = [
     "parse_bps",
     "parse_size",
     "popcount",
+    "rss_hash",
     "to_binary",
 ]

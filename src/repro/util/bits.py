@@ -8,6 +8,8 @@ the first bit a longest-prefix-match examines.
 
 from __future__ import annotations
 
+_MASK64 = (1 << 64) - 1
+
 
 def ones(width: int) -> int:
     """Return a bit vector of ``width`` ones (an all-exact mask).
@@ -87,6 +89,25 @@ def to_binary(value: int, width: int) -> str:
     if value < 0 or value > ones(width):
         raise ValueError(f"value {value} does not fit in {width} bits")
     return format(value, f"0{width}b")
+
+
+def rss_hash(value: int) -> int:
+    """A deterministic 64-bit mix of an arbitrary-width packed value.
+
+    Stands in for the NIC's Toeplitz hash: stable across processes (no
+    salted ``hash()``), sensitive to every input bit, cheap.  Wide
+    packed values are folded 64 bits at a time through a splitmix-style
+    round.  The scalar reference for every key's steering hash
+    (:attr:`~repro.flow.key.FlowKey.rss`); the block extractor's NumPy
+    fold is held to it.
+    """
+    mixed = 0x9E3779B97F4A7C15
+    while True:
+        mixed = ((mixed ^ (value & _MASK64)) * 0xBF58476D1CE4E5B9) & _MASK64
+        mixed ^= mixed >> 31
+        value >>= 64
+        if not value:
+            return mixed
 
 
 def _check_index(index: int, width: int) -> None:

@@ -9,10 +9,12 @@ offsets.  :class:`FlowExtractor` gathers those bytes for a whole
 :meth:`~repro.net.pcap.PcapReader.blocks` block at once, evaluates the
 conditions the parser walks to get there, and builds the keys of the
 frames that pass straight from the gathered columns, their packed
-integer pre-filled.  Every other frame — VLAN, IP options, ARP, ICMP,
-short or lying lengths, runts — goes through the per-frame parser,
-unchanged, and so does every frame when NumPy is absent or the field
-space is not the OVS layout.
+integer and their RSS steering hash pre-filled (the hash folded for the
+whole block by :func:`rss_hashes`).  Every other frame — VLAN, IP
+options, ARP, ICMP, short or lying lengths, runts — goes through the
+per-frame parser, unchanged, and so does every frame when NumPy is
+absent or the field space is not the OVS layout; its key takes the
+hash in software, on first dispatch.
 
 The columnar branch may only *accept* a frame whose key it can prove
 equal to the oracle's; ``tests/runtime/test_ingest_differential.py``
@@ -41,6 +43,33 @@ _ADDRESSES, _PORTS, _TCP_OFFSET = slice(6, 14), slice(14, 18), 18
 _IPV4_HIGH, _IPV4_LOW = divmod(ETHERTYPE_IPV4, 256)
 #: IPv4 with a 20-byte header: no options to step over
 _VERSION4_IHL5 = 0x45
+#: where the destination address sits in the packed layout: the
+#: extractor's high half (both addresses) lies above it, its low half
+#: (protocol and ports) below
+_DST_SHIFT = OVS_FIELDS.offset_of("ip_dst")
+
+
+def rss_hashes(high: "np.ndarray", low: "np.ndarray") -> "np.ndarray":
+    """Each masked key's :func:`~repro.util.bits.rss_hash`, for a
+    block at once — bit-identical to the scalar fold, which stays the
+    reference.
+
+    ``high`` and ``low`` are the extractor's two ``uint64`` halves of a
+    key's steering fields (``ip_src << 32 | ip_dst`` and
+    ``ip_proto << 32 | tp_src << 16 | tp_dst``), so the masked key is
+    ``high << 40 | low``.  ``rss_hash`` folds it 64 bits at a time: one
+    splitmix round over its low 64 bits (``dst << 40 | low``: the
+    ``uint64`` shift drops the rest), then a second round over
+    ``high >> 24`` only where that is nonzero.
+    """
+    multiplier, mix_shift = np.uint64(0xBF58476D1CE4E5B9), np.uint64(31)
+    word = high << np.uint64(_DST_SHIFT) | low
+    mixed = (np.uint64(0x9E3779B97F4A7C15) ^ word) * multiplier
+    mixed ^= mixed >> mix_shift
+    above = high >> np.uint64(64 - _DST_SHIFT)
+    folded = (mixed ^ above) * multiplier
+    folded ^= folded >> mix_shift
+    return np.where(above != 0, folded, mixed)
 
 
 class FlowExtractor:
@@ -140,16 +169,18 @@ class FlowExtractor:
                | sport.astype(np.uint64) << np.uint64(sport_shift)
                | dport)
         space, in_port, base = self.space, self.in_port, self._base
-        from_tuple = FlowKey.from_tuple
+        from_forms = FlowKey.from_forms
         keys = [
-            from_tuple(
+            from_forms(
                 space,
                 (in_port, ETHERTYPE_IPV4, s, d, p, sp, dp),
-                packed=base | h << dst_shift | lo,
+                base | h << dst_shift | lo,
+                rss,
             )
-            for s, d, p, sp, dp, h, lo in zip(
+            for s, d, p, sp, dp, h, lo, rss in zip(
                 src.tolist(), dst.tolist(), proto.tolist(), sport.tolist(),
                 dport.tolist(), high.tolist(), low.tolist(),
+                rss_hashes(high, low).tolist(),
             )
         ]
         return accept, keys

@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 
 from repro.attack.analysis import AttackDimension, reachable_mask_count
 from repro.attack.packets import CovertStreamGenerator, covert_keys_for_dimensions
-from repro.ovs.pmd import rss_hash
 from repro.flow.fields import OVS_FIELDS, toy_single_field_space
 from repro.flow.key import FlowKey
 from repro.net.ipv4 import PROTO_TCP, PROTO_UDP, IPv4
 from repro.net.l4 import Tcp, Udp
 from repro.net.pcap import PcapReader
 from repro.scenario.registry import SURFACES
-from repro.util.bits import bit_flip, first_diff_bit
+from repro.util.bits import bit_flip, first_diff_bit, rss_hash
 
 IP_DIM = AttackDimension("ip_src", 0x0A00000A, 32, 32)
 DPORT_DIM = AttackDimension("tp_dst", 80, 16, 16)

@@ -222,6 +222,20 @@ class TestMicroflowCache:
         assert cache.lookup(self._key(2)) is None
         assert cache.evictions == 1
 
+    def test_lru_tie_evicts_the_first_slot(self):
+        """Of equally old slots the eviction takes the first in the
+        set, i.e. the earliest admitted of them."""
+        cache = MicroflowCache(entries=3, ways=3)  # one set, three ways
+        a, b, c, d = (self._entry() for _ in range(4))
+        cache.insert(self._key(1), a, now=5.0)
+        cache.insert(self._key(2), b, now=2.0)
+        cache.insert(self._key(3), c, now=2.0)
+        cache.insert(self._key(4), d, now=6.0)  # keys 2 and 3 tie
+        assert cache.lookup(self._key(2)) is None
+        assert cache.lookup(self._key(3)) is c
+        assert cache.lookup(self._key(1)) is a
+        assert cache.evictions == 1
+
     def test_stale_entries_purged_on_contact(self):
         cache = MicroflowCache(entries=16, ways=2)
         entry = self._entry()

@@ -1,11 +1,13 @@
 """RETA dispatch is one implementation (``ovs/pmd.py``'s
-``RetaDispatcher``) that both runtimes inherit.
+``RetaDispatcher``) that both runtimes inherit, over one steering hash
+that the key carries (``FlowKey.rss``).
 
-A second ``rss_hash(packed & mask) % size``, a second copy of the rule
-broadcast or of a merged observable is a second implementation of one
-spec: it can only be held to the first by an equivalence test, and
-drifts the day that test is not extended.  "parallel ≡ serial dispatch"
-is true here by construction, and this file keeps it so.
+A second ``rss_hash(packed & mask)``, a second copy of the steering
+mask, of the rule broadcast or of a merged observable is a second
+implementation of one spec: it can only be held to the first by an
+equivalence test, and drifts the day that test is not extended.
+"parallel ≡ serial dispatch" is true here by construction, and this
+file keeps it so.
 """
 
 import ast
@@ -14,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.flow.fields import OVS_FIELDS, RSS_FIELDS
 from repro.ovs.pmd import PmdRebalancer, RetaDispatcher, ShardedDatapath
 from repro.ovs.megaflow import MegaflowCache
 from repro.ovs.revalidator import Revalidator
@@ -26,7 +29,7 @@ SRC = Path(__file__).resolve().parent.parent.parent / "src"
 
 #: what the dispatcher shares; a runtime restating one has forked it
 SHARED = (
-    "bucket_of_packed", "shard_of", "_split", "_fold",
+    "shard_of", "_split", "_fold",
     "add_rule", "add_rules", "remove_tenant_rules", "invalidate_caches",
     "stats", "shard_mask_counts", "mask_count", "total_mask_count",
     "megaflow_count", "tss_lookups", "expected_scan_depth", "rule_count",
@@ -47,20 +50,43 @@ def _named(node, name):
 
 
 def test_the_steering_hash_has_one_call_site():
+    """The product takes the scalar hash in one place, the key's own
+    derivation of ``rss`` (the block extractor's NumPy fold is held to
+    it by a property); only the test-only oracles may call it too."""
     sites = [
         f"{rel}:{node.lineno}"
         for rel, tree in _trees() for node in ast.walk(tree)
         if isinstance(node, ast.Call) and _named(node.func, "rss_hash")
     ]
-    assert len(sites) == 1 and sites[0].startswith("repro/ovs/pmd.py"), sites
+    product = [site for site in sites
+               if not site.startswith("repro/testing/")]
+    assert len(product) == 1 and product[0].startswith(
+        "repro/flow/key.py"), sites
 
 
-def test_nothing_outside_the_dispatcher_reads_its_rss_mask():
-    readers = sorted({
-        rel for rel, tree in _trees() for node in ast.walk(tree)
-        if _named(node, "_rss_mask")
-    })
-    assert readers == ["repro/ovs/pmd.py"]
+def test_the_steering_rule_lives_on_the_field_space():
+    """The mask is the key layout's, built once on ``FieldSpace`` from
+    ``RSS_FIELDS``: no dispatcher holds one, and nothing else spells
+    the steering fields."""
+    def sites(name, node_types):
+        return sorted({
+            rel for rel, tree in _trees() for node in ast.walk(tree)
+            if isinstance(node, node_types) and any(
+                _named(target, name) for target in (
+                    node.targets if isinstance(node, ast.Assign)
+                    else [node.target]
+                )
+            )
+        })
+
+    assigns = (ast.Assign, ast.AnnAssign)
+    assert sites("rss_mask", assigns) == ["repro/flow/fields.py"]
+    assert sites("RSS_FIELDS", assigns) == ["repro/flow/fields.py"]
+    assert sites("_rss_mask", assigns) == []
+    assert OVS_FIELDS.rss_mask == OVS_FIELDS.pack(tuple(
+        spec.max_value if spec.name in RSS_FIELDS else 0
+        for spec in OVS_FIELDS
+    ))
 
 
 @pytest.mark.parametrize("runtime", [ShardedDatapath, ParallelDatapath])

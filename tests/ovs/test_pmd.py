@@ -10,16 +10,17 @@ from repro.attack.packets import CovertStreamGenerator
 from repro.attack.policy import kubernetes_attack_policy
 from repro.cms.base import PolicyTarget
 from repro.cms.kubernetes import KubernetesCms
-from repro.flow.fields import OVS_FIELDS
+from repro.flow.fields import OVS_FIELDS, RSS_FIELDS
 from repro.flow.key import FlowKey
 from repro.net.addresses import ip_to_int
 from repro.net.ethernet import ETHERTYPE_IPV4
 from repro.net.ipv4 import PROTO_TCP
-from repro.ovs.pmd import RSS_FIELDS, ShardedDatapath, rss_hash, shard_seed
+from repro.ovs.pmd import ShardedDatapath, shard_seed
 from repro.ovs.stats import COUNTERS, SwitchStats
 from repro.ovs.switch import OvsSwitch
 from repro.perf.costmodel import KERNEL_PROFILE
 from repro.perf.factory import DatapathConfig, switch_for_profile
+from repro.util.bits import rss_hash
 from repro.vec import HAVE_NUMPY
 
 if HAVE_NUMPY:

@@ -19,12 +19,12 @@ from repro.ovs.pmd import (
     PmdRebalancer,
     ShardedDatapath,
     effective_reta_size,
-    rss_hash,
 )
 from repro.ovs.switch import OvsSwitch
 from repro.perf.costmodel import KERNEL_PROFILE
 from repro.perf.factory import DatapathConfig, switch_for_profile
 from repro.scenario.datapath import CachelessDatapath
+from repro.util.bits import rss_hash
 
 
 def _keys(count=64):
@@ -69,7 +69,7 @@ class TestRetaTable:
                 b % shards for b in range(datapath.reta_size)
             ]
             for key in _keys(96):
-                direct = rss_hash(key.packed & datapath._rss_mask) % shards
+                direct = rss_hash(key.packed & OVS_FIELDS.rss_mask) % shards
                 assert datapath.shard_of(key) == direct
 
     def test_bucket_is_stable_shard_follows_the_table(self):
@@ -77,11 +77,11 @@ class TestRetaTable:
             KERNEL_PROFILE, shards=4, seed=0
         ).dispatched(OvsSwitch)
         key = _keys(1)[0]
-        bucket = datapath.bucket_of_packed(key.packed)
+        bucket = key.rss % datapath.reta_size
         assert datapath.shard_of(key) == datapath.reta[bucket]
         datapath.reta[bucket] = (datapath.reta[bucket] + 1) % 4
-        # the hash never moves
-        assert datapath.bucket_of_packed(key.packed) == bucket
+        # the hash never moves: the key carries it, the table does not
+        assert key.rss == rss_hash(key.packed & OVS_FIELDS.rss_mask)
         assert datapath.shard_of(key) == datapath.reta[bucket]
 
     def test_default_reta_size(self):

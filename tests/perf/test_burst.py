@@ -6,6 +6,7 @@ from repro.flow.fields import OVS_FIELDS
 from repro.flow.key import FlowKey
 from repro.net.ethernet import ETHERTYPE_IPV4
 from repro.perf.burst import KeyBurst
+from repro.util.bits import rss_hash
 
 
 def _keys(n=5):
@@ -50,7 +51,10 @@ class TestKeyBurst:
         burst = KeyBurst(keys)
         dispatcher = make(2)
         first = burst.buckets(dispatcher)
-        assert first == [dispatcher.bucket_of_packed(key.packed) for key in keys]
+        assert first == [
+            rss_hash(key.packed & OVS_FIELDS.rss_mask) % dispatcher.reta_size
+            for key in keys
+        ]
         assert burst.buckets(dispatcher) is first
         assert burst.buckets(make(4)) is not first
 

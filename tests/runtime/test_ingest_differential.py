@@ -8,8 +8,9 @@ per frame — kept here, whole, as the oracle.  Held to it:
 * :meth:`PcapReader.blocks` (and the per-record view over it) on
   records, stamps, ``oversized_records`` and where a cut is reported,
   at three refill sizes; and
-* :meth:`PcapSource.batches` on keys, each key's pre-filled ``packed``,
-  burst stamps by ``repr``, burst boundaries and ``malformed`` by
+* :meth:`PcapSource.batches` on keys, each key's pre-filled ``packed``
+  and ``rss`` (the steering hash, against the oracle key's software
+  derivation), burst stamps by ``repr``, burst boundaries and ``malformed`` by
   reason — with the columnar branch taking its share of the frames,
   with NumPy patched away, and with a field space the columnar branch
   does not serve.
@@ -35,7 +36,9 @@ from repro.net.layers import Raw
 from repro.net.parse import ParseError
 from repro.net.pcap import MAX_SNAPLEN, PcapReader, PcapTruncatedError
 from repro.obs import Telemetry
+from repro.flow.key import FlowKey
 from repro.runtime.service import PcapSource
+from repro.util.bits import rss_hash
 from repro.vec import HAVE_NUMPY
 
 REFILLS = (64, 1000, pcap.REFILL_BYTES)
@@ -252,10 +255,12 @@ def _check_batches(path, space, batch_size):
         [repr(stamp) for stamp, _ in expected]
     for (_, got), (_, want) in zip(bursts, expected):
         assert got == want
-        for key in got:
+        for key, oracle in zip(got, want):
             assert all(type(value) is int for value in key.values)
             assert type(key.packed) is int
             assert key.packed == space.pack(key.values)
+            assert type(key.rss) is int
+            assert key.rss == oracle.rss
     assert _counted(telemetry, "serve.ingest.malformed", "reason") == malformed
     assert source.malformed == sum(malformed.values())
     census = _counted(telemetry, "serve.ingest.frames", "path")
@@ -373,6 +378,51 @@ def test_columnar_ingest_equals_the_per_frame_oracle(tmp_path, monkeypatch):
     # the corpus exercises both branches, not one and a rounding error
     assert min(taken["columnar"], taken["reference"]) >= \
         0.25 * sum(taken.values()) > 100
+
+
+#: a 5-tuple that reaches the fold's one-round case (``ip_src == 0``
+#: and ``ip_dst < 2**24``: nothing of the masked key above bit 64) as
+#: often as its two-round case
+five_tuples = st.tuples(
+    st.one_of(st.just(0), addresses),
+    st.one_of(st.integers(0, 2**24 - 1), addresses),
+    st.integers(0, 255), ports, ports,
+)
+
+
+@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+def test_the_block_hash_fold_is_the_scalar_hash():
+    """``rss_hashes`` over the extractor's two halves equals the scalar
+    ``rss_hash`` of each key masked to the steering fields, whatever
+    the fields the mask drops hold."""
+    import numpy as np
+
+    from repro.vec.ingest import rss_hashes
+
+    rounds = Counter()
+
+    @_property(200)
+    @given(st.lists(st.tuples(five_tuples, ports, ports), min_size=1,
+                    max_size=40))
+    def check(rows):
+        high = np.array([src << 32 | dst for (src, dst, *_), _, _ in rows],
+                        dtype=np.uint64)
+        low = np.array([proto << 32 | sport << 16 | dport
+                        for (_, _, proto, sport, dport), _, _ in rows],
+                       dtype=np.uint64)
+        expected = []
+        for (src, dst, proto, sport, dport), in_port, eth_type in rows:
+            packed = FlowKey(OVS_FIELDS, {
+                "in_port": in_port, "eth_type": eth_type, "ip_src": src,
+                "ip_dst": dst, "ip_proto": proto, "tp_src": sport,
+                "tp_dst": dport,
+            }).packed & OVS_FIELDS.rss_mask
+            rounds["one" if packed >> 64 == 0 else "two"] += 1
+            expected.append(rss_hash(packed))
+        assert rss_hashes(high, low).tolist() == expected
+
+    check()
+    assert min(rounds["one"], rounds["two"]) > 100, rounds
 
 
 TOY_SPACE = FieldSpace(
