@@ -37,7 +37,6 @@ from repro.ovs.switch import OvsSwitch
 from repro.perf.costmodel import CostModel
 from repro.perf.simulator import DataplaneSimulator, SimulationResult
 from repro.perf.workload import AttackerWorkload, VictimWorkload
-from repro.util.rng import DeterministicRng
 
 if TYPE_CHECKING:
     from repro.scenario.datapath import Datapath
@@ -94,7 +93,6 @@ class AttackCampaign:
         cost_model: CostModel | None = None,
         switch: "Datapath | None" = None,
         space: FieldSpace = OVS_FIELDS,
-        noise: float = 0.0,
         seed: int = 7,
         attacker_strategy: str = "naive",
         reprobe_interval: float = 0.0,
@@ -121,9 +119,7 @@ class AttackCampaign:
         self.duration = duration
         self.cost_model = cost_model or CostModel()
         self.space = space
-        self.noise = noise
         self.seed = seed
-        self.rng = DeterministicRng(seed)
         self.switch = switch or OvsSwitch(space=space, name="victim-node")
         self.target = PolicyTarget(
             pod_ip=attacker_pod_ip,
@@ -253,8 +249,6 @@ class AttackCampaign:
             victim_keys=self.victim_keys(),
             events=[(self.inject_time, inject), *extra_events],
             duration=self.duration,
-            noise=self.noise,
-            rng=self.rng.fork("simulator"),
             workload_seed=self.seed,
             covert_refresh=covert_refresh,
             reprobe_interval=self.reprobe_interval,

@@ -92,7 +92,6 @@ def run_fig3(
     attack_start: float = ATTACK_START,
     covert_rate_bps: float = 2e6,
     seed: int = 7,
-    noise: float = 0.0,
 ) -> Fig3Result:
     """Run the Fig. 3 campaign with the paper's parameters."""
     spec = SCENARIOS.get("fig3").evolve(
@@ -100,7 +99,6 @@ def run_fig3(
         attack_start=attack_start,
         covert_rate_bps=covert_rate_bps,
         seed=seed,
-        noise=noise,
     )
     result = Session(spec).run()
     return Fig3Result(report=result.report, scenario=result)

@@ -164,7 +164,7 @@ def _shard_sum(names: tuple, datapath, observed: list[dict] | None,
 
 def vec_tss_paths(datapath, observed: list[dict] | None = None) -> dict:
     """TSS lookups by the code path that answered them, summed over
-    shards: a fresh columnar ``scan``, the burst ``memo``, or the scalar
+    shards: the scan ``memo`` (the one columnar answer), or the scalar
     fallback by reason (:data:`~repro.vec.VEC_TSS_PATHS`).  All zero
     for engines without the columnar TSS — which is how a "vectorized"
     run that silently went scalar shows.  Without ``observed`` the
@@ -184,7 +184,6 @@ def record_vec_tss(telemetry, paths: dict, **labels: str) -> None:
     no pre-scan covered: the columnar switch pre-scans every key
     after a burst's hit prefix, so its evicted EMC residents are
     ``memo`` answers)."""
-    telemetry.gauge("vec.tss.scan_lookups", **labels).set(paths["scan"])
     telemetry.gauge("vec.tss.memo_lookups", **labels).set(paths["memo"])
     for reason in VEC_TSS_FALLBACK_REASONS:
         telemetry.gauge(

@@ -3,10 +3,9 @@
 The wall-clock-bound loops used to rebuild per-key lists every tick —
 re-deriving each covert key's packed integer, RSS bucket and cyclic
 position from scratch for every packet sent.  A :class:`KeyBurst` packs
-that bookkeeping once per key *list* instead: the keys, their cached
-packed integers (the same integers the columnar
-:class:`~repro.vec.columnar.LaneCodec` consumes) and, lazily, their RSS
-indirection-table buckets — each key's carried steering hash
+that bookkeeping once per key *list* instead: the keys (each carries
+its packed integer itself) and, lazily, their RSS indirection-table
+buckets — each key's carried steering hash
 (:attr:`~repro.flow.key.FlowKey.rss`) modulo the dispatcher's table
 size.  Burst assembly then becomes C-level list slicing
 (:meth:`cyclic_slice`) rather than a per-packet modulo loop.
@@ -27,7 +26,7 @@ from repro.flow.key import FlowKey
 class KeyBurst:
     """An immutable burst of flow keys with pre-derived per-key state."""
 
-    __slots__ = ("keys", "packed", "_buckets", "_buckets_for")
+    __slots__ = ("keys", "_buckets", "_buckets_for")
 
     def __init__(self, keys: Sequence[FlowKey]) -> None:
         #: the key list itself — kept by reference when already a list,
@@ -35,9 +34,6 @@ class KeyBurst:
         self.keys: list[FlowKey] = (
             keys if isinstance(keys, list) else list(keys)
         )
-        #: each key's packed integer (one attribute walk per key, paid
-        #: once per burst object instead of once per packet)
-        self.packed: list[int] = [key.packed for key in self.keys]
         self._buckets: list[int] | None = None
         self._buckets_for: object = None
 

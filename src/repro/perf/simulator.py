@@ -50,7 +50,6 @@ from repro.perf.series import TimeSeries, Window
 from repro.perf.workload import AttackerWorkload, VictimWorkload
 from repro.util.cadence import advance_if_due
 from repro.util.floatsum import add_repeated
-from repro.util.rng import DeterministicRng
 
 #: an event mutating the switch at a given time (e.g. policy injection)
 SimEvent = tuple[float, Callable[[OvsSwitch], None]]
@@ -124,8 +123,6 @@ class DataplaneSimulator:
         events: Sequence[SimEvent] = (),
         duration: float = 150.0,
         dt: float = 1.0,
-        noise: float = 0.0,
-        rng: DeterministicRng | None = None,
         workload_seed: int = 0,
         covert_refresh: Callable[[], Sequence[FlowKey]] | None = None,
         reprobe_interval: float = 0.0,
@@ -152,8 +149,6 @@ class DataplaneSimulator:
         self.events = sorted(events, key=lambda e: e[0])
         self.duration = duration
         self.dt = dt
-        self.noise = noise
-        self.rng = rng or DeterministicRng(7)
         # fleet/campaign control surface: a fleet controller scales the
         # victim's offered load when pods migrate between nodes, and
         # gates the covert stream per tick when the fabric fails to
@@ -821,8 +816,6 @@ class DataplaneSimulator:
                 reta_dp.record_bucket_cycles(
                     bucket, weight * demand * avg_costs[shard]
                 )
-        if self.noise:
-            achieved_pps *= 1.0 + self.rng.uniform(-self.noise, self.noise)
         frame_bits = self.victim.frame_bytes * 8
         mean_load = sum(tick_loads) / n_shards
         imbalance = max(tick_loads) / mean_load if mean_load > 0 else 1.0

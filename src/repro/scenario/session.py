@@ -271,7 +271,6 @@ class Session:
             cost_model=self.cost_model,
             switch=datapath or self.build_datapath(),
             space=self.space,
-            noise=spec.noise,
             seed=spec.seed,
             attacker_strategy=spec.attacker_strategy,
             reprobe_interval=spec.reprobe_interval,

@@ -120,8 +120,6 @@ class ScenarioSpec:
     #: = the heavy-tailed elephant-flow regime that leaves statically
     #: hashed PMDs asymmetrically loaded)
     workload_skew: float = 0.0
-    #: multiplicative throughput noise (0 = deterministic)
-    noise: float = 0.0
     seed: int = 7
     #: display name (defaults to the surface name)
     name: str = ""

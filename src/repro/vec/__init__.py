@@ -33,24 +33,22 @@ except ImportError:  # pragma: no cover - the container ships numpy
     HAVE_NUMPY = False
 
 #: the paths a ``VecTupleSpaceSearch`` lookup can be answered by —
-#: ``scan`` (a fresh columnar scan), ``memo`` (a pre-scan's remembered
-#: answer, which an earlier burst's pre-scan may have found: the memo
-#: carries over while the tuple space is unchanged) and the scalar
-#: reference scan, split by why the columnar path stood aside.  A key
-#: answered by the scalar probe with no live memo is ``memo_invalidated``
-#: when the tuple space's generation has moved since this tuple space
-#: last answered a lookup and no live memo absorbed the write — a
-#: removal or a re-sort retired it, or the write was an install into a
-#: tuple space no pre-scan had paid for (``mask-churn``'s first burst,
-#: 255 of its 2,048 lookups) — and ``small_burst`` when it has not (the
-#: burst really was small and no pre-scan covered it, or a live memo did
-#: not hold the key: ``VecSwitch`` pre-scans every key after a burst's
-#: hit prefix, so an EMC resident evicted mid-burst is a ``memo``
-#: answer).  Defined here, NumPy-free,
+#: ``memo`` (a pre-scan's remembered answer, which an earlier burst's
+#: pre-scan may have found: the memo carries over while the tuple space
+#: is unchanged) and the scalar reference scan, split by why the memo
+#: did not answer.  A key answered by the scalar probe with no live memo
+#: is ``memo_invalidated`` when the tuple space's generation has moved
+#: since this tuple space last answered a lookup and no live memo
+#: absorbed the write — a removal or a re-sort retired it, or the write
+#: was an install into a tuple space no pre-scan had paid for
+#: (``mask-churn``'s first burst, 255 of its 2,048 lookups) — and
+#: ``small_burst`` when it has not (the burst was too small or too
+#: sparse to pre-scan, or a live memo did not hold the key: ``VecSwitch``
+#: pre-scans every key after a burst's hit prefix, so an EMC resident
+#: evicted mid-burst is a ``memo`` answer).  Defined here, NumPy-free,
 #: because the ``repro.obs`` encoder names them for every engine
-VEC_TSS_FALLBACK_REASONS = ("staged", "small_burst", "memo_invalidated",
-                            "sparse_mirror")
-VEC_TSS_PATHS = ("scan", "memo") + VEC_TSS_FALLBACK_REASONS
+VEC_TSS_FALLBACK_REASONS = ("staged", "small_burst", "memo_invalidated")
+VEC_TSS_PATHS = ("memo",) + VEC_TSS_FALLBACK_REASONS
 
 __all__ = [
     "HAVE_NUMPY",

@@ -27,9 +27,12 @@ OvsSwitch`.
   inherited scalar probe (:meth:`~repro.ovs.tss.TupleSpaceSearch.
   _answers`) would, for the inherited steps to apply.
 
-* **Scan memo** (:meth:`VecTupleSpaceSearch.prescan`) — because the
-  scan is pure its answers can be kept: every distinct key after a
-  burst's hit prefix is answered once, up front, and the walk's EMC
+* **Scan memo** (:meth:`VecTupleSpaceSearch.prescan`) — the one
+  columnar answer, to the switch's walk and a direct ``lookup_batch``
+  caller alike.  Because the scan is pure its answers can be kept:
+  every distinct key after a burst's hit prefix is answered once, up
+  front (:meth:`VecTupleSpaceSearch.prescan_burst`, which alone decides
+  what the memo keeps or drops), and the walk's EMC
   misses (one or two keys between hit runs on a bursty feed) take their
   answers from the memo instead of each paying a scalar scan of every
   subtable; with no EMC a stretch's hits are drawn from an exact memo
@@ -51,9 +54,9 @@ OvsSwitch`.
   once per burst.  It is bounded by ``MEMO_MAX_KEYS``: a carried memo
   at the cap is dropped and the pre-scan starts again from its burst.
   A burst too small to pre-scan keeps an exact memo.  A burst that
-  meets no live memo — its table grew under its own installs —
-  pre-scans its rest once the table has held still across two answers
-  (:meth:`VecTupleSpaceSearch._ahead`).
+  meets no live memo — its table grew under its own installs, or a
+  direct caller's — pre-scans its rest once the table has held still
+  across two answers (:meth:`VecTupleSpaceSearch._ahead`).
 
 Staged lookup (which the dense mirror cannot serve), bursts too small
 to amortise the NumPy overhead and tuple spaces holding many entries
@@ -519,52 +522,38 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
     def _ahead(self, keys: Sequence[FlowKey], start: int
                ) -> dict[int, TssLookupResult | None] | None:
         """Pre-scan ``keys[start:]`` — the rest of a burst met with no
-        live memo on a table that has held still — once per generation,
-        when the columnar path serves this tuple space, the rest is no
-        small burst and the scan pays; the memo this leaves, if any."""
-        if (self._scalar_reason is None
-                and self._ahead_generation != self.generation
+        live memo on a table that has held still — once per generation
+        (:meth:`prescan_burst`); the memo this leaves, if any.  A rest
+        too small to pre-scan does not spend the generation's turn: a
+        direct caller's one-key ``lookup`` must not leave its next large
+        burst to the scalar probe."""
+        if (self._ahead_generation != self.generation
                 and len(keys) - start >= self.VEC_MIN_BATCH):
             self._ahead_generation = self.generation
-            if self.prescan_pays(len(keys) - start):
-                self.prescan(list(dict.fromkeys(
-                    [keys[i].packed for i in range(start, len(keys))])))
+            self.prescan_burst(keys[start:])
         return self._memo
 
-    def lookup_batch(self, keys: Sequence[FlowKey],
-                     now: float | None = None) -> list[TssLookupResult]:
-        """The inherited burst lookup — its answers from :meth:`_answers`
-        — except for a direct caller's burst large enough to amortise
-        the NumPy overhead with no live memo: that one is resolved
-        column-major in fingerprint blocks (path ``scan``), or, on a
-        mirror refused for holding too many entries per subtable, by
-        the inherited scalar probe (``sparse_mirror``)."""
-        memo_live = (self._memo is not None
-                     and self._memo_generation == self.generation)
-        if (memo_live or self._scalar_reason is not None
-                or not self._subtables or len(keys) < self.VEC_MIN_BATCH):
-            return super().lookup_batch(keys, now)
-        self._memo = None
-        self._answered_generation = self.generation
-        dense = self._dense_mirror()
-        if dense is None:
-            path = "sparse_mirror"
-            stretch = TupleSpaceSearch._stretch(self, keys, 0)
-        else:
-            # burst dedup: the scan is pure, so identical keys in one
-            # burst — elephant flows, benign victim traffic — are
-            # scanned once and their answer replicated (the covert
-            # stream is all-distinct by construction and pays in full)
-            path = "scan"
-            uniq: dict[int, int] = {}
-            rep = [uniq.setdefault(key.packed, len(uniq)) for key in keys]
-            found = self._dense_scan(dense, list(uniq))
-            stretch = [*map(found.__getitem__, rep)]
-            if None in stretch:
-                del stretch[stretch.index(None) + 1:]
-        results = self._consume(stretch, None, now)
-        self.path_lookups[path] += len(results)
-        return results
+    def prescan_burst(self, keys: Sequence[FlowKey]) -> None:
+        """Answer the burst's distinct keys against the tuple space
+        once, before the walk: a bursty feed asks the tuple space for
+        one or two keys between EMC hits, and each then takes its answer
+        from the memo instead of paying a scalar scan of every subtable.
+        Every key after the hit prefix is covered, so a resident the EMC
+        evicts mid-burst is answered from the memo too; a key any
+        earlier burst's memo answered at an unchanged generation is
+        carried over, not scanned again (the memo is bounded by
+        ``MEMO_MAX_KEYS`` plus one burst).  A burst too small for the
+        columnar scan — an empty keep-alive included — scans nothing: it
+        keeps a memo that is still exact (the same generation, no insert
+        absorbed), whose misses its live probes join, and drops any
+        other.  ``VecSwitch`` calls it on every burst's keys after the
+        hit prefix, :meth:`_ahead` on the rest of a burst.  Pure:
+        nothing the reference observes is touched."""
+        if len(keys) < self.VEC_MIN_BATCH or not self.prescan_pays(len(keys)):
+            if self._memo_written:
+                self._memo = None
+            return
+        self.prescan(list(dict.fromkeys([key.packed for key in keys])))
 
 
 class VecSwitch(OvsSwitch):
@@ -576,11 +565,10 @@ class VecSwitch(OvsSwitch):
     * the megaflow TSS is swapped (empty, at construction) for a
       :class:`VecTupleSpaceSearch`, so every key the inherited walk
       answers is answered from the scan memo where one is live;
-    * the distinct keys after the burst's hit prefix are answered
-      against the tuple space once, up front (:meth:`_prescan`), before
-      the inherited :meth:`~repro.ovs.switch.OvsSwitch._resolve` walks
-      them; the answers carry over to later bursts while the tuple
-      space is unchanged, up to ``MEMO_MAX_KEYS`` keys.
+    * the keys after the burst's hit prefix are handed to the tuple
+      space's :meth:`~VecTupleSpaceSearch.prescan_burst` before the
+      inherited :meth:`~repro.ovs.switch.OvsSwitch._resolve` walks them;
+      what the memo keeps or drops is the tuple space's to decide.
     """
 
     def __init__(self, space: FieldSpace = OVS_FIELDS, **kwargs) -> None:
@@ -613,31 +601,10 @@ class VecSwitch(OvsSwitch):
             elif served:
                 rest = keys[served:]
         if rest is not None:
-            self._prescan(rest)
+            self.megaflow.tss.prescan_burst(rest)
             self._resolve(rest, batch, now, materialize)
         self.stats.add(batch)
         return batch
-
-    def _prescan(self, keys: Sequence[FlowKey]) -> None:
-        """Answer the burst's distinct keys against the tuple space
-        once, before the walk: a bursty feed asks the tuple space for
-        one or two keys between EMC hits, and each then takes its answer
-        from the memo instead of paying a scalar scan of every subtable.
-        Every key after the hit prefix is covered, so a resident the EMC
-        evicts mid-burst is answered from the memo too; a key any
-        earlier burst's memo answered at an unchanged generation is
-        carried over, not scanned again (the memo is bounded by
-        ``MEMO_MAX_KEYS`` plus one burst).  A burst too small for the
-        columnar scan — an empty keep-alive included — scans nothing: it
-        keeps a memo that is still exact (the same generation, no insert
-        absorbed), whose misses its live probes join, and drops any
-        other.  Pure: nothing the reference observes is touched."""
-        tss = self.megaflow.tss
-        if len(keys) < tss.VEC_MIN_BATCH or not tss.prescan_pays(len(keys)):
-            if tss._memo_written:
-                tss._memo = None
-            return
-        tss.prescan(list(dict.fromkeys([key.packed for key in keys])))
 
     @property
     def vec_tss_paths(self) -> dict[str, int]:

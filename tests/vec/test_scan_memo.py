@@ -89,8 +89,7 @@ class TestMemoServesBurstyTraffic:
         assert fingerprint(vec) == fingerprint(ref), "on-off burst"
         paths = vec.megaflow.tss.path_lookups
         assert paths["memo"] - before["memo"] == len(burst)
-        assert paths["small_burst"] == before["small_burst"]
-        assert paths["scan"] == before["scan"]
+        assert sum(paths.values()) - sum(before.values()) == len(burst)
 
     def test_an_upcall_mid_burst_keeps_the_memo(self):
         ref, vec = _build(OvsSwitch), _build(VecSwitch)
@@ -157,7 +156,7 @@ class TestMemoServesBurstyTraffic:
             vec.process_batch(_onoff_burst(VICTIMS), now=now)
         paths = vec.megaflow.tss.path_lookups
         assert vec.mask_count == 1
-        assert paths["memo"] == 0 and paths["scan"] == 0
+        assert paths["memo"] == 0
         # one install (the first key's upcall), so one lookup behind a
         # moved generation; every other lookup is just small
         assert paths["memo_invalidated"] == 1
@@ -424,11 +423,21 @@ class TestTheMemoOutlivesItsBurst:
         assert [set(keys) for keys in seen["dense"]] == [_packed(burst)]
 
 
+class _Retired(dict):
+    """A memo the tuple space has retired: any read of it fails."""
+
+    def _read(self, *args):
+        raise AssertionError("a retired memo answered a lookup")
+
+    get = __getitem__ = __contains__ = __iter__ = __len__ = _read
+
+
 class TestStaleMemoIsNeverConsumed:
     """Write the tuple space behind a live memo, then look up: after
-    anything but an insert the answer must come from a rescan or the
-    scalar fallback; an insert is absorbed and the memo still answers
-    as the reference does."""
+    anything but an insert the retired memo answers nothing — the first
+    answer re-probes, the rest come from a fresh pre-scan or the scalar
+    fallback; an insert is absorbed and the memo still answers as the
+    reference does."""
 
     def _prescanned(self, **kwargs):
         ref, vec = _build(OvsSwitch, **kwargs), _build(VecSwitch, **kwargs)
@@ -439,16 +448,24 @@ class TestStaleMemoIsNeverConsumed:
         return ref, vec, tss, keys
 
     def _check(self, ref, vec, tss, keys):
+        assert tss._memo_generation != tss.generation  # retired
+        tss._memo = _Retired(tss._memo)
         before = dict(tss.path_lookups)
         ref_results = ref.megaflow.tss.lookup_batch(keys)
         vec_results = tss.lookup_batch(keys)
-        assert [(r.hit, r.tuples_scanned) for r in vec_results] == \
-            [(r.hit, r.tuples_scanned) for r in ref_results]
-        assert tss.path_lookups["memo"] == before["memo"]
-        fresh = ("scan", "small_burst", "memo_invalidated")
-        assert (sum(tss.path_lookups[path] for path in fresh)
-                == sum(before[path] for path in fresh) + len(vec_results))
-        assert tss._memo is None  # dropped on sight
+        assert [(r.hit, r.tuples_scanned, r.hash_probes)
+                for r in vec_results] == \
+            [(r.hit, r.tuples_scanned, r.hash_probes) for r in ref_results]
+        assert fingerprint(vec) == fingerprint(ref)
+        # the first answer is a re-probe behind the write; every lookup
+        # is counted once
+        assert (tss.path_lookups["memo_invalidated"]
+                - before["memo_invalidated"]) == 1
+        assert (sum(tss.path_lookups.values()) - sum(before.values())
+                == len(vec_results))
+        # whatever memo is left was built at the live generation
+        assert not isinstance(tss._memo, _Retired)
+        assert tss._memo is None or tss._memo_generation == tss.generation
 
     def test_live_memo_is_consumed(self):
         ref, vec, tss, keys = self._prescanned()

@@ -55,6 +55,12 @@ def _counters(tss):
             tss.total_hash_probes, tss.resorts)
 
 
+def _answered(tss):
+    """The lookups each path answered, paths that answered none left
+    out."""
+    return {path: n for path, n in tss.path_lookups.items() if n}
+
+
 class TestNumpyGating:
     """repro must degrade gracefully, not crash, without NumPy."""
 
@@ -147,14 +153,17 @@ class TestVecTssLookupBatch:
         assert _fields(vec.lookup_batch(burst)) == \
             _fields(ref.lookup_batch(burst))
         assert _counters(vec) == _counters(ref)
+        assert _answered(vec) == {"memo": 128}
 
     def test_duplicate_heavy_burst_matches_reference(self):
-        # 4 distinct keys cycled through a 128-key burst: the dedup path
+        # 4 distinct keys cycled through a 128-key burst: each is
+        # pre-scanned once and every copy answered from the memo
         ref, vec, covert = _tss_pairs()
         burst = (covert[:4] * 32)
         assert _fields(vec.lookup_batch(burst)) == \
             _fields(ref.lookup_batch(burst))
         assert _counters(vec) == _counters(ref)
+        assert _answered(vec) == {"memo": 128}
 
     def test_prefix_stops_at_first_miss(self):
         ref, vec, covert = _tss_pairs()
@@ -166,6 +175,7 @@ class TestVecTssLookupBatch:
         assert _fields(vec_results) == _fields(ref_results)
         assert not vec_results[-1].hit
         assert _counters(vec) == _counters(ref)
+        assert _answered(vec) == {"memo": 21}
 
     def test_ranked_bursts_agree_across_a_resort(self):
         ref, vec, covert = _tss_pairs(scan_order="ranked")
@@ -181,6 +191,9 @@ class TestVecTssLookupBatch:
         assert _fields(vec_results) == _fields(ref.lookup_batch(covert[:64]))
         assert vec_results[40].tuples_scanned == 1
         assert _counters(vec) == _counters(ref)
+        # the re-sort retired the memo: the first key behind it is
+        # re-probed, the rest of the burst pre-scanned again
+        assert _answered(vec) == {"memo": 87, "memo_invalidated": 1}
 
     def test_dense_fallback_on_entry_heavy_subtables(self):
         # one subtable holding 40 entries blows the DENSE_MAX_ENTRIES
@@ -207,6 +220,7 @@ class TestVecTssLookupBatch:
         ]
         assert _fields(vec_results) == _fields(ref_results)
         assert _counters(vec) == _counters(ref)
+        assert _answered(vec) == {"small_burst": 40}
 
     def test_small_bursts_use_the_reference_path(self):
         """...unless a pre-scan's memo covers them."""
@@ -217,7 +231,7 @@ class TestVecTssLookupBatch:
             _fields(ref.lookup_batch(small))
         assert _counters(vec) == _counters(ref)
         assert vec.path_lookups["small_burst"] == len(small)
-        assert vec.path_lookups["scan"] == vec.path_lookups["memo"] == 0
+        assert vec.path_lookups["memo"] == 0
         # a pre-scan covering the chunk: the same answers and counters,
         # consumed from the memo with no scan at all
         vec.prescan([key.packed for key in covert[:64]])
@@ -226,6 +240,15 @@ class TestVecTssLookupBatch:
         assert _counters(vec) == _counters(ref)
         assert vec.path_lookups["memo"] == len(small)
         assert vec.path_lookups["small_burst"] == len(small)
+
+    def test_a_small_lookup_leaves_the_next_burst_its_pre_scan(self):
+        ref, vec, covert = _tss_pairs()
+        for tss in (ref, vec):
+            tss.lookup(covert[0])
+        assert _fields(vec.lookup_batch(covert[:128])) == \
+            _fields(ref.lookup_batch(covert[:128]))
+        assert _counters(vec) == _counters(ref)
+        assert _answered(vec) == {"small_burst": 1, "memo": 128}
 
 
 @requires_numpy
