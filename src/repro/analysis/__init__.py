@@ -13,23 +13,19 @@ the parallel runtime forks.  This package machine-checks them:
   clocks);
 * :mod:`repro.analysis.project` — the live-registry rules (Datapath
   protocol conformance, registry hygiene);
-* :mod:`repro.analysis.baseline` — grandfathered findings;
 * :mod:`repro.analysis.runner` — ``repro lint``.
 
-Suppress one finding with a trailing
-``# repro-lint: disable=<rule>`` pragma; grandfather the rest in the
-committed ``LINT_BASELINE.json``.  ``repro lint`` exits non-zero on
-anything new.
+A finding is either fixed or suppressed by a trailing
+``# repro-lint: disable=<rule>`` pragma on its own line; ``repro lint``
+exits non-zero on anything else.
 """
 
 from __future__ import annotations
 
-from repro.analysis.baseline import Baseline
 from repro.analysis.core import CHECKERS, Checker, Finding, SourceFile
 from repro.analysis.runner import LintResult, main, run_lint
 
 __all__ = [
-    "Baseline",
     "CHECKERS",
     "Checker",
     "Finding",

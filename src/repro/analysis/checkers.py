@@ -266,9 +266,9 @@ class MetricHygieneChecker(Checker):
                 and isinstance(name_arg.value, str)):
             yield self.finding(
                 src, node,
-                f"{what} name must be a string literal (exporters and "
-                "the lint baseline need the full name set statically "
-                "known); put dynamic dimensions in labels, not the name",
+                f"{what} name must be a string literal (exporters "
+                "need the full name set statically known); put dynamic "
+                "dimensions in labels, not the name",
             )
             return
         if not self._name_re.match(name_arg.value):

@@ -18,10 +18,7 @@ Two checker families exist:
 
 Suppression is explicit and reviewable: a trailing
 ``# repro-lint: disable=<rule>[,<rule>...]`` pragma silences matching
-findings on that line, and a whole-line
-``# repro-lint: disable-file=<rule>`` near the top of a module
-silences the rule for the file.  Everything not suppressed and not in
-the committed baseline fails the lint run.
+findings on that line.  Every other finding fails the lint run.
 """
 
 from __future__ import annotations
@@ -43,11 +40,9 @@ __all__ = [
     "parse_pragmas",
 ]
 
-#: the pragma grammar: ``# repro-lint: disable=a,b`` (same line) or
-#: ``# repro-lint: disable-file=a,b`` (whole file; the comment must be
-#: the only thing on its line)
+#: the pragma grammar: ``# repro-lint: disable=a,b`` (same line)
 _PRAGMA_RE = re.compile(
-    r"#\s*repro-lint:\s*disable(?P<scope>-file)?\s*=\s*"
+    r"#\s*repro-lint:\s*disable\s*=\s*"
     r"(?P<rules>[A-Za-z0-9_\-]+(?:\s*,\s*[A-Za-z0-9_\-]+)*)"
 )
 
@@ -56,10 +51,8 @@ _PRAGMA_RE = re.compile(
 class Finding:
     """One contract violation at one location.
 
-    ``path`` is repo-relative (posix separators) so baselines travel
-    between checkouts; the :meth:`fingerprint` deliberately excludes
-    the line number — grandfathered findings survive unrelated edits
-    above them instead of churning the baseline.
+    ``path`` is repo-relative (posix separators) so reports read the
+    same in every checkout.
     """
 
     rule: str
@@ -67,10 +60,6 @@ class Finding:
     line: int
     col: int
     message: str
-
-    def fingerprint(self) -> tuple[str, str, str]:
-        """The baseline identity: (rule, path, message)."""
-        return (self.rule, self.path, self.message)
 
     def sort_key(self) -> tuple[str, int, int, str, str]:
         return (self.path, self.line, self.col, self.rule, self.message)
@@ -88,32 +77,20 @@ class Finding:
             "message": self.message,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Finding":
-        return cls(
-            rule=data["rule"],
-            path=data["path"],
-            line=int(data.get("line", 1)),
-            col=int(data.get("col", 0)),
-            message=data["message"],
-        )
 
+def parse_pragmas(text: str) -> dict[int, set[str]]:
+    """Extract same-line suppression pragmas from source text.
 
-def parse_pragmas(text: str) -> tuple[dict[int, set[str]], set[str]]:
-    """Extract suppression pragmas from source text.
-
-    Returns ``(per_line, whole_file)``: a line-number -> rule-id-set
-    map for same-line pragmas, and the set of rules disabled for the
-    whole file.  Comments are found with :mod:`tokenize` so pragma
-    lookalikes inside string literals never suppress anything.
+    Returns a line-number -> rule-id-set map.  Comments are found with
+    :mod:`tokenize` so pragma lookalikes inside string literals never
+    suppress anything.
     """
     per_line: dict[int, set[str]] = {}
-    whole_file: set[str] = set()
     lines = iter(text.splitlines(keepends=True))
     try:
         tokens = list(tokenize.generate_tokens(lambda: next(lines, "")))
     except (tokenize.TokenError, IndentationError, SyntaxError):
-        return per_line, whole_file
+        return per_line
     for token in tokens:
         if token.type != tokenize.COMMENT:
             continue
@@ -121,14 +98,8 @@ def parse_pragmas(text: str) -> tuple[dict[int, set[str]], set[str]]:
         if match is None:
             continue
         rules = {part.strip() for part in match.group("rules").split(",")}
-        if match.group("scope"):
-            # file-level pragmas must stand alone on their line: a
-            # trailing disable-file would read like a line suppression
-            if token.line.strip() == token.string.strip():
-                whole_file |= rules
-        else:
-            per_line.setdefault(token.start[0], set()).update(rules)
-    return per_line, whole_file
+        per_line.setdefault(token.start[0], set()).update(rules)
+    return per_line
 
 
 @dataclass
@@ -141,28 +112,17 @@ class SourceFile:
     text: str
     tree: ast.Module
     disabled_lines: dict[int, set[str]] = field(default_factory=dict)
-    disabled_rules: set[str] = field(default_factory=set)
 
     @classmethod
     def load(cls, path: Path, rel: str) -> "SourceFile":
         text = path.read_text(encoding="utf-8")
         tree = ast.parse(text, filename=str(path))
-        per_line, whole_file = parse_pragmas(text)
-        return cls(
-            path=path,
-            rel=rel,
-            text=text,
-            tree=tree,
-            disabled_lines=per_line,
-            disabled_rules=whole_file,
-        )
+        return cls(path=path, rel=rel, text=text, tree=tree,
+                   disabled_lines=parse_pragmas(text))
 
     def suppressed(self, finding: Finding) -> bool:
-        """Whether a pragma silences this finding."""
-        if finding.rule in self.disabled_rules:
-            return True
-        rules = self.disabled_lines.get(finding.line, ())
-        return finding.rule in rules
+        """Whether a same-line pragma silences this finding."""
+        return finding.rule in self.disabled_lines.get(finding.line, ())
 
     def parents(self) -> dict[ast.AST, ast.AST]:
         """A child -> parent map over the module AST (computed lazily;
@@ -205,7 +165,7 @@ class SourceFile:
 class Checker:
     """One machine-checked contract.
 
-    Subclasses set ``rule`` (the id pragmas and baselines use),
+    Subclasses set ``rule`` (the id pragmas and reports use),
     ``contract`` (the one-line statement ``--list`` prints) and
     ``scope`` (the human-readable file scope), then implement
     :meth:`check` — or set ``project_level = True`` and implement

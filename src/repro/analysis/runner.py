@@ -1,11 +1,11 @@
-"""The repro-lint runner: walk, check, baseline, report.
+"""The repro-lint runner: walk, check, report.
 
 ``run_lint`` is the library entry (tests drive it directly over
 fixture trees); ``main`` is the CLI entry behind ``repro lint``.
 
-Exit codes: 0 — no non-baselined findings; 1 — new findings (or a
-file that fails to parse); 2 — usage errors (unknown rule, bad
-baseline).
+Exit codes: 0 — no findings; 1 — any finding not suppressed by a
+same-line pragma (or a file that fails to parse); 2 — usage errors
+(unknown rule).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from pathlib import Path
 
 from repro.analysis import checkers as _checkers  # noqa: F401 - registers rules
 from repro.analysis import project as _project  # noqa: F401 - registers rules
-from repro.analysis.baseline import DEFAULT_BASELINE_NAME, Baseline
 from repro.analysis.core import CHECKERS, Checker, Finding, SourceFile
 from repro.util.registry import UnknownNameError
 
@@ -32,7 +31,7 @@ __all__ = [
 ]
 
 #: the JSON report schema version (CI artifacts parse this)
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
 @dataclass
@@ -43,15 +42,12 @@ class LintResult:
     checked_files: int
     rules: list[str]
     findings: list[Finding] = field(default_factory=list)
-    new: list[Finding] = field(default_factory=list)
-    baselined: list[Finding] = field(default_factory=list)
-    stale: list[tuple[str, str, str]] = field(default_factory=list)
     suppressed: int = 0
     errors: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return not self.new and not self.errors
+        return not self.findings and not self.errors
 
     def to_dict(self) -> dict:
         """The stable ``--format json`` shape."""
@@ -63,47 +59,29 @@ class LintResult:
             "rules": list(self.rules),
             "summary": {
                 "findings": len(self.findings),
-                "new": len(self.new),
-                "baselined": len(self.baselined),
                 "suppressed": self.suppressed,
-                "stale_baseline": len(self.stale),
                 "errors": len(self.errors),
                 "ok": self.ok,
             },
             "findings": [f.to_dict() for f in self.findings],
-            "new": [f.to_dict() for f in self.new],
-            "stale_baseline": [
-                {"rule": rule, "path": path, "message": message}
-                for rule, path, message in self.stale
-            ],
             "errors": list(self.errors),
         }
 
     def render(self) -> str:
         """The human report."""
         lines: list[str] = []
-        for finding in self.new:
+        for finding in self.findings:
             lines.append(finding.format())
         for error in self.errors:
             lines.append(f"error: {error}")
-        if self.stale:
-            lines.append("")
-            lines.append(
-                f"{len(self.stale)} stale baseline entr"
-                f"{'y' if len(self.stale) == 1 else 'ies'} (fixed or "
-                "renamed; run --write-baseline to expire):"
-            )
-            for rule, path, message in self.stale:
-                lines.append(f"  {path}: {rule}: {message}")
         lines.append("")
         lines.append(
             f"repro-lint: {self.checked_files} files, "
             f"{len(self.rules)} rules: "
-            f"{len(self.new)} new, {len(self.baselined)} baselined, "
-            f"{self.suppressed} suppressed by pragma, "
-            f"{len(self.stale)} stale baseline entries"
+            f"{len(self.findings)} findings, "
+            f"{self.suppressed} suppressed by pragma"
         )
-        lines.append("OK" if self.ok else "FAIL (new findings)")
+        lines.append("OK" if self.ok else "FAIL")
         return "\n".join(lines)
 
 
@@ -147,14 +125,12 @@ def run_lint(
     *,
     root: Path | None = None,
     rules: list[str] | None = None,
-    baseline: Baseline | None = None,
     project_checks: bool = True,
 ) -> LintResult:
-    """Run the checkers and fold in the baseline.
+    """Run the checkers.
 
     ``paths`` defaults to ``<root>/src/repro``; ``root`` (default: the
-    current directory) anchors the repo-relative paths findings and
-    baselines use.  ``project_checks=False`` skips the registry
+    current directory) anchors the repo-relative paths findings use.  ``project_checks=False`` skips the registry
     introspection checkers — fixture trees have no registries to
     introspect.
     """
@@ -190,17 +166,11 @@ def run_lint(
             findings.extend(checker.check_project(root))
 
     findings.sort(key=Finding.sort_key)
-    if baseline is None:
-        baseline = Baseline()
-    new, baselined, stale = baseline.partition(findings)
     return LintResult(
         root=root,
         checked_files=len(files),
         rules=[c.rule for c in checkers],
         findings=findings,
-        new=new,
-        baselined=baselined,
-        stale=stale,
         suppressed=suppressed,
         errors=errors,
     )
@@ -215,12 +185,8 @@ def render_rule_list() -> str:
         lines.append(f"  {name:24s} [{kind:7s}] {checker.contract}")
         lines.append(f"  {'':24s} {'':9s} scope: {checker.scope}")
     lines.append("")
-    lines.append("pragmas:     # repro-lint: disable=<rule>[,<rule>...]   "
+    lines.append("pragma:      # repro-lint: disable=<rule>[,<rule>...]   "
                  "(same line)")
-    lines.append("             # repro-lint: disable-file=<rule>          "
-                 "(whole file; own line)")
-    lines.append(f"baseline:    {DEFAULT_BASELINE_NAME} at the repo root "
-                 "(--write-baseline refreshes it)")
     return "\n".join(lines)
 
 
@@ -240,14 +206,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--root", type=Path, default=None,
                         help="repo root anchoring relative paths "
                         "(default: the current directory)")
-    parser.add_argument("--baseline", type=Path, default=None, metavar="FILE",
-                        help=f"baseline file (default: "
-                        f"<root>/{DEFAULT_BASELINE_NAME} when present)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="ignore any baseline: every finding is new")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="rewrite the baseline to exactly the current "
-                        "findings (adds new, expires stale) and exit 0")
     parser.add_argument("--rules", default=None, metavar="RULE[,RULE...]",
                         help="run only these rules")
     parser.add_argument("--no-project-checks", action="store_true",
@@ -272,38 +230,17 @@ def execute(args: argparse.Namespace) -> int:
         print(render_rule_list())
         return 0
 
-    root = (args.root or Path.cwd()).resolve()
-    baseline_path = args.baseline or (root / DEFAULT_BASELINE_NAME)
-    baseline = Baseline()
-    if not args.no_baseline:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except (ValueError, json.JSONDecodeError) as exc:
-            print(f"repro-lint: bad baseline {baseline_path}: {exc}",
-                  file=sys.stderr)
-            return 2
-
     rules = args.rules.split(",") if args.rules else None
     try:
         result = run_lint(
             paths=[p for p in args.paths] or None,
-            root=root,
+            root=args.root,
             rules=rules,
-            baseline=baseline,
             project_checks=not args.no_project_checks,
         )
     except UnknownNameError as exc:
         print(f"repro-lint: {exc}", file=sys.stderr)
         return 2
-
-    if args.write_baseline:
-        Baseline.from_findings(result.findings).write(baseline_path)
-        print(
-            f"repro-lint: baseline written to {baseline_path} "
-            f"({len(result.findings)} findings recorded, "
-            f"{len(result.stale)} stale entries expired)"
-        )
-        return 0
 
     if args.output is not None:
         args.output.write_text(

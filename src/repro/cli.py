@@ -42,7 +42,7 @@ Commands
     determinism, monotonic clocks, batch-first hot paths, numpy
     gating, fork safety, protocol conformance, registry hygiene);
     ``--list`` enumerates the rules, exit status is non-zero on any
-    non-baselined finding.
+    finding not suppressed by a same-line pragma.
 
 ``experiment``
     Run one (or all) of the paper-artefact experiments; thin wrapper
@@ -579,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint", help="run repro-lint, the repo's contract checkers "
-        "(exit non-zero on non-baselined findings)"
+        "(exit non-zero on any finding)"
     )
     from repro.analysis.runner import configure_parser as _configure_lint
 

@@ -21,7 +21,7 @@ Implemented mitigations, each with its trade-off quantified by
   reachable mask space shrinks from ``Π L_i`` to ``Π ⌈L_i/g⌉``
   (32·16·16 = 8192 → 4·2·2 = 16 at byte granularity).  Trade-off: more
   specific megaflows cover less traffic ⇒ more upcalls.
-* :class:`CachelessSwitch` — the flow-cache-less softswitch baseline
+* :class:`CachelessDatapath` — the flow-cache-less softswitch baseline
   [Molnár et al., SIGCOMM'16]: per-packet full classification at a
   cost independent of cache state.  Trade-off: a higher, but *flat*,
   per-packet cost.
@@ -34,12 +34,11 @@ Implemented mitigations, each with its trade-off quantified by
 from repro.defense.mask_limit import MaskLimitGuard
 from repro.defense.rate_limit import TokenBucket, UpcallRateLimitGuard
 from repro.defense.prefix_heuristic import PrefixRoundingGuard, rounded_mask_count
-from repro.defense.cacheless import CachelessResult, CachelessSwitch
+from repro.defense.cacheless import CachelessDatapath
 from repro.defense.detector import DetectorVerdict, MaskAnomalyDetector
 
 __all__ = [
-    "CachelessResult",
-    "CachelessSwitch",
+    "CachelessDatapath",
     "DetectorVerdict",
     "MaskAnomalyDetector",
     "MaskLimitGuard",

@@ -13,113 +13,203 @@ a static tuple space over the *rule set*.  A tenant's ACL contributes a
 handful of groups, and crucially the group count is bounded by the
 number of *rules*, which the CMS controls, not by the number of covert
 *packets*, which the attacker controls.
+
+:class:`CachelessDatapath` serves the rule set behind the
+:class:`~repro.scenario.datapath.Datapath` protocol.  Groups are keyed
+on the packed mask and buckets on the packed masked value, so a packet
+is classified with ``key.packed & mask`` per group — the one key
+representation every datapath path uses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from repro.flow.actions import Action, Drop
 from repro.flow.fields import FieldSpace
 from repro.flow.key import FlowKey
 from repro.flow.rule import FlowRule
 from repro.flow.table import FlowTable
+from repro.ovs.megaflow import MegaflowEntry
+from repro.ovs.stats import SwitchStats
+from repro.ovs.switch import BatchResult, LookupPath, OvsSwitch, PacketResult
+from repro.ovs.upcall import InstallGuard
 
-
-@dataclass
-class CachelessResult:
-    """Outcome of one cache-less classification."""
-
-    action: Action
-    rule: FlowRule | None
-    #: static tuple groups probed (bounded by the rule set, not the attack)
-    groups_probed: int
-
-
-#: per mask signature, masked key -> the best rule with that key
-Groups = list[tuple[tuple[int, ...], dict[tuple[int, ...], FlowRule]]]
+#: per packed mask, packed masked value -> the best rule with that value
+Groups = list[tuple[int, dict[int, FlowRule]]]
 
 
 def compile_groups(table: FlowTable) -> tuple[Groups, list[FlowRule]]:
-    """Group ``table``'s rules by their mask tuple (the ESwitch
+    """Group ``table``'s rules by their packed mask (the ESwitch
     specialisation); rules constraining no field come back apart, in
     lookup order.
 
-    Within a group, only the *best* rule per masked key is kept
+    Within a group, only the *best* rule per masked value is kept
     (highest priority, earliest insertion) — collisions inside a group
     have identical match regions.
     """
-    groups: dict[tuple[int, ...], dict[tuple[int, ...], FlowRule]] = {}
+    groups: dict[int, dict[int, FlowRule]] = {}
     wildcard_rules: list[FlowRule] = []
     for rule in table:
         if rule.match.is_wildcard():
             wildcard_rules.append(rule)
             continue
-        bucket = groups.setdefault(rule.match.masks, {})
-        existing = bucket.get(rule.match.values)
+        mask, value = rule.match.packed
+        bucket = groups.setdefault(mask, {})
+        existing = bucket.get(value)
         if existing is None or rule.sort_key() < existing.sort_key():
-            bucket[rule.match.values] = rule
+            bucket[value] = rule
     return list(groups.items()), wildcard_rules
 
 
-class CachelessSwitch:
-    """A switch that classifies every packet against a compiled table.
+class CachelessDatapath:
+    """A datapath that classifies every packet against a compiled table.
 
     The groups are compiled lazily, once per :attr:`FlowTable.version`
     of :attr:`table`, so a rule added to or removed from the table by
     any path is seen by the next packet.
+
+    Cache observables report the static structure: ``mask_count`` is
+    the compiled group count (the per-packet scan bound — the analogue
+    of the TSS mask count, except it is bounded by the rule set),
+    ``megaflow_count`` and ``cache_capacity`` are zero, and
+    ``handle_miss`` classifies without caching anything.
     """
+
+    has_flow_cache = False
 
     def __init__(self, space: FieldSpace, name: str = "eswitch",
                  miss_action: Action | None = None) -> None:
-        self.space = space
         self.name = name
+        self.space = space
         self.table = FlowTable(space, name=f"{name}-rules")
         self.miss_action = miss_action or Drop()
-        self.packets = 0
-        self.total_groups_probed = 0
+        self.clock = 0.0
+        #: protocol-surface scan accounting: packets, forwarded/drops
+        #: and per-classification group probes (the cache-layer
+        #: counters — EMC hits, upcalls — stay zero: there is no cache)
+        self.stats = SwitchStats()
 
-    # -- rule management -----------------------------------------------------
+    # -- datapath ----------------------------------------------------------
+
+    def classify(self, key: FlowKey) -> tuple[FlowRule | None, int]:
+        """The winning rule for one key (``None``: no rule matches) and
+        the groups probed.  Every group is probed (groups cannot be
+        ordered by priority in general because priorities interleave
+        across groups)."""
+        groups, wildcard_rules = self.table.compiled(compile_groups)
+        packed = key.packed
+        best: FlowRule | None = None
+        for mask, bucket in groups:
+            rule = bucket.get(packed & mask)
+            if rule is not None and (best is None or rule.sort_key() < best.sort_key()):
+                best = rule
+        for rule in wildcard_rules:
+            if best is None or rule.sort_key() < best.sort_key():
+                best = rule
+        return best, len(groups) + (1 if wildcard_rules else 0)
+
+    #: the single-key special case of :meth:`process_batch`: one body
+    #: for every in-process datapath
+    process = OvsSwitch.process
+
+    def process_batch(self, keys: Sequence[FlowKey] | Iterable[FlowKey],
+                      now: float | None = None,
+                      materialize: bool = True) -> BatchResult:
+        if now is not None and now > self.clock:
+            self.clock = now  # monotonic, like OvsSwitch
+        batch = BatchResult()
+        classify = self.classify
+        for key in keys:
+            rule, probed = classify(key)
+            action = self.miss_action if rule is None else rule.action
+            batch.tally(LookupPath.CACHELESS, action.is_forwarding(),
+                        probed, probed)
+            if materialize:
+                batch.results.append(PacketResult(
+                    action=action,
+                    path=LookupPath.CACHELESS,
+                    tuples_scanned=probed,
+                    hash_probes=probed,
+                    entry=None,
+                ))
+        self.stats.add(batch)
+        return batch
+
+    def handle_miss(self, key: FlowKey, now: float = 0.0) -> MegaflowEntry | None:
+        self.process(key, now=now)
+        return None
+
+    def advance_clock(self, now: float) -> None:
+        self.clock = max(self.clock, now)
+
+    # -- slow-path rule management ----------------------------------------
 
     def add_rule(self, rule: FlowRule) -> FlowRule:
         """Install a rule; recompilation is lazy."""
         return self.table.add(rule)
 
     def add_rules(self, rules: list[FlowRule]) -> None:
-        """Install several rules."""
         self.table.add_all(rules)
 
+    def remove_tenant_rules(self, tenant: str) -> int:
+        return self.table.remove_if(lambda rule: rule.tenant == tenant)
+
+    def add_install_guard(self, guard: InstallGuard) -> None:
+        raise ValueError(
+            "the cacheless backend installs no megaflows; install-guard "
+            "defenses do not apply (it needs none: there is no cache to poison)"
+        )
+
+    def invalidate_caches(self) -> None:
+        pass  # nothing cached
+
+    # -- observables -------------------------------------------------------
+
     @property
-    def group_count(self) -> int:
+    def mask_count(self) -> int:
         """Static tuple groups — the per-packet scan bound."""
         groups, wildcard_rules = self.table.compiled(compile_groups)
         return len(groups) + (1 if wildcard_rules else 0)
 
-    # -- datapath --------------------------------------------------------------
+    @property
+    def megaflow_count(self) -> int:
+        return 0
 
-    def process(self, key: FlowKey) -> CachelessResult:
-        """Classify one packet; probes every group and picks the winner
-        (groups cannot be ordered by priority in general because
-        priorities interleave across groups)."""
-        groups, wildcard_rules = self.table.compiled(compile_groups)
-        self.packets += 1
-        best: FlowRule | None = None
-        probed = 0
-        for masks, bucket in groups:
-            probed += 1
-            masked = tuple(v & m for v, m in zip(key.values, masks))
-            rule = bucket.get(masked)
-            if rule is not None and (best is None or rule.sort_key() < best.sort_key()):
-                best = rule
-        for rule in wildcard_rules:
-            if best is None or rule.sort_key() < best.sort_key():
-                best = rule
-        if wildcard_rules:
-            probed += 1
-        self.total_groups_probed += probed
-        if best is None:
-            return CachelessResult(self.miss_action, None, probed)
-        return CachelessResult(best.action, best, probed)
+    @property
+    def cache_capacity(self) -> int:
+        return 0
+
+    @property
+    def staged(self) -> bool:
+        return False
+
+    @property
+    def tss_lookups(self) -> int:
+        """Classifications served (the protocol's ``tss_lookups``
+        analogue: every packet is one scan over the static groups)."""
+        return self.stats.packets
+
+    @property
+    def scan_order(self) -> str:
+        # the compiled group order is fixed at compile time; there is no
+        # hit-driven re-ranking to speak of
+        return "static"
+
+    def expected_scan_depth(self) -> float:
+        """Expected groups probed per classification (uniform over the
+        static compiled groups)."""
+        groups = self.mask_count
+        return (groups + 1.0) / 2.0 if groups else 0.0
+
+    @property
+    def rule_count(self) -> int:
+        return len(self.table)
+
+    @property
+    def idle_timeout(self) -> float:
+        return float("inf")  # nothing expires: nothing is cached
 
     def __repr__(self) -> str:
-        return f"CachelessSwitch({self.name}: {len(self.table)} rules, {self.group_count} groups)"
+        return (f"CachelessDatapath({self.name}: {len(self.table)} rules, "
+                f"{self.mask_count} groups)")

@@ -91,8 +91,8 @@ def _ovs_engine() -> type:
 
 @BACKENDS.register("cacheless")
 def _cacheless_engine() -> type:
-    # deferred: the ESwitch-style adapter lives a layer above this module
-    from repro.scenario.datapath import CachelessDatapath
+    # deferred: the ESwitch-style backend lives a layer above this module
+    from repro.defense.cacheless import CachelessDatapath
 
     return CachelessDatapath
 

@@ -28,11 +28,7 @@ Quick use::
     print(result.render())
 """
 
-from repro.scenario.datapath import (
-    DATAPATH_SURFACE,
-    CachelessDatapath,
-    Datapath,
-)
+from repro.scenario.datapath import DATAPATH_SURFACE, Datapath
 from repro.scenario.registry import (
     BACKENDS,
     DEFENSES,
@@ -47,7 +43,6 @@ from repro.scenario.spec import DefenseUse, ScenarioSpec
 
 __all__ = [
     "BACKENDS",
-    "CachelessDatapath",
     "DATAPATH_SURFACE",
     "DEFENSES",
     "Datapath",

@@ -331,14 +331,23 @@ class TestMonotonicClock:
 
 
 class TestCrossCutting:
-    def test_disable_file_pragma_suppresses_whole_file(self, tmp_path):
+    def test_disable_file_comment_leaves_every_finding_live(self, tmp_path):
         result = _lint(tmp_path, {
             "mod.py": "# repro-lint: disable-file=determinism-hash\n"
                       "a = hash('x')\n"
                       "b = hash('y')\n",
         }, rules=["determinism-hash"])
-        assert result.findings == []
-        assert result.suppressed == 2
+        assert [f.line for f in result.findings] == [2, 3]
+        assert result.suppressed == 0
+        assert not result.ok
+
+    def test_same_line_pragma_accepts_one_finding(self, tmp_path):
+        result = _lint(tmp_path, {
+            "mod.py": "a = hash('x')  # repro-lint: disable=determinism-hash\n"
+                      "b = hash('y')\n",
+        }, rules=["determinism-hash"])
+        assert [f.line for f in result.findings] == [2]
+        assert result.suppressed == 1
 
     def test_syntax_error_reported_not_crashed(self, tmp_path):
         result = _lint(tmp_path, {"mod.py": "def broken(:\n"})

@@ -24,14 +24,11 @@ class TestFinding:
         f = Finding("wall-clock", "a/b.py", 12, 4, "no wall clock")
         assert f.format() == "a/b.py:12:4: wall-clock: no wall clock"
 
-    def test_fingerprint_excludes_line_and_col(self):
-        a = Finding("r", "p.py", 10, 0, "m")
-        b = Finding("r", "p.py", 99, 7, "m")
-        assert a.fingerprint() == b.fingerprint()
-
-    def test_dict_round_trip(self):
+    def test_to_dict_is_the_json_finding_shape(self):
         f = Finding("r", "p.py", 3, 1, "m")
-        assert Finding.from_dict(f.to_dict()) == f
+        assert f.to_dict() == {
+            "rule": "r", "path": "p.py", "line": 3, "col": 1, "message": "m",
+        }
 
     def test_sort_key_orders_by_location(self):
         findings = [
@@ -47,35 +44,43 @@ class TestFinding:
 
 class TestParsePragmas:
     def test_same_line_pragma(self):
-        per_line, whole = parse_pragmas("x = hash(v)  # repro-lint: disable=determinism-hash\n")
+        per_line = parse_pragmas("x = hash(v)  # repro-lint: disable=determinism-hash\n")
         assert per_line == {1: {"determinism-hash"}}
-        assert whole == set()
 
     def test_multiple_rules_comma_separated(self):
-        per_line, _ = parse_pragmas("y = 1  # repro-lint: disable=a-rule, b-rule\n")
+        per_line = parse_pragmas("y = 1  # repro-lint: disable=a-rule, b-rule\n")
         assert per_line[1] == {"a-rule", "b-rule"}
 
-    def test_disable_file_on_own_line(self):
+    def test_disable_file_on_own_line_is_no_pragma(self):
+        # there is no file-wide scope: the comment matches nothing
         text = "# repro-lint: disable-file=wall-clock\nimport os\n"
-        per_line, whole = parse_pragmas(text)
-        assert whole == {"wall-clock"}
-        assert per_line == {}
+        assert parse_pragmas(text) == {}
 
-    def test_trailing_disable_file_does_not_disable_file(self):
-        # a trailing disable-file reads like a line suppression; the
-        # file-wide scope demands a standalone comment line
+    def test_trailing_disable_file_is_no_pragma(self):
         text = "x = 1  # repro-lint: disable-file=wall-clock\n"
-        _, whole = parse_pragmas(text)
-        assert whole == set()
+        assert parse_pragmas(text) == {}
+
+    def test_whitespace_inside_the_pragma_is_tolerated(self):
+        per_line = parse_pragmas("y = 1  #repro-lint:disable = a-rule ,b-rule\n")
+        assert per_line == {1: {"a-rule", "b-rule"}}
+
+    def test_pragmas_are_keyed_by_their_own_line(self):
+        text = (
+            "a = 1\n"
+            "b = 2  # repro-lint: disable=wall-clock\n"
+            "c = 3\n"
+            "d = 4  # repro-lint: disable=determinism-hash\n"
+        )
+        assert parse_pragmas(text) == {
+            2: {"wall-clock"}, 4: {"determinism-hash"},
+        }
 
     def test_string_literals_never_suppress(self):
         text = 's = "# repro-lint: disable=determinism-hash"\n'
-        per_line, whole = parse_pragmas(text)
-        assert per_line == {} and whole == set()
+        assert parse_pragmas(text) == {}
 
     def test_unparseable_text_yields_no_pragmas(self):
-        per_line, whole = parse_pragmas("def broken(:\n")
-        assert per_line == {} and whole == set()
+        assert parse_pragmas("def broken(:\n") == {}
 
 
 class TestSourceFile:
@@ -86,9 +91,17 @@ class TestSourceFile:
         assert src.suppressed(hit)
         assert not src.suppressed(miss)
 
-    def test_suppressed_by_file_pragma_any_line(self, tmp_path):
+    def test_line_pragma_suppresses_only_its_line(self, tmp_path):
+        src = _load(tmp_path,
+                    "x = hash(1)  # repro-lint: disable=determinism-hash\n"
+                    "y = hash(2)\n")
+        assert src.suppressed(Finding("determinism-hash", "mod.py", 1, 4, "m"))
+        assert not src.suppressed(Finding("determinism-hash", "mod.py", 2, 4, "m"))
+
+    def test_disable_file_comment_suppresses_no_line(self, tmp_path):
         src = _load(tmp_path, "# repro-lint: disable-file=wall-clock\nx = 1\ny = 2\n")
-        assert src.suppressed(Finding("wall-clock", "mod.py", 3, 0, "m"))
+        for line in (1, 2, 3):
+            assert not src.suppressed(Finding("wall-clock", "mod.py", line, 0, "m"))
 
     def test_enclosing_function(self, tmp_path):
         src = _load(tmp_path, "def outer():\n    def inner():\n        return hash(1)\n")

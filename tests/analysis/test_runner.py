@@ -1,11 +1,18 @@
-"""The lint runner and CLI: exit codes, JSON schema, baseline flags."""
+"""The lint runner and CLI: exit codes, JSON schema, pragmas."""
 
 import json
 from pathlib import Path
 
-from repro.analysis.baseline import DEFAULT_BASELINE_NAME
-from repro.analysis.core import CHECKERS
-from repro.analysis.runner import REPORT_VERSION, main, run_lint
+import pytest
+
+from repro.analysis.core import CHECKERS, Finding
+from repro.analysis.runner import (
+    REPORT_VERSION,
+    LintResult,
+    build_parser,
+    main,
+    run_lint,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -39,10 +46,34 @@ class TestExitCodes:
         _write_tree(tmp_path, {"mod.py": "x = 1\n"})
         assert main(_args(tmp_path, "--rules", "no-such-rule")) == 2
 
-    def test_bad_baseline_exits_two(self, tmp_path):
-        _write_tree(tmp_path, {"mod.py": "x = 1\n"})
-        (tmp_path / DEFAULT_BASELINE_NAME).write_text('{"version": 99}')
-        assert main(_args(tmp_path)) == 2
+    def test_disable_file_comment_suppresses_nothing(self, tmp_path):
+        # only the same-line pragma accepts a finding: a file-wide
+        # comment on its own line leaves the finding below it live
+        _write_tree(tmp_path, {
+            "mod.py": "# repro-lint: disable-file=determinism-random\n"
+                      "import random\n",
+        })
+        result = run_lint([tmp_path], root=tmp_path, project_checks=False)
+        assert [(f.rule, f.line) for f in result.findings] == [
+            ("determinism-random", 2),
+        ]
+        assert result.suppressed == 0
+        assert main(_args(tmp_path)) == 1
+
+    def test_same_line_pragma_exits_zero(self, tmp_path):
+        _write_tree(tmp_path, {
+            "mod.py": "import random  # repro-lint: disable=determinism-random\n",
+        })
+        result = run_lint([tmp_path], root=tmp_path, project_checks=False)
+        assert result.findings == []
+        assert result.suppressed == 1
+        assert main(_args(tmp_path)) == 0
+
+    def test_pragma_for_another_rule_exits_one(self, tmp_path):
+        _write_tree(tmp_path, {
+            "mod.py": "import random  # repro-lint: disable=determinism-hash\n",
+        })
+        assert main(_args(tmp_path)) == 1
 
     def test_list_exits_zero(self, capsys):
         assert main(["--list"]) == 0
@@ -52,32 +83,60 @@ class TestExitCodes:
         assert "repro-lint: disable=" in out  # the pragma syntax is shown
 
 
-class TestBaselineFlow:
-    def test_write_baseline_then_clean(self, tmp_path):
-        _write_tree(tmp_path, {"mod.py": "import random\n"})
-        assert main(_args(tmp_path)) == 1
-        assert main(_args(tmp_path, "--write-baseline")) == 0
-        # grandfathered: the same violation no longer fails the run
-        assert main(_args(tmp_path)) == 0
+    def test_list_prints_one_pragma_line(self, capsys):
+        main(["--list"])
+        out = capsys.readouterr().out
+        pragma_lines = [line for line in out.splitlines()
+                        if line.startswith("pragma:")]
+        assert len(pragma_lines) == 1
+        assert "disable-file" not in out
 
-    def test_new_violation_beyond_baseline_fails(self, tmp_path):
-        _write_tree(tmp_path, {"mod.py": "import random\n"})
-        main(_args(tmp_path, "--write-baseline"))
-        _write_tree(tmp_path, {"other.py": "import secrets\n"})
-        assert main(_args(tmp_path)) == 1
 
-    def test_no_baseline_flag_ignores_it(self, tmp_path):
-        _write_tree(tmp_path, {"mod.py": "import random\n"})
-        main(_args(tmp_path, "--write-baseline"))
-        assert main(_args(tmp_path, "--no-baseline")) == 1
+class TestParser:
+    def test_help_lists_no_baseline_flag(self):
+        assert "baseline" not in build_parser().format_help()
 
-    def test_baseline_survives_edits_above_the_finding(self, tmp_path):
-        _write_tree(tmp_path, {"mod.py": "import random\n"})
-        main(_args(tmp_path, "--write-baseline"))
-        # the fingerprint excludes line numbers: pushing the finding
-        # down the file must not churn the baseline
-        _write_tree(tmp_path, {"mod.py": "'''doc'''\nX = 1\nimport random\n"})
-        assert main(_args(tmp_path)) == 0
+    @pytest.mark.parametrize("flag", [
+        ["--baseline", "LINT_BASELINE.json"],
+        ["--no-baseline"],
+        ["--write-baseline"],
+    ])
+    def test_removed_baseline_flags_are_usage_errors(self, tmp_path, flag):
+        _write_tree(tmp_path, {"mod.py": "x = 1\n"})
+        with pytest.raises(SystemExit) as exc:
+            main(_args(tmp_path, *flag))
+        assert exc.value.code == 2
+
+
+class TestLintResult:
+    def _result(self, **kwargs) -> LintResult:
+        return LintResult(root=Path("/r"), checked_files=2,
+                          rules=["wall-clock"], **kwargs)
+
+    def test_ok_with_suppressed_findings_only(self):
+        assert self._result(suppressed=3).ok
+
+    def test_a_finding_is_not_ok(self):
+        finding = Finding("wall-clock", "a.py", 1, 0, "m")
+        assert not self._result(findings=[finding]).ok
+
+    def test_an_error_is_not_ok(self):
+        assert not self._result(errors=["a.py: cannot parse"]).ok
+
+    def test_render_summary_counts_findings_and_pragmas(self):
+        text = self._result(suppressed=1).render()
+        assert text.splitlines()[-2:] == [
+            "repro-lint: 2 files, 1 rules: 0 findings, 1 suppressed by pragma",
+            "OK",
+        ]
+
+    def test_render_lists_findings_then_errors_then_fail(self):
+        finding = Finding("wall-clock", "a.py", 4, 2, "no wall clock")
+        lines = self._result(findings=[finding],
+                             errors=["b.py: cannot parse"]).render().splitlines()
+        assert lines[0] == "a.py:4:2: wall-clock: no wall clock"
+        assert lines[1] == "error: b.py: cannot parse"
+        assert lines[-1] == "FAIL"
 
 
 class TestJsonReport:
@@ -90,14 +149,39 @@ class TestJsonReport:
         assert data["tool"] == "repro-lint"
         assert set(data) == {
             "version", "tool", "root", "checked_files", "rules", "summary",
-            "findings", "new", "stale_baseline", "errors",
+            "findings", "errors",
         }
-        assert data["summary"]["new"] == 1
+        assert set(data["summary"]) == {"findings", "suppressed", "errors", "ok"}
+        assert data["summary"]["findings"] == 1
         assert data["summary"]["ok"] is False
-        finding = data["new"][0]
+        finding = data["findings"][0]
         assert set(finding) == {"rule", "path", "line", "col", "message"}
         assert finding["rule"] == "determinism-random"
         assert finding["path"] == "mod.py"
+
+    def test_summary_counts_pragma_suppressions(self, tmp_path, capsys):
+        _write_tree(tmp_path, {
+            "mod.py": "import random  # repro-lint: disable=determinism-random\n",
+        })
+        assert main(_args(tmp_path, "--format", "json")) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["summary"] == {
+            "findings": 0, "suppressed": 1, "errors": 0, "ok": True,
+        }
+        assert data["findings"] == []
+
+    def test_parse_errors_reported(self, tmp_path, capsys):
+        _write_tree(tmp_path, {"mod.py": "def broken(:\n"})
+        assert main(_args(tmp_path, "--format", "json")) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert data["summary"]["errors"] == 1
+        assert data["errors"][0].startswith("mod.py: cannot parse")
+
+    def test_output_file_matches_printed_json(self, tmp_path, capsys):
+        _write_tree(tmp_path, {"mod.py": "import random\n"})
+        report = tmp_path / "LINT.json"
+        main(_args(tmp_path, "--format", "json", "--output", str(report)))
+        assert json.loads(report.read_text()) == json.loads(capsys.readouterr().out)
 
     def test_output_file_written_alongside_human_report(self, tmp_path):
         _write_tree(tmp_path, {"mod.py": "x = 1\n"})
@@ -122,14 +206,11 @@ class TestRuleSelection:
 
 class TestShippedTree:
     def test_repo_lints_clean(self):
-        """The acceptance gate: the shipped tree has zero non-baselined
-        findings (project checkers included)."""
-        from repro.analysis.baseline import Baseline
-
-        baseline = Baseline.load(REPO_ROOT / DEFAULT_BASELINE_NAME)
-        result = run_lint(root=REPO_ROOT, baseline=baseline)
+        """The acceptance gate: the shipped tree has zero findings
+        (project checkers included)."""
+        result = run_lint(root=REPO_ROOT)
         assert result.errors == []
-        assert [f.format() for f in result.new] == []
+        assert [f.format() for f in result.findings] == []
         assert result.ok
 
     def test_introduced_violation_fails_the_tree(self, tmp_path):

@@ -21,7 +21,7 @@ from repro.ovs.stats import COUNTERS
 from repro.ovs.switch import BatchResult, LookupPath, OvsSwitch
 from repro.perf.costmodel import KERNEL_PROFILE
 from repro.perf.factory import DatapathConfig, switch_for_profile
-from repro.scenario.datapath import CachelessDatapath
+from repro.defense.cacheless import CachelessDatapath
 from repro.scenario.session import Session
 from repro.scenario.spec import ScenarioSpec
 from repro.vec import HAVE_NUMPY
@@ -78,7 +78,6 @@ def _builders(space):
 class TestBitIdentity:
     def test_cacheless_aggregate_matches(self, k8s):
         space, _rules, keys = k8s
-        from repro.defense.cacheless import CachelessSwitch  # noqa: F401
 
         def build():
             dp = CachelessDatapath(space, name="agg-test")

@@ -15,7 +15,7 @@ from repro.net.ipv4 import PROTO_TCP
 from repro.flow.key import FlowKey
 from repro.ovs.switch import OvsSwitch
 from repro.perf.factory import switch_for_profile
-from repro.scenario.datapath import CachelessDatapath
+from repro.defense.cacheless import CachelessDatapath
 from repro.testing.oracles import TupleKeyedSearch
 
 

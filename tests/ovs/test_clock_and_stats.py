@@ -15,7 +15,7 @@ from repro.flow.match import FlowMatch
 from repro.flow.rule import FlowRule
 from repro.ovs.revalidator import SWEEP_INTERVAL, Revalidator
 from repro.ovs.switch import OvsSwitch
-from repro.scenario.datapath import CachelessDatapath
+from repro.defense.cacheless import CachelessDatapath
 
 
 def _toy_switch(**kwargs):

@@ -198,7 +198,7 @@ def test_one_process_body_besides_the_parallel_refusal():
     every other in-process datapath shares it; the only other body is
     ``ParallelDatapath``'s refusal (the protocol's stub has none)."""
     from repro.ovs.pmd import ShardedDatapath
-    from repro.scenario.datapath import CachelessDatapath
+    from repro.defense.cacheless import CachelessDatapath
 
     bodies = sorted(
         f"{rel}:{qualified}"

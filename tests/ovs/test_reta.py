@@ -23,7 +23,7 @@ from repro.ovs.pmd import (
 from repro.ovs.switch import OvsSwitch
 from repro.perf.costmodel import KERNEL_PROFILE
 from repro.perf.factory import DatapathConfig, switch_for_profile
-from repro.scenario.datapath import CachelessDatapath
+from repro.defense.cacheless import CachelessDatapath
 from repro.util.bits import rss_hash
 
 
