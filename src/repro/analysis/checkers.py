@@ -35,10 +35,6 @@ __all__ = [
 ]
 
 
-def _suffix_match(rel: str, suffixes: tuple[str, ...]) -> bool:
-    return any(rel.endswith(suffix) for suffix in suffixes)
-
-
 def _segment_match(rel: str, segments: tuple[str, ...]) -> bool:
     parts = rel.split("/")
     return any(segment in parts for segment in segments)
@@ -478,29 +474,16 @@ class ForkSafetyChecker(Checker):
 
 @register
 class MonotonicClockChecker(Checker):
-    """Datapath clocks only move forward: direct ``self.clock = now``
-    assignments bypass the clamp helpers and can un-expire idle state."""
+    """Simulated clocks only move forward: direct ``self.clock = now``
+    assignments bypass the clamp helpers and can un-expire idle state.
+    Every module is in scope: only a ``self.clock =`` assignment can
+    fire the rule, whichever class owns the clock."""
 
     rule = "monotonic-clock"
-    contract = ("datapath clock assignments must clamp (max(...) or a "
+    contract = ("`self.clock` assignments must clamp (max(...) or a "
                 "`now > self.clock` guard); rewinding un-expires idle "
                 "accounting and revalidator sweeps")
-    scope = ("ovs/switch.py, ovs/pmd.py, vec/engine.py, "
-             "scenario/datapath.py, runtime/parallel.py, "
-             "defense/cacheless.py, topo/network.py")
-
-    _files = (
-        "ovs/switch.py",
-        "ovs/pmd.py",
-        "vec/engine.py",
-        "scenario/datapath.py",
-        "runtime/parallel.py",
-        "defense/cacheless.py",
-        "topo/network.py",
-    )
-
-    def applies_to(self, rel: str) -> bool:
-        return _suffix_match(rel, self._files)
+    scope = "src/repro"
 
     def _clamped(self, src: SourceFile, node: ast.Assign) -> bool:
         value = node.value

@@ -45,8 +45,8 @@ Commands
     finding not suppressed by a same-line pragma.
 
 ``experiment``
-    Run one (or all) of the paper-artefact experiments; thin wrapper
-    around :mod:`repro.experiments.runner`.
+    Run one (or all) of the paper-artefact experiments, optionally
+    dumping CSV (:mod:`repro.experiments.runner`).
 
 ``demo``
     The Fig. 2 worked example, printed.
@@ -61,6 +61,7 @@ from pathlib import Path
 from repro import vec
 from repro.attack.analysis import predict, required_refresh_bps
 from repro.attack.packets import CovertStreamGenerator
+from repro.defense.detector import DEFAULT_MASK_THRESHOLD
 from repro.net.addresses import ip_to_int
 from repro.ovs.tss import SCAN_ORDERS
 from repro.scenario import BACKENDS, DEFENSES, PROFILES, SCENARIOS, SURFACES, Session
@@ -384,12 +385,9 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 def cmd_experiment(args: argparse.Namespace) -> int:
     """The ``experiment`` command."""
-    from repro.experiments import runner
+    from repro.experiments.runner import execute
 
-    argv = args.names or ["all"]
-    if args.csv is not None:
-        argv = [*argv, "--csv", args.csv]
-    return runner.main(argv)
+    return execute(args)
 
 
 def cmd_demo(_args: argparse.Namespace) -> int:
@@ -563,7 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--report-interval", type=float, default=1.0,
                        dest="report_interval",
                        help="simulated seconds between live snapshots")
-    serve.add_argument("--detect-threshold", type=int, default=64,
+    serve.add_argument("--detect-threshold", type=int,
+                       default=DEFAULT_MASK_THRESHOLD,
                        dest="detect_threshold",
                        help="per-shard mask count that trips the alert")
     serve.add_argument("--profile", choices=PROFILES.names(), default=None)
@@ -587,9 +586,9 @@ def build_parser() -> argparse.ArgumentParser:
     lint.set_defaults(func=cmd_lint)
 
     experiment = sub.add_parser("experiment", help="run paper experiments")
-    experiment.add_argument("names", nargs="*", help="experiment ids (default: all)")
-    experiment.add_argument("--csv", metavar="DIR", default=None,
-                            help="directory for CSV dumps (every experiment writes here)")
+    from repro.experiments.runner import configure_parser as _configure_experiment
+
+    _configure_experiment(experiment)
     experiment.set_defaults(func=cmd_experiment)
 
     demo = sub.add_parser("demo", help="print the Fig. 2 worked example")

@@ -5,8 +5,9 @@ work-in-progress mitigation techniques and their trade-offs (e.g. joint
 troubleshooting techniques by tenants and provider, improved heuristics
 in OVS, flow cache-less softswitches)."
 
-Implemented mitigations, each with its trade-off quantified by
-``benchmarks/bench_defense_ablation.py``:
+Implemented mitigations, each with its trade-off quantified by the
+E7 ablation (``repro experiment defenses``, held by
+``tests/experiments/test_defense_ablation.py``):
 
 * :class:`MaskLimitGuard` — cap the number of distinct megaflow masks;
   overflow traffic is cached exact-match (or not cached).  Trade-off:

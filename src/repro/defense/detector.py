@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 from repro.ovs.megaflow import MegaflowEntry
 from repro.ovs.switch import OvsSwitch
 
-#: a benign pod's policies rarely produce more than a few dozen masks
+#: the mask-count alarm threshold, per tenant or per shard: a benign
+#: pod's policies rarely produce more than a few dozen masks, and it
+#: is an eighth of the paper's 512-mask Kubernetes explosion
 DEFAULT_MASK_THRESHOLD = 64
 
 

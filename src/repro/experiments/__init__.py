@@ -12,7 +12,9 @@ One module per experiment (ids from DESIGN.md §4):
 * :mod:`repro.experiments.rebalance`   — E10: RETA rebalancing ablation
 * :mod:`repro.experiments.fleet`       — E11: fleet campaign ablation
 
-Run everything: ``python -m repro.experiments.runner``.
+Run everything: ``python -m repro experiment``.  E6 (TSS as a linear
+search) has no module: ``tests/experiments/test_experiments.py``
+holds it, beside the tier-1 checks of every other paper claim.
 """
 
 from repro.experiments.fig2 import Fig2Result, run_fig2

@@ -82,7 +82,3 @@ def render(rows: list[DefenseRow]) -> str:
             ]
         )
     return table.render()
-
-
-if __name__ == "__main__":
-    print(render(run_defense_ablation()))

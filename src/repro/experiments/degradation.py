@@ -103,7 +103,3 @@ def render(rows: list[DegradationRow]) -> str:
             ]
         )
     return table.render()
-
-
-if __name__ == "__main__":
-    print(render(run_degradation_sweep()))

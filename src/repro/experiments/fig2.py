@@ -123,7 +123,3 @@ def run_fig2() -> Fig2Result:
         deny_mask_count=len(deny_masks),
         scenario=result,
     )
-
-
-if __name__ == "__main__":
-    print(run_fig2().render())

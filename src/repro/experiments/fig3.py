@@ -102,7 +102,3 @@ def run_fig3(
     )
     result = Session(spec).run()
     return Fig3Result(report=result.report, scenario=result)
-
-
-if __name__ == "__main__":
-    print(run_fig3().render())

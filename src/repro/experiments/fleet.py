@@ -267,7 +267,3 @@ def to_csv_rows(report: FleetReport) -> list[str]:
             f"attacked_bps={row.attacked_throughput_bps:.1f}"
         )
     return lines
-
-
-if __name__ == "__main__":
-    print(render(run_fleet_ablation()))

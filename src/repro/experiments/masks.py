@@ -81,7 +81,3 @@ def render(results: list[MaskCountResult]) -> str:
             ]
         )
     return table.render()
-
-
-if __name__ == "__main__":
-    print(render(run_mask_counts()))

@@ -223,7 +223,3 @@ def to_csv_rows(rows: list[RankingRow]) -> list[str]:
             f"{row.avg_tuples_scanned:.4f},{row.speedup_vs_insertion:.4f}"
         )
     return lines
-
-
-if __name__ == "__main__":
-    print(render(run_ranking_ablation()))

@@ -320,7 +320,3 @@ def to_csv_rows(report: RebalanceReport) -> list[str]:
         f"stranded={strand.stranded_mask_fraction:.6f}"
     )
     return lines
-
-
-if __name__ == "__main__":
-    print(render(run_rebalance_ablation()))

@@ -1,10 +1,11 @@
-"""Run every experiment and emit the consolidated report.
+"""Run every experiment and emit the consolidated report: the
+``repro experiment`` command.
 
 Usage::
 
-    python -m repro.experiments.runner            # everything
-    python -m repro.experiments.runner fig2 fig3  # a subset
-    python -m repro.experiments.runner --csv out/ # also dump CSV series
+    python -m repro experiment             # everything
+    python -m repro experiment fig2 fig3   # a subset
+    python -m repro experiment --csv out/  # also dump CSV series
 
 With ``--csv DIR`` every experiment dumps its data through
 :meth:`~repro.scenario.session.ScenarioResult.to_csv`: time series for
@@ -15,7 +16,6 @@ tables for the static ones.
 from __future__ import annotations
 
 import argparse
-import sys
 from pathlib import Path
 
 from repro.experiments import (
@@ -121,11 +121,16 @@ EXPERIMENTS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="repro experiment", description=__doc__)
+def configure_parser(parser: argparse.ArgumentParser) -> None:
+    """Attach the experiment arguments to the ``repro experiment``
+    subcommand."""
     parser.add_argument(
         "experiments",
         nargs="*",
+        choices=[*EXPERIMENTS, "all"],
+        # a string, not a list: argparse checks a ``*`` positional's
+        # default against ``choices`` as one value
+        default="all",
         metavar="experiment",
         help=f"which experiments to run: {', '.join([*EXPERIMENTS, 'all'])} "
         "(default: all)",
@@ -137,19 +142,12 @@ def main(argv: list[str] | None = None) -> int:
         metavar="DIR",
         help="directory for CSV dumps (every experiment writes here)",
     )
-    args = parser.parse_args(argv)
 
-    unknown = set(args.experiments) - {*EXPERIMENTS, "all"}
-    if unknown:
-        parser.error(
-            f"unknown experiments {sorted(unknown)}; "
-            f"choose from {[*EXPERIMENTS, 'all']}"
-        )
-    selected = (
-        list(EXPERIMENTS)
-        if not args.experiments or "all" in args.experiments
-        else args.experiments
-    )
+
+def execute(args: argparse.Namespace) -> int:
+    """Run the selected experiments from parsed arguments, printing
+    each one's report under a banner."""
+    selected = list(EXPERIMENTS) if "all" in args.experiments else args.experiments
     if args.csv is not None:
         args.csv.mkdir(parents=True, exist_ok=True)
 
@@ -160,7 +158,3 @@ def main(argv: list[str] | None = None) -> int:
         print(runner(args.csv))
         print()
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -203,7 +203,3 @@ def to_csv_rows(rows: list[ShardingRow]) -> list[str]:
             f"{row.aggregate_capacity_x:.6f}"
         )
     return lines
-
-
-if __name__ == "__main__":
-    print(render(run_sharding_ablation()))

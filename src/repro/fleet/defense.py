@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.defense.detector import MaskAnomalyDetector
+from repro.defense.detector import DEFAULT_MASK_THRESHOLD, MaskAnomalyDetector
 from repro.ovs.pmd import shard_views
 
 
@@ -80,7 +80,7 @@ class FleetDetector:
     counters are how its distress is visible fleet-side).
     """
 
-    def __init__(self, threshold: int = 64,
+    def __init__(self, threshold: int = DEFAULT_MASK_THRESHOLD,
                  guard_pressure_floor: int = 1) -> None:
         self.threshold = threshold
         self.guard_pressure_floor = guard_pressure_floor

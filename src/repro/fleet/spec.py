@@ -14,6 +14,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+from repro.defense.detector import DEFAULT_MASK_THRESHOLD
 from repro.scenario.spec import ScenarioSpec
 
 #: fleet-level defenses (per-node defenses live on the scenario spec)
@@ -39,7 +40,7 @@ class FleetSpec:
     #: load over the fabric)
     fleet_defense: str = "none"
     #: per-tenant mask threshold each node's anomaly detector flags at
-    detect_threshold: int = 64
+    detect_threshold: int = DEFAULT_MASK_THRESHOLD
     #: seconds between fleet detector observations
     detect_interval: float = 5.0
     #: display name

@@ -11,9 +11,9 @@ distinct mask, holding a Python dict from masked keys to entries, and a
 :class:`TupleSpaceSearch` that scans the subtables sequentially.  The
 scan cost (``tuples_scanned``, ``hash_probes``) is reported on every
 lookup so the complexity attack is *measurable*, and because the scan is
-a real linear search over real hash tables the wall-clock benchmarks in
-``benchmarks/bench_tss_linear_scan.py`` reproduce the linear blow-up
-directly.
+a real linear search over real hash tables the wall-clock test E6
+(``tests/experiments/test_experiments.py::TestLinearScan``) reproduces
+the linear blow-up directly.
 
 Keys are packed integers, the one representation: the field space fixes
 a bit offset per field, every :class:`~repro.flow.key.FlowKey` caches

@@ -35,6 +35,7 @@ import time
 from pathlib import Path
 from typing import Iterator
 
+from repro.defense.detector import DEFAULT_MASK_THRESHOLD
 from repro.flow.fields import OVS_FIELDS, FieldSpace
 from repro.flow.key import FlowKey
 from repro.obs import NULL_TELEMETRY
@@ -51,10 +52,6 @@ from repro.perf.workload import AttackerWorkload
 #: default seconds of simulated time per synthetic burst (matches the
 #: simulator's coalescing granularity: one burst per tick)
 DEFAULT_TICK = 0.1
-
-#: default mask-count alarm threshold: half the paper's 512-mask
-#: Kubernetes explosion, far above any benign per-shard mask census
-DEFAULT_DETECT_THRESHOLD = 64
 
 
 class SyntheticSource:
@@ -330,7 +327,7 @@ class ServeService:
         datapath,
         source,
         report_interval: float = 1.0,
-        detect_threshold: int = DEFAULT_DETECT_THRESHOLD,
+        detect_threshold: int = DEFAULT_MASK_THRESHOLD,
         workers: int = 0,
         close_datapath: bool = True,
         telemetry=None,
@@ -505,7 +502,7 @@ def build_service(
     max_packets: int | None = None,
     batch_size: int = 256,
     report_interval: float = 1.0,
-    detect_threshold: int = DEFAULT_DETECT_THRESHOLD,
+    detect_threshold: int = DEFAULT_MASK_THRESHOLD,
     close_datapath: bool = True,
     telemetry=None,
 ) -> ServeService:

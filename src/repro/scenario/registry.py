@@ -25,7 +25,7 @@ from repro.cms.base import CloudManagementSystem, PolicyTarget
 from repro.cms.calico import CalicoCms
 from repro.cms.kubernetes import KubernetesCms
 from repro.cms.openstack import OpenStackCms
-from repro.defense.detector import MaskAnomalyDetector
+from repro.defense.detector import DEFAULT_MASK_THRESHOLD, MaskAnomalyDetector
 from repro.defense.mask_limit import MaskLimitGuard
 from repro.defense.prefix_heuristic import PrefixRoundingGuard
 from repro.defense.rate_limit import UpcallRateLimitGuard
@@ -263,7 +263,8 @@ class _DetectorDefense(DefenseAgent):
     """Mask-anomaly detection plus tenant eviction, some time after the
     attack starts (the operator's reaction lag)."""
 
-    def __init__(self, threshold: int = 64, respond_delay: float = 20.0) -> None:
+    def __init__(self, threshold: int = DEFAULT_MASK_THRESHOLD,
+                 respond_delay: float = 20.0) -> None:
         self.detector = MaskAnomalyDetector(threshold=threshold)
         self.respond_delay = respond_delay
         self.label = f"anomaly detector (+{respond_delay:.0f} s)"
@@ -335,5 +336,6 @@ def _prefix_rounding(granularity: int = 8) -> DefenseAgent:
 
 
 @DEFENSES.register("detector")
-def _detector(threshold: int = 64, respond_delay: float = 20.0) -> DefenseAgent:
+def _detector(threshold: int = DEFAULT_MASK_THRESHOLD,
+              respond_delay: float = 20.0) -> DefenseAgent:
     return _DetectorDefense(threshold=threshold, respond_delay=respond_delay)

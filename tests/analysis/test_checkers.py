@@ -323,11 +323,13 @@ class TestMonotonicClock:
         }, rules=["monotonic-clock"])
         assert result.findings == []
 
-    def test_good_unlisted_file_out_of_scope(self, tmp_path):
+    def test_bad_unclamped_assignment_in_any_module(self, tmp_path):
+        # the telemetry clock is no datapath's, and is held all the same
         result = _lint(tmp_path, {
-            "attack/mod.py": "def set(self, now):\n    self.clock = now\n",
+            "obs/telemetry.py": "def advance(self, now):\n"
+                                "    self.clock = now\n",
         }, rules=["monotonic-clock"])
-        assert result.findings == []
+        assert _rules_hit(result) == {"monotonic-clock"}
 
 
 class TestCrossCutting:

@@ -5,6 +5,8 @@ come out with the paper's numbers (exact for mask counts, shape-level
 for performance).
 """
 
+import time
+
 import pytest
 
 from repro.experiments.degradation import render as render_degradation
@@ -13,6 +15,11 @@ from repro.experiments.fig2 import FIG2B_EXPECTED, fig2_packet_sequence, run_fig
 from repro.experiments.fig3 import run_fig3
 from repro.experiments.masks import render as render_masks
 from repro.experiments.masks import run_mask_counts
+from repro.flow.fields import OVS_FIELDS
+from repro.flow.key import FlowKey
+from repro.net.addresses import ip_to_int
+from repro.scenario import Session
+from repro.scenario.spec import ScenarioSpec
 
 
 class TestFig2:
@@ -53,6 +60,54 @@ class TestMaskCounts:
     def test_render(self, results):
         text = render_masks(results)
         assert "8192" in text and "512" in text
+
+
+class TestLinearScan:
+    """E6: "even if hash lookup is O(1), the TSS algorithm still has to
+    iterate through all hashes assigned to different masks, rendering
+    TSS a costly linear search when there are lots of masks"."""
+
+    PAPER_MASKS = {"prefix8": 8, "k8s": 512, "calico": 8192}
+    #: matches no megaflow of any surface: its destination is not the
+    #: attacker pod every covert megaflow matches on
+    MISS = FlowKey(OVS_FIELDS, {
+        "eth_type": 0x0800, "ip_src": ip_to_int("10.1.2.3"),
+        "ip_dst": ip_to_int("10.0.9.99"), "ip_proto": 6,
+        "tp_src": 7777, "tp_dst": 7777,
+    })
+
+    @pytest.fixture(scope="class")
+    def tss(self):
+        return {
+            (name, staged): Session(
+                ScenarioSpec(surface=name, staged_lookup=staged)
+            ).measure().datapath.megaflow.tss
+            for name in self.PAPER_MASKS
+            for staged in (False, True)
+        }
+
+    @pytest.mark.parametrize("staged", [False, True], ids=["plain", "staged"])
+    def test_a_miss_scans_every_subtable(self, tss, staged):
+        # staging cheapens each probe, never the number of subtables
+        for name, masks in self.PAPER_MASKS.items():
+            result = tss[name, staged].lookup(self.MISS)
+            assert not result.hit
+            assert result.tuples_scanned == masks
+
+    def test_the_scan_costs_wall_clock_in_the_mask_count(self, tss):
+        # 16x the masks must cost more than 4x the wall time: a quarter
+        # of linear, far above constant or logarithmic growth
+        def per_lookup(name: str, repeats: int) -> float:
+            search = tss[name, False]
+            best = float("inf")
+            for _ in range(3):
+                start = time.perf_counter()
+                for _ in range(repeats):
+                    search.lookup(self.MISS)
+                best = min(best, (time.perf_counter() - start) / repeats)
+            return best
+
+        assert per_lookup("calico", 8) > 4.0 * per_lookup("k8s", 128)
 
 
 class TestFig3:
@@ -98,6 +153,12 @@ class TestDegradationSweep:
         k8s = next(r for r in rows if r.cms == "kubernetes" and "tp_dst" in r.surface)
         assert 0.80 <= 1.0 - k8s.capacity_ratio <= 0.92
 
+    def test_openstack_matches_kubernetes(self, rows):
+        # the same two-field ACL, so the same 512 masks and capacity
+        k8s = next(r for r in rows if r.cms == "kubernetes" and "tp_dst" in r.surface)
+        openstack = next(r for r in rows if r.cms == "openstack")
+        assert openstack.capacity_ratio == pytest.approx(k8s.capacity_ratio, abs=1e-9)
+
     def test_calico_is_full_dos(self, rows):
         calico = next(r for r in rows if r.cms == "calico")
         assert calico.capacity_ratio < 0.02
@@ -119,3 +180,65 @@ class TestDegradationSweep:
     def test_render(self, rows):
         text = render_degradation(rows)
         assert "of peak" in text
+
+
+class TestCovertRateFloor:
+    """How little covert bandwidth the attack needs: the floor is
+    masks / idle timeout refreshes per second (~0.42 Mbps at 64 B for
+    8192 masks).  Below it the revalidator reclaims most masks; above
+    it the DoS saturates."""
+
+    RATES_BPS = (0.1e6, 0.3e6, 0.5e6, 1e6, 2e6)
+
+    @pytest.fixture(scope="class")
+    def outcomes(self):
+        outcomes = {}
+        for rate in self.RATES_BPS:
+            result = Session(ScenarioSpec(
+                surface="calico", profile="kernel", covert_rate_bps=rate,
+                attack_start=15.0, duration=75.0,
+            )).run()
+            outcomes[rate] = (result.final_mask_count(), result.degradation())
+        return outcomes
+
+    def test_below_the_floor_the_revalidator_wins(self, outcomes):
+        masks, _ = outcomes[0.1e6]
+        assert masks < 8192 / 2
+
+    def test_the_papers_rates_are_a_full_dos(self, outcomes):
+        masks, ratio = outcomes[1e6]
+        assert masks >= 8192
+        assert ratio < 0.05
+        assert outcomes[2e6][1] < 0.05
+
+
+class TestVictimDiversity:
+    """Who gets hurt: a single fat flow stays microflow-cached, a
+    connection-rich service (heavy-tailed flow popularity) is exposed
+    to the full scan.  The covert rate sits just above the 8192-mask
+    refresh floor, so the attacker's own scans do not burn the shared
+    core and mask the cache-shielding effect."""
+
+    FLOW_COUNTS = (1, 64, 1024, 5000, 20000)
+
+    @pytest.fixture(scope="class")
+    def ratios(self):
+        return {
+            flows: Session(ScenarioSpec(
+                surface="calico", profile="netdev", covert_rate_bps=0.6e6,
+                attack_start=15.0, duration=60.0,
+                victim_concurrent_flows=flows,
+                victim_new_flows_per_sec=min(500.0, 2.0 * flows),
+            )).run().degradation()
+            for flows in self.FLOW_COUNTS
+        }
+
+    def test_a_single_flow_hides_behind_the_emc(self, ratios):
+        assert ratios[1] > 0.9
+
+    def test_a_connection_rich_victim_collapses(self, ratios):
+        assert ratios[20000] < 0.1
+
+    def test_damage_is_monotone_in_diversity(self, ratios):
+        ordered = [ratios[flows] for flows in self.FLOW_COUNTS]
+        assert all(a >= b - 1e-9 for a, b in zip(ordered, ordered[1:]))

@@ -4,7 +4,6 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.experiments.runner import EXPERIMENTS
-from repro.experiments.runner import main as runner_main
 
 
 class TestRunner:
@@ -18,23 +17,27 @@ class TestRunner:
         }
 
     def test_run_single_experiment(self, capsys):
-        assert runner_main(["fig2"]) == 0
+        assert main(["experiment", "fig2"]) == 0
         out = capsys.readouterr().out
         assert "E1" in out
         assert "MATCHES Fig. 2b exactly" in out
 
-    def test_unknown_experiment_rejected(self):
-        with pytest.raises(SystemExit):
-            runner_main(["figure-null"])
+    def test_unknown_experiment_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["experiment", "fig2", "figure-null"])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro experiment ")
+        assert "'figure-null'" in err
 
     def test_csv_output(self, tmp_path, capsys):
-        assert runner_main(["fig2", "--csv", str(tmp_path)]) == 0
+        assert main(["experiment", "fig2", "--csv", str(tmp_path)]) == 0
         # every experiment routes through ScenarioResult.to_csv now
-        assert (tmp_path / "fig2.csv").exists()
         assert "00001010" in (tmp_path / "fig2.csv").read_text()
 
     def test_csv_output_per_scenario(self, tmp_path, capsys):
-        assert runner_main(["masks", "--csv", str(tmp_path)]) == 0
+        assert main(["experiment", "masks", "--csv", str(tmp_path)]) == 0
+        assert "8192" in capsys.readouterr().out
         for name in ("prefix8", "k8s", "openstack", "calico"):
             assert (tmp_path / f"masks-{name}.csv").exists()
 
@@ -83,22 +86,6 @@ class TestCliMisc:
     def test_demo(self, capsys):
         assert main(["demo"]) == 0
         assert "Fig. 2b" in capsys.readouterr().out
-
-    def test_experiment_dispatch(self, capsys):
-        assert main(["experiment", "masks"]) == 0
-        assert "8192" in capsys.readouterr().out
-
-    def test_experiment_csv_is_forwarded(self, tmp_path, capsys):
-        assert main(["experiment", "fig2", "--csv", str(tmp_path)]) == 0
-        assert "00001010" in (tmp_path / "fig2.csv").read_text()
-
-    def test_unknown_experiment_names_the_command(self, capsys):
-        with pytest.raises(SystemExit) as exited:
-            main(["experiment", "bogus"])
-        assert exited.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage: repro experiment ")
-        assert "'bogus'" in err
 
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):

@@ -28,6 +28,12 @@ class TestPaperAnchors:
     def test_8192_masks_is_a_full_dos(self):
         assert CostModel().degradation_ratio(8192) < 0.02
 
+    def test_staged_lookup_helps_but_does_not_stop_the_dos(self):
+        # staging cheapens each subtable probe, not the linear scan
+        model = CostModel()
+        staged = model.degradation_ratio(8192, staged=True)
+        assert model.degradation_ratio(8192, staged=False) < staged < 0.05
+
     def test_8_masks_is_mild(self):
         assert CostModel().degradation_ratio(8) > 0.85
 
