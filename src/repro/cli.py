@@ -55,6 +55,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -597,10 +598,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: exit status of a run whose stdout reader went away (``repro experiment
+#: all | head -3``): what a shell reports for a writer SIGPIPE (13) ended
+EXIT_CLOSED_STDOUT = 128 + 13
+
+
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point."""
+    """CLI entry point.  A run whose stdout is closed under it ends
+    quietly, with :data:`EXIT_CLOSED_STDOUT` and no traceback (the
+    parallel runtime raises its own error for a broken worker pipe, so
+    a ``BrokenPipeError`` here is stdout's)."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # point stdout at devnull: the interpreter's flush at exit would
+        # fail on the closed pipe again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_STDOUT
+    return code
 
 
 if __name__ == "__main__":

@@ -81,18 +81,6 @@ class MicroflowCache:
         # set placement is deterministic across runs
         return hash(key.values) % self.n_sets  # repro-lint: disable=determinism-hash
 
-    def contains(self, key: FlowKey) -> bool:
-        """Whether *any* slot (live or stale) currently stores ``key``.
-
-        Unlike :meth:`lookup` this never mutates — no counters, no LRU
-        touch, no stale purge.  The batch pipeline uses it to decide
-        whether a key's EMC outcome could depend on inserts still
-        pending for earlier packets of the same burst: when no slot
-        matches at all, later inserts (for *other* keys) cannot turn
-        this key's miss into a hit, so its lookup commutes with them.
-        """
-        return key.packed in self._index
-
     def lookup(self, key: FlowKey, now: float = 0.0) -> MegaflowEntry | None:
         """Exact-match probe; stale entries (dead megaflows) are purged
         on contact and reported as misses."""
@@ -122,6 +110,10 @@ class MicroflowCache:
 
         A repeat of the previous key — the rest of an ON train — is the
         same slot at the same ``now``: a counter bump, not a probe.
+
+        ``VecSwitch`` serves a burst's hit prefix with it, to keep those
+        keys out of the pre-scan; the switch's walk serves every later
+        hit from ``_index`` in its own loop.
         """
         index = self._index
         runs: list[tuple[MegaflowEntry, int]] = []
@@ -168,15 +160,25 @@ class MicroflowCache:
             slot.entry = entry
             slot.last_used = now
             return True
-        bucket = self._sets[self._set_index(key)]
+        self.insertions += 1
+        # the set is ``_set_index(key)``, without the method call
+        bucket = self._sets[hash(key.values) % self.n_sets]  # repro-lint: disable=determinism-hash
         if len(bucket) >= self.ways:
+            self.evictions += 1
+            if self.ways == 1:
+                # the set's one slot is its LRU slot: it takes the new key
+                slot = bucket[0]
+                del index[slot.key.packed]
+                slot.key = key
+                slot.entry = entry
+                slot.last_used = now
+                index[packed] = slot
+                return True
             # the least recently used slot; of equally old ones, the first
             ages = [slot.last_used for slot in bucket]
             del index[bucket.pop(ages.index(min(ages))).key.packed]
-            self.evictions += 1
         slot = index[packed] = _Slot(key, entry, now)
         bucket.append(slot)
-        self.insertions += 1
         return True
 
     def invalidate_dead(self) -> int:

@@ -240,9 +240,9 @@ class OvsSwitch:
         the same ``now`` — bit-identical results, stats and cache state
         — but the per-burst overhead is amortised: the clock update and
         revalidator check run once, and the burst is one walk in key
-        order (:meth:`_resolve`) in which the EMC serves each run of
-        consecutive hits in one pass (:meth:`_serve_emc_hits`) and the
-        megaflow hits between two upcalls are credited in one step.  As
+        order (:meth:`_resolve`) in which an EMC slot serves each ON
+        train of its key in one step and the megaflow hits between two
+        upcalls are credited in one step.  As
         with :meth:`process`, a stale ``now`` is clamped to the monotonic
         clock.  Every step counts into the burst's :class:`BatchResult`
         only; ``stats`` gets it in one
@@ -273,7 +273,11 @@ class OvsSwitch:
         lookup_hits`: the per-key probes, LRU touches included, with ON
         trains coalesced) and fold the per-hit bookkeeping once per
         ``(entry, count)`` run and once per call.  Returns how many keys
-        were served; the next one, if any, is not a live hit."""
+        were served; the next one, if any, is not a live hit.
+
+        Only ``VecSwitch`` calls it, for a burst's hit prefix, which it
+        keeps out of the pre-scan; :meth:`_resolve` serves every later
+        hit from the EMC's index in its own loop."""
         hits = forwarded = 0
         for entry, count in self.microflow.lookup_hits(keys, start, now):
             entry.hits += count
@@ -298,22 +302,25 @@ class OvsSwitch:
                  now: float, materialize: bool) -> None:
         """The burst's one walk over ``keys``, in key order.
 
-        Each key's EMC probe is inline.  A key the EMC's exact index
-        holds (:meth:`~repro.ovs.microflow.MicroflowCache.contains`)
-        opens a run of live hits, served in one pass
-        (:meth:`_serve_emc_hits`), or is a stale slot that
-        :meth:`~repro.ovs.microflow.MicroflowCache.lookup` purges; any
-        other key is a certain miss and pays only the lookup-counter
-        tick.  An EMC miss draws the tuple space's next pure answer
+        Each key's EMC probe is inline: one read of the EMC's exact
+        index (bound once per burst) per distinct key.  A live slot
+        serves its key and every following identical key object — the
+        rest of the ON train — in one step: the slot's LRU touch, the
+        entry's ``hits`` by the train's length and its ``last_used``,
+        one ``is_forwarding()``.  A stale slot goes to
+        :meth:`~repro.ovs.microflow.MicroflowCache.lookup`, which purges
+        it; a key with no slot is a certain miss.  An EMC miss draws the
+        tuple space's next pure answer
         (:meth:`~repro.ovs.tss.TupleSpaceSearch._answers`, one lazy
         source per stretch, fed the positions of the stretch's EMC
         misses as the walk meets them).  A megaflow hit is offered to
-        the EMC at once: the insert's RNG
-        draw, the slot it stores and the slot that evicts are the only
-        state the walk must write in key order, because the next key's
-        probe reads them.  A TSS miss ends a *stretch*: the tuple space
-        changes only at its upcall, so the stretch's megaflow hits are
-        credited in one summed step (:meth:`~repro.ovs.tss.
+        the EMC at once (:meth:`~repro.ovs.microflow.MicroflowCache.
+        insert`, the one home of placement and eviction): the insert's
+        RNG draw, the slot it stores and the slot that evicts are the
+        only state the walk must write in key order, because the next
+        key's probe reads them.  A TSS miss ends a *stretch*: the tuple
+        space changes only at its upcall, so the stretch's megaflow hits
+        are credited in one summed step (:meth:`~repro.ovs.tss.
         TupleSpaceSearch._credit`) before :meth:`_finish_upcall` runs
         (its install guards may read the cache), and the last stretch is
         credited at the end of the burst.
@@ -321,10 +328,11 @@ class OvsSwitch:
         An EMC that holds nothing and cannot store (insertion off) stays
         so for the whole burst: no key is probed and no insert offered,
         so each stretch is answered whole, in one step
-        (:meth:`~repro.ovs.tss.TupleSpaceSearch._stretch`).  The certain
-        misses' ``microflow.lookups`` ticks and the megaflow
-        hits' ``BatchResult`` counters are added once, at the end:
-        nothing that runs mid-burst reads them.
+        (:meth:`~repro.ovs.tss.TupleSpaceSearch._stretch`).  The EMC's
+        ``lookups`` / ``hits`` and the ``BatchResult`` counters of the
+        EMC and megaflow hits are added once, at the end: nothing that
+        runs mid-burst reads them (an upcall's install guards see only
+        the megaflow cache and the key).
         """
         microflow = self.microflow
         tss = self.megaflow.tss
@@ -357,22 +365,38 @@ class OvsSwitch:
                     self._finish_upcall(keys[i - 1], miss, now, batch,
                                         materialize)
         else:
-            contains = microflow.contains
+            index = microflow._index
             # the positions of the stretch's EMC misses, appended as the
             # walk meets them: its answers are drawn one per miss
             asked: list[int] = []
             answers = tss._answers(keys, asked, probes)
             stretch = []
-            certain_misses = 0
+            certain_misses = emc_hits = emc_forwarded = 0
             while i < n:
                 key = keys[i]
-                if contains(key):
-                    served = self._serve_emc_hits(keys, i, now, batch,
-                                                  materialize)
-                    if served:
-                        i += served
+                slot = index.get(key.packed)
+                if slot is not None:
+                    entry = slot.entry
+                    if entry.alive:
+                        # the live slot serves the key's whole ON train
+                        j = i + 1
+                        while j < n and keys[j] is key:
+                            j += 1
+                        count = j - i
+                        i = j
+                        slot.last_used = now
+                        entry.hits += count
+                        entry.last_used = now
+                        emc_hits += count
+                        if entry.action.is_forwarding():
+                            emc_forwarded += count
+                        if materialize:
+                            results.extend(PacketResult(
+                                entry.action, LookupPath.MICROFLOW, 0, 0,
+                                entry,
+                            ) for _ in range(count))
                         continue
-                    microflow.lookup(key, now)
+                    microflow.lookup(key, now)  # stale: purged, a miss
                 else:
                     certain_misses += 1
                 asked.append(i)
@@ -397,7 +421,13 @@ class OvsSwitch:
                         entry.action, LookupPath.MEGAFLOW,
                         result.tuples_scanned, result.hash_probes, entry,
                     ))
-            microflow.lookups += certain_misses
+            microflow.lookups += certain_misses + emc_hits
+            microflow.hits += emc_hits
+            if emc_hits:
+                batch.packets += emc_hits
+                batch.emc_hits += emc_hits
+                batch.forwarded += emc_forwarded
+                batch.drops += emc_hits - emc_forwarded
             if stretch:
                 credited += tss._credit(stretch, now)
         served = forwarded = 0

@@ -173,7 +173,7 @@ class TupleKeyedSearch(TupleSpaceSearch):
 
 class SetScanMicroflowCache(MicroflowCache):
     """The exact-match cache probed by scanning the key's set: ``lookup``,
-    ``lookup_hits``, ``contains`` and ``insert`` compare the key
+    ``lookup_hits`` and ``insert`` compare the key
     (``FlowKey.__eq__``) with every slot of ``_sets[hash(key) % n_sets]``
     and never read the packed-int index, and the occupancy is the count
     of stored slots.  The inherited ``invalidate_dead`` and ``flush``
@@ -183,10 +183,6 @@ class SetScanMicroflowCache(MicroflowCache):
     probe finds its slot in one dict on the key's packed int, and the
     set index is computed only where a slot is added or purged.
     """
-
-    def contains(self, key: FlowKey) -> bool:
-        return any(slot.key == key
-                   for slot in self._sets[self._set_index(key)])
 
     def lookup(self, key: FlowKey, now: float = 0.0) -> MegaflowEntry | None:
         self.lookups += 1

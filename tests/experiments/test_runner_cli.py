@@ -1,9 +1,16 @@
 """Tests for the experiment runner and the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import EXIT_CLOSED_STDOUT, build_parser, main
 from repro.experiments.runner import EXPERIMENTS
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 class TestRunner:
@@ -90,3 +97,19 @@ class TestCliMisc:
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    def test_a_closed_stdout_ends_the_run_quietly(self):
+        # unbuffered, the first banner reaches the pipe at once; the
+        # nine tables take seconds after it, so a later print meets the
+        # pipe this side has closed
+        env = {**os.environ, "PYTHONPATH": str(SRC),
+               "PYTHONUNBUFFERED": "1", "PYTHONDONTWRITEBYTECODE": "1"}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "experiment", "all"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline().startswith(b"== E1: ")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert err == b""
+        assert proc.returncode == EXIT_CLOSED_STDOUT

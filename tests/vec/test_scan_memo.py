@@ -363,7 +363,7 @@ class TestTheMemoOutlivesItsBurst:
         # open the burst (the hit prefix), four more follow the misses
         ref, vec = _build(OvsSwitch), _build(VecSwitch)
         burst = COVERT[0:4] + _onoff_burst(COVERT[60:100]) + COVERT[4:8]
-        assert all(map(vec.microflow.contains, COVERT[:8]))
+        assert all(key.packed in vec.microflow._index for key in COVERT[:8])
         tss = vec.megaflow.tss
         asked = []
         prescan = tss.prescan
