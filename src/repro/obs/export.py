@@ -182,7 +182,7 @@ def record_vec_tss(telemetry, paths: dict, **labels: str) -> None:
     removal, a re-sort, or an install with no pre-scan in front of it)
     and ``small_burst`` the one the caller's burst shape does (a key
     no pre-scan covered: the columnar switch pre-scans every key
-    after a burst's hit prefix, so its evicted EMC residents are
+    from a burst's first EMC miss on, so its evicted EMC residents are
     ``memo`` answers)."""
     telemetry.gauge("vec.tss.memo_lookups", **labels).set(paths["memo"])
     for reason in VEC_TSS_FALLBACK_REASONS:

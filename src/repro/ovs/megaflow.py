@@ -71,9 +71,8 @@ def refresh_run(slots: "Sequence[MegaflowEntry | None]", start: int,
     subtable credited, inline and in slot order, exactly as per-entry
     ``refresh(now)`` calls would.  Stops at the first slot that is
     ``None`` or no longer alive and returns how many it served — that
-    slot is the caller's (the :meth:`MicroflowCache.lookup_hits
-    <repro.ovs.microflow.MicroflowCache.lookup_hits>` hit-prefix idiom,
-    for the simulator's covert slots)."""
+    slot is the caller's (the simulator's covert slots: it takes the
+    slot this stopped at to its ledger, or to the slow path)."""
     served = 0
     for entry in slots[start:stop]:
         if entry is None or not entry.alive:

@@ -23,7 +23,6 @@ are lazily invalidated when the referenced megaflow dies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.flow.key import FlowKey
 from repro.ovs.megaflow import MegaflowEntry
@@ -66,7 +65,9 @@ class MicroflowCache:
         #: packed key -> its slot, exactly the slots in ``_sets``: kept
         #: in step by the four writers of ``_sets`` (``insert`` and its
         #: LRU eviction, the stale purge in ``lookup``,
-        #: ``invalidate_dead``, ``flush``)
+        #: ``invalidate_dead``, ``flush``).  Read by ``lookup``,
+        #: ``insert`` and the switch's burst walk
+        #: (``OvsSwitch._resolve``), which serves every EMC hit
         self._index: dict[int, _Slot] = {}
         # statistics
         self.lookups = 0
@@ -97,51 +98,6 @@ class MicroflowCache:
         slot.last_used = now
         self.hits += 1
         return slot.entry
-
-    def lookup_hits(self, keys: Sequence[FlowKey], start: int,
-                    now: float = 0.0) -> list[tuple[MegaflowEntry, int]]:
-        """Serve the longest prefix of ``keys[start:]`` that are live
-        hits, exactly as one :meth:`lookup` call per key would — the
-        same ``lookups`` / ``hits`` ticks, the same ``slot.last_used``
-        — and return the served entries run-length coalesced as
-        ``(entry, count)`` pairs in key order.  Stops *without
-        mutating* at the first key that has no slot or whose slot is
-        stale (that key's miss, and the purge, stay :meth:`lookup`'s).
-
-        A repeat of the previous key — the rest of an ON train — is the
-        same slot at the same ``now``: a counter bump, not a probe.
-
-        ``VecSwitch`` serves a burst's hit prefix with it, to keep those
-        keys out of the pre-scan; the switch's walk serves every later
-        hit from ``_index`` in its own loop.
-        """
-        index = self._index
-        runs: list[tuple[MegaflowEntry, int]] = []
-        prev = prev_packed = entry = None
-        count = 0
-        for i in range(start, len(keys)):
-            key = keys[i]
-            if key is not prev:
-                prev = key
-                packed = key.packed
-                if packed != prev_packed:
-                    slot = index.get(packed)
-                    if slot is None or not slot.entry.alive:
-                        break  # absent, or stale: lookup() purges it
-                    slot.last_used = now
-                    prev_packed = packed
-                    if slot.entry is not entry:
-                        if count:
-                            runs.append((entry, count))
-                        entry = slot.entry
-                        count = 0
-            count += 1
-        if count:
-            runs.append((entry, count))
-        served = sum(count for _, count in runs)
-        self.lookups += served
-        self.hits += served
-        return runs
 
     def insert(self, key: FlowKey, entry: MegaflowEntry, now: float = 0.0) -> bool:
         """Admit a key (subject to probabilistic insertion); evicts the

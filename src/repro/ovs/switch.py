@@ -265,39 +265,6 @@ class OvsSwitch:
         self.stats.add(batch)
         return batch
 
-    def _serve_emc_hits(self, keys: Sequence[FlowKey], start: int,
-                        now: float, batch: BatchResult,
-                        materialize: bool) -> int:
-        """Serve the longest all-hit prefix of ``keys[start:]`` from the
-        EMC in one pass (:meth:`~repro.ovs.microflow.MicroflowCache.
-        lookup_hits`: the per-key probes, LRU touches included, with ON
-        trains coalesced) and fold the per-hit bookkeeping once per
-        ``(entry, count)`` run and once per call.  Returns how many keys
-        were served; the next one, if any, is not a live hit.
-
-        Only ``VecSwitch`` calls it, for a burst's hit prefix, which it
-        keeps out of the pre-scan; :meth:`_resolve` serves every later
-        hit from the EMC's index in its own loop."""
-        hits = forwarded = 0
-        for entry, count in self.microflow.lookup_hits(keys, start, now):
-            entry.hits += count
-            entry.last_used = now
-            action = entry.action
-            if action.is_forwarding():
-                forwarded += count
-            if materialize:
-                batch.results.extend(
-                    PacketResult(action, LookupPath.MICROFLOW, 0, 0, entry)
-                    for _ in range(count)
-                )
-            hits += count
-        if hits:
-            batch.packets += hits
-            batch.emc_hits += hits
-            batch.forwarded += forwarded
-            batch.drops += hits - forwarded
-        return hits
-
     def _resolve(self, keys: Sequence[FlowKey], batch: BatchResult,
                  now: float, materialize: bool) -> None:
         """The burst's one walk over ``keys``, in key order.
@@ -305,15 +272,19 @@ class OvsSwitch:
         Each key's EMC probe is inline: one read of the EMC's exact
         index (bound once per burst) per distinct key.  A live slot
         serves its key and every following identical key object — the
-        rest of the ON train — in one step: the slot's LRU touch, the
-        entry's ``hits`` by the train's length and its ``last_used``,
-        one ``is_forwarding()``.  A stale slot goes to
-        :meth:`~repro.ovs.microflow.MicroflowCache.lookup`, which purges
-        it; a key with no slot is a certain miss.  An EMC miss draws the
-        tuple space's next pure answer
+        rest of the ON train — in one step: the slot's LRU touch and the
+        train's results.  The trains one entry serves back to back are
+        one *run*, folded once: the entry's ``hits`` by the run's length
+        and its ``last_used``, one ``is_forwarding()``.  A stale slot
+        goes to :meth:`~repro.ovs.microflow.MicroflowCache.lookup`,
+        which purges it; a key with no slot is a certain miss.  An EMC
+        miss draws the tuple space's next pure answer
         (:meth:`~repro.ovs.tss.TupleSpaceSearch._answers`, one lazy
         source per stretch, fed the positions of the stretch's EMC
-        misses as the walk meets them).  A megaflow hit is offered to
+        misses as the walk meets them).  The burst's first EMC miss is
+        its first question to the tuple space, which is handed the rest
+        of the burst from there (:meth:`~repro.ovs.tss.TupleSpaceSearch.
+        prescan_burst`) before it answers.  A megaflow hit is offered to
         the EMC at once (:meth:`~repro.ovs.microflow.MicroflowCache.
         insert`, the one home of placement and eviction): the insert's
         RNG draw, the slot it stores and the slot that evicts are the
@@ -321,13 +292,15 @@ class OvsSwitch:
         key's probe reads them.  A TSS miss ends a *stretch*: the tuple
         space changes only at its upcall, so the stretch's megaflow hits
         are credited in one summed step (:meth:`~repro.ovs.tss.
-        TupleSpaceSearch._credit`) before :meth:`_finish_upcall` runs
-        (its install guards may read the cache), and the last stretch is
-        credited at the end of the burst.
+        TupleSpaceSearch._credit`), and the pending EMC run folded,
+        before :meth:`_finish_upcall` runs (its install guards may read
+        the cache); the last stretch and run are folded at the end of
+        the burst.
 
         An EMC that holds nothing and cannot store (insertion off) stays
         so for the whole burst: no key is probed and no insert offered,
-        so each stretch is answered whole, in one step
+        so the whole burst is handed to ``prescan_burst`` and each
+        stretch is answered whole, in one step
         (:meth:`~repro.ovs.tss.TupleSpaceSearch._stretch`).  The EMC's
         ``lookups`` / ``hits`` and the ``BatchResult`` counters of the
         EMC and megaflow hits are added once, at the end: nothing that
@@ -343,6 +316,7 @@ class OvsSwitch:
         tuples = probed = 0
         i, n = 0, len(keys)
         if not microflow.occupancy and insert is None:
+            tss.prescan_burst(keys, 0)
             microflow.lookups += n
             while i < n:
                 stretch = tss._stretch(keys, i, probes)
@@ -365,13 +339,25 @@ class OvsSwitch:
                     self._finish_upcall(keys[i - 1], miss, now, batch,
                                         materialize)
         else:
+            certain_misses = emc_hits = emc_forwarded = 0
+
+            def fold(entry, count):
+                # one run of trains the EMC served from ``entry``
+                nonlocal emc_hits, emc_forwarded
+                entry.hits += count
+                entry.last_used = now
+                emc_hits += count
+                if entry.action.is_forwarding():
+                    emc_forwarded += count
+
             index = microflow._index
             # the positions of the stretch's EMC misses, appended as the
-            # walk meets them: its answers are drawn one per miss
+            # walk meets them: its answers are drawn one per miss, from
+            # the burst's first miss on
             asked: list[int] = []
-            answers = tss._answers(keys, asked, probes)
+            answers = None
             stretch = []
-            certain_misses = emc_hits = emc_forwarded = 0
+            run_entry, run_count = None, 0
             while i < n:
                 key = keys[i]
                 slot = index.get(key.packed)
@@ -385,11 +371,11 @@ class OvsSwitch:
                         count = j - i
                         i = j
                         slot.last_used = now
-                        entry.hits += count
-                        entry.last_used = now
-                        emc_hits += count
-                        if entry.action.is_forwarding():
-                            emc_forwarded += count
+                        if entry is not run_entry:
+                            if run_count:
+                                fold(run_entry, run_count)
+                            run_entry, run_count = entry, 0
+                        run_count += count
                         if materialize:
                             results.extend(PacketResult(
                                 entry.action, LookupPath.MICROFLOW, 0, 0,
@@ -399,6 +385,9 @@ class OvsSwitch:
                     microflow.lookup(key, now)  # stale: purged, a miss
                 else:
                     certain_misses += 1
+                if answers is None:
+                    tss.prescan_burst(keys, i)
+                    answers = tss._answers(keys, asked, probes)
                 asked.append(i)
                 result = next(answers)
                 i += 1
@@ -406,6 +395,9 @@ class OvsSwitch:
                     miss = tss._missed(None if probes is None
                                        else probes[-1])
                     credited += tss._credit(stretch, now, miss)
+                    if run_count:
+                        fold(run_entry, run_count)
+                        run_count = 0
                     self._finish_upcall(key, miss, now, batch, materialize)
                     stretch, asked = [], []
                     answers = tss._answers(keys, asked, probes)
@@ -421,6 +413,8 @@ class OvsSwitch:
                         entry.action, LookupPath.MEGAFLOW,
                         result.tuples_scanned, result.hash_probes, entry,
                     ))
+            if run_count:
+                fold(run_entry, run_count)
             microflow.lookups += certain_misses + emc_hits
             microflow.hits += emc_hits
             if emc_hits:

@@ -476,6 +476,12 @@ class TupleSpaceSearch:
                 break
         return stretch
 
+    def prescan_burst(self, keys: Sequence[FlowKey], start: int) -> None:
+        """The switch's walk hands over ``keys[start:]`` — the rest of a
+        burst, from its first question to the tuple space on — before
+        asking it.  This scan answers each key as it is asked, so there
+        is nothing to do; the columnar engine pre-scans them."""
+
     def _answers(self, keys: Sequence[FlowKey], positions: Iterable[int],
                  probes: list[int] | None = None,
                  ) -> Iterator[TssLookupResult | None]:

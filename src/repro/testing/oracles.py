@@ -172,12 +172,12 @@ class TupleKeyedSearch(TupleSpaceSearch):
 
 
 class SetScanMicroflowCache(MicroflowCache):
-    """The exact-match cache probed by scanning the key's set: ``lookup``,
-    ``lookup_hits`` and ``insert`` compare the key
-    (``FlowKey.__eq__``) with every slot of ``_sets[hash(key) % n_sets]``
-    and never read the packed-int index, and the occupancy is the count
-    of stored slots.  The inherited ``invalidate_dead`` and ``flush``
-    prune and clear ``_sets``; the index they keep in step stays empty.
+    """The exact-match cache probed by scanning the key's set: ``lookup``
+    and ``insert`` compare the key (``FlowKey.__eq__``) with every slot
+    of ``_sets[hash(key) % n_sets]`` and never read the packed-int
+    index, and the occupancy is the count of stored slots.  The
+    inherited ``invalidate_dead`` and ``flush`` prune and clear
+    ``_sets``; the index they keep in step stays empty.
 
     Retired by: ``repro.ovs.microflow.MicroflowCache.lookup`` — every
     probe finds its slot in one dict on the key's packed int, and the
@@ -197,38 +197,6 @@ class SetScanMicroflowCache(MicroflowCache):
                 self.hits += 1
                 return slot.entry
         return None
-
-    def lookup_hits(self, keys, start: int,
-                    now: float = 0.0) -> list[tuple[MegaflowEntry, int]]:
-        runs: list[tuple[MegaflowEntry, int]] = []
-        prev = entry = None
-        count = 0
-        for key in keys[start:]:
-            if key == prev:
-                count += 1
-                continue
-            for slot in self._sets[self._set_index(key)]:
-                if slot.key == key:
-                    break
-            else:
-                break  # no slot: the prefix ends here
-            if not slot.entry.alive:
-                break  # stale: lookup() purges it and reports the miss
-            slot.last_used = now
-            prev = key
-            if slot.entry is entry:
-                count += 1
-                continue
-            if count:
-                runs.append((entry, count))
-            entry = slot.entry
-            count = 1
-        if count:
-            runs.append((entry, count))
-        served = sum(count for _, count in runs)
-        self.lookups += served
-        self.hits += served
-        return runs
 
     def insert(self, key: FlowKey, entry: MegaflowEntry,
                now: float = 0.0) -> bool:

@@ -44,8 +44,8 @@ except ImportError:  # pragma: no cover - the container ships numpy
 #: (``mask-churn``'s first burst, 255 of its 2,048 lookups) — and
 #: ``small_burst`` when it has not (the burst was too small or too
 #: sparse to pre-scan, or a live memo did not hold the key: ``VecSwitch``
-#: pre-scans every key after a burst's hit prefix, so an EMC resident
-#: evicted mid-burst is a ``memo`` answer).  Defined here, NumPy-free,
+#: pre-scans every key from a burst's first EMC miss on, so an EMC
+#: resident evicted mid-burst is a ``memo`` answer).  Defined here, NumPy-free,
 #: because the ``repro.obs`` encoder names them for every engine
 VEC_TSS_FALLBACK_REASONS = ("staged", "small_burst", "memo_invalidated")
 VEC_TSS_PATHS = ("memo",) + VEC_TSS_FALLBACK_REASONS

@@ -30,9 +30,10 @@ OvsSwitch`.
 * **Scan memo** (:meth:`VecTupleSpaceSearch.prescan`) — the one
   columnar answer, to the switch's walk and a direct ``lookup_batch``
   caller alike.  Because the scan is pure its answers can be kept:
-  every distinct key after a burst's hit prefix is answered once, up
-  front (:meth:`VecTupleSpaceSearch.prescan_burst`, which alone decides
-  what the memo keeps or drops), and the walk's EMC
+  every distinct key from a burst's first EMC miss on is answered once,
+  up front, when the walk meets that miss
+  (:meth:`VecTupleSpaceSearch.prescan_burst`, which alone decides what
+  the memo keeps or drops), and the walk's EMC
   misses (one or two keys between hit runs on a bursty feed) take their
   answers from the memo instead of each paying a scalar scan of every
   subtable; with no EMC a stretch's hits are drawn from an exact memo
@@ -72,7 +73,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from repro.flow.fields import OVS_FIELDS, FieldSpace
 from repro.flow.key import FlowKey
-from repro.ovs.switch import BatchResult, OvsSwitch
+from repro.ovs.switch import OvsSwitch
 from repro.ovs.tss import Subtable, TssLookupResult, TupleSpaceSearch
 from repro.vec import VEC_TSS_PATHS, require_numpy
 from repro.vec.columnar import LaneCodec
@@ -530,45 +531,47 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
         if (self._ahead_generation != self.generation
                 and len(keys) - start >= self.VEC_MIN_BATCH):
             self._ahead_generation = self.generation
-            self.prescan_burst(keys[start:])
+            self.prescan_burst(keys, start)
         return self._memo
 
-    def prescan_burst(self, keys: Sequence[FlowKey]) -> None:
-        """Answer the burst's distinct keys against the tuple space
-        once, before the walk: a bursty feed asks the tuple space for
-        one or two keys between EMC hits, and each then takes its answer
-        from the memo instead of paying a scalar scan of every subtable.
-        Every key after the hit prefix is covered, so a resident the EMC
-        evicts mid-burst is answered from the memo too; a key any
-        earlier burst's memo answered at an unchanged generation is
-        carried over, not scanned again (the memo is bounded by
-        ``MEMO_MAX_KEYS`` plus one burst).  A burst too small for the
-        columnar scan — an empty keep-alive included — scans nothing: it
-        keeps a memo that is still exact (the same generation, no insert
-        absorbed), whose misses its live probes join, and drops any
-        other.  ``VecSwitch`` calls it on every burst's keys after the
-        hit prefix, :meth:`_ahead` on the rest of a burst.  Pure:
+    def prescan_burst(self, keys: Sequence[FlowKey], start: int) -> None:
+        """Answer the distinct keys of ``keys[start:]`` — the rest of a
+        burst, from its first question to the tuple space on — once,
+        up front: a bursty feed asks the tuple space for one or two keys
+        between EMC hits, and each then takes its answer from the memo
+        instead of paying a scalar scan of every subtable.  Every key
+        of the rest is covered, so a resident the EMC evicts mid-burst
+        is answered from the memo too; a key any earlier burst's memo
+        answered at an unchanged generation is carried over, not
+        scanned again (the memo is bounded by ``MEMO_MAX_KEYS`` plus
+        one burst).  A rest too small for the columnar scan — an empty
+        keep-alive included — scans nothing: it keeps a memo that is
+        still exact (the same generation, no insert absorbed), whose
+        misses its live probes join, and drops any other.  The switch's
+        walk calls it at a burst's first EMC miss (with no EMC, at the
+        burst's head), :meth:`_ahead` on the rest of a burst.  Pure:
         nothing the reference observes is touched."""
-        if len(keys) < self.VEC_MIN_BATCH or not self.prescan_pays(len(keys)):
+        rest = len(keys) - start
+        if rest < self.VEC_MIN_BATCH or not self.prescan_pays(rest):
             if self._memo_written:
                 self._memo = None
             return
-        self.prescan(list(dict.fromkeys([key.packed for key in keys])))
+        self.prescan(list(dict.fromkeys([key.packed for key in keys[start:]])))
 
 
 class VecSwitch(OvsSwitch):
     """An :class:`OvsSwitch` running the columnar vectorized fast path.
 
     The pipeline, its state, statistics, RNG draws and slow path are
-    the reference implementation's own; the subclass only feeds it:
-
-    * the megaflow TSS is swapped (empty, at construction) for a
-      :class:`VecTupleSpaceSearch`, so every key the inherited walk
-      answers is answered from the scan memo where one is live;
-    * the keys after the burst's hit prefix are handed to the tuple
-      space's :meth:`~VecTupleSpaceSearch.prescan_burst` before the
-      inherited :meth:`~repro.ovs.switch.OvsSwitch._resolve` walks them;
-      what the memo keeps or drops is the tuple space's to decide.
+    the reference implementation's own — every step of it, the EMC's
+    hits included, is the inherited walk
+    (:meth:`~repro.ovs.switch.OvsSwitch._resolve`); the subclass only
+    swaps the megaflow TSS (empty, at construction) for a
+    :class:`VecTupleSpaceSearch`, so the rest of a burst from its first
+    EMC miss is pre-scanned (:meth:`~VecTupleSpaceSearch.prescan_burst`)
+    and every key the walk asks the tuple space is answered from the
+    scan memo where one is live.  What the memo keeps or drops is the
+    tuple space's to decide.
     """
 
     def __init__(self, space: FieldSpace = OVS_FIELDS, **kwargs) -> None:
@@ -581,30 +584,9 @@ class VecSwitch(OvsSwitch):
             space, staged=tss.staged, scan_order=tss.scan_order,
         )
 
-    # -- the vectorized batch pipeline --------------------------------------
-
-    def process_batch(self, keys: Sequence[FlowKey] | Iterable[FlowKey],
-                      now: float | None = None,
-                      materialize: bool = True) -> BatchResult:
-        if not isinstance(keys, (list, tuple)):
-            keys = list(keys)
-        now = self._advance(now)
-        self.revalidator.maybe_sweep(now)
-        batch = BatchResult()
-        rest = keys
-        if self.microflow.occupancy:
-            # the cache serves the burst's hit prefix itself; only what
-            # follows the first non-hit is pre-scanned
-            served = self._serve_emc_hits(keys, 0, now, batch, materialize)
-            if served == len(keys):
-                rest = None
-            elif served:
-                rest = keys[served:]
-        if rest is not None:
-            self.megaflow.tss.prescan_burst(rest)
-            self._resolve(rest, batch, now, materialize)
-        self.stats.add(batch)
-        return batch
+    #: the inherited method, named on this class for the benchmark's
+    #: tracer, which wraps ``vars(owner)["process_batch"]``
+    process_batch = OvsSwitch.process_batch
 
     @property
     def vec_tss_paths(self) -> dict[str, int]:

@@ -366,8 +366,6 @@ class TestMicroflowCache:
             *[st.tuples(st.just("insert"), st.integers(0, 7),
                         st.integers(0, 3))] * 4,
             st.tuples(st.just("lookup"), st.integers(0, 7)),
-            st.tuples(st.just("hits"), st.lists(st.integers(0, 7),
-                                                max_size=6)),
             st.tuples(st.just("kill"), st.integers(0, 3)),
             st.tuples(st.just("invalidate_dead")),
             st.tuples(st.just("flush")),
@@ -396,10 +394,6 @@ class TestMicroflowCache:
                                           now)
                 elif op[0] == "lookup":
                     answer = id(cache.lookup(self._key(op[1]), now))
-                elif op[0] == "hits":
-                    answer = [(id(entry), count) for entry, count in
-                              cache.lookup_hits([self._key(v) for v in op[1]],
-                                                0, now)]
                 elif op[0] == "kill":
                     entries[op[1]].alive = False
                     answer = None

@@ -1,15 +1,17 @@
 """The burst walk serves the EMC in its own loop, as per-key lookups do.
 
 ``OvsSwitch._resolve`` reads the exact-match cache's index once per
-distinct key, serves a live slot's whole ON train in one step and folds
-the EMC's counters once per burst; a megaflow hit still takes
-``MicroflowCache.insert``, the one home of placement and eviction.
-Here the walk is held to ``oracles.resolve_per_key`` — one ``lookup``
-per packet, one ``insert`` per megaflow hit — on the retired set-scan
-EMC (``oracles.SetScanMicroflowCache``, its own insert and LRU
+distinct key, serves a live slot's whole ON train in one step, folds
+each run of trains one entry serves once (before an upcall, and at the
+end of the burst) and the EMC's counters once per burst; a megaflow hit
+still takes ``MicroflowCache.insert``, the one home of placement and
+eviction.  Here the walk is held to ``oracles.resolve_per_key`` — one
+``lookup`` per packet, one ``insert`` per megaflow hit — on the retired
+set-scan EMC (``oracles.SetScanMicroflowCache``, its own insert and LRU
 eviction), on the scalar ``OvsSwitch`` alone (no NumPy): after every
 burst the two switches' fingerprints are equal, in both result modes,
-and so are their ``BatchResult`` s.
+and so are their ``BatchResult`` s and what every install guard saw of
+the entries at its upcall.
 """
 
 from types import MethodType
@@ -76,11 +78,23 @@ class _EvictingLimit:
             cache.remove_entry(cache.entries()[0])
 
 
-def _switch(shape, walk, evicting):
+def _snooping(log):
+    """An install guard that approves every install and records what a
+    guard can read of the cache at its upcall: each entry's ``hits``
+    and ``last_used``, which the walk's EMC hits before it must have
+    reached."""
+    def guard(context):
+        log.append([(entry.hits, entry.last_used)
+                    for entry in context.cache.entries()])
+    return guard
+
+
+def _switch(shape, walk, evicting, log):
     entries, ways, prob = shape
     switch = OvsSwitch(emc_entries=entries, emc_ways=ways,
                        emc_insertion_prob=prob, rng=DeterministicRng(5))
     switch.add_rules(RULES)
+    switch.add_install_guard(_snooping(log))
     if evicting:
         switch.add_install_guard(_EvictingLimit(2))
     if not walk:
@@ -109,9 +123,13 @@ class _Pair:
     same bursts."""
 
     def __init__(self, shape, evicting=False):
-        self.switches = {(walk, materialize): _switch(shape, walk, evicting)
-                         for walk in (True, False)
-                         for materialize in (True, False)}
+        self.guarded = {(walk, materialize): []
+                        for walk in (True, False)
+                        for materialize in (True, False)}
+        self.switches = {
+            mode: _switch(shape, mode[0], evicting, log)
+            for mode, log in self.guarded.items()
+        }
 
     @property
     def walk(self):
@@ -126,6 +144,9 @@ class _Pair:
                   for switch in self.switches.values()]
         # the same slots, counters and EMC admission draws
         assert all(p == prints[0] for p in prints[1:]), burst
+        # every install guard saw the entries as per-key lookups left them
+        logs = list(self.guarded.values())
+        assert all(log == logs[0] for log in logs[1:]), burst
         # materialized: every result and count as the oracle's
         assert views[True, True] == views[False, True]
         # aggregate-only: the same counts and installs, no results

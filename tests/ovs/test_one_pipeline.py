@@ -1,12 +1,13 @@
 """The burst pipeline is one implementation, in the reference classes.
 
-Answer → consume → credit (``ovs/tss.py``) and serve-hits → walk →
-upcall (``ovs/switch.py``) each exist once; ``repro.vec`` decides only
-*where the answers come from* and is pure.  A second consume loop,
-credit step, burst walk or counter fold is a second implementation of
-one spec: it can only be held to the first by an equivalence matrix,
-and drifts the day that matrix is not extended.  "vec ≡ scalar
-bookkeeping" is true here by construction, and this file keeps it so.
+Answer → consume → credit (``ovs/tss.py``) and walk → upcall
+(``ovs/switch.py``, the walk serving every EMC hit) each exist once;
+``repro.vec`` decides only *where the answers come from* and is pure.
+A second consume loop, credit step, burst walk or counter fold is a
+second implementation of one spec: it can only be held to the first by
+an equivalence matrix, and drifts the day that matrix is not extended.
+"vec ≡ scalar bookkeeping" is true here by construction, and this file
+keeps it so.
 """
 
 import ast
@@ -26,18 +27,19 @@ SRC = Path(__file__).resolve().parent.parent.parent / "src" / "repro"
 STATEFUL = {
     "_consume": "ovs/tss.py",
     "_credit": "ovs/tss.py",
-    "_serve_emc_hits": "ovs/switch.py",
     "_resolve": "ovs/switch.py",
     "_finish_upcall": "ovs/switch.py",
 }
 #: the forks this replaced, the lookup-count re-sort trigger with its
-#: burst cap (the revalidator's sweep is the one re-sort), and the run
-#: drain with its chunk window (the burst is one walk) — gone, under
-#: any spelling
+#: burst cap (the revalidator's sweep is the one re-sort), the run
+#: drain with its chunk window (the burst is one walk), and the second
+#: EMC-hit fold with its read-only prefix probe (the walk serves every
+#: hit) — gone, under any spelling
 RETIRED = ("_finish_microflow_hit", "_finish_megaflow_hit",
            "_resolve_absent", "_resolve_mixed", "_capped",
            "_lookups_since_resort", "resort_interval", "resort_subtables",
-           "_flush_run", "_batch_window", "MAX_BATCH_WINDOW")
+           "_flush_run", "_batch_window", "MAX_BATCH_WINDOW",
+           "_serve_emc_hits", "lookup_hits")
 #: counters the reference classes own: nothing under ``vec/`` adds to one
 REFERENCE_COUNTERS = (
     {spec.name for spec in dataclasses.fields(SwitchStats)}
@@ -102,14 +104,30 @@ def test_the_vec_classes_restate_no_pipeline_step():
 
     restated = [
         name for name in vars(VecSwitch)
-        if name == "_serve_emc_hits"
-        or name.startswith(("_resolve", "_finish_"))
+        if name.startswith(("_resolve", "_finish_"))
     ]
     assert not restated, restated
+    # named on the class for the benchmark's tracer, and only named: the
+    # burst is the inherited walk's, EMC hits included
+    assert vars(VecSwitch)["process_batch"] is OvsSwitch.process_batch
     # a direct caller's burst takes the inherited lookup too: the scan
     # memo is the one columnar answer
     assert not {"lookup_batch", "_consume", "_credit", "_missed"} & set(
         vars(VecTupleSpaceSearch))
+
+
+def test_the_walk_and_the_look_ahead_alone_hand_over_a_burst():
+    """A burst's rest reaches the pre-scan from two places: the walk,
+    at its first question to the tuple space, and the look-ahead behind
+    a burst's own installs.  No datapath pre-scans a burst of its own."""
+    callers = sorted({
+        f"{rel}:{qualified}"
+        for rel, tree in _trees()
+        for qualified, node in _functions(tree)
+        if _calls(node, "prescan_burst")
+    })
+    assert callers == ["ovs/switch.py:OvsSwitch._resolve",
+                       "vec/engine.py:VecTupleSpaceSearch._ahead"]
 
 
 def test_only_the_tuple_space_touches_its_scan_memo():

@@ -4,6 +4,7 @@ code that retired its path."""
 
 import ast
 import importlib
+import os
 import re
 import subprocess
 import sys
@@ -36,12 +37,16 @@ def test_nothing_in_the_library_imports_it():
 
 
 def test_importing_it_loads_neither_numpy_nor_hypothesis():
+    # a fresh environment, but one that writes no bytecode into ``src/``
+    # when the suite's does not
+    env = {"PYTHONPATH": str(SRC)}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
     loaded = subprocess.run(
         [sys.executable, "-c",
          "import sys, repro.testing; "
          "print(sorted({'numpy', 'hypothesis'} & set(sys.modules)))"],
-        capture_output=True, text=True, check=True,
-        env={"PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, check=True, env=env,
     ).stdout.strip()
     assert loaded == "[]"
 
