@@ -8,13 +8,15 @@ one victim node:
 2. at ``inject_time`` the attacker's policy is accepted by the CMS and
    compiled into the node's slow path (a perfectly legitimate operation
    — that is the point of the attack);
-3. from ``attacker.start_time`` the covert stream feeds the ACL,
-   installing one megaflow mask per packet until the cross product is
-   saturated, then keeps refreshing them within the idle timeout.
+3. from ``attack_start`` the covert stream feeds the ACL, installing
+   one megaflow mask per packet until the cross product is saturated,
+   then keeps refreshing them within the idle timeout.
 
-The campaign assembles the :class:`~repro.perf.simulator.
-DataplaneSimulator` with the right events and returns its result plus
-attack-side accounting.
+The campaign is built from the :class:`~repro.scenario.session.Session`
+it belongs to — every knob is read from its spec, the policy is
+compiled against its attacker target — and assembles the
+:class:`~repro.perf.simulator.DataplaneSimulator` with the injection
+event and the session's defense events wired in.
 """
 
 from __future__ import annotations
@@ -22,24 +24,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from repro.attack.analysis import (
-    AttackDimension,
-    AttackPrediction,
-    predict,
-)
-from repro.attack.packets import CovertStreamGenerator
-from repro.cms.base import CloudManagementSystem, PolicyTarget
-from repro.flow.fields import OVS_FIELDS, FieldSpace
+from repro.attack.analysis import AttackPrediction, predict
+from repro.attack.packets import REPROBE_TRIES, CovertStreamGenerator
 from repro.flow.key import FlowKey
 from repro.net.ethernet import ETHERTYPE_IPV4
 from repro.net.ipv4 import PROTO_TCP
-from repro.ovs.switch import OvsSwitch
-from repro.perf.costmodel import CostModel
 from repro.perf.simulator import DataplaneSimulator, SimulationResult
 from repro.perf.workload import AttackerWorkload, VictimWorkload
 
 if TYPE_CHECKING:
     from repro.scenario.datapath import Datapath
+    from repro.scenario.session import Session
 
 
 @dataclass
@@ -76,85 +71,58 @@ def _mean_or_none(mean: Callable[[], float]) -> float | None:
 
 
 class AttackCampaign:
-    """Builds and runs one policy-injection attack scenario."""
+    """One session's policy-injection attack on ``datapath``."""
 
-    def __init__(
-        self,
-        cms: CloudManagementSystem,
-        policy: object,
-        dimensions: list[AttackDimension],
-        attacker_pod_ip: int,
-        attacker_port: int = 101,
-        tenant: str = "mallory",
-        victim: VictimWorkload | None = None,
-        attacker: AttackerWorkload | None = None,
-        inject_time: float | None = None,
-        duration: float = 150.0,
-        cost_model: CostModel | None = None,
-        switch: "Datapath | None" = None,
-        space: FieldSpace = OVS_FIELDS,
-        seed: int = 7,
-        attacker_strategy: str = "naive",
-        reprobe_interval: float = 0.0,
-        reprobe_tries: int = 128,
-        covert_replay: str = "model",
-        telemetry=None,
-    ) -> None:
-        if attacker_strategy not in ("naive", "spread"):
+    def __init__(self, session: "Session", datapath: "Datapath") -> None:
+        surface = session.surface
+        if not surface.is_campaign:
+            from repro.scenario.registry import SURFACES
+
             raise ValueError(
-                f"unknown attacker_strategy {attacker_strategy!r}: naive | spread"
+                f"surface {surface.name!r} has no CMS compiler; only "
+                f"Session.measure() applies (campaign surfaces: "
+                f"{[n for n, s in SURFACES.items() if s.is_campaign]})"
             )
-        if reprobe_interval < 0:
-            raise ValueError("reprobe_interval must be >= 0 (0 = never re-probe)")
-        self.cms = cms
-        self.policy = policy
-        self.dimensions = dimensions
-        self.tenant = tenant
-        self.victim = victim or VictimWorkload()
-        self.attacker = attacker or AttackerWorkload()
+        spec = session.spec
+        self.session = session
+        self.switch = datapath
+        self.victim = VictimWorkload(
+            offered_bps=spec.victim_offered_bps,
+            frame_bytes=spec.victim_frame_bytes,
+            concurrent_flows=spec.victim_concurrent_flows,
+            new_flows_per_sec=spec.victim_new_flows_per_sec,
+            skew=spec.workload_skew,
+        )
+        self.attacker = AttackerWorkload(
+            rate_bps=spec.covert_rate_bps,
+            frame_bytes=spec.covert_frame_bytes,
+            start_time=spec.attack_start,
+        )
         #: policy lands slightly before the covert stream starts
         self.inject_time = (
-            inject_time if inject_time is not None else max(self.attacker.start_time - 1.0, 0.0)
+            spec.inject_time if spec.inject_time is not None
+            else max(spec.attack_start - 1.0, 0.0)
         )
-        self.duration = duration
-        self.cost_model = cost_model or CostModel()
-        self.space = space
-        self.seed = seed
-        self.switch = switch or OvsSwitch(space=space, name="victim-node")
-        self.target = PolicyTarget(
-            pod_ip=attacker_pod_ip,
-            output_port=attacker_port,
-            tenant=tenant,
-            pod_name=f"{tenant}-pod",
-        )
-        self.attacker_strategy = attacker_strategy
-        self.reprobe_interval = reprobe_interval
-        self.reprobe_tries = reprobe_tries
-        #: "model" | "datapath" — forwarded to the simulator (see
-        #: :class:`~repro.perf.simulator.DataplaneSimulator`)
-        self.covert_replay = covert_replay
-        #: observability umbrella forwarded to the simulator (None =
-        #: the shared null telemetry; zero overhead)
-        self.telemetry = telemetry
         self.generator = CovertStreamGenerator(
-            dimensions, dst_ip=attacker_pod_ip, space=space
+            session.dimensions, dst_ip=session.target.pod_ip,
+            space=session.space,
         )
 
     def covert_stream(self):
         """The covert key sequence plus its re-steer hook.
 
         The ``naive`` strategy is the paper's one-key-per-mask stream.
-        The ``spread`` strategy (hash-aware, PR 3/4) steers one variant
-        per mask *per PMD shard* against the datapath's dispatcher; with
+        The ``spread`` strategy (hash-aware) steers one variant per mask
+        *per PMD shard* against the datapath's dispatcher; with
         ``reprobe_interval > 0`` the returned refresh hook re-steers
-        against the *live* RETA (E10 showed a rebalanced table needs a
-        bigger search budget, hence ``reprobe_tries`` > the default 32).
-        Unsharded datapaths fall back to the naive stream — there is
-        nothing to spread over — unless a re-probe interval was
-        requested, which would then be a silent no-op and is rejected
-        instead.
+        against the *live* RETA with the larger
+        :data:`~repro.attack.packets.REPROBE_TRIES` budget.  Unsharded
+        datapaths fall back to the naive stream — there is nothing to
+        spread over — unless a re-probe interval was requested, which
+        would then be a silent no-op and is rejected instead.
         """
-        if self.attacker_strategy == "spread":
+        spec = self.session.spec
+        if spec.attacker_strategy == "spread":
             from repro.ovs.pmd import shard_views
 
             shards = len(shard_views(self.switch))
@@ -164,12 +132,11 @@ class AttackCampaign:
 
                 def refresh() -> list[FlowKey]:
                     return self.generator.spread_keys(
-                        shards, shard_of,
-                        max_tries_per_shard=self.reprobe_tries,
+                        shards, shard_of, max_tries_per_shard=REPROBE_TRIES,
                     )
 
-                return keys, (refresh if self.reprobe_interval > 0 else None)
-            if self.reprobe_interval > 0:
+                return keys, (refresh if spec.reprobe_interval > 0 else None)
+            if spec.reprobe_interval > 0:
                 raise ValueError(
                     "reprobe_interval needs a multi-shard datapath: on "
                     f"{shards} shard(s) the spread stream falls back to "
@@ -179,49 +146,45 @@ class AttackCampaign:
                 )
         return self.generator.keys(), None
 
-    def compiled_rules(self):
-        """The flow rules the CMS will install for the malicious policy."""
-        return self.cms.compile(self.policy, self.target, self.space)
-
-    def victim_keys(self, count: int = 4) -> list[FlowKey]:
+    def victim_keys(self) -> list[FlowKey]:
         """Representative victim flow keys (kept hot by the simulator).
 
         The victim tenant's pods live behind baseline forwarding rules;
         their traffic shares the node's megaflow cache with the
         attacker's masks — that sharing *is* the cross-tenant DoS.
         """
-        keys = []
-        for i in range(count):
-            keys.append(
-                FlowKey(
-                    self.space,
-                    {
-                        "in_port": 1,
-                        "eth_type": ETHERTYPE_IPV4,
-                        "ip_src": 0x0A000100 + i,
-                        "ip_dst": 0x0A000200,
-                        "ip_proto": PROTO_TCP,
-                        "tp_src": 33000 + i,
-                        "tp_dst": 5201,
-                    },
-                )
+        return [
+            FlowKey(
+                self.session.space,
+                {
+                    "in_port": 1,
+                    "eth_type": ETHERTYPE_IPV4,
+                    "ip_src": 0x0A000100 + i,
+                    "ip_dst": 0x0A000200,
+                    "ip_proto": PROTO_TCP,
+                    "tp_src": 33000 + i,
+                    "tp_dst": 5201,
+                },
             )
-        return keys
+            for i in range(4)
+        ]
 
-    def build_simulator(self, extra_events=()) -> DataplaneSimulator:
-        """Assemble the simulator with the injection event wired in;
-        ``extra_events`` (e.g. a defense's timed response) are merged
-        into the schedule."""
+    def build_simulator(self) -> DataplaneSimulator:
+        """Assemble the simulator: the victim's baseline rule installed
+        now, the policy injected at ``inject_time``, and every defense's
+        timed response in the schedule."""
         from repro.cms.base import PRIORITY_BASELINE_FORWARD
         from repro.flow.actions import Output
         from repro.flow.match import FlowMatch
         from repro.flow.rule import FlowRule
         from repro.util.bits import ones
 
+        session = self.session
+        spec = session.spec
         # baseline forwarding for the victim pod (pre-existing state)
-        victim_forward = FlowRule(
+        self.switch.add_rule(FlowRule(
             match=FlowMatch(
-                self.space,
+                session.space,
                 {
                     "eth_type": (ETHERTYPE_IPV4, ones(16)),
                     "ip_dst": (0x0A000200, ones(32)),
@@ -231,39 +194,42 @@ class AttackCampaign:
             priority=PRIORITY_BASELINE_FORWARD,
             tenant="victim",
             comment="baseline forwarding: victim pod",
-        )
-        self.switch.add_rule(victim_forward)
+        ))
 
-        rules = self.compiled_rules()
+        rules = session.attack_rules()
 
-        def inject(switch: OvsSwitch) -> None:
+        def inject(switch: "Datapath") -> None:
             switch.add_rules(rules)
 
         covert_keys, covert_refresh = self.covert_stream()
         return DataplaneSimulator(
             switch=self.switch,
-            cost_model=self.cost_model,
+            cost_model=session.cost_model,
             victim=self.victim,
             attacker=self.attacker,
             covert_keys=covert_keys,
             victim_keys=self.victim_keys(),
-            events=[(self.inject_time, inject), *extra_events],
-            duration=self.duration,
-            workload_seed=self.seed,
+            events=[
+                (self.inject_time, inject),
+                *(event for defense in session.defenses
+                  for event in defense.events(spec.attack_start)),
+            ],
+            duration=spec.duration,
+            workload_seed=spec.seed,
             covert_refresh=covert_refresh,
-            reprobe_interval=self.reprobe_interval,
-            covert_replay=self.covert_replay,
-            telemetry=self.telemetry,
+            reprobe_interval=spec.reprobe_interval,
+            covert_replay=spec.covert_replay,
+            telemetry=session.telemetry,
         )
 
-    def run(self, extra_events=()) -> CampaignReport:
+    def run(self) -> CampaignReport:
         """Execute the full campaign."""
         prediction = predict(
-            self.dimensions,
-            cost_model=self.cost_model,
+            self.session.dimensions,
+            cost_model=self.session.cost_model,
             idle_timeout=min(self.switch.idle_timeout, 1e9),
         )
-        simulator = self.build_simulator(extra_events)
+        simulator = self.build_simulator()
         result = simulator.run()
         return CampaignReport(
             prediction=prediction,

@@ -113,6 +113,12 @@ def _mixed_probe(counter: int, width: int) -> int:
     return pattern & ((1 << width) - 1)
 
 
+#: the spread search's per-shard budget when it re-probes a live
+#: dispatcher: a rebalanced RETA can leave one PMD owning a handful of
+#: buckets, a target the default budget of 32 cannot reliably hit
+REPROBE_TRIES = 128
+
+
 @dataclass
 class SpreadCoverage:
     """Explicit shard-coverage accounting for a spread-key search.

@@ -64,11 +64,9 @@ class MaskAnomalyDetector:
         self.history.append(verdict)
         return verdict
 
-    def respond(self, switch: OvsSwitch, tenant: str,
-                remove_rules: bool = True) -> tuple[int, int]:
-        """Evict a flagged tenant's megaflows (and optionally their
-        rules); returns ``(megaflows_evicted, rules_removed)``."""
+    def respond(self, switch: OvsSwitch, tenant: str) -> tuple[int, int]:
+        """Evict a flagged tenant's megaflows and remove their rules;
+        returns ``(megaflows_evicted, rules_removed)``."""
         evicted = switch.megaflow.evict_tenant(tenant)
         switch.microflow.invalidate_dead()
-        removed = switch.remove_tenant_rules(tenant) if remove_rules else 0
-        return evicted, removed
+        return evicted, switch.remove_tenant_rules(tenant)

@@ -32,13 +32,11 @@ from itertools import cycle, islice
 from typing import Iterable, Sequence
 
 from repro.attack.packets import CovertStreamGenerator
-from repro.attack.policy import calico_attack_policy
-from repro.cms.base import PolicyTarget
-from repro.cms.calico import CalicoCms
 from repro.flow.fields import OVS_FIELDS
 from repro.flow.key import FlowKey
-from repro.net.addresses import ip_to_int
 from repro.ovs.switch import OvsSwitch
+from repro.scenario.session import Session
+from repro.scenario.spec import ScenarioSpec
 from repro.util.ascii_chart import AsciiTable
 from repro.util.rng import DeterministicRng
 
@@ -64,10 +62,11 @@ def build_attacked_switch(
         name=f"ranking-{scan_order}-{n_masks}",
         scan_order=scan_order,
     )
-    policy, dimensions = calico_attack_policy()
-    target = PolicyTarget(pod_ip=ip_to_int("10.0.9.10"), output_port=3, tenant="m")
-    switch.add_rules(CalicoCms().compile(policy, target))
-    for key in CovertStreamGenerator(dimensions, dst_ip=target.pod_ip).keys():
+    session = Session(ScenarioSpec(surface="calico"))
+    switch.add_rules(session.attack_rules())
+    for key in CovertStreamGenerator(
+        session.dimensions, dst_ip=session.target.pod_ip
+    ).keys():
         if switch.mask_count >= n_masks:
             break
         switch.slow_path.handle(key, now=0.0)

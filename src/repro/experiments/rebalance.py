@@ -29,12 +29,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.attack.packets import CovertStreamGenerator, SpreadCoverage
-from repro.attack.policy import kubernetes_attack_policy
-from repro.cms.base import PolicyTarget
-from repro.cms.kubernetes import KubernetesCms
+from repro.attack.packets import (
+    REPROBE_TRIES,
+    CovertStreamGenerator,
+    SpreadCoverage,
+)
 from repro.flow.fields import OVS_FIELDS
-from repro.net.addresses import ip_to_int
 from repro.ovs.pmd import ShardedDatapath
 from repro.ovs.switch import OvsSwitch
 from repro.perf.costmodel import KERNEL_PROFILE
@@ -168,14 +168,14 @@ def run_spread_strand(
     shards: int = 4,
     skew: float = 1.2,
     seed: int = 7,
-    reprobe_tries: int = 128,
 ) -> StrandReport:
     """Parts B/C: install the spread attack against the initial RETA,
     rebalance under skewed benign load, and measure stranding before
     and after the attacker re-probes.
 
-    The re-probe uses a larger search budget (``reprobe_tries`` per
-    shard vs the default 32): a rebalanced RETA concentrates the
+    The re-probe uses a larger search budget
+    (:data:`~repro.attack.packets.REPROBE_TRIES` per shard vs the
+    default 32): a rebalanced RETA concentrates the
     hottest buckets on one PMD, which can leave that PMD owning only a
     handful of buckets — a 1-in-``reta_size`` steering target the
     default budget cannot reliably hit.  That asymmetry *is* the
@@ -185,12 +185,11 @@ def run_spread_strand(
         KERNEL_PROFILE, space=OVS_FIELDS, name=f"e10-strand-{shards}",
         shards=shards, seed=seed, rebalance_interval=1.0
     ).dispatched(OvsSwitch)
-    policy, dimensions = kubernetes_attack_policy()
-    target = PolicyTarget(
-        pod_ip=ip_to_int("10.0.9.10"), output_port=3, tenant="mallory"
+    session = Session(ScenarioSpec(surface="k8s"))
+    datapath.add_rules(session.attack_rules())
+    generator = CovertStreamGenerator(
+        session.dimensions, dst_ip=session.target.pod_ip
     )
-    datapath.add_rules(KubernetesCms().compile(policy, target, OVS_FIELDS))
-    generator = CovertStreamGenerator(dimensions, dst_ip=target.pod_ip)
 
     # the attacker steers against a snapshot of the dispatcher ...
     coverage = generator.spread_coverage(shards, datapath.shard_of)
@@ -217,7 +216,7 @@ def run_spread_strand(
 
     # adaptive attacker: re-probe the live dispatcher, regain coverage
     reprobe = generator.spread_coverage(
-        shards, datapath.shard_of, max_tries_per_shard=reprobe_tries
+        shards, datapath.shard_of, max_tries_per_shard=REPROBE_TRIES
     )
     reprobed = _combos_refreshed_per_shard(datapath, reprobe)
 

@@ -33,15 +33,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.attack.packets import CovertStreamGenerator
-from repro.attack.policy import kubernetes_attack_policy
-from repro.cms.base import PolicyTarget
-from repro.cms.kubernetes import KubernetesCms
 from repro.flow.fields import OVS_FIELDS
-from repro.net.addresses import ip_to_int
 from repro.ovs.pmd import ShardedDatapath
 from repro.ovs.switch import OvsSwitch
 from repro.perf.costmodel import KERNEL_PROFILE, CostModel
 from repro.perf.factory import DatapathConfig
+from repro.scenario.session import Session
+from repro.scenario.spec import ScenarioSpec
 from repro.util.ascii_chart import AsciiTable
 
 #: PMD shard counts the ablation sweeps
@@ -86,22 +84,19 @@ def build_attacked_shards(
     """A sharded datapath with the k8s-surface attack installed through
     the real slow path; returns ``(datapath, covert_packet_count)``.
 
-    ``attacker`` is ``"naive"`` (the paper's one-key-per-mask stream,
-    RSS-scattered) or ``"spread"`` (one hash-targeted variant per mask
-    and shard).
+    ``attacker`` is the spec's ``attacker_strategy``, which checks it:
+    ``"naive"`` (the paper's one-key-per-mask stream, RSS-scattered) or
+    ``"spread"`` (one hash-targeted variant per mask and shard).
     """
-    if attacker not in ("naive", "spread"):
-        raise ValueError(f"unknown attacker {attacker!r}: naive | spread")
+    session = Session(ScenarioSpec(surface="k8s", attacker_strategy=attacker))
     datapath = DatapathConfig(
         KERNEL_PROFILE, space=OVS_FIELDS, name=f"e9-{attacker}-{shards}",
         shards=shards, seed=seed
     ).dispatched(OvsSwitch)
-    policy, dimensions = kubernetes_attack_policy()
-    target = PolicyTarget(
-        pod_ip=ip_to_int("10.0.9.10"), output_port=3, tenant="mallory"
+    datapath.add_rules(session.attack_rules())
+    generator = CovertStreamGenerator(
+        session.dimensions, dst_ip=session.target.pod_ip
     )
-    datapath.add_rules(KubernetesCms().compile(policy, target, OVS_FIELDS))
-    generator = CovertStreamGenerator(dimensions, dst_ip=target.pod_ip)
     if attacker == "spread":
         keys = generator.spread_keys(shards, datapath.shard_of)
     else:

@@ -80,10 +80,8 @@ class FleetDetector:
     counters are how its distress is visible fleet-side).
     """
 
-    def __init__(self, threshold: int = DEFAULT_MASK_THRESHOLD,
-                 guard_pressure_floor: int = 1) -> None:
+    def __init__(self, threshold: int = DEFAULT_MASK_THRESHOLD) -> None:
         self.threshold = threshold
-        self.guard_pressure_floor = guard_pressure_floor
         self.history: list[FleetVerdict] = []
         self._detectors: dict[str, MaskAnomalyDetector] = {}
         self._last_pressure: dict[str, int] = {}
@@ -128,9 +126,7 @@ class FleetDetector:
                 name, 0
             )
             self._last_pressure[name] = observation.guard_pressure
-            if observation.flagged or (
-                pressure_delta >= self.guard_pressure_floor > 0
-            ):
+            if observation.flagged or pressure_delta > 0:
                 verdict.flagged_nodes.append(name)
         self.history.append(verdict)
         return verdict

@@ -321,12 +321,7 @@ class FleetSession:
             session = Session(node_spec, telemetry=self.telemetry)
             datapath = session.build_datapath(name=f"{spec.name}-{name}")
             campaign = session.build_campaign(datapath)
-            extra_events = [
-                event
-                for defense in session.defenses
-                for event in defense.events(base.attack_start)
-            ]
-            simulator = campaign.build_simulator(extra_events)
+            simulator = campaign.build_simulator()
             simulator.set_attacker(
                 ScheduledAttacker(
                     rate_bps=base.covert_rate_bps,

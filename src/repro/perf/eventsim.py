@@ -10,12 +10,15 @@ which drives a real :class:`~repro.ovs.microflow.MicroflowCache`;
 
 from __future__ import annotations
 
+#: the victim's hit rate with the whole exact-match cache to itself:
+#: a share of its packets open new flows or re-use ones long evicted
+MAX_LOCALITY = 0.98
+
 
 def analytic_victim_hit_rate(
     emc_entries: int,
     victim_flows: int,
     attacker_flows: int,
-    max_locality: float = 0.98,
 ) -> float:
     """The capacity-competition model used by the main simulator.
 
@@ -28,5 +31,5 @@ def analytic_victim_hit_rate(
     """
     active = victim_flows + attacker_flows
     if active <= 0:
-        return max_locality
-    return max_locality * min(1.0, emc_entries / active)
+        return MAX_LOCALITY
+    return MAX_LOCALITY * min(1.0, emc_entries / active)

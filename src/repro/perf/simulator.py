@@ -112,6 +112,9 @@ class _CovertSlots(NamedTuple):
 class DataplaneSimulator:
     """Ticks a switch + workloads forward and records the time series."""
 
+    #: simulated seconds per tick
+    dt = 1.0
+
     def __init__(
         self,
         switch: "Datapath",
@@ -122,7 +125,6 @@ class DataplaneSimulator:
         victim_keys: Sequence[FlowKey] | None = None,
         events: Sequence[SimEvent] = (),
         duration: float = 150.0,
-        dt: float = 1.0,
         workload_seed: int = 0,
         covert_refresh: Callable[[], Sequence[FlowKey]] | None = None,
         reprobe_interval: float = 0.0,
@@ -131,8 +133,8 @@ class DataplaneSimulator:
     ) -> None:
         if attacker is not None and not covert_keys:
             raise ValueError("an attacker workload needs covert_keys")
-        if dt <= 0 or duration <= 0:
-            raise ValueError("duration and dt must be positive")
+        if duration <= 0:
+            raise ValueError("duration must be positive")
         if reprobe_interval < 0:
             raise ValueError("reprobe_interval must be >= 0 (0 = never)")
         if covert_replay not in ("model", "datapath"):
@@ -148,7 +150,6 @@ class DataplaneSimulator:
         self.victim_keys = list(victim_keys or [])
         self.events = sorted(events, key=lambda e: e[0])
         self.duration = duration
-        self.dt = dt
         # fleet/campaign control surface: a fleet controller scales the
         # victim's offered load when pods migrate between nodes, and
         # gates the covert stream per tick when the fabric fails to
@@ -371,7 +372,10 @@ class DataplaneSimulator:
 
         Under ``covert_replay="datapath"`` the tick's packets instead
         run as one coalesced burst through the real ``process_batch``
-        pipeline (see :meth:`_send_covert_datapath`).
+        pipeline (see :meth:`_send_covert_datapath`).  So do they on a
+        backend with no flow cache, whatever the mode: with nothing to
+        pollute, every covert packet is a plain (and futile)
+        classification.
         """
         cycles_by_shard = [0.0] * len(self._shards)
         if self.attacker is None or not self.covert_keys:
@@ -387,21 +391,7 @@ class DataplaneSimulator:
         burst = self._covert_burst()
         n_keys = len(burst)
         mid = t0 + (t1 - t0) / 2
-        if not self.switch.has_flow_cache:
-            # no cache to pollute: every covert packet is a plain (and
-            # futile) classification, run as one batch per tick
-            stream = burst.cyclic_slice(self._covert_cursor, due)
-            self._covert_cursor += due
-            # aggregate-only: the cost charge below reads nothing but
-            # the batch sums, so no PacketResult is ever materialised
-            batch = self.switch.process_batch(stream, now=mid,
-                                              materialize=False)
-            cycles_by_shard[0] = (
-                due * self.cost_model.cycles_megaflow_base
-                + batch.tuples_scanned * self.cost_model.cycles_tuple_probe
-            )
-            return due, cycles_by_shard
-        if self.covert_replay == "datapath":
+        if self.covert_replay == "datapath" or not self.switch.has_flow_cache:
             self._send_covert_datapath(burst, due, mid, cycles_by_shard)
             return due, cycles_by_shard
         # under subtable ranking the expected hit scan follows the
@@ -511,11 +501,13 @@ class DataplaneSimulator:
         self._covert_cursor = cursor
         return due, cycles_by_shard
 
-    def _batch_cycles(self, view, emc_hits: int, megaflow_hits: int,
+    def _batch_cycles(self, view, packets: int, emc_hits: int,
                       upcalls: int, tuples_scanned: int) -> float:
         """Cost-model cycles for a measured batch outcome on one shard:
         the same per-path constants the analytic formulas use, applied
-        to what the datapath actually did instead of to expectations."""
+        to what the datapath actually did instead of to expectations.
+        Every packet the EMC did not serve pays the megaflow base — on
+        a cacheless shard, every packet."""
         cost_model = self.cost_model
         probe = (
             cost_model.cycles_staged_probe
@@ -524,7 +516,7 @@ class DataplaneSimulator:
         )
         return (
             emc_hits * cost_model.cycles_emc_hit
-            + (megaflow_hits + upcalls) * cost_model.cycles_megaflow_base
+            + (packets - emc_hits) * cost_model.cycles_megaflow_base
             + tuples_scanned * probe
             + upcalls * (
                 cost_model.cycles_upcall
@@ -585,7 +577,7 @@ class DataplaneSimulator:
                 tally[3] += result.tuples_scanned
             for shard, (emc, mf, up, tuples) in enumerate(tallies):
                 cycles_by_shard[shard] = self._batch_cycles(
-                    shards[shard], emc, mf, up, tuples
+                    shards[shard], emc + mf + up, emc, up, tuples
                 )
             if batch.upcalls:
                 for offset, (key, result) in enumerate(
@@ -598,8 +590,8 @@ class DataplaneSimulator:
         batch = self.switch.process_batch(stream, now=mid, materialize=False)
         cycles_by_shard[0] = self._batch_cycles(
             shards[0],
+            batch.packets,
             batch.emc_hits,
-            batch.megaflow_hits,
             batch.upcalls,
             batch.tuples_scanned,
         )

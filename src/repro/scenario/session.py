@@ -30,13 +30,13 @@ from repro.obs.export import mask_census, scan_stats
 from repro.ovs.pmd import shard_views
 from repro.perf.costmodel import CostModel
 from repro.perf.factory import DatapathConfig
-from repro.perf.workload import AttackerWorkload, VictimWorkload
 from repro.scenario.datapath import Datapath
 from repro.scenario.registry import DEFENSES, PROFILES, SURFACES, Surface
 from repro.scenario.spec import ScenarioSpec
 from repro.util.ascii_chart import AsciiChart, AsciiTable
 
 if TYPE_CHECKING:
+    from repro.flow.rule import FlowRule
     from repro.perf.series import TimeSeries
     from repro.perf.simulator import SimulationResult
 
@@ -239,44 +239,14 @@ class Session:
             defense.attach(datapath)
         return datapath
 
+    def attack_rules(self) -> list["FlowRule"]:
+        """The slow-path rules the attacker's policy compiles to."""
+        return self.surface.compile_rules(self.policy, self.target, self.space)
+
     def build_campaign(self, datapath: Datapath | None = None) -> AttackCampaign:
-        """The attack campaign for a full timed run."""
-        if not self.surface.is_campaign:
-            raise ValueError(
-                f"surface {self.surface.name!r} has no CMS compiler; only "
-                f"Session.measure() applies (campaign surfaces: "
-                f"{[n for n, s in SURFACES.items() if s.is_campaign]})"
-            )
-        spec = self.spec
-        assert self.surface.cms_factory is not None
-        return AttackCampaign(
-            cms=self.surface.cms_factory(),
-            policy=self.policy,
-            dimensions=self.dimensions,
-            attacker_pod_ip=self.target.pod_ip,
-            victim=VictimWorkload(
-                offered_bps=spec.victim_offered_bps,
-                frame_bytes=spec.victim_frame_bytes,
-                concurrent_flows=spec.victim_concurrent_flows,
-                new_flows_per_sec=spec.victim_new_flows_per_sec,
-                skew=spec.workload_skew,
-            ),
-            attacker=AttackerWorkload(
-                rate_bps=spec.covert_rate_bps,
-                frame_bytes=spec.covert_frame_bytes,
-                start_time=spec.attack_start,
-            ),
-            inject_time=spec.inject_time,
-            duration=spec.duration,
-            cost_model=self.cost_model,
-            switch=datapath or self.build_datapath(),
-            space=self.space,
-            seed=spec.seed,
-            attacker_strategy=spec.attacker_strategy,
-            reprobe_interval=spec.reprobe_interval,
-            covert_replay=spec.covert_replay,
-            telemetry=self.telemetry,
-        )
+        """The attack campaign for a full timed run on ``datapath``
+        (default: a fresh :meth:`build_datapath`)."""
+        return AttackCampaign(self, datapath or self.build_datapath())
 
     # -- running -------------------------------------------------------------
 
@@ -287,14 +257,7 @@ class Session:
             return self.run_probe()
 
         datapath = self.build_datapath()
-        campaign = self.build_campaign(datapath)
-        report = campaign.run(
-            extra_events=[
-                event
-                for defense in self.defenses
-                for event in defense.events(self.spec.attack_start)
-            ]
-        )
+        report = self.build_campaign(datapath).run()
         return ScenarioResult(
             spec=self.spec,
             report=report,
@@ -314,8 +277,7 @@ class Session:
         miss-scan bill.
         """
         datapath = self.build_datapath(name=f"{self.spec.name}-probe")
-        rules = self.surface.compile_rules(self.policy, self.target, self.space)
-        datapath.add_rules(rules)
+        datapath.add_rules(self.attack_rules())
         keys = self.surface.covert_keys(self.dimensions, self.target, self.space)
         if len(keys) <= FULL_PIPELINE_REPLAY_LIMIT:
             datapath.process_batch(keys, now=0.0)

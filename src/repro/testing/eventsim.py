@@ -33,6 +33,7 @@ from repro.flow.key import FlowKey
 from repro.flow.match import FlowMatch
 from repro.ovs.megaflow import MegaflowEntry
 from repro.ovs.microflow import MicroflowCache
+from repro.perf.eventsim import MAX_LOCALITY
 from repro.util.eventloop import EventLoop
 from repro.util.rng import DeterministicRng
 
@@ -135,7 +136,7 @@ def analytic_victim_hit_rate_weighted(
     attacker_flows: int,
     victim_pps: float,
     attacker_pps: float,
-    max_locality: float = 0.98,
+    max_locality: float = MAX_LOCALITY,
     iterations: int = 64,
 ) -> float:
     """Rate-weighted refinement: cache slots are held in proportion to

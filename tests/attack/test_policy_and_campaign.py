@@ -3,7 +3,7 @@
 import pytest
 
 from repro.attack.analysis import reachable_mask_count
-from repro.attack.campaign import AttackCampaign, CampaignReport
+from repro.attack.campaign import CampaignReport
 from repro.attack.policy import (
     calico_attack_policy,
     kubernetes_attack_policy,
@@ -15,8 +15,7 @@ from repro.cms.calico import CalicoCms
 from repro.cms.kubernetes import KubernetesCms
 from repro.cms.openstack import OpenStackCms
 from repro.net.addresses import ip_to_int
-from repro.perf.factory import switch_for_profile
-from repro.perf.workload import AttackerWorkload, VictimWorkload
+from repro.scenario import ScenarioSpec, Session
 
 TARGET = PolicyTarget(pod_ip=ip_to_int("10.0.9.10"), output_port=3, tenant="mallory")
 
@@ -69,19 +68,12 @@ class TestPolicyBuilders:
 
 
 class TestCampaign:
-    def _campaign(self, duration=30.0, start=10.0, **kwargs):
-        policy, dims = kubernetes_attack_policy()
-        return AttackCampaign(
-            cms=KubernetesCms(),
-            policy=policy,
-            dimensions=dims,
-            attacker_pod_ip=ip_to_int("10.0.9.10"),
-            victim=VictimWorkload(offered_bps=1e9),
-            attacker=AttackerWorkload(rate_bps=2e6, start_time=start),
-            duration=duration,
-            switch=switch_for_profile("kernel"),
-            **kwargs,
-        )
+    def _campaign(self, duration=30.0, start=10.0):
+        session = Session(ScenarioSpec(
+            surface="k8s", profile="kernel", victim_offered_bps=1e9,
+            covert_rate_bps=2e6, attack_start=start, duration=duration,
+        ))
+        return session.build_campaign(session.build_datapath())
 
     def test_masks_reach_cross_product(self):
         report = self._campaign().run()

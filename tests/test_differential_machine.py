@@ -391,6 +391,20 @@ _episodes = st.tuples(
     st.one_of(st.just(()), st.tuples(*[st.tuples(_prescan, _lookup)] * 3)),
 ).map(lambda e: [*e[0], e[1], *(op for round_ in e[2] for op in round_),
                  *e[3], *(op for round_ in e[4] for op in round_)])
+
+
+@st.composite
+def _carried(draw):
+    """Key sets for three pre-scans: the first, a second that leaves
+    out one of the first's keys, and the first again."""
+    first = draw(st.sets(_episode_key, min_size=4))
+    left_out = draw(st.sampled_from(sorted(first)))
+    second = draw(st.sets(
+        st.sampled_from([key for key in EPISODE_KEYS if key != left_out]),
+        min_size=1))
+    return first, second, left_out
+
+
 _key_values = st.one_of(
     _pool_key.map(lambda i: POOL[i].values),
     st.tuples(*(st.integers(0, spec.max_value) for spec in OVS_FIELDS.specs)),
@@ -775,6 +789,25 @@ class DifferentialMachine(RuleBasedStateMachine):
             else:
                 for cache in caches:
                     cache.tss.resort()
+
+    @precondition(lambda self: self.config["engine"] is not OvsSwitch)
+    @rule(shard=st.integers(0, 1), scans=_carried(),
+          keys=st.lists(_episode_key, max_size=4), when=_when)
+    def carried_memo(self, shard, scans, keys, when):
+        """Three pre-scans at one generation, as bursts that install
+        nothing make them: the third asks again for a key of the first
+        that the second left out, which only the memo carried past the
+        second holds; a burst asking for that key then checks the
+        memo's answer."""
+        _index, sut, ref = self._pair(shard)
+        first, second, left_out = scans
+        for scan in (first, second, first):
+            sut.megaflow.tss.prescan([POOL[i].packed for i in sorted(scan)])
+        keys = [POOL[i] for i in (left_out, *keys)]
+        now = self._now(when)
+        views = [_lookup_view(side.megaflow.lookup_batch(keys, now))
+                 for side in (sut, ref)]
+        assert views[0] == views[1]
 
     @rule(shard=st.integers(0, 1), mask=st.integers(0, len(MASKS) - 1),
           key=_episode_key,
