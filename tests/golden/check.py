@@ -1,5 +1,5 @@
 """Check the whole golden record: every preset at seeds 1 and 23, and
-the stdout of E8, E10 and the rolling fleet campaign.
+the stdout of E1, E2/E3, E8, E9, E10 and the rolling fleet campaign.
 
     PYTHONPATH=src python tests/golden/check.py
 
@@ -23,7 +23,10 @@ GOLDEN = Path(__file__).parent
 
 #: record file -> the ``repro`` arguments whose stdout it holds
 OUTPUTS = {
+    "experiment-fig2.txt": ("experiment", "fig2"),
+    "experiment-masks.txt": ("experiment", "masks"),
     "experiment-ranking.txt": ("experiment", "ranking"),
+    "experiment-sharding.txt": ("experiment", "sharding"),
     "experiment-rebalance.txt": ("experiment", "rebalance"),
     "fleet-fleet-rolling16.txt": ("fleet", "fleet-rolling16"),
 }

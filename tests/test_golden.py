@@ -1,16 +1,18 @@
-"""The golden record: what every preset and three ablations print,
+"""The golden record: what every preset and six tables print,
 committed, so a change that claims to move nothing can show it.
 
 ``tests/golden/presets.json`` holds, per seed (1 and 23) and per
 registered preset, the :func:`repro.testing.result_digest` of
 ``Session.run()`` — a campaign's whole series, a probe-mode preset's
 rendered megaflow table.  Beside it is the stdout of
-``repro experiment ranking`` (E8), ``repro experiment rebalance`` (E10)
-and ``repro fleet fleet-rolling16``.  ``tests/golden/check.py`` checks
-all of it (CI's ``tests`` job); this module checks seed 1 of the fast
-presets and of the two ranked ones, on whichever engine this
-interpreter builds — so the scalar engine without NumPy is held to the
-same digests as the columnar one.
+``repro experiment`` ``fig2`` (E1), ``masks`` (E2/E3), ``ranking``
+(E8), ``sharding`` (E9) and ``rebalance`` (E10), and of
+``repro fleet fleet-rolling16``.  ``tests/golden/check.py`` checks all
+of it (CI's ``tests`` job); this module checks seed 1 of the fast
+presets and of the two ranked ones, and the ``masks``, ``ranking`` and
+``sharding`` stdout, on whichever engine this interpreter builds — so
+the scalar engine without NumPy is held to the same bytes as the
+columnar one.
 
 A digest that changes is a behaviour that changed.  Re-baselining is an
 edit of the lines that moved, named and justified in CHANGES.md — never
@@ -22,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.scenario.presets import SCENARIOS
 from repro.scenario.session import Session
 from repro.testing import result_digest
@@ -49,3 +52,10 @@ def test_the_record_covers_every_preset_at_both_seeds():
 def test_a_seed_1_run_matches_the_record(name):
     result = Session(SCENARIOS.get(name).evolve(seed=1)).run()
     assert result_digest(result) == TABLE["1"][name]
+
+
+@pytest.mark.parametrize("experiment", ("masks", "ranking", "sharding"))
+def test_an_experiment_prints_the_record(experiment, capsys):
+    assert main(["experiment", experiment]) == 0
+    expected = (GOLDEN / f"experiment-{experiment}.txt").read_text()
+    assert capsys.readouterr().out == expected
