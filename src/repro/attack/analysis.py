@@ -80,6 +80,12 @@ def reachable_mask_count(dimensions: list[AttackDimension]) -> int:
     return math.prod(dim.prefix_len for dim in dimensions)
 
 
+#: a PMD shard (or a fleet node) counts as poisoned when it carries at
+#: least this fraction of the reachable cross-product
+#: (:func:`reachable_mask_count`) — the E9, E10 and E11 convention
+POISONED_FRACTION = 0.9
+
+
 def required_refresh_pps(
     mask_count: int,
     idle_timeout: float = DEFAULT_IDLE_TIMEOUT,

@@ -14,7 +14,8 @@ one victim node:
 
 The campaign is built from the :class:`~repro.scenario.session.Session`
 it belongs to — every knob is read from its spec, the policy is
-compiled against its attacker target — and assembles the
+compiled against its attacker target, the covert stream is the
+session's for this datapath — and assembles the
 :class:`~repro.perf.simulator.DataplaneSimulator` with the injection
 event and the session's defense events wired in.
 """
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro.attack.analysis import AttackPrediction, predict
-from repro.attack.packets import REPROBE_TRIES, CovertStreamGenerator
 from repro.flow.key import FlowKey
 from repro.net.ethernet import ETHERTYPE_IPV4
 from repro.net.ipv4 import PROTO_TCP
@@ -103,48 +103,6 @@ class AttackCampaign:
             spec.inject_time if spec.inject_time is not None
             else max(spec.attack_start - 1.0, 0.0)
         )
-        self.generator = CovertStreamGenerator(
-            session.dimensions, dst_ip=session.target.pod_ip,
-            space=session.space,
-        )
-
-    def covert_stream(self):
-        """The covert key sequence plus its re-steer hook.
-
-        The ``naive`` strategy is the paper's one-key-per-mask stream.
-        The ``spread`` strategy (hash-aware) steers one variant per mask
-        *per PMD shard* against the datapath's dispatcher; with
-        ``reprobe_interval > 0`` the returned refresh hook re-steers
-        against the *live* RETA with the larger
-        :data:`~repro.attack.packets.REPROBE_TRIES` budget.  Unsharded
-        datapaths fall back to the naive stream — there is nothing to
-        spread over — unless a re-probe interval was requested, which
-        would then be a silent no-op and is rejected instead.
-        """
-        spec = self.session.spec
-        if spec.attacker_strategy == "spread":
-            from repro.ovs.pmd import shard_views
-
-            shards = len(shard_views(self.switch))
-            shard_of = getattr(self.switch, "shard_of", None)
-            if shards > 1 and shard_of is not None:
-                keys = self.generator.spread_keys(shards, shard_of)
-
-                def refresh() -> list[FlowKey]:
-                    return self.generator.spread_keys(
-                        shards, shard_of, max_tries_per_shard=REPROBE_TRIES,
-                    )
-
-                return keys, (refresh if spec.reprobe_interval > 0 else None)
-            if spec.reprobe_interval > 0:
-                raise ValueError(
-                    "reprobe_interval needs a multi-shard datapath: on "
-                    f"{shards} shard(s) the spread stream falls back to "
-                    "the naive keys and there is no dispatcher to "
-                    "re-steer against (drop the interval, or use a "
-                    "sharded backend)"
-                )
-        return self.generator.keys(), None
 
     def victim_keys(self) -> list[FlowKey]:
         """Representative victim flow keys (kept hot by the simulator).
@@ -201,7 +159,7 @@ class AttackCampaign:
         def inject(switch: "Datapath") -> None:
             switch.add_rules(rules)
 
-        covert_keys, covert_refresh = self.covert_stream()
+        covert_keys, covert_refresh = session.covert_stream(self.switch)
         return DataplaneSimulator(
             switch=self.switch,
             cost_model=session.cost_model,

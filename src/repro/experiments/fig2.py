@@ -9,7 +9,7 @@ Fig. 2a: a binary ACL over one 8-bit ``ip_src`` field::
 Fig. 2b: the nine non-overlapping megaflow entries OVS's
 "wildcard-as-many-bits-as-possible" strategy produces for it.  This
 experiment replays the adversarial sequence through the ``fig2``
-scenario (a real OVS pipeline, fed in one ``process_batch`` burst) and
+scenario (a real OVS switch, each packet through its slow path) and
 verifies the resulting megaflow table **bit-exactly** against the
 paper.
 """

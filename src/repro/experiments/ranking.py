@@ -11,7 +11,8 @@ subtable, and no ordering of a uniformly-hit list beats any other: the
 expected scan stays ``(n+1)/2``.
 
 This ablation measures exactly that, on the real TSS with the real
-Calico attack masks installed through the real slow path: two lookup
+Calico attack masks installed through the real slow path of the
+session's datapath (the spec's ``ovs`` engine): two lookup
 streams (Zipf-skewed "benign" and round-robin "attack") are driven
 through insertion-ordered and ranked switches, and the measured mean
 ``tuples_scanned`` per lookup is compared.  The streams go straight to
@@ -31,8 +32,6 @@ from dataclasses import dataclass
 from itertools import cycle, islice
 from typing import Iterable, Sequence
 
-from repro.attack.packets import CovertStreamGenerator
-from repro.flow.fields import OVS_FIELDS
 from repro.flow.key import FlowKey
 from repro.ovs.switch import OvsSwitch
 from repro.scenario.session import Session
@@ -57,19 +56,15 @@ def build_attacked_switch(
 ) -> OvsSwitch:
     """A switch whose megaflow cache holds the first ``n_masks`` masks
     of the real Calico attack, installed through the real slow path."""
-    switch = OvsSwitch(
-        space=OVS_FIELDS,
-        name=f"ranking-{scan_order}-{n_masks}",
-        scan_order=scan_order,
-    )
-    session = Session(ScenarioSpec(surface="calico"))
+    session = Session(ScenarioSpec(surface="calico", scan_order=scan_order))
+    switch = session.build_datapath(name=f"ranking-{scan_order}-{n_masks}")
     switch.add_rules(session.attack_rules())
-    for key in CovertStreamGenerator(
-        session.dimensions, dst_ip=session.target.pod_ip
-    ).keys():
+    for key in session.surface.covert_keys(
+        session.dimensions, session.target, session.space
+    ):
         if switch.mask_count >= n_masks:
             break
-        switch.slow_path.handle(key, now=0.0)
+        switch.handle_miss(key, now=0.0)
     if switch.mask_count != n_masks:
         raise ValueError(
             f"calico surface yields only {switch.mask_count} masks, "

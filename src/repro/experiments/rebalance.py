@@ -21,32 +21,26 @@ measurement cannot show:
 
 Part A uses the full Session/simulator stack (the ``workload_skew``,
 ``rebalance_interval`` scenario axes); parts B/C drive the
-:class:`~repro.ovs.pmd.PmdRebalancer` directly on a real sharded
-datapath with the k8s-surface attack installed through the slow path.
+:class:`~repro.ovs.pmd.PmdRebalancer` directly on the session's sharded
+datapath (:meth:`~repro.scenario.session.Session.build_datapath`) with
+the k8s-surface attack installed through the slow path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.attack.analysis import POISONED_FRACTION
 from repro.attack.packets import (
     REPROBE_TRIES,
     CovertStreamGenerator,
     SpreadCoverage,
 )
-from repro.flow.fields import OVS_FIELDS
 from repro.ovs.pmd import ShardedDatapath
-from repro.ovs.switch import OvsSwitch
-from repro.perf.costmodel import KERNEL_PROFILE
-from repro.perf.factory import DatapathConfig
 from repro.perf.workload import VictimWorkload
 from repro.scenario.session import Session
 from repro.scenario.spec import ScenarioSpec
 from repro.util.ascii_chart import AsciiTable
-
-#: a shard counts as poisoned when at least this fraction of the mask
-#: cross-product is being refreshed on it (same convention as E9)
-POISONED_FRACTION = 0.9
 
 #: the scale of the synthetic benign-load window parts B/C charge into
 #: the rebalancer before asking for a remap (only relative bucket
@@ -181,14 +175,15 @@ def run_spread_strand(
     default budget cannot reliably hit.  That asymmetry *is* the
     moving-target payoff: every remap multiplies the attacker's
     probing bill."""
-    datapath = DatapathConfig(
-        KERNEL_PROFILE, space=OVS_FIELDS, name=f"e10-strand-{shards}",
-        shards=shards, seed=seed, rebalance_interval=1.0
-    ).dispatched(OvsSwitch)
-    session = Session(ScenarioSpec(surface="k8s"))
+    session = Session(ScenarioSpec(
+        surface="k8s", shards=shards, seed=seed, rebalance_interval=1.0,
+    ))
+    datapath = session.build_datapath(name=f"e10-strand-{shards}")
     datapath.add_rules(session.attack_rules())
+    # its own generator, not Session.covert_stream: only E10 asks which
+    # mask combination each variant carries (spread_coverage)
     generator = CovertStreamGenerator(
-        session.dimensions, dst_ip=session.target.pod_ip
+        session.dimensions, dst_ip=session.target.pod_ip, space=session.space
     )
 
     # the attacker steers against a snapshot of the dispatcher ...

@@ -22,7 +22,9 @@ Both, depending on the attacker:
   cost is N× covert packets/bandwidth — still a trickle — and the
   degradation is back to the single-datapath cliff on every core.
 
-The megaflow state is installed through the real slow path on a real
+The megaflow state is installed by :meth:`~repro.scenario.session.
+Session.measure` — the session's covert stream for the spec's
+``attacker_strategy``, through the real slow path of a real
 :class:`~repro.ovs.pmd.ShardedDatapath` (k8s surface, 512 masks, kernel
 profile); the degradation columns come from the calibrated cost model,
 per shard, exactly as the simulator charges them.
@@ -32,22 +34,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.attack.packets import CovertStreamGenerator
-from repro.flow.fields import OVS_FIELDS
-from repro.ovs.pmd import ShardedDatapath
-from repro.ovs.switch import OvsSwitch
-from repro.perf.costmodel import KERNEL_PROFILE, CostModel
-from repro.perf.factory import DatapathConfig
+from repro.attack.analysis import POISONED_FRACTION
+from repro.ovs.pmd import shard_views
+from repro.perf.costmodel import CostModel
 from repro.scenario.session import Session
 from repro.scenario.spec import ScenarioSpec
 from repro.util.ascii_chart import AsciiTable
 
 #: PMD shard counts the ablation sweeps
 DEFAULT_SHARD_COUNTS = (1, 2, 4, 8)
-
-#: a shard counts as fully poisoned when it carries at least this
-#: fraction of the full mask cross-product
-POISONED_FRACTION = 0.9
 
 #: the unattacked reference mask population (the convention the
 #: degradation headline uses throughout the repo)
@@ -76,36 +71,6 @@ class ShardingRow:
     aggregate_capacity_x: float
 
 
-def build_attacked_shards(
-    shards: int,
-    attacker: str = "naive",
-    seed: int = 7,
-) -> tuple[ShardedDatapath, int]:
-    """A sharded datapath with the k8s-surface attack installed through
-    the real slow path; returns ``(datapath, covert_packet_count)``.
-
-    ``attacker`` is the spec's ``attacker_strategy``, which checks it:
-    ``"naive"`` (the paper's one-key-per-mask stream, RSS-scattered) or
-    ``"spread"`` (one hash-targeted variant per mask and shard).
-    """
-    session = Session(ScenarioSpec(surface="k8s", attacker_strategy=attacker))
-    datapath = DatapathConfig(
-        KERNEL_PROFILE, space=OVS_FIELDS, name=f"e9-{attacker}-{shards}",
-        shards=shards, seed=seed
-    ).dispatched(OvsSwitch)
-    datapath.add_rules(session.attack_rules())
-    generator = CovertStreamGenerator(
-        session.dimensions, dst_ip=session.target.pod_ip
-    )
-    if attacker == "spread":
-        keys = generator.spread_keys(shards, datapath.shard_of)
-    else:
-        keys = generator.keys()
-    for key in keys:
-        datapath.handle_miss(key, now=0.0)
-    return datapath, len(keys)
-
-
 def run_sharding_ablation(
     shard_counts: tuple[int, ...] = DEFAULT_SHARD_COUNTS,
     cost_model: CostModel | None = None,
@@ -118,13 +83,14 @@ def run_sharding_ablation(
     rows: list[ShardingRow] = []
     for attacker in ("naive", "spread"):
         for shards in shard_counts:
-            datapath, covert_packets = build_attacked_shards(
-                shards, attacker=attacker, seed=seed
-            )
-            per_shard = datapath.shard_mask_counts
+            probe = Session(ScenarioSpec(
+                surface="k8s", name=f"e9-{attacker}-{shards}",
+                attacker_strategy=attacker, shards=shards, seed=seed,
+            )).measure()
+            per_shard = [view.mask_count for view in shard_views(probe.datapath)]
             if full_masks is None:
                 # the single-shard naive run carries the whole cross-product
-                full_masks = datapath.total_mask_count
+                full_masks = probe.measured
             degradation = sum(
                 model.degradation_ratio(masks, baseline_masks=BASELINE_MASKS)
                 for masks in per_shard
@@ -133,8 +99,8 @@ def run_sharding_ablation(
                 ShardingRow(
                     attacker=attacker,
                     shards=shards,
-                    covert_packets=covert_packets,
-                    total_masks=datapath.total_mask_count,
+                    covert_packets=probe.covert_packets,
+                    total_masks=probe.measured,
                     max_shard_masks=max(per_shard),
                     min_shard_masks=min(per_shard),
                     poisoned_shards=sum(

@@ -38,7 +38,7 @@ from itertools import cycle, islice
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from repro.attack.analysis import reachable_mask_count
+from repro.attack.analysis import POISONED_FRACTION, reachable_mask_count
 from repro.fleet.defense import FleetDetector, FleetVerdict
 from repro.fleet.loop import (
     PHASE_CONTROL,
@@ -62,11 +62,6 @@ from repro.util.cadence import advance_if_due
 #: the fabric link covert command-and-control bursts originate from
 #: (the fleet's border uplink — never a quarantine target)
 WAN_LINK = "wan"
-
-#: a node counts as poisoned when its worst-shard mask count reaches
-#: this fraction of the attack's reachable cross-product (the E9/E10
-#: convention)
-POISONED_FRACTION = 0.9
 
 
 @dataclass

@@ -462,8 +462,10 @@ class OvsSwitch:
         install without the (mutation-free) TSS miss scan.  Returns the
         installed megaflow, or ``None`` when a guard or the flow limit
         vetoed caching.  Part of the :class:`~repro.scenario.datapath.
-        Datapath` protocol — replay harnesses use it to load covert
-        streams without paying the quadratic scan bill in Python."""
+        Datapath` protocol — the replay harnesses
+        (:meth:`~repro.scenario.session.Session.measure` and the E8–E10
+        installs) use it to load covert streams without paying the
+        quadratic scan bill in Python."""
         return self.slow_path.handle(key, now).installed
 
     # -- observability -----------------------------------------------------

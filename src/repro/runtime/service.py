@@ -509,7 +509,9 @@ def build_service(
     """Assemble a serve service from a scenario spec.
 
     The spec contributes the attack surface (compiled rules + covert
-    key set) and the datapath (engine, profile, shard/RSS
+    key set: :meth:`~repro.scenario.session.Session.covert_stream` for
+    the datapath built, so a ``spread`` attacker steers against its
+    dispatcher) and the datapath (engine, profile, shard/RSS
     configuration); ``workers`` picks the runtime — 0 runs the spec's
     inline datapath, the serial reference, ``N > 0`` runs the same
     configuration on ``N`` worker processes.  Both come out of the one
@@ -518,7 +520,9 @@ def build_service(
 
     Serve always runs with the PMD auto-lb and defenses disabled: both
     live outside the aggregate-only wire format, and the serial run
-    must stay a valid reference for the parallel one.
+    must stay a valid reference for the parallel one.  It has no
+    refresh tick either, so a spec with a ``reprobe_interval`` is
+    refused.
     """
     from repro.perf.factory import DatapathConfig
     from repro.scenario.session import Session
@@ -537,6 +541,12 @@ def build_service(
             "aggregate-only wire carries no per-bucket load); drop "
             "rebalance_interval from the spec"
         )
+    if spec.reprobe_interval > 0:
+        raise ValueError(
+            "serve replays its covert stream as steered once: it has no "
+            "refresh tick to re-probe the RETA on; drop reprobe_interval "
+            "from the spec"
+        )
     config = dataclasses.replace(
         DatapathConfig.from_spec(
             spec, session.profile, session.space, f"{spec.name}-serve"
@@ -554,10 +564,9 @@ def build_service(
             pcap, space=session.space, batch_size=batch_size,
             telemetry=telemetry,
         )
-    else:
-        keys = session.surface.covert_keys(
-            session.dimensions, session.target, session.space
-        )
+    datapath = config.build()
+    if pcap is None:
+        keys, _refresh = session.covert_stream(datapath)
         default_rate = AttackerWorkload(
             rate_bps=spec.covert_rate_bps,
             frame_bytes=spec.covert_frame_bytes,
@@ -569,13 +578,9 @@ def build_service(
             tick=tick,
             max_packets=max_packets,
         )
-    datapath = config.build()
-    rules = session.surface.compile_rules(
-        session.policy, session.target, session.space
-    )
     # applied before any fork: parallel workers inherit the compiled
     # tables by memory, exactly as the serial shards hold them
-    datapath.add_rules(rules)
+    datapath.add_rules(session.attack_rules())
     return ServeService(
         datapath,
         source,

@@ -15,7 +15,9 @@ is the single-key special case by construction: every in-process
 backend shares :meth:`OvsSwitch.process`'s one body,
 ``process_batch([k]).results[0]`` (the parallel runtime refuses it:
 per-packet results never cross its worker pipe).  ``handle_miss``
-remains the known-miss slow-path shortcut for replay harnesses.
+remains the known-miss slow-path shortcut for the replay harnesses:
+:meth:`~repro.scenario.session.Session.measure` and the E8–E10
+installs.
 
 Three implementation families ship
 (:class:`~repro.perf.factory.DatapathConfig` picks among them):

@@ -14,16 +14,20 @@ Two run modes:
 * :meth:`Session.measure` — the static mask probe (E1/E2/E3-style):
   compile the policy, replay the covert stream once, report predicted
   vs measured mask counts and the resulting megaflow table.
+
+Both send the one covert stream :meth:`Session.covert_stream` builds
+for their datapath.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from repro.attack.analysis import reachable_mask_count
 from repro.attack.campaign import AttackCampaign, CampaignReport
+from repro.attack.packets import REPROBE_TRIES, CovertStreamGenerator
 from repro.cms.base import PolicyTarget
 from repro.net.addresses import ip_to_int
 from repro.obs.export import mask_census, scan_stats
@@ -36,14 +40,10 @@ from repro.scenario.spec import ScenarioSpec
 from repro.util.ascii_chart import AsciiChart, AsciiTable
 
 if TYPE_CHECKING:
+    from repro.flow.key import FlowKey
     from repro.flow.rule import FlowRule
     from repro.perf.series import TimeSeries
     from repro.perf.simulator import SimulationResult
-
-#: replay bursts up to this size go through the full cache pipeline
-#: (``process_batch``); larger covert sets take the known-miss slow-path
-#: shortcut to avoid a quadratic TSS miss-scan bill in Python
-FULL_PIPELINE_REPLAY_LIMIT = 1024
 
 
 @dataclass
@@ -56,6 +56,9 @@ class MaskProbe:
     #: in install order (empty for backends without a megaflow cache)
     rows: list[tuple[str, str, str]]
     datapath: Datapath
+    #: covert packets replayed (the counterpart of
+    #: :attr:`~repro.attack.campaign.CampaignReport.covert_packet_count`)
+    covert_packets: int
 
     @property
     def matches_prediction(self) -> bool:
@@ -243,6 +246,51 @@ class Session:
         """The slow-path rules the attacker's policy compiles to."""
         return self.surface.compile_rules(self.policy, self.target, self.space)
 
+    def covert_stream(
+        self, datapath: Datapath
+    ) -> tuple[list["FlowKey"], Callable[[], list["FlowKey"]] | None]:
+        """The covert key sequence for ``datapath`` plus its re-steer
+        hook — the one stream :meth:`run` and :meth:`measure` send.
+
+        The ``naive`` strategy is the surface's stream, the paper's one
+        key per mask.  The ``spread`` strategy (hash-aware) steers one
+        variant per mask *per PMD shard* against the datapath's
+        dispatcher; with ``reprobe_interval > 0`` the returned refresh
+        hook re-steers against the *live* RETA with the larger
+        :data:`~repro.attack.packets.REPROBE_TRIES` budget.  Unsharded
+        datapaths fall back to the naive stream — there is nothing to
+        spread over — unless a re-probe interval was requested, which
+        would then be a silent no-op and is rejected instead.
+        """
+        spec = self.spec
+        if spec.attacker_strategy == "spread":
+            shards = len(shard_views(datapath))
+            shard_of = getattr(datapath, "shard_of", None)
+            if shards > 1 and shard_of is not None:
+                generator = CovertStreamGenerator(
+                    self.dimensions, dst_ip=self.target.pod_ip,
+                    space=self.space,
+                )
+                keys = generator.spread_keys(shards, shard_of)
+
+                def refresh() -> list["FlowKey"]:
+                    return generator.spread_keys(
+                        shards, shard_of, max_tries_per_shard=REPROBE_TRIES,
+                    )
+
+                return keys, (refresh if spec.reprobe_interval > 0 else None)
+            if spec.reprobe_interval > 0:
+                raise ValueError(
+                    "reprobe_interval needs a multi-shard datapath: on "
+                    f"{shards} shard(s) the spread stream falls back to "
+                    "the naive keys and there is no dispatcher to "
+                    "re-steer against (drop the interval, or use a "
+                    "sharded backend)"
+                )
+        return self.surface.covert_keys(
+            self.dimensions, self.target, self.space
+        ), None
+
     def build_campaign(self, datapath: Datapath | None = None) -> AttackCampaign:
         """The attack campaign for a full timed run on ``datapath``
         (default: a fresh :meth:`build_datapath`)."""
@@ -267,23 +315,21 @@ class Session:
         )
 
     def measure(self) -> MaskProbe:
-        """Static replay: compile the policy into a fresh datapath, feed
-        the covert stream once, report predicted vs measured masks.
+        """Static replay: compile the policy into a fresh datapath, send
+        :meth:`covert_stream`'s keys once, report predicted vs measured
+        masks.
 
-        Small streams go through the real cache pipeline in one
-        :meth:`~repro.ovs.switch.OvsSwitch.process_batch` call; large
-        ones (the 8192-key Calico set) use the known-miss slow-path
-        shortcut, which installs identical state without the quadratic
-        miss-scan bill.
+        Every key takes the known-miss slow-path shortcut
+        (:meth:`~repro.ovs.switch.OvsSwitch.handle_miss`), which installs
+        what the cache pipeline would without its quadratic miss-scan
+        bill.  The stream's refresh hook is ignored: a static replay has
+        no later tick to re-steer on.
         """
         datapath = self.build_datapath(name=f"{self.spec.name}-probe")
         datapath.add_rules(self.attack_rules())
-        keys = self.surface.covert_keys(self.dimensions, self.target, self.space)
-        if len(keys) <= FULL_PIPELINE_REPLAY_LIMIT:
-            datapath.process_batch(keys, now=0.0)
-        else:
-            for key in keys:
-                datapath.handle_miss(key, now=0.0)
+        keys, _refresh = self.covert_stream(datapath)
+        for key in keys:
+            datapath.handle_miss(key, now=0.0)
         # a sharded datapath scatters the masks across its shards; the
         # figure comparable to the closed-form prediction is their sum
         measured = mask_census(datapath)[1]
@@ -292,6 +338,7 @@ class Session:
             measured=measured,
             rows=_megaflow_rows(datapath),
             datapath=datapath,
+            covert_packets=len(keys),
         )
 
     def run_probe(self) -> ScenarioResult:

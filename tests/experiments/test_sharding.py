@@ -9,6 +9,8 @@ from repro.net.addresses import ip_to_int
 from repro.ovs.switch import OvsSwitch
 from repro.perf.costmodel import KERNEL_PROFILE
 from repro.perf.factory import DatapathConfig
+from repro.scenario.session import Session
+from repro.scenario.spec import ScenarioSpec
 
 SMALL_COUNTS = (1, 4)
 
@@ -22,10 +24,16 @@ def _cell(rows, attacker, shards):
     return next(r for r in rows if (r.attacker, r.shards) == (attacker, shards))
 
 
+def _measure(shards, attacker):
+    """The E9 cell's static replay: the k8s attack on ``shards`` shards."""
+    return Session(ScenarioSpec(
+        surface="k8s", attacker_strategy=attacker, shards=shards
+    )).measure()
+
+
 class TestSpreadKeys:
     def test_naive_stream_scatters_across_shards(self):
-        datapath, _ = sharding.build_attacked_shards(4, attacker="naive")
-        per_shard = datapath.shard_mask_counts
+        per_shard = _measure(4, "naive").datapath.shard_mask_counts
         assert sum(per_shard) == 512  # each mask lands on exactly one shard
         assert max(per_shard) < 512  # ... and they spread out
 
@@ -45,7 +53,7 @@ class TestSpreadKeys:
     def test_spread_variants_preserve_the_masks(self):
         """Varying only wildcarded bits: the spread stream must install
         the same 512 distinct masks on every shard it reaches."""
-        datapath, _ = sharding.build_attacked_shards(2, attacker="spread")
+        datapath = _measure(2, "spread").datapath
         assert datapath.mask_count >= 0.95 * 512
         assert all(m >= 0.95 * 512 for m in datapath.shard_mask_counts)
 
@@ -93,5 +101,5 @@ class TestShardingAblation:
         assert len(csv) == len(rows) + 1
 
     def test_unknown_attacker_rejected(self):
-        with pytest.raises(ValueError):
-            sharding.build_attacked_shards(2, attacker="clever")
+        with pytest.raises(ValueError, match="attacker_strategy"):
+            _measure(2, "clever")

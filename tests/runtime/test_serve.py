@@ -312,6 +312,21 @@ class TestBuildService:
         with pytest.raises(ValueError, match="auto-lb"):
             build_service(_spec(rebalance_interval=5.0))
 
+    def test_reprobing_specs_rejected(self):
+        with pytest.raises(ValueError, match="refresh tick"):
+            build_service(_spec(shards=2, attacker_strategy="spread",
+                                reprobe_interval=5.0))
+
+    def test_spread_specs_steer_the_synthetic_feed(self):
+        """The synthetic feed is the session's covert stream for the
+        datapath built: a spread attacker puts the whole cross-product
+        on every shard, where naive keys would scatter it."""
+        spec = _spec(shards=2, attacker_strategy="spread")
+        service = build_service(spec, duration=1.0, rate_pps=2560.0)
+        service.run()
+        assert all(masks >= 0.95 * 512
+                   for masks in service.datapath.shard_mask_counts)
+
     def test_spec_shard_count_drives_serial_runtime(self):
         service = _service(workers=0, shards=4)
         assert len(service.datapath.shards) == 4

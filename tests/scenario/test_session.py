@@ -30,13 +30,22 @@ class TestProbeMode:
         with pytest.raises(ValueError):
             _ = result.series
 
-    def test_measure_matches_prediction_through_full_pipeline(self):
-        # 512 keys stay under the full-pipeline threshold: the whole
-        # covert stream runs through process_batch and the measured
-        # mask count still matches the closed form
+    def test_measure_replays_one_key_per_mask(self):
+        # the naive stream through the slow path: one covert packet per
+        # mask, and the measured count matches the closed form
         probe = Session(ScenarioSpec(surface="k8s")).measure()
         assert probe.predicted == probe.measured == 512
-        assert probe.datapath.stats.packets == 512
+        assert probe.covert_packets == 512
+
+    def test_measure_replays_the_spread_stream(self):
+        # the session's stream for the datapath, not the surface's
+        # naive keys: every shard receives the whole cross-product
+        probe = Session(
+            ScenarioSpec(surface="k8s", shards=4, attacker_strategy="spread")
+        ).measure()
+        assert all(masks >= 0.95 * 512
+                   for masks in probe.datapath.shard_mask_counts)
+        assert probe.covert_packets > 3.8 * 512
 
     def test_probe_csv(self, tmp_path):
         result = Session("fig2").run()

@@ -44,21 +44,25 @@ class TestSpecAxis:
         spec.validate()
 
 
+def naive_keys(session):
+    """The surface's own stream: the paper's one key per mask."""
+    return session.surface.covert_keys(
+        session.dimensions, session.target, session.space
+    )
+
+
 class TestCovertStream:
     def test_naive_default_uses_base_keys(self):
         session = Session(sharded_spec())
-        campaign = session.build_campaign(session.build_datapath())
-        keys, refresh = campaign.covert_stream()
-        assert keys == campaign.generator.keys()
+        keys, refresh = session.covert_stream(session.build_datapath())
+        assert keys == naive_keys(session)
         assert refresh is None
 
     def test_spread_steers_one_variant_per_shard(self):
         session = Session(sharded_spec(attacker_strategy="spread"))
         datapath = session.build_datapath()
-        campaign = session.build_campaign(datapath)
-        keys, refresh = campaign.covert_stream()
-        naive = campaign.generator.keys()
-        assert len(keys) > len(naive)  # ~one variant per mask per shard
+        keys, refresh = session.covert_stream(datapath)
+        assert len(keys) > len(naive_keys(session))  # ~one per mask per shard
         assert refresh is None  # reprobe_interval = 0: steer once
         shards = {datapath.shard_of(key) for key in keys}
         assert shards == {0, 1}
@@ -67,8 +71,7 @@ class TestCovertStream:
         session = Session(
             sharded_spec(attacker_strategy="spread", reprobe_interval=5.0)
         )
-        campaign = session.build_campaign(session.build_datapath())
-        _keys, refresh = campaign.covert_stream()
+        _keys, refresh = session.covert_stream(session.build_datapath())
         assert refresh is not None
         assert len(refresh()) > 0
 
@@ -77,23 +80,21 @@ class TestCovertStream:
             ScenarioSpec(surface="k8s", attacker_strategy="spread",
                          duration=10.0, attack_start=3.0)
         )
-        campaign = session.build_campaign(session.build_datapath())
-        keys, refresh = campaign.covert_stream()
-        assert keys == campaign.generator.keys()
+        keys, refresh = session.covert_stream(session.build_datapath())
+        assert keys == naive_keys(session)
         assert refresh is None
 
     def test_reprobe_on_unsharded_spread_rejected(self):
         """spread+reprobe on a one-shard datapath would silently measure
-        the naive baseline — the campaign refuses, like the spec does
+        the naive baseline — the session refuses, like the spec does
         for naive+reprobe."""
         session = Session(
             ScenarioSpec(surface="k8s", attacker_strategy="spread",
                          reprobe_interval=5.0, duration=10.0,
                          attack_start=3.0)
         )
-        campaign = session.build_campaign(session.build_datapath())
         with pytest.raises(ValueError, match="multi-shard"):
-            campaign.covert_stream()
+            session.covert_stream(session.build_datapath())
 
 
 class TestReprobeTimeline:
