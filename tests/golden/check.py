@@ -1,5 +1,6 @@
-"""Check the whole golden record: every preset at seeds 1 and 23, and
-the stdout of E1, E2/E3, E8, E9, E10 and the rolling fleet campaign.
+"""Check the whole golden record: every preset at seeds 1 and 23, the
+stdout of E1, E2/E3, E4, E8, E9, E10 and the rolling fleet campaign,
+and the rendered ``fig3`` and ``calico-detector`` scenarios.
 
     PYTHONPATH=src python tests/golden/check.py
 
@@ -24,11 +25,14 @@ GOLDEN = Path(__file__).parent
 #: record file -> the ``repro`` arguments whose stdout it holds
 OUTPUTS = {
     "experiment-fig2.txt": ("experiment", "fig2"),
+    "experiment-fig3.txt": ("experiment", "fig3"),
     "experiment-masks.txt": ("experiment", "masks"),
     "experiment-ranking.txt": ("experiment", "ranking"),
     "experiment-sharding.txt": ("experiment", "sharding"),
     "experiment-rebalance.txt": ("experiment", "rebalance"),
     "fleet-fleet-rolling16.txt": ("fleet", "fleet-rolling16"),
+    "scenario-fig3.txt": ("scenario", "fig3"),
+    "scenario-calico-detector.txt": ("scenario", "calico-detector"),
 }
 
 

@@ -1,18 +1,20 @@
-"""The golden record: what every preset and six tables print,
+"""The golden record: what every preset and nine commands print,
 committed, so a change that claims to move nothing can show it.
 
 ``tests/golden/presets.json`` holds, per seed (1 and 23) and per
 registered preset, the :func:`repro.testing.result_digest` of
 ``Session.run()`` — a campaign's whole series, a probe-mode preset's
 rendered megaflow table.  Beside it is the stdout of
-``repro experiment`` ``fig2`` (E1), ``masks`` (E2/E3), ``ranking``
-(E8), ``sharding`` (E9) and ``rebalance`` (E10), and of
-``repro fleet fleet-rolling16``.  ``tests/golden/check.py`` checks all
-of it (CI's ``tests`` job); this module checks seed 1 of the fast
-presets and of the two ranked ones, and the ``masks``, ``ranking`` and
-``sharding`` stdout, on whichever engine this interpreter builds — so
-the scalar engine without NumPy is held to the same bytes as the
-columnar one.
+``repro experiment`` ``fig2`` (E1), ``masks`` (E2/E3), ``fig3`` (E4),
+``ranking`` (E8), ``sharding`` (E9) and ``rebalance`` (E10), of
+``repro fleet fleet-rolling16``, and of ``repro scenario`` ``fig3`` and
+``calico-detector`` — the campaign headline and a defense's tradeoff
+line, which no digest covers.  ``tests/golden/check.py`` checks all of
+it (CI's ``tests`` job); this module checks seed 1 of the fast presets
+and of the two ranked ones, the ``masks``, ``fig3``, ``ranking`` and
+``sharding`` experiment stdout and both scenario renders, on whichever
+engine this interpreter builds — so the scalar engine without NumPy is
+held to the same bytes as the columnar one.
 
 A digest that changes is a behaviour that changed.  Re-baselining is an
 edit of the lines that moved, named and justified in CHANGES.md — never
@@ -54,8 +56,16 @@ def test_a_seed_1_run_matches_the_record(name):
     assert result_digest(result) == TABLE["1"][name]
 
 
-@pytest.mark.parametrize("experiment", ("masks", "ranking", "sharding"))
+@pytest.mark.parametrize("experiment",
+                         ("masks", "fig3", "ranking", "sharding"))
 def test_an_experiment_prints_the_record(experiment, capsys):
     assert main(["experiment", experiment]) == 0
     expected = (GOLDEN / f"experiment-{experiment}.txt").read_text()
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("name", ("fig3", "calico-detector"))
+def test_a_scenario_prints_the_record(name, capsys):
+    assert main(["scenario", name]) == 0
+    expected = (GOLDEN / f"scenario-{name}.txt").read_text()
     assert capsys.readouterr().out == expected
