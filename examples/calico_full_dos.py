@@ -18,8 +18,8 @@ print("running the Fig. 3 campaign (150 simulated seconds)...\n")
 result = Session("fig3").run()
 print(result.render())
 
-sim = result.report.simulation
-prediction = result.report.prediction
+sim = result.simulation
+prediction = result.prediction
 print()
 print("attack economics:")
 print(f"  covert packets to install all masks: {prediction.covert_packets}")

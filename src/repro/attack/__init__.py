@@ -14,8 +14,9 @@ The attack needs the paper's three ingredients:
 
 :mod:`repro.attack.analysis` predicts mask counts, required covert
 bandwidth and expected slowdown in closed form (all cross-checked
-against the real dataplane by the test suite), and
-:mod:`repro.attack.campaign` wires everything into the simulator.
+against the real dataplane by the test suite);
+:meth:`repro.scenario.session.Session.simulator` wires everything into
+the simulator.
 """
 
 from repro.attack.analysis import (
@@ -34,13 +35,10 @@ from repro.attack.policy import (
     openstack_attack_security_group,
     single_prefix_policy,
 )
-from repro.attack.campaign import AttackCampaign, CampaignReport
 
 __all__ = [
-    "AttackCampaign",
     "AttackDimension",
     "AttackPrediction",
-    "CampaignReport",
     "CovertStreamGenerator",
     "analyze_acl",
     "calico_attack_policy",

@@ -54,7 +54,7 @@ class Fig2Result:
     expected: list[tuple[str, str, str]]
     deny_mask_count: int
     #: the underlying Session result (CSV hook, datapath access)
-    scenario: ScenarioResult | None = field(default=None, repr=False)
+    scenario: ScenarioResult = field(repr=False)
 
     @property
     def exact_match(self) -> bool:

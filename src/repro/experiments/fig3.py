@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.attack.campaign import CampaignReport
 from repro.scenario.presets import SCENARIOS
 from repro.scenario.session import ScenarioResult, Session
 from repro.util.ascii_chart import AsciiChart
@@ -33,19 +32,18 @@ DURATION = 150.0
 class Fig3Result:
     """The regenerated Fig. 3."""
 
-    report: CampaignReport
-    #: the underlying Session result (CSV hook, defense accounting)
-    scenario: ScenarioResult | None = field(default=None, repr=False)
+    #: the underlying Session result (series, CSV hook, defense accounting)
+    scenario: ScenarioResult = field(repr=False)
 
     @property
     def series(self):
-        return self.report.simulation.series
+        return self.scenario.series
 
     def shape_holds(self) -> bool:
         """The paper's qualitative claims, checked quantitatively:
         pre-attack plateau near the offered 1 Gbps, ≥8192 masks after
         the attack, post-attack mean below 5 % of the plateau."""
-        sim = self.report.simulation
+        sim = self.scenario.simulation
         pre = sim.pre_attack_mean_bps()
         post = sim.post_attack_mean_bps()
         return (
@@ -77,7 +75,7 @@ class Fig3Result:
             [max(m, 1.0) for m in self.series.column("megaflows")],
             marker="#",
         )
-        sim = self.report.simulation
+        sim = self.scenario.simulation
         summary = (
             f"pre-attack mean: {sim.pre_attack_mean_bps() / 1e9:.2f} Gbps | "
             f"post-attack mean: {sim.post_attack_mean_bps() / 1e9:.3f} Gbps | "
@@ -101,4 +99,4 @@ def run_fig3(
         seed=seed,
     )
     result = Session(spec).run()
-    return Fig3Result(report=result.report, scenario=result)
+    return Fig3Result(scenario=result)

@@ -33,7 +33,7 @@ from repro.experiments import (
 
 def run_fig2_experiment(csv_dir: Path | None) -> str:
     result = fig2.run_fig2()
-    if csv_dir is not None and result.scenario is not None:
+    if csv_dir is not None:
         result.scenario.to_csv(csv_dir / "fig2.csv")
     return result.render()
 
@@ -49,7 +49,7 @@ def run_masks_experiment(csv_dir: Path | None) -> str:
 
 def run_fig3_experiment(csv_dir: Path | None) -> str:
     result = fig3.run_fig3()
-    if csv_dir is not None and result.scenario is not None:
+    if csv_dir is not None:
         result.scenario.to_csv(csv_dir / "fig3.csv")
     return result.render()
 

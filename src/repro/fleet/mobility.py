@@ -25,7 +25,7 @@ FleetSpec`):
   upper bound; covert bandwidth scales with the fleet).
 
 Whatever the mobility, each node's covert payload comes from its own
-:class:`~repro.attack.campaign.AttackCampaign` — so the PR 3/4
+:meth:`~repro.scenario.session.Session.simulator` — so the
 ``spread_keys`` per-shard payloads (``attacker_strategy="spread"``,
 with or without live-RETA re-probing) ride along unchanged.
 """

@@ -280,13 +280,13 @@ class FleetSession:
 
     # -- building ----------------------------------------------------------
 
-    def node_victim_keys(self, campaign, index: int) -> list[FlowKey]:
+    def node_victim_keys(self, session: Session, index: int) -> list[FlowKey]:
         """Node ``index``'s representative victim flows.  Node 0 keeps
-        the campaign's exact keys (the N=1 bit-identity anchor); other
+        the session's exact keys (the N=1 bit-identity anchor); other
         nodes host their own pods, so their flows differ in ``ip_src``
         — which makes a migration install genuinely new state on the
         receiving node."""
-        keys = campaign.victim_keys()
+        keys = session.victim_keys()
         if index == 0:
             return keys
         return [key.replace(ip_src=key.get("ip_src") + (index << 16))
@@ -315,8 +315,7 @@ class FleetSession:
             node_spec = base.evolve(seed=shard_seed(base.seed, index))
             session = Session(node_spec, telemetry=self.telemetry)
             datapath = session.build_datapath(name=f"{spec.name}-{name}")
-            campaign = session.build_campaign(datapath)
-            simulator = campaign.build_simulator()
+            simulator = session.simulator(datapath)
             simulator.set_attacker(
                 ScheduledAttacker(
                     rate_bps=base.covert_rate_bps,
@@ -324,7 +323,7 @@ class FleetSession:
                     windows=windows[index],
                 )
             )
-            simulator.set_victim_keys(self.node_victim_keys(campaign, index))
+            simulator.set_victim_keys(self.node_victim_keys(session, index))
             topo = TopoNode(
                 name,
                 space=session.space,

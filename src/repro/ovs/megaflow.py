@@ -56,10 +56,6 @@ class MegaflowEntry:
         if self.subtable is not None:
             self.subtable.credit_hit()
 
-    def idle_for(self, now: float) -> float:
-        """Seconds since the last hit (or installation)."""
-        return now - self.last_used
-
     def __repr__(self) -> str:
         return f"MegaflowEntry({self.match!r} -> {self.action!r}, hits={self.hits})"
 

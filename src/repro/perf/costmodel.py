@@ -144,11 +144,6 @@ class CostModel:
         budget = self.cpu_hz if available_cycles is None else max(available_cycles, 0.0)
         return budget / avg_cycles_per_packet
 
-    def capacity_bps(self, avg_cycles_per_packet: float, frame_bytes: int,
-                     available_cycles: float | None = None) -> float:
-        """Bit/second equivalent of :meth:`capacity_pps`."""
-        return self.capacity_pps(avg_cycles_per_packet, available_cycles) * frame_bytes * 8
-
     def megaflow_path_capacity_pps(self, mask_count: float, staged: bool = False) -> float:
         """The paper's "effective peak performance": capacity for
         flow-diverse traffic that is served by the megaflow cache (the

@@ -74,17 +74,6 @@ class TimeSeries:
             Path(path).write_text(text)
         return text
 
-    @classmethod
-    def from_csv(cls, text: str) -> "TimeSeries":
-        """Parse a series previously produced by :meth:`to_csv`."""
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader)
-        series = cls(columns=header)
-        for row in reader:
-            if row:
-                series.rows.append([float(cell) for cell in row])
-        return series
-
     def __len__(self) -> int:
         return len(self.rows)
 

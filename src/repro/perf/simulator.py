@@ -64,10 +64,6 @@ class SimulationResult:
     victim: VictimWorkload
     attacker: AttackerWorkload | None
 
-    def peak_throughput_bps(self) -> float:
-        """Best victim throughput observed (the pre-attack plateau)."""
-        return self.series.maximum("victim_throughput_bps")
-
     def pre_attack_mean_bps(self) -> float:
         """Mean victim throughput before the covert stream starts."""
         start = self.attacker.start_time if self.attacker else float("inf")

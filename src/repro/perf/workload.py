@@ -71,11 +71,6 @@ class VictimWorkload:
         return self.offered_bps / (self.frame_bytes * 8)
 
     @property
-    def per_flow_pps(self) -> float:
-        """Mean packet rate of one flow."""
-        return self.offered_pps / self.concurrent_flows if self.concurrent_flows else 0.0
-
-    @property
     def miss_fraction(self) -> float:
         """Fraction of packets that are the first of a new flow (these
         take the upcall path even when caches are healthy)."""

@@ -2,15 +2,23 @@
 
 A :class:`Session` resolves a :class:`~repro.scenario.spec.ScenarioSpec`
 against the registries, builds the datapath backend, compiles the CMS
-policy, runs the campaign through the perf layer, and returns a uniform
+policy, runs the attack through the perf layer, and returns a uniform
 :class:`ScenarioResult` — series, mask counts, degradation, scan stats,
 CSV/render hooks — regardless of which cell of the scenario matrix was
 requested.
 
 Two run modes:
 
-* :meth:`Session.run` — the full timed campaign (Fig. 3-style): victim
-  workload, covert stream, defense hooks, time series.
+* :meth:`Session.run` — the full timed campaign, the paper's Fig. 3
+  storyline on one victim node.  :meth:`Session.simulator` assembles
+  it on a datapath: before the attack the node carries the victim
+  tenant's traffic behind a baseline forwarding rule; at
+  ``inject_time`` the attacker's policy is accepted by the CMS and
+  compiled into the slow path (a perfectly legitimate operation — that
+  is the point of the attack); from ``attack_start`` the covert stream
+  installs one megaflow mask per packet and keeps them refreshed; every
+  defense's timed response rides in the same schedule.  ``run()`` steps
+  it to the end and adds the closed-form prediction.
 * :meth:`Session.measure` — the static mask probe (E1/E2/E3-style):
   compile the policy, replay the covert stream once, report predicted
   vs measured mask counts and the resulting megaflow table.
@@ -22,28 +30,35 @@ for their datapath.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable
 
-from repro.attack.analysis import reachable_mask_count
-from repro.attack.campaign import AttackCampaign, CampaignReport
+from repro.attack.analysis import AttackPrediction, predict, reachable_mask_count
 from repro.attack.packets import REPROBE_TRIES, CovertStreamGenerator
-from repro.cms.base import PolicyTarget
+from repro.cms.base import PRIORITY_BASELINE_FORWARD, PolicyTarget
+from repro.flow.actions import Output
+from repro.flow.key import FlowKey
+from repro.flow.match import FlowMatch
+from repro.flow.rule import FlowRule
 from repro.net.addresses import ip_to_int
+from repro.net.ethernet import ETHERTYPE_IPV4
+from repro.net.ipv4 import PROTO_TCP
 from repro.obs.export import mask_census, scan_stats
 from repro.ovs.pmd import shard_views
 from repro.perf.costmodel import CostModel
 from repro.perf.factory import DatapathConfig
+from repro.perf.simulator import DataplaneSimulator, SimulationResult
+from repro.perf.workload import AttackerWorkload, VictimWorkload
 from repro.scenario.datapath import Datapath
 from repro.scenario.registry import DEFENSES, PROFILES, SURFACES, Surface
 from repro.scenario.spec import ScenarioSpec
 from repro.util.ascii_chart import AsciiChart, AsciiTable
+from repro.util.bits import ones
 
 if TYPE_CHECKING:
-    from repro.flow.key import FlowKey
-    from repro.flow.rule import FlowRule
     from repro.perf.series import TimeSeries
-    from repro.perf.simulator import SimulationResult
 
 
 @dataclass
@@ -56,8 +71,8 @@ class MaskProbe:
     #: in install order (empty for backends without a megaflow cache)
     rows: list[tuple[str, str, str]]
     datapath: Datapath
-    #: covert packets replayed (the counterpart of
-    #: :attr:`~repro.attack.campaign.CampaignReport.covert_packet_count`)
+    #: covert packets replayed (the probe-mode counterpart of
+    #: :attr:`ScenarioResult.covert_packets`)
     covert_packets: int
 
     @property
@@ -79,7 +94,14 @@ class ScenarioResult:
     """The uniform result every Session run returns."""
 
     spec: ScenarioSpec
-    report: CampaignReport | None = None
+    #: the timed run (campaign mode).  ``None`` in probe mode, where
+    #: :attr:`series` and the mean accessors raise ``ValueError``
+    simulation: SimulationResult | None = None
+    #: the closed-form prediction for the spec's policy (campaign mode)
+    prediction: AttackPrediction | None = None
+    #: covert packets the timed run's stream held at its end (campaign
+    #: mode; a probe's count is :attr:`MaskProbe.covert_packets`)
+    covert_packets: int | None = None
     probe: MaskProbe | None = None
     defenses: list[DefenseOutcome] = field(default_factory=list)
     datapath: Datapath | None = None
@@ -88,28 +110,27 @@ class ScenarioResult:
 
     # -- uniform accessors ---------------------------------------------------
 
-    @property
-    def simulation(self) -> "SimulationResult":
-        if self.report is None:
+    def _timed(self) -> SimulationResult:
+        if self.simulation is None:
             raise ValueError(f"scenario {self.spec.name!r} ran in probe mode (no series)")
-        return self.report.simulation
+        return self.simulation
 
     @property
     def series(self) -> "TimeSeries":
-        return self.simulation.series
+        return self._timed().series
 
     def final_mask_count(self) -> int:
         """Masks at the end of the run (either mode)."""
-        if self.report is not None:
+        if self.simulation is not None:
             return self.simulation.final_mask_count()
         assert self.probe is not None
         return self.probe.measured
 
     def pre_attack_mean_bps(self) -> float:
-        return self.simulation.pre_attack_mean_bps()
+        return self._timed().pre_attack_mean_bps()
 
     def post_attack_mean_bps(self, settle: float | None = None) -> float:
-        return self.simulation.post_attack_mean_bps(
+        return self._timed().post_attack_mean_bps(
             settle=self.settle if settle is None else settle
         )
 
@@ -134,7 +155,7 @@ class ScenarioResult:
         if target.is_dir() or str(path).endswith(("/", "\\")):
             target = target / f"{self.spec.name}.csv"
         target.parent.mkdir(parents=True, exist_ok=True)
-        if self.report is not None:
+        if self.simulation is not None:
             self.series.to_csv(target)
             return target
         assert self.probe is not None
@@ -146,19 +167,31 @@ class ScenarioResult:
         return target
 
     def headline(self) -> str:
-        """The paper-style one-liner."""
-        if self.report is not None:
-            return self.report.headline()
-        assert self.probe is not None
-        return (
-            f"masks predicted={self.probe.predicted} measured={self.probe.measured} "
-            f"({'match' if self.probe.matches_prediction else 'MISMATCH'})"
+        """The paper-style one-liner.  In campaign mode a window the run
+        holds no sample of — an attack starting at 0, or after the run
+        ends — reads ``n/a``, and the ratio is left out."""
+        sim = self.simulation
+        if sim is None:
+            assert self.probe is not None
+            return (
+                f"masks predicted={self.probe.predicted} measured={self.probe.measured} "
+                f"({'match' if self.probe.matches_prediction else 'MISMATCH'})"
+            )
+        pre = _mean_or_none(sim.pre_attack_mean_bps)
+        post = _mean_or_none(sim.post_attack_mean_bps)
+        line = (
+            f"masks={sim.final_mask_count()} "
+            + ("pre=n/a " if pre is None else f"pre={pre / 1e9:.2f} Gbps ")
+            + ("post=n/a" if post is None else f"post={post / 1e9:.3f} Gbps")
         )
+        if pre is None or post is None:
+            return line
+        return f"{line} ({post / pre:.1%} of baseline)"
 
     def render(self) -> str:
         """Human-readable report: two stacked panels for campaigns, the
         megaflow table for probes."""
-        if self.report is None:
+        if self.simulation is None:
             assert self.probe is not None
             table = AsciiTable(
                 ["Key", "Mask", "Action"],
@@ -168,7 +201,6 @@ class ScenarioResult:
                 table.add_row(row)
             return table.render() + "\n=> " + self.headline()
 
-        sim = self.simulation
         times = self.series.column("t")
         throughput = AsciiChart(
             title=f"{self.spec.name}: victim throughput [Gbps] vs time [s]",
@@ -212,8 +244,8 @@ class Session:
         elif isinstance(spec, dict):
             spec = ScenarioSpec.from_dict(spec)
         self.spec = spec.validate()
-        #: observability umbrella threaded down to the campaign and
-        #: simulator (None = the shared null telemetry; zero overhead)
+        #: observability umbrella threaded down to the simulator
+        #: (None = the shared null telemetry; zero overhead)
         self.telemetry = telemetry
         self.surface: Surface = SURFACES.get(spec.surface)
         self.profile = PROFILES.get(spec.profile)
@@ -291,10 +323,104 @@ class Session:
             self.dimensions, self.target, self.space
         ), None
 
-    def build_campaign(self, datapath: Datapath | None = None) -> AttackCampaign:
-        """The attack campaign for a full timed run on ``datapath``
-        (default: a fresh :meth:`build_datapath`)."""
-        return AttackCampaign(self, datapath or self.build_datapath())
+    def victim_keys(self) -> list[FlowKey]:
+        """Representative victim flow keys (kept hot by the simulator).
+
+        The victim tenant's pods live behind baseline forwarding rules;
+        their traffic shares the node's megaflow cache with the
+        attacker's masks — that sharing *is* the cross-tenant DoS.
+        """
+        return [
+            FlowKey(
+                self.space,
+                {
+                    "in_port": 1,
+                    "eth_type": ETHERTYPE_IPV4,
+                    "ip_src": 0x0A000100 + i,
+                    "ip_dst": 0x0A000200,
+                    "ip_proto": PROTO_TCP,
+                    "tp_src": 33000 + i,
+                    "tp_dst": 5201,
+                },
+            )
+            for i in range(4)
+        ]
+
+    def simulator(self, datapath: Datapath) -> DataplaneSimulator:
+        """The timed campaign on ``datapath``, ready to run or step: the
+        victim's baseline rule installed now, the policy injected at
+        ``inject_time`` (default: one second before the covert stream
+        starts), :meth:`covert_stream`'s keys from ``attack_start``, and
+        every defense's timed response in the schedule."""
+        surface = self.surface
+        if not surface.is_campaign:
+            raise ValueError(
+                f"surface {surface.name!r} has no CMS compiler; only "
+                f"Session.measure() applies (campaign surfaces: "
+                f"{[n for n, s in SURFACES.items() if s.is_campaign]})"
+            )
+        spec = self.spec
+        datapath.add_rule(FlowRule(
+            match=FlowMatch(
+                self.space,
+                {
+                    "eth_type": (ETHERTYPE_IPV4, ones(16)),
+                    "ip_dst": (0x0A000200, ones(32)),
+                },
+            ),
+            action=Output(7),
+            priority=PRIORITY_BASELINE_FORWARD,
+            tenant="victim",
+            comment="baseline forwarding: victim pod",
+        ))
+        rules = self.attack_rules()
+
+        def inject(switch: Datapath) -> None:
+            switch.add_rules(rules)
+
+        inject_time = (
+            spec.inject_time if spec.inject_time is not None
+            else max(spec.attack_start - 1.0, 0.0)
+        )
+        covert_keys, covert_refresh = self.covert_stream(datapath)
+        return DataplaneSimulator(
+            switch=datapath,
+            cost_model=self.cost_model,
+            victim=VictimWorkload(
+                offered_bps=spec.victim_offered_bps,
+                frame_bytes=spec.victim_frame_bytes,
+                concurrent_flows=spec.victim_concurrent_flows,
+                new_flows_per_sec=spec.victim_new_flows_per_sec,
+                skew=spec.workload_skew,
+            ),
+            attacker=AttackerWorkload(
+                rate_bps=spec.covert_rate_bps,
+                frame_bytes=spec.covert_frame_bytes,
+                start_time=spec.attack_start,
+            ),
+            covert_keys=covert_keys,
+            victim_keys=self.victim_keys(),
+            events=[
+                (inject_time, inject),
+                *(event for defense in self.defenses
+                  for event in defense.events(spec.attack_start)),
+            ],
+            duration=spec.duration,
+            workload_seed=spec.seed,
+            covert_refresh=covert_refresh,
+            reprobe_interval=spec.reprobe_interval,
+            covert_replay=spec.covert_replay,
+            telemetry=self.telemetry,
+        )
+
+    def build_campaign(self, datapath: Datapath) -> SimpleNamespace:
+        """``build_campaign(datapath).build_simulator()`` is
+        :meth:`simulator` on ``datapath``, spelled as its one caller
+        spells it: the pipeline benchmark's ``CampaignWorkload.execute``
+        (``benchmarks/pipeline/workloads.py:311``).  ROADMAP item 9's
+        benchmark change moves that line to :meth:`simulator` and
+        deletes this adapter."""
+        return SimpleNamespace(build_simulator=partial(self.simulator, datapath))
 
     # -- running -------------------------------------------------------------
 
@@ -305,10 +431,19 @@ class Session:
             return self.run_probe()
 
         datapath = self.build_datapath()
-        report = self.build_campaign(datapath).run()
+        prediction = predict(
+            self.dimensions,
+            cost_model=self.cost_model,
+            idle_timeout=min(datapath.idle_timeout, 1e9),
+        )
+        simulator = self.simulator(datapath)
+        simulation = simulator.run()
         return ScenarioResult(
             spec=self.spec,
-            report=report,
+            simulation=simulation,
+            prediction=prediction,
+            # read after the run: a re-probe replaces the key list
+            covert_packets=len(simulator.covert_keys),
             defenses=self._defense_outcomes(),
             datapath=datapath,
             settle=max((d.settle for d in self.defenses), default=10.0),
@@ -359,6 +494,14 @@ class Session:
             DefenseOutcome(name=use.name, label=defense.label, tradeoff=defense.tradeoff())
             for use, defense in zip(self.spec.defenses, self.defenses)
         ]
+
+
+def _mean_or_none(mean: Callable[[], float]) -> float | None:
+    """``mean()``, or ``None`` when its window holds no sample."""
+    try:
+        return mean()
+    except ValueError:
+        return None
 
 
 def _megaflow_rows(datapath: Datapath) -> list[tuple[str, str, str]]:

@@ -128,6 +128,6 @@ def result_digest(result) -> str:
     """SHA-256 of one :class:`~repro.scenario.session.ScenarioResult`:
     a campaign by its series (:func:`series_digest`), a probe-mode run
     (no series) by its rendered megaflow table."""
-    if result.report is None:
+    if result.simulation is None:
         return hashlib.sha256(result.render().encode()).hexdigest()
     return series_digest(result.series)

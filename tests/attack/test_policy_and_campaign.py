@@ -1,9 +1,9 @@
-"""Tests for the malicious policy builders and campaign orchestration."""
+"""Tests for the malicious policy builders and the timed campaign
+(:meth:`~repro.scenario.session.Session.simulator`)."""
 
 import pytest
 
 from repro.attack.analysis import reachable_mask_count
-from repro.attack.campaign import CampaignReport
 from repro.attack.policy import (
     calico_attack_policy,
     kubernetes_attack_policy,
@@ -15,7 +15,7 @@ from repro.cms.calico import CalicoCms
 from repro.cms.kubernetes import KubernetesCms
 from repro.cms.openstack import OpenStackCms
 from repro.net.addresses import ip_to_int
-from repro.scenario import ScenarioSpec, Session
+from repro.scenario import ScenarioResult, ScenarioSpec, Session
 
 TARGET = PolicyTarget(pod_ip=ip_to_int("10.0.9.10"), output_port=3, tenant="mallory")
 
@@ -67,31 +67,37 @@ class TestPolicyBuilders:
         assert dims[1].allow_value == 8443
 
 
+def _spec(duration=30.0, start=10.0):
+    return ScenarioSpec(
+        surface="k8s", profile="kernel", victim_offered_bps=1e9,
+        covert_rate_bps=2e6, attack_start=start, duration=duration,
+    )
+
+
 class TestCampaign:
-    def _campaign(self, duration=30.0, start=10.0):
-        session = Session(ScenarioSpec(
-            surface="k8s", profile="kernel", victim_offered_bps=1e9,
-            covert_rate_bps=2e6, attack_start=start, duration=duration,
-        ))
-        return session.build_campaign(session.build_datapath())
+    def _simulator(self, duration=30.0, start=10.0):
+        session = Session(_spec(duration, start))
+        return session.simulator(session.build_datapath())
 
     def test_masks_reach_cross_product(self):
-        report = self._campaign().run()
+        result = Session(_spec()).run()
         # 512 attack masks + the victim flows' baseline mask
-        assert 512 <= report.simulation.final_mask_count() <= 515
-        assert report.covert_packet_count == 512
+        assert 512 <= result.final_mask_count() <= 515
+        assert result.covert_packets == 512
 
     def test_injection_precedes_stream(self):
-        campaign = self._campaign(start=10.0)
-        assert campaign.inject_time == pytest.approx(9.0)
+        """With no defense the policy injection is the one event, one
+        second before the covert stream starts."""
+        simulator = self._simulator(start=10.0)
+        assert [when for when, _inject in simulator.events] == [
+            pytest.approx(9.0)
+        ]
 
     def test_prediction_attached(self):
-        report = self._campaign().run()
-        assert report.prediction.mask_count == 512
+        assert Session(_spec()).run().prediction.mask_count == 512
 
     def test_headline_format(self):
-        report = self._campaign().run()
-        text = report.headline()
+        text = Session(_spec()).run().headline()
         assert "masks=" in text and "Gbps" in text
 
     @pytest.mark.parametrize("pre, post, headline", [
@@ -122,20 +128,17 @@ class TestCampaign:
             def final_mask_count():
                 return 512
 
-        report = CampaignReport(prediction=None, simulation=Simulation(),
-                                covert_packet_count=0)
-        assert report.headline() == headline
+        result = ScenarioResult(spec=_spec(), simulation=Simulation())
+        assert result.headline() == headline
 
     def test_throughput_drops_after_attack(self):
-        report = self._campaign(duration=40.0, start=10.0).run()
-        sim = report.simulation
+        sim = Session(_spec(duration=40.0, start=10.0)).run().simulation
         assert sim.pre_attack_mean_bps() > sim.post_attack_mean_bps()
 
     def test_masks_expire_when_stream_stops(self):
         """If the covert stream dies, the revalidator reclaims the masks
         within one idle timeout — the attack needs *sustained* feeding."""
-        campaign = self._campaign(duration=60.0, start=10.0)
-        simulator = campaign.build_simulator()
+        simulator = self._simulator(duration=60.0, start=10.0)
         # amputate the covert stream after t=25 by replacing packets_due
         original_due = simulator.attacker.packets_due
 

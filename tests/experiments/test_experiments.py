@@ -120,21 +120,21 @@ class TestFig3:
         assert result.shape_holds()
 
     def test_pre_attack_plateau(self, result):
-        assert result.report.simulation.pre_attack_mean_bps() == pytest.approx(1e9, rel=0.05)
+        assert result.scenario.simulation.pre_attack_mean_bps() == pytest.approx(1e9, rel=0.05)
 
     def test_post_attack_collapse(self, result):
-        sim = result.report.simulation
+        sim = result.scenario.simulation
         assert sim.post_attack_mean_bps() < 0.05 * sim.pre_attack_mean_bps()
 
     def test_mask_cliff_at_attack_start(self, result):
-        series = result.report.simulation.series
+        series = result.scenario.simulation.series
         masks = dict(zip(series.column("t"), series.column("masks")))
         assert masks[19.0] <= 6
         assert masks[30.0] >= 8192
 
     def test_covert_stream_is_low_bandwidth(self, result):
         # the attack input is 2 Mbps; the damage is ~1 Gbps
-        attacker = result.report.simulation.attacker
+        attacker = result.scenario.simulation.attacker
         assert attacker.rate_bps <= 2e6
 
     def test_render_contains_panels(self, result):

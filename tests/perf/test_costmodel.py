@@ -83,12 +83,6 @@ class TestPathCosts:
         assert half == pytest.approx(full / 2)
         assert model.capacity_pps(1000, available_cycles=-5) == 0
 
-    def test_capacity_bps(self):
-        model = CostModel()
-        assert model.capacity_bps(1000, frame_bytes=1500) == pytest.approx(
-            model.capacity_pps(1000) * 12000
-        )
-
     def test_scaled_cores(self):
         model = CostModel()
         assert model.scaled(2.0).cpu_hz == 2 * model.cpu_hz

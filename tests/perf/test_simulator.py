@@ -145,7 +145,6 @@ class TestAttackRun:
     def test_degradation_summary_helpers(self):
         result = _simulator(duration=25.0, start=5.0).run()
         assert 0.0 < result.degradation() < 1.0
-        assert result.peak_throughput_bps() >= result.post_attack_mean_bps()
         assert result.final_mask_count() >= 512
 
     def test_no_attacker_post_mean_raises(self):

@@ -27,7 +27,9 @@ class TestProbeMode:
 
     def test_series_unavailable_in_probe_mode(self):
         result = Session("fig2").run()
-        with pytest.raises(ValueError):
+        assert result.simulation is None
+        assert result.covert_packets is None
+        with pytest.raises(ValueError, match="ran in probe mode"):
             _ = result.series
 
     def test_measure_replays_one_key_per_mask(self):
@@ -84,8 +86,9 @@ class TestCampaignMode:
         assert result.final_mask_count() == 8
 
     def test_measure_only_surface_rejects_campaign(self):
-        with pytest.raises(ValueError):
-            Session("fig2").build_campaign()
+        session = Session("fig2")
+        with pytest.raises(ValueError, match="only Session.measure"):
+            session.simulator(session.build_datapath())
 
 
 class TestBackendsAndDefenses:
@@ -203,8 +206,8 @@ class TestRebalanceSessions:
             session.profile, space=session.space, shards=1,
             seed=session.spec.seed, rebalance_interval=2.0
         ).dispatched(OvsSwitch)
-        report = session.build_campaign(one).run()
-        assert report.simulation.series.rows == plain.series.rows
+        series = session.simulator(one).run().series
+        assert series.rows == plain.series.rows
         assert one.rebalancer.rebalances == 0  # nothing to move
 
     def test_skewed_workload_with_rebalance_really_remaps(self):

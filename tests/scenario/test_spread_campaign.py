@@ -107,8 +107,7 @@ class TestReprobeTimeline:
             duration=20.0,
         )
         session = Session(spec)
-        campaign = session.build_campaign(session.build_datapath())
-        simulator = campaign.build_simulator()
+        simulator = session.simulator(session.build_datapath())
         simulator.run()
         # attack_start 4, interval 4, duration 20 -> reprobes at t=8,
         # 12, 16 (t=20 is the last tick's *end*)
@@ -116,8 +115,7 @@ class TestReprobeTimeline:
 
     def test_no_reprobe_without_interval(self):
         session = Session(sharded_spec(attacker_strategy="spread"))
-        campaign = session.build_campaign(session.build_datapath())
-        simulator = campaign.build_simulator()
+        simulator = session.simulator(session.build_datapath())
         simulator.run()
         assert simulator.reprobes == 0
 
@@ -152,4 +150,4 @@ class TestReprobeTimeline:
             masks >= 0.9 * predicted
             for masks in datapath.shard_mask_counts
         )
-        assert result.report.simulation.series.last("rebalances") > 0
+        assert result.series.last("rebalances") > 0
