@@ -1,5 +1,5 @@
 """Check the whole golden record: every preset at seeds 1 and 23, the
-stdout of E1, E2/E3, E4, E8, E9, E10 and the rolling fleet campaign,
+stdout of E1, E2/E3, E4, E8, E9, E10, E11 and the six fleet campaigns,
 and the rendered ``fig3`` and ``calico-detector`` scenarios.
 
     PYTHONPATH=src python tests/golden/check.py
@@ -30,7 +30,13 @@ OUTPUTS = {
     "experiment-ranking.txt": ("experiment", "ranking"),
     "experiment-sharding.txt": ("experiment", "sharding"),
     "experiment-rebalance.txt": ("experiment", "rebalance"),
+    "experiment-fleet.txt": ("experiment", "fleet"),
     "fleet-fleet-rolling16.txt": ("fleet", "fleet-rolling16"),
+    "fleet-fleet-coordinated4.txt": ("fleet", "fleet-coordinated4"),
+    "fleet-fleet-staggered8.txt": ("fleet", "fleet-staggered8"),
+    "fleet-fleet-quarantine8.txt": ("fleet", "fleet-quarantine8"),
+    "fleet-fleet-guarded8.txt": ("fleet", "fleet-guarded8"),
+    "fleet-fleet-spread4.txt": ("fleet", "fleet-spread4"),
     "scenario-fig3.txt": ("scenario", "fig3"),
     "scenario-calico-detector.txt": ("scenario", "calico-detector"),
 }

@@ -1,4 +1,4 @@
-"""The golden record: what every preset and nine commands print,
+"""The golden record: what every preset and fifteen commands print,
 committed, so a change that claims to move nothing can show it.
 
 ``tests/golden/presets.json`` holds, per seed (1 and 23) and per
@@ -6,15 +6,16 @@ registered preset, the :func:`repro.testing.result_digest` of
 ``Session.run()`` — a campaign's whole series, a probe-mode preset's
 rendered megaflow table.  Beside it is the stdout of
 ``repro experiment`` ``fig2`` (E1), ``masks`` (E2/E3), ``fig3`` (E4),
-``ranking`` (E8), ``sharding`` (E9) and ``rebalance`` (E10), of
-``repro fleet fleet-rolling16``, and of ``repro scenario`` ``fig3`` and
-``calico-detector`` — the campaign headline and a defense's tradeoff
-line, which no digest covers.  ``tests/golden/check.py`` checks all of
-it (CI's ``tests`` job); this module checks seed 1 of the fast presets
-and of the two ranked ones, the ``masks``, ``fig3``, ``ranking`` and
-``sharding`` experiment stdout and both scenario renders, on whichever
-engine this interpreter builds — so the scalar engine without NumPy is
-held to the same bytes as the columnar one.
+``ranking`` (E8), ``sharding`` (E9), ``rebalance`` (E10) and ``fleet``
+(E11), of ``repro fleet`` for all six fleet presets, and of
+``repro scenario`` ``fig3`` and ``calico-detector`` — the campaign
+headline and a defense's tradeoff line, which no digest covers.
+``tests/golden/check.py`` checks all of it (CI's ``tests`` job); this
+module checks seed 1 of the fast presets and of the two ranked ones,
+the ``masks``, ``fig3``, ``ranking``, ``sharding`` and ``fleet``
+experiment stdout, every fleet preset's stdout and both scenario
+renders, on whichever engine this interpreter builds — so the scalar
+engine without NumPy is held to the same bytes as the columnar one.
 
 A digest that changes is a behaviour that changed.  Re-baselining is an
 edit of the lines that moved, named and justified in CHANGES.md — never
@@ -27,6 +28,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.fleet.presets import FLEETS
 from repro.scenario.presets import SCENARIOS
 from repro.scenario.session import Session
 from repro.testing import result_digest
@@ -57,7 +59,7 @@ def test_a_seed_1_run_matches_the_record(name):
 
 
 @pytest.mark.parametrize("experiment",
-                         ("masks", "fig3", "ranking", "sharding"))
+                         ("masks", "fig3", "ranking", "sharding", "fleet"))
 def test_an_experiment_prints_the_record(experiment, capsys):
     assert main(["experiment", experiment]) == 0
     expected = (GOLDEN / f"experiment-{experiment}.txt").read_text()
@@ -68,4 +70,14 @@ def test_an_experiment_prints_the_record(experiment, capsys):
 def test_a_scenario_prints_the_record(name, capsys):
     assert main(["scenario", name]) == 0
     expected = (GOLDEN / f"scenario-{name}.txt").read_text()
+    assert capsys.readouterr().out == expected
+
+
+#: the quarantine presets warn (on stderr) about each covert burst a
+#: detached node can no longer receive; stdout is what is recorded
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", FLEETS.names())
+def test_a_fleet_prints_the_record(name, capsys):
+    assert main(["fleet", name]) == 0
+    expected = (GOLDEN / f"fleet-{name}.txt").read_text()
     assert capsys.readouterr().out == expected
