@@ -18,7 +18,7 @@ Commands
 
 ``fleet``
     Run a registered fleet campaign through the FleetSession API: N
-    hypervisor nodes on the fabric under one deterministic event loop,
+    hypervisor nodes on the fabric in one deterministic loop over the ticks,
     with attacker mobility and fleet-level defenses (``--list``
     enumerates fleet presets and mobility policies).
 

@@ -22,8 +22,8 @@ questions a provider actually faces:
   more capacity the quarantine response itself burns.
 
 Both parts run the full :class:`~repro.fleet.session.FleetSession`
-stack — real per-node datapaths, fabric-delivered bursts, the
-deterministic event loop.
+stack — real per-node datapaths, fabric-delivered bursts, one
+deterministic loop over the ticks.
 """
 
 from __future__ import annotations

@@ -1,15 +1,14 @@
-"""``repro.fleet`` — the discrete-event fleet simulator.
+"""``repro.fleet`` — the fleet simulator.
 
 The paper measures one hypervisor; the operational threat is fleet-
 wide: a tenant with pods across the datacenter can walk it, poisoning
 one node's classifier after another while operators see only aggregate
 symptoms.  This package runs N hypervisor nodes — each wrapping a real
 :class:`~repro.scenario.datapath.Datapath` backend with its own seeds,
-caches and defenses — on the :mod:`repro.topo` fabric under one
-deterministic event loop:
+caches and defenses — on the :mod:`repro.topo` fabric, one
+deterministic loop over the ticks (control → deliver → step → observe,
+wall-clock- and ``random``-free):
 
-* :class:`~repro.fleet.loop.EventLoop` — the heap-based scheduler
-  (integer ticks, phase-ordered, wall-clock- and ``random``-free);
 * :class:`~repro.fleet.spec.FleetSpec` /
   :class:`~repro.fleet.session.FleetSession` /
   :class:`~repro.fleet.session.FleetResult` — the declarative spec,
@@ -36,7 +35,6 @@ A one-node ``static`` fleet is **bit-identical** to the equivalent
 """
 
 from repro.fleet.defense import FleetDetector, FleetVerdict, NodeObservation
-from repro.fleet.loop import EventLoop
 from repro.fleet.mobility import MOBILITY, ScheduledAttacker
 from repro.fleet.presets import FLEETS
 from repro.fleet.session import (
@@ -48,7 +46,6 @@ from repro.fleet.session import (
 from repro.fleet.spec import FleetSpec
 
 __all__ = [
-    "EventLoop",
     "FLEETS",
     "FleetDetector",
     "FleetNode",

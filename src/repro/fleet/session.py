@@ -5,29 +5,30 @@ builds one per-node campaign per hypervisor (each node wraps a real
 :class:`~repro.scenario.datapath.Datapath` — ``OvsSwitch`` or
 ``ShardedDatapath`` per the scenario's backend — re-seeded via
 :func:`~repro.ovs.pmd.shard_seed`, so node 0 keeps the base seed), wires
-the nodes onto a :class:`~repro.topo.fabric.Fabric`, and drives
-everything from a single :class:`~repro.fleet.loop.EventLoop`:
+the nodes onto a :class:`~repro.topo.fabric.Fabric`, and runs one loop
+over the ticks.  Each tick makes four calls in order:
 
-* **control phase** — the attacker agent consults its mobility windows
-  and ships each due covert burst over the fabric (from the fleet's
-  border uplink to the mallory pod on the target node) into the node's
-  mailbox; undeliverable bursts (a quarantined node is detached) are
-  *warned about and counted*, never silently dropped, and gate that
-  node's covert replay off for the tick;
-* **deliver phase** — each node drains its mailbox once per tick; all
-  same-tick payload keys (victim flows migrating in) coalesce into one
-  ``process_batch`` call on the node's datapath — the PR 3 batch-first
-  contract at fleet scope;
-* **step phase** — each node advances its
+* **control** — the attacker agent consults its mobility windows and
+  ships each due covert burst over the fabric (from the fleet's border
+  uplink to the mallory pod on the target node); undeliverable bursts
+  (a quarantined node is detached) are *warned about and counted*,
+  never silently dropped, and gate that node's covert replay off for
+  the tick;
+* **deliver** — each node, in index order, installs its ``inbox`` (the
+  victim flows migrated onto it at the previous observe) as one
+  ``process_batch`` call on its datapath — the batch-first contract at
+  fleet scope;
+* **step** — each node advances its
   :class:`~repro.perf.simulator.DataplaneSimulator` one tick (the same
   arithmetic a `Session` run executes, which is why a one-node fleet is
   bit-identical to one — the ``tests/fleet/test_fleet.py`` gate);
-* **observe phase** — the fleet detector samples the nodes on its
-  cadence and quarantines flagged ones: victim load migrates over the
-  fabric onto the healthy remainder, and the node is detached.
+* **observe** — the fleet detector samples the nodes on its cadence and
+  quarantines flagged ones: victim load migrates over the fabric onto
+  the healthy remainder's inboxes, and the node is detached.
 
-Everything is integer-tick scheduled, seeded, and wall-clock-free: the
-same spec + seed replays the identical event sequence.
+A node's step reads only its own state, so each node's series is the
+one its simulator produces alone.  Everything is seeded and
+wall-clock-free: the same spec + seed replays the identical run.
 """
 
 from __future__ import annotations
@@ -36,17 +37,10 @@ import warnings
 from dataclasses import dataclass, field
 from itertools import cycle, islice
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro.attack.analysis import POISONED_FRACTION, reachable_mask_count
 from repro.fleet.defense import FleetDetector, FleetVerdict
-from repro.fleet.loop import (
-    PHASE_CONTROL,
-    PHASE_DELIVER,
-    PHASE_OBSERVE,
-    PHASE_STEP,
-    EventLoop,
-)
 from repro.fleet.mobility import MOBILITY, ScheduledAttacker
 from repro.fleet.spec import FleetSpec
 from repro.flow.key import FlowKey
@@ -55,7 +49,6 @@ from repro.ovs.pmd import shard_seed
 from repro.perf.series import TimeSeries
 from repro.scenario.session import Session
 from repro.topo.fabric import Fabric
-from repro.topo.node import Node as TopoNode
 from repro.util.ascii_chart import AsciiChart, AsciiTable
 from repro.util.cadence import advance_if_due
 
@@ -88,15 +81,13 @@ class FleetNode:
     name: str
     session: Session
     simulator: object  # DataplaneSimulator
-    topo: TopoNode
     quarantined: bool = False
     #: fraction of one node's worth of victim load this node serves
     #: (1.0 initially; quarantine redistributes)
     victim_share: float = 1.0
-    #: covert packets that arrived over the fabric
-    covert_received: int = 0
-    #: mailbox messages coalesced into batch drains
-    coalesced: int = 0
+    #: victim flow keys migrated onto this node at the last observe,
+    #: installed as one batch before its next step
+    inbox: list[FlowKey] = field(default_factory=list)
 
     @property
     def datapath(self):
@@ -274,7 +265,8 @@ class FleetSession:
         )
         self.migrations: list[MigrationEvent] = []
         self._warned_routes: set[tuple[str, str]] = set()
-        self._drains_pending: set[tuple[int, int]] = set()
+        #: the grid anchor of the fleet detector's last observation
+        self._last_detect = 0.0
         self._built = False
         self._ran = False
 
@@ -324,12 +316,6 @@ class FleetSession:
                 )
             )
             simulator.set_victim_keys(self.node_victim_keys(session, index))
-            topo = TopoNode(
-                name,
-                space=session.space,
-                switch=datapath,
-                install_default_route=False,
-            )
             self.fabric.attach(name)
             self.nodes.append(
                 FleetNode(
@@ -337,7 +323,6 @@ class FleetSession:
                     name=name,
                     session=session,
                     simulator=simulator,
-                    topo=topo,
                 )
             )
         self.predicted_masks = reachable_mask_count(
@@ -346,7 +331,7 @@ class FleetSession:
         self._built = True
         return self
 
-    # -- event handlers -----------------------------------------------------
+    # -- the four calls of a tick -------------------------------------------
 
     def _warn_undeliverable(self, src: str, dst: str, what: str) -> None:
         route = (src, dst)
@@ -360,18 +345,9 @@ class FleetSession:
             stacklevel=2,
         )
 
-    def _ensure_drain(self, loop: EventLoop, node: FleetNode, tick: int,
-                      when: float) -> None:
-        pending = (node.index, tick)
-        if pending in self._drains_pending:
-            return
-        self._drains_pending.add(pending)
-        loop.schedule(when, lambda: self._drain(node), phase=PHASE_DELIVER)
-
-    def _attacker_tick(self, loop: EventLoop, tick: int, t0: float,
-                       t1: float) -> None:
-        """Control phase: ship every due covert burst over the fabric
-        into its target node's mailbox."""
+    def _attacker_tick(self, t0: float, t1: float) -> None:
+        """Control: ship every due covert burst over the fabric to its
+        target node, and gate the node's covert replay on delivery."""
         for node in self.nodes:
             attacker = node.simulator.attacker
             due = attacker.packets_due(t0, t1)
@@ -386,27 +362,12 @@ class FleetSession:
                 self._warn_undeliverable(
                     WAN_LINK, node.name, f"a {due}-packet covert burst"
                 )
-                continue
-            node.covert_received += due
-            node.topo.enqueue(("covert", due))
-            self._ensure_drain(loop, node, tick, t0)
 
-    def _drain(self, node: FleetNode) -> None:
-        """Deliver phase: one mailbox drain — all payload keys that
-        arrived this tick go through the datapath as ONE batch."""
-        messages = node.topo.drain_mailbox()
-        if not messages:
-            return
-        keys: list[FlowKey] = []
-        for message in messages:
-            kind = message[0]
-            if kind == "migrate":
-                keys.append(message[1])
-            # "covert" messages carry only their count: the covert
-            # replay itself runs inside the node's simulator step (the
-            # same hybrid-fidelity shortcut the single-node simulator
-            # uses), so draining it here would double-install
-        node.coalesced += len(messages)
+    def _deliver(self, node: FleetNode) -> None:
+        """Deliver: the victim flows migrated onto the node go through
+        its datapath as ONE batch, and the node adopts them.  (The
+        covert replay itself runs inside the node's simulator step.)"""
+        keys, node.inbox = node.inbox, []
         if not keys:
             return
         simulator = node.simulator
@@ -416,17 +377,15 @@ class FleetSession:
         )
 
     def _step_node(self, node: FleetNode) -> None:
-        """Step phase: advance one node one tick (independent of every
-        other node — the event-order-invariance contract)."""
+        """Step: advance one node one tick (reading no other node)."""
         simulator = node.simulator
         if simulator.t >= simulator.duration:
             return
         simulator.offered_scale = node.victim_share
         simulator.step()
 
-    def _quarantine_round(self, loop: EventLoop, flagged: list[FleetNode],
-                          tick: int, t: float, n_ticks: int,
-                          tick_times: list[float]) -> None:
+    def _quarantine_round(self, flagged: list[FleetNode], t: float,
+                          final: bool) -> None:
         """The global quarantine action for one detector round: mark
         every flagged node first (so none of them is picked as a
         migration destination by another member of the same round),
@@ -446,8 +405,7 @@ class FleetSession:
         # on the final observe has nowhere to migrate to, and must not
         # claim (or count fabric frames for) a migration that never
         # installs
-        next_tick = tick + 1
-        can_deliver = bool(healthy) and next_tick < n_ticks
+        can_deliver = bool(healthy) and not final
         for node in flagged:
             keys = node.simulator.release_victim_flows()
             migrated_to: list[str] = []
@@ -455,10 +413,7 @@ class FleetSession:
                 frame_bytes = node.simulator.victim.frame_bytes
                 for key, dest in zip(keys, islice(cycle(healthy), len(keys))):
                     if self.fabric.transmit(node.name, dest.name, frame_bytes):
-                        dest.topo.enqueue(("migrate", key))
-                        self._ensure_drain(
-                            loop, dest, next_tick, tick_times[next_tick]
-                        )
+                        dest.inbox.append(key)
                         if dest.name not in migrated_to:
                             migrated_to.append(dest.name)
                     else:
@@ -486,18 +441,18 @@ class FleetSession:
                         to=",".join(migrated_to), flows=len(keys),
                     )
 
-    def _observe_tick(self, loop: EventLoop, tick: int, t0: float, t1: float,
-                      aggregate: TimeSeries, n_ticks: int,
-                      tick_times: list[float], detect_state: dict) -> None:
-        """Observe phase: run the fleet detector on its cadence, then
-        sample the aggregate series row for this tick."""
+    def _observe_tick(self, t0: float, t1: float, aggregate: TimeSeries,
+                      final: bool) -> None:
+        """Observe: run the fleet detector on its cadence, then sample
+        the aggregate series row for this tick (``final``: the run's
+        last tick, after which no migrated flow can land)."""
         detector = self.detector
         if detector is not None:
             anchor = advance_if_due(
-                detect_state["last"], t1, self.spec.detect_interval
+                self._last_detect, t1, self.spec.detect_interval
             )
             if anchor is not None:
-                detect_state["last"] = anchor
+                self._last_detect = anchor
                 verdict = detector.observe(
                     [
                         (n.name, n.datapath, n.guards)
@@ -513,9 +468,7 @@ class FleetSession:
                     and not node.quarantined
                 ]
                 if flagged:
-                    self._quarantine_round(
-                        loop, flagged, tick, t1, n_ticks, tick_times
-                    )
+                    self._quarantine_round(flagged, t1, final)
         threshold = POISONED_FRACTION * self.predicted_masks
         throughput = 0.0
         capacity = 0.0
@@ -569,10 +522,9 @@ class FleetSession:
             t += simulator.dt
         return times
 
-    def run(self, node_step_order: Sequence[int] | None = None) -> FleetResult:
-        """Execute the fleet campaign.  ``node_step_order`` reorders
-        how same-tick node steps are *scheduled* (a determinism audit
-        hook — the result must not depend on it)."""
+    def run(self) -> FleetResult:
+        """Execute the fleet campaign: per tick, control → deliver →
+        step → observe."""
         if self._ran:
             raise RuntimeError(
                 "a FleetSession runs once (its datapaths carry the run's "
@@ -580,7 +532,6 @@ class FleetSession:
             )
         self._ran = True
         self.build()
-        loop = EventLoop()
         aggregate = TimeSeries(
             columns=[
                 "t",
@@ -600,39 +551,16 @@ class FleetSession:
         for node in self.nodes:
             node.simulator.start()
         tick_times = self._tick_times()
-        n_ticks = len(tick_times)
         dt = self.nodes[0].simulator.dt
-        order = list(node_step_order) if node_step_order is not None else list(
-            range(len(self.nodes))
-        )
-        if sorted(order) != list(range(len(self.nodes))):
-            raise ValueError(
-                f"node_step_order must permute 0..{len(self.nodes) - 1}"
-            )
-        detect_state = {"last": 0.0}
         for tick, t0 in enumerate(tick_times):
             t1 = t0 + dt
-            loop.schedule(
-                t0,
-                (lambda k=tick, a=t0, b=t1:
-                 self._attacker_tick(loop, k, a, b)),
-                phase=PHASE_CONTROL,
-            )
-            for index in order:
-                loop.schedule(
-                    t0,
-                    (lambda n=self.nodes[index]: self._step_node(n)),
-                    phase=PHASE_STEP,
-                )
-            loop.schedule(
-                t0,
-                (lambda k=tick, a=t0, b=t1: self._observe_tick(
-                    loop, k, a, b, aggregate, n_ticks, tick_times,
-                    detect_state,
-                )),
-                phase=PHASE_OBSERVE,
-            )
-        loop.run()
+            self._attacker_tick(t0, t1)
+            for node in self.nodes:
+                self._deliver(node)
+            for node in self.nodes:
+                self._step_node(node)
+            self._observe_tick(t0, t1, aggregate,
+                               final=tick + 1 == len(tick_times))
         return FleetResult(
             spec=self.spec,
             aggregate=aggregate,

@@ -42,20 +42,6 @@ class TimeSeries:
             raise ValueError("no samples in window")
         return sum(values) / len(values)
 
-    def minimum(self, name: str, where: "Window | None" = None) -> float:
-        """Minimum of a column within an optional window."""
-        values = self._windowed(name, where)
-        if not values:
-            raise ValueError("no samples in window")
-        return min(values)
-
-    def maximum(self, name: str, where: "Window | None" = None) -> float:
-        """Maximum of a column within an optional window."""
-        values = self._windowed(name, where)
-        if not values:
-            raise ValueError("no samples in window")
-        return max(values)
-
     def _windowed(self, name: str, where: "Window | None") -> list[float]:
         values = self.column(name)
         if where is None:

@@ -394,7 +394,7 @@ class DataplaneSimulator:
         # measured hit distribution (computed once per tick and shard:
         # the covert refreshes below keep spreading hits across every
         # subtable, which is exactly what flattens the ranking's payoff)
-        ranked = getattr(self.switch, "scan_order", "insertion") == "ranked"
+        ranked = self.switch.scan_order == "ranked"
         ranked_hit_costs = (
             [
                 self.cost_model.megaflow_hit_cost(
@@ -625,7 +625,7 @@ class DataplaneSimulator:
             return self.cost_model.megaflow_hit_cost(masks)
         staged = view.staged
         f_new = self.victim.miss_fraction
-        if getattr(view, "scan_order", "insertion") == "ranked":
+        if view.scan_order == "ranked":
             megaflow_hit = self.cost_model.megaflow_hit_cost(
                 view.expected_scan_depth(), staged
             )
@@ -683,7 +683,7 @@ class DataplaneSimulator:
 
     def start(self) -> TimeSeries:
         """Initialise the run: an empty series and the clock at zero.
-        Step-driven callers (the fleet event loop) call this once, then
+        Step-driven callers (the fleet's tick loop) call this once, then
         :meth:`step` per tick; :meth:`run` does both."""
         self.series = TimeSeries(
             columns=[

@@ -11,7 +11,8 @@ datapath.  :func:`fingerprint` is how the two are compared, and
 :func:`result_digest` how a run is compared with the committed golden
 record.  The simulator's closed-form EMC model has its ground truth
 here too: the event-driven micro-simulation of
-:mod:`repro.testing.eventsim`.
+:mod:`repro.testing.eventsim`, on the heap scheduler of
+:mod:`repro.testing.eventloop`.
 
 Test-only: nothing else under ``src/repro/`` imports this package, and
 importing it loads neither NumPy nor hypothesis (``repro.obs``, which

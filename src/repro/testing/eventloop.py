@@ -1,21 +1,20 @@
 """A deterministic heap-based event scheduler.
 
-The shared discrete-event core: a single binary heap orders every
+The EMC micro-simulation's discrete-event core
+(:mod:`repro.testing.eventsim`): a single binary heap orders every
 scheduled callback by ``(time, phase, seq)`` —
 
-* **time** — any totally ordered numeric clock.  The fleet simulator
-  (:mod:`repro.fleet`) schedules integer ticks through it; the EMC
-  micro-simulation (:mod:`repro.testing.eventsim`) schedules float
-  arrival times;
+* **time** — any totally ordered numeric clock (the micro-simulation
+  schedules float arrival times);
 * **phase** — same-time events execute in a fixed phase order, making
-  a pipeline (or a tie-break rule) explicit in the ordering key rather
-  than implicit in scheduling order;
+  a tie-break rule explicit in the ordering key rather than implicit in
+  scheduling order;
 * **seq** — a monotone counter breaking remaining ties FIFO.
 
 No wall clock and no global :mod:`random` anywhere: given the same
 schedule, two runs execute the identical event sequence.  The clock is
 monotonic — scheduling into the past is an error, mirroring the
-dataplane clocks the loop usually drives.
+dataplane clocks.
 """
 
 from __future__ import annotations

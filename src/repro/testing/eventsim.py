@@ -9,10 +9,10 @@ and attacker arrivals and measures the victim's actual hit rate, and
 :func:`analytic_victim_hit_rate_weighted` is the rate-weighted
 refinement of the closed form the tests bound beside it.
 
-The arrival interleave runs on the same heap-based
-:class:`~repro.util.eventloop.EventLoop` core the fleet simulator uses:
-each traffic class is one self-rescheduling arrival event, with the
-class index as the event *phase* so simultaneous arrivals keep the
+The arrival interleave runs on the heap-based
+:class:`~repro.testing.eventloop.EventLoop` beside it: each traffic
+class is one self-rescheduling arrival event, with the class index as
+the event *phase* so simultaneous arrivals keep the
 victim-before-attacker tie-break.
 
 It is deliberately small-scale (tens of thousands of events) — enough
@@ -34,7 +34,7 @@ from repro.flow.match import FlowMatch
 from repro.ovs.megaflow import MegaflowEntry
 from repro.ovs.microflow import MicroflowCache
 from repro.perf.eventsim import MAX_LOCALITY
-from repro.util.eventloop import EventLoop
+from repro.testing.eventloop import EventLoop
 from repro.util.rng import DeterministicRng
 
 

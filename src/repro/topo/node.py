@@ -56,12 +56,8 @@ class Node:
 
     ``switch`` is any :class:`~repro.scenario.datapath.Datapath` (rule
     management broadcasts on a sharded one), defaulting to a bare
-    :class:`OvsSwitch`.  Each node also carries a **mailbox** — the
-    fleet event loop posts fabric-delivered messages into it and drains
-    them per tick, coalescing same-tick payload keys into one
-    ``process_batch`` call (the batch-first contract).
-    ``install_default_route=False`` skips the default uplink rule for
-    callers (the fleet) that manage the node's rule state themselves.
+    :class:`OvsSwitch`.  A new node installs its default route: IPv4
+    traffic without a local destination goes to the fabric uplink.
     """
 
     def __init__(
@@ -69,7 +65,6 @@ class Node:
         name: str,
         space: FieldSpace = OVS_FIELDS,
         switch: "OvsSwitch | None" = None,
-        install_default_route: bool = True,
     ) -> None:
         self.name = name
         self.space = space
@@ -78,34 +73,19 @@ class Node:
             UPLINK_PORT: VirtualPort(UPLINK_PORT, f"{name}-uplink")
         }
         self.pods: dict[str, Pod] = {}
-        #: fabric-delivered messages awaiting this node's next drain
-        self.mailbox: list[object] = []
         self._next_port = UPLINK_PORT + 1
         self._mac_counter = 0
-        if install_default_route:
-            # default route: IPv4 traffic without a local destination
-            # goes to the fabric uplink (per-pod rules outrank this)
-            self.switch.add_rule(
-                FlowRule(
-                    match=FlowMatch(space, {"eth_type": (ETHERTYPE_IPV4, ones(16))})
-                    if "eth_type" in space
-                    else FlowMatch.wildcard(space),
-                    action=Output(UPLINK_PORT),
-                    priority=0,
-                    comment=f"{name}: default route to fabric",
-                )
+        # the default route (per-pod rules outrank it)
+        self.switch.add_rule(
+            FlowRule(
+                match=FlowMatch(space, {"eth_type": (ETHERTYPE_IPV4, ones(16))})
+                if "eth_type" in space
+                else FlowMatch.wildcard(space),
+                action=Output(UPLINK_PORT),
+                priority=0,
+                comment=f"{name}: default route to fabric",
             )
-
-    # -- mailbox -----------------------------------------------------------
-
-    def enqueue(self, message: object) -> None:
-        """Post one fabric-delivered message for the next drain."""
-        self.mailbox.append(message)
-
-    def drain_mailbox(self) -> list[object]:
-        """Take every pending message, in delivery order."""
-        messages, self.mailbox = self.mailbox, []
-        return messages
+        )
 
     def provision_pod(self, name: str, ip: str | int, tenant: str) -> Pod:
         """Create a pod, attach its port and install baseline forwarding

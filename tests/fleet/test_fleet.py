@@ -23,10 +23,10 @@ def deepscan():
                                                 attack_start=4.0)
 
 
-def run_quiet(spec, order=None):
+def run_quiet(spec):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        return FleetSession(spec).run(node_step_order=order)
+        return FleetSession(spec).run()
 
 
 class TestSpec:
@@ -127,27 +127,24 @@ class TestDeterminism:
             m.node for m in second.migrations
         ]
 
-    def test_step_scheduling_order_is_irrelevant(self):
-        """Node-count-preserving event reordering: scheduling same-tick
-        node steps in reverse must not change any series."""
-        spec = FleetSpec(
-            scenario=base_scenario(),
-            nodes=3,
-            mobility="rolling",
-            dwell=3.0,
-            fleet_defense="quarantine",
-            detect_interval=3.0,
-        )
-        forward = run_quiet(spec)
-        backward = run_quiet(spec, order=[2, 1, 0])
-        assert forward.aggregate.rows == backward.aggregate.rows
-        for a, b in zip(forward.node_series, backward.node_series):
-            assert a.rows == b.rows
-
-    def test_bad_step_order_rejected(self):
-        spec = FleetSpec(scenario=base_scenario(), nodes=2)
-        with pytest.raises(ValueError, match="node_step_order"):
-            FleetSession(spec).run(node_step_order=[0, 0])
+    @pytest.mark.parametrize("mobility",
+                             ("rolling", "staggered", "coordinated"))
+    @pytest.mark.parametrize("scenario", [
+        pytest.param(base_scenario(), id="k8s"),
+        pytest.param(deepscan(), id="k8s-deepscan"),
+        pytest.param(base_scenario(shards=2, attacker_strategy="spread"),
+                     id="k8s-spread-2-shards"),
+    ])
+    def test_each_node_steps_as_it_would_alone(self, scenario, mobility):
+        """Without quarantine no node reads another: each node's series
+        in the fleet is the one its simulator produces run alone, so no
+        interleaving of the nodes' steps can change any of them."""
+        spec = FleetSpec(scenario=scenario, nodes=3, mobility=mobility,
+                         dwell=3.0)
+        result = run_quiet(spec)
+        for index, series in enumerate(result.node_series):
+            alone = FleetSession(spec).build().nodes[index].simulator.run()
+            assert series.rows == alone.series.rows, f"node {index}"
 
     def test_session_runs_once(self):
         session = FleetSession(

@@ -1,35 +1,27 @@
-"""Tests for the discrete-event core."""
+"""Tests for the heap scheduler under the EMC micro-simulation."""
 
 import pytest
 
-from repro.fleet.loop import (
-    PHASE_CONTROL,
-    PHASE_DELIVER,
-    PHASE_OBSERVE,
-    PHASE_STEP,
-    EventLoop,
-)
+from repro.testing.eventloop import EventLoop
 
 
 class TestOrdering:
     def test_time_then_phase_then_fifo(self):
         log = []
         loop = EventLoop()
-        loop.schedule(2, lambda: log.append("t2-control"), phase=PHASE_CONTROL)
-        loop.schedule(1, lambda: log.append("t1-observe"), phase=PHASE_OBSERVE)
-        loop.schedule(1, lambda: log.append("t1-control-b"), phase=PHASE_CONTROL)
-        loop.schedule(1, lambda: log.append("t1-step"), phase=PHASE_STEP)
-        loop.schedule(1, lambda: log.append("t1-deliver"), phase=PHASE_DELIVER)
+        loop.schedule(2, lambda: log.append("t2-p0"), phase=0)
+        loop.schedule(1, lambda: log.append("t1-p3"), phase=3)
+        loop.schedule(1, lambda: log.append("t1-p0"), phase=0)
+        loop.schedule(1, lambda: log.append("t1-p2"), phase=2)
+        loop.schedule(1, lambda: log.append("t1-p1"), phase=1)
         loop.run()
-        assert log == [
-            "t1-control-b", "t1-deliver", "t1-step", "t1-observe", "t2-control",
-        ]
+        assert log == ["t1-p0", "t1-p1", "t1-p2", "t1-p3", "t2-p0"]
 
     def test_same_time_same_phase_is_fifo(self):
         log = []
         loop = EventLoop()
         for i in range(5):
-            loop.schedule(3, lambda i=i: log.append(i), phase=PHASE_STEP)
+            loop.schedule(3, lambda i=i: log.append(i), phase=2)
         loop.run()
         assert log == [0, 1, 2, 3, 4]
 
@@ -40,14 +32,13 @@ class TestOrdering:
         def first():
             log.append("first")
             # same time, later phase: still runs this tick
-            loop.schedule(loop.now, lambda: log.append("chained"),
-                          phase=PHASE_DELIVER)
+            loop.schedule(loop.now, lambda: log.append("chained"), phase=1)
             loop.schedule(loop.now + 1, lambda: log.append("next-tick"))
 
-        loop.schedule(0, first, phase=PHASE_CONTROL)
-        loop.schedule(0, lambda: log.append("observe"), phase=PHASE_OBSERVE)
+        loop.schedule(0, first, phase=0)
+        loop.schedule(0, lambda: log.append("last"), phase=3)
         loop.run()
-        assert log == ["first", "chained", "observe", "next-tick"]
+        assert log == ["first", "chained", "last", "next-tick"]
 
 
 class TestContracts:

@@ -103,11 +103,6 @@ class TestTimeSeries:
         assert series.mean("v") == pytest.approx(45.0)
         assert series.mean("v", Window(0.0, 5.0)) == pytest.approx(20.0)
 
-    def test_min_max(self):
-        series = self._series()
-        assert series.minimum("v") == 0.0
-        assert series.maximum("v", Window(2.0, 4.0)) == 30.0
-
     def test_empty_window_raises(self):
         series = self._series()
         with pytest.raises(ValueError):

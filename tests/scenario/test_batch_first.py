@@ -113,18 +113,6 @@ class TestFleetIdentity:
             assert vec_node.rows == ref_node.rows
         assert vec.final_node_masks == ref.final_node_masks
 
-    @requires_numpy
-    def test_reversed_step_order_is_inert(self):
-        spec = FleetSpec(
-            scenario=deepscan(),
-            nodes=3,
-            mobility="staggered",
-            dwell=3.0,
-        )
-        forward = FleetSession(spec).run(node_step_order=[0, 1, 2])
-        reverse = FleetSession(spec).run(node_step_order=[2, 1, 0])
-        assert forward.aggregate.rows == reverse.aggregate.rows
-
 
 class TestCliAnnotations:
     @pytest.mark.parametrize("have_numpy", [

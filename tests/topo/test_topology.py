@@ -48,17 +48,6 @@ class TestNode:
         assert target.output_port == pod.port_no
         assert target.tenant == "alice"
 
-    def test_default_route_optional(self):
-        bare = Node("server1", install_default_route=False)
-        assert len(bare.switch.table) == 0
-
-    def test_mailbox_drains_in_delivery_order(self):
-        node = Node("server1")
-        node.enqueue(("covert", 10))
-        node.enqueue(("migrate", "key"))
-        assert node.drain_mailbox() == [("covert", 10), ("migrate", "key")]
-        assert node.drain_mailbox() == []
-
     def test_accepts_sharded_datapath(self):
         from repro.ovs.switch import OvsSwitch
         from repro.perf.costmodel import KERNEL_PROFILE
