@@ -77,7 +77,6 @@ class MigrationEvent:
 class FleetNode:
     """One hypervisor in the fleet."""
 
-    index: int
     name: str
     session: Session
     simulator: object  # DataplaneSimulator
@@ -319,7 +318,6 @@ class FleetSession:
             self.fabric.attach(name)
             self.nodes.append(
                 FleetNode(
-                    index=index,
                     name=name,
                     session=session,
                     simulator=simulator,

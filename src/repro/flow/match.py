@@ -130,12 +130,6 @@ class FlowMatch:
                 return False
         return True
 
-    def is_exact(self) -> bool:
-        """True when every field is fully specified."""
-        return all(
-            mask == spec.max_value for mask, spec in zip(self.masks, self.space.specs)
-        )
-
     def is_wildcard(self) -> bool:
         """True when no field is constrained at all."""
         return all(mask == 0 for mask in self.masks)
@@ -146,14 +140,6 @@ class FlowMatch:
             if sm & om != sm:  # self constrains a bit that other leaves free
                 return False
             if ov & sm != sv:
-                return False
-        return True
-
-    def overlaps(self, other: "FlowMatch") -> bool:
-        """True when some packet matches both (regions intersect)."""
-        for sv, sm, ov, om in zip(self.values, self.masks, other.values, other.masks):
-            common = sm & om
-            if sv & common != ov & common:
                 return False
         return True
 

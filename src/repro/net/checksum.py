@@ -20,12 +20,6 @@ def internet_checksum(data: bytes) -> int:
     return ~total & 0xFFFF
 
 
-def verify_checksum(data: bytes) -> bool:
-    """True when ``data`` (including its embedded checksum field) sums to
-    the all-ones pattern, i.e. the checksum is valid."""
-    return internet_checksum(data) == 0
-
-
 def pseudo_header(src_ip: int, dst_ip: int, proto: int, l4_length: int) -> bytes:
     """Build the IPv4 pseudo header that TCP and UDP checksums cover."""
     return b"".join(

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.flow.actions import Action
@@ -38,10 +37,6 @@ from repro.ovs.revalidator import Revalidator
 from repro.ovs.stats import SwitchStats
 from repro.ovs.upcall import InstallGuard, SlowPath
 from repro.util.rng import DeterministicRng
-
-
-_TUPLES = attrgetter("tuples_scanned")
-_PROBES = attrgetter("hash_probes")
 
 
 class LookupPath(enum.Enum):
@@ -292,7 +287,8 @@ class OvsSwitch:
         key's probe reads them.  A TSS miss ends a *stretch*: the tuple
         space changes only at its upcall, so the stretch's megaflow hits
         are credited in one summed step (:meth:`~repro.ovs.tss.
-        TupleSpaceSearch._credit`), and the pending EMC run folded,
+        TupleSpaceSearch._credit`, handed them merged by entry), and the
+        pending EMC run folded,
         before :meth:`_finish_upcall` runs (its install guards may read
         the cache); the last stretch and run are folded at the end of
         the burst.
@@ -301,11 +297,20 @@ class OvsSwitch:
         so for the whole burst: no key is probed and no insert offered,
         so the whole burst is handed to ``prescan_burst`` and each
         stretch is answered whole, in one step
-        (:meth:`~repro.ovs.tss.TupleSpaceSearch._stretch`).  The EMC's
+        (:meth:`~repro.ovs.tss.TupleSpaceSearch._stretch`).  Where no
+        result is materialized, the tuple space may first count the
+        burst by packed key (:meth:`~repro.ovs.tss.TupleSpaceSearch.
+        count_burst`, one pass, whose keys are also the pre-scan's
+        distinct keys) and answer each distinct key once
+        (:meth:`~repro.ovs.tss.TupleSpaceSearch._tally`): when every
+        one hits, the burst is one stretch, credited in one step as
+        ``(answer, count)`` pairs; otherwise it is walked stretch by
+        stretch as above.  The EMC's
         ``lookups`` / ``hits`` and the ``BatchResult`` counters of the
-        EMC and megaflow hits are added once, at the end: nothing that
-        runs mid-burst reads them (an upcall's install guards see only
-        the megaflow cache and the key).
+        EMC and megaflow hits are added once, at the end, from the
+        credited pairs: nothing that runs mid-burst reads them (an
+        upcall's install guards see only the megaflow cache and the
+        key).
         """
         microflow = self.microflow
         tss = self.megaflow.tss
@@ -313,11 +318,15 @@ class OvsSwitch:
         probes: list[int] | None = [] if tss.staged else None
         results = batch.results
         credited: list = []
-        tuples = probed = 0
         i, n = 0, len(keys)
         if not microflow.occupancy and insert is None:
-            tss.prescan_burst(keys, 0)
+            counts = None if materialize else tss.count_burst(keys)
+            tss.prescan_burst(keys, 0, counts)
             microflow.lookups += n
+            if counts is not None and (tallied := tss._tally(counts)):
+                # every distinct key hits: the burst is one stretch
+                credited += tss._credit(tallied, now)
+                i = n
             while i < n:
                 stretch = tss._stretch(keys, i, probes)
                 i += len(stretch)
@@ -326,9 +335,7 @@ class OvsSwitch:
                     stretch.pop()
                     miss = tss._missed(None if probes is None
                                        else probes[-1])
-                credited += tss._credit(stretch, now, miss)
-                tuples += sum(map(_TUPLES, stretch))
-                probed += sum(map(_PROBES, stretch))
+                credited += tss._credit(tss._pairs(stretch, now), now, miss)
                 if materialize:
                     results.extend(PacketResult(
                         result.entry.action, LookupPath.MEGAFLOW,
@@ -394,7 +401,8 @@ class OvsSwitch:
                 if result is None:
                     miss = tss._missed(None if probes is None
                                        else probes[-1])
-                    credited += tss._credit(stretch, now, miss)
+                    credited += tss._credit(tss._pairs(stretch, now), now,
+                                            miss)
                     if run_count:
                         fold(run_entry, run_count)
                         run_count = 0
@@ -403,8 +411,6 @@ class OvsSwitch:
                     answers = tss._answers(keys, asked, probes)
                     continue
                 stretch.append(result)
-                tuples += result.tuples_scanned
-                probed += result.hash_probes
                 entry = result.entry
                 if insert is not None:
                     insert(key, entry, now)
@@ -423,10 +429,12 @@ class OvsSwitch:
                 batch.forwarded += emc_forwarded
                 batch.drops += emc_hits - emc_forwarded
             if stretch:
-                credited += tss._credit(stretch, now)
-        served = forwarded = 0
+                credited += tss._credit(tss._pairs(stretch, now), now)
+        served = forwarded = tuples = probed = 0
         for result, count in credited:
             served += count
+            tuples += count * result.tuples_scanned
+            probed += count * result.hash_probes
             if result.entry.action.is_forwarding():
                 forwarded += count
         if served:

@@ -476,11 +476,33 @@ class TupleSpaceSearch:
                 break
         return stretch
 
-    def prescan_burst(self, keys: Sequence[FlowKey], start: int) -> None:
+    def prescan_burst(self, keys: Sequence[FlowKey], start: int,
+                      counts: Counter | None = None) -> None:
         """The switch's walk hands over ``keys[start:]`` — the rest of a
         burst, from its first question to the tuple space on — before
-        asking it.  This scan answers each key as it is asked, so there
-        is nothing to do; the columnar engine pre-scans them."""
+        asking it; ``counts``, when :meth:`count_burst` counted the
+        burst, holds its distinct packed keys in first-seen order.  This
+        scan answers each key as it is asked, so there is nothing to do;
+        the columnar engine pre-scans them."""
+
+    def count_burst(self, keys: Sequence[FlowKey]) -> Counter | None:
+        """Whether the switch's aggregate walk of a burst no EMC serves
+        is to be answered *counted* — each distinct key once
+        (:meth:`_tally`) — rather than key by key: the burst's packed
+        keys counted, or ``None``.  This scan has no answers but its
+        probes, so it counts nothing; the columnar engine counts a burst
+        its exact scan memo can answer."""
+        return None
+
+    def _tally(self, counts: Counter
+               ) -> list[tuple[TssLookupResult, int]] | None:
+        """A counted burst's answers: per distinct packed key of
+        ``counts``, its answer and its count — one stretch no write
+        divides, for :meth:`_credit` — or ``None`` when some key is
+        not a known hit, and the caller answers the burst key by key.
+        Pure, like :meth:`_answers`.  Never reached here
+        (:meth:`count_burst` counts nothing)."""
+        return None
 
     def _answers(self, keys: Sequence[FlowKey], positions: Iterable[int],
                  probes: list[int] | None = None,
@@ -543,36 +565,49 @@ class TupleSpaceSearch:
         if stretch and stretch[-1] is None:
             stretch.pop()
             miss = self._missed(None if probes is None else probes[-1])
-            self._credit(stretch, now, miss)
+            self._credit(self._pairs(stretch, now), now, miss)
             stretch.append(miss)
         else:
-            self._credit(stretch, now)
+            self._credit(self._pairs(stretch, now), now)
         return stretch
 
-    def _credit(self, hits: Sequence[TssLookupResult],
+    def _pairs(self, hits: Sequence[TssLookupResult], now: float | None
+               ) -> list[tuple[TssLookupResult, int]]:
+        """A stretch's per-key hit answers as :meth:`_credit`'s
+        ``(answer, count)`` pairs, merged by entry — by subtable for a
+        lookup without ``now`` (a bare tuple space's entries are opaque
+        and may be shared).  Unstaged, every answer of one entry in a
+        stretch costs the same (its subtable's depth); staged, a key's
+        probes are its own, so answers merge only with themselves."""
+        if self.staged:
+            return _grouped(hits)
+        return _grouped(hits, _SUBTABLE if now is None else _ENTRY)
+
+    def _credit(self, pairs: Sequence[tuple[TssLookupResult, int]],
                 now: float | None = None,
                 miss: TssLookupResult | None = None,
-                ) -> list[tuple[TssLookupResult, int]]:
+                ) -> Sequence[tuple[TssLookupResult, int]]:
         """The summed credit step: apply a stretch of lookups that no
-        write divides — the answers of its hits, in any order, and the
-        ``miss`` that ends it, if one does — and return the hits as
-        ``(answer, count)`` pairs, one per distinct entry (a bare tuple
-        space's entries are opaque and may be shared: there, one per
-        subtable).
+        write divides — its hits as ``(answer, count)`` pairs, each
+        standing for ``count`` lookups that got ``answer``, in any
+        order, and the ``miss`` that ends it, if one does — and return
+        the pairs.  A key-by-key stretch comes merged by entry
+        (:meth:`_pairs`), a counted burst one pair per distinct key
+        (:meth:`_tally`); pairs of one entry credit as their merge.
 
         Per pair, the subtable's ``hits`` gain the count and its
         ``rank_hits`` the same count of ``+ 1``
         (:func:`~repro.util.floatsum.add_repeated`: bit for bit what
         the per-key adds leave), and, with ``now``, the entry gains the
         count in ``hits`` and ``last_used = now``.  The ``total_*`` sums
-        gain the stretch's, and a lookup at ``now`` lowers the idle
-        floor.  Every counter here is a sum that only a sweep, a
-        re-sort or an upcall's install guards read — so a caller
-        credits a stretch before the upcall that ends it, and nothing
-        else can tell the summed step from per-key credit.
+        gain the stretch's — Σ count × the answer's — and a lookup at
+        ``now`` lowers the idle floor.  Every counter here is a sum
+        that only a sweep, a re-sort or an upcall's install guards read
+        — so a caller credits a stretch before the upcall that ends it,
+        and nothing else can tell the summed step from per-key credit.
         """
-        groups = _grouped(hits, _SUBTABLE if now is None else _ENTRY)
-        for result, count in groups:
+        lookups = tuples = probes = 0
+        for result, count in pairs:
             subtable = result.subtable
             subtable.hits += count
             subtable.rank_hits = add_repeated(subtable.rank_hits, 1, count)
@@ -580,9 +615,9 @@ class TupleSpaceSearch:
                 entry = result.entry
                 entry.hits += count  # type: ignore[attr-defined]
                 entry.last_used = now  # type: ignore[attr-defined]
-        lookups = len(hits)
-        tuples = sum(map(_TUPLES, hits))
-        probes = sum(map(_PROBES, hits))
+            lookups += count
+            tuples += count * result.tuples_scanned
+            probes += count * result.hash_probes
         if miss is not None:
             lookups += 1
             tuples += miss.tuples_scanned
@@ -592,7 +627,7 @@ class TupleSpaceSearch:
         self.total_hash_probes += probes
         if now is not None and lookups and now < self.idle_floor:
             self.idle_floor = now
-        return groups
+        return pairs
 
     def iter_entries(self) -> Iterator[tuple[int, int, object]]:
         """Iterate ``(packed mask, packed masked key, entry)`` over the
@@ -617,16 +652,16 @@ class TupleSpaceSearch:
         )
 
 
-_ENTRY, _TUPLES, _PROBES, _SUBTABLE = map(itemgetter, range(4))
+_ENTRY, _SUBTABLE = itemgetter(0), itemgetter(3)
 
 
-def _grouped(results: Sequence[TssLookupResult], part: Callable
+def _grouped(results: Sequence[TssLookupResult], part: Callable | None = None
              ) -> list[tuple[TssLookupResult, int]]:
     """``results`` as ``(result, count)`` pairs, one per distinct object
-    ``part(result)`` (counted by identity: an entry need not be
-    hashable), in first-seen order."""
+    ``part(result)`` — the result itself, without ``part`` — counted by
+    identity (an entry need not be hashable), in first-seen order."""
     if len(results) < 2:
         return [(result, 1) for result in results]
-    ids = [*map(id, map(part, results))]
+    ids = [*map(id, results if part is None else map(part, results))]
     holder = dict(zip(ids, results))
     return [(holder[i], count) for i, count in Counter(ids).items()]

@@ -31,11 +31,6 @@ class EventLoop:
         self._seq = 0
         #: the time of the event currently (or last) executed
         self.now: float = 0.0
-        #: events executed so far
-        self.processed = 0
-
-    def __len__(self) -> int:
-        return len(self._heap)
 
     def schedule(self, when: float, fn: Callable[[], None],
                  phase: int = 0) -> None:
@@ -49,10 +44,9 @@ class EventLoop:
         heapq.heappush(self._heap, (when, phase, self._seq, fn))
         self._seq += 1
 
-    def run(self, until: float | None = None) -> int:
+    def run(self, until: float | None = None) -> None:
         """Execute events in order until the heap drains (or the next
-        event lies beyond ``until``); returns events executed."""
-        executed = 0
+        event lies beyond ``until``)."""
         while self._heap:
             when, _phase, _seq, fn = self._heap[0]
             if until is not None and when > until:
@@ -60,6 +54,3 @@ class EventLoop:
             heapq.heappop(self._heap)
             self.now = when
             fn()
-            self.processed += 1
-            executed += 1
-        return executed

@@ -37,7 +37,10 @@ OvsSwitch`.
   misses (one or two keys between hit runs on a bursty feed) take their
   answers from the memo instead of each paying a scalar scan of every
   subtable; with no EMC a stretch's hits are drawn from an exact memo
-  in one C-level pass (:meth:`VecTupleSpaceSearch._stretch`).  The memo
+  in one C-level pass (:meth:`VecTupleSpaceSearch._stretch`), and an
+  aggregate burst longer than twice the memo is counted by key and
+  answered once per distinct key (:meth:`VecTupleSpaceSearch.
+  count_burst`, :meth:`VecTupleSpaceSearch._tally`).  The memo
   survives the burst's own upcalls: an ``insert`` never moves another
   subtable in the scan order, so it is *absorbed* — the subtable it
   wrote is recorded with its depth, and a memo answer is the
@@ -67,6 +70,7 @@ per subtable take the inherited scalar probe — same results either way
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import chain, takewhile
 from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -534,7 +538,8 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
             self.prescan_burst(keys, start)
         return self._memo
 
-    def prescan_burst(self, keys: Sequence[FlowKey], start: int) -> None:
+    def prescan_burst(self, keys: Sequence[FlowKey], start: int,
+                      counts: Counter | None = None) -> None:
         """Answer the distinct keys of ``keys[start:]`` — the rest of a
         burst, from its first question to the tuple space on — once,
         up front: a bursty feed asks the tuple space for one or two keys
@@ -549,14 +554,50 @@ class VecTupleSpaceSearch(TupleSpaceSearch):
         still exact (the same generation, no insert absorbed), whose
         misses its live probes join, and drops any other.  The switch's
         walk calls it at a burst's first EMC miss (with no EMC, at the
-        burst's head), :meth:`_ahead` on the rest of a burst.  Pure:
-        nothing the reference observes is touched."""
+        burst's head, with the ``counts`` :meth:`count_burst` made —
+        their keys are the distinct keys, so the burst is walked once),
+        :meth:`_ahead` on the rest of a burst.  Pure: nothing the
+        reference observes is touched."""
         rest = len(keys) - start
         if rest < self.VEC_MIN_BATCH or not self.prescan_pays(rest):
             if self._memo_written:
                 self._memo = None
             return
-        self.prescan(list(dict.fromkeys([key.packed for key in keys[start:]])))
+        self.prescan(list(dict.fromkeys([key.packed for key in keys[start:]])
+                          if counts is None else counts))
+
+    def count_burst(self, keys: Sequence[FlowKey]) -> Counter | None:
+        """Count a burst no EMC serves — its packed keys, in one pass —
+        when it is longer than twice the memo carried into it: then it
+        repeats its keys, or follows a write that left the memo small,
+        and each distinct key can take its answer once (:meth:`_tally`).
+        A shorter burst — the serve feed's, behind a memo of thousands
+        of keys — is walked key by key with nothing counted; so is a
+        staged one (no memo serves it)."""
+        memo = self._memo
+        if (self._scalar_reason is not None
+                or len(keys) <= 2 * (len(memo) if memo is not None else 0)):
+            return None
+        return Counter([key.packed for key in keys])
+
+    def _tally(self, counts: Counter
+               ) -> list[tuple[TssLookupResult, int]] | None:
+        """A counted burst answered from an exact memo (the live
+        generation, no insert absorbed): each distinct key's remembered
+        hit, with its count, and ``memo`` gains one per lookup — what
+        :meth:`_stretch` would draw key by key.  ``None``, touching
+        nothing, when the memo is not exact or any key is a remembered
+        miss or unseen: the walk then answers key by key."""
+        memo = self._memo
+        if (memo is None or self._memo_generation != self.generation
+                or self._memo_written):
+            return None
+        answers = [*map(memo.get, counts)]
+        if not all(answers):
+            return None
+        self._answered_generation = self.generation
+        self.path_lookups["memo"] += counts.total()
+        return [*zip(answers, counts.values())]
 
 
 class VecSwitch(OvsSwitch):

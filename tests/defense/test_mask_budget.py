@@ -16,6 +16,7 @@ from repro.flow.key import FlowKey
 from repro.flow.match import FlowMatch
 from repro.flow.rule import FlowRule
 from repro.ovs.switch import OvsSwitch
+from repro.testing.predicates import is_exact
 
 
 def _toy_attack_switch(**kwargs):
@@ -68,7 +69,7 @@ class TestHardCapRegression:
             switch.process(FlowKey(space, {"ip_src": value}))
             assert switch.mask_count <= 1
         for entry in switch.megaflow.entries():
-            assert entry.match.is_exact()
+            assert is_exact(entry.match)
 
 
 class TestHardCapProperty:

@@ -3,7 +3,8 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.net.checksum import internet_checksum, pseudo_header, verify_checksum
+from repro.net.checksum import internet_checksum, pseudo_header
+from repro.testing.predicates import verify_checksum
 
 
 class TestInternetChecksum:

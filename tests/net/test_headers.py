@@ -4,10 +4,10 @@ import pytest
 
 from repro.net.addresses import ip_to_int
 from repro.net.arp import OP_REPLY, OP_REQUEST, Arp
-from repro.net.checksum import verify_checksum
 from repro.net.ethernet import ETHERTYPE_ARP, ETHERTYPE_IPV4, ETHERTYPE_VLAN, Ethernet, Vlan
 from repro.net.ipv4 import PROTO_ICMP, PROTO_TCP, PROTO_UDP, IPv4
 from repro.net.l4 import Icmp, Tcp, Udp
+from repro.testing.predicates import verify_checksum
 
 
 class TestEthernet:

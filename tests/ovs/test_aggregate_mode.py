@@ -11,12 +11,20 @@ rebalancer's refusal and what an EMC-off burst costs.
 
 import dataclasses
 from collections import Counter
+from types import MethodType
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import repro.ovs.tss
+from repro.cms.base import PRIORITY_BASELINE_FORWARD
+from repro.flow.actions import Output
+from repro.flow.match import FlowMatch
+from repro.flow.rule import FlowRule
 from repro.ovs.megaflow import MegaflowEntry
 from repro.ovs.microflow import MicroflowCache
+from repro.obs import vec_tss_paths
 from repro.ovs.stats import COUNTERS
 from repro.ovs.switch import BatchResult, LookupPath, OvsSwitch
 from repro.perf.costmodel import KERNEL_PROFILE
@@ -24,6 +32,8 @@ from repro.perf.factory import DatapathConfig, switch_for_profile
 from repro.defense.cacheless import CachelessDatapath
 from repro.scenario.session import Session
 from repro.scenario.spec import ScenarioSpec
+from repro.testing import fingerprint, oracles
+from repro.testing.fingerprint import entry_view
 from repro.vec import HAVE_NUMPY
 
 AGGREGATE_FIELDS = (
@@ -205,10 +215,13 @@ class TestEmcOffBurst:
             self, k8s, monkeypatch, engine):
         """An EMC that holds nothing and cannot store makes a burst's
         repeats change no result, so they cost nothing either: the
-        burst has no upcall, so one summed credit covers it — one
-        ``(answer, count)`` pair per distinct entry — with no EMC insert
-        and no entry ``touch`` per hit, and the vec engine builds one
-        answer per distinct key."""
+        burst has no upcall, so one summed credit covers it, with no
+        EMC insert and no entry ``touch`` per hit.  ``_credit`` takes
+        ``(answer, count)`` pairs: the scalar engine's key-by-key
+        stretch comes merged by entry, one pair per distinct entry; the
+        vec engine answers the burst counted from its exact memo — one
+        answer per distinct key, paired with the key's count — and its
+        ``memo`` path grows by one per lookup."""
         space, rules, keys = k8s
         modules = [repro.ovs.tss]
         switch_cls = OvsSwitch
@@ -227,21 +240,163 @@ class TestEmcOffBurst:
         credited = []
         tss = switch.megaflow.tss
         credit = tss._credit
-        monkeypatch.setattr(tss, "_credit", lambda *args: credited.append(
-            credit(*args)) or credited[-1])
+        monkeypatch.setattr(tss, "_credit", lambda pairs, *args: credited.append(
+            list(pairs)) or credit(pairs, *args))
         _count(monkeypatch, counts, MicroflowCache, "insert")
         _count(monkeypatch, counts, MegaflowEntry, "touch")
         for module in modules:
             _count(monkeypatch, counts, module, "TssLookupResult")
+        memo = getattr(tss, "path_lookups", Counter())["memo"]
         batch = switch.process_batch(burst, now=0.2, materialize=False)
         assert batch.megaflow_hits == self.N
         assert len(credited) == 1
-        entries = {id(answer.entry) for answer, _count in credited[0]}
-        assert len(entries) == len(credited[0])
-        assert sum(count for _, count in credited[0]) == self.N
+        pairs = credited[0]
+        assert sum(count for _answer, count in pairs) == self.N
         assert (counts["insert"], counts["touch"]) == (0, 0)
         if engine == "VecSwitch":
+            assert [count for _answer, count in pairs] == \
+                [self.N // self.D] * self.D
             assert counts["TssLookupResult"] <= self.D
+            assert tss.path_lookups["memo"] - memo == self.N
+        else:
+            entries = {id(answer.entry) for answer, _count in pairs}
+            assert len(entries) == len(pairs) == self.D
+
+
+#: bursts each engine's walk answered counted, and bursts it counted but
+#: then walked key by key, over every example of the property below
+COUNTED: Counter = Counter()
+ENGINES = ["OvsSwitch", "VecSwitch"] if HAVE_NUMPY else ["OvsSwitch"]
+#: covert keys installed before the first burst: enough megaflows that
+#: the vec engine's pre-scan pays for a burst of a few distinct keys
+INSTALLED = 256
+#: the keys the laps are drawn from: installed covert keys and victim
+#: flows (several share one megaflow), and keys never installed, which
+#: upcall when a burst sends them mid-lap
+LAP_KEYS, VICTIMS, FRESH = 24, 8, 32
+
+
+def _victim_rule(session):
+    return FlowRule(
+        FlowMatch(session.space, {"eth_type": (0x0800, 0xFFFF),
+                                  "ip_dst": (0x0A000200, 0xFFFFFFFF)}),
+        Output(7), priority=PRIORITY_BASELINE_FORWARD, tenant="victim",
+    )
+
+
+@pytest.fixture(scope="module")
+def laps():
+    session = Session(ScenarioSpec(surface="k8s", profile="kernel"))
+    rules = session.surface.compile_rules(
+        session.policy, session.target, session.space
+    ) + [_victim_rule(session)]
+    covert = session.surface.covert_keys(
+        session.dimensions, session.target, session.space
+    )
+    victims = [key.replace(tp_src=key.get("tp_src") + 16 * n)
+               for n in range(VICTIMS // 4) for key in session.victim_keys()]
+    pool = covert[:LAP_KEYS] + victims
+    return session.space, rules, covert[:INSTALLED], pool, \
+        covert[INSTALLED:INSTALLED + FRESH]
+
+
+_burst_steps = st.lists(st.tuples(
+    # one lap: distinct keys of the pool, then some of them again
+    st.lists(st.integers(0, LAP_KEYS + VICTIMS - 1), min_size=4,
+             max_size=16, unique=True),
+    st.lists(st.integers(0, 15), max_size=4),
+    st.integers(1, 8),  # laps
+    # keys never installed, each sent once at a position of the burst
+    st.just([]) | st.lists(st.tuples(st.integers(0, 127),
+                                     st.integers(0, FRESH - 1)),
+                           min_size=1, max_size=2),
+    # seconds since the last burst: none, a sweep (a ranked re-sort),
+    # and one that idles out what the burst before did not send
+    st.sampled_from([0.05, 0.6, 6.0]),
+    st.sampled_from([None] * 4 + ["victim", "mallory"]),  # evict_tenant
+    st.sampled_from([False, False, True]),  # materialize
+), min_size=2, max_size=6)
+
+
+def _view(batch):
+    return ([getattr(batch, name) for name in COUNTERS],
+            [(r.action, r.path, r.tuples_scanned, r.hash_probes,
+              None if r.entry is None else entry_view(r.entry))
+             for r in batch.results],
+            [(key.packed, entry_view(entry)) for key, entry in batch.installed])
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@given(config=st.sampled_from([("insertion", False), ("ranked", False),
+                               ("insertion", True), ("ranked", True)]),
+       steps=_burst_steps)
+def test_a_counted_burst_leaves_what_per_key_lookups_leave(
+        laps, engine, config, steps):
+    """EMC-off bursts built as laps of a key list with repeats, keys
+    that upcall mid-lap, entries killed by an idle sweep or
+    ``evict_tenant``, ranked order with its re-sorts, staged lookup:
+    the walk — which answers a burst counted where its tuple space can
+    — leaves what ``oracles.resolve_per_key`` leaves, burst for burst,
+    and the same ``vec_tss_paths`` as the key-by-key walk."""
+    space, rules, installed, pool, fresh = laps
+    scan_order, staged = config
+    switch_cls = OvsSwitch
+    if engine == "VecSwitch":
+        from repro.vec.engine import VecSwitch as switch_cls
+
+    def build():
+        switch = switch_for_profile(
+            "kernel-noemc", space=space, seed=7, switch_cls=switch_cls,
+            scan_order=scan_order, staged_lookup=staged)
+        switch.add_rules(rules)
+        for key in installed + pool[LAP_KEYS:]:
+            switch.handle_miss(key, 0.0)
+        return switch
+
+    walk, oracle, uncounted = build(), build(), build()
+    oracle._resolve = MethodType(oracles.resolve_per_key, oracle)
+    # the same walk, every burst key by key
+    uncounted.megaflow.tss.count_burst = lambda keys: None
+    tss = walk.megaflow.tss
+    tally = tss._tally
+
+    def census(counts):
+        tallied = tally(counts)
+        COUNTED[engine, "counted" if tallied else "declined"] += 1
+        return tallied
+
+    tss._tally = census
+    now = 0.0
+    for lap, again, repeat, sent, gap, evict, materialize in steps:
+        now += gap
+        lap = lap + [lap[i % len(lap)] for i in again]
+        burst = [pool[i] for i in lap] * repeat
+        for at, i in sent:
+            burst.insert(at % (len(burst) + 1), fresh[i])
+        views = []
+        for switch in (walk, oracle, uncounted):
+            if evict:
+                switch.megaflow.evict_tenant(evict)
+            views.append(_view(switch.process_batch(
+                burst, now=now, materialize=materialize)))
+        assert views[0] == views[1] == views[2], burst
+        assert fingerprint(walk) == fingerprint(oracle) == \
+            fingerprint(uncounted), burst
+        assert vec_tss_paths(walk) == vec_tss_paths(uncounted), burst
+    COUNTED[engine, "examples"] += 1
+
+
+def test_the_counted_path_ran():
+    """The property above reaches what it is for: the vec engine
+    answers bursts counted, and declines some it counted (a key that
+    misses, an absorbed write) to walk them key by key."""
+    if not all(COUNTED[engine, "examples"] for engine in ENGINES):
+        pytest.skip("the floor holds over both engines' runs, not a part")
+    if HAVE_NUMPY:
+        assert COUNTED["VecSwitch", "counted"] >= 20, COUNTED
+        assert COUNTED["VecSwitch", "declined"] >= 10, COUNTED
+    # the scalar tuple space answers every burst key by key
+    assert not COUNTED["OvsSwitch", "counted"], COUNTED
 
 
 class TestRebalancerInteraction:

@@ -17,6 +17,7 @@ from repro.flow.key import FlowKey
 from repro.flow.match import FlowMatch
 from repro.flow.rule import FlowRule
 from repro.ovs.switch import OvsSwitch
+from repro.testing.predicates import overlaps
 
 _SPACE = FieldSpace([FieldSpec("f1", 5), FieldSpec("f2", 3)], name="coherence")
 
@@ -84,7 +85,7 @@ class TestCoherence:
         entries = switch.megaflow.entries()
         for i, a in enumerate(entries):
             for b in entries[i + 1:]:
-                if a.match.overlaps(b.match):
+                if overlaps(a.match, b.match):
                     # overlapping regions must carry the same action,
                     # otherwise some packet's verdict depends on scan order
                     assert a.action == b.action, (

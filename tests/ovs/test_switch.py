@@ -13,6 +13,7 @@ from repro.net.l4 import Tcp
 from repro.ovs.revalidator import SWEEP_INTERVAL
 from repro.ovs.switch import LookupPath, OvsSwitch
 from repro.ovs.upcall import InstallRejected
+from repro.testing.predicates import is_exact
 
 
 def _toy_switch():
@@ -182,7 +183,7 @@ class TestGuardIntegration:
         switch.process(FlowKey(space, {"ip_src": 0b10000000}))
         entries = switch.megaflow.entries()
         assert len(entries) == 1
-        assert entries[0].match.is_exact()
+        assert is_exact(entries[0].match)
 
 
 class TestStats:

@@ -10,6 +10,7 @@ from repro.flow.rule import FlowRule
 from repro.flow.table import FlowTable
 from repro.ovs.megaflow import MegaflowCache
 from repro.ovs.upcall import InstallContext, InstallRejected, SlowPath
+from repro.testing.predicates import is_exact
 
 
 def _slow_path(miss_action=None, flow_limit=100):
@@ -89,14 +90,14 @@ class TestGuardChain:
         def second(context):
             calls.append("second")
             # second guard sees the replacement from the first
-            assert context.match.is_exact()
+            assert is_exact(context.match)
             return None
 
         slow_path.add_guard(first)
         slow_path.add_guard(second)
         result = slow_path.handle(FlowKey(space, {"ip_src": 0b10000000}))
         assert calls == ["first", "second"]
-        assert result.installed.match.is_exact()
+        assert is_exact(result.installed.match)
 
     def test_guard_veto_marks_skipped(self):
         space, slow_path = _slow_path()

@@ -55,14 +55,7 @@ class TestContracts:
         loop = EventLoop()
         loop.schedule(1, lambda: log.append(1))
         loop.schedule(10, lambda: log.append(10))
-        executed = loop.run(until=5)
-        assert executed == 1 and log == [1] and len(loop) == 1
+        loop.run(until=5)
+        assert log == [1] and loop.now == 1
         loop.run()
         assert log == [1, 10]
-
-    def test_processed_counter(self):
-        loop = EventLoop()
-        for tick in range(4):
-            loop.schedule(tick, lambda: None)
-        loop.run()
-        assert loop.processed == 4

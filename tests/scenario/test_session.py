@@ -91,6 +91,48 @@ class TestCampaignMode:
             session.simulator(session.build_datapath())
 
 
+class TestVictimKeys:
+    #: the victim's representative flows a node keeps installed and hot
+    FLOWS = 4
+
+    def test_every_victim_flow_is_kept_hot_through_the_run(self):
+        """``victim_keys()`` are the flows the simulator refreshes every
+        tick (the victim aggregate never goes idle), on a preset whose
+        scan order lets no output depend on them: after a ``fig3`` run
+        each of the four distinct flows has a live megaflow that
+        forwards it, and over the run's second half the victim's
+        megaflows gained one hit per flow per tick."""
+        session = Session(SCENARIOS.get("fig3").evolve(seed=1))
+        keys = session.victim_keys()
+        assert len({key.packed for key in keys}) == self.FLOWS
+        datapath = session.build_datapath()
+        simulator = session.simulator(datapath)
+        simulator.start()
+
+        def victim_entries():
+            return {id(entry): entry for entry in datapath.megaflow.entries()
+                    if any(entry.match.matches(key) for key in keys)}
+
+        ticks = 0
+        while simulator.t < simulator.duration:
+            simulator.step()
+            if simulator.t <= simulator.duration / 2:
+                halfway = {i: entry.hits
+                           for i, entry in victim_entries().items()}
+            else:
+                ticks += 1
+        entries = victim_entries()
+        for key in keys:
+            live = [entry for entry in entries.values()
+                    if entry.match.matches(key)]
+            assert len(live) == 1 and live[0].alive, key
+            assert live[0].action.is_forwarding(), key
+            assert live[0].last_used == simulator.t, key
+        assert halfway.keys() == entries.keys()
+        gained = sum(entry.hits - halfway[i] for i, entry in entries.items())
+        assert ticks > 0 and gained == self.FLOWS * ticks
+
+
 class TestBackendsAndDefenses:
     def test_cacheless_backend_is_attack_independent(self):
         spec = SCENARIOS.get("calico-cacheless").evolve(

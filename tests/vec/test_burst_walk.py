@@ -64,8 +64,9 @@ def test_each_burst_credits_once_per_stretch_as_the_reference_does(
     tss = sut.megaflow.tss
     credit = tss._credit
     credits = []
+    # one entry per ``_credit`` call: the lookups its pairs stand for
     monkeypatch.setattr(tss, "_credit", lambda *args: credits.append(
-        len(args[0])) or credit(*args))
+        sum(count for _answer, count in args[0])) or credit(*args))
     walked = 0
     for now, burst in inputs["bursts"]:
         credits.clear()
