@@ -71,7 +71,7 @@ from repro.util.units import format_bps
 
 def _make_telemetry(args: argparse.Namespace):
     """A live registry when the run asked for ``--metrics-out``,
-    ``None`` (→ the shared null telemetry, zero overhead) otherwise."""
+    ``None`` (telemetry off, zero overhead) otherwise."""
     if getattr(args, "metrics_out", None) is None:
         return None
     from repro.obs import Telemetry
@@ -86,6 +86,38 @@ def _write_metrics_out(args: argparse.Namespace, telemetry) -> None:
 
     written = write_metrics(telemetry, args.metrics_out)
     print(f"\nmetrics written to {written}")
+
+
+def _flags_given(args: argparse.Namespace, fields) -> dict:
+    """The flags among ``fields`` the command line set (argparse
+    leaves every other one ``None``)."""
+    return {name: getattr(args, name) for name in fields
+            if getattr(args, name) is not None}
+
+
+def _preset(command: str, registry, name: str, args: argparse.Namespace,
+            fields, scenario_fields=(), **overrides):
+    """The registered preset ``name`` with the ``fields`` flags given
+    and every non-``None`` ``overrides`` value applied;
+    ``scenario_fields`` override a fleet preset's base scenario the same
+    way.  An unknown name exits with the registry's message, a value
+    the spec rejects with ``<command> '<preset>': <reason>``."""
+    try:
+        spec = registry.get(name)
+    except KeyError as exc:
+        raise SystemExit(str(exc))
+    changes = _flags_given(args, fields)
+    changes.update((key, value) for key, value in overrides.items()
+                   if value is not None)
+    scenario_changes = _flags_given(args, scenario_fields)
+    try:
+        if scenario_changes:
+            changes["scenario"] = spec.scenario.evolve(**scenario_changes)
+        if changes:
+            spec = spec.evolve(**changes)
+    except (KeyError, ValueError) as exc:
+        raise SystemExit(f"{command} {spec.name!r}: {exc}")
+    return spec
 
 
 def _campaign_surfaces() -> list[str]:
@@ -168,24 +200,15 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         return 0
     if args.name is None:
         raise SystemExit("scenario: a scenario name (or --list) is required")
-    try:
-        spec = SCENARIOS.get(args.name)
-    except KeyError as exc:
-        raise SystemExit(str(exc))
-    overrides = {}
-    for field_name in ("duration", "attack_start", "seed", "profile", "backend",
-                       "scan_order", "shards", "reta_size",
-                       "rebalance_interval", "workload_skew",
-                       "attacker_strategy", "reprobe_interval"):
-        value = getattr(args, field_name)
-        if value is not None:
-            overrides[field_name] = value
-    if args.defense:
-        overrides["defenses"] = tuple(args.defense)
+    spec = _preset(
+        "scenario", SCENARIOS, args.name, args,
+        ("duration", "attack_start", "seed", "profile", "backend",
+         "scan_order", "shards", "reta_size", "rebalance_interval",
+         "workload_skew", "attacker_strategy", "reprobe_interval"),
+        defenses=tuple(args.defense) if args.defense else None,
+    )
     telemetry = _make_telemetry(args)
     try:
-        if overrides:
-            spec = spec.evolve(**overrides)
         result = Session(spec, telemetry=telemetry).run()
     except (KeyError, ValueError) as exc:
         raise SystemExit(f"scenario {spec.name!r}: {exc}")
@@ -222,27 +245,14 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         return 0
     if args.name is None:
         raise SystemExit("fleet: a fleet campaign name (or --list) is required")
-    try:
-        spec = FLEETS.get(args.name)
-    except KeyError as exc:
-        raise SystemExit(str(exc))
-    overrides = {}
-    for field_name in ("nodes", "mobility", "dwell", "stagger",
-                       "fleet_defense", "detect_interval"):
-        value = getattr(args, field_name)
-        if value is not None:
-            overrides[field_name] = value
-    scenario_overrides = {}
-    for field_name in ("duration", "attack_start", "seed"):
-        value = getattr(args, field_name)
-        if value is not None:
-            scenario_overrides[field_name] = value
+    spec = _preset(
+        "fleet", FLEETS, args.name, args,
+        ("nodes", "mobility", "dwell", "stagger", "fleet_defense",
+         "detect_interval"),
+        scenario_fields=("duration", "attack_start", "seed"),
+    )
     telemetry = _make_telemetry(args)
     try:
-        if scenario_overrides:
-            overrides["scenario"] = spec.scenario.evolve(**scenario_overrides)
-        if overrides:
-            spec = spec.evolve(**overrides)
         result = FleetSession(spec, telemetry=telemetry).run()
     except (KeyError, ValueError) as exc:
         raise SystemExit(f"fleet {spec.name!r}: {exc}")
@@ -259,19 +269,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.runtime.parallel import WorkerCrashError
     from repro.runtime.service import build_service
 
-    try:
-        spec = SCENARIOS.get(args.scenario)
-    except KeyError as exc:
-        raise SystemExit(str(exc))
-    overrides = {}
-    for field_name in ("profile", "seed", "shards"):
-        value = getattr(args, field_name)
-        if value is not None:
-            overrides[field_name] = value
+    spec = _preset("serve", SCENARIOS, args.scenario, args,
+                   ("profile", "seed", "shards"))
     telemetry = _make_telemetry(args)
     try:
-        if overrides:
-            spec = spec.evolve(**overrides)
         service = build_service(
             spec,
             workers=args.workers,
@@ -322,20 +323,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import Telemetry
     from repro.obs.export import prometheus_text, telemetry_json
 
-    try:
-        spec = SCENARIOS.get(args.name)
-    except KeyError as exc:
-        raise SystemExit(str(exc))
-    overrides = {}
-    for field_name in ("duration", "attack_start", "seed", "backend",
-                       "shards"):
-        value = getattr(args, field_name)
-        if value is not None:
-            overrides[field_name] = value
+    spec = _preset("trace", SCENARIOS, args.name, args,
+                   ("duration", "attack_start", "seed", "backend", "shards"))
     telemetry = Telemetry()
     try:
-        if overrides:
-            spec = spec.evolve(**overrides)
         result = Session(spec, telemetry=telemetry).run()
     except (KeyError, ValueError) as exc:
         raise SystemExit(f"trace {spec.name!r}: {exc}")

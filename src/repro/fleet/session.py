@@ -239,9 +239,9 @@ class FleetSession:
         self.spec = spec.validate()
         #: one shared observability umbrella for the whole fleet: every
         #: node Session gets it, so per-node series land in one registry
-        #: labeled by node (None = the shared null telemetry)
+        #: labeled by node (None = telemetry off)
         self.telemetry = telemetry
-        enabled = telemetry is not None and telemetry.enabled
+        enabled = telemetry is not None
         self._trace = telemetry.trace if enabled else None
         self._fleet_gauges = (
             {

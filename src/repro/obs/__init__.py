@@ -15,12 +15,12 @@ for a given seed:
   :class:`~repro.perf.costmodel.CostModel` charges aggregated by
   (layer, phase, node, shard) into a flamegraph-style tree.
 
-Layers accept ``telemetry=None`` and fall back to
-:data:`NULL_TELEMETRY`, whose instruments are shared no-ops — the
-zero-overhead-when-disabled contract: enabling telemetry changes no
-deterministic output byte (``tests/obs/test_determinism.py``), and what
-it costs in wall clock is the pipeline benchmark's
-``obs.telemetry_overhead_frac`` row.
+Layers accept ``telemetry=None``, and ``None`` is the one off switch:
+a layer given it registers no instrument and records no span, so the
+disabled path costs one cached ``is not None`` check.  Enabling
+telemetry changes no deterministic output byte
+(``tests/obs/test_determinism.py``), and what it costs in wall clock is
+the pipeline benchmark's ``obs.telemetry_overhead_frac`` row.
 
 Exporters live in :mod:`repro.obs.export`: Prometheus text exposition,
 the stable ``repro.obs/v1`` JSON snapshot, and the one shared
@@ -42,32 +42,24 @@ from repro.obs.export import (
     wall_pps_snapshot,
     write_metrics,
 )
-from repro.obs.profile import NULL_PROFILE, CycleProfile, NullProfile
+from repro.obs.profile import CycleProfile
 from repro.obs.telemetry import (
     DEFAULT_BUCKETS,
     METRIC_NAME_RE,
-    NULL_TELEMETRY,
     Counter,
     Gauge,
     Histogram,
-    NullTelemetry,
     Telemetry,
 )
-from repro.obs.trace import NULL_TRACE, NullTrace, SpanEvent, TraceRecorder
+from repro.obs.trace import SpanEvent, TraceRecorder
 
 __all__ = [
     "DEFAULT_BUCKETS",
     "METRIC_NAME_RE",
-    "NULL_PROFILE",
-    "NULL_TELEMETRY",
-    "NULL_TRACE",
     "Counter",
     "CycleProfile",
     "Gauge",
     "Histogram",
-    "NullProfile",
-    "NullTelemetry",
-    "NullTrace",
     "SpanEvent",
     "Telemetry",
     "TraceRecorder",

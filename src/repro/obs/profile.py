@@ -13,22 +13,19 @@ seeded run reproduces it bit for bit, and
 ``tests/obs/test_determinism.py`` can assert the tree's total equals
 the campaign's total charged cycles exactly.
 
-:class:`NullProfile` is the disabled counterpart (no-op charges, empty
-tree) so instrumented code charges unconditionally through whatever
-profile it holds.
+With telemetry off there is no profile: the simulator charges one only
+when it was given a :class:`~repro.obs.telemetry.Telemetry`.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-__all__ = ["CycleProfile", "NullProfile", "NULL_PROFILE"]
+__all__ = ["CycleProfile"]
 
 
 class CycleProfile:
     """Cycle charges aggregated by ``(layer, phase, node, shard)``."""
-
-    enabled = True
 
     def __init__(self) -> None:
         self._charges: dict[tuple[str, str, str, int], float] = {}
@@ -46,13 +43,6 @@ class CycleProfile:
 
     def __len__(self) -> int:
         return len(self._charges)
-
-    def by_layer(self) -> dict[str, float]:
-        """Cycles per top-level layer, sorted by layer name."""
-        out: dict[str, float] = {}
-        for (layer, _phase, _node, _shard), cycles in self._charges.items():
-            out[layer] = out.get(layer, 0.0) + cycles
-        return dict(sorted(out.items()))
 
     def tree(self) -> dict[str, Any]:
         """The flamegraph-style nesting: root → layer → phase → node →
@@ -120,33 +110,3 @@ class CycleProfile:
 
         walk(self.tree(), 0)
         return "\n".join(lines)
-
-
-class NullProfile:
-    """The disabled profile: charges vanish, exports are empty."""
-
-    enabled = False
-    total = 0.0
-
-    def charge(self, layer: str, phase: str, cycles: float, *,
-               node: str = "", shard: int = -1) -> None:
-        pass
-
-    def __len__(self) -> int:
-        return 0
-
-    def by_layer(self) -> dict[str, float]:
-        return {}
-
-    def tree(self) -> dict[str, Any]:
-        return {"name": "campaign", "cycles": 0.0, "children": []}
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"total_cycles": 0.0, "tree": self.tree(), "leaves": []}
-
-    def render(self, min_percent: float = 0.0) -> str:
-        return "total charged cycles: 0"
-
-
-#: the shared disabled profile (stateless)
-NULL_PROFILE = NullProfile()

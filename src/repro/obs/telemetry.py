@@ -4,10 +4,10 @@ One :class:`Telemetry` instance is the umbrella for a run's whole
 observability surface: the metric registry itself, the span
 :class:`~repro.obs.trace.TraceRecorder`, and the cycle-attribution
 :class:`~repro.obs.profile.CycleProfile`.  Layers receive it as an
-optional constructor argument and hold :data:`NULL_TELEMETRY` when the
-caller passed none — the null object's instruments are shared no-ops,
-so instrumented code never branches on "is telemetry on" for
-correctness, only (optionally) for speed via the ``enabled`` flag.
+optional constructor argument; ``None`` is telemetry off, and a layer
+given ``None`` registers no instrument and records nothing — it checks
+``telemetry is not None`` once, where it is built, and caches what the
+hot path needs.
 
 Contracts the lint rule ``metric-hygiene`` enforces at the call sites:
 
@@ -32,8 +32,8 @@ from __future__ import annotations
 import re
 from typing import Any
 
-from repro.obs.profile import NULL_PROFILE, CycleProfile
-from repro.obs.trace import DEFAULT_TRACE_CAPACITY, NULL_TRACE, TraceRecorder
+from repro.obs.profile import CycleProfile
+from repro.obs.trace import TraceRecorder
 
 __all__ = [
     "METRIC_NAME_RE",
@@ -41,8 +41,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "Telemetry",
-    "NullTelemetry",
-    "NULL_TELEMETRY",
 ]
 
 #: lowercase dotted identifiers, two+ segments: ``sim.attacker.cycles``
@@ -88,12 +86,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
 
     def sample(self) -> dict[str, Any]:
         return {"value": self.value}
@@ -148,33 +140,6 @@ class Histogram:
         }
 
 
-class _NullInstrument:
-    """One shared no-op standing in for every disabled instrument."""
-
-    kind = "null"
-    value = 0.0
-    count = 0
-    total = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def sample(self) -> dict[str, Any]:
-        return {}
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
 def _label_items(labels: dict[str, str]) -> LabelItems:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
@@ -183,12 +148,10 @@ class Telemetry:
     """The live registry: named, labeled instruments plus the trace
     recorder and cycle profile, all stamped with simulated time."""
 
-    enabled = True
-
-    def __init__(self, trace_capacity: int = DEFAULT_TRACE_CAPACITY) -> None:
+    def __init__(self) -> None:
         #: simulated seconds — the max ``now`` any layer reported
         self.clock = 0.0
-        self.trace = TraceRecorder(trace_capacity)
+        self.trace = TraceRecorder()
         self.profile = CycleProfile()
         self._metrics: dict[tuple[str, LabelItems], Any] = {}
         self._kinds: dict[str, str] = {}
@@ -229,13 +192,8 @@ class Telemetry:
     def gauge(self, name: str, **labels: str) -> Gauge:
         return self._instrument("gauge", name, labels, Gauge)
 
-    def histogram(self, name: str,
-                  buckets: tuple[float, ...] | None = None,
-                  **labels: str) -> Histogram:
-        bounds = DEFAULT_BUCKETS if buckets is None else tuple(buckets)
-        return self._instrument(
-            "histogram", name, labels, lambda: Histogram(bounds)
-        )
+    def histogram(self, name: str, **labels: str) -> Histogram:
+        return self._instrument("histogram", name, labels, Histogram)
 
     def series(self) -> list[tuple[str, LabelItems, Any]]:
         """Every registered instrument, sorted by (name, labels)."""
@@ -243,9 +201,6 @@ class Telemetry:
             (name, labels, instrument)
             for (name, labels), instrument in self._metrics.items()
         )
-
-    def __len__(self) -> int:
-        return len(self._metrics)
 
     # -- wiring -------------------------------------------------------------
 
@@ -294,49 +249,3 @@ class Telemetry:
             "trace": self.trace.summary(),
             "profile": self.profile.to_dict(),
         }
-
-
-class NullTelemetry:
-    """The disabled registry: shared no-op instruments, null trace and
-    profile, free to call from any hot path."""
-
-    enabled = False
-    clock = 0.0
-    trace = NULL_TRACE
-    profile = NULL_PROFILE
-
-    def advance(self, now: float) -> None:
-        pass
-
-    def counter(self, name: str, **labels: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str, **labels: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str,
-                  buckets: tuple[float, ...] | None = None,
-                  **labels: str) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def series(self) -> list[tuple[str, LabelItems, Any]]:
-        return []
-
-    def __len__(self) -> int:
-        return 0
-
-    def attach(self, datapath, node: str = "") -> None:
-        pass
-
-    def snapshot(self) -> dict[str, Any]:
-        return {
-            "schema": "repro.obs/v1",
-            "clock": 0.0,
-            "metrics": [],
-            "trace": NULL_TRACE.summary(),
-            "profile": NULL_PROFILE.to_dict(),
-        }
-
-
-#: the shared disabled telemetry — what every layer holds by default
-NULL_TELEMETRY = NullTelemetry()

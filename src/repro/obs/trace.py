@@ -25,9 +25,8 @@ Two export formats:
   to *threads*, so a fleet trace lays out one swimlane per PMD per
   node.
 
-:class:`NullTrace` is the disabled counterpart: every ``record`` is a
-no-op, so instrumented code can call it unconditionally without
-perturbing the disabled-telemetry byte-identity gate.
+With telemetry off there is no recorder: each event source holds
+``trace = None`` and records only when it is given one.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
-__all__ = ["SpanEvent", "TraceRecorder", "NullTrace", "NULL_TRACE"]
+__all__ = ["SpanEvent", "TraceRecorder"]
 
 #: default ring capacity — plenty for a full campaign (one event per
 #: sweep/rebalance/burst, not per packet), bounded for serve
@@ -74,8 +73,6 @@ class SpanEvent:
 
 class TraceRecorder:
     """A fixed-capacity ring buffer of :class:`SpanEvent` rows."""
-
-    enabled = True
 
     def __init__(self, capacity: int = DEFAULT_TRACE_CAPACITY) -> None:
         if capacity < 1:
@@ -182,40 +179,3 @@ class TraceRecorder:
             "recorded": self.total,
             "dropped": self.dropped,
         }
-
-
-class NullTrace:
-    """The disabled trace: records nothing, exports empty."""
-
-    enabled = False
-    capacity = 0
-    total = 0
-    dropped = 0
-
-    def record(self, name: str, ts: float, *, dur: float = 0.0,
-               node: str = "", shard: int = -1, **args: Any) -> None:
-        pass
-
-    def __len__(self) -> int:
-        return 0
-
-    def events(self) -> list[SpanEvent]:
-        return []
-
-    def __iter__(self) -> Iterator[SpanEvent]:
-        return iter(())
-
-    def to_jsonl(self) -> str:
-        return ""
-
-    def to_chrome_trace(self) -> dict[str, Any]:
-        return {"traceEvents": [], "displayTimeUnit": "ms",
-                "otherData": {"clock": "simulated-seconds",
-                              "recorded": 0, "dropped": 0}}
-
-    def summary(self) -> dict[str, int]:
-        return {"events": 0, "recorded": 0, "dropped": 0}
-
-
-#: the shared disabled recorder (stateless, so one instance serves all)
-NULL_TRACE = NullTrace()

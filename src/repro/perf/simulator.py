@@ -29,13 +29,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from repro.flow.key import FlowKey
-from repro.obs import (
-    NULL_TELEMETRY,
-    emc_counters,
-    record_emc,
-    record_vec_tss,
-    vec_tss_paths,
-)
+from repro.obs import emc_counters, record_emc, record_vec_tss, vec_tss_paths
 from repro.ovs.megaflow import MegaflowEntry, refresh_run
 from repro.ovs.pmd import shard_views
 from repro.ovs.revalidator import SWEEP_INTERVAL
@@ -212,18 +206,17 @@ class DataplaneSimulator:
         self._seen_rebalances = 0
         # observability: attach the span recorder to the datapath's
         # event sources and pre-register this simulator's instruments.
-        # ``_tele`` stays None when telemetry is disabled, so the hot
+        # ``_tele`` stays None when telemetry is off (None), so the hot
         # tick loop pays one ``is not None`` check and nothing else —
         # the zero-overhead-when-disabled contract.
-        # explicit None check: an empty registry is len() == 0 / falsy
-        self.telemetry = NULL_TELEMETRY if telemetry is None else telemetry
-        self.telemetry.attach(switch)
+        self.telemetry = telemetry
         self._tele = None
         self._tele_node = getattr(switch, "name", "") or ""
         self._last_upcalls = 0
-        if self.telemetry.enabled:
+        if telemetry is not None:
+            telemetry.attach(switch)
             node = self._tele_node
-            tele = self.telemetry
+            tele = telemetry
             self._tele = {
                 "attacker_packets": tele.counter(
                     "sim.attacker.packets", node=node

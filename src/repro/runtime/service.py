@@ -38,7 +38,6 @@ from typing import Iterator
 from repro.defense.detector import DEFAULT_MASK_THRESHOLD
 from repro.flow.fields import OVS_FIELDS, FieldSpace
 from repro.flow.key import FlowKey
-from repro.obs import NULL_TELEMETRY
 from repro.obs.export import (
     datapath_state,
     observe_shards,
@@ -49,7 +48,7 @@ from repro.obs.export import (
 from repro.perf.burst import KeyBurst
 from repro.perf.workload import AttackerWorkload
 
-#: default seconds of simulated time per synthetic burst (matches the
+#: seconds of simulated time per synthetic burst (matches the
 #: simulator's coalescing granularity: one burst per tick)
 DEFAULT_TICK = 0.1
 
@@ -58,10 +57,11 @@ class SyntheticSource:
     """The scenario's covert stream as a deterministic live feed.
 
     Lap structure and pacing mirror the simulator's coalesced replay:
-    each ``tick`` of simulated time emits the integer number of packets
-    due by drift-free cumulative arithmetic, sliced cyclically from the
-    covert key set.  Entirely simulated-time-driven — no wall clock —
-    so two runs (or two runtimes) see byte-identical bursts.
+    each :data:`DEFAULT_TICK` of simulated time, from 0, emits the
+    integer number of packets due by drift-free cumulative arithmetic,
+    sliced cyclically from the covert key set.  Entirely simulated-
+    time-driven — no wall clock — so two runs (or two runtimes) see
+    byte-identical bursts.
     """
 
     def __init__(
@@ -69,8 +69,6 @@ class SyntheticSource:
         keys: list[FlowKey],
         rate_pps: float,
         duration: float,
-        tick: float = DEFAULT_TICK,
-        start_time: float = 0.0,
         max_packets: int | None = None,
     ) -> None:
         if not keys:
@@ -79,13 +77,9 @@ class SyntheticSource:
             raise ValueError(f"rate_pps must be positive, got {rate_pps}")
         if duration <= 0:
             raise ValueError(f"duration must be positive, got {duration}")
-        if tick <= 0:
-            raise ValueError(f"tick must be positive, got {tick}")
         self.burst = KeyBurst(keys)
         self.rate_pps = rate_pps
         self.duration = duration
-        self.tick = tick
-        self.start_time = start_time
         self.max_packets = max_packets
 
     def describe(self) -> dict:
@@ -94,20 +88,20 @@ class SyntheticSource:
             "keys": len(self.burst),
             "rate_pps": self.rate_pps,
             "duration": self.duration,
-            "tick": self.tick,
+            "tick": DEFAULT_TICK,
         }
 
     def batches(self) -> Iterator[tuple[float, list[FlowKey]]]:
         """Yield ``(now, keys)`` bursts until the duration (or packet
         budget) is exhausted.  Idle ticks yield empty bursts so the
         datapath clock — and its revalidator — keeps advancing."""
-        t = self.start_time
-        end = self.start_time + self.duration
+        t = 0.0
+        end = self.duration
         sent = 0
         cursor = 0
         while t < end:
-            t = min(t + self.tick, end)
-            due = int(round((t - self.start_time) * self.rate_pps)) - sent
+            t = min(t + DEFAULT_TICK, end)
+            due = int(round(t * self.rate_pps)) - sent
             if self.max_packets is not None:
                 due = min(due, self.max_packets - sent)
             keys = self.burst.cyclic_slice(cursor, due)
@@ -160,7 +154,7 @@ class PcapSource:
         self.space = space
         self.batch_size = batch_size
         self.in_port = in_port
-        self.telemetry = NULL_TELEMETRY if telemetry is None else telemetry
+        self.telemetry = telemetry
         #: frames / records skipped or clamped so far, all reasons
         self.malformed = 0
         #: records read so far, by the ingest path that extracted them
@@ -178,14 +172,18 @@ class PcapSource:
 
     def _note_malformed(self, reason: str, count: int = 1) -> None:
         self.malformed += count
-        self.telemetry.counter(
-            "serve.ingest.malformed", reason=reason
-        ).inc(count)
+        if self.telemetry is not None:
+            self.telemetry.counter(
+                "serve.ingest.malformed", reason=reason
+            ).inc(count)
 
     def _note_frames(self, path: str, count: int) -> None:
         if count:
             self.frames[path] += count
-            self.telemetry.counter("serve.ingest.frames", path=path).inc(count)
+            if self.telemetry is not None:
+                self.telemetry.counter(
+                    "serve.ingest.frames", path=path
+                ).inc(count)
 
     def batches(self) -> Iterator[tuple[float, list[FlowKey]]]:
         from repro.net.pcap import PcapReader, PcapTruncatedError
@@ -347,16 +345,15 @@ class ServeService:
         self._stop_requested = False
         self._stop_reason = "signal"
         self._installed_handlers: dict[int, object] = {}
-        # explicit None check: an empty registry is len() == 0 / falsy
-        self.telemetry = NULL_TELEMETRY if telemetry is None else telemetry
-        self.telemetry.attach(datapath)
+        self.telemetry = telemetry
         # the per-burst wire counters: eight of the BatchResult
         # counters the parallel workers ship over the mailbox, each
         # paired with its telemetry series by name (None when telemetry
         # is disabled — the hot loop then skips instrumentation entirely)
         self._wire_counters = None
-        if self.telemetry.enabled:
-            counter = self.telemetry.counter
+        if telemetry is not None:
+            telemetry.attach(datapath)
+            counter = telemetry.counter
             self._wire_counters = (
                 ("packets", counter("serve.batch.packets")),
                 ("tuples_scanned", counter("serve.batch.tuples_scanned")),
@@ -415,7 +412,7 @@ class ServeService:
             "wall": wall_pps_snapshot(self.packets, started),
         }
         telemetry = self.telemetry
-        if telemetry.enabled:
+        if telemetry is not None:
             telemetry.advance(now)
             telemetry.gauge("serve.datapath.mask_count").set(
                 state["mask_count"]
@@ -498,7 +495,6 @@ def build_service(
     pcap: str | Path | None = None,
     rate_pps: float | None = None,
     duration: float = 10.0,
-    tick: float = DEFAULT_TICK,
     max_packets: int | None = None,
     batch_size: int = 256,
     report_interval: float = 1.0,
@@ -575,7 +571,6 @@ def build_service(
             keys,
             rate_pps=rate_pps or default_rate,
             duration=duration,
-            tick=tick,
             max_packets=max_packets,
         )
     # applied before any fork: parallel workers inherit the compiled

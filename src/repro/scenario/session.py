@@ -245,7 +245,7 @@ class Session:
             spec = ScenarioSpec.from_dict(spec)
         self.spec = spec.validate()
         #: observability umbrella threaded down to the simulator
-        #: (None = the shared null telemetry; zero overhead)
+        #: (None = telemetry off; zero overhead)
         self.telemetry = telemetry
         self.surface: Surface = SURFACES.get(spec.surface)
         self.profile = PROFILES.get(spec.profile)

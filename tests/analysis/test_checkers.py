@@ -190,7 +190,7 @@ class TestMetricHygiene:
 
     def test_good_obs_package_exempt(self, tmp_path):
         result = _lint(tmp_path, {
-            "obs/profile.py": "from repro.obs.trace import NULL_TRACE\n"
+            "obs/profile.py": "from repro.obs.trace import SpanEvent\n"
                               "def tree(root, cycles):\n"
                               "    root['cycles'] += cycles\n",
         }, rules=["metric-hygiene"])

@@ -10,7 +10,11 @@ import json
 
 import pytest
 
+from repro.attack.packets import CovertStreamGenerator
+from repro.attack.policy import kubernetes_attack_policy
 from repro.fleet import FleetSession, FleetSpec
+from repro.net.addresses import ip_to_int
+from repro.net.pcap import PcapWriter
 from repro.obs import Telemetry
 from repro.obs.export import prometheus_text, telemetry_json
 from repro.runtime.service import build_service
@@ -34,6 +38,22 @@ def _serve_report(workers, telemetry, shards=2):
         telemetry=telemetry,
     )
     return service.run()
+
+
+def _hostile_capture(path, count=40):
+    """``count`` covert frames with a runt frame mid-capture and the
+    last record torn off."""
+    _, dimensions = kubernetes_attack_policy()
+    generator = CovertStreamGenerator(
+        dimensions, dst_ip=ip_to_int("10.0.9.10")
+    )
+    frames = [bytes(generator.packet_for_key(key).build())
+              for key in generator.keys()[:count]]
+    frames.insert(count // 2, b"\xde\xad\xbe\xef\x00\x01")
+    with PcapWriter(path) as writer:
+        writer.write_all(frames)
+    path.write_bytes(path.read_bytes()[:-5])
+    return path
 
 
 def _serve_exports(workers, shards=2):
@@ -78,7 +98,7 @@ class TestPureObservation:
         observed = Session(_scenario_spec(), telemetry=telemetry).run()
         assert plain.series.columns == observed.series.columns
         assert plain.series.rows == observed.series.rows
-        assert len(telemetry) > 0  # telemetry genuinely on
+        assert len(telemetry.series()) > 0  # telemetry genuinely on
 
     def test_scan_stats_identical_either_way(self):
         plain = Session(_scenario_spec()).run()
@@ -93,7 +113,7 @@ class TestPureObservation:
         observed = FleetSession(spec, telemetry=telemetry).run()
         assert plain.node_series[0].rows == observed.node_series[0].rows
         assert plain.aggregate.rows == observed.aggregate.rows
-        assert len(telemetry) > 0
+        assert len(telemetry.series()) > 0
 
     @pytest.mark.parametrize("workers", [0, 2])
     def test_serve_view_identical_either_way(self, workers):
@@ -101,7 +121,31 @@ class TestPureObservation:
         plain = _serve_report(workers, None)
         observed = _serve_report(workers, telemetry)
         assert plain.deterministic_view() == observed.deterministic_view()
-        assert len(telemetry) > 0
+        assert len(telemetry.series()) > 0
+
+    def test_serve_over_pcap_identical_either_way(self, tmp_path):
+        path = _hostile_capture(tmp_path / "hostile.pcap")
+        runs = []
+        for telemetry in (None, Telemetry()):
+            service = build_service(
+                SCENARIOS.get("k8s-serve").evolve(shards=2), pcap=path,
+                batch_size=16, report_interval=0.01, telemetry=telemetry,
+            )
+            report = service.run()
+            runs.append((report.deterministic_view(),
+                         service.source.malformed,
+                         dict(service.source.frames)))
+        assert runs[0] == runs[1]
+        _view, malformed, frames = runs[0]
+        assert malformed == 2  # the runt frame and the torn tail
+        assert sum(frames.values()) == 40
+        published = {
+            name: sum(i.value for n, _labels, i in telemetry.series()
+                      if n == name)
+            for name in ("serve.ingest.malformed", "serve.ingest.frames")
+        }
+        assert published == {"serve.ingest.malformed": malformed,
+                             "serve.ingest.frames": 40}
 
 
 class TestServeExportDeterminism:

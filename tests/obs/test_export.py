@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs import Telemetry
+from repro.obs import DEFAULT_BUCKETS, Telemetry
 from repro.obs.export import (
     EMC_COUNTERS,
     datapath_state,
@@ -229,13 +229,17 @@ class TestPrometheusText:
 
     def test_histogram_exposition(self):
         tele = Telemetry()
-        hist = tele.histogram("sim.victim.avg_cycles", buckets=(10.0, 100.0))
+        hist = tele.histogram("sim.victim.avg_cycles")
         hist.observe(5.0)
         hist.observe(50.0)
         text = prometheus_text(tele)
         assert 'repro_sim_victim_avg_cycles_bucket{le="10"} 1' in text
-        assert 'repro_sim_victim_avg_cycles_bucket{le="100"} 2' in text
+        assert 'repro_sim_victim_avg_cycles_bucket{le="20"} 1' in text
+        assert 'repro_sim_victim_avg_cycles_bucket{le="50"} 2' in text
         assert 'repro_sim_victim_avg_cycles_bucket{le="+Inf"} 2' in text
+        assert text.count("repro_sim_victim_avg_cycles_bucket") == (
+            len(DEFAULT_BUCKETS) + 1
+        )
         assert "repro_sim_victim_avg_cycles_sum 55" in text
         assert "repro_sim_victim_avg_cycles_count 2" in text
 

@@ -5,7 +5,6 @@ import pytest
 from repro.obs import (
     DEFAULT_BUCKETS,
     METRIC_NAME_RE,
-    NULL_TELEMETRY,
     Counter,
     Gauge,
     Histogram,
@@ -19,7 +18,7 @@ class TestNaming:
         tele.counter("sim.attacker.packets")
         tele.gauge("serve.datapath.mask_count")
         tele.histogram("sim.victim.avg_cycles")
-        assert len(tele) == 3
+        assert len(tele.series()) == 3
 
     @pytest.mark.parametrize("bad", [
         "packets",            # single segment
@@ -59,12 +58,11 @@ class TestInstruments:
         with pytest.raises(ValueError):
             counter.inc(-1.0)
 
-    def test_gauge_set_inc_dec(self):
+    def test_gauge_set_replaces(self):
         gauge = Gauge()
         gauge.set(5.0)
-        gauge.inc(2.0)
-        gauge.dec()
-        assert gauge.value == 6.0
+        gauge.set(2.0)
+        assert gauge.value == 2.0
 
     def test_histogram_buckets_and_overflow(self):
         hist = Histogram(bounds=(10.0, 100.0))
@@ -112,27 +110,6 @@ class TestSnapshot:
         ]
         assert snap["trace"] == {"events": 0, "recorded": 0, "dropped": 0}
         assert snap["profile"]["total_cycles"] == 0.0
-
-    def test_null_snapshot_matches_schema(self):
-        snap = NULL_TELEMETRY.snapshot()
-        assert snap["schema"] == "repro.obs/v1"
-        assert snap["metrics"] == []
-
-
-class TestNullTelemetry:
-    def test_disabled_and_inert(self):
-        assert not NULL_TELEMETRY.enabled
-        counter = NULL_TELEMETRY.counter("any.name")
-        counter.inc(5)
-        assert counter.value == 0.0
-        NULL_TELEMETRY.gauge("x.y").set(9)
-        NULL_TELEMETRY.histogram("x.z").observe(1.0)
-        NULL_TELEMETRY.advance(100.0)
-        assert NULL_TELEMETRY.clock == 0.0
-        assert len(NULL_TELEMETRY) == 0
-
-    def test_shared_instrument_instance(self):
-        assert NULL_TELEMETRY.counter("a.b") is NULL_TELEMETRY.gauge("c.d")
 
 
 class TestAttach:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.obs import NULL_TRACE, SpanEvent, TraceRecorder
+from repro.obs import SpanEvent, TraceRecorder
 
 
 class TestRing:
@@ -127,13 +127,3 @@ class TestTraceCommand:
                      "--output", str(tmp_path)]) == 0
         assert "pre=1.00 Gbps post=n/a\n" in capsys.readouterr().out
         assert len(list(tmp_path.iterdir())) == 5
-
-
-class TestNullTrace:
-    def test_inert(self):
-        NULL_TRACE.record("a.b", 1.0, x=1)
-        assert len(NULL_TRACE) == 0
-        assert NULL_TRACE.to_jsonl() == ""
-        assert NULL_TRACE.to_chrome_trace()["traceEvents"] == []
-        assert NULL_TRACE.summary() == {"events": 0, "recorded": 0,
-                                        "dropped": 0}
