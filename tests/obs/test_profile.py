@@ -76,3 +76,9 @@ class TestRender:
 
     def test_empty_profile_renders_zero(self):
         assert CycleProfile().render() == "total charged cycles: 0"
+
+    def test_empty_profile_has_no_leaves(self):
+        profile = CycleProfile()
+        assert profile.total == 0.0
+        assert len(profile) == 0
+        assert profile.to_dict()["leaves"] == []

@@ -136,3 +136,51 @@ class TestAttach:
         datapath = self._datapath(shards=1)
         tele.attach(datapath)
         assert datapath.revalidator.trace_shard == -1
+
+
+class TestOffIsNone:
+    """Telemetry off is ``telemetry=None``: nothing is attached or
+    registered, and a fresh registry is an ordinary, truthy object."""
+
+    def test_empty_snapshot_matches_schema(self):
+        snap = Telemetry().snapshot()
+        assert snap["schema"] == "repro.obs/v1"
+        assert snap["clock"] == 0.0
+        assert snap["metrics"] == []
+        assert snap["trace"] == {"events": 0, "recorded": 0, "dropped": 0}
+        assert snap["profile"]["total_cycles"] == 0.0
+
+    def test_empty_registry_is_truthy(self):
+        tele = Telemetry()
+        assert tele.series() == []
+        assert tele
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_simulator_attaches_nothing(self, shards):
+        from repro.ovs.pmd import shard_views
+        from repro.scenario.presets import SCENARIOS
+        from repro.scenario.session import Session
+
+        session = Session(SCENARIOS.get("k8s-deepscan").evolve(shards=shards))
+        datapath = session.build_datapath()
+        simulator = session.simulator(datapath)
+        simulator.step()
+        assert simulator.telemetry is None
+        for shard in shard_views(datapath):
+            assert shard.revalidator.trace is None
+
+    def test_service_attaches_nothing(self):
+        from repro.ovs.pmd import shard_views
+        from repro.runtime.service import build_service
+        from repro.scenario.presets import SCENARIOS
+
+        service = build_service(
+            SCENARIOS.get("k8s-serve").evolve(shards=2), max_packets=64,
+            batch_size=16, report_interval=0.01,
+        )
+        report = service.run()
+        assert report.packets == 64
+        assert service.telemetry is None
+        assert service._wire_counters is None
+        for shard in shard_views(service.datapath):
+            assert shard.revalidator.trace is None

@@ -74,6 +74,12 @@ class TestChromeTrace:
         assert spans[0]["ts"] == 1.0 * 1e6  # microseconds
         assert spans[0]["cat"] == "ovs"
 
+    def test_empty_trace_has_no_events(self):
+        trace = TraceRecorder()
+        assert trace.to_chrome_trace()["traceEvents"] == []
+        assert trace.summary() == {"events": 0, "recorded": 0,
+                                   "dropped": 0}
+
     def test_bookkeeping_in_other_data(self):
         trace = TraceRecorder(capacity=1)
         trace.record("a.b", 1.0)
